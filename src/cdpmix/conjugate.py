@@ -14,16 +14,26 @@ multivariate-t marginal for the stacked cluster responses, with
 ``2 * shape`` degrees of freedom and scale ``(rate/shape) * (W P^-1 W' + I)``
 for free design W and coefficient precision P. We never build that
 (e*S x e*S) matrix: all evaluation goes through per-cluster sufficient
-statistics in coefficient space (dimension p = number of free coefficients),
-which is algebraically identical and O(e*S*p^2) instead of O((e*S)^3). The
-equivalence with the direct stacked-t evaluation is pinned down by tests.
+statistics in coefficient space (dimension p = number of free coefficients).
+
+Every item shares the same covariate rows, so a cluster of m items has
+posterior precision ``P + m G`` with ``G = W'W``. One generalized
+eigenbasis ``L`` (``L'PL = I``, ``L'GL = diag(d)``) diagonalizes all of
+them at once. In the coordinates ``z = L'(W'y + P mean)``
+
+    v'(P + mG)^-1 v = sum_k z_k^2 / (1 + m d_k),
+    logdet(P + mG)  = logdet P + sum_k log(1 + m d_k),
+
+so a marginal is O(p) scalar arithmetic against a per-count table, with no
+matrix work after construction. This is algebraically identical to the
+direct stacked-t evaluation, which the tests pin down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,13 +50,11 @@ def _as_matrix(a, rows: int | None = None, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _logdet_spd(m: np.ndarray, what: str) -> float:
-    if m.size == 0:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise NumericalError(f"{what} is not positive definite")
-    return float(logdet)
+def _cholesky_spd(m: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"{what} is not positive definite") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +109,7 @@ class NormalGammaSpec:
         precision = np.asarray(precision, dtype=float).reshape(p, p)
         if p and not np.allclose(precision, precision.T, atol=1e-10):
             raise ValidationError("precision must be symmetric")
-        _ = _logdet_spd(precision, "prior precision")  # SPD check up front
+        _cholesky_spd(precision, "prior precision")  # SPD check up front
         if fixed_z_coeffs is not None:
             fixed_z_coeffs = np.atleast_1d(np.asarray(fixed_z_coeffs, dtype=float))
         object.__setattr__(self, "shape", float(shape))
@@ -161,10 +169,13 @@ class ClusterStats:
 class ClusterEvaluator:
     """Marginal-likelihood engine for one prior over a fixed design.
 
-    Caches the per-cluster-size posterior precision inverse and log
-    determinant (they depend on the design only through the item count,
-    because every item shares the same covariate rows), so each marginal
-    evaluation costs one small quadratic form.
+    Construction computes the generalized eigenbasis ``L`` of the Gram
+    matrix ``G = W'W`` against the prior precision ``P``: ``L'PL = I`` and
+    ``L'GL = diag(d)``, with ``d`` in ``eigenvalues``. ``project`` maps a
+    ``W'y`` sum into that basis (``z = L'(W'y + P mean)``), and
+    ``log_marginal_z`` prices a cluster from its count, ``z`` and ``y'y``.
+    The count enters only through a per-count table (see ``table``), so a
+    marginal costs p multiply-adds and one logarithm.
     """
 
     def __init__(self, design: DesignBlock, spec: NormalGammaSpec):
@@ -188,11 +199,39 @@ class ClusterEvaluator:
         self.gram = free.T @ free
         self._v0 = spec.precision @ spec.mean
         self._prior_quad = float(spec.mean @ self._v0)
-        self._logdet_prior = _logdet_spd(spec.precision, "prior precision")
         self._log_norm0 = float(spec.shape * np.log(spec.rate) - gammaln(spec.shape))
-        self._rate_base = spec.rate + 0.5 * self._prior_quad
-        # count -> (posterior precision inverse, logdet, posterior shape, constant term)
-        self._cache: dict[int, tuple[np.ndarray, float, float, float]] = {}
+        self.rate_base = spec.rate + 0.5 * self._prior_quad
+        chol_inv = np.linalg.inv(_cholesky_spd(spec.precision, "prior precision"))
+        self.eigenvalues, rotation = np.linalg.eigh(chol_inv @ self.gram @ chol_inv.T)
+        self.basis = chol_inv.T @ rotation
+        self.z0 = self.project(np.zeros(spec.n_coeffs))
+        # row m: (1/(1 + m d_k) for each k, posterior shape, constant term); row 0 unused
+        self._table: list = [None]
+
+    def table(self, max_count: int) -> list:
+        """Per-count rows ``(reciprocals, a_post, const)``, filled up to ``max_count``.
+
+        Row m holds ``1/(1 + m d_k)`` for every k, the posterior shape and
+        every term of the log marginal that depends on the count alone.
+        """
+        start = len(self._table)
+        if max_count >= start:
+            m = np.arange(start, max(max_count, 2 * start) + 1, dtype=float)
+            scale = 1.0 + np.outer(m, self.eigenvalues)
+            if (scale <= 0).any():
+                raise NumericalError("posterior precision is not positive definite")
+            n_obs = m * self.n_samples
+            a_post = self.spec.shape + 0.5 * n_obs
+            const = (-0.5 * n_obs * _LOG_2PI
+                     - 0.5 * np.log1p(np.outer(m, self.eigenvalues)).sum(axis=1)
+                     + self._log_norm0 + gammaln(a_post))
+            self._table.extend(zip(map(tuple, (1.0 / scale).tolist()),
+                                   a_post.tolist(), const.tolist()))
+        return self._table
+
+    def project(self, wty: np.ndarray) -> tuple[float, ...]:
+        """Coordinates ``L'(wty + P mean)`` of a cluster's ``W'y`` sum."""
+        return tuple((self.basis.T @ (wty + self._v0)).tolist())
 
     def item_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
         """Per-item contribution (W'y_adj, y_adj'y_adj) with the offset removed."""
@@ -218,24 +257,6 @@ class ClusterEvaluator:
         Y_adj = Y - self.offset
         return Y_adj @ self.free, np.einsum("ij,ij->i", Y_adj, Y_adj)
 
-    def _per_count(self, count: int) -> tuple[np.ndarray, float, float, float]:
-        hit = self._cache.get(count)
-        if hit is None:
-            t_post = self.spec.precision + count * self.gram
-            logdet = _logdet_spd(t_post, "posterior precision")
-            inv = np.linalg.inv(t_post) if t_post.size else t_post
-            n_obs = count * self.n_samples
-            a_post = self.spec.shape + 0.5 * n_obs
-            const = (
-                -0.5 * n_obs * _LOG_2PI
-                + 0.5 * (self._logdet_prior - logdet)
-                + self._log_norm0
-                + float(gammaln(a_post))
-            )
-            hit = (inv, logdet, a_post, const)
-            self._cache[count] = hit
-        return hit
-
     def log_marginal(self, stats: ClusterStats) -> float:
         """Log marginal likelihood of the cluster's stacked responses (0 for empty)."""
         return self.log_marginal_parts(stats.count, stats.wty, stats.yty)
@@ -243,13 +264,28 @@ class ClusterEvaluator:
     def log_marginal_parts(self, count: int, wty: np.ndarray, yty: float) -> float:
         if count == 0:
             return 0.0
-        inv, _, a_post, const = self._per_count(count)
-        if wty.size:
-            v = wty + self._v0
-            quad = float(v @ inv @ v)
+        return self.log_marginal_z(count, self.project(wty), yty)
+
+    def log_marginal_z(self, count: int, z: Sequence[float], yty: float,
+                       dz: Sequence[float] | None = None, dyy: float = 0.0) -> float:
+        """Log marginal of a nonempty cluster whose statistics are in the eigenbasis.
+
+        ``dz`` and ``dyy``, when given, are added to ``z`` and ``yty`` first, so
+        pricing an item into a cluster builds no new vector.
+        """
+        try:
+            recips, a_post, const = self._table[count]
+        except IndexError:
+            recips, a_post, const = self.table(count)[count]
+        quad = 0.0
+        if dz is None:
+            for zk, rk in zip(z, recips):
+                quad += zk * zk * rk
         else:
-            quad = 0.0
-        b_post = self._rate_base + 0.5 * (yty - quad)
+            for zk, dk, rk in zip(z, dz, recips):
+                t = zk + dk
+                quad += t * t * rk
+        b_post = self.rate_base + 0.5 * (yty + dyy - quad)
         if not b_post > 0:
             raise NumericalError("posterior rate collapsed to a non-positive value")
         return const - a_post * math.log(b_post)

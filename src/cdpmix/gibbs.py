@@ -29,89 +29,87 @@ from .priors import (LOG_ZERO, BackgroundDirichletProcess, PartitionPrior, log_e
 class NIGEngine:
     """Per-colour marginal-likelihood engine over a fixed dataset.
 
-    Precomputes each item's sufficient-statistic contribution and the
-    single-item log marginals, so reallocation weights touch only small
-    cached quadratic forms.
+    Works in the evaluator's generalized eigenbasis. Item i contributes
+    ``xi[i] = L' W'y_i`` and ``yy[i] = y_i'y_i``, held as Python floats, and
+    a cluster's statistics are its count, ``z = z0 + sum of its xi`` and the
+    sum of its ``yy``. ``log_m(count, z, yty, dz, dyy)`` prices a cluster,
+    optionally with one more item's ``(dz, dyy)`` added, in O(p) scalar
+    arithmetic; ``singles[i]`` is item i's own log marginal. ``stats_of`` and
+    ``log_marginal`` keep the coefficient-space route for callers that price
+    partitions directly.
     """
 
     def __init__(self, design: DesignBlock, spec: NormalGammaSpec, Y: np.ndarray):
-        self.evaluator = ClusterEvaluator(design, spec)
-        self.item_wty, self.item_yty = self.evaluator.prepare(Y)
-        self.n_coeffs = spec.n_coeffs
-        self._singles = np.array([
-            self.evaluator.log_marginal_parts(1, self.item_wty[i], self.item_yty[i])
-            for i in range(len(self.item_yty))
-        ])
-
-    def empty_stats(self) -> ClusterStats:
-        return ClusterStats.empty(self.n_coeffs)
+        ev = self.evaluator = ClusterEvaluator(design, spec)
+        self.item_wty, self.item_yty = ev.prepare(Y)
+        n = len(self.item_yty)
+        ev.table(n + 1)
+        self.log_m = ev.log_marginal_z
+        self.z0 = ev.z0
+        self.xi = [tuple(row) for row in (self.item_wty @ ev.basis).tolist()]
+        self.yy = self.item_yty.tolist()
+        self.singles = [self.log_m(1, self.z0, 0.0, self.xi[i], self.yy[i])
+                        for i in range(n)]
 
     def stats_of(self, items: Sequence[int]) -> ClusterStats:
         idx = list(items)
         return ClusterStats(len(idx), self.item_wty[idx].sum(axis=0),
                             float(self.item_yty[idx].sum()))
 
-    def add_(self, stats: ClusterStats, i: int) -> None:
-        stats.add_(self.item_wty[i], self.item_yty[i])
-
-    def remove_(self, stats: ClusterStats, i: int) -> None:
-        stats.remove_(self.item_wty[i], self.item_yty[i])
-
     def log_marginal(self, stats: ClusterStats) -> float:
         return self.evaluator.log_marginal(stats)
-
-    def log_plus_item(self, stats: ClusterStats, i: int) -> float:
-        return self.evaluator.log_marginal_parts(
-            stats.count + 1, stats.wty + self.item_wty[i],
-            stats.yty + self.item_yty[i])
-
-    def log_plus_block(self, stats: ClusterStats, block: ClusterStats) -> float:
-        return self.evaluator.log_marginal_parts(
-            stats.count + block.count, stats.wty + block.wty, stats.yty + block.yty)
-
-    def single(self, i: int) -> float:
-        return float(self._singles[i])
 
 
 class FlatEngine:
     """Likelihood stub whose marginals are identically zero (prior-only chains)."""
 
+    z0 = ()
+
     def __init__(self, n: int):
         self.n = n
-
-    def empty_stats(self) -> ClusterStats:
-        return ClusterStats.empty(0)
+        self.xi = [()] * n
+        self.yy = [0.0] * n
+        self.singles = [0.0] * n
 
     def stats_of(self, items) -> ClusterStats:
         return ClusterStats(len(list(items)), np.zeros(0), 0.0)
 
-    def add_(self, stats, i) -> None:
-        stats.count += 1
-
-    def remove_(self, stats, i) -> None:
-        stats.count -= 1
-
     def log_marginal(self, stats) -> float:
         return 0.0
 
-    def log_plus_item(self, stats, i) -> float:
+    def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
         return 0.0
 
-    def log_plus_block(self, stats, block) -> float:
-        return 0.0
 
-    def single(self, i) -> float:
-        return 0.0
+def _summed(eng, items, z=None, yty: float = 0.0) -> tuple[list[float], float]:
+    """``(z, y'y)`` after ``items`` join a cluster holding ``(z, yty)``; empty by default."""
+    z = list(eng.z0 if z is None else z)
+    for i in items:
+        z = [a + b for a, b in zip(z, eng.xi[i])]
+        yty += eng.yy[i]
+    return z, yty
 
 
 class _Cluster:
-    __slots__ = ("colour", "members", "stats", "log_m")
+    """Members, colour and cached statistics ``(z, yty)`` and log marginal of one cluster."""
 
-    def __init__(self, colour: int, members: set[int], stats: ClusterStats, log_m: float):
+    __slots__ = ("colour", "members", "z", "yty", "log_m")
+
+    def __init__(self, colour: int, members: set[int], z: list[float], yty: float,
+                 log_m: float):
         self.colour = colour
         self.members = members
-        self.stats = stats
+        self.z = z
+        self.yty = yty
         self.log_m = log_m
+
+    def add_(self, eng, i: int) -> None:
+        self.z = [a + b for a, b in zip(self.z, eng.xi[i])]
+        self.yty += eng.yy[i]
+
+    def remove_(self, eng, i: int) -> None:
+        self.z = [a - b for a, b in zip(self.z, eng.xi[i])]
+        self.yty -= eng.yy[i]
 
 
 def _sample_index(log_weights: list[float], rng: np.random.Generator) -> int:
@@ -211,11 +209,11 @@ class ChainState:
             groups = [(0, c) for c in partition.clusters]
         for col, members in groups:
             eng = self.engines[col]
-            stats = eng.stats_of(members)
+            z, yty = _summed(eng, members)
             cid = self._next_cid
             self._next_cid += 1
-            self.clusters[cid] = _Cluster(col, set(members), stats,
-                                          eng.log_marginal(stats))
+            self.clusters[cid] = _Cluster(col, set(members), z, yty,
+                                          eng.log_m(len(members), z, yty))
             for i in members:
                 self.item_cluster[i] = cid
             self.colour_totals[col] += len(members)
@@ -243,12 +241,16 @@ class ChainState:
         return log_eppf(self.model, self.snapshot()) + self.log_likelihood()
 
     def refresh_cache_(self) -> float:
-        """Recompute every cached log marginal; returns the largest absolute drift."""
+        """Rebuild every cluster's statistics from its members and recompute its
+        log marginal; returns the largest absolute drift of either."""
         worst = 0.0
         for cl in self.clusters.values():
-            fresh = self.engines[cl.colour].log_marginal(cl.stats)
-            worst = max(worst, abs(fresh - cl.log_m))
-            cl.log_m = fresh
+            eng = self.engines[cl.colour]
+            z, yty = _summed(eng, sorted(cl.members))
+            fresh = eng.log_m(len(cl.members), z, yty)
+            worst = max(worst, abs(fresh - cl.log_m), abs(yty - cl.yty),
+                        *(abs(a - b) for a, b in zip(z, cl.z)))
+            cl.z, cl.yty, cl.log_m = z, yty, fresh
         return worst
 
     # -- single-item kernel --------------------------------------------------
@@ -263,8 +265,8 @@ class ChainState:
             del self.clusters[cid]
         else:
             eng = self.engines[cl.colour]
-            eng.remove_(cl.stats, i)
-            cl.log_m = eng.log_marginal(cl.stats)
+            cl.remove_(eng, i)
+            cl.log_m = eng.log_m(len(cl.members), cl.z, cl.yty)
 
     def item_candidates(self, i: int):
         """Placement options for withdrawn item i.
@@ -277,18 +279,20 @@ class ChainState:
         sizes = [len(cl.members) for _, cl in order]
         colours = [cl.colour for _, cl in order]
         w_exist, w_new = self.model.weight_lists(sizes, colours, self.colour_totals)
+        engines = self.engines
         moves, logw, after = [], [], []
-        for (cid, cl), w in zip(order, w_exist):
+        for (cid, cl), size, w in zip(order, sizes, w_exist):
             if w <= 0:
                 continue
-            lm = self.engines[cl.colour].log_plus_item(cl.stats, i)
+            eng = engines[cl.colour]
+            lm = eng.log_m(size + 1, cl.z, cl.yty, eng.xi[i], eng.yy[i])
             moves.append(("existing", cid))
             logw.append(math.log(w) + lm - cl.log_m)
             after.append(lm)
         for k, w in enumerate(w_new):
             if w <= 0:
                 continue
-            lm = self.engines[k].single(i)
+            lm = engines[k].singles[i]
             moves.append(("new", k))
             logw.append(math.log(w) + lm)
             after.append(lm)
@@ -299,18 +303,16 @@ class ChainState:
         if kind == "existing":
             cl = self.clusters[key]
             cl.members.add(i)
-            self.engines[cl.colour].add_(cl.stats, i)
+            cl.add_(self.engines[cl.colour], i)
             cl.log_m = log_m_after
             colour = cl.colour
             cid = key
         else:
             colour = key
-            eng = self.engines[colour]
-            stats = eng.empty_stats()
-            eng.add_(stats, i)
+            z, yty = _summed(self.engines[colour], (i,))
             cid = self._next_cid
             self._next_cid += 1
-            self.clusters[cid] = _Cluster(colour, {i}, stats, log_m_after)
+            self.clusters[cid] = _Cluster(colour, {i}, z, yty, log_m_after)
         self.item_cluster[i] = cid
         self.colour_totals[colour] += 1
 
@@ -342,19 +344,21 @@ class ChainState:
 
     def subset_candidates(self, block: list[int]):
         """Placement options for a withdrawn block, priced via the full prior."""
-        blocks = {}
+        sums = {}
 
-        def block_stats(colour: int) -> ClusterStats:
-            if colour not in blocks:
-                blocks[colour] = self.engines[colour].stats_of(block)
-            return blocks[colour]
+        def block_sums(colour: int) -> tuple[list[float], float]:
+            if colour not in sums:
+                eng = self.engines[colour]
+                sums[colour] = _summed(eng, block, [0.0] * len(eng.z0))
+            return sums[colour]
 
         moves, logw, after = [], [], []
         for cid, cl in self.clusters.items():
             prior = log_eppf(self.model, self._candidate_partition(block, cid, cl.colour))
             if prior == LOG_ZERO:
                 continue
-            lm = self.engines[cl.colour].log_plus_block(cl.stats, block_stats(cl.colour))
+            lm = self.engines[cl.colour].log_m(len(cl.members) + len(block), cl.z, cl.yty,
+                                               *block_sums(cl.colour))
             moves.append(("existing", cid))
             logw.append(prior + lm - cl.log_m)
             after.append(lm)
@@ -362,7 +366,8 @@ class ChainState:
             prior = log_eppf(self.model, self._candidate_partition(block, None, k))
             if prior == LOG_ZERO:
                 continue
-            lm = self.engines[k].log_marginal(block_stats(k))
+            eng = self.engines[k]
+            lm = eng.log_m(len(block), eng.z0, 0.0, *block_sums(k))
             moves.append(("new", k))
             logw.append(prior + lm)
             after.append(lm)
@@ -379,13 +384,13 @@ class ChainState:
         eng = self.engines[colour]
         for i in block:
             origin.members.discard(i)
-            eng.remove_(origin.stats, i)
+            origin.remove_(eng, i)
             self.item_cluster[i] = -1
         self.colour_totals[colour] -= len(block)
         if not origin.members:
             del self.clusters[origin_cid]
             return None, colour
-        origin.log_m = eng.log_marginal(origin.stats)
+        origin.log_m = eng.log_m(len(origin.members), origin.z, origin.yty)
         return origin_cid, colour
 
     def _apply_block(self, block: list[int], move: tuple[str, int],
@@ -396,17 +401,17 @@ class ChainState:
             tgt_eng = self.engines[cl.colour]
             for i in block:
                 cl.members.add(i)
-                tgt_eng.add_(cl.stats, i)
+                cl.add_(tgt_eng, i)
                 self.item_cluster[i] = key
             cl.log_m = log_m_after
             self.colour_totals[cl.colour] += len(block)
         else:
             tgt_eng = self.engines[key]
-            stats = tgt_eng.stats_of(block)
+            z, yty = _summed(tgt_eng, block)
             cid = self._next_cid
             self._next_cid += 1
-            self.clusters[cid] = _Cluster(key, set(block), stats,
-                                          tgt_eng.log_marginal(stats))
+            self.clusters[cid] = _Cluster(key, set(block), z, yty,
+                                          tgt_eng.log_m(len(block), z, yty))
             for i in block:
                 self.item_cluster[i] = cid
             self.colour_totals[key] += len(block)
@@ -471,10 +476,11 @@ class ChainState:
         if self.rng.random() < min(1.0, sel_after / sel_before):
             self._apply_block(block, moves[idx], after[idx])
         elif origin_cid is not None:
+            origin = self.clusters[origin_cid]
+            eng = self.engines[origin_colour]
             self._apply_block(block, ("existing", origin_cid),
-                              self.engines[origin_colour].log_plus_block(
-                                  self.clusters[origin_cid].stats,
-                                  self.engines[origin_colour].stats_of(block)))
+                              eng.log_m(len(origin.members) + len(block),
+                                        *_summed(eng, block, origin.z, origin.yty)))
         else:
             self._apply_block(block, ("new", origin_colour), 0.0)
 

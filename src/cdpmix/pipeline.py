@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -78,8 +79,8 @@ def _dedupe_ids(ids: list[str]) -> list[str]:
 def load_dataset(path: str) -> DatasetTable:
     """Load a tab-separated table: header row, id column first, numeric rest.
 
-    Ragged rows and non-numeric or missing cells fail with the offending
-    row/column named; duplicate ids are suffix-disambiguated with a warning.
+    Ragged rows and non-numeric, non-finite or missing cells fail with the
+    offending row/column named; duplicate ids are suffix-disambiguated with a warning.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter="\t")
@@ -101,11 +102,16 @@ def load_dataset(path: str) -> DatasetTable:
             values = []
             for colname, cell in zip(header[1:], row[1:]):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValidationError(
                         f"{path}: row {lineno}, column {colname!r}: "
                         f"non-numeric value {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(
+                        f"{path}: row {lineno}, column {colname!r}: "
+                        f"non-finite value {cell!r}")
+                values.append(value)
             rows.append(values)
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 items")
@@ -163,6 +169,12 @@ def _load_matrix(source) -> np.ndarray:
     return np.asarray(source, dtype=float)
 
 
+def _reject_unknown(section: str, cfg: dict, known) -> None:
+    bad = sorted(set(cfg) - set(known))
+    if bad:
+        raise ValidationError(f"unknown {section} keys: {bad}")
+
+
 def build_design(design_cfg, n_samples: int) -> DesignBlock:
     """Resolve the design section of a config into a DesignBlock.
 
@@ -178,6 +190,7 @@ def build_design(design_cfg, n_samples: int) -> DesignBlock:
         return DesignBlock(Z)
     if not isinstance(design_cfg, dict) or "Z" not in design_cfg:
         raise ValidationError("design must be 'rat-timecourse' or a {'Z': ..., 'X': ...} mapping")
+    _reject_unknown("design", design_cfg, ("Z", "X"))
     Z = _load_matrix(design_cfg["Z"])
     X = _load_matrix(design_cfg["X"]) if design_cfg.get("X") is not None else None
     if Z.shape[0] != n_samples:
@@ -185,10 +198,22 @@ def build_design(design_cfg, n_samples: int) -> DesignBlock:
     return DesignBlock(Z, X)
 
 
+_MODEL_PARAMS = {
+    "dp": ("concentration",),
+    "dirichlet_multinomial": ("components", "weight"),
+    "pitman_yor": ("discount", "strength"),
+    "cdp": ("colours",),
+    "background": ("background_weight", "concentration"),
+}
+
+
 def build_model(model_cfg: dict) -> PartitionPrior:
     if not isinstance(model_cfg, dict) or "family" not in model_cfg:
         raise ValidationError("model config must name a family")
     family = model_cfg["family"]
+    if family not in _MODEL_PARAMS:
+        raise ValidationError(f"unknown model family {family!r}")
+    _reject_unknown(f"model ({family})", model_cfg, ("family",) + _MODEL_PARAMS[family])
     try:
         if family == "dp":
             return DirichletProcess(float(model_cfg["concentration"]))
@@ -200,12 +225,10 @@ def build_model(model_cfg: dict) -> PartitionPrior:
         if family == "cdp":
             return ColouredDirichletProcess([tuple(map(float, pair))
                                              for pair in model_cfg["colours"]])
-        if family == "background":
-            return BackgroundDirichletProcess(float(model_cfg["background_weight"]),
-                                              float(model_cfg["concentration"]))
+        return BackgroundDirichletProcess(float(model_cfg["background_weight"]),
+                                          float(model_cfg["concentration"]))
     except KeyError as exc:
         raise ValidationError(f"model family {family!r} is missing parameter {exc}") from None
-    raise ValidationError(f"unknown model family {family!r}")
 
 
 def _block(value, dim: int) -> np.ndarray:
@@ -219,8 +242,13 @@ def build_priors(prior_cfg: dict, design: DesignBlock,
     """Per-colour conjugate priors from the config's prior section.
 
     The regular prior covers both coefficient blocks; for the background
-    family, colour 0 pins the Z-block coefficients to ``fixed_z_coeffs``.
+    family, colour 0 pins the Z-block coefficients to ``fixed_z_coeffs``,
+    a key no other family accepts.
     """
+    background = isinstance(model, BackgroundDirichletProcess)
+    _reject_unknown("prior", prior_cfg,
+                    ("shape", "rate", "mean_z", "mean_x", "precision_z", "precision_x")
+                    + (("fixed_z_coeffs",) if background else ()))
     kp, kx = design.n_z, design.n_x
     shape = float(prior_cfg.get("shape", 0.01))
     rate = float(prior_cfg.get("rate", 0.01))
@@ -235,7 +263,7 @@ def build_priors(prior_cfg: dict, design: DesignBlock,
     full_prec[:kp, :kp] = prec_z
     full_prec[kp:, kp:] = prec_x
     regular = NormalGammaSpec(shape, rate, full_mean, full_prec)
-    if isinstance(model, BackgroundDirichletProcess):
+    if background:
         fixed = np.asarray(prior_cfg.get("fixed_z_coeffs", np.zeros(kp)), dtype=float)
         if fixed.shape != (kp,):
             raise ValidationError("fixed_z_coeffs must match the Z dimension")
@@ -282,6 +310,11 @@ class RunConfig:
     echo: dict
 
 
+_CONFIG_KEYS = ("data", "annotations", "design", "model", "prior", "loss", "sweeps", "burn_in",
+                "thin", "subset_move_rate", "subset_max_size", "seed", "chains", "out",
+                "strategy")
+
+
 def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = None,
                  chains: Optional[int] = None) -> RunConfig:
     """Validate a config mapping (plus CLI overrides) into a RunConfig."""
@@ -301,6 +334,7 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
         raw["chains"] = chains
     raw.setdefault("seed", 0)
     raw.setdefault("chains", 1)
+    _reject_unknown("config", raw, _CONFIG_KEYS)
 
     if "data" not in raw:
         raise ValidationError("config must name a data file")
@@ -320,6 +354,7 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
         seed=int(raw["seed"]),
     )
     loss_cfg = raw.get("loss", {})
+    _reject_unknown("loss", loss_cfg, ("false_positive", "false_negative"))
     loss = LossSpec(float(loss_cfg.get("false_positive", 1.0)),
                     float(loss_cfg.get("false_negative", 1.0)))
     if int(raw["chains"]) < 1:
@@ -434,7 +469,8 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
     if dataset.n <= 10:
         # small instances report both search strategies for comparison
         for alt in ("exact", "greedy"):
-            alt_part = optimal_partition(rho, loss, strategy=alt)
+            alt_part = (estimate if alt == strategy
+                        else optimal_partition(rho, loss, strategy=alt))
             estimate_info[f"loss_{alt}"] = expected_pairwise_loss(alt_part, rho, loss)
     n_colours = getattr(model, "n_colours", 1)
     cluster_colours = _majority_colours(estimate, traces, n_colours)

@@ -66,7 +66,33 @@ def test_prior_rejects_non_spd_precision():
         NormalGammaSpec(1.0, 1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
 
 
+def test_prior_rejects_negative_definite_precision():
+    # positive determinant, but not positive definite
+    with pytest.raises(NumericalError):
+        NormalGammaSpec(1.0, 1.0, [0.0, 0.0], [[-1.0, 0.0], [0.0, -2.0]])
+
+
 # ------------------------------------------------------------------ marginals
+
+@pytest.mark.parametrize("background", [False, True])
+def test_eigenbasis_diagonalizes_prior_and_gram(background):
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        design, spec = random_instance(rng, background=background)
+        ev = ClusterEvaluator(design, spec)
+        L = ev.basis
+        np.testing.assert_allclose(L.T @ spec.precision @ L, np.eye(spec.n_coeffs),
+                                   atol=1e-12)
+        np.testing.assert_allclose(L.T @ ev.gram @ L, np.diag(ev.eigenvalues), atol=1e-12)
+
+
+def test_nonpositive_count_scale_is_a_numerical_error():
+    design, spec = scalar_setup()
+    ev = ClusterEvaluator(design, spec)
+    ev.eigenvalues = np.array([-0.5])  # makes 1 + 2 * d zero
+    with pytest.raises(NumericalError):
+        ev.log_marginal(ev.stats_for(np.ones((3, 1))))
+
 
 def test_empty_cluster_marginal_is_one():
     design, spec = scalar_setup()

@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 
 from cdpmix.conjugate import DesignBlock, NormalGammaSpec
 from cdpmix.errors import ValidationError
-from cdpmix.gibbs import (ChainState, FlatEngine, SweepPlan, build_engines,
+from cdpmix.gibbs import (ChainState, FlatEngine, SweepPlan, _sample_index, build_engines,
                           gibbs_reallocate_item, gibbs_reallocate_subset, run_chain)
 from cdpmix.partitions import (ColouredPartition, Partition,
                                enumerate_coloured_partitions, enumerate_partitions)
@@ -372,6 +372,68 @@ def test_cache_stays_coherent_over_many_sweeps():
         if sweep % 100 == 99:
             worst = max(worst, state.refresh_cache_())
     assert worst < 1e-8
+    # the refresh rebuilds the incrementally updated statistics from the
+    # members, so drift in them is reported and repaired, not just in log_m
+    for cl in state.clusters.values():
+        cl.z = [v + 1e-3 for v in cl.z]
+        cl.yty += 1e-3
+    assert state.refresh_cache_() > 0.9e-3
+    assert state.refresh_cache_() < 1e-8
+    for cl in state.clusters.values():
+        eng = engines[cl.colour]
+        assert cl.log_m == pytest.approx(
+            eng.log_marginal(eng.stats_of(sorted(cl.members))), abs=1e-10)
+
+
+def test_golden_trace_digest():
+    # behaviour anchor for the sampler: any change that alters a draw of the
+    # wen-rat recipe changes this digest
+    import hashlib
+    from cdpmix.pipeline import parse_config
+    cfg = parse_config({"preset": "wen-rat", "sweeps": 2000, "burn_in": 0, "seed": 7,
+                        "out": "unused"})
+    trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
+    digest = hashlib.sha256(
+        repr([(r.labels, r.colours) for r in trace]).encode()).hexdigest()[:16]
+    assert digest == "6caf8745eb0ea50a"
+
+
+X_DESIGN = DesignBlock(Z=np.array([[1.0, 1.0, 1.0], [-0.5, 0.1, 0.7]]).T,
+                       X=np.array([[0.3, -1.0, 0.8]]).T)  # S = 3, p = 3
+X_SPEC = NormalGammaSpec(1.5, 0.8, [0.2, -0.1, 0.4],
+                         [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]])
+X_BG_SPEC = NormalGammaSpec(1.5, 0.8, [0.1], [[0.7]], fixed_z_coeffs=[0.5, -0.3])
+
+
+@pytest.mark.parametrize("model,design,specs", [
+    (DirichletProcess(1.0), DESIGN, [SPEC]),
+    (BackgroundDirichletProcess(1.5, 1.0), DESIGN, [BG_SPEC, SPEC]),
+    (BackgroundDirichletProcess(1.5, 1.0), X_DESIGN, [X_BG_SPEC, X_SPEC]),
+])
+def test_candidate_marginals_match_fresh_statistics(model, design, specs):
+    # the incremental eigenbasis pricing equals the coefficient-space marginal
+    # of the receiving cluster rebuilt from its members
+    n = 7
+    Y = np.random.default_rng(4).normal(size=(n, design.n_samples)) * 2.0
+    engines = build_engines(Y, design, specs, model)
+    state = ChainState(model, engines, n, np.random.default_rng(5))
+    checked = 0
+    for sweep in range(40):
+        for i in range(n):
+            state._withdraw(i)
+            moves, logw, after = state.item_candidates(i)
+            for (kind, key), lm in zip(moves, after):
+                if kind == "existing":
+                    cl = state.clusters[key]
+                    eng, members = engines[cl.colour], sorted(cl.members) + [i]
+                else:
+                    eng, members = engines[key], [i]
+                assert lm == pytest.approx(eng.log_marginal(eng.stats_of(members)),
+                                           abs=1e-10)
+                checked += 1
+            idx = _sample_index(logw, state.rng)
+            state._insert(i, moves[idx], after[idx])
+    assert checked > 40 * n * 2
 
 
 def test_accepted_move_weight_equals_joint_change():

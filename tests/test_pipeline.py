@@ -70,6 +70,14 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         pipeline.load_dataset(str(f))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+def test_non_finite_cell_names_row_and_column(tmp_path, cell):
+    f = tmp_path / "nonfinite.tsv"
+    f.write_text(f"id\tx\ty\na\t1.0\t2.0\nb\t{cell}\t4.0\n")
+    with pytest.raises(ValidationError, match=f"nonfinite.tsv: row 3, column 'x'"):
+        pipeline.load_dataset(str(f))
+
+
 def test_missing_cell_is_an_error(tmp_path):
     f = tmp_path / "missing.tsv"
     f.write_text("id\tx\ty\na\t1.0\t\nb\t3.0\t4.0\n")
@@ -139,6 +147,25 @@ def test_prior_dimension_validation(tiny_run):
         pipeline.parse_config(bad)
 
 
+def test_misspelt_top_level_key_rejected():
+    # "sweep" must not silently fall back to the preset's 20000 sweeps
+    with pytest.raises(ValidationError, match=r"unknown config keys: \['sweep'\]"):
+        pipeline.parse_config({"preset": "wen-rat", "sweep": 10})
+
+
+@pytest.mark.parametrize("section,value,key", [
+    ("model", {"family": "dp", "concentration": 1.0, "concentraton": 2.0}, "concentraton"),
+    ("model", {"family": "dp", "concentration": 1.0, "weight": 2.0}, "weight"),
+    ("prior", {"shape": 1.0, "rate": 1.0, "precison_z": 1.0}, "precison_z"),
+    ("prior", {"shape": 1.0, "fixed_z_coeffs": [0.0]}, "fixed_z_coeffs"),  # dp: unused
+    ("loss", {"false_positive": 1.0, "false_negatve": 2.0}, "false_negatve"),
+    ("design", {"Z": [[1.0], [1.0]], "x": [[0.0], [1.0]]}, "x"),
+])
+def test_misspelt_section_key_rejected(tiny_run, section, value, key):
+    with pytest.raises(ValidationError, match=rf"unknown {section}.* keys: \['{key}'\]"):
+        pipeline.parse_config(dict(tiny_run, **{section: value}))
+
+
 def test_background_preset_builds_two_priors():
     config = pipeline.parse_config({"preset": "wen-rat", "sweeps": 2, "burn_in": 1})
     assert len(config.specs) == 2
@@ -159,6 +186,22 @@ def test_run_emits_all_artifacts(tiny_run):
                                      "similarity.csv", "trace.csv"]
     for name in manifest["artifacts"]:
         assert os.path.exists(os.path.join(tiny_run["out"], name))
+
+
+def test_small_run_searches_each_strategy_once(tiny_run, monkeypatch):
+    # auto picks exact for 6 items; the comparison reuses that estimate
+    calls = []
+    search = pipeline.optimal_partition
+
+    def counting(rho, loss, strategy):
+        calls.append(strategy)
+        return search(rho, loss, strategy=strategy)
+
+    monkeypatch.setattr(pipeline, "optimal_partition", counting)
+    estimate = pipeline.run_pipeline(pipeline.parse_config(tiny_run))["estimate"]
+    assert sorted(calls) == ["exact", "greedy"]
+    assert estimate["strategy"] == "exact"
+    assert estimate["loss_exact"] == estimate["loss"]
 
 
 def test_same_seed_runs_are_byte_identical(tiny_run, tmp_path):
