@@ -22,8 +22,7 @@ from .generators import (Atom, BaseMeasure, StickWeights, UniformBase, make_rng,
                          sample_gamma, sample_gem, sample_gem_two_param,
                          sample_polya_sequence, split_rng)
 from .gibbs import (ChainState, FlatEngine, NIGEngine, SweepPlan, TraceRecord,
-                    build_engines, gibbs_reallocate_item, gibbs_reallocate_subset,
-                    run_chain)
+                    build_engines, run_chain)
 from .partitions import (ColouredPartition, ConfigurationCounts, Partition,
                          canonicalize, enumerate_coloured_partitions,
                          enumerate_configurations, enumerate_partitions)

@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import MAX_ENUM_N, Partition, enumerate_partitions
+from .partitions import MAX_ENUM_N, Partition
 
 
 class SimilarityMatrix:
@@ -78,8 +78,8 @@ class LossSpec:
     false_negative: float = 1.0
 
     def __post_init__(self):
-        if self.false_positive < 0 or self.false_negative < 0:
-            raise ValidationError("loss weights must be >= 0")
+        if not (0 <= self.false_positive < np.inf and 0 <= self.false_negative < np.inf):
+            raise ValidationError("loss weights must be finite and >= 0")
         if self.false_positive == 0 and self.false_negative == 0:
             raise ValidationError("at least one loss weight must be positive")
 
@@ -117,10 +117,14 @@ def optimal_partition(rho: np.ndarray, loss: LossSpec = LossSpec(), *,
                       strategy: str = "greedy") -> Partition:
     """Loss-minimising partition under the pairwise-coincidence loss.
 
-    ``exact`` enumerates every partition (guarded to small n) and returns the
-    canonically-first argmin. ``greedy`` merges agglomeratively from
-    singletons, then runs single-item relocation passes to a fixed point;
-    its loss never exceeds the all-singletons or one-cluster baselines.
+    ``exact`` (guarded to small n) is a depth-first branch-and-bound over
+    restricted-growth strings in the order ``enumerate_partitions`` visits
+    them. It prunes a subtree only when no partition in it can beat the best
+    found by more than 1e-12 and accepts a partition only when it does, so it
+    returns the canonically-first argmin that a full scan would. ``greedy``
+    merges agglomeratively from singletons, then runs single-item relocation
+    passes to a fixed point; its loss never exceeds the all-singletons or
+    one-cluster baselines.
     """
     rho = np.asarray(rho, dtype=float)
     n = rho.shape[0]
@@ -129,15 +133,44 @@ def optimal_partition(rho: np.ndarray, loss: LossSpec = LossSpec(), *,
     if strategy == "exact":
         if n > MAX_ENUM_N:
             raise ValidationError(f"exact search limited to n <= {MAX_ENUM_N}")
-        best, best_loss = None, np.inf
-        for p in enumerate_partitions(n):
-            val = expected_pairwise_loss(p, rho, loss)
-            if val < best_loss - 1e-12:
-                best, best_loss = p, val
-        return best
+        return _exact_partition(rho, loss)
     if strategy != "greedy":
         raise ValidationError(f"unknown strategy {strategy!r}")
     return _greedy_partition(rho, loss)
+
+
+def _exact_partition(rho: np.ndarray, loss: LossSpec) -> Partition:
+    n = rho.shape[0]
+    # the loss averages rho[i, j] and rho[j, i]; a symmetric rho is unchanged
+    rho = 0.5 * (rho + rho.T)
+    score = _pair_score(rho, loss).tolist()
+    # a partition's loss is fn * sum_{i<j} rho_ij plus the scores of its joined pairs
+    base = loss.false_negative * float(np.triu(rho, 1).sum())
+    # rest[k]: the least that joining pairs (i, j), i < j, j >= k can add
+    rest = [0.0] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        rest[k] = rest[k + 1] + sum(min(s, 0.0) for s in score[k][:k])
+    labels = [0] * n
+    best, best_labels = np.inf, None
+
+    def grow(k: int, used: int, cost: float) -> None:
+        # items 0..k-1 are labelled and their joined pairs cost ``cost``
+        nonlocal best, best_labels
+        if k == n:
+            best, best_labels = cost, labels[:]
+            return
+        joined = [0.0] * (used + 1)
+        row = score[k]
+        for i in range(k):
+            joined[labels[i]] += row[i]
+        for lab in range(used + 1):
+            child = cost + joined[lab]
+            if child + rest[k + 1] < best - 1e-12:
+                labels[k] = lab
+                grow(k + 1, max(used, lab + 1), child)
+
+    grow(1, 1, base)
+    return Partition.from_allocation(best_labels)
 
 
 def _greedy_partition(rho: np.ndarray, loss: LossSpec) -> Partition:

@@ -146,6 +146,8 @@ class SweepPlan:
             raise ValidationError("thin must be >= 1")
         if not 0.0 <= self.subset_move_rate <= 1.0:
             raise ValidationError("subset_move_rate must lie in [0, 1]")
+        if self.subset_max_size < 1:
+            raise ValidationError("subset_max_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -483,17 +485,6 @@ class ChainState:
                                         *_summed(eng, block, origin.z, origin.yty)))
         else:
             self._apply_block(block, ("new", origin_colour), 0.0)
-
-
-def gibbs_reallocate_item(state: ChainState, i: int) -> ChainState:
-    """Single-item full-conditional update (coloured priors dispatch on the model)."""
-    state.reallocate_item(i)
-    return state
-
-
-def gibbs_reallocate_subset(state: ChainState, items: Sequence[int]) -> ChainState:
-    state.reallocate_subset(items)
-    return state
 
 
 def build_engines(Y: np.ndarray, design: DesignBlock,

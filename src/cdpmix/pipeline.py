@@ -315,6 +315,15 @@ _CONFIG_KEYS = ("data", "annotations", "design", "model", "prior", "loss", "swee
                 "strategy")
 
 
+def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
+    """``cfg[key]`` (or ``default``) converted by ``kind``, naming the key if it fails."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{prefix}{key} must be a number, got {value!r}") from None
+
+
 def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = None,
                  chains: Optional[int] = None) -> RunConfig:
     """Validate a config mapping (plus CLI overrides) into a RunConfig."""
@@ -346,24 +355,28 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
     model = build_model(raw.get("model", {"family": "dp", "concentration": 1.0}))
     specs = build_priors(raw.get("prior", {}), design, model)
     plan = SweepPlan(
-        sweeps=int(raw.get("sweeps", 1000)),
-        burn_in=int(raw.get("burn_in", 0)),
-        thin=int(raw.get("thin", 1)),
-        subset_move_rate=float(raw.get("subset_move_rate", 0.0)),
-        subset_max_size=int(raw.get("subset_max_size", 8)),
-        seed=int(raw["seed"]),
+        sweeps=_number(raw, "sweeps", 1000, int),
+        burn_in=_number(raw, "burn_in", 0, int),
+        thin=_number(raw, "thin", 1, int),
+        subset_move_rate=_number(raw, "subset_move_rate", 0.0, float),
+        subset_max_size=_number(raw, "subset_max_size", 8, int),
+        seed=_number(raw, "seed", 0, int),
     )
     loss_cfg = raw.get("loss", {})
     _reject_unknown("loss", loss_cfg, ("false_positive", "false_negative"))
-    loss = LossSpec(float(loss_cfg.get("false_positive", 1.0)),
-                    float(loss_cfg.get("false_negative", 1.0)))
-    if int(raw["chains"]) < 1:
+    loss = LossSpec(_number(loss_cfg, "false_positive", 1.0, float, "loss."),
+                    _number(loss_cfg, "false_negative", 1.0, float, "loss."))
+    chain_count = _number(raw, "chains", 1, int)
+    if chain_count < 1:
         raise ValidationError("chains must be >= 1")
     strategy = raw.get("strategy", "auto")
     if strategy not in ("auto", "exact", "greedy"):
         raise ValidationError("strategy must be auto, exact, or greedy")
+    if strategy == "exact" and dataset.n > MAX_ENUM_N:
+        raise ValidationError(f"strategy 'exact' is limited to n <= {MAX_ENUM_N} items, "
+                              f"the dataset has {dataset.n}")
     return RunConfig(dataset, design, model, specs, plan, loss,
-                     out_dir=raw.get("out", "cdpmix-run"), chains=int(raw["chains"]),
+                     out_dir=raw.get("out", "cdpmix-run"), chains=chain_count,
                      strategy=strategy, echo=raw)
 
 

@@ -44,6 +44,9 @@ def test_loss_spec_validation():
         LossSpec(-1.0, 1.0)
     with pytest.raises(ValidationError):
         LossSpec(0.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            LossSpec(1.0, bad)
 
 
 def test_loss_zero_when_similarity_matches_partition():
@@ -81,6 +84,57 @@ def test_block_similarity_recovers_blocks():
 def test_zero_similarity_gives_singletons():
     rho = np.eye(5)
     assert optimal_partition(rho, strategy="greedy") == Partition([[i] for i in range(5)])
+
+
+def _enumerated_argmin(rho, loss):
+    """Oracle: scan every partition, keep the canonically-first loss minimum."""
+    best, best_loss = None, np.inf
+    for p in enumerate_partitions(rho.shape[0]):
+        val = expected_pairwise_loss(p, rho, loss)
+        if val < best_loss - 1e-12:
+            best, best_loss = p, val
+    return best
+
+
+def _random_similarity(rng, n):
+    A = rng.random((n, n))
+    rho = (A + A.T) / 2
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+def _labelling_similarity(rng, n):
+    """Mean co-clustering of 1-4 random labellings: many exactly tied losses."""
+    draws = rng.integers(0, rng.integers(1, 4), size=(rng.integers(1, 5), n))
+    return accumulate_similarity(draws).matrix
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_exact_search_matches_enumeration(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3 if n < 9 else 1):
+        rho = _random_similarity(rng, n)
+        assert optimal_partition(rho, strategy="exact") == _enumerated_argmin(rho, LossSpec())
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 1), (0, 1), (1, 0)])
+def test_exact_search_keeps_enumeration_tie_break(weights):
+    rng = np.random.default_rng(sum(weights) + 10 * weights[0])
+    loss = LossSpec(*weights)
+    for _ in range(15):
+        rho = _labelling_similarity(rng, int(rng.integers(2, 9)))
+        assert optimal_partition(rho, loss, strategy="exact") == _enumerated_argmin(rho, loss)
+
+
+def test_exact_search_at_largest_size_beats_greedy_and_baselines():
+    rng = np.random.default_rng(12)
+    for rho in (_random_similarity(rng, 12), _labelling_similarity(rng, 12),
+                0.5 + 1e-3 * (_random_similarity(rng, 12) - 0.5)):
+        exact = expected_pairwise_loss(optimal_partition(rho, strategy="exact"), rho)
+        greedy = expected_pairwise_loss(optimal_partition(rho, strategy="greedy"), rho)
+        singles = expected_pairwise_loss(Partition([[i] for i in range(12)]), rho)
+        lump = expected_pairwise_loss(Partition([list(range(12))]), rho)
+        assert exact <= min(greedy, singles, lump) + 1e-12
 
 
 def test_greedy_never_beats_exact_and_beats_baselines():

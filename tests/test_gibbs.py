@@ -9,7 +9,7 @@ from scipy.special import logsumexp
 from cdpmix.conjugate import DesignBlock, NormalGammaSpec
 from cdpmix.errors import ValidationError
 from cdpmix.gibbs import (ChainState, FlatEngine, SweepPlan, _sample_index, build_engines,
-                          gibbs_reallocate_item, gibbs_reallocate_subset, run_chain)
+                          run_chain)
 from cdpmix.partitions import (ColouredPartition, Partition,
                                enumerate_coloured_partitions, enumerate_partitions)
 from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
@@ -103,7 +103,7 @@ def test_single_item_dataset_stays_a_singleton():
     engines = build_engines(Y, DESIGN, SPEC, model)
     state = ChainState(model, engines, 1, np.random.default_rng(0))
     for _ in range(10):
-        gibbs_reallocate_item(state, 0)
+        state.reallocate_item(0)
         assert state.snapshot() == Partition([[0]])
 
 
@@ -265,9 +265,9 @@ def test_subset_must_lie_in_one_cluster():
     state = ChainState.from_partition(model, engines, Partition([[0, 1], [2, 3]]),
                                       np.random.default_rng(0))
     with pytest.raises(ValidationError):
-        gibbs_reallocate_subset(state, [1, 2])
+        state.reallocate_subset([1, 2])
     with pytest.raises(ValidationError):
-        gibbs_reallocate_subset(state, [])
+        state.reallocate_subset([])
 
 
 # ----------------------------------------------------------- coloured moves

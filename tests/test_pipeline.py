@@ -166,6 +166,34 @@ def test_misspelt_section_key_rejected(tiny_run, section, value, key):
         pipeline.parse_config(dict(tiny_run, **{section: value}))
 
 
+def test_exact_strategy_rejected_before_sampling_for_large_n(tmp_path):
+    # the bundled table has 112 items; the exact search stops at 12
+    with pytest.raises(ValidationError,
+                       match=r"strategy 'exact' is limited to n <= 12 items, the dataset has 112"):
+        pipeline.parse_config({"preset": "wen-rat", "strategy": "exact"})
+    cfg = tmp_path / "exact.json"
+    cfg.write_text(json.dumps({"preset": "wen-rat", "strategy": "exact"}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_subset_max_size_must_be_positive(tiny_run, size):
+    with pytest.raises(ValidationError, match=r"subset_max_size must be >= 1"):
+        pipeline.parse_config(dict(tiny_run, subset_move_rate=1.0, subset_max_size=size))
+
+
+@pytest.mark.parametrize("key", ["sweeps", "burn_in", "thin", "subset_move_rate",
+                                 "subset_max_size", "seed", "chains",
+                                 "loss.false_positive", "loss.false_negative"])
+def test_non_numeric_value_names_its_key(tiny_run, key):
+    section, _, name = key.rpartition(".")
+    cfg = dict(tiny_run, **({section: {name: "ten"}} if section else {name: "ten"}))
+    with pytest.raises(ValidationError, match=rf"^{key} must be a number, got 'ten'$"):
+        pipeline.parse_config(cfg)
+
+
 def test_background_preset_builds_two_priors():
     config = pipeline.parse_config({"preset": "wen-rat", "sweeps": 2, "burn_in": 1})
     assert len(config.specs) == 2
@@ -202,6 +230,18 @@ def test_small_run_searches_each_strategy_once(tiny_run, monkeypatch):
     assert sorted(calls) == ["exact", "greedy"]
     assert estimate["strategy"] == "exact"
     assert estimate["loss_exact"] == estimate["loss"]
+
+
+def test_twelve_item_auto_run_uses_exact_search(tmp_path):
+    rng = np.random.default_rng(4)
+    data = tmp_path / "twelve.tsv"
+    rows = [f"it{i}\t{rng.normal() + 3.0 * (i % 3):.4f}" for i in range(12)]
+    data.write_text("id\tx\n" + "\n".join(rows) + "\n")
+    cfg = {"data": str(data), "design": {"Z": [[1.0]]},
+           "prior": {"shape": 1.0, "rate": 1.0, "precision_z": 1.0},
+           "sweeps": 60, "burn_in": 10, "seed": 2, "out": str(tmp_path / "out")}
+    estimate = pipeline.run_pipeline(pipeline.parse_config(cfg))["estimate"]
+    assert estimate["strategy"] == "exact"
 
 
 def test_same_seed_runs_are_byte_identical(tiny_run, tmp_path):
