@@ -28,6 +28,5 @@ from .partitions import (ColouredPartition, ConfigurationCounts, Partition,
                          enumerate_configurations, enumerate_partitions)
 from .priors import (LOG_ZERO, BackgroundDirichletProcess, ColouredDirichletProcess,
                      DirichletMultinomial, DirichletProcess, PitmanYor,
-                     ReallocWeights, is_log_zero, log_eppf, log_eppf_background,
-                     log_eppf_cdp, log_eppf_dp, log_eppf_sequential,
-                     log_ewens_config, prior_realloc_weights)
+                     is_log_zero, log_eppf, log_eppf_background, log_eppf_cdp,
+                     log_eppf_dp, log_eppf_sequential, log_ewens_config)

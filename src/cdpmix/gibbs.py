@@ -6,7 +6,14 @@ to price any single-item reallocation in O(number of clusters). Plain priors
 run as the one-colour case of the same machinery; the coloured priors add a
 new-cluster option per colour with the occupancy-tilted weights.
 
-Single-item moves use the prior's urn weights times the conjugate predictive.
+Single-item moves use the prior's urn weights times the conjugate predictive
+(Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
+every placement in one pass of ``item_candidates`` -- the urn weight from the
+family's per-colour ``urn_weights`` form, the receiving cluster's marginal
+computed inline from its colour's per-count table -- then draws from the
+running totals of the exponentiated weights and inserts. Each step repeats
+the arithmetic of ``log_marginal_z`` and ``_sample_index`` operation for
+operation, so a seeded chain is the same as the step-by-step composition.
 Subset moves price each candidate directly through the full partition prior,
 so structural constraints (at most one background cluster, bounded component
 counts) fall out of the prior's log-zero sentinel with no special cases.
@@ -15,7 +22,10 @@ counts) fall out of the prior's log-zero sentinel with no special cases.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add, sub
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +44,9 @@ class NIGEngine:
     a cluster's statistics are its count, ``z = z0 + sum of its xi`` and the
     sum of its ``yy``. ``log_m(count, z, yty, dz, dyy)`` prices a cluster,
     optionally with one more item's ``(dz, dyy)`` added, in O(p) scalar
-    arithmetic; ``singles[i]`` is item i's own log marginal. ``stats_of`` and
+    arithmetic; ``singles[i]`` is item i's own log marginal. ``rows`` (the
+    evaluator's per-count table, filled for every count a chain can reach) and
+    ``rate_base`` let the single-item kernel price inline. ``stats_of`` and
     ``log_marginal`` keep the coefficient-space route for callers that price
     partitions directly.
     """
@@ -43,7 +55,8 @@ class NIGEngine:
         ev = self.evaluator = ClusterEvaluator(design, spec)
         self.item_wty, self.item_yty = ev.prepare(Y)
         n = len(self.item_yty)
-        ev.table(n + 1)
+        self.rows = ev.table(n + 1)
+        self.rate_base = ev.rate_base
         self.log_m = ev.log_marginal_z
         self.z0 = ev.z0
         self.xi = [tuple(row) for row in (self.item_wty @ ev.basis).tolist()]
@@ -61,15 +74,21 @@ class NIGEngine:
 
 
 class FlatEngine:
-    """Likelihood stub whose marginals are identically zero (prior-only chains)."""
+    """Likelihood stub whose marginals are identically zero (prior-only chains).
+
+    Its table rows (no coordinates, zero shape and constant) and unit
+    ``rate_base`` make the inline pricing give exactly 0 as well.
+    """
 
     z0 = ()
+    rate_base = 1.0
 
     def __init__(self, n: int):
         self.n = n
         self.xi = [()] * n
         self.yy = [0.0] * n
         self.singles = [0.0] * n
+        self.rows = [((), 0.0, 0.0)] * (n + 2)
 
     def stats_of(self, items) -> ClusterStats:
         return ClusterStats(len(list(items)), np.zeros(0), 0.0)
@@ -85,7 +104,7 @@ def _summed(eng, items, z=None, yty: float = 0.0) -> tuple[list[float], float]:
     """``(z, y'y)`` after ``items`` join a cluster holding ``(z, yty)``; empty by default."""
     z = list(eng.z0 if z is None else z)
     for i in items:
-        z = [a + b for a, b in zip(z, eng.xi[i])]
+        z = list(map(add, z, eng.xi[i]))
         yty += eng.yy[i]
     return z, yty
 
@@ -104,11 +123,11 @@ class _Cluster:
         self.log_m = log_m
 
     def add_(self, eng, i: int) -> None:
-        self.z = [a + b for a, b in zip(self.z, eng.xi[i])]
+        self.z = list(map(add, self.z, eng.xi[i]))
         self.yty += eng.yy[i]
 
     def remove_(self, eng, i: int) -> None:
-        self.z = [a - b for a, b in zip(self.z, eng.xi[i])]
+        self.z = list(map(sub, self.z, eng.xi[i]))
         self.yty -= eng.yy[i]
 
 
@@ -178,6 +197,12 @@ class ChainState:
         self.clusters: dict[int, _Cluster] = {}
         self.item_cluster = [-1] * n
         self.colour_totals = [0] * model.n_colours
+        # per item, one entry per colour: (xi_i, yy_i, item i's own marginal,
+        # per-count table, rate_base, range(p)), all the pricing reads
+        self._item_data = [tuple((eng.xi[i], eng.yy[i], eng.singles[i], eng.rows,
+                                  eng.rate_base, range(len(eng.z0)))
+                                 for eng in self.engines)
+                           for i in range(n)]
         self._next_cid = 0
         if initial is None:
             initial = self._default_initial()
@@ -275,28 +300,42 @@ class ChainState:
 
         Returns parallel lists: move descriptors ``("existing", cid)`` or
         ``("new", colour)``, their unnormalized log weights, and the log
-        marginal the receiving cluster would have after the move.
+        marginal the receiving cluster would have after the move. An existing
+        cluster is priced inline from its colour's per-count row, in the same
+        order of operations as ``log_marginal_z`` with the item's ``(xi, yy)``
+        added.
         """
-        order = list(self.clusters.items())
-        sizes = [len(cl.members) for _, cl in order]
-        colours = [cl.colour for _, cl in order]
-        w_exist, w_new = self.model.weight_lists(sizes, colours, self.colour_totals)
-        engines = self.engines
+        offsets, factors, new_w = self.model.urn_weights(self.colour_totals,
+                                                         len(self.clusters))
+        item = self._item_data[i]
+        log = math.log
         moves, logw, after = [], [], []
-        for (cid, cl), size, w in zip(order, sizes, w_exist):
+        for cid, cl in self.clusters.items():
+            k = cl.colour
+            size = len(cl.members)
+            w = (size + offsets[k]) * factors[k]
             if w <= 0:
                 continue
-            eng = engines[cl.colour]
-            lm = eng.log_m(size + 1, cl.z, cl.yty, eng.xi[i], eng.yy[i])
+            xi_i, yy_i, _, rows, rate_base, dims = item[k]
+            recips, a_post, const = rows[size + 1]
+            z = cl.z
+            quad = 0.0
+            for d in dims:
+                t = z[d] + xi_i[d]
+                quad += t * t * recips[d]
+            b_post = rate_base + 0.5 * (cl.yty + yy_i - quad)
+            if not b_post > 0:
+                raise NumericalError("posterior rate collapsed to a non-positive value")
+            lm = const - a_post * log(b_post)
             moves.append(("existing", cid))
-            logw.append(math.log(w) + lm - cl.log_m)
+            logw.append(log(w) + lm - cl.log_m)
             after.append(lm)
-        for k, w in enumerate(w_new):
+        for k, w in enumerate(new_w):
             if w <= 0:
                 continue
-            lm = engines[k].singles[i]
+            lm = item[k][2]
             moves.append(("new", k))
-            logw.append(math.log(w) + lm)
+            logw.append(log(w) + lm)
             after.append(lm)
         return moves, logw, after
 
@@ -324,7 +363,13 @@ class ChainState:
             raise ValidationError(f"item {i} out of range")
         self._withdraw(i)
         moves, logw, after = self.item_candidates(i)
-        idx = _sample_index(logw, self.rng)
+        top = max(logw)
+        if top == LOG_ZERO:
+            raise NumericalError("all reallocation weights vanished")
+        # running totals of exp(x - top); bisection finds the first total above
+        # u, as _sample_index's cumulative walk does
+        totals = list(accumulate(map(math.exp, map(sub, logw, repeat(top)))))
+        idx = min(bisect_right(totals, self.rng.random() * totals[-1]), len(totals) - 1)
         self._insert(i, moves[idx], after[idx])
 
     # -- subset kernel ---------------------------------------------------

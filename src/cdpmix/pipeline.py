@@ -316,8 +316,16 @@ _CONFIG_KEYS = ("data", "annotations", "design", "model", "prior", "loss", "swee
 
 
 def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
-    """``cfg[key]`` (or ``default``) converted by ``kind``, naming the key if it fails."""
+    """``cfg[key]`` (or ``default``) converted by ``kind``, naming the key if it fails.
+
+    Booleans are not numbers here, and an ``int`` key takes no fractional
+    value: ``int`` would silently turn ``true`` into 1 and 3.9 into 3.
+    """
     value = cfg.get(key, default)
+    if isinstance(value, bool):
+        raise ValidationError(f"{prefix}{key} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"{prefix}{key} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):

@@ -14,6 +14,13 @@ Five families are supported, all exchangeable over items:
   mandatory "background" cluster (colour 0) plus exchangeable regular
   clusters (colour 1).
 
+Each family defines its urn weights once, as ``urn_weights(colour_totals,
+degree) -> (offsets, factors, new)``: with one item withdrawn, ``degree``
+clusters left and ``colour_totals[k]`` items of colour k, an existing
+cluster of colour k and size s weighs ``(s + offsets[k]) * factors[k]`` and
+a new cluster of colour k weighs ``new[k]``. ``weight_lists`` expands that
+form over a list of clusters; the Gibbs sampler expands it inline.
+
 All probabilities are handled in log space. Structurally impossible states
 (e.g. more clusters than components, two background clusters) evaluate to
 the ``LOG_ZERO`` sentinel, which downstream code skips deterministically
@@ -40,6 +47,26 @@ def is_log_zero(x: float) -> bool:
     return x == LOG_ZERO
 
 
+def _weight_lists(model, sizes: Sequence[int], colours: Sequence[int] | None = None,
+                  colour_totals: Sequence[int] | None = None) -> tuple[list, list]:
+    """Unnormalized urn weights for placing one withdrawn item.
+
+    One weight per existing cluster, parallel to ``sizes`` and ``colours``
+    (all colour 0 when omitted), then one per colour for opening a new
+    cluster. ``colour_totals`` counts the remaining items of each colour and
+    is summed from the sizes when omitted. This expands the family's
+    per-colour ``urn_weights`` form, the one place each family defines them.
+    """
+    if colours is None:
+        colours = [0] * len(sizes)
+    if colour_totals is None:
+        colour_totals = [0] * model.n_colours
+        for s, k in zip(sizes, colours):
+            colour_totals[k] += s
+    offsets, factors, new = model.urn_weights(colour_totals, len(sizes))
+    return [(s + offsets[k]) * factors[k] for s, k in zip(sizes, colours)], list(new)
+
+
 @dataclass(frozen=True)
 class DirichletProcess:
     """Dirichlet-process partition prior with concentration ``theta``."""
@@ -55,14 +82,11 @@ class DirichletProcess:
     def log_eppf(self, p: Partition) -> float:
         return log_eppf_dp(p, self.theta)
 
-    def weight_lists(self, sizes: Sequence[int], colours=None,
-                     colour_totals=None) -> tuple[list[float], list[float]]:
-        """Unnormalized weights: each existing cluster by its size, a new cluster by theta."""
-        return [float(s) for s in sizes], [self.theta]
+    def urn_weights(self, colour_totals, degree):
+        """Each existing cluster weighs its size, a new cluster theta."""
+        return (0.0,), (1.0,), (self.theta,)
 
-    def realloc_weights(self, sizes, colours=None, colour_totals=None):
-        existing, new = self.weight_lists(sizes, colours, colour_totals)
-        return np.asarray(existing), np.asarray(new)
+    weight_lists = _weight_lists
 
 
 @dataclass(frozen=True)
@@ -83,13 +107,11 @@ class DirichletMultinomial:
     def log_eppf(self, p: Partition) -> float:
         return log_eppf_sequential(self, p)
 
-    def weight_lists(self, sizes, colours=None, colour_totals=None):
-        free = max(self.components - len(sizes), 0)
-        return [s + self.weight for s in sizes], [free * self.weight]
+    def urn_weights(self, colour_totals, degree):
+        """Size plus ``weight``; a new cluster ``weight`` per free component."""
+        return (self.weight,), (1.0,), (max(self.components - degree, 0) * self.weight,)
 
-    def realloc_weights(self, sizes, colours=None, colour_totals=None):
-        existing, new = self.weight_lists(sizes, colours, colour_totals)
-        return np.asarray(existing), np.asarray(new)
+    weight_lists = _weight_lists
 
 
 @dataclass(frozen=True)
@@ -110,13 +132,11 @@ class PitmanYor:
     def log_eppf(self, p: Partition) -> float:
         return log_eppf_sequential(self, p)
 
-    def weight_lists(self, sizes, colours=None, colour_totals=None):
-        new = self.strength + self.discount * len(sizes)
-        return [s - self.discount for s in sizes], [new]
+    def urn_weights(self, colour_totals, degree):
+        """Size minus the discount; a new cluster ``strength + discount * degree``."""
+        return (-self.discount,), (1.0,), (self.strength + self.discount * degree,)
 
-    def realloc_weights(self, sizes, colours=None, colour_totals=None):
-        existing, new = self.weight_lists(sizes, colours, colour_totals)
-        return np.asarray(existing), np.asarray(new)
+    weight_lists = _weight_lists
 
 
 @dataclass(frozen=True)
@@ -143,27 +163,16 @@ class ColouredDirichletProcess:
     def log_eppf(self, p: ColouredPartition) -> float:
         return log_eppf_cdp(p, self)
 
-    def weight_lists(self, sizes, colours, colour_totals=None):
-        """Per-cluster and per-colour-new weights for placing one withdrawn item.
-
-        An existing cluster of colour k and size m gets weight
+    def urn_weights(self, colour_totals, degree):
+        """An existing cluster of colour k and size m weighs
         ``m * (gamma_k + n_k) / (theta_k + n_k)`` and a new cluster of colour k
-        gets ``theta_k * (gamma_k + n_k) / (theta_k + n_k)``, where n_k counts
-        the remaining items of colour k.
-        """
-        if colour_totals is None:
-            colour_totals = [0.0] * self.n_colours
-            for s, k in zip(sizes, colours):
-                colour_totals[k] += s
-        factor = [(g + colour_totals[k]) / (t + colour_totals[k])
-                  for k, (g, t) in enumerate(self.colours)]
-        existing = [s * factor[k] for s, k in zip(sizes, colours)]
-        new = [t * factor[k] for k, (_, t) in enumerate(self.colours)]
-        return existing, new
+        ``theta_k * (gamma_k + n_k) / (theta_k + n_k)``, where n_k counts the
+        remaining items of colour k."""
+        factors = [(g + n_k) / (t + n_k) for (g, t), n_k in zip(self.colours, colour_totals)]
+        new = [t * f for (_, t), f in zip(self.colours, factors)]
+        return (0.0,) * len(factors), factors, new
 
-    def realloc_weights(self, sizes, colours, colour_totals=None):
-        existing, new = self.weight_lists(list(sizes), list(colours), colour_totals)
-        return np.asarray(existing), np.asarray(new)
+    weight_lists = _weight_lists
 
 
 @dataclass(frozen=True)
@@ -193,23 +202,16 @@ class BackgroundDirichletProcess:
     def log_eppf(self, p: ColouredPartition) -> float:
         return log_eppf_background(p, self.background_weight, self.concentration)
 
-    def weight_lists(self, sizes, colours, colour_totals=None):
-        """Weights: background cluster (existing or to be created) gets
-        ``background_weight + n_0``; an existing regular cluster its size;
-        a new regular cluster ``concentration``."""
-        if colour_totals is None:
-            n0 = sum(s for s, k in zip(sizes, colours) if k == self.BACKGROUND)
-        else:
-            n0 = colour_totals[self.BACKGROUND]
-        has_background = any(k == self.BACKGROUND for k in colours)
-        existing = [self.background_weight + n0 if k == self.BACKGROUND else float(s)
-                    for s, k in zip(sizes, colours)]
-        new = [0.0 if has_background else self.background_weight, self.concentration]
-        return existing, new
+    def urn_weights(self, colour_totals, degree):
+        """The background cluster (existing or to be created) weighs
+        ``background_weight + n_0``, an existing regular cluster its size and
+        a new regular cluster ``concentration``. The background cluster
+        exists exactly when ``n_0 > 0``, and then no second one may open."""
+        bw = self.background_weight
+        return ((bw, 0.0), (1.0, 1.0),
+                (0.0 if colour_totals[self.BACKGROUND] else bw, self.concentration))
 
-    def realloc_weights(self, sizes, colours, colour_totals=None):
-        existing, new = self.weight_lists(list(sizes), list(colours), colour_totals)
-        return np.asarray(existing), np.asarray(new)
+    weight_lists = _weight_lists
 
 
 PartitionPrior = Union[
@@ -368,42 +370,3 @@ def log_eppf_sequential(model: PartitionPrior, p: Partition | ColouredPartition)
             sizes.append(1)
             colours.append(col)
     return total_log
-
-
-@dataclass(frozen=True)
-class ReallocWeights:
-    """Unnormalized placement weights for one withdrawn item.
-
-    ``existing[j]`` pairs with ``clusters[j]`` (flattened canonical order,
-    colour recorded in ``cluster_colours[j]``); ``new[k]`` is the weight of
-    opening a fresh cluster of colour k (a single entry for plain models).
-    """
-
-    clusters: tuple[tuple[int, ...], ...]
-    cluster_colours: tuple[int, ...]
-    existing: np.ndarray
-    new: np.ndarray
-
-
-def prior_realloc_weights(model: PartitionPrior,
-                          remainder: Partition | ColouredPartition) -> ReallocWeights:
-    """Placement weights for an item withdrawn from the partition.
-
-    ``remainder`` is the partition over the other items. Ratios of the
-    returned weights equal ratios of full-partition EPPF values for the
-    corresponding placements.
-    """
-    if model.coloured != isinstance(remainder, ColouredPartition):
-        kind = "coloured" if model.coloured else "plain"
-        raise ValidationError(f"{type(model).__name__} requires a {kind} partition")
-    if isinstance(remainder, ColouredPartition):
-        clusters = tuple(c for cs in remainder.clusters_by_colour for c in cs)
-        colours = tuple(
-            col for col, cs in enumerate(remainder.clusters_by_colour) for _ in cs
-        )
-    else:
-        clusters = remainder.clusters
-        colours = (0,) * len(clusters)
-    sizes = [len(c) for c in clusters]
-    existing, new = model.realloc_weights(sizes, list(colours))
-    return ReallocWeights(clusters, colours, existing, new)

@@ -15,8 +15,9 @@ from cdpmix import checks, cli, pipeline
 SETTINGS = checks.VerifySettings()
 
 
-def _run_cli(*args: str, timeout: float) -> subprocess.CompletedProcess:
-    """Run ``python -m cdpmix.cli *args`` against the package under test.
+def _run_cli(*args: str, timeout: float,
+             module: str = "cdpmix.cli") -> subprocess.CompletedProcess:
+    """Run ``python -m <module> *args`` against the package under test.
 
     The child's ``PYTHONPATH`` starts with the absolute directory holding the
     imported ``cdpmix``, so the child runs this same code from any working
@@ -25,7 +26,7 @@ def _run_cli(*args: str, timeout: float) -> subprocess.CompletedProcess:
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cdpmix.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "cdpmix.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True, timeout=timeout, env=env)
 
 
@@ -117,3 +118,9 @@ def test_verify_fails_on_forced_domain_error(tmp_path):
     # so pin the documented validation error the negative concentration raises.
     assert proc.returncode == cli.EXIT_VALIDATION, proc.stdout + proc.stderr
     assert "error: concentration must be > 0" in proc.stderr, proc.stderr
+
+
+def test_package_runs_as_a_module():
+    proc = _run_cli("verify", "--help", timeout=120, module="cdpmix")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("usage: cdpmix verify"), proc.stdout

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -434,6 +435,54 @@ def test_candidate_marginals_match_fresh_statistics(model, design, specs):
             idx = _sample_index(logw, state.rng)
             state._insert(i, moves[idx], after[idx])
     assert checked > 40 * n * 2
+
+
+@pytest.mark.parametrize("with_x", [False, True], ids=["no-X", "X"])
+@pytest.mark.parametrize("model", [
+    DirichletProcess(1.0),
+    DirichletMultinomial(2, 0.8),  # starts full, so most draws have no new cluster
+    PitmanYor(0.3, 1.0),
+    ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]),
+    BackgroundDirichletProcess(1.5, 1.0),
+], ids=["dp", "dm-saturated", "py", "cdp", "background"])
+def test_fused_reallocation_matches_step_by_step_composition(model, with_x):
+    # reallocate_item's fused draw against the composition with
+    # _sample_index's cumulative walk: same labels, statistics, marginals and
+    # RNG stream, bit for bit; every cached marginal must also equal
+    # log_marginal_z of the cached statistics, which pins the inline pricing
+    design = X_DESIGN if with_x else DESIGN
+    if isinstance(model, BackgroundDirichletProcess):
+        specs = [X_BG_SPEC, X_SPEC] if with_x else [BG_SPEC, SPEC]
+    else:
+        specs = [X_SPEC if with_x else SPEC] * model.n_colours
+    n = 8
+    initial = (Partition([[0, 1, 2, 3], [4, 5, 6, 7]])
+               if isinstance(model, DirichletMultinomial) else None)
+    rng = np.random.default_rng(21)
+    centres = rng.normal(size=(2, design.n_samples))
+    Y = centres[np.arange(n) % 2] + 0.5 * rng.normal(size=(n, design.n_samples))
+    engines = build_engines(Y, design, specs, model)
+    fused = ChainState(model, engines, n, np.random.default_rng(22), initial=initial)
+    steps = ChainState(model, engines, n, np.random.default_rng(22), initial=initial)
+    kinds = Counter()
+    for _ in range(30):
+        for i in range(n):
+            fused.reallocate_item(i)
+            steps._withdraw(i)
+            moves, logw, after = steps.item_candidates(i)
+            idx = _sample_index(logw, steps.rng)
+            steps._insert(i, moves[idx], after[idx])
+            kinds[moves[idx][0]] += 1
+            assert fused.item_cluster == steps.item_cluster
+            assert fused.colour_totals == steps.colour_totals
+            assert list(fused.clusters) == list(steps.clusters)
+            for cid, cl in fused.clusters.items():
+                other = steps.clusters[cid]
+                assert (cl.colour, cl.members, cl.z, cl.yty, cl.log_m) == (
+                    other.colour, other.members, other.z, other.yty, other.log_m)
+                assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
+            assert fused.rng.bit_generator.state == steps.rng.bit_generator.state
+    assert kinds["existing"] > 100 and kinds["new"] > 0
 
 
 def test_accepted_move_weight_equals_joint_change():

@@ -194,6 +194,31 @@ def test_non_numeric_value_names_its_key(tiny_run, key):
         pipeline.parse_config(cfg)
 
 
+INTEGER_KEYS = ["sweeps", "burn_in", "thin", "subset_max_size", "seed", "chains"]
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+@pytest.mark.parametrize("value", [3.9, -0.5, float("nan"), float("inf")])
+def test_fractional_value_for_integer_key_names_it(tiny_run, key, value):
+    # int() would truncate these: 3.9 sweeps ran 3, 2.5 chains ran 2
+    with pytest.raises(ValidationError, match=rf"^{key} must be an integer, got "):
+        pipeline.parse_config(dict(tiny_run, **{key: value}))
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_value_for_integer_key_names_it(tiny_run, key, value):
+    # int(True) is 1: a seed of true silently became seed 1
+    with pytest.raises(ValidationError, match=rf"^{key} must be a number, got {value}$"):
+        pipeline.parse_config(dict(tiny_run, **{key: value}))
+
+
+def test_integral_float_for_integer_key_is_accepted(tiny_run):
+    config = pipeline.parse_config(dict(tiny_run, sweeps=4.0, burn_in=1.0, seed=9.0))
+    assert (config.plan.sweeps, config.plan.burn_in, config.plan.seed) == (4, 1, 9)
+    assert isinstance(config.plan.sweeps, int)
+
+
 def test_background_preset_builds_two_priors():
     config = pipeline.parse_config({"preset": "wen-rat", "sweeps": 2, "burn_in": 1})
     assert len(config.specs) == 2

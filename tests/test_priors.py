@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
                            ColouredDirichletProcess, DirichletMultinomial,
                            DirichletProcess, PitmanYor, log_eppf,
                            log_eppf_background, log_eppf_cdp, log_eppf_dp,
-                           log_eppf_sequential, log_ewens_config,
-                           prior_realloc_weights)
+                           log_eppf_sequential, log_ewens_config)
 
 ALL_PLAIN = [DirichletProcess(1.0), DirichletProcess(0.3),
              DirichletMultinomial(3, 0.8), PitmanYor(0.4, 1.2)]
@@ -226,34 +226,48 @@ def test_background_matches_sequential_urn_product():
 
 # --------------------------------------------------------- realloc weights
 
+def urn_weights_of(model, remainder):
+    """``weight_lists`` for an item withdrawn from ``remainder``, with the
+    remainder's clusters and colours in flattened canonical order."""
+    if isinstance(remainder, ColouredPartition):
+        clusters = tuple(c for cs in remainder.clusters_by_colour for c in cs)
+        colours = tuple(k for k, cs in enumerate(remainder.clusters_by_colour) for _ in cs)
+    else:
+        clusters = remainder.clusters
+        colours = (0,) * len(clusters)
+    existing, new = model.weight_lists([len(c) for c in clusters], list(colours))
+    return SimpleNamespace(clusters=clusters, cluster_colours=colours,
+                           existing=existing, new=new)
+
+
 def test_dp_realloc_weights_example():
-    w = prior_realloc_weights(DirichletProcess(1.0), Partition([[0, 1, 2], [3]]))
+    w = urn_weights_of(DirichletProcess(1.0), Partition([[0, 1, 2], [3]]))
     assert list(w.existing) == [3.0, 1.0]
     assert list(w.new) == [1.0]
 
 
 def test_pitman_yor_realloc_weights_example():
-    w = prior_realloc_weights(PitmanYor(0.5, 1.0), Partition([[0, 1, 2], [3]]))
+    w = urn_weights_of(PitmanYor(0.5, 1.0), Partition([[0, 1, 2], [3]]))
     assert list(w.existing) == [2.5, 0.5]
     assert list(w.new) == [1.0 + 0.5 * 2]
 
 
 def test_dirichlet_multinomial_realloc_weights():
-    w = prior_realloc_weights(DirichletMultinomial(3, 0.5), Partition([[0, 1], [2]]))
+    w = urn_weights_of(DirichletMultinomial(3, 0.5), Partition([[0, 1], [2]]))
     assert list(w.existing) == [2.5, 1.5]
     assert list(w.new) == [0.5]  # one free component left
-    full = prior_realloc_weights(DirichletMultinomial(2, 0.5), Partition([[0, 1], [2]]))
+    full = urn_weights_of(DirichletMultinomial(2, 0.5), Partition([[0, 1], [2]]))
     assert list(full.new) == [0.0]
 
 
 def test_background_realloc_weights():
     model = BackgroundDirichletProcess(2.0, 0.7)
     p = ColouredPartition([[[0, 1]], [[2], [3, 4]]], n_colours=2)
-    w = prior_realloc_weights(model, p)
+    w = urn_weights_of(model, p)
     assert list(w.existing) == [2.0 + 2, 1.0, 2.0]
     assert list(w.new) == [0.0, 0.7]  # background exists, so no second one
     empty_bg = ColouredPartition([[], [[0], [1, 2]]], n_colours=2)
-    w2 = prior_realloc_weights(model, empty_bg)
+    w2 = urn_weights_of(model, empty_bg)
     assert list(w2.new) == [2.0, 0.7]
 
 
@@ -274,7 +288,7 @@ def test_coloured_weights_proportional_to_eppf_ratios(model):
     for base in enumerate_coloured_partitions(3, 2):
         if log_eppf(model, base) == LOG_ZERO:
             continue  # unreachable state
-        w = prior_realloc_weights(model, base)
+        w = urn_weights_of(model, base)
         log_vals, weights = [], []
         for idx in range(len(w.clusters)):
             target = _insert_item(base, idx, w.cluster_colours[idx], 2)
@@ -299,7 +313,7 @@ def test_plain_weights_proportional_to_eppf_ratios(model):
         for base in enumerate_partitions(n - 1):
             if log_eppf(model, base) == LOG_ZERO:
                 continue  # unreachable state
-            w = prior_realloc_weights(model, base)
+            w = urn_weights_of(model, base)
             options = []
             for idx, c in enumerate(base.clusters):
                 target = Partition([list(cc) if cc != c else list(cc) + [n - 1]
