@@ -21,12 +21,11 @@ from .generators import (Atom, BaseMeasure, StickWeights, UniformBase, make_rng,
                          sample_dp_partition_via_sticks, sample_finite_mixture_alloc,
                          sample_gamma, sample_gem, sample_gem_two_param,
                          sample_polya_sequence, split_rng)
-from .gibbs import (ChainState, FlatEngine, NIGEngine, SweepPlan, TraceRecord,
-                    build_engines, run_chain)
+from .gibbs import (ChainState, NIGEngine, SweepPlan, TraceRecord, build_engines,
+                    run_chain)
 from .partitions import (ColouredPartition, ConfigurationCounts, Partition,
                          canonicalize, enumerate_coloured_partitions,
                          enumerate_configurations, enumerate_partitions)
 from .priors import (LOG_ZERO, BackgroundDirichletProcess, ColouredDirichletProcess,
                      DirichletMultinomial, DirichletProcess, PitmanYor,
-                     is_log_zero, log_eppf, log_eppf_background, log_eppf_cdp,
-                     log_eppf_dp, log_eppf_sequential, log_ewens_config)
+                     log_eppf, log_eppf_dp, log_eppf_sequential, log_ewens_config)

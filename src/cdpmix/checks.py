@@ -101,12 +101,11 @@ def check_eppf_normalization(cfg: VerifySettings) -> CheckResult:
             worst = max(worst, _norm_gap(
                 [priors.log_ewens_config(c, theta) for c in enumerate_configurations(n)]))
     cdp = ColouredDirichletProcess(cfg.cdp_colours)
-    BackgroundDirichletProcess(*cfg.background_params)  # domain gate
+    background = BackgroundDirichletProcess(*cfg.background_params)
     for n in range(1, cfg.coloured_max_n + 1):
         coloured = list(enumerate_coloured_partitions(n, 2))
-        worst = max(worst, _norm_gap([priors.log_eppf_cdp(p, cdp) for p in coloured]))
-        worst = max(worst, _norm_gap(
-            [priors.log_eppf_background(p, *cfg.background_params) for p in coloured]))
+        worst = max(worst, _norm_gap([log_eppf(cdp, p) for p in coloured]))
+        worst = max(worst, _norm_gap([log_eppf(background, p) for p in coloured]))
     elapsed = time.perf_counter() - start
     passed = worst <= cfg.norm_tol and elapsed < 10.0
     return CheckResult(

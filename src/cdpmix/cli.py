@@ -22,8 +22,11 @@ EXIT_CHECK_FAILED = 3
 def _load_json(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        loaded = json.load(fh)
+    with pipeline.open_input(path) as fh:
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return loaded

@@ -14,15 +14,18 @@ computed inline from its colour's per-count table -- then draws from the
 running totals of the exponentiated weights and inserts. Each step repeats
 the arithmetic of ``log_marginal_z`` and ``_sample_index`` operation for
 operation, so a seeded chain is the same as the step-by-step composition.
-Subset moves price each candidate directly through the full partition prior,
-so structural constraints (at most one background cluster, bounded component
-counts) fall out of the prior's log-zero sentinel with no special cases.
+Subset moves price each placement through the prior's ``log_eppf_sizes`` on
+the per-colour cluster sizes it would leave, so structural constraints (at
+most one background cluster, bounded component counts) fall out of the
+prior's log-zero sentinel with no special cases. Trace records and
+``log_joint`` score the prior from the same sizes, read off the live clusters
+without building a partition.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, sub
@@ -33,7 +36,7 @@ import numpy as np
 from .conjugate import ClusterEvaluator, ClusterStats, DesignBlock, NormalGammaSpec
 from .errors import NumericalError, ValidationError
 from .partitions import ColouredPartition, Partition
-from .priors import (LOG_ZERO, BackgroundDirichletProcess, PartitionPrior, log_eppf)
+from .priors import LOG_ZERO, BackgroundDirichletProcess, PartitionPrior
 
 
 class NIGEngine:
@@ -71,33 +74,6 @@ class NIGEngine:
 
     def log_marginal(self, stats: ClusterStats) -> float:
         return self.evaluator.log_marginal(stats)
-
-
-class FlatEngine:
-    """Likelihood stub whose marginals are identically zero (prior-only chains).
-
-    Its table rows (no coordinates, zero shape and constant) and unit
-    ``rate_base`` make the inline pricing give exactly 0 as well.
-    """
-
-    z0 = ()
-    rate_base = 1.0
-
-    def __init__(self, n: int):
-        self.n = n
-        self.xi = [()] * n
-        self.yy = [0.0] * n
-        self.singles = [0.0] * n
-        self.rows = [((), 0.0, 0.0)] * (n + 2)
-
-    def stats_of(self, items) -> ClusterStats:
-        return ClusterStats(len(list(items)), np.zeros(0), 0.0)
-
-    def log_marginal(self, stats) -> float:
-        return 0.0
-
-    def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
-        return 0.0
 
 
 def _summed(eng, items, z=None, yty: float = 0.0) -> tuple[list[float], float]:
@@ -260,12 +236,24 @@ class ChainState:
             return ColouredPartition(groups, n_colours=self.model.n_colours, n=self.n)
         return Partition([sorted(cl.members) for cl in self.clusters.values()], n=self.n)
 
+    def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+        """``(labels, colours)`` as ``snapshot().allocation()`` gives them, with
+        clusters numbered by least member, plus each colour's cluster sizes in
+        that order."""
+        rank = {cid: j for j, cid in enumerate(dict.fromkeys(self.item_cluster))}
+        colour = {cid: cl.colour for cid, cl in self.clusters.items()}
+        sizes = [[] for _ in range(self.model.n_colours)]
+        for cid in rank:
+            sizes[colour[cid]].append(len(self.clusters[cid].members))
+        return (tuple(map(rank.__getitem__, self.item_cluster)),
+                tuple(map(colour.__getitem__, self.item_cluster)), sizes)
+
     def log_likelihood(self) -> float:
         return float(sum(cl.log_m for cl in self.clusters.values()))
 
     def log_joint(self) -> float:
         """Log prior of the current partition plus all cached cluster marginals."""
-        return log_eppf(self.model, self.snapshot()) + self.log_likelihood()
+        return self.model.log_eppf_sizes(self.canonical()[2], self.n) + self.log_likelihood()
 
     def refresh_cache_(self) -> float:
         """Rebuild every cluster's statistics from its members and recompute its
@@ -374,49 +362,51 @@ class ChainState:
 
     # -- subset kernel ---------------------------------------------------
 
-    def _candidate_partition(self, block: list[int], target_cid: int | None,
-                             target_colour: int):
-        labels = list(self.item_cluster)
-        fresh = -2 if target_cid is None else target_cid
-        for i in block:
-            labels[i] = fresh
-        if not self.model.coloured:
-            return Partition.from_allocation(labels)
-        colour_of = {cid: cl.colour for cid, cl in self.clusters.items()}
-        colour_of[fresh] = target_colour
-        colours = [colour_of[lab] for lab in labels]
-        remap = {lab: j for j, lab in enumerate(dict.fromkeys(labels))}
-        return ColouredPartition.from_allocation([remap[lab] for lab in labels],
-                                                 colours, self.model.n_colours)
-
     def subset_candidates(self, block: list[int]):
-        """Placement options for a withdrawn block, priced via the full prior."""
-        sums = {}
+        """Placement options for a withdrawn block.
 
-        def block_sums(colour: int) -> tuple[list[float], float]:
-            if colour not in sums:
-                eng = self.engines[colour]
-                sums[colour] = _summed(eng, block, [0.0] * len(eng.z0))
-            return sums[colour]
+        Each option is priced by the prior of the per-colour cluster sizes it
+        leaves, in canonical (least-member) order: the target grows by the
+        block and moves up to the block's least member if that comes first,
+        or a fresh cluster of the block's size is inserted there.
+        """
+        model, m = self.model, len(block)
+        live = [[] for _ in range(model.n_colours)]  # (least member, cid), per colour
+        for cid, cl in self.clusters.items():
+            live[cl.colour].append((min(cl.members), cid))
+        for entries in live:
+            entries.sort()
+        where = {cid: j for entries in live for j, (_, cid) in enumerate(entries)}
+        sizes = [[len(self.clusters[cid].members) for _, cid in entries] for entries in live]
+        # clusters of each colour whose least member precedes the block's
+        slot = [bisect_left(entries, (block[0],)) for entries in live]
+        sums = [_summed(eng, block, [0.0] * len(eng.z0)) for eng in self.engines]
+
+        def prior(colour: int, colour_sizes: list[int]) -> float:
+            by_colour = list(sizes)
+            by_colour[colour] = colour_sizes
+            return model.log_eppf_sizes(by_colour, self.n)
 
         moves, logw, after = [], [], []
         for cid, cl in self.clusters.items():
-            prior = log_eppf(self.model, self._candidate_partition(block, cid, cl.colour))
-            if prior == LOG_ZERO:
+            k, j, at = cl.colour, where[cid], slot[cl.colour]
+            s = sizes[k]
+            lp = prior(k, s[:at] + [s[j] + m] + s[at:j] + s[j + 1:] if at <= j
+                       else s[:j] + [s[j] + m] + s[j + 1:])
+            if lp == LOG_ZERO:
                 continue
-            lm = self.engines[cl.colour].log_m(len(cl.members) + len(block), cl.z, cl.yty,
-                                               *block_sums(cl.colour))
+            lm = self.engines[k].log_m(len(cl.members) + m, cl.z, cl.yty, *sums[k])
             moves.append(("existing", cid))
-            logw.append(prior + lm - cl.log_m)
+            logw.append(lp + lm - cl.log_m)
             after.append(lm)
-        for k in range(self.model.n_colours):
-            prior = log_eppf(self.model, self._candidate_partition(block, None, k))
-            if prior == LOG_ZERO:
+        for k in range(model.n_colours):
+            lp = prior(k, sizes[k][:slot[k]] + [m] + sizes[k][slot[k]:])
+            if lp == LOG_ZERO:
                 continue
             eng = self.engines[k]
-            lm = eng.log_m(len(block), eng.z0, 0.0, *block_sums(k))
+            lm = eng.log_m(m, eng.z0, 0.0, *sums[k])
             moves.append(("new", k))
-            logw.append(prior + lm)
+            logw.append(lp + lm)
             after.append(lm)
         return moves, logw, after
 
@@ -581,13 +571,7 @@ def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
 
 
 def _record(state: ChainState, sweep: int) -> TraceRecord:
-    snap = state.snapshot()
-    if isinstance(snap, ColouredPartition):
-        labels, colours = snap.allocation()
-        colour_degrees = snap.colour_degrees()
-    else:
-        labels = snap.allocation()
-        colours = (0,) * snap.n
-        colour_degrees = (snap.degree,)
-    log_post = log_eppf(state.model, snap) + state.log_likelihood()
-    return TraceRecord(sweep, labels, colours, snap.degree, colour_degrees, log_post)
+    labels, colours, sizes = state.canonical()
+    colour_degrees = tuple(map(len, sizes))
+    log_post = state.model.log_eppf_sizes(sizes, state.n) + state.log_likelihood()
+    return TraceRecord(sweep, labels, colours, sum(colour_degrees), colour_degrees, log_post)

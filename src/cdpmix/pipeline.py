@@ -76,13 +76,22 @@ def _dedupe_ids(ids: list[str]) -> list[str]:
     return out
 
 
+def open_input(path: str):
+    """Open an input file for reading; a missing or unreadable one is a
+    validation error that names it."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def load_dataset(path: str) -> DatasetTable:
     """Load a tab-separated table: header row, id column first, numeric rest.
 
     Ragged rows and non-numeric, non-finite or missing cells fail with the
     offending row/column named; duplicate ids are suffix-disambiguated with a warning.
     """
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         try:
             header = next(reader)
@@ -123,7 +132,7 @@ def load_annotations(path: str, ids: Sequence[str]) -> dict[str, list[str]]:
 
     Every dataset id must appear; extra rows are ignored.
     """
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         header = next(reader, None)
         if header is None or len(header) < 2:
@@ -165,7 +174,11 @@ def bundled_data_path(name: str) -> str:
 
 def _load_matrix(source) -> np.ndarray:
     if isinstance(source, str):
-        return np.loadtxt(source, delimiter=",", ndmin=2)
+        with open_input(source) as fh:
+            try:
+                return np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(f"{source}: {exc}") from None
     return np.asarray(source, dtype=float)
 
 

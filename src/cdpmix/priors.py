@@ -2,17 +2,23 @@
 
 Five families are supported, all exchangeable over items:
 
-* ``DirichletProcess`` -- one concentration parameter; closed-form EPPF.
+* ``DirichletProcess`` -- one concentration parameter.
 * ``DirichletMultinomial`` -- finite symmetric mixture with a bounded number
-  of components; EPPF defined as the product of one-step predictive weights.
-* ``PitmanYor`` -- two-parameter generalisation with a discount; EPPF defined
-  sequentially like the Dirichlet-multinomial.
+  of components.
+* ``PitmanYor`` -- two-parameter generalisation with a discount.
 * ``ColouredDirichletProcess`` -- per-colour Dirichlet processes mixed with
   Dirichlet-distributed colour weights; cluster labels exchangeable only
-  within a colour; closed-form EPPF over coloured partitions.
+  within a colour; EPPF over coloured partitions.
 * ``BackgroundDirichletProcess`` -- the coloured special case with a single
   mandatory "background" cluster (colour 0) plus exchangeable regular
   clusters (colour 1).
+
+Every family's EPPF depends only on each colour's cluster sizes, and each
+family evaluates it in closed form in one place, ``log_eppf_sizes(
+sizes_by_colour, n)``, from the sizes listed in canonical (least-member)
+order; ``log_eppf`` calls it on a partition's sizes. ``log_eppf_sequential``,
+the product of one-step predictive weights, is kept as the oracle the closed
+forms are tested against.
 
 Each family defines its urn weights once, as ``urn_weights(colour_totals,
 degree) -> (offsets, factors, new)``: with one item withdrawn, ``degree``
@@ -31,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import add
 from typing import Sequence, Union
 
-import numpy as np
 from scipy.special import gammaln
 
 from .errors import ValidationError
@@ -43,26 +50,47 @@ from .partitions import ColouredPartition, ConfigurationCounts, Partition
 LOG_ZERO = float("-inf")
 
 
-def is_log_zero(x: float) -> bool:
-    return x == LOG_ZERO
+@lru_cache(maxsize=4096)
+def _lgamma(x: float) -> float:
+    """``gammaln(x)`` as a Python float; the priors ask for a few values many times."""
+    return float(gammaln(x))
 
 
-def _weight_lists(model, sizes: Sequence[int], colours: Sequence[int] | None = None,
-                  colour_totals: Sequence[int] | None = None) -> tuple[list, list]:
+def _array_sum(xs: Sequence[float]) -> float:
+    """``np.sum`` of the values as float64, in numpy's pairwise order, bit for bit."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _array_sum(xs[:half]) + _array_sum(xs[half:])
+    m = n - n % 8
+    total = 0.0
+    if m:
+        r = [reduce(add, xs[j:m:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[m:]:
+        total += x
+    return total
+
+
+def _sum_lgamma(xs: Sequence[float]) -> float:
+    """``gammaln(np.array(xs, dtype=float)).sum()`` without the arrays."""
+    return _array_sum([_lgamma(x) for x in xs])
+
+
+def _weight_lists(model, sizes: Sequence[int],
+                  colours: Sequence[int] | None = None) -> tuple[list, list]:
     """Unnormalized urn weights for placing one withdrawn item.
 
     One weight per existing cluster, parallel to ``sizes`` and ``colours``
     (all colour 0 when omitted), then one per colour for opening a new
-    cluster. ``colour_totals`` counts the remaining items of each colour and
-    is summed from the sizes when omitted. This expands the family's
-    per-colour ``urn_weights`` form, the one place each family defines them.
+    cluster. This expands the family's per-colour ``urn_weights`` form, the
+    one place each family defines them.
     """
     if colours is None:
         colours = [0] * len(sizes)
-    if colour_totals is None:
-        colour_totals = [0] * model.n_colours
-        for s, k in zip(sizes, colours):
-            colour_totals[k] += s
+    colour_totals = [0] * model.n_colours
+    for s, k in zip(sizes, colours):
+        colour_totals[k] += s
     offsets, factors, new = model.urn_weights(colour_totals, len(sizes))
     return [(s + offsets[k]) * factors[k] for s, k in zip(sizes, colours)], list(new)
 
@@ -79,8 +107,13 @@ class DirichletProcess:
         if not self.theta > 0:
             raise ValidationError(f"concentration must be > 0, got {self.theta}")
 
-    def log_eppf(self, p: Partition) -> float:
-        return log_eppf_dp(p, self.theta)
+    def log_eppf_sizes(self, sizes_by_colour, n: int) -> float:
+        """``lgamma(theta) - lgamma(theta + n) + d*log(theta) + sum_j lgamma(n_j)``,
+        the product of urn predictive weights over any insertion order."""
+        (sizes,) = sizes_by_colour
+        theta = self.theta
+        return (_lgamma(theta) - _lgamma(theta + n) + len(sizes) * math.log(theta)
+                + _sum_lgamma(sizes))
 
     def urn_weights(self, colour_totals, degree):
         """Each existing cluster weighs its size, a new cluster theta."""
@@ -104,8 +137,17 @@ class DirichletMultinomial:
         if not self.weight > 0:
             raise ValidationError("weight must be > 0")
 
-    def log_eppf(self, p: Partition) -> float:
-        return log_eppf_sequential(self, p)
+    def log_eppf_sizes(self, sizes_by_colour, n: int) -> float:
+        """``K!/(K-d)! * Gamma(Kw)/Gamma(Kw+n) * prod_j Gamma(w+n_j)/Gamma(w)`` for
+        K components of weight w; zero when the d clusters outnumber them."""
+        (sizes,) = sizes_by_colour
+        K, w = self.components, self.weight
+        if len(sizes) > K:
+            return LOG_ZERO
+        out = _lgamma(K * w) - _lgamma(K * w + n)
+        for i in range(len(sizes)):
+            out += math.log(K - i)
+        return out + _sum_lgamma([w + s for s in sizes]) - len(sizes) * _lgamma(w)
 
     def urn_weights(self, colour_totals, degree):
         """Size plus ``weight``; a new cluster ``weight`` per free component."""
@@ -129,8 +171,16 @@ class PitmanYor:
         if not self.strength > -self.discount:
             raise ValidationError("strength must exceed -discount")
 
-    def log_eppf(self, p: Partition) -> float:
-        return log_eppf_sequential(self, p)
+    def log_eppf_sizes(self, sizes_by_colour, n: int) -> float:
+        """``prod_{i=1}^{d-1} (theta + i*sigma) / (theta + 1)_{n-1} * prod_j
+        (1 - sigma)_{n_j - 1}`` (Pitman 2006, eq. 3.6), with rising factorials
+        ``(x)_m = Gamma(x + m) / Gamma(x)``."""
+        (sizes,) = sizes_by_colour
+        sigma, theta = self.discount, self.strength
+        out = _lgamma(theta + 1) - _lgamma(theta + n)
+        for i in range(1, len(sizes)):
+            out += math.log(theta + i * sigma)
+        return out + _sum_lgamma([s - sigma for s in sizes]) - len(sizes) * _lgamma(1 - sigma)
 
     def urn_weights(self, colour_totals, degree):
         """Size minus the discount; a new cluster ``strength + discount * degree``."""
@@ -160,8 +210,23 @@ class ColouredDirichletProcess:
     def n_colours(self) -> int:
         return len(self.colours)
 
-    def log_eppf(self, p: ColouredPartition) -> float:
-        return log_eppf_cdp(p, self)
+    def log_eppf_sizes(self, sizes_by_colour, n: int) -> float:
+        """The front factor normalizes over the full colour-weight vector; each
+        colour then contributes a Dirichlet-process-like term in its own
+        concentration, tilted by the colour occupancy n_k. Colours allowed by
+        the model but holding no cluster contribute a factor of one."""
+        if len(sizes_by_colour) > self.n_colours:
+            raise ValidationError(f"partition uses {len(sizes_by_colour)} colours "
+                                  f"but model defines {self.n_colours}")
+        gam = _array_sum([g for g, _ in self.colours])
+        out = _lgamma(gam) - _lgamma(n + gam)
+        for (g, t), sizes in zip(self.colours, sizes_by_colour):
+            if not sizes:
+                continue
+            n_k = sum(sizes)
+            out += (_lgamma(t) + _lgamma(n_k + g) - _lgamma(n_k + t) - _lgamma(g)
+                    + len(sizes) * math.log(t) + _sum_lgamma(sizes))
+        return out
 
     def urn_weights(self, colour_totals, degree):
         """An existing cluster of colour k and size m weighs
@@ -199,8 +264,26 @@ class BackgroundDirichletProcess:
         if not self.concentration > 0:
             raise ValidationError("concentration must be > 0")
 
-    def log_eppf(self, p: ColouredPartition) -> float:
-        return log_eppf_background(p, self.background_weight, self.concentration)
+    def log_eppf_sizes(self, sizes_by_colour, n: int) -> float:
+        """Colour 0 is the background: at most one cluster, weight accumulating
+        as ``background_weight + occupancy``. Colour 1 clusters behave like a
+        Dirichlet process with the given concentration. Derived as the
+        zero-concentration limit of the coloured process on colour 0 (the
+        closed form telescopes the urn weights; the limit is also
+        cross-checked numerically in the test-suite)."""
+        if len(sizes_by_colour) != 2:
+            raise ValidationError(
+                "background prior requires exactly 2 colours (0=background, 1=regular)")
+        background, regular = sizes_by_colour
+        if len(background) >= 2:
+            return LOG_ZERO
+        gamma, theta = self.background_weight, self.concentration
+        out = _lgamma(gamma + theta) - _lgamma(n + gamma + theta)
+        if background:
+            out += _lgamma(background[0] + gamma) - _lgamma(gamma)
+        if regular:
+            out += len(regular) * math.log(theta) + _sum_lgamma(regular)
+        return out
 
     def urn_weights(self, colour_totals, degree):
         """The background cluster (existing or to be created) weighs
@@ -224,19 +307,8 @@ PartitionPrior = Union[
 
 
 def log_eppf_dp(p: Partition, theta: float) -> float:
-    """Log probability of a partition under the Dirichlet process.
-
-    Equals ``lgamma(theta) - lgamma(theta + n) + d*log(theta) + sum_j lgamma(n_j)``,
-    i.e. the product of urn predictive weights over any insertion order.
-    """
-    if not theta > 0:
-        raise ValidationError(f"concentration must be > 0, got {theta}")
-    sizes = np.array(p.sizes, dtype=float)
-    return float(
-        gammaln(theta) - gammaln(theta + p.n)
-        + p.degree * math.log(theta)
-        + gammaln(sizes).sum()
-    )
+    """Log probability of a partition under the Dirichlet process."""
+    return log_eppf(DirichletProcess(theta), p)
 
 
 def log_ewens_config(config: ConfigurationCounts, theta: float) -> float:
@@ -255,72 +327,12 @@ def log_ewens_config(config: ConfigurationCounts, theta: float) -> float:
     return float(out)
 
 
-def log_eppf_cdp(p: ColouredPartition, model: ColouredDirichletProcess) -> float:
-    """Log probability of a coloured partition under the coloured Dirichlet process.
-
-    The front factor normalizes over the full colour-weight vector; each
-    colour then contributes a Dirichlet-process-like term in its own
-    concentration, tilted by the colour occupancy n_k. Colours allowed by
-    the model but absent from the partition contribute a factor of one.
-    """
-    if p.n_colours > model.n_colours:
-        raise ValidationError(
-            f"partition uses {p.n_colours} colours but model defines {model.n_colours}"
-        )
-    gam = np.array([g for g, _ in model.colours])
-    th = np.array([t for _, t in model.colours])
-    out = gammaln(gam.sum()) - gammaln(p.n + gam.sum())
-    for k, clusters in enumerate(p.clusters_by_colour):
-        if not clusters:
-            continue
-        sizes = np.array([len(c) for c in clusters], dtype=float)
-        n_k = sizes.sum()
-        out += (
-            gammaln(th[k]) + gammaln(n_k + gam[k])
-            - gammaln(n_k + th[k]) - gammaln(gam[k])
-            + len(clusters) * math.log(th[k])
-            + gammaln(sizes).sum()
-        )
-    return float(out)
-
-
-def log_eppf_background(p: ColouredPartition, background_weight: float,
-                        concentration: float) -> float:
-    """Log probability of a coloured partition under the background-cluster prior.
-
-    Colour 0 is the background: at most one cluster, weight accumulating as
-    ``background_weight + occupancy``. Colour 1 clusters behave like a
-    Dirichlet process with the given concentration. Derived as the
-    zero-concentration limit of the coloured process on colour 0 (the
-    closed form below telescopes the urn weights; the limit is also
-    cross-checked numerically in the test-suite).
-    """
-    if not background_weight > 0:
-        raise ValidationError("background_weight must be > 0")
-    if not concentration > 0:
-        raise ValidationError("concentration must be > 0")
-    if p.n_colours != 2:
-        raise ValidationError("background prior requires exactly 2 colours (0=background, 1=regular)")
-    bg_clusters, reg_clusters = p.clusters_by_colour
-    if len(bg_clusters) >= 2:
-        return LOG_ZERO
-    gamma, theta = background_weight, concentration
-    n0 = sum(len(c) for c in bg_clusters)
-    out = gammaln(gamma + theta) - gammaln(p.n + gamma + theta)
-    if bg_clusters:
-        out += gammaln(n0 + gamma) - gammaln(gamma)
-    if reg_clusters:
-        sizes = np.array([len(c) for c in reg_clusters], dtype=float)
-        out += len(reg_clusters) * math.log(theta) + gammaln(sizes).sum()
-    return float(out)
-
-
 def log_eppf(model: PartitionPrior, p: Partition | ColouredPartition) -> float:
-    """Log-EPPF under any supported prior, dispatching on the model family."""
+    """Log-EPPF under any supported prior, from the partition's per-colour cluster sizes."""
     if model.coloured != isinstance(p, ColouredPartition):
         kind = "coloured" if model.coloured else "plain"
         raise ValidationError(f"{type(model).__name__} requires a {kind} partition")
-    return model.log_eppf(p)
+    return model.log_eppf_sizes(p.sizes_by_colour() if model.coloured else (p.sizes,), p.n)
 
 
 def log_eppf_sequential(model: PartitionPrior, p: Partition | ColouredPartition) -> float:
@@ -328,45 +340,30 @@ def log_eppf_sequential(model: PartitionPrior, p: Partition | ColouredPartition)
 
     Items are inserted in index order; at each step the probability of the
     placement dictated by ``p`` is the model's reallocation weight for that
-    target divided by the total weight of all available placements. For the
-    Dirichlet process this reproduces the closed form exactly; for the
-    sequentially-defined families it *is* the definition, and exchangeability
-    over insertion order is a tested property rather than an assumption.
+    target divided by the total weight of all available placements. This is
+    the oracle for every family's closed form, and its exchangeability over
+    insertion order is a tested property rather than an assumption.
     """
     if model.coloured != isinstance(p, ColouredPartition):
         kind = "coloured" if model.coloured else "plain"
         raise ValidationError(f"{type(model).__name__} requires a {kind} partition")
-
-    if isinstance(p, ColouredPartition):
-        if p.n_colours > model.n_colours:
-            raise ValidationError("partition uses more colours than the model defines")
-        cluster_of = {}
-        for col, clusters in enumerate(p.clusters_by_colour):
-            for c in clusters:
-                for i in c:
-                    cluster_of[i] = (c, col)
-    else:
-        cluster_of = {}
-        for c in p.clusters:
-            for i in c:
-                cluster_of[i] = (c, 0)
-
-    started: dict[tuple, int] = {}
+    if model.coloured and p.n_colours > model.n_colours:
+        raise ValidationError("partition uses more colours than the model defines")
+    # canonical labels number the clusters in order of first appearance
+    labels, colours = p.allocation() if model.coloured else (p.allocation(), [0] * p.n)
     sizes: list[int] = []
-    colours: list[int] = []
+    cluster_colours: list[int] = []
     total_log = 0.0
-    for i in range(p.n):
-        cluster, col = cluster_of[i]
-        existing, new = model.weight_lists(sizes, colours)
+    for label, col in zip(labels, colours):
+        existing, new = model.weight_lists(sizes, cluster_colours)
         denom = sum(existing) + sum(new)
-        w = existing[started[cluster]] if cluster in started else new[col]
+        w = existing[label] if label < len(sizes) else new[col]
         if w <= 0 or denom <= 0:
             return LOG_ZERO
         total_log += math.log(w) - math.log(denom)
-        if cluster in started:
-            sizes[started[cluster]] += 1
+        if label < len(sizes):
+            sizes[label] += 1
         else:
-            started[cluster] = len(sizes)
             sizes.append(1)
-            colours.append(col)
+            cluster_colours.append(col)
     return total_log

@@ -12,7 +12,7 @@ from cdpmix.generators import (UniformBase, make_rng, sample_beta, sample_cdp,
                                sample_polya_sequence, split_rng)
 from cdpmix.partitions import (Partition, enumerate_coloured_partitions,
                                enumerate_partitions)
-from cdpmix.priors import (ColouredDirichletProcess, log_eppf_cdp, log_eppf_dp,
+from cdpmix.priors import (ColouredDirichletProcess, log_eppf, log_eppf_dp,
                            log_eppf_sequential, DirichletMultinomial)
 
 
@@ -253,7 +253,7 @@ def test_cdp_coloured_frequencies_match_eppf():
     for _ in range(30_000):
         cp, _ = sample_cdp(3, model, None, rng)
         counts[index[cp]] += 1
-    probs = np.array([math.exp(log_eppf_cdp(p, model)) for p in states])
+    probs = np.array([math.exp(log_eppf(model, p)) for p in states])
     assert chi2_ok(counts, probs)
 
 

@@ -7,10 +7,9 @@ import pytest
 from scipy import stats as sstats
 from scipy.special import logsumexp
 
-from cdpmix.conjugate import DesignBlock, NormalGammaSpec
+from cdpmix.conjugate import ClusterStats, DesignBlock, NormalGammaSpec
 from cdpmix.errors import ValidationError
-from cdpmix.gibbs import (ChainState, FlatEngine, SweepPlan, _sample_index, build_engines,
-                          run_chain)
+from cdpmix.gibbs import ChainState, SweepPlan, _sample_index, build_engines, run_chain
 from cdpmix.partitions import (ColouredPartition, Partition,
                                enumerate_coloured_partitions, enumerate_partitions)
 from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
@@ -21,6 +20,33 @@ DESIGN = DesignBlock(Z=np.array([[1.0, 0.4], [1.0, -0.4]]).T)  # S = 2
 SPEC = NormalGammaSpec(1.0, 1.0, np.zeros(2), np.eye(2))
 BG_SPEC = NormalGammaSpec(1.0, 1.0, np.zeros(0), np.zeros((0, 0)),
                           fixed_z_coeffs=np.zeros(2))
+
+
+class FlatEngine:
+    """Likelihood stub whose marginals are identically zero (prior-only chains).
+
+    Its table rows (no coordinates, zero shape and constant) and unit
+    ``rate_base`` make the inline pricing give exactly 0 as well.
+    """
+
+    z0 = ()
+    rate_base = 1.0
+
+    def __init__(self, n: int):
+        self.n = n
+        self.xi = [()] * n
+        self.yy = [0.0] * n
+        self.singles = [0.0] * n
+        self.rows = [((), 0.0, 0.0)] * (n + 2)
+
+    def stats_of(self, items) -> ClusterStats:
+        return ClusterStats(len(list(items)), np.zeros(0), 0.0)
+
+    def log_marginal(self, stats) -> float:
+        return 0.0
+
+    def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
+        return 0.0
 
 
 def make_data(n, seed=42):
@@ -215,12 +241,26 @@ def test_fixed_subset_kernel_preserves_background_posterior():
         assert np.abs(pi @ T - pi).max() < 1e-10
 
 
-def test_random_subset_move_composite_kernel_preserves_posterior():
+FAMILIES = pytest.mark.parametrize("model,specs,n", [
+    (DirichletProcess(1.0), [SPEC], 4),
+    (DirichletMultinomial(3, 0.8), [SPEC], 4),  # 3 clusters reach the bound
+    (PitmanYor(0.3, 1.0), [SPEC], 4),
+    (ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]), [SPEC, SPEC], 3),
+    (BackgroundDirichletProcess(1.5, 1.0), [BG_SPEC, SPEC], 3),
+], ids=["dp", "dm", "py", "cdp", "background"])
+
+
+def all_states(model, n):
+    return (list(enumerate_coloured_partitions(n, model.n_colours)) if model.coloured
+            else list(enumerate_partitions(n)))
+
+
+@FAMILIES
+def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n):
     # cluster-then-subset selection plus the corrected acceptance step
-    Y = make_data(4)
-    model = DirichletProcess(1.0)
-    engines = build_engines(Y, DESIGN, SPEC, model)
-    states = list(enumerate_partitions(4))
+    Y = make_data(n)
+    engines = build_engines(Y, DESIGN, specs, model)
+    states = all_states(model, n)
     index = {p: j for j, p in enumerate(states)}
     pi = exact_posterior(model, engines, states)
     max_size = 8
@@ -230,8 +270,11 @@ def test_random_subset_move_composite_kernel_preserves_posterior():
 
     T = np.zeros((len(states), len(states)))
     for j, p in enumerate(states):
+        if log_eppf(model, p) == LOG_ZERO:
+            T[j, j] = 1.0
+            continue
         d_before = p.degree
-        for c in p.clusters:
+        for c in (p.flatten() if model.coloured else p).clusters:
             for size in range(1, min(max_size, len(c)) + 1):
                 for sub in itertools.combinations(c, size):
                     psel = 1.0 / (d_before * n_subsets(len(c)))
@@ -257,6 +300,50 @@ def test_random_subset_move_composite_kernel_preserves_posterior():
                         T[j, j] += psel * weight * (1.0 - acc)
     np.testing.assert_allclose(T.sum(axis=1), 1.0, atol=1e-12)
     assert np.abs(pi @ T - pi).max() < 1e-10
+
+
+@FAMILIES
+def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n):
+    # every subset-move candidate's weight is the log-EPPF of the partition it
+    # would leave, built explicitly, plus the receiving cluster's marginal
+    # change, bit for bit: both read the same sizes in the same order
+    # with a dozen clusters of mixed sizes, a size listed out of canonical
+    # order changes the pairwise sum of their lgammas in the last bits
+    n = 40
+    Y = np.random.default_rng(3).normal(size=(n, 2)) * 1.5
+    engines = build_engines(Y, DESIGN, specs, model)
+    rng = np.random.default_rng(4)
+    checked = 0
+    for _ in range(40):
+        labels = rng.integers(3 if isinstance(model, DirichletMultinomial) else 14, size=n)
+        colours = [int(rng.integers(model.n_colours)) for _ in range(14)]
+        if isinstance(model, BackgroundDirichletProcess):
+            colours = [1] * 14
+            colours[int(labels[0])] = 0
+        p = (ColouredPartition.from_allocation(labels, [colours[v] for v in labels],
+                                               model.n_colours)
+             if model.coloured else Partition.from_allocation(labels))
+        st = ChainState.from_partition(model, engines, p)
+        cid = list(st.clusters)[int(rng.integers(len(st.clusters)))]
+        members = sorted(st.clusters[cid].members)
+        block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
+                                  replace=False).tolist())
+        st._withdraw_block(block)
+        moves, logw, after = st.subset_candidates(block)
+        for kind, key in [("existing", c) for c in st.clusters] + [
+                ("new", k) for k in range(model.n_colours)]:
+            nxt = ChainState.from_partition(model, engines, p)
+            nxt._withdraw_block(block)
+            lm = (nxt.clusters[key].log_m if kind == "existing" else 0.0)
+            nxt._apply_block(block, (kind, key), 0.0)
+            prior = log_eppf(model, nxt.snapshot())
+            if (kind, key) not in moves:
+                assert prior == LOG_ZERO
+                continue
+            idx = moves.index((kind, key))
+            assert logw[idx] == prior + after[idx] - lm
+            checked += 1
+    assert checked > 100
 
 
 def test_subset_must_lie_in_one_cluster():
@@ -397,6 +484,35 @@ def test_golden_trace_digest():
     digest = hashlib.sha256(
         repr([(r.labels, r.colours) for r in trace]).encode()).hexdigest()[:16]
     assert digest == "6caf8745eb0ea50a"
+
+
+def _trace_digest(trace):
+    import hashlib
+    return hashlib.sha256(
+        repr([(r.labels, r.colours) for r in trace]).encode()).hexdigest()[:16]
+
+
+def test_cdp_subset_move_trace_digest():
+    # behaviour anchor for subset moves and the coloured prior: the
+    # rat-cdp-subset benchmark config, 300 sweeps, seed 5
+    from cdpmix.pipeline import parse_config
+    cfg = parse_config({"preset": "wen-rat", "sweeps": 300, "burn_in": 20, "thin": 1,
+                        "model": {"family": "cdp", "colours": [[1, 1], [1, 0.5]]},
+                        "subset_move_rate": 1.0, "seed": 5, "out": "unused"})
+    trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
+    assert _trace_digest(trace) == "9412b87fa3a07191"
+
+
+@pytest.mark.parametrize("model,digest", [
+    (DirichletMultinomial(4, 0.8), "94fe3b2d16034b23"),  # reaches its component bound
+    (PitmanYor(0.3, 1.0), "a5d4e189728d63a0"),
+], ids=["dm", "py"])
+def test_dm_and_py_subset_move_trace_digest(model, digest):
+    # behaviour anchor for the Dirichlet-multinomial and Pitman-Yor priors
+    # under item and subset moves
+    Y = make_data(12)
+    plan = SweepPlan(sweeps=400, burn_in=0, subset_move_rate=1.0, seed=11)
+    assert _trace_digest(run_chain(Y, DESIGN, model, SPEC, plan)) == digest
 
 
 X_DESIGN = DesignBlock(Z=np.array([[1.0, 1.0, 1.0], [-0.5, 0.1, 0.7]]).T,

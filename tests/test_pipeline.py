@@ -1,11 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from cdpmix import checks, pipeline
-from cdpmix.cli import main
+from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity
 
@@ -354,6 +355,49 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["run", "--config", str(bad)]) == 1          # no data file
     assert main(["summarize", "--out", str(tmp_path / "nope")]) == 1
     assert main(["summarize"]) == 1
+
+
+def _cli_error(capsys, *argv) -> str:
+    assert main(list(argv)) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_cli_missing_config_file_is_a_validation_error(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert _cli_error(capsys, "run", "--config", missing).startswith(f"error: {missing}: ")
+    assert _cli_error(capsys, "verify", "--config", missing).startswith(f"error: {missing}: ")
+
+
+def test_cli_malformed_config_file_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    assert _cli_error(capsys, "run", "--config", str(bad)).startswith(
+        f"error: {bad}: not valid JSON")
+
+
+def test_cli_missing_data_file_is_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "wen-rat", "data": "/nonexistent.tsv"}))
+    assert _cli_error(capsys, "run", "--config", str(cfg)).startswith(
+        "error: /nonexistent.tsv: ")
+
+
+def test_missing_annotation_file_names_it(tiny_run, tmp_path):
+    missing = str(tmp_path / "no-ann.tsv")
+    with pytest.raises(ValidationError, match="^" + re.escape(missing) + ": "):
+        pipeline.parse_config(dict(tiny_run, annotations=missing))
+
+
+def test_missing_or_malformed_design_csv_names_it(tmp_path):
+    missing = str(tmp_path / "no-z.csv")
+    with pytest.raises(ValidationError, match="^" + re.escape(missing) + ": "):
+        pipeline.build_design({"Z": missing}, 2)
+    bad = tmp_path / "z.csv"
+    bad.write_text("1.0,x\n0.0,1.0\n")
+    with pytest.raises(ValidationError, match="^" + re.escape(str(bad)) + ": "):
+        pipeline.build_design({"Z": str(bad)}, 2)
 
 
 def test_cli_verify_rejects_bad_settings(tmp_path):

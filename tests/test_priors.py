@@ -11,8 +11,7 @@ from cdpmix.partitions import (ColouredPartition, ConfigurationCounts, Partition
                                enumerate_configurations, enumerate_partitions)
 from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
                            ColouredDirichletProcess, DirichletMultinomial,
-                           DirichletProcess, PitmanYor, log_eppf,
-                           log_eppf_background, log_eppf_cdp, log_eppf_dp,
+                           DirichletProcess, PitmanYor, log_eppf, log_eppf_dp,
                            log_eppf_sequential, log_ewens_config)
 
 ALL_PLAIN = [DirichletProcess(1.0), DirichletProcess(0.3),
@@ -30,6 +29,28 @@ def test_dp_single_item_is_certain():
 def test_dp_matches_urn_chain_rule():
     # two items together, one apart, theta=2: 1/(1+2) * 2/(2+2)
     assert log_eppf_dp(Partition([[0, 1], [2]]), 2.0) == pytest.approx(math.log(1 / 6))
+
+
+def test_dp_and_cdp_equal_their_numpy_array_forms_bit_for_bit():
+    # the sizes-only forms sum lgammas in numpy's pairwise order, so they give
+    # exactly what the closed forms evaluated on numpy arrays give, at every
+    # cluster count up to and past numpy's 8-way and 128-item blocking
+    from scipy.special import gammaln
+    rng = np.random.default_rng(11)
+    cdp = ColouredDirichletProcess([(1.3, 0.7), (0.4, 2.2)])
+    for degree in list(range(1, 20)) + [127, 128, 129, 200, 300]:
+        sizes = rng.integers(1, 30, size=degree)
+        labels = np.repeat(np.arange(degree), sizes)
+        p = Partition.from_allocation(rng.permutation(labels))
+        arr = np.array(p.sizes, dtype=float)
+        assert log_eppf_dp(p, 0.9) == float(
+            gammaln(0.9) - gammaln(0.9 + p.n) + p.degree * math.log(0.9) + gammaln(arr).sum())
+        cp = ColouredPartition([p.clusters, []], n_colours=2)
+        gam = np.array([1.3, 0.4])
+        assert log_eppf(cdp, cp) == float(
+            gammaln(gam.sum()) - gammaln(p.n + gam.sum())
+            + (gammaln(0.7) + gammaln(arr.sum() + 1.3) - gammaln(arr.sum() + 0.7)
+               - gammaln(1.3) + p.degree * math.log(0.7) + gammaln(arr).sum()))
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 5.0])
@@ -108,12 +129,18 @@ def test_sequential_item_order_invariance():
 
 
 def test_sequential_matches_closed_forms():
-    dp = DirichletProcess(0.7)
-    for p in enumerate_partitions(5):
-        assert log_eppf_sequential(dp, p) == pytest.approx(log_eppf_dp(p, 0.7), abs=1e-12)
-    cdp = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
-    for p in enumerate_coloured_partitions(4, 2):
-        assert log_eppf_sequential(cdp, p) == pytest.approx(log_eppf_cdp(p, cdp), abs=1e-10)
+    # every family's sizes-only closed form equals the product of its one-step
+    # predictive weights on every (coloured) partition of up to 6 items
+    for model in ALL_PLAIN + ALL_COLOURED + [DirichletProcess(0.7), PitmanYor(0.0, 1.3),
+                                             PitmanYor(0.7, 0.2), DirichletMultinomial(2, 1.5)]:
+        for n in range(1, 7):
+            for p in (enumerate_coloured_partitions(n, 2) if model.coloured
+                      else enumerate_partitions(n)):
+                chain = log_eppf_sequential(model, p)
+                if chain == LOG_ZERO:
+                    assert log_eppf(model, p) == LOG_ZERO
+                else:
+                    assert log_eppf(model, p) == pytest.approx(chain, abs=1e-12)
 
 
 @pytest.mark.parametrize("model", ALL_PLAIN)
@@ -146,19 +173,19 @@ def test_model_domain_validation():
 def test_cdp_single_colour_collapses_to_dp():
     model = ColouredDirichletProcess([(2.0, 1.5)])
     for p in enumerate_coloured_partitions(4, 1):
-        assert log_eppf_cdp(p, model) == pytest.approx(
+        assert log_eppf(model, p) == pytest.approx(
             log_eppf_dp(p.flatten(), 1.5), abs=1e-12)
 
 
 def test_cdp_symmetric_colours_split_evenly():
     model = ColouredDirichletProcess([(1.0, 0.5), (1.0, 0.5)])
-    probs = [math.exp(log_eppf_cdp(p, model)) for p in enumerate_coloured_partitions(1, 2)]
+    probs = [math.exp(log_eppf(model, p)) for p in enumerate_coloured_partitions(1, 2)]
     assert probs == pytest.approx([0.5, 0.5])
 
 
 def test_cdp_normalizes():
     model = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
-    total = sum(math.exp(log_eppf_cdp(p, model))
+    total = sum(math.exp(log_eppf(model, p))
                 for p in enumerate_coloured_partitions(4, 2))
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -167,13 +194,13 @@ def test_cdp_missing_colour_params_rejected():
     model = ColouredDirichletProcess([(1.0, 0.5)])
     p = ColouredPartition([[[0]], [[1]]], n_colours=2)
     with pytest.raises(ValidationError):
-        log_eppf_cdp(p, model)
+        log_eppf(model, p)
 
 
 def test_cdp_empty_colour_contributes_factor_one():
     two = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
     one_colour_part = ColouredPartition([[[0], [1, 2]], []], n_colours=2)
-    merged = log_eppf_cdp(one_colour_part, two)
+    merged = log_eppf(two, one_colour_part)
     # direct evaluation: front factor over both colour weights, colour-0 term only
     from scipy.special import gammaln
     expect = (gammaln(3.0) - gammaln(3 + 3.0)
@@ -187,16 +214,16 @@ def test_cdp_empty_colour_contributes_factor_one():
 def test_background_all_items_in_background():
     p = ColouredPartition([[[0, 1, 2]], []], n_colours=2)
     # chain rule: 1/2 * 2/3 * 3/4 = 1/4
-    assert log_eppf_background(p, 1.0, 1.0) == pytest.approx(math.log(0.25), abs=1e-12)
+    assert log_eppf(BackgroundDirichletProcess(1.0, 1.0), p) == pytest.approx(math.log(0.25), abs=1e-12)
 
 
 def test_background_two_background_clusters_impossible():
     p = ColouredPartition([[[0], [1]], [[2]]], n_colours=2)
-    assert log_eppf_background(p, 1.0, 1.0) == LOG_ZERO
+    assert log_eppf(BackgroundDirichletProcess(1.0, 1.0), p) == LOG_ZERO
 
 
 def test_background_normalizes():
-    terms = [log_eppf_background(p, 1.5, 1.0)
+    terms = [log_eppf(BackgroundDirichletProcess(1.5, 1.0), p)
              for p in enumerate_coloured_partitions(4, 2)]
     total = math.exp(logsumexp([t for t in terms if t != LOG_ZERO]))
     assert total == pytest.approx(1.0, abs=1e-10)
@@ -205,8 +232,8 @@ def test_background_normalizes():
 def test_background_is_small_concentration_cdp_limit():
     eps_model = ColouredDirichletProcess([(1.5, 1e-8), (1.0, 1.0)])
     for p in enumerate_coloured_partitions(3, 2):
-        exact = log_eppf_background(p, 1.5, 1.0)
-        limit = log_eppf_cdp(p, eps_model)
+        exact = log_eppf(BackgroundDirichletProcess(1.5, 1.0), p)
+        limit = log_eppf(eps_model, p)
         if exact == LOG_ZERO:
             assert limit < -15  # vanishing as the background concentration -> 0
         else:
@@ -216,7 +243,7 @@ def test_background_is_small_concentration_cdp_limit():
 def test_background_matches_sequential_urn_product():
     model = BackgroundDirichletProcess(1.5, 1.0)
     for p in enumerate_coloured_partitions(4, 2):
-        closed = log_eppf_background(p, 1.5, 1.0)
+        closed = log_eppf(BackgroundDirichletProcess(1.5, 1.0), p)
         chain = log_eppf_sequential(model, p)
         if closed == LOG_ZERO:
             assert chain == LOG_ZERO
@@ -363,7 +390,7 @@ def test_equal_rate_cdp_marginalizes_to_dp():
         total = 0.0
         for cp in enumerate_coloured_partitions(p.n, n_colours):
             if cp.flatten() == p:
-                total += math.exp(log_eppf_cdp(cp, model))
+                total += math.exp(log_eppf(model, cp))
         return total
 
     together = marginal(Partition([[0, 1]]))
