@@ -306,9 +306,9 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
 def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n):
     # every subset-move candidate's weight is the log-EPPF of the partition it
     # would leave, built explicitly, plus the receiving cluster's marginal
-    # change, bit for bit: both read the same sizes in the same order
-    # with a dozen clusters of mixed sizes, a size listed out of canonical
-    # order changes the pairwise sum of their lgammas in the last bits
+    # change, bit for bit: both read the same sizes in the same order. On 40
+    # items in about a dozen clusters of mixed sizes, a size listed out of
+    # canonical order changes the sum of their lgammas in the last bits.
     n = 40
     Y = np.random.default_rng(3).normal(size=(n, 2)) * 1.5
     engines = build_engines(Y, DESIGN, specs, model)
