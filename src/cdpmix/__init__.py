@@ -9,9 +9,7 @@ partition estimation, plus a small batch pipeline (``cdpmix run|verify|summarize
 
 __version__ = "0.1.0"
 
-from .conjugate import (ClusterStats, DesignBlock, NormalGammaSpec, cluster_stats,
-                        log_marginal_background, log_marginal_regular, log_mvt,
-                        log_predictive, posterior_update)
+from .conjugate import ClusterEvaluator, ClusterStats, DesignBlock, NormalGammaSpec, log_mvt
 from .errors import NumericalError, ValidationError
 from .estimation import (LossSpec, SimilarityMatrix, accumulate_similarity,
                          cluster_summaries, expected_pairwise_loss,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -390,22 +391,34 @@ def check_gibbs_convergence(cfg: VerifySettings) -> CheckResult:
         f"X2={stat:.1f} < {crit:.1f} (df {df}): {'ok' if good else 'FAIL'}")
 
 
+@lru_cache(maxsize=None)
+def _restricted_growth_table(n: int) -> np.ndarray:
+    """Every restricted-growth string of length n, one per row, in
+    lexicographic order (Bell(n) rows), grown one column at a time."""
+    table = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(1, n):
+        # a row whose largest label is m spawns children labelled 0..m+1
+        fan = table.max(axis=1).astype(np.int64) + 2
+        label = np.arange(fan.sum()) - np.repeat(np.cumsum(fan) - fan, fan)
+        table = np.column_stack([np.repeat(table, fan, axis=0), label.astype(np.int8)])
+    table.setflags(write=False)
+    return table
+
+
 def _brute_force_argmin(rho: np.ndarray, loss: LossSpec) -> tuple[Partition, float]:
-    """Independent minimiser: direct pair loops, no shared loss code."""
+    """Independent minimiser: scores every restricted-growth string with a
+    direct pair sum, no shared loss code, and keeps the first within 1e-12."""
     n = rho.shape[0]
-    best, best_val = None, math.inf
-    for p in enumerate_partitions(n):
-        labels = p.allocation()
-        val = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                if labels[i] == labels[j]:
-                    val += loss.false_positive * (1.0 - rho[i, j])
-                else:
-                    val += loss.false_negative * rho[i, j]
-        if val < best_val - 1e-12:
-            best, best_val = p, val
-    return best, best_val
+    table = _restricted_growth_table(n)
+    i, j = np.triu_indices(n, 1)
+    vals = np.where(table[:, i] == table[:, j], loss.false_positive * (1.0 - rho[i, j]),
+                    loss.false_negative * rho[i, j]).sum(axis=1)
+    best = 0
+    while True:
+        better = np.flatnonzero(vals[best + 1:] < vals[best] - 1e-12)
+        if not better.size:
+            return Partition.from_allocation(table[best].tolist()), float(vals[best])
+        best += 1 + int(better[0])
 
 
 def check_loss_optimizer(cfg: VerifySettings) -> CheckResult:

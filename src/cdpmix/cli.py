@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import checks, pipeline
@@ -22,11 +21,7 @@ EXIT_CHECK_FAILED = 3
 def _load_json(path: str | None) -> dict:
     if path is None:
         return {}
-    with pipeline.open_input(path) as fh:
-        try:
-            loaded = json.load(fh)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+    loaded = pipeline.load_json(path)
     if not isinstance(loaded, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return loaded

@@ -310,52 +310,6 @@ class ClusterEvaluator:
                                fixed_z_coeffs=spec.fixed_z_coeffs)
 
 
-def cluster_stats(Y, design: DesignBlock, spec: NormalGammaSpec) -> ClusterStats:
-    """Sufficient statistics for the cluster holding response rows ``Y``."""
-    return ClusterEvaluator(design, spec).stats_for(Y)
-
-
-def posterior_update(spec: NormalGammaSpec, stats: ClusterStats,
-                     design: DesignBlock) -> NormalGammaSpec:
-    """Conjugate update of the prior given a cluster's sufficient statistics.
-
-    An empty cluster returns the prior unchanged. The update is the standard
-    stacked-regression one; its correctness is anchored by the telescoping
-    chain-rule identity on the marginals rather than trusted algebra.
-    """
-    return ClusterEvaluator(design, spec).posterior(stats)
-
-
-def log_marginal_regular(stats: ClusterStats, design: DesignBlock,
-                         spec: NormalGammaSpec) -> float:
-    """Log marginal likelihood of a regular cluster (all coefficients random)."""
-    if spec.is_background:
-        raise ValidationError("regular marginal requires a spec without fixed_z_coeffs")
-    return ClusterEvaluator(design, spec).log_marginal(stats)
-
-
-def log_marginal_background(stats: ClusterStats, design: DesignBlock,
-                            spec: NormalGammaSpec) -> float:
-    """Log marginal likelihood of the background cluster (Z-coefficients pinned).
-
-    The pinned block contributes only the fixed mean shift ``Z @ fixed_z_coeffs``;
-    no posterior mass moves onto those coefficients.
-    """
-    if not spec.is_background:
-        raise ValidationError("background marginal requires fixed_z_coeffs")
-    return ClusterEvaluator(design, spec).log_marginal(stats)
-
-
-def log_predictive(item: ClusterStats, cluster: ClusterStats, design: DesignBlock,
-                   spec: NormalGammaSpec) -> float:
-    """Log predictive density of an item (or block) given a cluster's current members.
-
-    Defined, and implemented, as the difference of log marginals with and
-    without the item.
-    """
-    return ClusterEvaluator(design, spec).log_predictive(item, cluster)
-
-
 def log_mvt(x, dof: float, mean, scale) -> float:
     """Log density of the multivariate t distribution.
 

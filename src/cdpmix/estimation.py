@@ -4,7 +4,6 @@ loss, loss-optimal partition search, and per-cluster profile summaries."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,26 +45,39 @@ class SimilarityMatrix:
                                 self.sample_count + other.sample_count)
 
 
-def _labels_of(sample) -> Sequence[int]:
-    return sample.labels if hasattr(sample, "labels") else sample
+#: Records per block of the co-clustering count; bounds the float64 temporaries.
+_BLOCK = 4096
 
 
-def accumulate_similarity(samples: Iterable) -> SimilarityMatrix:
-    """Coincidence accumulator over allocation vectors (or trace records)."""
-    counts = None
-    total = 0
-    for sample in samples:
-        labels = np.asarray(_labels_of(sample), dtype=np.int64)
-        if counts is None:
-            counts = np.zeros((labels.size, labels.size), dtype=np.int64)
-        elif labels.size != counts.shape[0]:
+def accumulate_similarity(samples) -> SimilarityMatrix:
+    """Coincidence accumulator over an R x n label array, or over allocation
+    vectors or trace records.
+
+    Labels are any integers; only equality within a row matters. For each
+    label value k, a block of rows adds ``hit.T @ hit`` with ``hit`` the
+    0/1 float64 indicator of label k, so the count is one matrix product per
+    label and block. The products are exact integers below 2**53.
+    """
+    if not isinstance(samples, np.ndarray):
+        rows = [s.labels if hasattr(s, "labels") else s for s in samples]
+        if len({len(r) for r in rows}) > 1:
             raise ValidationError("all samples must allocate the same items")
-        onehot = (labels[:, None] == labels[None, :])
-        counts += onehot
-        total += 1
-    if counts is None:
+        samples = np.array(rows, dtype=np.int64)
+    if samples.size == 0:
         raise ValidationError("no samples given")
-    return SimilarityMatrix(counts, total)
+    if samples.ndim != 2:
+        raise ValidationError("samples must form an R x n label array")
+    n = samples.shape[1]
+    if samples.min() < 0 or samples.max() >= n:
+        samples = np.unique(samples, return_inverse=True)[1].reshape(samples.shape)
+    counts = np.zeros((n, n))
+    for start in range(0, len(samples), _BLOCK):
+        block = samples[start:start + _BLOCK]
+        top = block.max(axis=1)
+        for k in range(int(top.max()) + 1):
+            hit = (block[top >= k] == k).astype(np.float64)
+            counts += hit.T @ hit
+    return SimilarityMatrix(counts, len(samples))
 
 
 @dataclass(frozen=True)

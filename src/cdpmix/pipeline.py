@@ -85,6 +85,15 @@ def open_input(path: str):
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
+def load_json(path: str):
+    """Decode a JSON input file; a missing or malformed one is a validation error."""
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_dataset(path: str) -> DatasetTable:
     """Load a tab-separated table: header row, id column first, numeric rest.
 
@@ -423,19 +432,11 @@ def run_chains(config: RunConfig) -> list[list[TraceRecord]]:
         return list(pool.map(_chain_task, tasks))
 
 
-def _majority_colours(partition: Partition, traces: list[list[TraceRecord]],
+def _majority_colours(partition: Partition, colours: np.ndarray,
                       n_colours: int) -> list[int]:
     """Colour per cluster of the estimate: majority of members' sampled colours."""
-    n = partition.n
-    freq = np.zeros((n, n_colours), dtype=np.int64)
-    for trace in traces:
-        for rec in trace:
-            freq[np.arange(n), rec.colours] += 1
-    out = []
-    for c in partition.clusters:
-        votes = freq[list(c)].sum(axis=0)
-        out.append(int(votes.argmax()))
-    return out
+    freq = np.stack([(colours == k).sum(axis=0) for k in range(n_colours)], axis=1)
+    return [int(freq[list(c)].sum(axis=0).argmax()) for c in partition.clusters]
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -458,22 +459,48 @@ def write_trace(path: str, ids: list[str], traces: list[list[TraceRecord]]) -> N
     _write_csv(path, header, rows)
 
 
-def read_trace(path: str) -> tuple[list[str], list[dict]]:
-    """Reload a trace file; returns item ids and per-record dicts."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+def _bad_trace_line(path: str, width: int) -> ValidationError:
+    """The error naming the first body line of a trace that is not ``width`` int32 cells."""
+    with open_input(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.rstrip("\r\n").split(",")
+            if lineno == 1 or cells == [""]:
+                continue
+            if len(cells) != width:
+                return ValidationError(
+                    f"{path}: line {lineno} has {len(cells)} fields, expected {width}")
+            try:
+                np.array(cells, dtype=np.int32)
+            except (ValueError, OverflowError) as exc:
+                return ValidationError(f"{path}: line {lineno}: {exc}")
+    return ValidationError(f"{path}: malformed trace body")
+
+
+def read_trace(path: str):
+    """Reload a trace file as ``(ids, chain, sweep, labels, colours)``.
+
+    numpy's C reader parses the body into one int32 table in a single call;
+    ``chain`` and ``sweep`` are its first two columns and ``labels`` and
+    ``colours`` the R x n blocks after them, all views of that table. A
+    non-integer cell or a row of the wrong width is a validation error that
+    names the file and the line.
+    """
+    with open_input(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
         n = (len(header) - 2) // 2
-        ids = [name[2:] for name in header[2:2 + n]]
-        records = []
-        for row in reader:
-            records.append({
-                "chain": int(row[0]),
-                "sweep": int(row[1]),
-                "labels": tuple(int(v) for v in row[2:2 + n]),
-                "colours": tuple(int(v) for v in row[2 + n:2 + 2 * n]),
-            })
-    return ids, records
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported by the summary as "no retained sweeps"
+                warnings.simplefilter("ignore", UserWarning)
+                body = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2)
+        except ValueError:
+            body = None
+    width = 2 + 2 * n
+    if body is None or (body.size and body.shape[1] != width):
+        raise _bad_trace_line(path, width)
+    body = body.reshape(-1, width)
+    ids = [name[2:] for name in header[2:2 + n]]
+    return ids, body[:, 0], body[:, 1], body[:, 2:2 + n], body[:, 2 + n:]
 
 
 def read_similarity(path: str) -> np.ndarray:
@@ -484,14 +511,13 @@ def read_similarity(path: str) -> np.ndarray:
 
 
 def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrior,
-                       loss: LossSpec, strategy: str,
-                       traces: list[list[TraceRecord]]) -> tuple[list[str], dict]:
-    """Write similarity, assignments, summaries and crosstab from a trace."""
-    records = [rec for trace in traces for rec in trace]
-    if not records:
+                       loss: LossSpec, strategy: str, labels: np.ndarray,
+                       colours: np.ndarray) -> tuple[list[str], dict]:
+    """Write similarity, assignments, summaries and crosstab from the R x n
+    label and colour arrays of the retained sweeps (in any order)."""
+    if len(labels) == 0:
         raise ValidationError("no retained sweeps to summarize")
-    sim = accumulate_similarity(records)
-    rho = sim.matrix
+    rho = accumulate_similarity(labels).matrix
     if strategy == "auto":
         strategy = "exact" if dataset.n <= MAX_ENUM_N else "greedy"
     estimate = optimal_partition(rho, loss, strategy=strategy)
@@ -507,7 +533,7 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
                         else optimal_partition(rho, loss, strategy=alt))
             estimate_info[f"loss_{alt}"] = expected_pairwise_loss(alt_part, rho, loss)
     n_colours = getattr(model, "n_colours", 1)
-    cluster_colours = _majority_colours(estimate, traces, n_colours)
+    cluster_colours = _majority_colours(estimate, colours, n_colours)
 
     written = []
 
@@ -519,13 +545,8 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
     emit("similarity.csv", ["id"] + dataset.ids,
          [[item] + [_fmt(v) for v in rho[i]] for i, item in enumerate(dataset.ids)])
 
-    labels = estimate.allocation()
-    item_colour = [0] * dataset.n
-    for j, c in enumerate(estimate.clusters):
-        for i in c:
-            item_colour[i] = cluster_colours[j]
     emit("assignments.csv", ["id", "cluster", "colour"],
-         [[item, labels[i], item_colour[i]] for i, item in enumerate(dataset.ids)])
+         [[item, j, cluster_colours[j]] for item, j in zip(dataset.ids, estimate.allocation())])
 
     rows = []
     for j, summary in enumerate(cluster_summaries(estimate, dataset.data)):
@@ -562,9 +583,11 @@ def run_pipeline(config: RunConfig) -> dict:
     traces = run_chains(config)
     write_trace(os.path.join(config.out_dir, "trace.csv"), config.dataset.ids, traces)
     artifacts = ["trace.csv"]
-    written, estimate_info = _summarize_outputs(config.out_dir, config.dataset,
-                                                config.model, config.loss,
-                                                config.strategy, traces)
+    records = [rec for trace in traces for rec in trace]
+    written, estimate_info = _summarize_outputs(
+        config.out_dir, config.dataset, config.model, config.loss, config.strategy,
+        np.array([rec.labels for rec in records], dtype=np.int32),
+        np.array([rec.colours for rec in records], dtype=np.int32))
     artifacts += written
 
     # the output location is not part of the run's content; keep same-seed
@@ -578,7 +601,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "n_samples": config.dataset.n_samples,
         "artifacts": sorted(artifacts + ["manifest.json"]),
         "estimate": estimate_info,
-        "log_posterior": [rec.log_posterior for trace in traces for rec in trace],
+        "log_posterior": [rec.log_posterior for rec in records],
     }
     with open(os.path.join(config.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -589,21 +612,13 @@ def run_pipeline(config: RunConfig) -> dict:
 def summarize_run(out_dir: str) -> dict:
     """Recompute estimation outputs from an existing run directory's trace."""
     manifest_path = os.path.join(out_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise ValidationError(f"{out_dir!r} does not contain manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = load_json(manifest_path)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ValidationError(f"{manifest_path}: manifest has no config object")
     config = parse_config(manifest["config"])
-    ids, records = read_trace(os.path.join(out_dir, "trace.csv"))
+    ids, _, _, labels, colours = read_trace(os.path.join(out_dir, "trace.csv"))
     if ids != config.dataset.ids:
         raise ValidationError("trace ids do not match the configured dataset")
-    by_chain: dict[int, list] = {}
-    for rec in records:
-        by_chain.setdefault(rec["chain"], []).append(
-            TraceRecord(rec["sweep"], rec["labels"], rec["colours"],
-                        degree=len(set(rec["labels"])),
-                        colour_degrees=(), log_posterior=float("nan")))
-    traces = [by_chain[k] for k in sorted(by_chain)]
     _summarize_outputs(out_dir, config.dataset, config.model, config.loss,
-                       config.strategy, traces)
+                       config.strategy, labels, colours)
     return manifest

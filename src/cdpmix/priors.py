@@ -355,6 +355,12 @@ def log_eppf_sequential(model: PartitionPrior, p: Partition | ColouredPartition)
     cluster_colours: list[int] = []
     total_log = 0.0
     for label, col in zip(labels, colours):
+        if not (sizes or model.coloured):
+            # the first item of a plain partition opens a cluster for certain,
+            # even where that weight (a Pitman-Yor strength <= 0) is not positive
+            sizes.append(1)
+            cluster_colours.append(col)
+            continue
         existing, new = model.weight_lists(sizes, cluster_colours)
         denom = sum(existing) + sum(new)
         w = existing[label] if label < len(sizes) else new[col]

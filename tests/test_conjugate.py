@@ -5,9 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from cdpmix.conjugate import (ClusterEvaluator, ClusterStats, DesignBlock,
-                              NormalGammaSpec, cluster_stats, log_marginal_background,
-                              log_marginal_regular, log_mvt, log_predictive,
-                              posterior_update)
+                              NormalGammaSpec, log_mvt)
 from cdpmix.errors import NumericalError, ValidationError
 
 
@@ -35,14 +33,14 @@ def random_instance(rng, background=False):
 
 def test_posterior_update_empty_cluster_returns_prior():
     design, spec = scalar_setup()
-    assert posterior_update(spec, ClusterStats.empty(1), design) is spec
+    assert ClusterEvaluator(design, spec).posterior(ClusterStats.empty(1)) is spec
 
 
 def test_posterior_update_scalar_case():
     design, spec = scalar_setup(prior_mean=0.4, prior_prec=2.0)
     y = 0.9
-    stats = cluster_stats(np.array([[y]]), design, spec)
-    post = posterior_update(spec, stats, design)
+    ev = ClusterEvaluator(design, spec)
+    post = ev.posterior(ev.stats_for(np.array([[y]])))
     assert post.mean[0] == pytest.approx((y + 2.0 * 0.4) / (1.0 + 2.0))
     assert post.precision[0, 0] == pytest.approx(3.0)
     assert post.shape == pytest.approx(1.5)
@@ -52,8 +50,9 @@ def test_posterior_update_order_invariant():
     rng = np.random.default_rng(2)
     design, spec = random_instance(rng)
     Y = rng.normal(size=(4, design.n_samples))
-    a = posterior_update(spec, cluster_stats(Y, design, spec), design)
-    b = posterior_update(spec, cluster_stats(Y[::-1], design, spec), design)
+    ev = ClusterEvaluator(design, spec)
+    a = ev.posterior(ev.stats_for(Y))
+    b = ev.posterior(ev.stats_for(Y[::-1]))
     np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
     np.testing.assert_allclose(a.precision, b.precision, atol=1e-12)
     assert a.rate == pytest.approx(b.rate, abs=1e-12)
@@ -96,14 +95,13 @@ def test_nonpositive_count_scale_is_a_numerical_error():
 
 def test_empty_cluster_marginal_is_one():
     design, spec = scalar_setup()
-    assert log_marginal_regular(ClusterStats.empty(1), design, spec) == 0.0
+    assert ClusterEvaluator(design, spec).log_marginal(ClusterStats.empty(1)) == 0.0
 
 
 def test_single_observation_matches_direct_t_density():
-    design, spec = scalar_setup()
+    ev = ClusterEvaluator(*scalar_setup())
     for y in (0.0, 0.7, -2.3):
-        stats = cluster_stats(np.array([[y]]), design, spec)
-        lm = log_marginal_regular(stats, design, spec)
+        lm = ev.log_marginal(ev.stats_for(np.array([[y]])))
         assert lm == pytest.approx(log_mvt([y], 2.0, [0.0], [[2.0]]), abs=1e-12)
 
 
@@ -130,7 +128,8 @@ def test_background_spherical_when_delta_zero_and_no_x():
     spec = NormalGammaSpec(1.5, 2.0, np.zeros(0), np.zeros((0, 0)),
                            fixed_z_coeffs=[0.0])
     y = np.array([[0.3, -0.4]])
-    lm = log_marginal_background(cluster_stats(y, design, spec), design, spec)
+    ev = ClusterEvaluator(design, spec)
+    lm = ev.log_marginal(ev.stats_for(y))
     direct = log_mvt(y[0], 3.0, np.zeros(2), (2.0 / 1.5) * np.eye(2))
     assert lm == pytest.approx(direct, abs=1e-12)
 
@@ -142,20 +141,10 @@ def test_background_offset_is_a_location_shift():
                                 fixed_z_coeffs=np.zeros(design.n_z))
     Y = rng.normal(size=(3, design.n_samples))
     shifted = Y - design.Z @ spec.fixed_z_coeffs
-    lm = log_marginal_background(cluster_stats(Y, design, spec), design, spec)
-    lm0 = log_marginal_background(cluster_stats(shifted, design, zero_spec),
-                                  design, zero_spec)
+    ev, ev0 = ClusterEvaluator(design, spec), ClusterEvaluator(design, zero_spec)
+    lm = ev.log_marginal(ev.stats_for(Y))
+    lm0 = ev0.log_marginal(ev0.stats_for(shifted))
     assert lm == pytest.approx(lm0, abs=1e-10)
-
-
-def test_marginal_guards():
-    design, spec = scalar_setup()
-    bg = NormalGammaSpec(1.0, 1.0, np.zeros(0), np.zeros((0, 0)), fixed_z_coeffs=[0.0])
-    stats = ClusterStats.empty(1)
-    with pytest.raises(ValidationError):
-        log_marginal_background(stats, design, spec)
-    with pytest.raises(ValidationError):
-        log_marginal_regular(stats, design, bg)
 
 
 def test_zero_x_block_equals_dropping_it():
@@ -173,8 +162,9 @@ def test_zero_x_block_equals_dropping_it():
                                 full_prec)
     spec_z = NormalGammaSpec(1.2, 0.9, mean_z, prec_z)
     Y = rng.normal(size=(2, S))
-    lm_full = log_marginal_regular(cluster_stats(Y, with_x, spec_full), with_x, spec_full)
-    lm_z = log_marginal_regular(cluster_stats(Y, without_x, spec_z), without_x, spec_z)
+    ev_full, ev_z = ClusterEvaluator(with_x, spec_full), ClusterEvaluator(without_x, spec_z)
+    lm_full = ev_full.log_marginal(ev_full.stats_for(Y))
+    lm_z = ev_z.log_marginal(ev_z.stats_for(Y))
     assert lm_full == pytest.approx(lm_z, abs=1e-12)
 
 
@@ -196,30 +186,29 @@ def test_downdate_restores_stats_and_marginal():
 # ----------------------------------------------------------------- predictive
 
 def test_predictive_on_empty_cluster_is_single_marginal():
-    design, spec = scalar_setup()
-    item = cluster_stats(np.array([[0.6]]), design, spec)
-    pred = log_predictive(item, ClusterStats.empty(1), design, spec)
-    assert pred == pytest.approx(log_marginal_regular(item, design, spec), abs=1e-12)
+    ev = ClusterEvaluator(*scalar_setup())
+    item = ev.stats_for(np.array([[0.6]]))
+    pred = ev.log_predictive(item, ClusterStats.empty(1))
+    assert pred == pytest.approx(ev.log_marginal(item), abs=1e-12)
 
 
 def test_borrowing_strength():
     # seeing the same value once makes seeing it again more likely
     rng = np.random.default_rng(3)
-    design, spec = scalar_setup()
+    ev = ClusterEvaluator(*scalar_setup())
     y = float(rng.normal())
-    item = cluster_stats(np.array([[y]]), design, spec)
-    alone = log_predictive(item, ClusterStats.empty(1), design, spec)
-    informed = log_predictive(item, item, design, spec)
+    item = ev.stats_for(np.array([[y]]))
+    alone = ev.log_predictive(item, ClusterStats.empty(1))
+    informed = ev.log_predictive(item, item)
     assert informed > alone
 
 
 def test_predictive_integrates_to_one():
-    design, spec = scalar_setup(prior_mean=0.3, prior_prec=1.5, shape=2.0, rate=1.5)
-    cluster = cluster_stats(np.array([[0.5], [1.2]]), design, spec)
+    ev = ClusterEvaluator(*scalar_setup(prior_mean=0.3, prior_prec=1.5, shape=2.0, rate=1.5))
+    cluster = ev.stats_for(np.array([[0.5], [1.2]]))
 
     def density(y):
-        item = cluster_stats(np.array([[y]]), design, spec)
-        return math.exp(log_predictive(item, cluster, design, spec))
+        return math.exp(ev.log_predictive(ev.stats_for(np.array([[y]])), cluster))
 
     total, err = quad(density, -40, 40, limit=200)
     assert total == pytest.approx(1.0, abs=1e-4)

@@ -5,6 +5,7 @@ from cdpmix.errors import ValidationError
 from cdpmix.estimation import (LossSpec, SimilarityMatrix, accumulate_similarity,
                                cluster_summaries, expected_pairwise_loss,
                                optimal_partition)
+from cdpmix.gibbs import TraceRecord
 from cdpmix.partitions import Partition, enumerate_partitions
 
 
@@ -28,6 +29,36 @@ def test_merge_is_accumulation_over_concatenated_traces():
     joint = accumulate_similarity(np.vstack(traces))
     np.testing.assert_array_equal(merged.counts, joint.counts)
     assert merged.sample_count == joint.sample_count
+
+
+def _per_record_counts(labels) -> np.ndarray:
+    # the oracle: one n x n comparison per record
+    labels = np.asarray(labels)
+    counts = np.zeros((labels.shape[1],) * 2, dtype=np.int64)
+    for row in labels:
+        counts += row[:, None] == row[None, :]
+    return counts
+
+
+@pytest.mark.parametrize("labels", [
+    np.random.default_rng(1).integers(0, 40, size=(300, 40)),        # many clusters per row
+    np.random.default_rng(2).choice([-7, -1, 3, 250, 10**6], size=(200, 9)),  # negative, sparse
+    np.random.default_rng(3).permutation(np.arange(12) % 4)[None, :] + 5,     # one record
+    np.random.default_rng(4).integers(0, 3, size=(4096 * 2 + 17, 6)),         # several blocks
+])
+def test_similarity_counts_match_per_record_oracle(labels):
+    sim = accumulate_similarity(labels)
+    assert sim.sample_count == len(labels)
+    np.testing.assert_array_equal(sim.counts, _per_record_counts(labels))
+
+
+def test_similarity_accepts_lists_arrays_and_records():
+    labels = np.random.default_rng(5).integers(0, 4, size=(20, 7))
+    records = [TraceRecord(k, tuple(row), (0,) * 7, 0, (), 0.0)
+               for k, row in enumerate(labels.tolist())]
+    for samples in (labels.astype(np.int32), labels.tolist(), records):
+        np.testing.assert_array_equal(accumulate_similarity(samples).counts,
+                                      _per_record_counts(labels))
 
 
 def test_similarity_validation():

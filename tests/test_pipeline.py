@@ -9,6 +9,7 @@ from cdpmix import checks, pipeline
 from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity
+from cdpmix.partitions import enumerate_partitions
 
 
 @pytest.fixture
@@ -294,10 +295,39 @@ def test_manifest_reproduces_run(tiny_run, tmp_path):
 def test_trace_round_trip_reproduces_similarity(tiny_run):
     pipeline.run_pipeline(pipeline.parse_config(tiny_run))
     out = tiny_run["out"]
-    _, records = pipeline.read_trace(os.path.join(out, "trace.csv"))
-    sim = accumulate_similarity([r["labels"] for r in records])
+    _, _, _, labels, _ = pipeline.read_trace(os.path.join(out, "trace.csv"))
+    sim = accumulate_similarity(labels)
     emitted = pipeline.read_similarity(os.path.join(out, "similarity.csv"))
     assert np.array_equal(sim.matrix, emitted)
+
+
+def _write_trace_text(tmp_path, body: str) -> str:
+    path = tmp_path / "trace.csv"
+    path.write_text("chain,sweep,c:a,c:b,k:a,k:b\n0,5,0,1,0,0\n" + body)
+    return str(path)
+
+
+def test_read_trace_returns_arrays(tmp_path):
+    path = _write_trace_text(tmp_path, "1,6,0,0,1,1\n")
+    ids, chain, sweep, labels, colours = pipeline.read_trace(path)
+    assert ids == ["a", "b"]
+    assert chain.tolist() == [0, 1] and sweep.tolist() == [5, 6]
+    assert labels.tolist() == [[0, 1], [0, 0]]
+    assert colours.tolist() == [[0, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("body", ["0,6,0,x,0,0\n", "0,6,0,1.5,0,0\n"])
+def test_read_trace_non_integer_cell_names_line(tmp_path, body):
+    path = _write_trace_text(tmp_path, body)
+    with pytest.raises(ValidationError, match="^" + re.escape(path) + ": line 3: invalid literal"):
+        pipeline.read_trace(path)
+
+
+def test_read_trace_short_row_names_line(tmp_path):
+    path = _write_trace_text(tmp_path, "0,6,0,1,0,0\n0,7,0,1\n")
+    with pytest.raises(ValidationError,
+                       match="^" + re.escape(path) + ": line 4 has 4 fields, expected 6"):
+        pipeline.read_trace(path)
 
 
 def test_single_category_crosstab_lists_cluster_sizes(tiny_run):
@@ -313,23 +343,26 @@ def test_single_category_crosstab_lists_cluster_sizes(tiny_run):
     assert sorted(counts) == sorted(sizes.values())
 
 
-def test_summarize_recomputes_identically(tiny_run):
-    pipeline.run_pipeline(pipeline.parse_config(tiny_run))
-    out = tiny_run["out"]
-    before = {name: open(os.path.join(out, name), "rb").read()
-              for name in ("similarity.csv", "assignments.csv",
-                           "cluster_summaries.csv", "crosstab.csv")}
-    pipeline.summarize_run(out)
-    for name, content in before.items():
-        assert open(os.path.join(out, name), "rb").read() == content
+def test_summarize_recomputes_identically(tiny_run, tmp_path):
+    coloured = dict(tiny_run, out=str(tmp_path / "coloured"), chains=2,
+                    model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
+    for cfg in (tiny_run, coloured):
+        pipeline.run_pipeline(pipeline.parse_config(cfg))
+        out = cfg["out"]
+        before = {name: open(os.path.join(out, name), "rb").read()
+                  for name in ("similarity.csv", "assignments.csv",
+                               "cluster_summaries.csv", "crosstab.csv")}
+        pipeline.summarize_run(out)
+        for name, content in before.items():
+            assert open(os.path.join(out, name), "rb").read() == content
 
 
 def test_multichain_run_merges_traces(tiny_run, tmp_path):
     cfg = dict(tiny_run, out=str(tmp_path / "mc"), chains=2, sweeps=60, burn_in=20)
     manifest = pipeline.run_pipeline(pipeline.parse_config(cfg))
-    _, records = pipeline.read_trace(os.path.join(cfg["out"], "trace.csv"))
-    assert {r["chain"] for r in records} == {0, 1}
-    assert len(manifest["log_posterior"]) == len(records)
+    _, chain, _, labels, _ = pipeline.read_trace(os.path.join(cfg["out"], "trace.csv"))
+    assert set(chain.tolist()) == {0, 1}
+    assert len(manifest["log_posterior"]) == len(labels)
 
 
 def test_unwritable_output_dir_fails_before_sampling(tiny_run):
@@ -384,6 +417,24 @@ def test_cli_missing_data_file_is_a_validation_error(tmp_path, capsys):
         "error: /nonexistent.tsv: ")
 
 
+def test_cli_malformed_manifest_is_a_validation_error(tiny_run, capsys):
+    pipeline.run_pipeline(pipeline.parse_config(tiny_run))
+    manifest = os.path.join(tiny_run["out"], "manifest.json")
+    with open(manifest, "w") as fh:
+        fh.write("{bad")
+    assert _cli_error(capsys, "summarize", "--out", tiny_run["out"]).startswith(
+        f"error: {manifest}: not valid JSON")
+
+
+def test_cli_manifest_without_config_is_a_validation_error(tiny_run, capsys):
+    pipeline.run_pipeline(pipeline.parse_config(tiny_run))
+    manifest = os.path.join(tiny_run["out"], "manifest.json")
+    with open(manifest, "w") as fh:
+        json.dump({"package": "cdpmix"}, fh)
+    assert _cli_error(capsys, "summarize", "--out", tiny_run["out"]).startswith(
+        f"error: {manifest}: ")
+
+
 def test_missing_annotation_file_names_it(tiny_run, tmp_path):
     missing = str(tmp_path / "no-ann.tsv")
     with pytest.raises(ValidationError, match="^" + re.escape(missing) + ": "):
@@ -417,6 +468,14 @@ def test_negative_concentration_override_raises():
     cfg = checks.VerifySettings.from_overrides({"dp_thetas": [-1.0]})
     with pytest.raises(ValidationError):
         checks.check_eppf_normalization(cfg)
+
+
+def test_restricted_growth_table_lists_partitions_in_enumeration_order():
+    bell = [1, 1, 2, 5, 15, 52, 203, 877]
+    for n in range(1, 8):
+        table = checks._restricted_growth_table(n)
+        assert table.shape == (bell[n], n)
+        assert table.tolist() == [list(p.allocation()) for p in enumerate_partitions(n)]
 
 
 def test_normalization_check_detects_tampered_eppf(monkeypatch):

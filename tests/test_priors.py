@@ -132,7 +132,8 @@ def test_sequential_matches_closed_forms():
     # every family's sizes-only closed form equals the product of its one-step
     # predictive weights on every (coloured) partition of up to 6 items
     for model in ALL_PLAIN + ALL_COLOURED + [DirichletProcess(0.7), PitmanYor(0.0, 1.3),
-                                             PitmanYor(0.7, 0.2), DirichletMultinomial(2, 1.5)]:
+                                             PitmanYor(0.7, 0.2), PitmanYor(0.5, -0.2),
+                                             PitmanYor(0.3, 0.0), DirichletMultinomial(2, 1.5)]:
         for n in range(1, 7):
             for p in (enumerate_coloured_partitions(n, 2) if model.coloured
                       else enumerate_partitions(n)):
@@ -141,6 +142,13 @@ def test_sequential_matches_closed_forms():
                     assert log_eppf(model, p) == LOG_ZERO
                 else:
                     assert log_eppf(model, p) == pytest.approx(chain, abs=1e-12)
+
+
+def test_pitman_yor_non_positive_strength_by_hand():
+    # (theta + sigma) / ((theta + 1)(theta + 2)) * (1 - sigma) at sigma 0.5, theta -0.2
+    model, p = PitmanYor(0.5, -0.2), Partition([[0, 1], [2]])
+    assert log_eppf_sequential(model, p) == pytest.approx(-2.2618, abs=1e-4)
+    assert log_eppf(model, p) == pytest.approx(-2.2618, abs=1e-4)
 
 
 @pytest.mark.parametrize("model", ALL_PLAIN)
