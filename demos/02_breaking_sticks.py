@@ -10,11 +10,10 @@ import math
 import numpy as np
 
 from cdpmix import (Partition, UniformBase, enumerate_partitions, log_eppf_dp,
-                    make_rng, sample_dp_partition_via_sticks,
-                    sample_finite_mixture_alloc, sample_gem, sample_gem_two_param,
-                    sample_polya_sequence)
+                    sample_dp_partition_via_sticks, sample_finite_mixture_alloc,
+                    sample_gem, sample_gem_two_param, sample_polya_sequence)
 
-rng = make_rng(2026)
+rng = np.random.default_rng(2026)
 
 print("=== Breaking a stick ===")
 theta = 1.0

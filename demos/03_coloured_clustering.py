@@ -10,10 +10,10 @@ import numpy as np
 
 from cdpmix import (BackgroundDirichletProcess, DesignBlock, LossSpec,
                     NormalGammaSpec, SweepPlan, accumulate_similarity,
-                    cluster_summaries, expected_pairwise_loss, make_rng,
-                    optimal_partition, run_chain)
+                    cluster_summaries, expected_pairwise_loss, optimal_partition,
+                    run_chain)
 
-rng = make_rng(7)
+rng = np.random.default_rng(7)
 
 # design: intercept and slope over 6 conditions
 S = 6

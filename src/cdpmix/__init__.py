@@ -9,16 +9,14 @@ partition estimation, plus a small batch pipeline (``cdpmix run|verify|summarize
 
 __version__ = "0.1.0"
 
-from .conjugate import ClusterEvaluator, ClusterStats, DesignBlock, NormalGammaSpec, log_mvt
+from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec, log_mvt
 from .errors import NumericalError, ValidationError
 from .estimation import (LossSpec, SimilarityMatrix, accumulate_similarity,
                          cluster_summaries, expected_pairwise_loss,
                          optimal_partition)
-from .generators import (Atom, BaseMeasure, StickWeights, UniformBase, make_rng,
-                         sample_beta, sample_cdp, sample_dirichlet,
+from .generators import (Atom, BaseMeasure, StickWeights, UniformBase, sample_cdp,
                          sample_dp_partition_via_sticks, sample_finite_mixture_alloc,
-                         sample_gamma, sample_gem, sample_gem_two_param,
-                         sample_polya_sequence, split_rng)
+                         sample_gem, sample_gem_two_param, sample_polya_sequence)
 from .gibbs import (ChainState, NIGEngine, SweepPlan, TraceRecord, build_engines,
                     run_chain)
 from .partitions import (ColouredPartition, ConfigurationCounts, Partition,

@@ -13,8 +13,8 @@ precision ``tau * precision``. Integrating the parameters out gives a
 multivariate-t marginal for the stacked cluster responses, with
 ``2 * shape`` degrees of freedom and scale ``(rate/shape) * (W P^-1 W' + I)``
 for free design W and coefficient precision P. We never build that
-(e*S x e*S) matrix: all evaluation goes through per-cluster sufficient
-statistics in coefficient space (dimension p = number of free coefficients).
+(e*S x e*S) matrix: a cluster enters only through its count, its ``W'y``
+sum (dimension p = number of free coefficients) and its ``y'y`` sum.
 
 Every item shares the same covariate rows, so a cluster of m items has
 posterior precision ``P + m G`` with ``G = W'W``. One generalized
@@ -25,8 +25,10 @@ them at once. In the coordinates ``z = L'(W'y + P mean)``
     logdet(P + mG)  = logdet P + sum_k log(1 + m d_k),
 
 so a marginal is O(p) scalar arithmetic against a per-count table, with no
-matrix work after construction. This is algebraically identical to the
-direct stacked-t evaluation, which the tests pin down.
+matrix work after construction. ``log_marginal_z`` prices in these
+coordinates; ``log_marginal_parts`` takes coefficient-space sums and
+projects them first. This is algebraically identical to the direct
+stacked-t evaluation, which the tests pin down.
 """
 
 from __future__ import annotations
@@ -127,45 +129,6 @@ class NormalGammaSpec:
         return self.mean.shape[0]
 
 
-class ClusterStats:
-    """Sufficient statistics of one cluster: item count, W'y sum, y'y sum.
-
-    ``wty`` and ``yty`` are accumulated over (offset-adjusted) item
-    responses, so adding or removing one item is O(p). Removing an item
-    just added restores the statistics to within roundoff.
-    """
-
-    __slots__ = ("count", "wty", "yty")
-
-    def __init__(self, count: int, wty: np.ndarray, yty: float):
-        self.count = int(count)
-        self.wty = np.asarray(wty, dtype=float)
-        self.yty = float(yty)
-
-    @classmethod
-    def empty(cls, n_coeffs: int) -> "ClusterStats":
-        return cls(0, np.zeros(n_coeffs), 0.0)
-
-    def copy(self) -> "ClusterStats":
-        return ClusterStats(self.count, self.wty.copy(), self.yty)
-
-    def add_(self, wty_i: np.ndarray, yty_i: float) -> None:
-        self.count += 1
-        self.wty += wty_i
-        self.yty += yty_i
-
-    def remove_(self, wty_i: np.ndarray, yty_i: float) -> None:
-        if self.count == 0:
-            raise ValidationError("cannot remove an item from an empty cluster")
-        self.count -= 1
-        self.wty -= wty_i
-        self.yty -= yty_i
-
-    def plus(self, other: "ClusterStats") -> "ClusterStats":
-        return ClusterStats(self.count + other.count, self.wty + other.wty,
-                            self.yty + other.yty)
-
-
 class ClusterEvaluator:
     """Marginal-likelihood engine for one prior over a fixed design.
 
@@ -191,16 +154,14 @@ class ClusterEvaluator:
             raise ValidationError(
                 f"prior covers {spec.n_coeffs} coefficients but the free design has {free.shape[1]}"
             )
-        self.design = design
         self.spec = spec
         self.free = free
         self.offset = offset
         self.n_samples = design.n_samples
         self.gram = free.T @ free
         self._v0 = spec.precision @ spec.mean
-        self._prior_quad = float(spec.mean @ self._v0)
         self._log_norm0 = float(spec.shape * np.log(spec.rate) - gammaln(spec.shape))
-        self.rate_base = spec.rate + 0.5 * self._prior_quad
+        self.rate_base = spec.rate + 0.5 * float(spec.mean @ self._v0)
         chol_inv = np.linalg.inv(_cholesky_spd(spec.precision, "prior precision"))
         self.eigenvalues, rotation = np.linalg.eigh(chol_inv @ self.gram @ chol_inv.T)
         self.basis = chol_inv.T @ rotation
@@ -233,35 +194,15 @@ class ClusterEvaluator:
         """Coordinates ``L'(wty + P mean)`` of a cluster's ``W'y`` sum."""
         return tuple((self.basis.T @ (wty + self._v0)).tolist())
 
-    def item_stats(self, y: np.ndarray) -> tuple[np.ndarray, float]:
-        """Per-item contribution (W'y_adj, y_adj'y_adj) with the offset removed."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_samples,):
-            raise ValidationError(f"response must have length {self.n_samples}")
-        y_adj = y - self.offset
-        return self.free.T @ y_adj, float(y_adj @ y_adj)
-
-    def stats_for(self, Y: np.ndarray) -> ClusterStats:
-        """Sufficient statistics of a cluster holding the given response rows."""
-        Y = np.asarray(Y, dtype=float)
-        if Y.ndim == 1:
-            Y = Y.reshape(1, -1)
-        stats = ClusterStats.empty(self.spec.n_coeffs)
-        for row in Y:
-            stats.add_(*self.item_stats(row))
-        return stats
-
     def prepare(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized item stats for an n x S data matrix."""
+        """Per-item ``(W'y, y'y)`` rows, offset removed, of an n x S data matrix."""
         Y = np.asarray(Y, dtype=float)
         Y_adj = Y - self.offset
         return Y_adj @ self.free, np.einsum("ij,ij->i", Y_adj, Y_adj)
 
-    def log_marginal(self, stats: ClusterStats) -> float:
-        """Log marginal likelihood of the cluster's stacked responses (0 for empty)."""
-        return self.log_marginal_parts(stats.count, stats.wty, stats.yty)
-
     def log_marginal_parts(self, count: int, wty: np.ndarray, yty: float) -> float:
+        """Log marginal of ``count`` items whose ``prepare`` rows sum to
+        ``(wty, yty)``, in coefficient space; 0 for an empty cluster."""
         if count == 0:
             return 0.0
         return self.log_marginal_z(count, self.project(wty), yty)
@@ -289,25 +230,6 @@ class ClusterEvaluator:
         if not b_post > 0:
             raise NumericalError("posterior rate collapsed to a non-positive value")
         return const - a_post * math.log(b_post)
-
-    def log_predictive(self, item: ClusterStats, cluster: ClusterStats) -> float:
-        """Log predictive density of the item block given the cluster's members."""
-        return self.log_marginal(cluster.plus(item)) - self.log_marginal(cluster)
-
-    def posterior(self, stats: ClusterStats) -> NormalGammaSpec:
-        """Posterior normal-gamma parameters after absorbing the cluster's data."""
-        if stats.count == 0:
-            return self.spec
-        spec = self.spec
-        t_post = spec.precision + stats.count * self.gram
-        v = stats.wty + self._v0
-        m_post = np.linalg.solve(t_post, v) if v.size else v
-        a_post = spec.shape + 0.5 * stats.count * self.n_samples
-        b_post = spec.rate + 0.5 * (stats.yty + self._prior_quad - float(m_post @ v))
-        if not b_post > 0:
-            raise NumericalError("posterior rate collapsed to a non-positive value")
-        return NormalGammaSpec(a_post, b_post, m_post, t_post,
-                               fixed_z_coeffs=spec.fixed_z_coeffs)
 
 
 def log_mvt(x, dof: float, mean, scale) -> float:

@@ -69,7 +69,12 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
         raise ValidationError("samples must form an R x n label array")
     n = samples.shape[1]
     if samples.min() < 0 or samples.max() >= n:
-        samples = np.unique(samples, return_inverse=True)[1].reshape(samples.shape)
+        # rank the labels within each row, so the label loop runs at most n times
+        order = np.argsort(samples, axis=1)
+        ranks = np.zeros(samples.shape, dtype=np.int64)
+        ranks[:, 1:] = np.cumsum(np.diff(np.take_along_axis(samples, order, axis=1)) != 0, axis=1)
+        samples = np.empty_like(ranks)
+        np.put_along_axis(samples, order, ranks, axis=1)
     counts = np.zeros((n, n))
     for start in range(0, len(samples), _BLOCK):
         block = samples[start:start + _BLOCK]

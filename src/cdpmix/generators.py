@@ -1,5 +1,5 @@
-"""Forward samplers: base random primitives, stick-breaking, urn sequences,
-finite-mixture allocation, and the stick-breaking-and-colouring construction.
+"""Forward samplers: stick-breaking, urn sequences, finite-mixture
+allocation, and the stick-breaking-and-colouring construction.
 
 Every sampler takes an explicit ``numpy.random.Generator``; identical seeds
 give bit-identical output. Stick-breaking partition samplers extend the
@@ -8,6 +8,7 @@ stick lazily, so no truncation error enters the induced partition law.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -16,35 +17,6 @@ import numpy as np
 from .errors import ValidationError
 from .partitions import ColouredPartition, Partition
 from .priors import ColouredDirichletProcess
-
-
-def make_rng(seed=None) -> np.random.Generator:
-    """Seedable deterministic stream; same seed, same samples."""
-    return np.random.default_rng(seed)
-
-
-def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split a stream into independent substreams."""
-    return list(rng.spawn(n))
-
-
-def sample_beta(a: float, b: float, rng: np.random.Generator) -> float:
-    if not (a > 0 and b > 0):
-        raise ValidationError("beta parameters must be > 0")
-    return float(rng.beta(a, b))
-
-
-def sample_gamma(shape: float, scale: float, rng: np.random.Generator) -> float:
-    if not (shape > 0 and scale > 0):
-        raise ValidationError("gamma parameters must be > 0")
-    return float(rng.gamma(shape, scale))
-
-
-def sample_dirichlet(alphas, rng: np.random.Generator) -> np.ndarray:
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size == 0 or not (alphas > 0).all():
-        raise ValidationError("dirichlet weights must be a nonempty positive vector")
-    return rng.dirichlet(alphas)
 
 
 @dataclass(frozen=True)
@@ -125,14 +97,7 @@ class _LazySticks:
             v = self.rng.beta(1.0, self.concentration)
             self.cum.append(1.0 - self.residual * (1.0 - v))
             self.residual *= 1.0 - v
-        lo, hi = 0, len(self.cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u < self.cum[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_right(self.cum, u)
 
 
 def sample_dp_partition_via_sticks(n: int, concentration: float,

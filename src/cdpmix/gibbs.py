@@ -10,10 +10,11 @@ Single-item moves use the prior's urn weights times the conjugate predictive
 (Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
 every placement in one pass of ``item_candidates`` -- the urn weight from the
 family's per-colour ``urn_weights`` form, the receiving cluster's marginal
-computed inline from its colour's per-count table -- then draws from the
-running totals of the exponentiated weights and inserts. Each step repeats
-the arithmetic of ``log_marginal_z`` and ``_sample_index`` operation for
-operation, so a seeded chain is the same as the step-by-step composition.
+computed inline from its colour's per-count table -- then draws and
+inserts. The inline pricing repeats the arithmetic of ``log_marginal_z``
+operation for operation, so a seeded chain is the same as the step-by-step
+composition. Every move draws through ``_draw``: one uniform against the
+running totals of the exponentiated weights, found by bisection.
 Subset moves price each placement through the prior's ``log_eppf_sizes`` on
 the per-colour cluster sizes it would leave, so structural constraints (at
 most one background cluster, bounded component counts) fall out of the
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conjugate import ClusterEvaluator, ClusterStats, DesignBlock, NormalGammaSpec
+from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec
 from .errors import NumericalError, ValidationError
 from .partitions import ColouredPartition, Partition
 from .priors import LOG_ZERO, BackgroundDirichletProcess, PartitionPrior
@@ -49,31 +50,21 @@ class NIGEngine:
     optionally with one more item's ``(dz, dyy)`` added, in O(p) scalar
     arithmetic; ``singles[i]`` is item i's own log marginal. ``rows`` (the
     evaluator's per-count table, filled for every count a chain can reach) and
-    ``rate_base`` let the single-item kernel price inline. ``stats_of`` and
-    ``log_marginal`` keep the coefficient-space route for callers that price
-    partitions directly.
+    ``rate_base`` let the single-item kernel price inline.
     """
 
     def __init__(self, design: DesignBlock, spec: NormalGammaSpec, Y: np.ndarray):
         ev = self.evaluator = ClusterEvaluator(design, spec)
-        self.item_wty, self.item_yty = ev.prepare(Y)
-        n = len(self.item_yty)
+        item_wty, item_yty = ev.prepare(Y)
+        n = len(item_yty)
         self.rows = ev.table(n + 1)
         self.rate_base = ev.rate_base
         self.log_m = ev.log_marginal_z
         self.z0 = ev.z0
-        self.xi = [tuple(row) for row in (self.item_wty @ ev.basis).tolist()]
-        self.yy = self.item_yty.tolist()
+        self.xi = [tuple(row) for row in (item_wty @ ev.basis).tolist()]
+        self.yy = item_yty.tolist()
         self.singles = [self.log_m(1, self.z0, 0.0, self.xi[i], self.yy[i])
                         for i in range(n)]
-
-    def stats_of(self, items: Sequence[int]) -> ClusterStats:
-        idx = list(items)
-        return ClusterStats(len(idx), self.item_wty[idx].sum(axis=0),
-                            float(self.item_yty[idx].sum()))
-
-    def log_marginal(self, stats: ClusterStats) -> float:
-        return self.evaluator.log_marginal(stats)
 
 
 def _summed(eng, items, z=None, yty: float = 0.0) -> tuple[list[float], float]:
@@ -107,18 +98,14 @@ class _Cluster:
         self.yty -= eng.yy[i]
 
 
-def _sample_index(log_weights: list[float], rng: np.random.Generator) -> int:
-    top = max(log_weights)
+def _draw(logw: list[float], rng: np.random.Generator) -> int:
+    """Index drawn with probability proportional to ``exp(logw)``: one uniform
+    against the running totals of ``exp(x - max)``, found by bisection."""
+    top = max(logw) if logw else LOG_ZERO
     if top == LOG_ZERO:
         raise NumericalError("all reallocation weights vanished")
-    weights = [math.exp(x - top) for x in log_weights]
-    u = rng.random() * sum(weights)
-    acc = 0.0
-    for idx, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return idx
-    return len(weights) - 1
+    totals = list(accumulate(map(math.exp, map(sub, logw, repeat(top)))))
+    return min(bisect_right(totals, rng.random() * totals[-1]), len(totals) - 1)
 
 
 @dataclass(frozen=True)
@@ -351,13 +338,7 @@ class ChainState:
             raise ValidationError(f"item {i} out of range")
         self._withdraw(i)
         moves, logw, after = self.item_candidates(i)
-        top = max(logw)
-        if top == LOG_ZERO:
-            raise NumericalError("all reallocation weights vanished")
-        # running totals of exp(x - top); bisection finds the first total above
-        # u, as _sample_index's cumulative walk does
-        totals = list(accumulate(map(math.exp, map(sub, logw, repeat(top)))))
-        idx = min(bisect_right(totals, self.rng.random() * totals[-1]), len(totals) - 1)
+        idx = _draw(logw, self.rng)
         self._insert(i, moves[idx], after[idx])
 
     # -- subset kernel ---------------------------------------------------
@@ -467,7 +448,7 @@ class ChainState:
             raise ValidationError("subset must be nonempty")
         self._withdraw_block(block)
         moves, logw, after = self.subset_candidates(block)
-        idx = _sample_index(logw, self.rng)
+        idx = _draw(logw, self.rng)
         self._apply_block(block, moves[idx], after[idx])
 
     @staticmethod
@@ -500,19 +481,22 @@ class ChainState:
         remaining = len(self.clusters)
 
         moves, logw, after = self.subset_candidates(block)
-        idx = _sample_index(logw, self.rng)
-        kind, key = moves[idx]
-        if kind == "existing":
-            degree_after = remaining
-            target_size = len(self.clusters[key].members) + len(block)
-        else:
-            degree_after = remaining + 1
-            target_size = len(block)
-        sel_after = 1.0 / (degree_after * self._n_subsets(target_size, max_size))
-
-        if self.rng.random() < min(1.0, sel_after / sel_before):
-            self._apply_block(block, moves[idx], after[idx])
-        elif origin_cid is not None:
+        if moves:
+            idx = _draw(logw, self.rng)
+            kind, key = moves[idx]
+            if kind == "existing":
+                degree_after = remaining
+                target_size = len(self.clusters[key].members) + len(block)
+            else:
+                degree_after = remaining + 1
+                target_size = len(block)
+            sel_after = 1.0 / (degree_after * self._n_subsets(target_size, max_size))
+            if self.rng.random() < min(1.0, sel_after / sel_before):
+                self._apply_block(block, moves[idx], after[idx])
+                return
+        # rejected, or no placement is possible (only from a zero-probability
+        # state): the block goes back where it came from
+        if origin_cid is not None:
             origin = self.clusters[origin_cid]
             eng = self.engines[origin_colour]
             self._apply_block(block, ("existing", origin_cid),

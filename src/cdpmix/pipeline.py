@@ -503,13 +503,6 @@ def read_trace(path: str):
     return ids, body[:, 0], body[:, 1], body[:, 2:2 + n], body[:, 2 + n:]
 
 
-def read_similarity(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        return np.array([[float(v) for v in row[1:]] for row in reader])
-
-
 def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrior,
                        loss: LossSpec, strategy: str, labels: np.ndarray,
                        colours: np.ndarray) -> tuple[list[str], dict]:

@@ -15,19 +15,24 @@ from cdpmix import checks, cli, pipeline
 SETTINGS = checks.VerifySettings()
 
 
-def _run_cli(*args: str, timeout: float,
-             module: str = "cdpmix.cli") -> subprocess.CompletedProcess:
-    """Run ``python -m <module> *args`` against the package under test.
+def _run_python(*args: str, timeout: float, path: tuple = ()) -> subprocess.CompletedProcess:
+    """Run ``python *args`` against the package under test.
 
     The child's ``PYTHONPATH`` starts with the absolute directory holding the
     imported ``cdpmix``, so the child runs this same code from any working
-    directory, whether or not the package is installed.
+    directory, whether or not the package is installed; ``path`` follows it.
     """
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(cdpmix.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", module, *args],
+        filter(None, [package_root, *path, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def _run_cli(*args: str, timeout: float,
+             module: str = "cdpmix.cli") -> subprocess.CompletedProcess:
+    """Run ``python -m <module> *args`` against the package under test."""
+    return _run_python("-m", module, *args, timeout=timeout)
 
 
 def _report(criterion: str, result: checks.CheckResult) -> None:
@@ -124,3 +129,15 @@ def test_package_runs_as_a_module():
     proc = _run_cli("verify", "--help", timeout=120, module="cdpmix")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("usage: cdpmix verify"), proc.stdout
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps package functions and methods by name from
+    # outside (log_marginal_parts, snapshot, each family's weight_lists,
+    # log_eppf, the generator samplers, ...); deleting or renaming one of
+    # them makes its install fail
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    proc = _run_python("-c", "import cdpmix.cli, tracer; tracer.install(tracer.Tracer())",
+                       timeout=120, path=(perfbench,))
+    assert proc.returncode == 0, proc.stderr

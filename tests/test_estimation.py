@@ -45,6 +45,8 @@ def _per_record_counts(labels) -> np.ndarray:
     np.random.default_rng(2).choice([-7, -1, 3, 250, 10**6], size=(200, 9)),  # negative, sparse
     np.random.default_rng(3).permutation(np.arange(12) % 4)[None, :] + 5,     # one record
     np.random.default_rng(4).integers(0, 3, size=(4096 * 2 + 17, 6)),         # several blocks
+    np.random.default_rng(5).integers(0, 8, size=(2000, 40))
+    + 1000 * np.arange(2000)[:, None],                            # distinct values in every row
 ])
 def test_similarity_counts_match_per_record_oracle(labels):
     sim = accumulate_similarity(labels)

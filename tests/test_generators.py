@@ -5,11 +5,9 @@ import pytest
 from scipy import stats as sstats
 
 from cdpmix.errors import ValidationError
-from cdpmix.generators import (UniformBase, make_rng, sample_beta, sample_cdp,
-                               sample_dirichlet, sample_dp_partition_via_sticks,
-                               sample_finite_mixture_alloc, sample_gamma,
-                               sample_gem, sample_gem_two_param,
-                               sample_polya_sequence, split_rng)
+from cdpmix.generators import (UniformBase, sample_cdp, sample_dp_partition_via_sticks,
+                               sample_finite_mixture_alloc, sample_gem,
+                               sample_gem_two_param, sample_polya_sequence)
 from cdpmix.partitions import (Partition, enumerate_coloured_partitions,
                                enumerate_partitions)
 from cdpmix.priors import (ColouredDirichletProcess, log_eppf, log_eppf_dp,
@@ -27,42 +25,10 @@ def chi2_ok(counts, probs, level=0.99):
     return stat < sstats.chi2.ppf(level, mask.sum() - 1)
 
 
-# ------------------------------------------------------------ base primitives
-
-def test_dirichlet_uniform_mean():
-    rng = make_rng(0)
-    draws = np.array([sample_dirichlet([1.0, 1.0], rng) for _ in range(20_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), [0.5, 0.5], atol=0.01)
-
-
-def test_beta_mean():
-    rng = make_rng(1)
-    draws = [sample_beta(1.0, 3.0, rng) for _ in range(20_000)]
-    assert np.mean(draws) == pytest.approx(0.25, abs=0.01)
-
-
-def test_gamma_variance():
-    rng = make_rng(2)
-    draws = [sample_gamma(2.0, 1.0, rng) for _ in range(100_000)]
-    assert np.var(draws) == pytest.approx(2.0, abs=0.05)
-
-
-def test_primitive_domain_errors():
-    rng = make_rng(0)
-    with pytest.raises(ValidationError):
-        sample_beta(0.0, 1.0, rng)
-    with pytest.raises(ValidationError):
-        sample_gamma(1.0, -1.0, rng)
-    with pytest.raises(ValidationError):
-        sample_dirichlet([1.0, 0.0], rng)
-    with pytest.raises(ValidationError):
-        sample_dirichlet([], rng)
-
-
 # ------------------------------------------------------------- stick breaking
 
 def test_gem_weights_and_residual_sum_to_one():
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     for theta in (0.5, 1.0, 4.0):
         sticks = sample_gem(theta, rng, n_sticks=25)
         assert sticks.weights.sum() + sticks.residual == pytest.approx(1.0, abs=1e-12)
@@ -70,19 +36,19 @@ def test_gem_weights_and_residual_sum_to_one():
 
 
 def test_gem_expected_residual():
-    rng = make_rng(4)
+    rng = np.random.default_rng(4)
     residuals = [sample_gem(1.0, rng, n_sticks=10).residual for _ in range(100_000)]
     assert np.mean(residuals) == pytest.approx(2.0 ** -10, abs=2e-4)
 
 
 def test_gem_first_weight_mean():
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     w1 = [sample_gem(4.0, rng, n_sticks=1).weights[0] for _ in range(50_000)]
     assert np.mean(w1) == pytest.approx(0.2, abs=0.005)
 
 
 def test_gem_adaptive_truncation():
-    rng = make_rng(6)
+    rng = np.random.default_rng(6)
     sticks = sample_gem(1.0, rng, tol=1e-6)
     assert sticks.residual < 1e-6
     with pytest.raises(ValidationError):
@@ -94,7 +60,7 @@ def test_gem_adaptive_truncation():
 
 
 def test_two_parameter_gem_zero_discount_matches_gem():
-    rng = make_rng(7)
+    rng = np.random.default_rng(7)
     a = [sample_gem(1.5, rng, n_sticks=1).weights[0] for _ in range(20_000)]
     b = [sample_gem_two_param(0.0, 1.5, rng, n_sticks=1).weights[0]
          for _ in range(20_000)]
@@ -102,14 +68,14 @@ def test_two_parameter_gem_zero_discount_matches_gem():
 
 
 def test_two_parameter_gem_first_weight_mean():
-    rng = make_rng(8)
+    rng = np.random.default_rng(8)
     w1 = [sample_gem_two_param(0.5, 0.5, rng, n_sticks=1).weights[0]
           for _ in range(50_000)]
     assert np.mean(w1) == pytest.approx(1 / 3, abs=0.01)
 
 
 def test_two_parameter_gem_bounds_and_domain():
-    rng = make_rng(9)
+    rng = np.random.default_rng(9)
     sticks = sample_gem_two_param(0.3, 0.7, rng, n_sticks=30)
     assert ((sticks.weights >= 0) & (sticks.weights <= 1)).all()
     assert sticks.weights.sum() + sticks.residual == pytest.approx(1.0, abs=1e-12)
@@ -122,14 +88,14 @@ def test_two_parameter_gem_bounds_and_domain():
 # --------------------------------------------------- partitions from sticks
 
 def test_stick_partition_two_items_cocluster_probability():
-    rng = make_rng(10)
+    rng = np.random.default_rng(10)
     together = sum(sample_dp_partition_via_sticks(2, 1.0, rng).degree == 1
                    for _ in range(100_000))
     assert together / 100_000 == pytest.approx(0.5, abs=0.01)
 
 
 def test_stick_partition_frequencies_match_eppf():
-    rng = make_rng(11)
+    rng = np.random.default_rng(11)
     states = list(enumerate_partitions(3))
     index = {p: i for i, p in enumerate(states)}
     counts = np.zeros(len(states))
@@ -140,7 +106,7 @@ def test_stick_partition_frequencies_match_eppf():
 
 
 def test_stick_partition_large_concentration_gives_singletons():
-    rng = make_rng(12)
+    rng = np.random.default_rng(12)
     theta, n, reps = 1000.0, 4, 10_000
     frac = sum(sample_dp_partition_via_sticks(n, theta, rng).degree == n
                for _ in range(reps)) / reps
@@ -151,14 +117,14 @@ def test_stick_partition_large_concentration_gives_singletons():
 # ------------------------------------------------------------ finite mixture
 
 def test_finite_mixture_single_component():
-    rng = make_rng(13)
+    rng = np.random.default_rng(13)
     labels = sample_finite_mixture_alloc(1, 0.7, 5, rng)
     assert Partition.from_allocation(labels).degree == 1
 
 
 def test_finite_mixture_cocluster_probability():
     # two components, unit weight: P(together) = (1+delta)/(1+k*delta) = 2/3
-    rng = make_rng(14)
+    rng = np.random.default_rng(14)
     reps = 50_000
     together = sum(len(set(sample_finite_mixture_alloc(2, 1.0, 2, rng))) == 1
                    for _ in range(reps))
@@ -169,7 +135,7 @@ def test_finite_mixture_cocluster_probability():
 
 
 def test_finite_mixture_limit_approaches_dp():
-    rng = make_rng(15)
+    rng = np.random.default_rng(15)
     states = list(enumerate_partitions(3))
     index = {p: i for i, p in enumerate(states)}
     reps = 30_000
@@ -185,14 +151,14 @@ def test_finite_mixture_limit_approaches_dp():
 # -------------------------------------------------------------- urn sequence
 
 def test_polya_first_draw_is_fresh():
-    rng = make_rng(16)
+    rng = np.random.default_rng(16)
     labels, atoms = sample_polya_sequence(1, 2.0, UniformBase(), rng)
     assert labels == [0]
     assert len(atoms) == 1 and atoms[0].uid == 0
 
 
 def test_polya_tie_probability():
-    rng = make_rng(17)
+    rng = np.random.default_rng(17)
     reps = 100_000
     ties = sum(sample_polya_sequence(2, 3.0, UniformBase(), rng)[0][1] == 0
                for _ in range(reps))
@@ -200,7 +166,7 @@ def test_polya_tie_probability():
 
 
 def test_polya_partition_frequencies_match_eppf():
-    rng = make_rng(18)
+    rng = np.random.default_rng(18)
     states = list(enumerate_partitions(4))
     index = {p: i for i, p in enumerate(states)}
     counts = np.zeros(len(states))
@@ -212,7 +178,7 @@ def test_polya_partition_frequencies_match_eppf():
 
 
 def test_polya_atoms_have_unique_ids():
-    rng = make_rng(19)
+    rng = np.random.default_rng(19)
     _, atoms = sample_polya_sequence(30, 2.0, UniformBase(), rng)
     assert len({a.uid for a in atoms}) == len(atoms)
 
@@ -220,7 +186,7 @@ def test_polya_atoms_have_unique_ids():
 # --------------------------------------------------------------- coloured DP
 
 def test_cdp_single_colour_matches_dp():
-    rng = make_rng(20)
+    rng = np.random.default_rng(20)
     model = ColouredDirichletProcess([(1.0, 1.0)])
     states = list(enumerate_partitions(3))
     index = {p: i for i, p in enumerate(states)}
@@ -234,7 +200,7 @@ def test_cdp_single_colour_matches_dp():
 
 
 def test_cdp_symmetric_colour_frequencies():
-    rng = make_rng(21)
+    rng = np.random.default_rng(21)
     model = ColouredDirichletProcess([(1.0, 1.0), (1.0, 1.0)])
     reps = 30_000
     first = 0
@@ -245,7 +211,7 @@ def test_cdp_symmetric_colour_frequencies():
 
 
 def test_cdp_coloured_frequencies_match_eppf():
-    rng = make_rng(22)
+    rng = np.random.default_rng(22)
     model = ColouredDirichletProcess([(1.0, 1.0), (2.0, 0.5)])
     states = list(enumerate_coloured_partitions(3, 2))
     index = {p: i for i, p in enumerate(states)}
@@ -258,7 +224,7 @@ def test_cdp_coloured_frequencies_match_eppf():
 
 
 def test_cdp_atoms_align_with_clusters():
-    rng = make_rng(23)
+    rng = np.random.default_rng(23)
     model = ColouredDirichletProcess([(1.0, 1.0), (1.0, 2.0)])
     cp, atoms = sample_cdp(6, model, [UniformBase(), UniformBase()], rng)
     assert len(atoms) == cp.degree
@@ -274,7 +240,7 @@ def test_constructions_agree_pairwise(theta):
     probs = np.array([math.exp(log_eppf_dp(p, theta)) for p in states])
     reps = 20_000
 
-    rng = make_rng(24)
+    rng = np.random.default_rng(24)
     sticks = np.zeros(len(states))
     for _ in range(reps):
         sticks[index[sample_dp_partition_via_sticks(3, theta, rng)]] += 1
@@ -289,7 +255,7 @@ def test_constructions_agree_pairwise(theta):
 def test_random_measure_moments():
     # mass assigned to an event of base probability q: mean q,
     # variance q(1-q)/(1+theta)
-    rng = make_rng(25)
+    rng = np.random.default_rng(25)
     theta, q, reps = 1.0, 0.3, 20_000
     n_sticks = int(math.ceil(math.log(1e-8) / math.log(theta / (1 + theta))))
     breaks = rng.beta(1.0, theta, size=(reps, n_sticks))
@@ -305,7 +271,7 @@ def test_random_measure_moments():
 
 def test_same_seed_reproduces_everything():
     def draw_all(seed):
-        rng = make_rng(seed)
+        rng = np.random.default_rng(seed)
         return (
             sample_gem(1.0, rng, n_sticks=5).weights.tolist(),
             sample_dp_partition_via_sticks(6, 1.0, rng),
@@ -316,9 +282,3 @@ def test_same_seed_reproduces_everything():
         )
 
     assert draw_all(99) == draw_all(99)
-
-
-def test_split_rng_gives_independent_streams():
-    streams = split_rng(make_rng(0), 3)
-    draws = [s.random(4).tolist() for s in streams]
-    assert draws[0] != draws[1] != draws[2]

@@ -1,15 +1,17 @@
 import itertools
 import math
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 from scipy.special import logsumexp
 
-from cdpmix.conjugate import ClusterStats, DesignBlock, NormalGammaSpec
-from cdpmix.errors import ValidationError
-from cdpmix.gibbs import ChainState, SweepPlan, _sample_index, build_engines, run_chain
+from cdpmix.conjugate import DesignBlock, NormalGammaSpec
+from cdpmix.errors import NumericalError, ValidationError
+from cdpmix.gibbs import ChainState, SweepPlan, _draw, _summed, build_engines, run_chain
 from cdpmix.partitions import (ColouredPartition, Partition,
                                enumerate_coloured_partitions, enumerate_partitions)
 from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
@@ -39,12 +41,6 @@ class FlatEngine:
         self.singles = [0.0] * n
         self.rows = [((), 0.0, 0.0)] * (n + 2)
 
-    def stats_of(self, items) -> ClusterStats:
-        return ClusterStats(len(list(items)), np.zeros(0), 0.0)
-
-    def log_marginal(self, stats) -> float:
-        return 0.0
-
     def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
         return 0.0
 
@@ -52,6 +48,30 @@ class FlatEngine:
 def make_data(n, seed=42):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 2)) + np.linspace(0, 2, n)[:, None]
+
+
+def _sample_index(log_weights, rng):
+    """Oracle of ``_draw``: a cumulative walk over ``exp(x - max)``, totalled
+    left to right (``sum`` compensates from Python 3.12 on)."""
+    top = max(log_weights)
+    if top == LOG_ZERO:
+        raise NumericalError("all reallocation weights vanished")
+    weights = [math.exp(x - top) for x in log_weights]
+    u = rng.random() * reduce(add, weights)
+    acc = 0.0
+    for idx, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return idx
+    return len(weights) - 1
+
+
+def raw_marginal(eng, Y, members):
+    """Oracle: the coefficient-space marginal of the members' raw rows, which
+    shares nothing with the chain's cached eigenbasis statistics."""
+    ev = eng.evaluator
+    wty, yty = ev.prepare(Y[sorted(members)])
+    return ev.log_marginal_parts(len(yty), wty.sum(axis=0), float(yty.sum()))
 
 
 def exact_posterior(model, engines, states):
@@ -66,7 +86,7 @@ def exact_posterior(model, engines, states):
         else:
             groups = [(0, c) for c in p.clusters]
         for col, c in groups:
-            lp += engines[col].log_marginal(engines[col].stats_of(list(c)))
+            lp += engines[col].log_m(len(c), *_summed(engines[col], c))
         logp.append(lp)
     logp = np.asarray(logp)
     out = np.zeros(len(states))
@@ -146,13 +166,37 @@ def test_flat_likelihood_reassignment_follows_prior_weights():
     probs /= probs.sum()
     counts = np.zeros(len(moves))
     rng = np.random.default_rng(6)
-    from cdpmix.gibbs import _sample_index
     reps = 40_000
     for _ in range(reps):
-        counts[_sample_index(logw, rng)] += 1
+        counts[_draw(logw, rng)] += 1
     np.testing.assert_allclose(probs, [0.5, 0.25, 0.25], atol=1e-12)
     stat = (((counts - reps * probs) ** 2) / (reps * probs)).sum()
     assert stat < sstats.chi2.ppf(0.99, len(moves) - 1)
+
+
+@pytest.mark.parametrize("logw", [
+    np.random.default_rng(1).normal(size=9).tolist(),
+    (np.random.default_rng(2).normal(size=40) * 30).tolist(),
+    [0.0] * 6,
+    [1.5, -0.2, 1.5, 1.5, -0.2],
+    [LOG_ZERO, 0.3, LOG_ZERO, -1.0, LOG_ZERO],
+    [-2.0, 0.0, LOG_ZERO],
+    [0.7],
+    [-1e300],
+], ids=["random", "wide", "flat", "ties", "inf-inside", "inf-last", "one", "one-tiny"])
+def test_draw_matches_cumulative_walk(logw):
+    # _draw is the one draw of every move: the same index as the cumulative
+    # walk and the same generator state afterwards, draw for draw
+    fast, walk = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(2000):
+        assert _draw(logw, fast) == _sample_index(logw, walk)
+    assert fast.bit_generator.state == walk.bit_generator.state
+
+
+def test_draw_without_a_possible_outcome_is_a_numerical_error():
+    for logw in ([], [LOG_ZERO], [LOG_ZERO, LOG_ZERO]):
+        with pytest.raises(NumericalError):
+            _draw(logw, np.random.default_rng(0))
 
 
 def test_two_item_chain_matches_enumerated_posterior():
@@ -346,6 +390,39 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
     assert checked > 100
 
 
+def test_subset_move_without_a_possible_placement_puts_the_block_back():
+    # four singletons under a two-component prior have zero probability, and
+    # every block placement leaves at least three clusters: the move restores
+    # the block and draws only its selection, no placement or acceptance uniform
+    n = 4
+    model = DirichletMultinomial(2, 0.8)
+    engines = build_engines(make_data(n), DESIGN, SPEC, model)
+    state = ChainState(model, engines, n, np.random.default_rng(3))
+    before = state.snapshot()
+    for _ in range(20):
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state.rng.bit_generator.state
+        replay.integers(n)
+        replay.choice(np.arange(1, 2), p=[1.0])
+        replay.choice(1, size=1, replace=False)
+        state.random_subset_move()
+        assert state.snapshot() == before
+        assert state.rng.bit_generator.state == replay.bit_generator.state
+        assert state.refresh_cache_() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounded_components_chain_leaves_its_zero_probability_start(seed):
+    # a Dirichlet-multinomial chain with fewer components than items starts
+    # from all singletons; with a subset move every sweep it must not fail
+    # and must reach a state the prior allows
+    Y = np.random.default_rng(seed).normal(size=(40, 2)) * 1.5
+    plan = SweepPlan(sweeps=60, burn_in=0, subset_move_rate=1.0, seed=seed)
+    trace = run_chain(Y, DESIGN, DirichletMultinomial(2, 0.8), SPEC, plan)
+    assert trace[0].log_posterior == LOG_ZERO
+    assert trace[-1].degree <= 2 and math.isfinite(trace[-1].log_posterior)
+
+
 def test_subset_must_lie_in_one_cluster():
     Y = make_data(4)
     model = DirichletProcess(1.0)
@@ -444,7 +521,7 @@ def test_trace_log_posterior_is_recomputable():
         lp = log_eppf(model, p)
         for col, cs in enumerate(p.clusters_by_colour):
             for c in cs:
-                lp += engines[col].log_marginal(engines[col].stats_of(list(c)))
+                lp += raw_marginal(engines[col], Y, c)
         assert rec.log_posterior == pytest.approx(lp, abs=1e-8)
 
 
@@ -469,8 +546,7 @@ def test_cache_stays_coherent_over_many_sweeps():
     assert state.refresh_cache_() < 1e-8
     for cl in state.clusters.values():
         eng = engines[cl.colour]
-        assert cl.log_m == pytest.approx(
-            eng.log_marginal(eng.stats_of(sorted(cl.members))), abs=1e-10)
+        assert cl.log_m == pytest.approx(raw_marginal(eng, Y, cl.members), abs=1e-10)
 
 
 def test_golden_trace_digest():
@@ -529,7 +605,7 @@ X_BG_SPEC = NormalGammaSpec(1.5, 0.8, [0.1], [[0.7]], fixed_z_coeffs=[0.5, -0.3]
 ])
 def test_candidate_marginals_match_fresh_statistics(model, design, specs):
     # the incremental eigenbasis pricing equals the coefficient-space marginal
-    # of the receiving cluster rebuilt from its members
+    # of the receiving cluster rebuilt from its members' raw rows
     n = 7
     Y = np.random.default_rng(4).normal(size=(n, design.n_samples)) * 2.0
     engines = build_engines(Y, design, specs, model)
@@ -545,10 +621,9 @@ def test_candidate_marginals_match_fresh_statistics(model, design, specs):
                     eng, members = engines[cl.colour], sorted(cl.members) + [i]
                 else:
                     eng, members = engines[key], [i]
-                assert lm == pytest.approx(eng.log_marginal(eng.stats_of(members)),
-                                           abs=1e-10)
+                assert lm == pytest.approx(raw_marginal(eng, Y, members), abs=1e-10)
                 checked += 1
-            idx = _sample_index(logw, state.rng)
+            idx = _draw(logw, state.rng)
             state._insert(i, moves[idx], after[idx])
     assert checked > 40 * n * 2
 
@@ -607,7 +682,6 @@ def test_accepted_move_weight_equals_joint_change():
     engines = build_engines(Y, DESIGN, SPEC, model)
     state = ChainState(model, engines, 5, np.random.default_rng(12))
     rng = np.random.default_rng(13)
-    from cdpmix.gibbs import _sample_index
     for step in range(1000):
         i = int(rng.integers(5))
         before = state.log_joint()
@@ -617,7 +691,7 @@ def test_accepted_move_weight_equals_joint_change():
         prev_idx = next(k for k, mv in enumerate(moves)
                         if mv == ("existing", prev_cid)
                         or (mv[0] == "new" and prev_cid not in state.clusters))
-        idx = _sample_index(logw, rng)
+        idx = _draw(logw, rng)
         state._insert(i, moves[idx], after[idx])
         delta = state.log_joint() - before
         assert delta == pytest.approx(logw[idx] - logw[prev_idx], abs=1e-8)

@@ -297,7 +297,8 @@ def test_trace_round_trip_reproduces_similarity(tiny_run):
     out = tiny_run["out"]
     _, _, _, labels, _ = pipeline.read_trace(os.path.join(out, "trace.csv"))
     sim = accumulate_similarity(labels)
-    emitted = pipeline.read_similarity(os.path.join(out, "similarity.csv"))
+    emitted = np.loadtxt(os.path.join(out, "similarity.csv"), delimiter=",", skiprows=1,
+                         usecols=range(1, len(sim.matrix) + 1), ndmin=2)
     assert np.array_equal(sim.matrix, emitted)
 
 
