@@ -20,8 +20,8 @@ from .generators import (Atom, BaseMeasure, StickWeights, UniformBase, sample_cd
 from .gibbs import (ChainState, NIGEngine, SweepPlan, TraceRecord, build_engines,
                     run_chain)
 from .partitions import (ColouredPartition, ConfigurationCounts, Partition,
-                         canonicalize, enumerate_coloured_partitions,
-                         enumerate_configurations, enumerate_partitions)
+                         enumerate_coloured_partitions, enumerate_configurations,
+                         enumerate_partitions)
 from .priors import (LOG_ZERO, BackgroundDirichletProcess, ColouredDirichletProcess,
                      DirichletMultinomial, DirichletProcess, PitmanYor,
                      log_eppf, log_eppf_dp, log_eppf_sequential, log_ewens_config)

@@ -42,9 +42,16 @@ class CheckResult:
     detail: str
 
 
+# pass/fail gates, fixed like the time budgets so no settings override can loosen a check
+NORM_TOL = 1e-10
+CHI2_LEVEL = 0.99
+CONJUGATE_TOL = 1e-8
+INVARIANCE_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class VerifySettings:
-    """Tunable knobs for the verification suite (defaults match the shipped gates)."""
+    """Instance sizes, sample counts and seed of the verification suite."""
 
     dp_thetas: tuple = (0.3, 1.0, 5.0)
     dp_max_n: int = 8
@@ -53,18 +60,14 @@ class VerifySettings:
     coloured_max_n: int = 5
     cdp_colours: tuple = ((1.0, 0.5), (2.0, 1.5))
     background_params: tuple = (1.5, 1.0)
-    norm_tol: float = 1e-10
     equiv_n: int = 4
     equiv_theta: float = 1.0
     equiv_samples: int = 100_000
     finite_components: int = 2000
-    chi2_level: float = 0.99
     moment_thetas: tuple = (1.0, 5.0)
     moment_reps: int = 100_000
     moment_event: float = 0.3
     conjugate_instances: int = 100
-    conjugate_tol: float = 1e-8
-    invariance_tol: float = 1e-10
     chain_sweeps: int = 200_000
     chain_burn_in: int = 2_000
     chain_thin: int = 10
@@ -107,10 +110,10 @@ def check_eppf_normalization(cfg: VerifySettings) -> CheckResult:
         worst = max(worst, _norm_gap([log_eppf(cdp, p) for p in coloured]))
         worst = max(worst, _norm_gap([log_eppf(background, p) for p in coloured]))
     elapsed = time.perf_counter() - start
-    passed = worst <= cfg.norm_tol and elapsed < 10.0
+    passed = worst <= NORM_TOL and elapsed < 10.0
     return CheckResult(
         "eppf-normalization", passed,
-        f"max |sum-1| = {worst:.3e} (tol {cfg.norm_tol:.0e}), {elapsed:.1f}s (budget 10s)")
+        f"max |sum-1| = {worst:.3e} (tol {NORM_TOL:.0e}), {elapsed:.1f}s (budget 10s)")
 
 
 def check_ewens_agreement(cfg: VerifySettings) -> CheckResult:
@@ -130,14 +133,14 @@ def check_ewens_agreement(cfg: VerifySettings) -> CheckResult:
                 lhs = priors.log_ewens_config(ConfigurationCounts(counts, n=n), theta)
                 rhs = logsumexp([priors.log_eppf_dp(p, theta) for p in parts])
                 worst = max(worst, abs(lhs - rhs))
-    passed = worst <= cfg.norm_tol
+    passed = worst <= NORM_TOL
     return CheckResult("ewens-agreement", passed,
-                       f"max |config - summed partitions| = {worst:.3e} (tol {cfg.norm_tol:.0e})")
+                       f"max |config - summed partitions| = {worst:.3e} (tol {NORM_TOL:.0e})")
 
 
-def _chi2_ok(observed: np.ndarray, probs: np.ndarray, level: float,
+def _chi2_ok(observed: np.ndarray, probs: np.ndarray,
              min_expected: float = 5.0) -> tuple[bool, float, float, int]:
-    """Pearson test with small-expected-cell pooling; returns (ok, stat, crit, df)."""
+    """Pearson test at ``CHI2_LEVEL``, small cells pooled; returns (ok, stat, crit, df)."""
     total = observed.sum()
     expected = probs * total
     big = expected >= min_expected
@@ -151,7 +154,7 @@ def _chi2_ok(observed: np.ndarray, probs: np.ndarray, level: float,
     keep = exp_cells > 0
     stat = float((((obs_cells - exp_cells) ** 2) / np.where(keep, exp_cells, 1.0))[keep].sum())
     df = int(keep.sum()) - 1
-    crit = float(sstats.chi2.ppf(level, df))
+    crit = float(sstats.chi2.ppf(CHI2_LEVEL, df))
     return stat < crit, stat, crit, df
 
 
@@ -183,7 +186,7 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
     }
     details, ok = [], True
     for name, counts in draws.items():
-        good, stat, crit, df = _chi2_ok(counts, probs, cfg.chi2_level)
+        good, stat, crit, df = _chi2_ok(counts, probs)
         ok &= good
         details.append(f"{name} X2={stat:.1f}<{crit:.1f}(df{df}):{'ok' if good else 'FAIL'}")
     elapsed = time.perf_counter() - start
@@ -269,11 +272,11 @@ def check_conjugate_identities(cfg: VerifySettings) -> CheckResult:
         scale = (spec.rate / spec.shape) * (core + np.eye(e3 * design.n_samples))
         direct = log_mvt(Y3.reshape(-1), 2.0 * spec.shape, mean, scale)
         worst_stack = max(worst_stack, abs(lm - direct))
-    passed = worst_chain <= cfg.conjugate_tol and worst_stack <= cfg.conjugate_tol
+    passed = worst_chain <= CONJUGATE_TOL and worst_stack <= CONJUGATE_TOL
     return CheckResult(
         "conjugate-identities", passed,
         f"max telescoping gap = {worst_chain:.2e}, max stacked-t gap = {worst_stack:.2e} "
-        f"(tol {cfg.conjugate_tol:.0e})")
+        f"(tol {CONJUGATE_TOL:.0e})")
 
 
 def _exact_posterior(model, engines, states) -> np.ndarray:
@@ -297,28 +300,32 @@ def _exact_posterior(model, engines, states) -> np.ndarray:
     return out
 
 
+def _item_kernel(model, engines, states, i) -> np.ndarray:
+    """Exact transition matrix of item i's single-item update (identity off the support)."""
+    index = {p: j for j, p in enumerate(states)}
+    T = np.zeros((len(states), len(states)))
+    for j, p in enumerate(states):
+        if log_eppf(model, p) == LOG_ZERO:
+            T[j, j] = 1.0
+            continue
+        st = ChainState.from_partition(model, engines, p)
+        st._withdraw(i)
+        moves, logw, after = st.item_candidates(i)
+        w = np.exp(np.asarray(logw) - max(logw))
+        w /= w.sum()
+        for mv, weight, lm in zip(moves, w, after):
+            nxt = ChainState.from_partition(model, engines, p)
+            nxt._withdraw(i)
+            nxt._insert(i, mv, lm)
+            T[j, index[nxt.snapshot()]] += weight
+    return T
+
+
 def _one_sweep_matrix(model, engines, states, n) -> np.ndarray:
-    index = {p: i for i, p in enumerate(states)}
-    size = len(states)
-    T = np.eye(size)
-    support = [log_eppf(model, p) != LOG_ZERO for p in states]
+    """Exact transition matrix of a systematic sweep over items 0..n-1."""
+    T = np.eye(len(states))
     for i in range(n):
-        Ti = np.zeros((size, size))
-        for j, p in enumerate(states):
-            if not support[j]:
-                Ti[j, j] = 1.0
-                continue
-            st = ChainState.from_partition(model, engines, p)
-            st._withdraw(i)
-            moves, logw, after = st.item_candidates(i)
-            w = np.exp(np.asarray(logw) - max(logw))
-            w /= w.sum()
-            for mv, weight, lm in zip(moves, w, after):
-                nxt = ChainState.from_partition(model, engines, p)
-                nxt._withdraw(i)
-                nxt._insert(i, mv, lm)
-                Ti[j, index[nxt.snapshot()]] += weight
-        T = T @ Ti
+        T = T @ _item_kernel(model, engines, states, i)
     return T
 
 
@@ -354,13 +361,13 @@ def check_gibbs_invariance(cfg: VerifySettings) -> CheckResult:
         pi = _exact_posterior(model, engines, states)
         T = _one_sweep_matrix(model, engines, states, n)
         err = float(np.abs(pi @ T - pi).max())
-        good = err <= cfg.invariance_tol
+        good = err <= INVARIANCE_TOL
         ok &= good
         details.append(f"{type(model).__name__}: {err:.1e}:{'ok' if good else 'FAIL'}")
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     return CheckResult("gibbs-invariance", ok,
-                       "; ".join(details) + f" (tol {cfg.invariance_tol:.0e}), "
+                       "; ".join(details) + f" (tol {INVARIANCE_TOL:.0e}), "
                        f"{elapsed:.1f}s (budget 60s)")
 
 
@@ -382,7 +389,7 @@ def check_gibbs_convergence(cfg: VerifySettings) -> CheckResult:
     counts = np.zeros(len(states))
     for rec in trace:
         counts[index[Partition.from_allocation(rec.labels)]] += 1
-    good, stat, crit, df = _chi2_ok(counts, pi, cfg.chi2_level)
+    good, stat, crit, df = _chi2_ok(counts, pi)
     return CheckResult(
         "gibbs-convergence", good,
         f"{len(trace)} retained sweeps over {len(states)} partitions, "

@@ -15,12 +15,13 @@ inserts. The inline pricing repeats the arithmetic of ``log_marginal_z``
 operation for operation, so a seeded chain is the same as the step-by-step
 composition. Every move draws through ``_draw``: one uniform against the
 running totals of the exponentiated weights, found by bisection.
-Subset moves price each placement through the prior's ``log_eppf_sizes`` on
-the per-colour cluster sizes it would leave, so structural constraints (at
-most one background cluster, bounded component counts) fall out of the
-prior's log-zero sentinel with no special cases. Trace records and
-``log_joint`` score the prior from the same sizes, read off the live clusters
-without building a partition.
+A block move is the same step applied to each item of a co-clustered block
+(``_withdraw``, then ``_insert`` through ``_place``), priced through the
+prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
+structural constraints (at most one background cluster, bounded component
+counts) fall out of the prior's log-zero sentinel with no special cases.
+Trace records and ``log_joint`` score the prior from the same sizes, read off
+the live clusters without building a partition.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class NIGEngine:
 
 def _summed(eng, items, z=None, yty: float = 0.0) -> tuple[list[float], float]:
     """``(z, y'y)`` after ``items`` join a cluster holding ``(z, yty)``; empty by default."""
-    z = list(eng.z0 if z is None else z)
+    z = eng.z0 if z is None else z
     for i in items:
         z = list(map(add, z, eng.xi[i]))
         yty += eng.yy[i]
@@ -88,14 +89,6 @@ class _Cluster:
         self.z = z
         self.yty = yty
         self.log_m = log_m
-
-    def add_(self, eng, i: int) -> None:
-        self.z = list(map(add, self.z, eng.xi[i]))
-        self.yty += eng.yy[i]
-
-    def remove_(self, eng, i: int) -> None:
-        self.z = list(map(sub, self.z, eng.xi[i]))
-        self.yty -= eng.yy[i]
 
 
 def _draw(logw: list[float], rng: np.random.Generator) -> int:
@@ -255,7 +248,7 @@ class ChainState:
             cl.z, cl.yty, cl.log_m = z, yty, fresh
         return worst
 
-    # -- single-item kernel --------------------------------------------------
+    # -- single-item steps: the one path that changes cluster state ----------
 
     def _withdraw(self, i: int) -> None:
         cid = self.item_cluster[i]
@@ -267,7 +260,8 @@ class ChainState:
             del self.clusters[cid]
         else:
             eng = self.engines[cl.colour]
-            cl.remove_(eng, i)
+            cl.z = list(map(sub, cl.z, eng.xi[i]))
+            cl.yty -= eng.yy[i]
             cl.log_m = eng.log_m(len(cl.members), cl.z, cl.yty)
 
     def item_candidates(self, i: int):
@@ -314,12 +308,15 @@ class ChainState:
             after.append(lm)
         return moves, logw, after
 
-    def _insert(self, i: int, move: tuple[str, int], log_m_after: float) -> None:
+    def _insert(self, i: int, move: tuple[str, int], log_m_after: float) -> int:
+        """Place withdrawn item i as ``move`` says; returns its cluster's id."""
         kind, key = move
         if kind == "existing":
             cl = self.clusters[key]
             cl.members.add(i)
-            cl.add_(self.engines[cl.colour], i)
+            eng = self.engines[cl.colour]
+            cl.z = list(map(add, cl.z, eng.xi[i]))
+            cl.yty += eng.yy[i]
             cl.log_m = log_m_after
             colour = cl.colour
             cid = key
@@ -331,6 +328,7 @@ class ChainState:
             self.clusters[cid] = _Cluster(colour, {i}, z, yty, log_m_after)
         self.item_cluster[i] = cid
         self.colour_totals[colour] += 1
+        return cid
 
     def reallocate_item(self, i: int) -> None:
         """Withdraw item i and redraw its placement from the full conditional."""
@@ -341,7 +339,7 @@ class ChainState:
         idx = _draw(logw, self.rng)
         self._insert(i, moves[idx], after[idx])
 
-    # -- subset kernel ---------------------------------------------------
+    # -- block moves: single-item steps applied to a co-clustered block ----
 
     def subset_candidates(self, block: list[int]):
         """Placement options for a withdrawn block.
@@ -385,71 +383,16 @@ class ChainState:
             if lp == LOG_ZERO:
                 continue
             eng = self.engines[k]
-            lm = eng.log_m(m, eng.z0, 0.0, *sums[k])
+            lm = eng.log_m(m, *_summed(eng, block))
             moves.append(("new", k))
             logw.append(lp + lm)
             after.append(lm)
         return moves, logw, after
 
-    def _withdraw_block(self, block: list[int]) -> tuple[int | None, int]:
-        """Remove a co-clustered block; returns (origin cid or None if emptied, colour)."""
-        cids = {self.item_cluster[i] for i in block}
-        if len(cids) != 1 or -1 in cids:
-            raise ValidationError("subset must lie inside a single current cluster")
-        origin_cid = cids.pop()
-        origin = self.clusters[origin_cid]
-        colour = origin.colour
-        eng = self.engines[colour]
+    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float) -> None:
+        """Insert a withdrawn block: the first item as ``move`` says, the rest beside it."""
         for i in block:
-            origin.members.discard(i)
-            origin.remove_(eng, i)
-            self.item_cluster[i] = -1
-        self.colour_totals[colour] -= len(block)
-        if not origin.members:
-            del self.clusters[origin_cid]
-            return None, colour
-        origin.log_m = eng.log_m(len(origin.members), origin.z, origin.yty)
-        return origin_cid, colour
-
-    def _apply_block(self, block: list[int], move: tuple[str, int],
-                     log_m_after: float) -> None:
-        kind, key = move
-        if kind == "existing":
-            cl = self.clusters[key]
-            tgt_eng = self.engines[cl.colour]
-            for i in block:
-                cl.members.add(i)
-                cl.add_(tgt_eng, i)
-                self.item_cluster[i] = key
-            cl.log_m = log_m_after
-            self.colour_totals[cl.colour] += len(block)
-        else:
-            tgt_eng = self.engines[key]
-            z, yty = _summed(tgt_eng, block)
-            cid = self._next_cid
-            self._next_cid += 1
-            self.clusters[cid] = _Cluster(key, set(block), z, yty,
-                                          tgt_eng.log_m(len(block), z, yty))
-            for i in block:
-                self.item_cluster[i] = cid
-            self.colour_totals[key] += len(block)
-
-    def reallocate_subset(self, items: Sequence[int]) -> None:
-        """Move a block of items (all from one cluster) as a unit.
-
-        For a fixed block this is an exact conditional update: the block
-        joins an existing cluster or opens a fresh one of some colour, with
-        probability proportional to the candidate partition's prior times
-        the block's predictive density there. With a single item it
-        coincides with ``reallocate_item``.
-        """
-        block = sorted(set(items))
-        if not block:
-            raise ValidationError("subset must be nonempty")
-        self._withdraw_block(block)
-        moves, logw, after = self.subset_candidates(block)
-        idx = _draw(logw, self.rng)
-        self._apply_block(block, moves[idx], after[idx])
+            move = ("existing", self._insert(i, move, log_m_after))
 
     @staticmethod
     def _n_subsets(cluster_size: int, max_size: int) -> float:
@@ -477,7 +420,9 @@ class ChainState:
 
         degree_before = len(self.clusters)
         sel_before = 1.0 / (degree_before * self._n_subsets(m, max_size))
-        origin_cid, origin_colour = self._withdraw_block(block)
+        colour = self.clusters[cid].colour
+        for i in block:
+            self._withdraw(i)
         remaining = len(self.clusters)
 
         moves, logw, after = self.subset_candidates(block)
@@ -492,18 +437,18 @@ class ChainState:
                 target_size = len(block)
             sel_after = 1.0 / (degree_after * self._n_subsets(target_size, max_size))
             if self.rng.random() < min(1.0, sel_after / sel_before):
-                self._apply_block(block, moves[idx], after[idx])
+                self._place(block, moves[idx], after[idx])
                 return
         # rejected, or no placement is possible (only from a zero-probability
         # state): the block goes back where it came from
-        if origin_cid is not None:
-            origin = self.clusters[origin_cid]
-            eng = self.engines[origin_colour]
-            self._apply_block(block, ("existing", origin_cid),
-                              eng.log_m(len(origin.members) + len(block),
-                                        *_summed(eng, block, origin.z, origin.yty)))
+        eng = self.engines[colour]
+        if cid in self.clusters:
+            origin = self.clusters[cid]
+            self._place(block, ("existing", cid),
+                        eng.log_m(len(origin.members) + len(block),
+                                  *_summed(eng, block, origin.z, origin.yty)))
         else:
-            self._apply_block(block, ("new", origin_colour), 0.0)
+            self._place(block, ("new", colour), eng.log_m(len(block), *_summed(eng, block)))
 
 
 def build_engines(Y: np.ndarray, design: DesignBlock,

@@ -49,6 +49,7 @@ class Partition:
 
     @classmethod
     def from_allocation(cls, labels: Sequence[int]) -> "Partition":
+        """Group items by label: labellings with the same fibres give the same Partition."""
         if len(labels) == 0:
             raise ValidationError("allocation vector is empty")
         groups: dict[int, list[int]] = {}
@@ -79,15 +80,6 @@ class Partition:
     def __repr__(self) -> str:
         body = ", ".join("{" + ",".join(map(str, c)) + "}" for c in self.clusters)
         return f"Partition({body})"
-
-
-def canonicalize(labels: Sequence[int]) -> Partition:
-    """Group items by label into a canonical Partition.
-
-    Any labelling with the same fibres maps to the same Partition;
-    the operation is idempotent on canonical allocation vectors.
-    """
-    return Partition.from_allocation(labels)
 
 
 @dataclass(frozen=True)

@@ -236,27 +236,49 @@ def build_model(model_cfg: dict) -> PartitionPrior:
     if family not in _MODEL_PARAMS:
         raise ValidationError(f"unknown model family {family!r}")
     _reject_unknown(f"model ({family})", model_cfg, ("family",) + _MODEL_PARAMS[family])
+    for key in _MODEL_PARAMS[family]:
+        if key not in model_cfg:
+            raise ValidationError(f"model family {family!r} is missing parameter {key!r}")
+
+    def num(key, kind=float):
+        return _number(model_cfg, key, None, kind, "model.")
+
+    if family == "dp":
+        return DirichletProcess(num("concentration"))
+    if family == "dirichlet_multinomial":
+        return DirichletMultinomial(num("components", int), num("weight"))
+    if family == "pitman_yor":
+        return PitmanYor(num("discount"), num("strength"))
+    if family == "cdp":
+        pairs = model_cfg["colours"]
+        if not (isinstance(pairs, (list, tuple)) and all(
+                isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs)):
+            raise ValidationError("model.colours must be a list of [weight, concentration] "
+                                  f"pairs, got {pairs!r}")
+        keys = ("weight", "concentration")
+        return ColouredDirichletProcess(
+            [[_number(dict(zip(keys, pair)), key, None, float, f"model.colours[{k}].")
+              for key in keys] for k, pair in enumerate(pairs)])
+    return BackgroundDirichletProcess(num("background_weight"), num("concentration"))
+
+
+def _array(cfg: dict, key: str, default, shape: tuple) -> np.ndarray:
+    """``cfg[key]`` (or ``default``) as a float array of ``shape``, naming the key if it is not."""
+    value = cfg.get(key, default)
     try:
-        if family == "dp":
-            return DirichletProcess(float(model_cfg["concentration"]))
-        if family == "dirichlet_multinomial":
-            return DirichletMultinomial(int(model_cfg["components"]),
-                                        float(model_cfg["weight"]))
-        if family == "pitman_yor":
-            return PitmanYor(float(model_cfg["discount"]), float(model_cfg["strength"]))
-        if family == "cdp":
-            return ColouredDirichletProcess([tuple(map(float, pair))
-                                             for pair in model_cfg["colours"]])
-        return BackgroundDirichletProcess(float(model_cfg["background_weight"]),
-                                          float(model_cfg["concentration"]))
-    except KeyError as exc:
-        raise ValidationError(f"model family {family!r} is missing parameter {exc}") from None
+        array = np.asarray(value, dtype=float)
+        if array.shape == shape:
+            return array
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"prior.{key} must be a numeric array of shape {shape}, got {value!r}")
 
 
-def _block(value, dim: int) -> np.ndarray:
-    if np.isscalar(value):
-        return float(value) * np.eye(dim)
-    return np.asarray(value, dtype=float).reshape(dim, dim)
+def _block(cfg: dict, key: str, dim: int) -> np.ndarray:
+    """A precision block: a scalar times the identity, or a dim x dim matrix."""
+    if np.isscalar(cfg.get(key, 0.01)):
+        return _number(cfg, key, 0.01, float, "prior.") * np.eye(dim)
+    return _array(cfg, key, None, (dim, dim))
 
 
 def build_priors(prior_cfg: dict, design: DesignBlock,
@@ -272,23 +294,19 @@ def build_priors(prior_cfg: dict, design: DesignBlock,
                     ("shape", "rate", "mean_z", "mean_x", "precision_z", "precision_x")
                     + (("fixed_z_coeffs",) if background else ()))
     kp, kx = design.n_z, design.n_x
-    shape = float(prior_cfg.get("shape", 0.01))
-    rate = float(prior_cfg.get("rate", 0.01))
-    mean_z = np.asarray(prior_cfg.get("mean_z", np.zeros(kp)), dtype=float)
-    mean_x = np.asarray(prior_cfg.get("mean_x", np.zeros(kx)), dtype=float)
-    if mean_z.shape != (kp,) or mean_x.shape != (kx,):
-        raise ValidationError("prior means must match the design dimensions")
-    prec_z = _block(prior_cfg.get("precision_z", 0.01), kp)
-    prec_x = _block(prior_cfg.get("precision_x", 0.01), kx)
+    shape = _number(prior_cfg, "shape", 0.01, float, "prior.")
+    rate = _number(prior_cfg, "rate", 0.01, float, "prior.")
+    mean_z = _array(prior_cfg, "mean_z", np.zeros(kp), (kp,))
+    mean_x = _array(prior_cfg, "mean_x", np.zeros(kx), (kx,))
+    prec_z = _block(prior_cfg, "precision_z", kp)
+    prec_x = _block(prior_cfg, "precision_x", kx)
     full_mean = np.concatenate([mean_z, mean_x])
     full_prec = np.zeros((kp + kx, kp + kx))
     full_prec[:kp, :kp] = prec_z
     full_prec[kp:, kp:] = prec_x
     regular = NormalGammaSpec(shape, rate, full_mean, full_prec)
     if background:
-        fixed = np.asarray(prior_cfg.get("fixed_z_coeffs", np.zeros(kp)), dtype=float)
-        if fixed.shape != (kp,):
-            raise ValidationError("fixed_z_coeffs must match the Z dimension")
+        fixed = _array(prior_cfg, "fixed_z_coeffs", np.zeros(kp), (kp,))
         background = NormalGammaSpec(shape, rate, mean_x, prec_x, fixed_z_coeffs=fixed)
         return [background, regular]
     return [regular] * model.n_colours

@@ -7,11 +7,11 @@ from operator import add
 import numpy as np
 import pytest
 from scipy import stats as sstats
-from scipy.special import logsumexp
 
+from cdpmix.checks import _exact_posterior, _item_kernel, _one_sweep_matrix
 from cdpmix.conjugate import DesignBlock, NormalGammaSpec
 from cdpmix.errors import NumericalError, ValidationError
-from cdpmix.gibbs import ChainState, SweepPlan, _draw, _summed, build_engines, run_chain
+from cdpmix.gibbs import ChainState, SweepPlan, _draw, build_engines, run_chain
 from cdpmix.partitions import (ColouredPartition, Partition,
                                enumerate_coloured_partitions, enumerate_partitions)
 from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
@@ -74,50 +74,14 @@ def raw_marginal(eng, Y, members):
     return ev.log_marginal_parts(len(yty), wty.sum(axis=0), float(yty.sum()))
 
 
-def exact_posterior(model, engines, states):
-    logp = []
-    for p in states:
-        lp = log_eppf(model, p)
-        if lp == LOG_ZERO:
-            logp.append(LOG_ZERO)
-            continue
-        if isinstance(p, ColouredPartition):
-            groups = [(col, c) for col, cs in enumerate(p.clusters_by_colour) for c in cs]
-        else:
-            groups = [(0, c) for c in p.clusters]
-        for col, c in groups:
-            lp += engines[col].log_m(len(c), *_summed(engines[col], c))
-        logp.append(lp)
-    logp = np.asarray(logp)
-    out = np.zeros(len(states))
-    ok = logp != LOG_ZERO
-    out[ok] = np.exp(logp[ok] - logsumexp(logp[ok]))
-    return out
-
-
-def item_kernel(model, engines, states, i):
-    """Exact transition matrix of the single-item update for item i."""
-    index = {p: j for j, p in enumerate(states)}
-    T = np.zeros((len(states), len(states)))
-    for j, p in enumerate(states):
-        if log_eppf(model, p) == LOG_ZERO:
-            T[j, j] = 1.0
-            continue
-        st = ChainState.from_partition(model, engines, p)
-        st._withdraw(i)
-        moves, logw, after = st.item_candidates(i)
-        w = np.exp(np.asarray(logw) - max(logw))
-        w /= w.sum()
-        for mv, weight, lm in zip(moves, w, after):
-            nxt = ChainState.from_partition(model, engines, p)
-            nxt._withdraw(i)
-            nxt._insert(i, mv, lm)
-            T[j, index[nxt.snapshot()]] += weight
-    return T
+def withdraw(state, block):
+    for i in block:
+        state._withdraw(i)
 
 
 def subset_kernel(model, engines, states, block):
     """Exact transition matrix of the fixed-block update (identity off-domain)."""
+    block = sorted(block)
     index = {p: j for j, p in enumerate(states)}
     T = np.zeros((len(states), len(states)))
     for j, p in enumerate(states):
@@ -130,14 +94,14 @@ def subset_kernel(model, engines, states, block):
             T[j, j] = 1.0
             continue
         st = ChainState.from_partition(model, engines, p)
-        st._withdraw_block(sorted(block))
-        moves, logw, after = st.subset_candidates(sorted(block))
+        withdraw(st, block)
+        moves, logw, after = st.subset_candidates(block)
         w = np.exp(np.asarray(logw) - max(logw))
         w /= w.sum()
         for mv, weight, lm in zip(moves, w, after):
             nxt = ChainState.from_partition(model, engines, p)
-            nxt._withdraw_block(sorted(block))
-            nxt._apply_block(sorted(block), mv, lm)
+            withdraw(nxt, block)
+            nxt._place(block, mv, lm)
             T[j, index[nxt.snapshot()]] += weight
     return T
 
@@ -204,7 +168,7 @@ def test_two_item_chain_matches_enumerated_posterior():
     model = DirichletProcess(1.0)
     engines = build_engines(Y, DESIGN, SPEC, model)
     states = list(enumerate_partitions(2))
-    pi = exact_posterior(model, engines, states)
+    pi = _exact_posterior(model, engines, states)
     plan = SweepPlan(sweeps=100_000, burn_in=1000, seed=3)
     trace = run_chain(Y, DESIGN, model, SPEC, plan, engines=engines)
     freq = np.mean([rec.degree == 1 for rec in trace])
@@ -224,10 +188,8 @@ def test_full_sweep_preserves_exact_posterior(model, specs, n, coloured):
     engines = build_engines(Y, DESIGN, specs, model)
     states = (list(enumerate_coloured_partitions(n, model.n_colours)) if coloured
               else list(enumerate_partitions(n)))
-    pi = exact_posterior(model, engines, states)
-    T = np.eye(len(states))
-    for i in range(n):
-        T = T @ item_kernel(model, engines, states, i)
+    pi = _exact_posterior(model, engines, states)
+    T = _one_sweep_matrix(model, engines, states, n)
     assert np.abs(pi @ T - pi).max() < 1e-10
     np.testing.assert_allclose(T.sum(axis=1), 1.0, atol=1e-12)
 
@@ -240,7 +202,7 @@ def test_single_item_subset_kernel_equals_item_kernel():
     engines = build_engines(Y, DESIGN, SPEC, model)
     states = list(enumerate_partitions(3))
     for i in range(3):
-        Ti = item_kernel(model, engines, states, i)
+        Ti = _item_kernel(model, engines, states, i)
         Ts = subset_kernel(model, engines, states, [i])
         np.testing.assert_allclose(Ti, Ts, atol=1e-10)
 
@@ -252,7 +214,7 @@ def test_whole_cluster_move_prior_ratio_matches_closed_form():
     engines = [FlatEngine(4)]
     state = ChainState.from_partition(
         model, engines, Partition([[0, 1], [2, 3]]), np.random.default_rng(0))
-    state._withdraw_block([0, 1])
+    withdraw(state, [0, 1])
     moves, logw, _ = state.subset_candidates([0, 1])
     options = dict(zip([m[0] + str(m[1]) for m in moves], logw))
     merged = Partition([[0, 1, 2, 3]])
@@ -269,7 +231,7 @@ def test_fixed_subset_kernel_preserves_posterior(block):
     model = DirichletProcess(1.0)
     engines = build_engines(Y, DESIGN, SPEC, model)
     states = list(enumerate_partitions(4))
-    pi = exact_posterior(model, engines, states)
+    pi = _exact_posterior(model, engines, states)
     T = subset_kernel(model, engines, states, list(block))
     assert np.abs(pi @ T - pi).max() < 1e-10
 
@@ -279,7 +241,7 @@ def test_fixed_subset_kernel_preserves_background_posterior():
     model = BackgroundDirichletProcess(1.5, 1.0)
     engines = build_engines(Y, DESIGN, [BG_SPEC, SPEC], model)
     states = list(enumerate_coloured_partitions(3, 2))
-    pi = exact_posterior(model, engines, states)
+    pi = _exact_posterior(model, engines, states)
     for block in [(0,), (0, 1)]:
         T = subset_kernel(model, engines, states, list(block))
         assert np.abs(pi @ T - pi).max() < 1e-10
@@ -306,7 +268,7 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
     engines = build_engines(Y, DESIGN, specs, model)
     states = all_states(model, n)
     index = {p: j for j, p in enumerate(states)}
-    pi = exact_posterior(model, engines, states)
+    pi = _exact_posterior(model, engines, states)
     max_size = 8
 
     def n_subsets(m):
@@ -323,7 +285,7 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
                 for sub in itertools.combinations(c, size):
                     psel = 1.0 / (d_before * n_subsets(len(c)))
                     st = ChainState.from_partition(model, engines, p)
-                    st._withdraw_block(list(sub))
+                    withdraw(st, sub)
                     remaining = len(st.clusters)
                     moves, logw, after = st.subset_candidates(list(sub))
                     w = np.exp(np.asarray(logw) - max(logw))
@@ -338,8 +300,8 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
                         acc = min(1.0, (d_before * n_subsets(len(c)))
                                   / (d_after * n_subsets(tsize)))
                         nxt = ChainState.from_partition(model, engines, p)
-                        nxt._withdraw_block(list(sub))
-                        nxt._apply_block(list(sub), mv, lm)
+                        withdraw(nxt, sub)
+                        nxt._place(sub, mv, lm)
                         T[j, index[nxt.snapshot()]] += psel * weight * acc
                         T[j, j] += psel * weight * (1.0 - acc)
     np.testing.assert_allclose(T.sum(axis=1), 1.0, atol=1e-12)
@@ -372,14 +334,14 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
         members = sorted(st.clusters[cid].members)
         block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
                                   replace=False).tolist())
-        st._withdraw_block(block)
+        withdraw(st, block)
         moves, logw, after = st.subset_candidates(block)
         for kind, key in [("existing", c) for c in st.clusters] + [
                 ("new", k) for k in range(model.n_colours)]:
             nxt = ChainState.from_partition(model, engines, p)
-            nxt._withdraw_block(block)
+            withdraw(nxt, block)
             lm = (nxt.clusters[key].log_m if kind == "existing" else 0.0)
-            nxt._apply_block(block, (kind, key), 0.0)
+            nxt._place(block, (kind, key), 0.0)
             prior = log_eppf(model, nxt.snapshot())
             if (kind, key) not in moves:
                 assert prior == LOG_ZERO
@@ -423,18 +385,6 @@ def test_bounded_components_chain_leaves_its_zero_probability_start(seed):
     assert trace[-1].degree <= 2 and math.isfinite(trace[-1].log_posterior)
 
 
-def test_subset_must_lie_in_one_cluster():
-    Y = make_data(4)
-    model = DirichletProcess(1.0)
-    engines = build_engines(Y, DESIGN, SPEC, model)
-    state = ChainState.from_partition(model, engines, Partition([[0, 1], [2, 3]]),
-                                      np.random.default_rng(0))
-    with pytest.raises(ValidationError):
-        state.reallocate_subset([1, 2])
-    with pytest.raises(ValidationError):
-        state.reallocate_subset([])
-
-
 # ----------------------------------------------------------- coloured moves
 
 def test_cdp_equal_weight_and_concentration_reduces_to_per_colour_dp():
@@ -465,7 +415,7 @@ def test_coloured_chain_matches_enumerated_posterior():
     engines = build_engines(Y, DESIGN, [SPEC, SPEC], model)
     states = list(enumerate_coloured_partitions(n, 2))
     index = {p: i for i, p in enumerate(states)}
-    pi = exact_posterior(model, engines, states)
+    pi = _exact_posterior(model, engines, states)
     plan = SweepPlan(sweeps=60_000, burn_in=1000, thin=2, seed=21)
     trace = run_chain(Y, DESIGN, model, [SPEC, SPEC], plan, engines=engines)
     counts = np.zeros(len(states))

@@ -3,35 +3,36 @@ import pytest
 
 from cdpmix.errors import ValidationError
 from cdpmix.partitions import (ColouredPartition, ConfigurationCounts, Partition,
-                               canonicalize, enumerate_coloured_partitions,
-                               enumerate_configurations, enumerate_partitions)
+                               enumerate_coloured_partitions, enumerate_configurations,
+                               enumerate_partitions)
 
 
 def test_canonicalize_groups_by_label():
-    assert canonicalize([0, 0, 1]) == Partition([[0, 1], [2]])
-    assert canonicalize([0, 1, 0, 1]) == Partition([[0, 2], [1, 3]])
+    assert Partition.from_allocation([0, 0, 1]) == Partition([[0, 1], [2]])
+    assert Partition.from_allocation([0, 1, 0, 1]) == Partition([[0, 2], [1, 3]])
 
 
 def test_canonicalize_is_label_invariant():
-    assert canonicalize([7, 7, 2]) == canonicalize([0, 0, 1])
+    assert Partition.from_allocation([7, 7, 2]) == Partition.from_allocation([0, 0, 1])
     rng = np.random.default_rng(0)
     for _ in range(25):
         n = int(rng.integers(1, 9))
         labels = rng.integers(0, 4, size=n)
         perm = rng.permutation(10)
-        assert canonicalize(labels) == canonicalize([perm[v] for v in labels])
+        relabelled = [perm[v] for v in labels]
+        assert Partition.from_allocation(labels) == Partition.from_allocation(relabelled)
 
 
 def test_canonicalize_idempotent():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        p = canonicalize(rng.integers(0, 3, size=6))
-        assert canonicalize(p.allocation()) == p
+        p = Partition.from_allocation(rng.integers(0, 3, size=6))
+        assert Partition.from_allocation(p.allocation()) == p
 
 
 def test_empty_allocation_rejected():
     with pytest.raises(ValidationError):
-        canonicalize([])
+        Partition.from_allocation([])
 
 
 @pytest.mark.parametrize("clusters", [

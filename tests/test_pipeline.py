@@ -452,6 +452,33 @@ def test_missing_or_malformed_design_csv_names_it(tmp_path):
         pipeline.build_design({"Z": str(bad)}, 2)
 
 
+@pytest.mark.parametrize("section,value,key", [
+    ("model", {"family": "dp", "concentration": "abc"}, "concentration"),
+    ("model", {"family": "cdp", "colours": [[1]]}, "colours"),
+    ("model", {"family": "cdp", "colours": 3}, "colours"),
+    ("model", {"family": "cdp", "colours": [[1, 1], [1, "x"]]}, "colours[1].concentration"),
+    ("model", {"family": "dirichlet_multinomial", "components": 2.9, "weight": True},
+     "components"),
+    ("model", {"family": "dirichlet_multinomial", "components": 2, "weight": True}, "weight"),
+    ("prior", {"shape": "x"}, "shape"),
+    ("prior", {"rate": True}, "rate"),
+    ("prior", {"mean_z": "abc"}, "mean_z"),
+    ("prior", {"precision_z": "abc"}, "precision_z"),
+    ("prior", {"precision_z": [[1.0, "x"]]}, "precision_z"),
+], ids=["concentration", "colour-pair-short", "colours-scalar", "colour-text",
+        "components-fractional", "weight-boolean", "shape", "rate-boolean", "mean_z",
+        "precision_z", "precision_z-matrix"])
+def test_malformed_model_or_prior_value_is_a_validation_error(tiny_run, capsys,
+                                                               section, value, key):
+    # each used to end in a raw traceback or to run silently with a coerced value
+    cfg = tiny_run["out"] + ".json"
+    with open(cfg, "w") as fh:
+        json.dump(dict(tiny_run, **{section: value}), fh)
+    err = _cli_error(capsys, "run", "--config", cfg)
+    assert err.startswith(f"error: {section}.{key} must be "), err
+    assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
 def test_cli_verify_rejects_bad_settings(tmp_path):
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"no_such_knob": 1}))
@@ -463,6 +490,14 @@ def test_cli_verify_rejects_bad_settings(tmp_path):
 def test_verify_settings_reject_unknown_keys():
     with pytest.raises(ValidationError):
         checks.VerifySettings.from_overrides({"bogus": 3})
+
+
+@pytest.mark.parametrize("gate", ["norm_tol", "conjugate_tol", "invariance_tol",
+                                  "chi2_level"])
+def test_verify_gates_are_not_settings(gate):
+    # a settings file could loosen a pass/fail gate until it always passed
+    with pytest.raises(ValidationError, match=rf"unknown verify settings: \['{gate}'\]"):
+        checks.VerifySettings.from_overrides({gate: 1.0})
 
 
 def test_negative_concentration_override_raises():
