@@ -11,26 +11,28 @@ import math
 from cdpmix import (BackgroundDirichletProcess, ColouredDirichletProcess,
                     ConfigurationCounts, DirichletMultinomial, DirichletProcess,
                     Partition, PitmanYor, enumerate_coloured_partitions,
-                    enumerate_partitions, log_eppf, log_eppf_dp, log_ewens_config,
+                    enumerate_partitions, log_eppf, log_ewens_config,
                     LOG_ZERO)
 
 print("=== Partition probabilities under a Dirichlet process ===")
-theta = 1.0
+dp = DirichletProcess(1.0)
 for p in enumerate_partitions(3):
-    print(f"  P{p!r:<28} = {math.exp(log_eppf_dp(p, theta)):.4f}")
-total = sum(math.exp(log_eppf_dp(p, theta)) for p in enumerate_partitions(3))
+    print(f"  P{p!r:<28} = {math.exp(log_eppf(dp, p)):.4f}")
+total = sum(math.exp(log_eppf(dp, p)) for p in enumerate_partitions(3))
 print(f"  sum over the 5 partitions of 3 items: {total:.12f}")
 
 print("\n=== Concentration controls the cluster count ===")
 for theta in (0.1, 1.0, 10.0):
-    mean_d = sum(p.degree * math.exp(log_eppf_dp(p, theta))
+    dp = DirichletProcess(theta)
+    mean_d = sum(p.degree * math.exp(log_eppf(dp, p))
                  for p in enumerate_partitions(6))
     print(f"  theta={theta:<5g} E[#clusters of 6 items] = {mean_d:.2f}")
 
 print("\n=== The cluster count is sufficient for the concentration ===")
 p1, p2 = Partition([[0, 1], [2, 3]]), Partition([[0, 1, 2], [3]])
 for theta in (0.1, 1.0, 10.0):
-    ratio = math.exp(log_eppf_dp(p1, theta) - log_eppf_dp(p2, theta))
+    dp = DirichletProcess(theta)
+    ratio = math.exp(log_eppf(dp, p1) - log_eppf(dp, p2))
     print(f"  theta={theta:<5g} P(two 2-clusters)/P(3+1 split) = {ratio:.6f}")
 print("  the ratio is free of theta: given the data, the degree carries")
 print("  all the information the partition holds about theta.")

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from cdpmix import (Partition, UniformBase, enumerate_partitions, log_eppf_dp,
+from cdpmix import (DirichletProcess, Partition, UniformBase, enumerate_partitions, log_eppf,
                     sample_dp_partition_via_sticks, sample_finite_mixture_alloc,
                     sample_gem, sample_gem_two_param, sample_polya_sequence)
 
@@ -53,7 +53,7 @@ for _ in range(reps):
     counts[index[Partition.from_allocation(labels)]] += 1
 freqs["finite"] = counts / reps
 
-exact = np.array([math.exp(log_eppf_dp(p, theta)) for p in states])
+exact = np.array([math.exp(log_eppf(DirichletProcess(theta), p)) for p in states])
 print(f"  {'partition':<32}{'exact':>8}{'sticks':>8}{'urn':>8}{'finite':>8}")
 for i, p in enumerate(states):
     print(f"  {p!r:<32}{exact[i]:>8.4f}{freqs['sticks'][i]:>8.4f}"

@@ -24,4 +24,4 @@ from .partitions import (ColouredPartition, ConfigurationCounts, Partition,
                          enumerate_partitions)
 from .priors import (LOG_ZERO, BackgroundDirichletProcess, ColouredDirichletProcess,
                      DirichletMultinomial, DirichletProcess, PitmanYor,
-                     log_eppf, log_eppf_dp, log_eppf_sequential, log_ewens_config)
+                     log_eppf, log_eppf_sequential, log_ewens_config)

@@ -28,9 +28,8 @@ from .estimation import LossSpec, expected_pairwise_loss, optimal_partition
 from .gibbs import ChainState, SweepPlan, _summed, build_engines, run_chain
 from .generators import (sample_dp_partition_via_sticks, sample_finite_mixture_alloc,
                          sample_polya_sequence, UniformBase)
-from .partitions import (ColouredPartition, ConfigurationCounts, Partition,
-                         enumerate_coloured_partitions, enumerate_configurations,
-                         enumerate_partitions)
+from .partitions import (ConfigurationCounts, Partition, enumerate_coloured_partitions,
+                         enumerate_configurations, enumerate_partitions)
 from .priors import (LOG_ZERO, BackgroundDirichletProcess, ColouredDirichletProcess,
                      DirichletMultinomial, DirichletProcess, PitmanYor, log_eppf)
 
@@ -48,42 +47,49 @@ CHI2_LEVEL = 0.99
 CONJUGATE_TOL = 1e-8
 INVARIANCE_TOL = 1e-10
 
+# instance sizes, parameters and seed: fixed, as enumerations grow super-exponentially
+DP_THETAS = (0.3, 1.0, 5.0)
+DP_MAX_N = 8
+EWENS_AGREEMENT_MAX_N = 7
+COLOURED_MAX_N = 5
+CDP_COLOURS = ((1.0, 0.5), (2.0, 1.5))
+BACKGROUND_PARAMS = (1.5, 1.0)
+EQUIV_N = 4
+EQUIV_THETA = 1.0
+FINITE_COMPONENTS = 2000
+MOMENT_THETAS = (1.0, 5.0)
+MOMENT_REPS = 100_000
+MOMENT_EVENT = 0.3
+CONJUGATE_INSTANCES = 100
+CHAIN_THIN = 10
+LOSS_INSTANCES = 50
+SEED = 20260810
+
 
 @dataclass(frozen=True)
 class VerifySettings:
-    """Instance sizes, sample counts and seed of the verification suite."""
+    """The sample counts of the verification suite, the only values a settings file sets."""
 
-    dp_thetas: tuple = (0.3, 1.0, 5.0)
-    dp_max_n: int = 8
-    ewens_max_n: int = 8
-    ewens_agreement_max_n: int = 7
-    coloured_max_n: int = 5
-    cdp_colours: tuple = ((1.0, 0.5), (2.0, 1.5))
-    background_params: tuple = (1.5, 1.0)
-    equiv_n: int = 4
-    equiv_theta: float = 1.0
     equiv_samples: int = 100_000
-    finite_components: int = 2000
-    moment_thetas: tuple = (1.0, 5.0)
-    moment_reps: int = 100_000
-    moment_event: float = 0.3
-    conjugate_instances: int = 100
     chain_sweeps: int = 200_000
     chain_burn_in: int = 2_000
-    chain_thin: int = 10
-    loss_instances: int = 50
-    seed: int = 20260810
 
     @classmethod
     def from_overrides(cls, overrides: dict | None) -> "VerifySettings":
-        if not overrides:
-            return cls()
+        overrides = overrides or {}
         known = {f.name for f in fields(cls)}
         bad = set(overrides) - known
         if bad:
             raise ValidationError(f"unknown verify settings: {sorted(bad)}")
-        fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
-        return replace(cls(), **fixed)
+        for key, value in overrides.items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(f"verify setting {key} must be an integer >= 1, "
+                                      f"got {value!r}")
+        cfg = replace(cls(), **overrides)
+        if cfg.chain_burn_in >= cfg.chain_sweeps:
+            raise ValidationError(f"verify setting chain_burn_in ({cfg.chain_burn_in}) must be "
+                                  f"less than chain_sweeps ({cfg.chain_sweeps})")
+        return cfg
 
 
 def _norm_gap(terms) -> float:
@@ -95,17 +101,16 @@ def check_eppf_normalization(cfg: VerifySettings) -> CheckResult:
     """Criterion: every prior's log-EPPF sums to one over its enumerated support."""
     start = time.perf_counter()
     worst = 0.0
-    for n in range(1, cfg.dp_max_n + 1):
+    for n in range(1, DP_MAX_N + 1):
         parts = list(enumerate_partitions(n))
-        for theta in cfg.dp_thetas:
-            DirichletProcess(theta)  # domain gate
-            worst = max(worst, _norm_gap([priors.log_eppf_dp(p, theta) for p in parts]))
-        for theta in cfg.dp_thetas:
+        for theta in DP_THETAS:
+            dp = DirichletProcess(theta)
+            worst = max(worst, _norm_gap([log_eppf(dp, p) for p in parts]))
             worst = max(worst, _norm_gap(
                 [priors.log_ewens_config(c, theta) for c in enumerate_configurations(n)]))
-    cdp = ColouredDirichletProcess(cfg.cdp_colours)
-    background = BackgroundDirichletProcess(*cfg.background_params)
-    for n in range(1, cfg.coloured_max_n + 1):
+    cdp = ColouredDirichletProcess(CDP_COLOURS)
+    background = BackgroundDirichletProcess(*BACKGROUND_PARAMS)
+    for n in range(1, COLOURED_MAX_N + 1):
         coloured = list(enumerate_coloured_partitions(n, 2))
         worst = max(worst, _norm_gap([log_eppf(cdp, p) for p in coloured]))
         worst = max(worst, _norm_gap([log_eppf(background, p) for p in coloured]))
@@ -120,18 +125,14 @@ def check_ewens_agreement(cfg: VerifySettings) -> CheckResult:
     """Criterion: the configuration formula equals the partition law summed
     over partitions sharing each size configuration."""
     worst = 0.0
-    for n in range(1, cfg.ewens_agreement_max_n + 1):
+    for n in range(1, EWENS_AGREEMENT_MAX_N + 1):
         by_config: dict = {}
         for p in enumerate_partitions(n):
-            key = tuple(sorted(p.sizes))
-            by_config.setdefault(key, []).append(p)
-        for theta in cfg.dp_thetas:
-            for key, parts in by_config.items():
-                counts = [0] * n
-                for r in key:
-                    counts[r - 1] += 1
-                lhs = priors.log_ewens_config(ConfigurationCounts(counts, n=n), theta)
-                rhs = logsumexp([priors.log_eppf_dp(p, theta) for p in parts])
+            by_config.setdefault(ConfigurationCounts.from_partition(p), []).append(p)
+        for theta in DP_THETAS:
+            for config, parts in by_config.items():
+                lhs = priors.log_ewens_config(config, theta)
+                rhs = logsumexp([log_eppf(DirichletProcess(theta), p) for p in parts])
                 worst = max(worst, abs(lhs - rhs))
     passed = worst <= NORM_TOL
     return CheckResult("ewens-agreement", passed,
@@ -162,10 +163,10 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
     """Criterion: stick-breaking, urn-sequence, and finite-mixture-limit draws
     all match the exact partition law (goodness-of-fit at the set level)."""
     start = time.perf_counter()
-    n, theta = cfg.equiv_n, cfg.equiv_theta
+    n, theta = EQUIV_N, EQUIV_THETA
     states = list(enumerate_partitions(n))
     index = {p: i for i, p in enumerate(states)}
-    probs = np.array([math.exp(priors.log_eppf_dp(p, theta)) for p in states])
+    probs = np.array([math.exp(log_eppf(DirichletProcess(theta), p)) for p in states])
 
     def freq(sampler: Callable[[np.random.Generator], Partition], seed) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -176,13 +177,13 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
 
     draws = {
         "sticks": freq(lambda rng: sample_dp_partition_via_sticks(n, theta, rng),
-                       cfg.seed + 1),
+                       SEED + 1),
         "urn": freq(lambda rng: Partition.from_allocation(
-            sample_polya_sequence(n, theta, UniformBase(), rng)[0]), cfg.seed + 2),
+            sample_polya_sequence(n, theta, UniformBase(), rng)[0]), SEED + 2),
         "finite": freq(lambda rng: Partition.from_allocation(
-            sample_finite_mixture_alloc(cfg.finite_components,
-                                        theta / cfg.finite_components, n, rng)),
-            cfg.seed + 3),
+            sample_finite_mixture_alloc(FINITE_COMPONENTS,
+                                        theta / FINITE_COMPONENTS, n, rng)),
+            SEED + 3),
     }
     details, ok = [], True
     for name, counts in draws.items():
@@ -198,15 +199,15 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
 def check_dp_moments(cfg: VerifySettings) -> CheckResult:
     """Criterion: the random measure's mass on a fixed event has mean equal to
     the base probability and variance base*(1-base)/(1+concentration)."""
-    q = cfg.moment_event
-    rng = np.random.default_rng(cfg.seed + 4)
+    q = MOMENT_EVENT
+    rng = np.random.default_rng(SEED + 4)
     details, ok = [], True
-    for theta in cfg.moment_thetas:
+    for theta in MOMENT_THETAS:
         n_sticks = int(math.ceil(math.log(1e-8) / math.log(theta / (1.0 + theta))))
-        estimates = np.empty(cfg.moment_reps)
+        estimates = np.empty(MOMENT_REPS)
         done = 0
-        while done < cfg.moment_reps:
-            chunk = min(20_000, cfg.moment_reps - done)
+        while done < MOMENT_REPS:
+            chunk = min(20_000, MOMENT_REPS - done)
             breaks = rng.beta(1.0, theta, size=(chunk, n_sticks))
             keep = np.cumprod(1.0 - breaks, axis=1)
             w = breaks * np.concatenate([np.ones((chunk, 1)), keep[:, :-1]], axis=1)
@@ -243,9 +244,9 @@ def _random_conjugate_instance(rng) -> tuple[DesignBlock, NormalGammaSpec]:
 def check_conjugate_identities(cfg: VerifySettings) -> CheckResult:
     """Criterion: marginals telescope over any insertion order, and the
     sufficient-statistics route equals the stacked multivariate-t density."""
-    rng = np.random.default_rng(cfg.seed + 5)
+    rng = np.random.default_rng(SEED + 5)
     worst_chain, worst_stack = 0.0, 0.0
-    for _ in range(cfg.conjugate_instances):
+    for _ in range(CONJUGATE_INSTANCES):
         design, spec = _random_conjugate_instance(rng)
         ev = ClusterEvaluator(design, spec)
         e = int(rng.integers(1, 6))
@@ -286,12 +287,9 @@ def _exact_posterior(model, engines, states) -> np.ndarray:
         if lp == LOG_ZERO:
             logp.append(LOG_ZERO)
             continue
-        if isinstance(p, ColouredPartition):
-            groups = [(col, c) for col, cs in enumerate(p.clusters_by_colour) for c in cs]
-        else:
-            groups = [(0, c) for c in p.clusters]
-        for col, c in groups:
-            lp += engines[col].log_m(len(c), *_summed(engines[col], c))
+        for col, cs in enumerate(p.clusters_by_colour):
+            for c in cs:
+                lp += engines[col].log_m(len(c), *_summed(engines[col], c))
         logp.append(lp)
     logp = np.asarray(logp)
     out = np.zeros(len(states))
@@ -329,8 +327,8 @@ def _one_sweep_matrix(model, engines, states, n) -> np.ndarray:
     return T
 
 
-def _invariance_cases(cfg: VerifySettings):
-    rng = np.random.default_rng(cfg.seed + 6)
+def _invariance_cases():
+    rng = np.random.default_rng(SEED + 6)
     n_plain, n_col = 4, 3
     Y4 = rng.normal(size=(n_plain, 2)) + np.array([0.0, 0.0, 1.5, 1.5])[:, None]
     design = DesignBlock(np.array([[1.0, 0.4], [1.0, -0.4]]).T)
@@ -341,8 +339,8 @@ def _invariance_cases(cfg: VerifySettings):
         (DirichletProcess(1.0), [spec], n_plain, Y4),
         (DirichletMultinomial(3, 0.8), [spec], n_plain, Y4),
         (PitmanYor(0.3, 1.0), [spec], n_plain, Y4),
-        (ColouredDirichletProcess(cfg.cdp_colours), [spec, spec], n_col, Y4[:n_col]),
-        (BackgroundDirichletProcess(*cfg.background_params), [bg_spec, spec],
+        (ColouredDirichletProcess(CDP_COLOURS), [spec, spec], n_col, Y4[:n_col]),
+        (BackgroundDirichletProcess(*BACKGROUND_PARAMS), [bg_spec, spec],
          n_col, Y4[:n_col]),
     ]
     return design, cases
@@ -352,7 +350,7 @@ def check_gibbs_invariance(cfg: VerifySettings) -> CheckResult:
     """Criterion: a full systematic sweep leaves the enumerated posterior
     exactly invariant for all five prior families."""
     start = time.perf_counter()
-    design, cases = _invariance_cases(cfg)
+    design, cases = _invariance_cases()
     details, ok = [], True
     for model, specs, n, Y in cases:
         engines = build_engines(Y, design, specs, model)
@@ -384,7 +382,7 @@ def check_gibbs_convergence(cfg: VerifySettings) -> CheckResult:
     index = {p: i for i, p in enumerate(states)}
     pi = _exact_posterior(model, engines, states)
     plan = SweepPlan(sweeps=cfg.chain_sweeps, burn_in=cfg.chain_burn_in,
-                     thin=cfg.chain_thin, seed=cfg.seed + 7)
+                     thin=CHAIN_THIN, seed=SEED + 7)
     trace = run_chain(Y, design, model, spec, plan, engines=engines)
     counts = np.zeros(len(states))
     for rec in trace:
@@ -429,11 +427,11 @@ def _brute_force_argmin(rho: np.ndarray, loss: LossSpec) -> tuple[Partition, flo
 def check_loss_optimizer(cfg: VerifySettings) -> CheckResult:
     """Criterion: exact search equals brute force; greedy beats both trivial
     baselines and matches exact on most instances."""
-    rng = np.random.default_rng(cfg.seed + 8)
+    rng = np.random.default_rng(SEED + 8)
     loss = LossSpec()
     agree = 0
     ok = True
-    for _ in range(cfg.loss_instances):
+    for _ in range(LOSS_INSTANCES):
         n = int(rng.integers(4, 10))
         A = rng.random((n, n))
         rho = (A + A.T) / 2.0
@@ -450,13 +448,13 @@ def check_loss_optimizer(cfg: VerifySettings) -> CheckResult:
             ok = False
         if abs(g_val - brute_val) < 1e-9:
             agree += 1
-    rate = agree / cfg.loss_instances
+    rate = agree / LOSS_INSTANCES
     if rate < 0.5:
         ok = False
     note = "" if rate >= 0.8 else " (below the 80% reporting bar)"
     return CheckResult("loss-optimizer", ok,
                        f"exact==brute-force on all, greedy==exact on "
-                       f"{agree}/{cfg.loss_instances} ({rate:.0%}){note}")
+                       f"{agree}/{LOSS_INSTANCES} ({rate:.0%}){note}")
 
 
 ALL_CHECKS = [

@@ -63,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(fn=_cmd_run)
 
     verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--config", help="JSON overrides for the check settings")
+    verify.add_argument("--config", help="JSON sample counts: equiv_samples, chain_sweeps, "
+                        "chain_burn_in")
     verify.set_defaults(fn=_cmd_verify)
 
     summ = sub.add_parser("summarize",

@@ -4,7 +4,9 @@ One chain owns a mutable ``ChainState``: the current coloured partition plus
 per-cluster sufficient statistics and cached log marginal likelihoods, enough
 to price any single-item reallocation in O(number of clusters). Plain priors
 run as the one-colour case of the same machinery; the coloured priors add a
-new-cluster option per colour with the occupancy-tilted weights.
+new-cluster option per colour with the occupancy-tilted weights. Loading
+walks ``clusters_by_colour``, which a plain ``Partition`` offers too, and
+``_partition`` alone picks the class of a snapshot.
 
 Single-item moves use the prior's urn weights times the conjugate predictive
 (Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
@@ -38,7 +40,7 @@ import numpy as np
 from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec
 from .errors import NumericalError, ValidationError
 from .partitions import ColouredPartition, Partition
-from .priors import LOG_ZERO, BackgroundDirichletProcess, PartitionPrior
+from .priors import LOG_ZERO, BackgroundDirichletProcess, PartitionPrior, check_kind
 
 
 class NIGEngine:
@@ -166,30 +168,26 @@ class ChainState:
 
     # -- construction -----------------------------------------------------
 
+    def _partition(self, groups: list[list]) -> Partition | ColouredPartition:
+        """The model's kind of partition, from one list of clusters per colour."""
+        if self.model.coloured:
+            return ColouredPartition(groups, n_colours=self.model.n_colours, n=self.n)
+        return Partition(groups[0], n=self.n)
+
     def _default_initial(self) -> Partition | ColouredPartition:
         col = (BackgroundDirichletProcess.REGULAR
                if isinstance(self.model, BackgroundDirichletProcess) else 0)
-        singletons = [[i] for i in range(self.n)]
-        if self.model.coloured:
-            groups = [[] for _ in range(self.model.n_colours)]
-            groups[col] = singletons
-            return ColouredPartition(groups, n_colours=self.model.n_colours)
-        return Partition(singletons)
+        groups = [[] for _ in range(self.model.n_colours)]
+        groups[col] = [[i] for i in range(self.n)]
+        return self._partition(groups)
 
     def _load(self, partition: Partition | ColouredPartition) -> None:
         if partition.n != self.n:
             raise ValidationError("partition size does not match data size")
-        if isinstance(partition, ColouredPartition):
-            if not self.model.coloured:
-                raise ValidationError("plain prior cannot hold a coloured partition")
-            if partition.n_colours != self.model.n_colours:
-                raise ValidationError("partition colour count does not match the model")
-            groups = [(col, c) for col, cs in enumerate(partition.clusters_by_colour)
-                      for c in cs]
-        else:
-            if self.model.coloured:
-                raise ValidationError("coloured prior requires a coloured partition")
-            groups = [(0, c) for c in partition.clusters]
+        check_kind(self.model, partition)
+        if partition.n_colours != self.model.n_colours:
+            raise ValidationError("partition colour count does not match the model")
+        groups = [(col, c) for col, cs in enumerate(partition.clusters_by_colour) for c in cs]
         for col, members in groups:
             eng = self.engines[col]
             z, yty = _summed(eng, members)
@@ -209,12 +207,10 @@ class ChainState:
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> Partition | ColouredPartition:
-        if self.model.coloured:
-            groups = [[] for _ in range(self.model.n_colours)]
-            for cl in self.clusters.values():
-                groups[cl.colour].append(sorted(cl.members))
-            return ColouredPartition(groups, n_colours=self.model.n_colours, n=self.n)
-        return Partition([sorted(cl.members) for cl in self.clusters.values()], n=self.n)
+        groups = [[] for _ in range(self.model.n_colours)]
+        for cl in self.clusters.values():
+            groups[cl.colour].append(sorted(cl.members))
+        return self._partition(groups)
 
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
         """``(labels, colours)`` as ``snapshot().allocation()`` gives them, with

@@ -3,6 +3,10 @@
 Items are indexed 0..n-1. A partition is stored canonically: every cluster
 sorted ascending, clusters ordered by their smallest element. Equality and
 hashing therefore ignore how clusters were labelled on input.
+
+A plain ``Partition`` is the one-colour case of a ``ColouredPartition`` and
+offers the same per-colour view (``n_colours``, ``clusters_by_colour`` and
+``sizes_by_colour()``), so code that walks clusters colour by colour serves both.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ def _canonical_clusters(clusters: Iterable[Iterable[int]]) -> tuple[tuple[int, .
     return tuple(cleaned)
 
 
+def _covered_n(items: list[int], n: int | None) -> int:
+    """``n`` (the item count when omitted), checked to be exactly what ``items`` cover."""
+    n = len(items) if n is None else n
+    if len(items) != n or set(items) != set(range(n)):
+        raise ValidationError(
+            f"clusters must be disjoint, nonempty, and cover 0..{n - 1}"
+        )
+    return n
+
+
 @dataclass(frozen=True)
 class Partition:
     """An unlabelled partition of {0..n-1} into disjoint nonempty clusters."""
@@ -32,18 +46,14 @@ class Partition:
     n: int
     clusters: tuple[tuple[int, ...], ...]
 
+    # one colour; a class attribute, not a field, so equality and hashing ignore it
+    n_colours = 1
+
     def __init__(self, clusters: Iterable[Iterable[int]], n: int | None = None):
         clusters = _canonical_clusters(clusters)
         if not clusters:
             raise ValidationError("partition must contain at least one cluster")
-        items = [i for c in clusters for i in c]
-        count = len(items)
-        if n is None:
-            n = count
-        if count != n or set(items) != set(range(n)):
-            raise ValidationError(
-                f"clusters must be disjoint, nonempty, and cover 0..{n - 1}"
-            )
+        n = _covered_n([i for c in clusters for i in c], n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "clusters", clusters)
 
@@ -64,6 +74,13 @@ class Partition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.clusters)
+
+    @property
+    def clusters_by_colour(self) -> tuple[tuple[tuple[int, ...], ...]]:
+        return (self.clusters,)
+
+    def sizes_by_colour(self) -> tuple[tuple[int, ...]]:
+        return (self.sizes,)
 
     def allocation(self) -> tuple[int, ...]:
         """Canonical allocation vector: label = index of the cluster holding the item."""
@@ -97,23 +114,13 @@ class ColouredPartition:
 
     def __init__(self, clusters_by_colour: Iterable[Iterable[Iterable[int]]],
                  n_colours: int | None = None, n: int | None = None):
-        per_colour = []
-        for cs in clusters_by_colour:
-            cs = list(cs)
-            per_colour.append(_canonical_clusters(cs) if cs else ())
+        per_colour = [_canonical_clusters(cs) for cs in clusters_by_colour]
         if n_colours is None:
             n_colours = len(per_colour)
         if len(per_colour) > n_colours:
             raise ValidationError("more colour groups than n_colours")
         per_colour += [()] * (n_colours - len(per_colour))
-        items = [i for cs in per_colour for c in cs for i in c]
-        count = len(items)
-        if n is None:
-            n = count
-        if count != n or set(items) != set(range(n)):
-            raise ValidationError(
-                f"clusters must be disjoint, nonempty, and cover 0..{n - 1}"
-            )
+        n = _covered_n([i for cs in per_colour for c in cs for i in c], n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "n_colours", n_colours)
         object.__setattr__(self, "clusters_by_colour", tuple(per_colour))
@@ -121,23 +128,19 @@ class ColouredPartition:
     @classmethod
     def from_allocation(cls, labels: Sequence[int], colours: Sequence[int],
                         n_colours: int) -> "ColouredPartition":
-        if len(labels) == 0:
-            raise ValidationError("allocation vector is empty")
+        """Group items as ``Partition.from_allocation`` does; a cluster's items share its colour."""
+        flat = Partition.from_allocation(labels)
         if len(colours) != len(labels):
             raise ValidationError("labels and colours must have equal length")
-        groups: dict[int, list[int]] = {}
-        group_colour: dict[int, int] = {}
-        for i, (lab, col) in enumerate(zip(labels, colours)):
-            groups.setdefault(lab, []).append(i)
-            if group_colour.setdefault(lab, col) != col:
-                raise ValidationError(f"cluster {lab} spans multiple colours")
-        by_colour: list[list[list[int]]] = [[] for _ in range(n_colours)]
-        for lab, members in groups.items():
-            col = group_colour[lab]
+        by_colour: list[list[tuple[int, ...]]] = [[] for _ in range(n_colours)]
+        for c in flat.clusters:
+            col = colours[c[0]]
+            if any(colours[i] != col for i in c):
+                raise ValidationError(f"cluster {labels[c[0]]} spans multiple colours")
             if not 0 <= col < n_colours:
                 raise ValidationError(f"colour {col} out of range")
-            by_colour[col].append(members)
-        return cls(by_colour, n_colours=n_colours)
+            by_colour[col].append(c)
+        return cls(by_colour, n_colours=n_colours, n=flat.n)
 
     @property
     def degree(self) -> int:
@@ -159,17 +162,9 @@ class ColouredPartition:
     def allocation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Canonical (labels, colours) pair; clusters numbered in flattened canonical order."""
         flat = self.flatten()
+        colour = {c: col for col, cs in enumerate(self.clusters_by_colour) for c in cs}
         labels = flat.allocation()
-        colour_of_cluster = {}
-        for col, cs in enumerate(self.clusters_by_colour):
-            for c in cs:
-                colour_of_cluster[c[0]] = col
-        item_colour = [0] * self.n
-        for c in flat.clusters:
-            col = colour_of_cluster[c[0]]
-            for i in c:
-                item_colour[i] = col
-        return labels, tuple(item_colour)
+        return labels, tuple(colour[flat.clusters[lab]] for lab in labels)
 
     def relabel_items(self, perm: Sequence[int]) -> "ColouredPartition":
         return ColouredPartition(

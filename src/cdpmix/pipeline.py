@@ -24,6 +24,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
@@ -181,14 +182,20 @@ def bundled_data_path(name: str) -> str:
     return str(resources.files("cdpmix.data") / name)
 
 
-def _load_matrix(source) -> np.ndarray:
-    if isinstance(source, str):
-        with open_input(source) as fh:
-            try:
-                return np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise ValidationError(f"{source}: {exc}") from None
-    return np.asarray(source, dtype=float)
+def _load_matrix(design_cfg: dict, key: str) -> np.ndarray:
+    """``design_cfg[key]``: inline rows, or the path of a CSV file of finite numbers."""
+    source = design_cfg[key]
+    if not isinstance(source, str):
+        return _array(design_cfg, key, None, None, "design.")
+    with open_input(source) as fh:
+        try:
+            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{source}: {exc}") from None
+    if not np.isfinite(matrix).all():
+        row, col = np.argwhere(~np.isfinite(matrix))[0] + 1
+        raise ValidationError(f"{source}: row {row}, column {col}: non-finite value")
+    return matrix
 
 
 def _reject_unknown(section: str, cfg: dict, known) -> None:
@@ -213,8 +220,8 @@ def build_design(design_cfg, n_samples: int) -> DesignBlock:
     if not isinstance(design_cfg, dict) or "Z" not in design_cfg:
         raise ValidationError("design must be 'rat-timecourse' or a {'Z': ..., 'X': ...} mapping")
     _reject_unknown("design", design_cfg, ("Z", "X"))
-    Z = _load_matrix(design_cfg["Z"])
-    X = _load_matrix(design_cfg["X"]) if design_cfg.get("X") is not None else None
+    Z = _load_matrix(design_cfg, "Z")
+    X = _load_matrix(design_cfg, "X") if design_cfg.get("X") is not None else None
     if Z.shape[0] != n_samples:
         raise ValidationError(f"Z has {Z.shape[0]} rows, data has {n_samples} samples")
     return DesignBlock(Z, X)
@@ -262,16 +269,20 @@ def build_model(model_cfg: dict) -> PartitionPrior:
     return BackgroundDirichletProcess(num("background_weight"), num("concentration"))
 
 
-def _array(cfg: dict, key: str, default, shape: tuple) -> np.ndarray:
-    """``cfg[key]`` (or ``default``) as a float array of ``shape``, naming the key if it is not."""
+def _array(cfg: dict, key: str, default, shape: tuple | None, prefix="prior.") -> np.ndarray:
+    """``cfg[key]`` (or ``default``) as a float array of ``shape`` (any if None), naming
+    the key unless every cell is a finite number and not a boolean (read as 0 or 1)."""
     value = cfg.get(key, default)
     try:
-        array = np.asarray(value, dtype=float)
-        if array.shape == shape:
+        cells = np.array(value, dtype=object)
+        array = cells.astype(float)
+        if (shape is None or array.shape == shape) and np.isfinite(array).all() and all(
+                isinstance(x, Real) and not isinstance(x, bool) for x in cells.flat):
             return array
     except (TypeError, ValueError):
         pass
-    raise ValidationError(f"prior.{key} must be a numeric array of shape {shape}, got {value!r}")
+    raise ValidationError(f"{prefix}{key} must be an array of finite numbers"
+                          f"{'' if shape is None else f' of shape {shape}'}, got {value!r}")
 
 
 def _block(cfg: dict, key: str, dim: int) -> np.ndarray:

@@ -77,17 +77,13 @@ def _sum_lgamma(xs: Sequence[float]) -> float:
     return _array_sum([_lgamma(x) for x in xs])
 
 
-def _weight_lists(model, sizes: Sequence[int],
-                  colours: Sequence[int] | None = None) -> tuple[list, list]:
+def _weight_lists(model, sizes: Sequence[int], colours: Sequence[int]) -> tuple[list, list]:
     """Unnormalized urn weights for placing one withdrawn item.
 
-    One weight per existing cluster, parallel to ``sizes`` and ``colours``
-    (all colour 0 when omitted), then one per colour for opening a new
-    cluster. This expands the family's per-colour ``urn_weights`` form, the
-    one place each family defines them.
+    One weight per existing cluster, parallel to ``sizes`` and ``colours``,
+    then one per colour for opening a new cluster. This expands the family's
+    per-colour ``urn_weights`` form, the one place each family defines them.
     """
-    if colours is None:
-        colours = [0] * len(sizes)
     colour_totals = [0] * model.n_colours
     for s, k in zip(sizes, colours):
         colour_totals[k] += s
@@ -215,9 +211,6 @@ class ColouredDirichletProcess:
         colour then contributes a Dirichlet-process-like term in its own
         concentration, tilted by the colour occupancy n_k. Colours allowed by
         the model but holding no cluster contribute a factor of one."""
-        if len(sizes_by_colour) > self.n_colours:
-            raise ValidationError(f"partition uses {len(sizes_by_colour)} colours "
-                                  f"but model defines {self.n_colours}")
         gam = _array_sum([g for g, _ in self.colours])
         out = _lgamma(gam) - _lgamma(n + gam)
         for (g, t), sizes in zip(self.colours, sizes_by_colour):
@@ -306,11 +299,6 @@ PartitionPrior = Union[
 ]
 
 
-def log_eppf_dp(p: Partition, theta: float) -> float:
-    """Log probability of a partition under the Dirichlet process."""
-    return log_eppf(DirichletProcess(theta), p)
-
-
 def log_ewens_config(config: ConfigurationCounts, theta: float) -> float:
     """Log probability of a cluster-size configuration under the Dirichlet process.
 
@@ -327,12 +315,19 @@ def log_ewens_config(config: ConfigurationCounts, theta: float) -> float:
     return float(out)
 
 
-def log_eppf(model: PartitionPrior, p: Partition | ColouredPartition) -> float:
-    """Log-EPPF under any supported prior, from the partition's per-colour cluster sizes."""
+def check_kind(model: PartitionPrior, p: Partition | ColouredPartition) -> None:
+    """Reject a partition of the other kind, or with more colours than ``model`` defines."""
     if model.coloured != isinstance(p, ColouredPartition):
         kind = "coloured" if model.coloured else "plain"
         raise ValidationError(f"{type(model).__name__} requires a {kind} partition")
-    return model.log_eppf_sizes(p.sizes_by_colour() if model.coloured else (p.sizes,), p.n)
+    if p.n_colours > model.n_colours:
+        raise ValidationError("partition uses more colours than the model defines")
+
+
+def log_eppf(model: PartitionPrior, p: Partition | ColouredPartition) -> float:
+    """Log-EPPF under any supported prior, from the partition's per-colour cluster sizes."""
+    check_kind(model, p)
+    return model.log_eppf_sizes(p.sizes_by_colour(), p.n)
 
 
 def log_eppf_sequential(model: PartitionPrior, p: Partition | ColouredPartition) -> float:
@@ -344,11 +339,7 @@ def log_eppf_sequential(model: PartitionPrior, p: Partition | ColouredPartition)
     the oracle for every family's closed form, and its exchangeability over
     insertion order is a tested property rather than an assumption.
     """
-    if model.coloured != isinstance(p, ColouredPartition):
-        kind = "coloured" if model.coloured else "plain"
-        raise ValidationError(f"{type(model).__name__} requires a {kind} partition")
-    if model.coloured and p.n_colours > model.n_colours:
-        raise ValidationError("partition uses more colours than the model defines")
+    check_kind(model, p)
     # canonical labels number the clusters in order of first appearance
     labels, colours = p.allocation() if model.coloured else (p.allocation(), [0] * p.n)
     sizes: list[int] = []

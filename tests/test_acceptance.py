@@ -117,18 +117,31 @@ def test_criterion_10_verify_command_exits_zero():
 
 def test_verify_fails_on_forced_domain_error(tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"dp_thetas": [-1.0]}))
+    cfg.write_text(json.dumps({"chain_sweeps": 0}))
     proc = _run_cli("verify", "--config", str(cfg), timeout=120)
     # A nonzero exit alone also comes from a child that cannot import cdpmix,
-    # so pin the documented validation error the negative concentration raises.
+    # so pin the documented validation error the zero sample count raises.
     assert proc.returncode == cli.EXIT_VALIDATION, proc.stdout + proc.stderr
-    assert "error: concentration must be > 0" in proc.stderr, proc.stderr
+    assert "error: verify setting chain_sweeps must be an integer >= 1" in proc.stderr, \
+        proc.stderr
+    assert not proc.stdout, proc.stdout  # rejected before any check runs
 
 
 def test_package_runs_as_a_module():
     proc = _run_cli("verify", "--help", timeout=120, module="cdpmix")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("usage: cdpmix verify"), proc.stdout
+
+
+DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(demo, tmp_path, monkeypatch):
+    # the demos call the public API by name; a deleted or renamed name fails here
+    monkeypatch.setenv("TMPDIR", str(tmp_path))  # demo 04 writes under gettempdir()
+    proc = _run_python(os.path.join(DEMOS, demo), timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_benchmark_tracer_installs():

@@ -10,7 +10,7 @@ from cdpmix.generators import (UniformBase, sample_cdp, sample_dp_partition_via_
                                sample_gem_two_param, sample_polya_sequence)
 from cdpmix.partitions import (Partition, enumerate_coloured_partitions,
                                enumerate_partitions)
-from cdpmix.priors import (ColouredDirichletProcess, log_eppf, log_eppf_dp,
+from cdpmix.priors import (ColouredDirichletProcess, log_eppf, DirichletProcess,
                            log_eppf_sequential, DirichletMultinomial)
 
 
@@ -101,7 +101,7 @@ def test_stick_partition_frequencies_match_eppf():
     counts = np.zeros(len(states))
     for _ in range(30_000):
         counts[index[sample_dp_partition_via_sticks(3, 1.0, rng)]] += 1
-    probs = np.array([math.exp(log_eppf_dp(p, 1.0)) for p in states])
+    probs = np.array([math.exp(log_eppf(DirichletProcess(1.0), p)) for p in states])
     assert chi2_ok(counts, probs)
 
 
@@ -143,7 +143,7 @@ def test_finite_mixture_limit_approaches_dp():
     for _ in range(reps):
         labels = sample_finite_mixture_alloc(1000, 0.001, 3, rng)
         counts[index[Partition.from_allocation(labels)]] += 1
-    probs = np.array([math.exp(log_eppf_dp(p, 1.0)) for p in states])
+    probs = np.array([math.exp(log_eppf(DirichletProcess(1.0), p)) for p in states])
     tv = 0.5 * np.abs(counts / reps - probs).sum()
     assert tv < 0.01
 
@@ -173,7 +173,7 @@ def test_polya_partition_frequencies_match_eppf():
     for _ in range(30_000):
         labels, _ = sample_polya_sequence(4, 0.7, UniformBase(), rng)
         counts[index[Partition.from_allocation(labels)]] += 1
-    probs = np.array([math.exp(log_eppf_dp(p, 0.7)) for p in states])
+    probs = np.array([math.exp(log_eppf(DirichletProcess(0.7), p)) for p in states])
     assert chi2_ok(counts, probs)
 
 
@@ -195,7 +195,7 @@ def test_cdp_single_colour_matches_dp():
     for _ in range(reps):
         cp, _ = sample_cdp(3, model, None, rng)
         counts[index[cp.flatten()]] += 1
-    probs = np.array([math.exp(log_eppf_dp(p, 1.0)) for p in states])
+    probs = np.array([math.exp(log_eppf(DirichletProcess(1.0), p)) for p in states])
     assert 0.5 * np.abs(counts / reps - probs).sum() < 0.01
 
 
@@ -237,7 +237,7 @@ def test_cdp_atoms_align_with_clusters():
 def test_constructions_agree_pairwise(theta):
     states = list(enumerate_partitions(3))
     index = {p: i for i, p in enumerate(states)}
-    probs = np.array([math.exp(log_eppf_dp(p, theta)) for p in states])
+    probs = np.array([math.exp(log_eppf(DirichletProcess(theta), p)) for p in states])
     reps = 20_000
 
     rng = np.random.default_rng(24)

@@ -449,6 +449,50 @@ def test_run_chain_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("model,partition,message", [
+    (DirichletProcess(1.0), ColouredPartition([[[0, 1]], [[2]]], n_colours=2),
+     "DirichletProcess requires a plain partition"),
+    (ColouredDirichletProcess([(1.0, 1.0), (1.0, 0.5)]), Partition([[0, 1], [2]]),
+     "ColouredDirichletProcess requires a coloured partition"),
+    (BackgroundDirichletProcess(1.0, 1.0), Partition([[0, 1], [2]]),
+     "BackgroundDirichletProcess requires a coloured partition"),
+    (ColouredDirichletProcess([(1.0, 1.0), (1.0, 0.5)]),
+     ColouredPartition([[[0, 1], [2]]], n_colours=1),
+     "partition colour count does not match the model"),
+    (ColouredDirichletProcess([(1.0, 1.0), (1.0, 0.5)]),
+     ColouredPartition([[[0, 1]], [], [[2]]], n_colours=3),
+     "partition uses more colours than the model defines"),
+    (DirichletProcess(1.0), Partition([[0, 1], [2], [3]]),
+     "partition size does not match data size"),
+], ids=["coloured-into-plain", "plain-into-coloured", "plain-into-background",
+        "too-few-colours", "too-many-colours", "wrong-size"])
+def test_chain_state_rejects_a_partition_of_the_wrong_kind(model, partition, message):
+    engines = [FlatEngine(3)] * model.n_colours
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ChainState(model, engines, 3, np.random.default_rng(0), initial=partition)
+
+
+@pytest.mark.parametrize("model", [DirichletProcess(1.0),
+                                   ColouredDirichletProcess([(1.0, 1.0), (1.0, 0.5)]),
+                                   BackgroundDirichletProcess(1.0, 1.0)])
+def test_chain_state_snapshot_is_the_models_kind(model):
+    engines = [FlatEngine(4)] * model.n_colours
+    state = ChainState(model, engines, 4, np.random.default_rng(0))
+    start = state.snapshot()
+    assert isinstance(start, ColouredPartition) == model.coloured
+    assert start.n_colours == model.n_colours
+    assert (start.flatten() if model.coloured else start) == Partition([[0], [1], [2], [3]])
+    # the default start puts every singleton in colour 0, the background prior's
+    # in its regular colour
+    regular = (BackgroundDirichletProcess.REGULAR
+               if isinstance(model, BackgroundDirichletProcess) else 0)
+    assert start.sizes_by_colour()[regular] == (1, 1, 1, 1)
+    for i in range(4):
+        state.reallocate_item(i)
+    again = ChainState.from_partition(model, engines, state.snapshot())
+    assert again.snapshot() == state.snapshot()
+
+
 def test_run_chain_validates_dimensions():
     Y = make_data(4)
     bad_design = DesignBlock(Z=np.ones((3, 1)))

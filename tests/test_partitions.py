@@ -94,6 +94,50 @@ def test_coloured_cluster_single_colour_enforced():
         ColouredPartition.from_allocation([0, 0], [0, 1], n_colours=2)
 
 
+@pytest.mark.parametrize("labels,colours,message", [
+    ([5, 3, 5], [1, 0, 0], "cluster 5 spans multiple colours"),
+    ([0, 1], [0, 2], "colour 2 out of range"),
+    ([0, 1], [0, -1], "colour -1 out of range"),
+    ([0, 1], [0], "labels and colours must have equal length"),
+    ([], [], "allocation vector is empty"),
+], ids=["spans", "colour-too-high", "colour-negative", "unequal-lengths", "empty"])
+def test_coloured_from_allocation_errors(labels, colours, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ColouredPartition.from_allocation(labels, colours, n_colours=2)
+
+
+def test_coloured_from_allocation_allows_unused_colours():
+    cp = ColouredPartition.from_allocation([4, 4, 9], [2, 2, 2], n_colours=3)
+    assert cp.clusters_by_colour == ((), (), ((0, 1), (2,)))
+    assert cp.allocation() == ((0, 0, 1), (2, 2, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_plain_partition_is_the_one_colour_case(n):
+    for p in enumerate_partitions(n):
+        one = ColouredPartition([p.clusters], n_colours=1)
+        assert p.n_colours == one.n_colours == 1
+        assert p.clusters_by_colour == one.clusters_by_colour
+        assert p.sizes_by_colour() == one.sizes_by_colour()
+        assert one.flatten() == p
+        assert one.allocation() == (p.allocation(), (0,) * n)
+
+
+def test_one_colour_view_is_not_a_field():
+    # equality and hashing of a plain partition see only n and its clusters
+    from dataclasses import fields
+    assert [f.name for f in fields(Partition)] == ["n", "clusters"]
+    assert hash(Partition([[1], [0]])) == hash(Partition([[0], [1]]))
+
+
+def test_shared_cover_check_message():
+    for make in (lambda: Partition([[0], [2]]),
+                 lambda: ColouredPartition([[[0]], [[2]]], n_colours=2)):
+        with pytest.raises(ValidationError,
+                           match=r"^clusters must be disjoint, nonempty, and cover 0\.\.1$"):
+            make()
+
+
 def test_configuration_counts():
     p = Partition([[0, 1], [2], [3, 4, 5]])
     cfg = ConfigurationCounts.from_partition(p)

@@ -479,6 +479,31 @@ def test_malformed_model_or_prior_value_is_a_validation_error(tiny_run, capsys,
     assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
 
 
+@pytest.mark.parametrize("section,value,prefix", [
+    ("prior", {"mean_z": [True]}, "prior.mean_z must be "),
+    ("prior", {"precision_z": [[True]]}, "prior.precision_z must be "),
+    ("prior", {"mean_z": [float("nan")]}, "prior.mean_z must be "),
+    ("design", {"Z": [["a", 1]]}, "design.Z must be "),
+    ("design", {"Z": [[1.0], [1.0, 2.0]]}, "design.Z must be "),
+    ("design", {"Z": [[1.0], [1.0]], "X": [[float("inf")], [0.0]]}, "design.X must be "),
+    ("design", {"Z": "z.csv"}, "z.csv: row 2, column 1: non-finite value"),
+], ids=["mean_z-boolean", "precision_z-boolean", "mean_z-nan", "design-text", "design-ragged",
+        "design-inf", "design-csv-nan"])
+def test_config_array_cells_must_be_finite_numbers(tiny_run, tmp_path, capsys, section,
+                                                   value, prefix):
+    # booleans used to read as 1.0, text and ragged rows ended in a numpy
+    # traceback, and a NaN ended as a numerical failure mid-run (exit 2)
+    csv_path = tmp_path / "z.csv"
+    csv_path.write_text("1.0\nnan\n")
+    value = {k: str(csv_path) if v == "z.csv" else v for k, v in value.items()}
+    prefix = prefix.replace("z.csv", str(csv_path))
+    cfg = tiny_run["out"] + ".json"
+    with open(cfg, "w") as fh:
+        json.dump(dict(tiny_run, **{section: value}), fh)
+    assert _cli_error(capsys, "run", "--config", cfg).startswith(f"error: {prefix}")
+    assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
 def test_cli_verify_rejects_bad_settings(tmp_path):
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"no_such_knob": 1}))
@@ -493,17 +518,33 @@ def test_verify_settings_reject_unknown_keys():
 
 
 @pytest.mark.parametrize("gate", ["norm_tol", "conjugate_tol", "invariance_tol",
-                                  "chi2_level"])
+                                  "chi2_level", "dp_thetas", "coloured_max_n", "seed",
+                                  "ewens_max_n"])
 def test_verify_gates_are_not_settings(gate):
-    # a settings file could loosen a pass/fail gate until it always passed
+    # a settings file could loosen a pass/fail gate until it always passed, or
+    # size an enumeration that runs for hours; only the sample counts are settings
     with pytest.raises(ValidationError, match=rf"unknown verify settings: \['{gate}'\]"):
         checks.VerifySettings.from_overrides({gate: 1.0})
 
 
-def test_negative_concentration_override_raises():
-    cfg = checks.VerifySettings.from_overrides({"dp_thetas": [-1.0]})
-    with pytest.raises(ValidationError):
-        checks.check_eppf_normalization(cfg)
+@pytest.mark.parametrize("overrides,key", [
+    ({"chain_sweeps": "abc"}, "chain_sweeps"),
+    ({"equiv_samples": 2.5}, "equiv_samples"),
+    ({"equiv_samples": True}, "equiv_samples"),
+    ({"chain_sweeps": 0}, "chain_sweeps"),
+    ({"chain_burn_in": -1}, "chain_burn_in"),
+    ({"chain_sweeps": 100, "chain_burn_in": 100}, "chain_burn_in"),
+], ids=["text", "fractional", "boolean", "zero", "negative", "burn-in-not-below-sweeps"])
+def test_verify_settings_reject_bad_counts_naming_the_key(overrides, key):
+    # each used to end in a TypeError traceback or to reach the checks unchecked
+    with pytest.raises(ValidationError, match=f"^verify setting {key} "):
+        checks.VerifySettings.from_overrides(overrides)
+
+
+def test_verify_settings_accept_the_three_sample_counts():
+    cfg = checks.VerifySettings.from_overrides(
+        {"equiv_samples": 10_000, "chain_sweeps": 20_000, "chain_burn_in": 1_000})
+    assert (cfg.equiv_samples, cfg.chain_sweeps, cfg.chain_burn_in) == (10_000, 20_000, 1_000)
 
 
 def test_restricted_growth_table_lists_partitions_in_enumeration_order():
@@ -515,13 +556,13 @@ def test_restricted_growth_table_lists_partitions_in_enumeration_order():
 
 
 def test_normalization_check_detects_tampered_eppf(monkeypatch):
-    from cdpmix import priors
+    from cdpmix.priors import DirichletProcess
 
-    genuine = priors.log_eppf_dp
+    genuine = DirichletProcess.log_eppf_sizes
 
-    def tampered(p, theta):
-        return genuine(p, theta) + 0.01
+    def tampered(self, sizes_by_colour, n):
+        return genuine(self, sizes_by_colour, n) + 0.01
 
-    monkeypatch.setattr(priors, "log_eppf_dp", tampered)
+    monkeypatch.setattr(DirichletProcess, "log_eppf_sizes", tampered)
     result = checks.check_eppf_normalization(checks.VerifySettings())
     assert not result.passed

@@ -11,7 +11,7 @@ from cdpmix.partitions import (ColouredPartition, ConfigurationCounts, Partition
                                enumerate_configurations, enumerate_partitions)
 from cdpmix.priors import (LOG_ZERO, BackgroundDirichletProcess,
                            ColouredDirichletProcess, DirichletMultinomial,
-                           DirichletProcess, PitmanYor, log_eppf, log_eppf_dp,
+                           DirichletProcess, PitmanYor, log_eppf,
                            log_eppf_sequential, log_ewens_config)
 
 ALL_PLAIN = [DirichletProcess(1.0), DirichletProcess(0.3),
@@ -23,12 +23,13 @@ ALL_COLOURED = [ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]),
 # ---------------------------------------------------------------- DP + Ewens
 
 def test_dp_single_item_is_certain():
-    assert log_eppf_dp(Partition([[0]]), theta=2.7) == 0.0
+    assert log_eppf(DirichletProcess(2.7), Partition([[0]])) == 0.0
 
 
 def test_dp_matches_urn_chain_rule():
     # two items together, one apart, theta=2: 1/(1+2) * 2/(2+2)
-    assert log_eppf_dp(Partition([[0, 1], [2]]), 2.0) == pytest.approx(math.log(1 / 6))
+    assert log_eppf(DirichletProcess(2.0), Partition([[0, 1], [2]])) == pytest.approx(
+        math.log(1 / 6))
 
 
 def test_dp_and_cdp_equal_their_numpy_array_forms_bit_for_bit():
@@ -43,7 +44,7 @@ def test_dp_and_cdp_equal_their_numpy_array_forms_bit_for_bit():
         labels = np.repeat(np.arange(degree), sizes)
         p = Partition.from_allocation(rng.permutation(labels))
         arr = np.array(p.sizes, dtype=float)
-        assert log_eppf_dp(p, 0.9) == float(
+        assert log_eppf(DirichletProcess(0.9), p) == float(
             gammaln(0.9) - gammaln(0.9 + p.n) + p.degree * math.log(0.9) + gammaln(arr).sum())
         cp = ColouredPartition([p.clusters, []], n_colours=2)
         gam = np.array([1.3, 0.4])
@@ -56,13 +57,14 @@ def test_dp_and_cdp_equal_their_numpy_array_forms_bit_for_bit():
 @pytest.mark.parametrize("theta", [0.3, 1.0, 5.0])
 @pytest.mark.parametrize("n", [1, 3, 6])
 def test_dp_normalizes(n, theta):
-    total = sum(math.exp(log_eppf_dp(p, theta)) for p in enumerate_partitions(n))
+    dp = DirichletProcess(theta)
+    total = sum(math.exp(log_eppf(dp, p)) for p in enumerate_partitions(n))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dp_domain_error():
     with pytest.raises(ValidationError):
-        log_eppf_dp(Partition([[0]]), 0.0)
+        log_eppf(DirichletProcess(0.0), Partition([[0]]))
     with pytest.raises(ValidationError):
         DirichletProcess(-1.0)
 
@@ -88,7 +90,7 @@ def test_ewens_equals_partition_sum(theta):
             for r in sizes:
                 counts[r - 1] += 1
             lhs = log_ewens_config(ConfigurationCounts(counts, n=n), theta)
-            rhs = logsumexp([log_eppf_dp(p, theta) for p in parts])
+            rhs = logsumexp([log_eppf(DirichletProcess(theta), p) for p in parts])
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -99,7 +101,7 @@ def test_pitman_yor_zero_discount_is_dp():
     for n in range(1, 7):
         for p in enumerate_partitions(n):
             assert log_eppf_sequential(model, p) == pytest.approx(
-                log_eppf_dp(p, 1.3), abs=1e-12)
+                log_eppf(DirichletProcess(1.3), p), abs=1e-12)
 
 
 def test_dirichlet_multinomial_two_singletons():
@@ -182,7 +184,7 @@ def test_cdp_single_colour_collapses_to_dp():
     model = ColouredDirichletProcess([(2.0, 1.5)])
     for p in enumerate_coloured_partitions(4, 1):
         assert log_eppf(model, p) == pytest.approx(
-            log_eppf_dp(p.flatten(), 1.5), abs=1e-12)
+            log_eppf(DirichletProcess(1.5), p.flatten()), abs=1e-12)
 
 
 def test_cdp_symmetric_colours_split_evenly():
@@ -369,8 +371,8 @@ def test_degree_is_sufficient_for_concentration():
     pairs = [(Partition([[0, 1], [2, 3]]), Partition([[0, 1, 2], [3]])),
              (Partition([[0], [1, 2, 3]]), Partition([[0, 2], [1, 3]]))]
     for p1, p2 in pairs:
-        ratios = [math.exp(log_eppf_dp(p1, t) - log_eppf_dp(p2, t))
-                  for t in (0.1, 1.0, 10.0)]
+        ratios = [math.exp(log_eppf(dp, p1) - log_eppf(dp, p2))
+                  for dp in map(DirichletProcess, (0.1, 1.0, 10.0))]
         assert max(ratios) - min(ratios) == pytest.approx(0.0, abs=1e-12 * ratios[0])
 
 
@@ -406,4 +408,4 @@ def test_equal_rate_cdp_marginalizes_to_dp():
     for n in range(2, 6):
         for p in enumerate_partitions(n):
             assert marginal(p) == pytest.approx(
-                math.exp(log_eppf_dp(p, fitted)), rel=1e-9)
+                math.exp(log_eppf(DirichletProcess(fitted), p)), rel=1e-9)
