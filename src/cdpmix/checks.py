@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats as sstats
@@ -165,25 +165,26 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
     start = time.perf_counter()
     n, theta = EQUIV_N, EQUIV_THETA
     states = list(enumerate_partitions(n))
-    index = {p: i for i, p in enumerate(states)}
+    # each draw is counted under its restricted-growth key, not a Partition
+    index = {p.allocation(): i for i, p in enumerate(states)}
     probs = np.array([math.exp(log_eppf(DirichletProcess(theta), p)) for p in states])
 
-    def freq(sampler: Callable[[np.random.Generator], Partition], seed) -> np.ndarray:
+    def freq(sampler: Callable[[np.random.Generator], Sequence[int]], seed) -> np.ndarray:
         rng = np.random.default_rng(seed)
         counts = np.zeros(len(states))
         for _ in range(cfg.equiv_samples):
-            counts[index[sampler(rng)]] += 1
+            first: dict[int, int] = {}
+            counts[index[tuple(first.setdefault(lab, len(first))
+                               for lab in sampler(rng))]] += 1
         return counts
 
     draws = {
-        "sticks": freq(lambda rng: sample_dp_partition_via_sticks(n, theta, rng),
+        "sticks": freq(lambda rng: sample_dp_partition_via_sticks(n, theta, rng).allocation(),
                        SEED + 1),
-        "urn": freq(lambda rng: Partition.from_allocation(
-            sample_polya_sequence(n, theta, UniformBase(), rng)[0]), SEED + 2),
-        "finite": freq(lambda rng: Partition.from_allocation(
-            sample_finite_mixture_alloc(FINITE_COMPONENTS,
-                                        theta / FINITE_COMPONENTS, n, rng)),
-            SEED + 3),
+        "urn": freq(lambda rng: sample_polya_sequence(n, theta, UniformBase(), rng)[0],
+                    SEED + 2),
+        "finite": freq(lambda rng: sample_finite_mixture_alloc(
+            FINITE_COMPONENTS, theta / FINITE_COMPONENTS, n, rng), SEED + 3),
     }
     details, ok = [], True
     for name, counts in draws.items():

@@ -4,10 +4,16 @@ allocation, and the stick-breaking-and-colouring construction.
 Every sampler takes an explicit ``numpy.random.Generator``; identical seeds
 give bit-identical output. Stick-breaking partition samplers extend the
 stick lazily, so no truncation error enters the induced partition law.
+The finite mixture is the same construction with K segments: its symmetric
+Dirichlet(w, ..., w) weights are revealed in size-biased order, break j
+being Beta(1 + w, (K - j) w) and the last segment the residual (Pitman 1996;
+Ishwaran & James 2002), so a draw of n labels costs O(n), not O(K), and
+never normalises a batch of tiny-shape gammas that underflow to zero.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -80,24 +86,57 @@ def _sample_sticks(draw_break, rng, *, n_sticks, tol) -> StickWeights:
     return _gem_weights(np.asarray(breaks, dtype=float))
 
 
+# up to this total concentration a stick breaks one scalar draw at a time:
+# a scalar beta costs about 1 us, a vector draw about 8 us of overhead
+_SCALAR_BREAKS = 8.0
+
+
 class _LazySticks:
-    """A stick broken on demand: cumulative weight boundaries grow as needed."""
+    """Stick weights in size-biased order, broken on demand as cumulative boundaries.
 
-    __slots__ = ("rng", "concentration", "cum", "residual")
+    Break j (from 0) is Beta(a, b) on an endless stick. A stick of ``count``
+    segments breaks with Beta(a, (count - 1 - j) * b) and its last segment
+    takes the residual: with a = 1 + b these are the size-biased weights of a
+    symmetric Dirichlet(b, ..., b) (Pitman 1996). Above ``_SCALAR_BREAKS`` the
+    breaks come in chunks of ceil(total concentration), about what one e-fold
+    of the residual takes; a vector draw yields the same values and generator
+    state as that many scalar draws.
+    """
 
-    def __init__(self, concentration: float, rng: np.random.Generator):
+    __slots__ = ("rng", "a", "b", "count", "limit", "chunk", "cum", "residual")
+
+    def __init__(self, rng: np.random.Generator, a: float, b: float,
+                 count: int | None = None):
         self.rng = rng
-        self.concentration = concentration
-        self.cum: list[float] = []
+        self.a, self.b, self.count = a, b, count
+        self.limit = math.inf if count is None else count - 1
+        total = b if count is None else b * (count - 1)
+        self.chunk = math.ceil(total) if total > _SCALAR_BREAKS else 1
+        # bisect_right reads either; a chunked stick saves converting each chunk to floats
+        self.cum: list[float] | np.ndarray = [] if self.chunk == 1 else np.empty(0)
         self.residual = 1.0
 
     def locate(self, u: float) -> int:
         """Index of the stick segment containing u in [0, 1)."""
-        while u >= 1.0 - self.residual:
-            v = self.rng.beta(1.0, self.concentration)
-            self.cum.append(1.0 - self.residual * (1.0 - v))
-            self.residual *= 1.0 - v
+        while u >= 1.0 - self.residual and len(self.cum) < self.limit:
+            self._extend()
         return bisect_right(self.cum, u)
+
+    def _extend(self) -> None:
+        left = None if self.count is None else self.count - 1 - len(self.cum)
+        if self.chunk == 1:
+            self.residual *= 1.0 - self.rng.beta(self.a, self.b if left is None
+                                                 else self.b * left)
+            self.cum.append(1.0 - self.residual)
+            return
+        m = self.chunk if left is None else min(self.chunk, left)
+        b = self.b if left is None else self.b * np.arange(left, left - m, -1)
+        rest = np.subtract(1.0, self.rng.beta(self.a, b, m))
+        rest[0] *= self.residual
+        # left-to-right products: the same roundings as one break at a time
+        np.multiply.accumulate(rest, out=rest)
+        self.residual = float(rest[-1])
+        self.cum = np.concatenate((self.cum, np.subtract(1.0, rest, out=rest)))
 
 
 def sample_dp_partition_via_sticks(n: int, concentration: float,
@@ -107,22 +146,41 @@ def sample_dp_partition_via_sticks(n: int, concentration: float,
         raise ValidationError("n must be >= 1")
     if not concentration > 0:
         raise ValidationError("concentration must be > 0")
-    sticks = _LazySticks(concentration, rng)
+    sticks = _LazySticks(rng, 1.0, concentration)
     labels = [sticks.locate(rng.random()) for _ in range(n)]
     return Partition.from_allocation(labels)
 
 
 def sample_finite_mixture_alloc(components: int, weight: float, n: int,
                                 rng: np.random.Generator) -> list[int]:
-    """Finite-mixture allocation: symmetric Dirichlet weights, then iid labels."""
+    """Finite-mixture allocation: symmetric Dirichlet weights, then iid labels.
+
+    The weights are revealed lazily in size-biased order, only as far as the
+    n uniforms reach, so a draw costs O(n) rather than O(components). Each
+    component that receives an item gets a distinct uniform id in
+    ``range(components)``; the Dirichlet is exchangeable, so the labels have
+    the law of explicit weights followed by iid categorical draws.
+    """
     if components < 1:
         raise ValidationError("components must be >= 1")
     if not weight > 0:
         raise ValidationError("weight must be > 0")
     if n < 1:
         raise ValidationError("n must be >= 1")
-    w = rng.dirichlet(np.full(components, weight))
-    return [int(lab) for lab in rng.choice(components, size=n, p=w)]
+    sticks = _LazySticks(rng, 1.0 + weight, weight, components)
+    ids: dict[int, int] = {}
+    taken: set[int] = set()
+    labels = []
+    for _ in range(n):
+        j = sticks.locate(rng.random())
+        if j not in ids:
+            label = int(rng.integers(components))
+            while label in taken:
+                label = int(rng.integers(components))
+            ids[j] = label
+            taken.add(label)
+        labels.append(ids[j])
+    return labels
 
 
 class Atom(NamedTuple):
@@ -195,7 +253,7 @@ def sample_cdp(n: int, model: ColouredDirichletProcess,
     if bases is not None and len(bases) != n_colours:
         raise ValidationError("one base measure per colour is required")
     colour_w = rng.dirichlet(np.array([g for g, _ in model.colours]))
-    sticks = [_LazySticks(t, rng) for _, t in model.colours]
+    sticks = [_LazySticks(rng, 1.0, t) for _, t in model.colours]
     labels: list[tuple[int, int]] = []
     for _ in range(n):
         k = int(rng.choice(n_colours, p=colour_w))

@@ -371,6 +371,7 @@ def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
 
     Booleans are not numbers here, and an ``int`` key takes no fractional
     value: ``int`` would silently turn ``true`` into 1 and 3.9 into 3.
+    Infinity and NaN (which JSON config files may spell) are rejected too.
     """
     value = cfg.get(key, default)
     if isinstance(value, bool):
@@ -378,9 +379,12 @@ def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"{prefix}{key} must be an integer, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{prefix}{key} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValidationError(f"{prefix}{key} must be a finite number, got {value!r}")
+    return number
 
 
 def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = None,

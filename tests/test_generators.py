@@ -1,11 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
 from cdpmix.errors import ValidationError
-from cdpmix.generators import (UniformBase, sample_cdp, sample_dp_partition_via_sticks,
+from cdpmix.generators import (UniformBase, _LazySticks, sample_cdp,
+                               sample_dp_partition_via_sticks,
                                sample_finite_mixture_alloc, sample_gem,
                                sample_gem_two_param, sample_polya_sequence)
 from cdpmix.partitions import (Partition, enumerate_coloured_partitions,
@@ -23,6 +25,30 @@ def chi2_ok(counts, probs, level=0.99):
     mask = exp > 0
     stat = (((obs - exp) ** 2 / np.where(mask, exp, 1.0))[mask]).sum()
     return stat < sstats.chi2.ppf(level, mask.sum() - 1)
+
+
+def two_sample_pvalue(a, b, min_count=10):
+    """Pearson two-sample test of two lists of hashable draws, rare cells pooled."""
+    ca, cb = Counter(a), Counter(b)
+    cells = set(ca) | set(cb)
+    big = [c for c in cells if ca[c] + cb[c] >= min_count]
+    small = [c for c in cells if ca[c] + cb[c] < min_count]
+    table = [[ca[c] for c in big], [cb[c] for c in big]]
+    if small:
+        table[0].append(sum(ca[c] for c in small))
+        table[1].append(sum(cb[c] for c in small))
+    return sstats.chi2_contingency(np.array(table), correction=False).pvalue
+
+
+def restricted_growth(labels):
+    first = {}
+    return tuple(first.setdefault(lab, len(first)) for lab in labels)
+
+
+def explicit_finite_mixture_alloc(components, weight, n, rng):
+    """Oracle: draw the whole symmetric Dirichlet weight vector, then iid labels."""
+    w = rng.dirichlet(np.full(components, weight))
+    return [int(lab) for lab in rng.choice(components, size=n, p=w)]
 
 
 # ------------------------------------------------------------- stick breaking
@@ -114,6 +140,24 @@ def test_stick_partition_large_concentration_gives_singletons():
     assert frac == pytest.approx(expect, abs=0.01)
 
 
+def test_chunked_breaks_equal_scalar_breaks():
+    # above the scalar threshold breaks come from one vector draw per chunk;
+    # the boundaries and the generator state match one scalar draw per break
+    theta = 20.0
+    rng = np.random.default_rng(26)
+    sticks = _LazySticks(rng, 1.0, theta)
+    assert sticks.chunk == 20
+    sticks.locate(0.999)
+    assert len(sticks.cum) % 20 == 0
+    ref = np.random.default_rng(26)
+    residual, cum = 1.0, []
+    for _ in sticks.cum:
+        residual *= 1.0 - ref.beta(1.0, theta)
+        cum.append(1.0 - residual)
+    assert sticks.cum.tolist() == cum and sticks.residual == residual
+    assert rng.random() == ref.random()
+
+
 # ------------------------------------------------------------ finite mixture
 
 def test_finite_mixture_single_component():
@@ -132,6 +176,32 @@ def test_finite_mixture_cocluster_probability():
     exact = math.exp(log_eppf_sequential(DirichletMultinomial(2, 1.0),
                                          Partition([[0, 1]])))
     assert exact == pytest.approx(2 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize("components,weight,reps", [(5, 0.3, 50_000), (2000, 1 / 2000, 15_000)])
+def test_finite_mixture_matches_explicit_weights(components, weight, reps):
+    # the lazy size-biased draw against the whole Dirichlet vector plus choice
+    n = 4
+    rng = np.random.default_rng(27)
+    lazy = [sample_finite_mixture_alloc(components, weight, n, rng) for _ in range(reps)]
+    explicit = [explicit_finite_mixture_alloc(components, weight, n, rng)
+                for _ in range(reps)]
+    assert two_sample_pvalue([restricted_growth(x) for x in lazy],
+                             [restricted_growth(x) for x in explicit]) > 0.01
+    if components <= 5:
+        # the labels themselves, not only the partition they induce
+        assert two_sample_pvalue(map(tuple, lazy), map(tuple, explicit)) > 0.01
+
+
+def test_finite_mixture_labels_are_uniform():
+    rng = np.random.default_rng(28)
+    components, n, reps = 7, 3, 30_000
+    labels = np.array([sample_finite_mixture_alloc(components, 0.4, n, rng)
+                       for _ in range(reps)])
+    assert ((labels >= 0) & (labels < components)).all()
+    for i in range(n):
+        assert chi2_ok(np.bincount(labels[:, i], minlength=components),
+                       np.full(components, 1 / components))
 
 
 def test_finite_mixture_limit_approaches_dp():

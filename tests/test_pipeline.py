@@ -504,6 +504,27 @@ def test_config_array_cells_must_be_finite_numbers(tiny_run, tmp_path, capsys, s
     assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
 
 
+@pytest.mark.parametrize("section,value,key", [
+    ("model", {"family": "dp", "concentration": float("inf")}, "model.concentration"),
+    ("model", {"family": "cdp", "colours": [[1, 1], [float("nan"), 1]]},
+     "model.colours[1].weight"),
+    ("prior", {"precision_z": float("nan")}, "prior.precision_z"),
+    ("prior", {"shape": -float("inf")}, "prior.shape"),
+    ("loss", {"false_positive": float("inf")}, "loss.false_positive"),
+], ids=["concentration-inf", "colour-weight-nan", "precision_z-nan", "shape-minus-inf",
+        "loss-inf"])
+def test_non_finite_scalar_names_its_key(tiny_run, capsys, section, value, key):
+    # JSON configs may spell Infinity and NaN: an infinite concentration used to run
+    # to exit 0 and write NaN log posteriors into manifest.json, and a NaN
+    # precision_z failed as "precision must be symmetric" without naming the key
+    cfg = tiny_run["out"] + ".json"
+    with open(cfg, "w") as fh:
+        json.dump(dict(tiny_run, **{section: value}), fh)
+    err = _cli_error(capsys, "run", "--config", cfg)
+    assert err.startswith(f"error: {key} must be a finite number, got "), err
+    assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
 def test_cli_verify_rejects_bad_settings(tmp_path):
     cfg = tmp_path / "verify.json"
     cfg.write_text(json.dumps({"no_such_knob": 1}))
