@@ -7,8 +7,9 @@ stick lazily, so no truncation error enters the induced partition law.
 The finite mixture is the same construction with K segments: its symmetric
 Dirichlet(w, ..., w) weights are revealed in size-biased order, break j
 being Beta(1 + w, (K - j) w) and the last segment the residual (Pitman 1996;
-Ishwaran & James 2002), so a draw of n labels costs O(n), not O(K), and
-never normalises a batch of tiny-shape gammas that underflow to zero.
+Ishwaran & James 2002). Near the Dirichlet-process limit (K w small) a draw of
+n labels then costs O(n), not O(K), and it never normalises a batch of
+tiny-shape gammas that underflow to zero.
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def sample_finite_mixture_alloc(components: int, weight: float, n: int,
     """Finite-mixture allocation: symmetric Dirichlet weights, then iid labels.
 
     The weights are revealed lazily in size-biased order, only as far as the
-    n uniforms reach, so a draw costs O(n) rather than O(components). Each
+    n uniforms reach: at a small total weight ``components * weight`` a draw
+    costs O(n) rather than O(components). Each
     component that receives an item gets a distinct uniform id in
     ``range(components)``; the Dirichlet is exchangeable, so the labels have
     the law of explicit weights followed by iid categorical draws.
