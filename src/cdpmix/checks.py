@@ -380,14 +380,15 @@ def check_gibbs_convergence(cfg: VerifySettings) -> CheckResult:
     model = DirichletProcess(1.0)
     engines = build_engines(Y, design, spec, model)
     states = list(enumerate_partitions(n))
-    index = {p: i for i, p in enumerate(states)}
+    # each record is counted under its canonical labels, not a Partition
+    index = {p.allocation(): i for i, p in enumerate(states)}
     pi = _exact_posterior(model, engines, states)
     plan = SweepPlan(sweeps=cfg.chain_sweeps, burn_in=cfg.chain_burn_in,
                      thin=CHAIN_THIN, seed=SEED + 7)
     trace = run_chain(Y, design, model, spec, plan, engines=engines)
     counts = np.zeros(len(states))
     for rec in trace:
-        counts[index[Partition.from_allocation(rec.labels)]] += 1
+        counts[index[rec.labels]] += 1
     good, stat, crit, df = _chi2_ok(counts, pi)
     return CheckResult(
         "gibbs-convergence", good,

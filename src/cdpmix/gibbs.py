@@ -24,6 +24,14 @@ structural constraints (at most one background cluster, bounded component
 counts) fall out of the prior's log-zero sentinel with no special cases.
 Trace records and ``log_joint`` score the prior from the same sizes, read off
 the live clusters without building a partition.
+
+``ChainState.sweep`` runs whole sweeps of single-item moves. Where the
+compiled kernel (``_sweep.c``, see ``_sweep``) builds, it runs a block of
+sweeps over flat arrays of the state, repeating the arithmetic and the draws
+of ``reallocate_item`` with the block's uniforms drawn in one call, so it
+reaches the same state bit for bit; ``reallocate_item`` stays as the
+reference and the fallback. ``run_chain`` hands it each run of sweeps up to
+the next record or subset move.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _sweep
 from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec
 from .errors import NumericalError, ValidationError
 from .partitions import ColouredPartition, Partition
@@ -162,6 +171,12 @@ class ChainState:
                                  for eng in self.engines)
                            for i in range(n)]
         self._next_cid = 0
+        # the compiled kernel's arrays (None without the kernel, False until
+        # the first sweep looks), and whether they hold the current state:
+        # every change goes through _withdraw, _insert or refresh_cache_,
+        # which clear the flag
+        self._arrays: _sweep.SweepArrays | None | bool = False
+        self._arrays_current = False
         if initial is None:
             initial = self._default_initial()
         self._load(initial)
@@ -242,11 +257,13 @@ class ChainState:
             worst = max(worst, abs(fresh - cl.log_m), abs(yty - cl.yty),
                         *(abs(a - b) for a, b in zip(z, cl.z)))
             cl.z, cl.yty, cl.log_m = z, yty, fresh
+        self._arrays_current = False
         return worst
 
     # -- single-item steps: the one path that changes cluster state ----------
 
     def _withdraw(self, i: int) -> None:
+        self._arrays_current = False
         cid = self.item_cluster[i]
         cl = self.clusters[cid]
         cl.members.discard(i)
@@ -306,6 +323,7 @@ class ChainState:
 
     def _insert(self, i: int, move: tuple[str, int], log_m_after: float) -> int:
         """Place withdrawn item i as ``move`` says; returns its cluster's id."""
+        self._arrays_current = False
         kind, key = move
         if kind == "existing":
             cl = self.clusters[key]
@@ -334,6 +352,70 @@ class ChainState:
         moves, logw, after = self.item_candidates(i)
         idx = _draw(logw, self.rng)
         self._insert(i, moves[idx], after[idx])
+
+    # -- blocks of sweeps: compiled when the kernel is available -------------
+
+    def sweep(self, sweeps: int = 1) -> None:
+        """Reallocate items 0..n-1 in order, ``sweeps`` times over.
+
+        The compiled kernel runs the block when it is available for this
+        chain's model and engines, drawing the block's uniforms with one
+        ``rng.random(n * sweeps)`` call; it reaches the same state, cluster
+        ids and generator state as ``reallocate_item`` item by item, which
+        runs otherwise.
+        """
+        if self._arrays is False:
+            lib = _sweep.library()
+            supported = (_sweep.family_code(self.model) is not None
+                         and all(type(eng) is NIGEngine for eng in self.engines))
+            self._arrays = (_sweep.SweepArrays(lib, self.model, self.engines, self.n)
+                            if lib is not None and supported else None)
+        arrays = self._arrays
+        if arrays is None:
+            for _ in range(sweeps):
+                for i in range(self.n):
+                    self.reallocate_item(i)
+            return
+        if not self._arrays_current:
+            self._to_arrays(arrays)
+        self._arrays_current = False  # until the block completes
+        arrays.run(self.rng.random(self.n * sweeps), sweeps)
+        self._from_arrays(arrays)
+
+    def _to_arrays(self, a: _sweep.SweepArrays) -> None:
+        """Copy the state into the kernel's arrays, clusters in slots 0..k-1."""
+        clusters = list(self.clusters.values())
+        k, n = len(clusters), self.n
+        slot = {cid: j for j, cid in enumerate(self.clusters)}
+        a.n_clusters[0], a.n_free[0], a.next_cid[0] = k, n - k, self._next_cid
+        a.order[:k] = a.slots[:k]
+        a.free_slots[:n - k] = a.slots[k:]
+        a.cid[:k] = list(self.clusters)
+        a.colour[:k] = [cl.colour for cl in clusters]
+        a.count[:k] = [len(cl.members) for cl in clusters]
+        a.yty[:k] = [cl.yty for cl in clusters]
+        a.log_m[:k] = [cl.log_m for cl in clusters]
+        a.z[:k] = [cl.z + a.padding[cl.colour] for cl in clusters]
+        a.item_slot[:] = list(map(slot.__getitem__, self.item_cluster))
+        a.colour_totals[:] = self.colour_totals
+
+    def _from_arrays(self, a: _sweep.SweepArrays) -> None:
+        """Rebuild the state from the kernel's arrays, clusters in ``order``."""
+        slots = a.order[:a.n_clusters[0]]
+        self.item_cluster = a.cid[a.item_slot].tolist()
+        # items grouped by slot, each group in increasing order
+        grouped = np.argsort(a.item_slot, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(a.item_slot, minlength=self.n)).tolist()
+        counts = a.count.tolist()
+        self.clusters = {
+            cid: _Cluster(colour, set(grouped[ends[s] - counts[s]:ends[s]]),
+                          z[:a.dims[colour]], yty, log_m)
+            for s, cid, colour, z, yty, log_m in zip(
+                slots.tolist(), a.cid[slots].tolist(), a.colour[slots].tolist(),
+                a.z[slots].tolist(), a.yty[slots].tolist(), a.log_m[slots].tolist())}
+        self.colour_totals = a.colour_totals.tolist()
+        self._next_cid = int(a.next_cid[0])
+        self._arrays_current = True
 
     # -- block moves: single-item steps applied to a co-clustered block ----
 
@@ -462,6 +544,10 @@ def build_engines(Y: np.ndarray, design: DesignBlock,
     return [NIGEngine(design, spec, Y) for spec in specs]
 
 
+#: Most uniforms drawn for one block of sweeps (512 KiB of doubles).
+_BLOCK_UNIFORMS = 1 << 16
+
+
 def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
               specs: NormalGammaSpec | Sequence[NormalGammaSpec],
               plan: SweepPlan, *, engines: Sequence | None = None,
@@ -485,13 +571,23 @@ def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
         engines = build_engines(Y, design, specs, model)
     state = ChainState(model, engines, n, rng, initial=initial)
     trace: list[TraceRecord] = []
-    for sweep in range(plan.sweeps):
-        for i in range(n):
-            state.reallocate_item(i)
+    sweep = 0
+    while sweep < plan.sweeps:
+        # a block ends where a subset move may follow or a record is taken,
+        # so nothing between its sweeps reads the state or draws uniforms
+        if plan.subset_move_rate > 0:
+            last = sweep
+        else:
+            to_record = max(plan.burn_in - sweep, (plan.burn_in - sweep) % plan.thin)
+            last = min(sweep + to_record, plan.sweeps - 1,
+                       sweep + max(_BLOCK_UNIFORMS // n, 1) - 1)
+        state.sweep(last - sweep + 1)
+        sweep = last
         if plan.subset_move_rate > 0 and rng.random() < plan.subset_move_rate:
             state.random_subset_move(plan.subset_max_size)
         if sweep >= plan.burn_in and (sweep - plan.burn_in) % plan.thin == 0:
             trace.append(_record(state, sweep))
+        sweep += 1
     return trace
 
 

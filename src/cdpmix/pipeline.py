@@ -417,13 +417,16 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
     design = build_design(raw.get("design"), dataset.n_samples)
     model = build_model(raw.get("model", {"family": "dp", "concentration": 1.0}))
     specs = build_priors(raw.get("prior", {}), design, model)
+    seed = _number(raw, "seed", 0, int)
+    if seed < 0:  # np.random.SeedSequence takes no negative entropy
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     plan = SweepPlan(
         sweeps=_number(raw, "sweeps", 1000, int),
         burn_in=_number(raw, "burn_in", 0, int),
         thin=_number(raw, "thin", 1, int),
         subset_move_rate=_number(raw, "subset_move_rate", 0.0, float),
         subset_max_size=_number(raw, "subset_max_size", 8, int),
-        seed=_number(raw, "seed", 0, int),
+        seed=seed,
     )
     loss_cfg = raw.get("loss", {})
     _reject_unknown("loss", loss_cfg, ("false_positive", "false_negative"))

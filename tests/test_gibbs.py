@@ -1,5 +1,8 @@
 import itertools
+import logging
 import math
+import re
+import shutil
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from cdpmix import _sweep
 from cdpmix.checks import _exact_posterior, _item_kernel, _one_sweep_matrix
 from cdpmix.conjugate import DesignBlock, NormalGammaSpec
 from cdpmix.errors import NumericalError, ValidationError
@@ -43,6 +47,45 @@ class FlatEngine:
 
     def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
         return 0.0
+
+
+@pytest.fixture(params=["python", "compiled"])
+def sweep_path(request, monkeypatch):
+    """Runs a test on the Python sweep (the fallback forced as a failed build
+    forces it) and on the compiled kernel."""
+    if request.param == "python":
+        monkeypatch.setattr(_sweep, "library", lambda: None)
+    elif _sweep.library() is None:
+        pytest.skip("the compiled sweep cannot be built here")
+    return request.param
+
+
+def on_both_paths(monkeypatch, run):
+    """``run()`` with the compiled kernel (where it builds), then with the
+    Python sweep forced."""
+    compiled = run()
+    with monkeypatch.context() as m:
+        m.setattr(_sweep, "library", lambda: None)
+        return compiled, run()
+
+
+def bits(values):
+    """Floats as their exact bit patterns, so -0.0 differs from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def assert_same_state(a, b):
+    """Two chains hold the same clusters, ids, order, statistics and generator state."""
+    assert a.item_cluster == b.item_cluster
+    assert a.colour_totals == b.colour_totals
+    assert list(a.clusters) == list(b.clusters)
+    assert a._next_cid == b._next_cid
+    for cid, cl in a.clusters.items():
+        other = b.clusters[cid]
+        assert (cl.colour, cl.members) == (other.colour, other.members)
+        assert bits(cl.z) == bits(other.z)
+        assert bits([cl.yty, cl.log_m]) == bits([other.yty, other.log_m])
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
 def make_data(n, seed=42):
@@ -519,17 +562,16 @@ def test_trace_log_posterior_is_recomputable():
         assert rec.log_posterior == pytest.approx(lp, abs=1e-8)
 
 
-def test_cache_stays_coherent_over_many_sweeps():
+def test_cache_stays_coherent_over_many_sweeps(sweep_path):
     Y = make_data(6, seed=30)
     model = BackgroundDirichletProcess(2.0, 1.0)
     engines = build_engines(Y, DESIGN, [BG_SPEC, SPEC], model)
     state = ChainState(model, engines, 6, np.random.default_rng(8))
     worst = 0.0
-    for sweep in range(300):
-        for i in range(6):
-            state.reallocate_item(i)
-        if sweep % 100 == 99:
-            worst = max(worst, state.refresh_cache_())
+    for _ in range(3):
+        state.sweep(100)
+        worst = max(worst, state.refresh_cache_())
+    assert (state._arrays is not None) == (sweep_path == "compiled")
     assert worst < 1e-8
     # the refresh rebuilds the incrementally updated statistics from the
     # members, so drift in them is reported and repaired, not just in log_m
@@ -543,46 +585,46 @@ def test_cache_stays_coherent_over_many_sweeps():
         assert cl.log_m == pytest.approx(raw_marginal(eng, Y, cl.members), abs=1e-10)
 
 
-def test_golden_trace_digest():
-    # behaviour anchor for the sampler: any change that alters a draw of the
-    # wen-rat recipe changes this digest
-    import hashlib
-    from cdpmix.pipeline import parse_config
-    cfg = parse_config({"preset": "wen-rat", "sweeps": 2000, "burn_in": 0, "seed": 7,
-                        "out": "unused"})
-    trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
-    digest = hashlib.sha256(
-        repr([(r.labels, r.colours) for r in trace]).encode()).hexdigest()[:16]
-    assert digest == "6caf8745eb0ea50a"
-
-
 def _trace_digest(trace):
     import hashlib
     return hashlib.sha256(
         repr([(r.labels, r.colours) for r in trace]).encode()).hexdigest()[:16]
 
 
-def test_cdp_subset_move_trace_digest():
+def test_golden_trace_digest(monkeypatch):
+    # behaviour anchor for the sampler: any change that alters a draw of the
+    # wen-rat recipe changes this digest, on the compiled and the Python sweep
+    from cdpmix.pipeline import parse_config
+    cfg = parse_config({"preset": "wen-rat", "sweeps": 2000, "burn_in": 0, "seed": 7,
+                        "out": "unused"})
+    for trace in on_both_paths(monkeypatch, lambda: run_chain(
+            cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)):
+        assert _trace_digest(trace) == "6caf8745eb0ea50a"
+
+
+def test_cdp_subset_move_trace_digest(monkeypatch):
     # behaviour anchor for subset moves and the coloured prior: the
     # rat-cdp-subset benchmark config, 300 sweeps, seed 5
     from cdpmix.pipeline import parse_config
     cfg = parse_config({"preset": "wen-rat", "sweeps": 300, "burn_in": 20, "thin": 1,
                         "model": {"family": "cdp", "colours": [[1, 1], [1, 0.5]]},
                         "subset_move_rate": 1.0, "seed": 5, "out": "unused"})
-    trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
-    assert _trace_digest(trace) == "9412b87fa3a07191"
+    for trace in on_both_paths(monkeypatch, lambda: run_chain(
+            cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)):
+        assert _trace_digest(trace) == "9412b87fa3a07191"
 
 
 @pytest.mark.parametrize("model,digest", [
     (DirichletMultinomial(4, 0.8), "94fe3b2d16034b23"),  # reaches its component bound
     (PitmanYor(0.3, 1.0), "a5d4e189728d63a0"),
 ], ids=["dm", "py"])
-def test_dm_and_py_subset_move_trace_digest(model, digest):
+def test_dm_and_py_subset_move_trace_digest(model, digest, monkeypatch):
     # behaviour anchor for the Dirichlet-multinomial and Pitman-Yor priors
     # under item and subset moves
     Y = make_data(12)
     plan = SweepPlan(sweeps=400, burn_in=0, subset_move_rate=1.0, seed=11)
-    assert _trace_digest(run_chain(Y, DESIGN, model, SPEC, plan)) == digest
+    for trace in on_both_paths(monkeypatch, lambda: run_chain(Y, DESIGN, model, SPEC, plan)):
+        assert _trace_digest(trace) == digest
 
 
 X_DESIGN = DesignBlock(Z=np.array([[1.0, 1.0, 1.0], [-0.5, 0.1, 0.7]]).T,
@@ -622,7 +664,10 @@ def test_candidate_marginals_match_fresh_statistics(model, design, specs):
     assert checked > 40 * n * 2
 
 
-@pytest.mark.parametrize("with_x", [False, True], ids=["no-X", "X"])
+MEAN_SPEC = NormalGammaSpec(1.0, 1.0, [0.6, -0.4], np.eye(2))  # z0 != 0 without X
+
+
+@pytest.mark.parametrize("case", ["no-X", "X", "no-X-mean"])
 @pytest.mark.parametrize("model", [
     DirichletProcess(1.0),
     DirichletMultinomial(2, 0.8),  # starts full, so most draws have no new cluster
@@ -630,16 +675,19 @@ def test_candidate_marginals_match_fresh_statistics(model, design, specs):
     ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]),
     BackgroundDirichletProcess(1.5, 1.0),
 ], ids=["dp", "dm-saturated", "py", "cdp", "background"])
-def test_fused_reallocation_matches_step_by_step_composition(model, with_x):
+def test_fused_reallocation_matches_step_by_step_composition(model, case):
     # reallocate_item's fused draw against the composition with
     # _sample_index's cumulative walk: same labels, statistics, marginals and
     # RNG stream, bit for bit; every cached marginal must also equal
-    # log_marginal_z of the cached statistics, which pins the inline pricing
-    design = X_DESIGN if with_x else DESIGN
+    # log_marginal_z of the cached statistics, which pins the inline pricing.
+    # The compiled kernel, run in blocks of one and of several sweeps, must
+    # reach the same state at every block's end.
+    design = X_DESIGN if case == "X" else DESIGN
+    regular = {"no-X": SPEC, "X": X_SPEC, "no-X-mean": MEAN_SPEC}[case]
     if isinstance(model, BackgroundDirichletProcess):
-        specs = [X_BG_SPEC, X_SPEC] if with_x else [BG_SPEC, SPEC]
+        specs = [X_BG_SPEC if case == "X" else BG_SPEC, regular]
     else:
-        specs = [X_SPEC if with_x else SPEC] * model.n_colours
+        specs = [regular] * model.n_colours
     n = 8
     initial = (Partition([[0, 1, 2, 3], [4, 5, 6, 7]])
                if isinstance(model, DirichletMultinomial) else None)
@@ -647,26 +695,26 @@ def test_fused_reallocation_matches_step_by_step_composition(model, with_x):
     centres = rng.normal(size=(2, design.n_samples))
     Y = centres[np.arange(n) % 2] + 0.5 * rng.normal(size=(n, design.n_samples))
     engines = build_engines(Y, design, specs, model)
-    fused = ChainState(model, engines, n, np.random.default_rng(22), initial=initial)
-    steps = ChainState(model, engines, n, np.random.default_rng(22), initial=initial)
+    assert any(engines[-1].z0) == (case != "no-X")
+    fused, steps, compiled = (
+        ChainState(model, engines, n, np.random.default_rng(22), initial=initial)
+        for _ in range(3))
     kinds = Counter()
-    for _ in range(30):
-        for i in range(n):
-            fused.reallocate_item(i)
-            steps._withdraw(i)
-            moves, logw, after = steps.item_candidates(i)
-            idx = _sample_index(logw, steps.rng)
-            steps._insert(i, moves[idx], after[idx])
-            kinds[moves[idx][0]] += 1
-            assert fused.item_cluster == steps.item_cluster
-            assert fused.colour_totals == steps.colour_totals
-            assert list(fused.clusters) == list(steps.clusters)
-            for cid, cl in fused.clusters.items():
-                other = steps.clusters[cid]
-                assert (cl.colour, cl.members, cl.z, cl.yty, cl.log_m) == (
-                    other.colour, other.members, other.z, other.yty, other.log_m)
-                assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
-            assert fused.rng.bit_generator.state == steps.rng.bit_generator.state
+    for block in [1, 1, 4, 1, 7, 2, 1, 13]:  # 30 sweeps
+        for _ in range(block):
+            for i in range(n):
+                fused.reallocate_item(i)
+                steps._withdraw(i)
+                moves, logw, after = steps.item_candidates(i)
+                idx = _sample_index(logw, steps.rng)
+                steps._insert(i, moves[idx], after[idx])
+                kinds[moves[idx][0]] += 1
+                assert_same_state(fused, steps)
+                for cl in fused.clusters.values():
+                    assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
+        compiled.sweep(block)
+        assert_same_state(compiled, steps)
+    assert (compiled._arrays is not None) == (_sweep.library() is not None)
     assert kinds["existing"] > 100 and kinds["new"] > 0
 
 
@@ -689,3 +737,80 @@ def test_accepted_move_weight_equals_joint_change():
         state._insert(i, moves[idx], after[idx])
         delta = state.log_joint() - before
         assert delta == pytest.approx(logw[idx] - logw[prev_idx], abs=1e-8)
+
+
+# ------------------------------------------------------------ compiled sweep
+
+@pytest.mark.parametrize("model,message", [
+    (DirichletProcess(1.0), "posterior rate collapsed to a non-positive value"),
+    # one item, and a Pitman-Yor strength that gives a first cluster no weight
+    (PitmanYor(0.5, -0.4), "all reallocation weights vanished"),
+], ids=["rate", "weights"])
+def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_path):
+    n = 4 if isinstance(model, DirichletProcess) else 1
+    engines = build_engines(make_data(n), DESIGN, SPEC, model)
+    state = ChainState(model, engines, n, np.random.default_rng(3))
+    if isinstance(model, DirichletProcess):
+        # the singleton start leaves item 0's cluster empty, so the first
+        # rate computed is a candidate's, priced inline from rate_base
+        for eng in engines:
+            eng.rate_base = -1e6
+        state._item_data = [tuple((*d[:4], -1e6, d[5]) for d in item)
+                            for item in state._item_data]
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        state.sweep(2)
+
+
+def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog):
+    Y = make_data(6)
+    plan = SweepPlan(sweeps=40, burn_in=5, thin=2, seed=4)
+    expected = run_chain(Y, DESIGN, DirichletProcess(1.0), SPEC, plan)
+
+    def failed_build():
+        raise OSError("cc exited with status 1: no space left")
+
+    monkeypatch.setattr(_sweep, "_load", failed_build)
+    _sweep.library.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="cdpmix._sweep"):
+            traces = [run_chain(Y, DESIGN, DirichletProcess(1.0), SPEC, plan)
+                      for _ in range(2)]
+    finally:
+        _sweep.library.cache_clear()  # the next caller loads the real library
+    assert traces == [expected, expected]
+    assert [r.getMessage() for r in caplog.records] == [  # once per process
+        "compiled Gibbs sweep unavailable, using the Python sweep: "
+        "cc exited with status 1: no space left"]
+
+
+@pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                    reason="no C compiler")
+def test_kernel_is_built_once_into_the_cache(tmp_path, monkeypatch):
+    source = tmp_path / "_sweep.c"
+    source.write_bytes(_sweep.SOURCE.read_bytes())
+    monkeypatch.setattr(_sweep, "SOURCE", source)
+    _sweep._load()
+    (built,) = (tmp_path / "__pycache__").iterdir()  # no temporary file left
+    assert re.fullmatch(r"_sweep-[0-9a-f]{16}\.so", built.name)
+
+    def no_compiler(target):
+        raise AssertionError("rebuilt a cached library")
+
+    monkeypatch.setattr(_sweep, "_compile", no_compiler)
+    assert _sweep._load().cdpmix_sweeps
+    # another source is another key
+    source.write_bytes(_sweep.SOURCE.read_bytes() + b"\n")
+    with pytest.raises(AssertionError, match="rebuilt"):
+        _sweep._load()
+
+
+@pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                    reason="no C compiler")
+def test_kernel_builds_in_a_temporary_directory_when_the_cache_is_read_only(
+        tmp_path, monkeypatch):
+    source = tmp_path / "_sweep.c"
+    source.write_bytes(_sweep.SOURCE.read_bytes())
+    monkeypatch.setattr(_sweep, "SOURCE", source)
+    monkeypatch.setattr(_sweep, "_writable", lambda directory: False)
+    assert _sweep._load().cdpmix_sweeps
+    assert not (tmp_path / "__pycache__").exists()

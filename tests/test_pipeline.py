@@ -215,6 +215,14 @@ def test_boolean_value_for_integer_key_names_it(tiny_run, key, value):
         pipeline.parse_config(dict(tiny_run, **{key: value}))
 
 
+def test_negative_seed_names_its_key(tiny_run):
+    # np.random.SeedSequence rejected it only once the chains started
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -5$"):
+        pipeline.parse_config(dict(tiny_run, seed=-5))
+    with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -5$"):
+        pipeline.parse_config({"preset": "wen-rat", "sweeps": 3, "burn_in": 1, "seed": -5})
+
+
 def test_integral_float_for_integer_key_is_accepted(tiny_run):
     config = pipeline.parse_config(dict(tiny_run, sweeps=4.0, burn_in=1.0, seed=9.0))
     assert (config.plan.sweeps, config.plan.burn_in, config.plan.seed) == (4, 1, 9)
@@ -402,6 +410,14 @@ def test_cli_missing_config_file_is_a_validation_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert _cli_error(capsys, "run", "--config", missing).startswith(f"error: {missing}: ")
     assert _cli_error(capsys, "verify", "--config", missing).startswith(f"error: {missing}: ")
+
+
+def test_cli_negative_seed_is_a_validation_error(tiny_run, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_run))
+    err = _cli_error(capsys, "run", "--config", str(cfg), "--seed", "-1")
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not os.path.exists(tiny_run["out"])  # rejected before sampling
 
 
 def test_cli_malformed_config_file_is_a_validation_error(tmp_path, capsys):
