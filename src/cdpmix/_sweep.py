@@ -99,7 +99,8 @@ def family_code(model) -> tuple[int, list[float]] | None:
     """The kernel's family code and parameters for ``model``; None if it has none."""
     if type(model) is DirichletProcess:
         return 0, [model.theta]
-    if type(model) is DirichletMultinomial:
+    if type(model) is DirichletMultinomial and model.components < 2 ** 53:
+        # the kernel holds the bound as a double, exact only below 2**53
         return 1, [float(model.components), model.weight]
     if type(model) is PitmanYor:
         return 2, [model.discount, model.strength]
@@ -151,8 +152,7 @@ class SweepArrays:
         for c, eng in enumerate(engines):
             pc = p[c]
             self.z0[c, :pc] = eng.z0
-            if pc:
-                self.xi[c, :, :pc] = eng.xi
+            self.xi[c, :, :pc] = eng.xi
             rows = eng.rows[1:n + 2]
             self.recips[c, 1:, :pc] = np.array([r[0] for r in rows], dtype=f64).reshape(n + 1, pc)
             self.a_post[c, 1:] = [r[1] for r in rows]

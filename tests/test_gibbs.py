@@ -761,6 +761,15 @@ def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_pa
         state.sweep(2)
 
 
+def test_huge_component_bound_gives_the_same_chain_on_both_paths(monkeypatch):
+    # a bound the kernel cannot hold exactly runs on the Python sweep
+    model = DirichletMultinomial(10 ** 20, 1e-20)  # new-cluster weight about 1
+    plan = SweepPlan(sweeps=20, burn_in=0, seed=6)
+    compiled, python = on_both_paths(
+        monkeypatch, lambda: run_chain(make_data(6), DESIGN, model, SPEC, plan))
+    assert compiled == python
+
+
 def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog):
     Y = make_data(6)
     plan = SweepPlan(sweeps=40, burn_in=5, thin=2, seed=4)
