@@ -51,17 +51,19 @@ typedef struct {
     int64_t *target;                        /* slot, or -1 - colour for a new cluster */
 } Kernel;
 
-/* log_marginal_z(count, z, yty) of a nonempty cluster, no item added */
+/* log_marginal_z(count, z, yty, dz, dyy) of a colour-c cluster: dz may be
+ * NULL (then dyy is 0.0) for the cluster as it stands */
 static int log_marginal(const Kernel *k, int64_t c, int64_t count, const double *z,
-                        double yty, double *out)
+                        double yty, const double *dz, double dyy, double *out)
 {
-    const int64_t pmax = k->pmax, p = k->p[c];
     const int64_t row = c * (k->n + 2) + count;
-    const double *r = k->recips + row * pmax;
+    const double *r = k->recips + row * k->pmax;
     double quad = 0.0;
-    for (int64_t d = 0; d < p; d++)
-        quad += z[d] * z[d] * r[d];
-    const double b_post = k->rate_base[c] + 0.5 * (yty + 0.0 - quad);
+    for (int64_t d = 0; d < k->p[c]; d++) {
+        const double t = dz ? z[d] + dz[d] : z[d];
+        quad += t * t * r[d];
+    }
+    const double b_post = k->rate_base[c] + 0.5 * (yty + dyy - quad);
     if (!(b_post > 0))
         return RATE_COLLAPSED;
     *out = k->cnst[row] - k->a_post[row] * log(b_post);
@@ -123,7 +125,7 @@ static int withdraw(Kernel *k, int64_t i)
     for (int64_t d = 0; d < k->p[c]; d++)
         z[d] = z[d] - x[d];
     k->yty[s] -= k->yy[c * k->n + i];
-    return log_marginal(k, c, k->count[s], z, k->yty[s], &k->log_m[s]);
+    return log_marginal(k, c, k->count[s], z, k->yty[s], NULL, 0.0, &k->log_m[s]);
 }
 
 /* item_candidates: fills logw, after and target; returns their number or an error */
@@ -138,21 +140,11 @@ static int64_t candidates(Kernel *k, int64_t i, int *status)
         const double w = ((double)size + off[c]) * fac[c];
         if (w <= 0)
             continue;
-        const int64_t row = c * (n + 2) + size + 1;
-        const double *r = k->recips + row * pmax;
-        const double *z = k->z + s * pmax;
-        const double *x = k->xi + (c * n + i) * pmax;
-        double quad = 0.0;
-        for (int64_t d = 0; d < k->p[c]; d++) {
-            const double t = z[d] + x[d];
-            quad += t * t * r[d];
-        }
-        const double b_post = k->rate_base[c] + 0.5 * (k->yty[s] + k->yy[c * n + i] - quad);
-        if (!(b_post > 0)) {
-            *status = RATE_COLLAPSED;
+        double lm;
+        *status = log_marginal(k, c, size + 1, k->z + s * pmax, k->yty[s],
+                               k->xi + (c * n + i) * pmax, k->yy[c * n + i], &lm);
+        if (*status != OK)
             return 0;
-        }
-        const double lm = k->cnst[row] - k->a_post[row] * log(b_post);
         k->target[m] = s;
         k->logw[m] = log(w) + lm - k->log_m[s];
         k->after[m] = lm;
