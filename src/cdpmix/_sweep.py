@@ -3,9 +3,10 @@
 The library is built on first use, never at import, with the system C
 compiler at ``-O2 -ffp-contract=off`` and no fast-math, so that every double
 it computes is the one the interpreter computes. It is cached in this
-package's ``__pycache__`` under a hash of the source and the flags, written
-by an atomic rename; where that directory cannot be written, the library is
-built in a fresh temporary directory for this process alone. When it can be
+package's ``__pycache__`` under a hash of the source, the flags and the
+machine architecture, written by an atomic rename; where that directory
+cannot be written, the library is built in a fresh temporary directory for
+this process alone. When it can be
 neither built nor loaded, ``library()`` logs one warning saying why and
 returns None, and chains run the Python sweep.
 
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import logging
 import os
+import platform
 import shutil
 import subprocess
 import tempfile
@@ -70,7 +72,9 @@ def _writable(directory: Path) -> bool:
 
 def _load() -> ctypes.CDLL:
     """The kernel library, built into the cache first if it is not there."""
-    key = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode()).hexdigest()[:16]
+    # a cache shared between machines keeps one library per architecture
+    stamp = " ".join((*FLAGS, platform.machine())).encode()
+    key = hashlib.sha256(SOURCE.read_bytes() + stamp).hexdigest()[:16]
     cached = SOURCE.parent / "__pycache__" / f"_sweep-{key}.so"
     if not cached.exists():
         if not _writable(cached.parent):
