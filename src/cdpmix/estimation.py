@@ -190,30 +190,40 @@ def _exact_partition(rho: np.ndarray, loss: LossSpec) -> Partition:
     return Partition.from_allocation(best_labels)
 
 
-def _greedy_partition(rho: np.ndarray, loss: LossSpec) -> Partition:
-    n = rho.shape[0]
-    score = _pair_score(rho, loss)
-    clusters: list[list[int]] = [[i] for i in range(n)]
+def _agglomerate(score: np.ndarray) -> list[list[int]]:
+    """Agglomerative sweep from singletons: take the merge with the largest
+    strict decrease of the loss, first in row-major order among ties.
 
-    # agglomerative sweep: take the merge with the largest strict decrease.
-    # pair_cost[a, b] tracks the loss change of joining clusters a and b and
-    # updates additively under merges.
+    ``pair_cost[a, b]`` tracks the loss change of joining clusters a and b and
+    updates additively under merges; cluster a absorbs b > a and b dies, so
+    the live clusters keep their relative order. ``upper`` holds the
+    candidate merges, ``pair_cost`` on live pairs a < b and +inf elsewhere.
+    """
+    n = score.shape[0]
+    clusters: list[list[int]] = [[i] for i in range(n)]
     pair_cost = score.copy()
-    while len(clusters) > 1:
-        d = len(clusters)
-        iu = np.triu_indices(d, 1)
-        vals = pair_cost[iu]
-        k = int(vals.argmin())
-        if vals[k] >= -1e-12:
+    upper = np.where(np.triu(np.ones((n, n), dtype=bool), 1), pair_cost, np.inf)
+    alive = np.ones(n, dtype=bool)
+    while n > 1:
+        a, b = divmod(int(upper.argmin()), n)
+        if upper[a, b] >= -1e-12:  # also when one cluster is left: all +inf
             break
-        a, b = int(iu[0][k]), int(iu[1][k])
         clusters[a] = sorted(clusters[a] + clusters[b])
         merged = pair_cost[a] + pair_cost[b]
         pair_cost[a, :] = merged
         pair_cost[:, a] = merged
         pair_cost[a, a] = 0.0
-        pair_cost = np.delete(np.delete(pair_cost, b, axis=0), b, axis=1)
-        del clusters[b]
+        alive[b] = False
+        upper[b, :] = upper[:, b] = np.inf
+        upper[a, a + 1:] = np.where(alive[a + 1:], merged[a + 1:], np.inf)
+        upper[:a, a] = np.where(alive[:a], merged[:a], np.inf)
+    return [c for c, live in zip(clusters, alive) if live]
+
+
+def _greedy_partition(rho: np.ndarray, loss: LossSpec) -> Partition:
+    n = rho.shape[0]
+    score = _pair_score(rho, loss)
+    clusters = _agglomerate(score)
 
     # single-item relocation passes until a fixed point. item_cost[i, c] is
     # the loss change of item i joining cluster c (0 for a new singleton).

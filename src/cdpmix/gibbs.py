@@ -31,7 +31,10 @@ sweeps over flat arrays of the state, repeating the arithmetic and the draws
 of ``reallocate_item`` with the block's uniforms drawn in one call, so it
 reaches the same state bit for bit; ``reallocate_item`` stays as the
 reference and the fallback. ``run_chain`` hands it each run of sweeps up to
-the next record or subset move.
+the next record or subset move. Between blocks the state stays in the
+arrays: the Python view (``clusters``, ``item_cluster``, ``colour_totals``)
+is rebuilt from them only when something reads it, and ``canonical`` and
+``log_likelihood``, which score the trace records, read the arrays directly.
 """
 
 from __future__ import annotations
@@ -161,9 +164,12 @@ class ChainState:
         self.engines = list(engines)
         self.n = n
         self.rng = rng
-        self.clusters: dict[int, _Cluster] = {}
-        self.item_cluster = [-1] * n
-        self.colour_totals = [0] * model.n_colours
+        # the Python view of the state; after a compiled block it is stale
+        # until read (see the properties below)
+        self._clusters: dict[int, _Cluster] = {}
+        self._item_cluster = [-1] * n
+        self._colour_totals = [0] * model.n_colours
+        self._view_current = True
         # per item, one entry per colour: (xi_i, yy_i, item i's own marginal,
         # per-count table, rate_base, range(p)), all the pricing reads
         self._item_data = [tuple((eng.xi[i], eng.yy[i], eng.singles[i], eng.rows,
@@ -173,8 +179,8 @@ class ChainState:
         self._next_cid = 0
         # the compiled kernel's arrays (None without the kernel, False until
         # the first sweep looks), and whether they hold the current state:
-        # every change goes through _withdraw, _insert or refresh_cache_,
-        # which clear the flag
+        # every change made in Python goes through _withdraw, _insert or
+        # refresh_cache_, which clear the flag
         self._arrays: _sweep.SweepArrays | None | bool = False
         self._arrays_current = False
         if initial is None:
@@ -219,6 +225,36 @@ class ChainState:
         rng = rng if rng is not None else np.random.default_rng()
         return cls(model, engines, partition.n, rng, initial=partition)
 
+    # -- the Python view of the state ---------------------------------------
+
+    def _live_arrays(self) -> _sweep.SweepArrays:
+        """The kernel's arrays, which must hold the current state."""
+        if not self._arrays_current:
+            # only a block that raised leaves neither the view nor the arrays current
+            raise NumericalError("the chain state was lost when a block of sweeps failed")
+        return self._arrays
+
+    @property
+    def clusters(self) -> dict[int, _Cluster]:
+        """Live clusters by id, in insertion order."""
+        if not self._view_current:
+            self._from_arrays(self._live_arrays())
+        return self._clusters
+
+    @property
+    def item_cluster(self) -> list[int]:
+        """Each item's cluster id."""
+        if not self._view_current:
+            self._from_arrays(self._live_arrays())
+        return self._item_cluster
+
+    @property
+    def colour_totals(self) -> list[int]:
+        """Items per colour."""
+        if not self._view_current:
+            self._from_arrays(self._live_arrays())
+        return self._colour_totals
+
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> Partition | ColouredPartition:
@@ -230,17 +266,23 @@ class ChainState:
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
         """``(labels, colours)`` as ``snapshot().allocation()`` gives them, with
         clusters numbered by least member, plus each colour's cluster sizes in
-        that order."""
-        rank = {cid: j for j, cid in enumerate(dict.fromkeys(self.item_cluster))}
-        colour = {cid: cl.colour for cid, cl in self.clusters.items()}
-        sizes = [[] for _ in range(self.model.n_colours)]
-        for cid in rank:
-            sizes[colour[cid]].append(len(self.clusters[cid].members))
-        return (tuple(map(rank.__getitem__, self.item_cluster)),
-                tuple(map(colour.__getitem__, self.item_cluster)), sizes)
+        that order. Read from the kernel's arrays when the view is stale."""
+        if self._view_current:
+            clusters = self._clusters
+            return _canonical(self._item_cluster,
+                              {cid: cl.colour for cid, cl in clusters.items()},
+                              {cid: len(cl.members) for cid, cl in clusters.items()},
+                              self.model.n_colours)
+        a = self._live_arrays()
+        return _canonical(a.item_slot.tolist(), a.colour.tolist(), a.count.tolist(),
+                          self.model.n_colours)
 
     def log_likelihood(self) -> float:
-        return float(sum(cl.log_m for cl in self.clusters.values()))
+        """Sum of the cached cluster marginals, in insertion order."""
+        if self._view_current:
+            return float(sum(cl.log_m for cl in self._clusters.values()))
+        a = self._live_arrays()
+        return float(sum(a.log_m[a.order[:a.n_clusters[0]]].tolist()))
 
     def log_joint(self) -> float:
         """Log prior of the current partition plus all cached cluster marginals."""
@@ -249,28 +291,30 @@ class ChainState:
     def refresh_cache_(self) -> float:
         """Rebuild every cluster's statistics from its members and recompute its
         log marginal; returns the largest absolute drift of either."""
+        clusters = self.clusters
+        self._arrays_current = False
         worst = 0.0
-        for cl in self.clusters.values():
+        for cl in clusters.values():
             eng = self.engines[cl.colour]
             z, yty = _summed(eng, sorted(cl.members))
             fresh = eng.log_m(len(cl.members), z, yty)
             worst = max(worst, abs(fresh - cl.log_m), abs(yty - cl.yty),
                         *(abs(a - b) for a, b in zip(z, cl.z)))
             cl.z, cl.yty, cl.log_m = z, yty, fresh
-        self._arrays_current = False
         return worst
 
     # -- single-item steps: the one path that changes cluster state ----------
 
     def _withdraw(self, i: int) -> None:
+        clusters, item_cluster = self.clusters, self.item_cluster
         self._arrays_current = False
-        cid = self.item_cluster[i]
-        cl = self.clusters[cid]
+        cid = item_cluster[i]
+        cl = clusters[cid]
         cl.members.discard(i)
-        self.colour_totals[cl.colour] -= 1
-        self.item_cluster[i] = -1
+        self._colour_totals[cl.colour] -= 1
+        item_cluster[i] = -1
         if not cl.members:
-            del self.clusters[cid]
+            del clusters[cid]
         else:
             eng = self.engines[cl.colour]
             cl.z = list(map(sub, cl.z, eng.xi[i]))
@@ -323,10 +367,11 @@ class ChainState:
 
     def _insert(self, i: int, move: tuple[str, int], log_m_after: float) -> int:
         """Place withdrawn item i as ``move`` says; returns its cluster's id."""
+        clusters = self.clusters
         self._arrays_current = False
         kind, key = move
         if kind == "existing":
-            cl = self.clusters[key]
+            cl = clusters[key]
             cl.members.add(i)
             eng = self.engines[cl.colour]
             cl.z = list(map(add, cl.z, eng.xi[i]))
@@ -339,9 +384,9 @@ class ChainState:
             z, yty = _summed(self.engines[colour], (i,))
             cid = self._next_cid
             self._next_cid += 1
-            self.clusters[cid] = _Cluster(colour, {i}, z, yty, log_m_after)
-        self.item_cluster[i] = cid
-        self.colour_totals[colour] += 1
+            clusters[cid] = _Cluster(colour, {i}, z, yty, log_m_after)
+        self._item_cluster[i] = cid
+        self._colour_totals[colour] += 1
         return cid
 
     def reallocate_item(self, i: int) -> None:
@@ -362,7 +407,8 @@ class ChainState:
         chain's model and engines, drawing the block's uniforms with one
         ``rng.random(n * sweeps)`` call; it reaches the same state, cluster
         ids and generator state as ``reallocate_item`` item by item, which
-        runs otherwise.
+        runs otherwise. The state stays in the kernel's arrays after the block;
+        the Python view is rebuilt from them when it is next read.
         """
         if self._arrays is False:
             lib = _sweep.library()
@@ -378,9 +424,12 @@ class ChainState:
             return
         if not self._arrays_current:
             self._to_arrays(arrays)
-        self._arrays_current = False  # until the block completes
+        # until the block completes; if it raises, a view that was current
+        # keeps the state before the block, and a stale one cannot be read
+        self._arrays_current = False
         arrays.run(self.rng.random(self.n * sweeps), sweeps)
-        self._from_arrays(arrays)
+        self._arrays_current, self._view_current = True, False
+        self._next_cid = int(arrays.next_cid[0])
 
     def _to_arrays(self, a: _sweep.SweepArrays) -> None:
         """Copy the state into the kernel's arrays, clusters in slots 0..k-1."""
@@ -400,22 +449,21 @@ class ChainState:
         a.colour_totals[:] = self.colour_totals
 
     def _from_arrays(self, a: _sweep.SweepArrays) -> None:
-        """Rebuild the state from the kernel's arrays, clusters in ``order``."""
+        """Rebuild the Python view from the kernel's arrays, clusters in ``order``."""
         slots = a.order[:a.n_clusters[0]]
-        self.item_cluster = a.cid[a.item_slot].tolist()
+        self._item_cluster = a.cid[a.item_slot].tolist()
         # items grouped by slot, each group in increasing order
         grouped = np.argsort(a.item_slot, kind="stable").tolist()
         ends = np.cumsum(np.bincount(a.item_slot, minlength=self.n)).tolist()
         counts = a.count.tolist()
-        self.clusters = {
+        self._clusters = {
             cid: _Cluster(colour, set(grouped[ends[s] - counts[s]:ends[s]]),
                           z[:a.dims[colour]], yty, log_m)
             for s, cid, colour, z, yty, log_m in zip(
                 slots.tolist(), a.cid[slots].tolist(), a.colour[slots].tolist(),
                 a.z[slots].tolist(), a.yty[slots].tolist(), a.log_m[slots].tolist())}
-        self.colour_totals = a.colour_totals.tolist()
-        self._next_cid = int(a.next_cid[0])
-        self._arrays_current = True
+        self._colour_totals = a.colour_totals.tolist()
+        self._view_current = True
 
     # -- block moves: single-item steps applied to a co-clustered block ----
 
@@ -589,6 +637,17 @@ def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
             trace.append(_record(state, sweep))
         sweep += 1
     return trace
+
+
+def _canonical(item_key: Sequence, colour_of, size_of, n_colours: int):
+    """``ChainState.canonical`` from three maps: item -> cluster key, and key
+    -> colour and key -> size (dicts over cluster ids, or lists over slots)."""
+    rank = {key: j for j, key in enumerate(dict.fromkeys(item_key))}
+    sizes = [[] for _ in range(n_colours)]
+    for key in rank:
+        sizes[colour_of[key]].append(size_of[key])
+    return (tuple(map(rank.__getitem__, item_key)),
+            tuple(map(colour_of.__getitem__, item_key)), sizes)
 
 
 def _record(state: ChainState, sweep: int) -> TraceRecord:

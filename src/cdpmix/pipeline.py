@@ -486,6 +486,15 @@ def _fmt(x: float) -> str:
     return _FLOAT_FMT.format(x)
 
 
+def _fmt_cells(values: np.ndarray) -> list[list[str]]:
+    """``_fmt`` of every entry of a 2-d float array, each distinct bit pattern
+    formatted once (a similarity matrix over R records has at most R + 1)."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys, where = np.unique(bits, return_inverse=True)
+    text = np.array([_fmt(v) for v in keys.view(np.float64)], dtype=object)
+    return text[where.reshape(values.shape)].tolist()
+
+
 def write_trace(path: str, ids: list[str], traces: list[list[TraceRecord]]) -> None:
     header = ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids]
     rows = []
@@ -572,7 +581,7 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
         written.append(name)
 
     emit("similarity.csv", ["id"] + dataset.ids,
-         [[item] + [_fmt(v) for v in rho[i]] for i, item in enumerate(dataset.ids)])
+         [[item] + row for item, row in zip(dataset.ids, _fmt_cells(rho))])
 
     emit("assignments.csv", ["id", "cluster", "colour"],
          [[item, j, cluster_colours[j]] for item, j in zip(dataset.ids, estimate.allocation())])

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cdpmix.errors import ValidationError
-from cdpmix.estimation import (LossSpec, SimilarityMatrix, accumulate_similarity,
-                               cluster_summaries, expected_pairwise_loss,
-                               optimal_partition)
+from cdpmix.estimation import (LossSpec, SimilarityMatrix, _agglomerate, _pair_score,
+                               accumulate_similarity, cluster_summaries,
+                               expected_pairwise_loss, optimal_partition)
 from cdpmix.gibbs import TraceRecord
 from cdpmix.partitions import Partition, enumerate_partitions
 
@@ -186,6 +186,63 @@ def test_greedy_never_beats_exact_and_beats_baselines():
         singles = expected_pairwise_loss(Partition([[i] for i in range(n)]), rho, loss)
         lump = expected_pairwise_loss(Partition([list(range(n))]), rho, loss)
         assert lg <= min(singles, lump) + 1e-12
+
+
+def _agglomerate_by_deletion(score):
+    """Oracle of ``_agglomerate``: the pair-cost matrix is compacted after
+    every merge and the candidates are read off its upper triangle."""
+    clusters = [[i] for i in range(score.shape[0])]
+    pair_cost = score.copy()
+    while len(clusters) > 1:
+        iu = np.triu_indices(len(clusters), 1)
+        vals = pair_cost[iu]
+        k = int(vals.argmin())
+        if vals[k] >= -1e-12:
+            break
+        a, b = int(iu[0][k]), int(iu[1][k])
+        clusters[a] = sorted(clusters[a] + clusters[b])
+        merged = pair_cost[a] + pair_cost[b]
+        pair_cost[a, :] = merged
+        pair_cost[:, a] = merged
+        pair_cost[a, a] = 0.0
+        pair_cost = np.delete(np.delete(pair_cost, b, axis=0), b, axis=1)
+        del clusters[b]
+    return clusters
+
+
+def _noisy_block_similarity(rng, n):
+    """Co-clustering of 200 records around one labelling, a few items moved
+    in each: values k/200, as a sampled chain gives them."""
+    base = rng.integers(0, rng.integers(1, 8), size=n)
+    draws = np.tile(base, (200, 1))
+    moved = rng.random(draws.shape) < 0.1
+    draws[moved] = rng.integers(0, 8, size=moved.sum())
+    return accumulate_similarity(draws).matrix
+
+
+def _asymmetric_similarity(rng, n):
+    rho = rng.random((n, n))
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+def test_agglomeration_matches_compacting_oracle():
+    # same merges, same order of the clusters, on tied and untied costs
+    rng = np.random.default_rng(13)
+    makers = (_labelling_similarity, _random_similarity, _noisy_block_similarity,
+              _asymmetric_similarity)
+    merges = 0
+    for trial in range(320):
+        n = int(rng.integers(1, 41))
+        rho = makers[trial % len(makers)](rng, n)
+        weights = rng.uniform(0.05, 3.0, size=2) if trial % 5 else rng.integers(0, 3, size=2)
+        if not weights.any():
+            weights[0] = 1
+        score = _pair_score(rho, LossSpec(*map(float, weights)))
+        clusters = _agglomerate(score)
+        assert clusters == _agglomerate_by_deletion(score)
+        merges += n - len(clusters)
+    assert merges > 3000
 
 
 def test_loss_invariant_under_consistent_relabelling():

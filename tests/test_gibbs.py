@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from cdpmix import _sweep
+from cdpmix import _sweep, gibbs
 from cdpmix.checks import _exact_posterior, _item_kernel, _one_sweep_matrix
 from cdpmix.conjugate import DesignBlock, NormalGammaSpec
 from cdpmix.errors import NumericalError, ValidationError
@@ -768,6 +768,96 @@ def test_huge_component_bound_gives_the_same_chain_on_both_paths(monkeypatch):
     compiled, python = on_both_paths(
         monkeypatch, lambda: run_chain(make_data(6), DESIGN, model, SPEC, plan))
     assert compiled == python
+
+
+def needs_kernel():
+    if _sweep.library() is None:
+        pytest.skip("the compiled sweep cannot be built here")
+
+
+@pytest.mark.parametrize("model", [
+    DirichletProcess(1.0),
+    DirichletMultinomial(3, 0.8),
+    PitmanYor(0.3, 1.0),
+    ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]),
+    BackgroundDirichletProcess(1.5, 1.0),
+], ids=["dp", "dm", "py", "cdp", "background"])
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkeypatch):
+    # each record is scored from the kernel's arrays when no subset move
+    # rebuilt the view since the block, then again from the rebuilt view
+    needs_kernel()
+    specs = ([BG_SPEC, SPEC] if isinstance(model, BackgroundDirichletProcess)
+             else [SPEC] * model.n_colours)
+    Y = make_data(9, seed=5)
+    plan = SweepPlan(sweeps=90, burn_in=13, thin=4, subset_move_rate=rate, seed=8)
+    expected = run_chain(Y, DESIGN, model, specs, plan)
+    record, sources = gibbs._record, Counter()
+
+    def both_sources(state, sweep):
+        sources["arrays" if not state._view_current else "view"] += 1
+        first = record(state, sweep)
+        assert state.clusters  # rebuilds a stale view
+        again = record(state, sweep)
+        assert (first.labels, first.colours) == (again.labels, again.colours)
+        assert (first.degree, first.colour_degrees) == (again.degree, again.colour_degrees)
+        assert bits([first.log_posterior]) == bits([again.log_posterior])
+        return first
+
+    monkeypatch.setattr(gibbs, "_record", both_sources)
+    assert run_chain(Y, DESIGN, model, specs, plan) == expected
+    assert sources["arrays"] > 0
+    assert (sources["view"] > 0) == (rate > 0)
+
+
+def test_thin_one_chain_builds_the_python_view_at_most_once(monkeypatch):
+    # the rat-run schedule: 400 sweeps, burn-in 200, every later sweep recorded
+    needs_kernel()
+    from cdpmix.pipeline import parse_config
+    cfg = parse_config({"preset": "wen-rat", "sweeps": 400, "burn_in": 200, "seed": 3,
+                        "out": "unused"})
+    rebuild, calls = ChainState._from_arrays, Counter()
+
+    def counted(state, arrays):
+        calls["rebuilds"] += 1
+        rebuild(state, arrays)
+
+    monkeypatch.setattr(ChainState, "_from_arrays", counted)
+    trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
+    assert len(trace) == 200
+    assert calls["rebuilds"] <= 1
+
+
+@pytest.mark.parametrize("error", ["rate", "weights"])
+@pytest.mark.parametrize("view", ["current", "stale"])
+def test_state_after_a_failed_block_is_the_last_view_or_unreadable(error, view):
+    # a block that raises leaves the arrays mid-move, with an item withdrawn;
+    # a view read before the block still holds the state before it, and a
+    # stale view raises instead of being rebuilt from the arrays
+    needs_kernel()
+    n = 4 if error == "rate" else 1
+    model = DirichletProcess(1.0) if error == "rate" else PitmanYor(0.5, 1.0)
+    state = ChainState(model, build_engines(make_data(n), DESIGN, SPEC, model), n,
+                       np.random.default_rng(3))
+    state.sweep(2)
+    before = state.snapshot() if view == "current" else None
+    if error == "rate":
+        state._arrays.rate_base[:] = -1e6
+    else:
+        state._arrays.params[1] = -0.4  # a strength that gives a first cluster no weight
+    with pytest.raises(NumericalError, match="^(posterior rate|all reallocation)"):
+        state.sweep(2)
+    if view == "current":
+        assert state.snapshot() == before
+        assert sorted(i for cl in state.clusters.values() for i in cl.members) == list(range(n))
+        assert all(i in state.clusters[cid].members for i, cid in enumerate(state.item_cluster))
+        assert sum(state.colour_totals) == n
+        return
+    for read in (lambda: state.clusters, lambda: state.item_cluster,
+                 lambda: state.colour_totals, state.snapshot, state.canonical,
+                 state.log_joint, lambda: state.sweep(1)):
+        with pytest.raises(NumericalError, match="lost when a block of sweeps failed"):
+            read()
 
 
 def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog):

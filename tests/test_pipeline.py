@@ -310,6 +310,17 @@ def test_trace_round_trip_reproduces_similarity(tiny_run):
     assert np.array_equal(sim.matrix, emitted)
 
 
+def test_formatted_cells_equal_formatting_each_cell():
+    # the similarity matrix is formatted once per distinct value
+    rng = np.random.default_rng(9)
+    rho = accumulate_similarity(rng.integers(0, 5, size=(997, 60))).matrix
+    values = np.vstack([rho[:40], rng.normal(size=(20, 60)) * 10.0 ** rng.integers(-300, 300, 60)])
+    values[0, :4] = [0.0, -0.0, np.inf, -np.inf]
+    assert len(np.unique(values)) > 1000
+    cells = pipeline._fmt_cells(values)
+    assert cells == [[pipeline._fmt(values[i, j]) for j in range(60)] for i in range(60)]
+
+
 def _write_trace_text(tmp_path, body: str) -> str:
     path = tmp_path / "trace.csv"
     path.write_text("chain,sweep,c:a,c:b,k:a,k:b\n0,5,0,1,0,0\n" + body)
