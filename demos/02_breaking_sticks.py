@@ -38,7 +38,8 @@ freqs = {}
 
 counts = np.zeros(len(states))
 for _ in range(reps):
-    counts[index[sample_dp_partition_via_sticks(n, theta, rng)]] += 1
+    labels = sample_dp_partition_via_sticks(n, theta, rng)
+    counts[index[Partition.from_allocation(labels)]] += 1
 freqs["sticks"] = counts / reps
 
 counts = np.zeros(len(states))

@@ -10,6 +10,11 @@
  * fast-math and without contraction into fused multiply-adds, it gives the
  * same doubles as the interpreter, so a seeded chain draws the same states.
  *
+ * A block can also record chosen sweeps as it goes: the canonical labelling
+ * of the state (cdpmix_canonical, clusters numbered by least member) and the
+ * live clusters' log marginals in insertion order, which is all a trace
+ * record needs besides the prior.
+ *
  * Clusters live in slots 0..n-1; `order` lists the live slots in insertion
  * order and `free_slots` is a stack of the others. Per colour c the static
  * tables are laid out as [c][item][pmax] (xi), [c][item] (yy, singles),
@@ -49,6 +54,7 @@ typedef struct {
     /* scratch of n + n_colours entries, then 3 * n_colours for the urn form */
     double *logw, *after, *totals, *urn;
     int64_t *target;                        /* slot, or -1 - colour for a new cluster */
+    int64_t *rank;                          /* [n]: a slot's canonical number, for labelling */
 } Kernel;
 
 /* log_marginal_z(count, z, yty, dz, dyy) of a colour-c cluster: dz may be
@@ -225,11 +231,49 @@ static void insert(Kernel *k, int64_t i, int64_t target, double log_m_after)
     k->colour_totals[c] += 1;
 }
 
-/* Runs `sweeps` sweeps, drawing item i of sweep t with uniforms[t * n + i].
- * Returns OK or the error that stopped it; the state is then mid-move. */
-int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps)
+/* The canonical labelling of the state, as Partition.allocation() gives it:
+ * labels[i] numbers item i's cluster by least member and colours[i] is its
+ * colour, and canonical cluster j has colour cl_colour[j] and size cl_size[j].
+ * Returns the number of clusters. */
+int64_t cdpmix_canonical(Kernel *k, int32_t *labels, int32_t *colours,
+                         int64_t *cl_colour, int64_t *cl_size)
+{
+    int64_t d = 0;
+    for (int64_t j = 0; j < *k->n_clusters; j++)
+        k->rank[k->order[j]] = -1;
+    for (int64_t i = 0; i < k->n; i++) {
+        const int64_t s = k->item_slot[i];
+        if (k->rank[s] < 0) {
+            cl_colour[d] = k->colour[s];
+            cl_size[d] = k->count[s];
+            k->rank[s] = d++;
+        }
+        labels[i] = (int32_t)k->rank[s];
+        colours[i] = (int32_t)k->colour[s];
+    }
+    return d;
+}
+
+/* The sweeps a block records and where it writes them: after block-relative
+ * sweep at[r] (increasing) record r is cdpmix_canonical into row r of labels
+ * and colours ([record][n]) and the cluster count into degree[r], then the
+ * clusters' colours and sizes and their log marginals in insertion order
+ * into cl_colour, cl_size and log_m, packed record after record. */
+typedef struct {
+    int64_t count;
+    const int64_t *at;
+    int32_t *labels, *colours;
+    int64_t *degree, *cl_colour, *cl_size;
+    double *log_m;
+} Records;
+
+/* Runs `sweeps` sweeps, drawing item i of sweep t with uniforms[t * n + i]
+ * and taking the records `rec` asks for (none when it is NULL). Returns OK
+ * or the error that stopped it; the state is then mid-move. */
+int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *rec)
 {
     const int64_t n = k->n;
+    int64_t r = 0, packed = 0;
     for (int64_t t = 0; t < sweeps; t++) {
         for (int64_t i = 0; i < n; i++) {
             int status = withdraw(k, i);
@@ -243,6 +287,14 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps)
             if (status != OK)
                 return status;
             insert(k, i, k->target[idx], k->after[idx]);
+        }
+        if (rec && r < rec->count && rec->at[r] == t) {
+            const int64_t d = cdpmix_canonical(k, rec->labels + r * n, rec->colours + r * n,
+                                               rec->cl_colour + packed, rec->cl_size + packed);
+            for (int64_t j = 0; j < d; j++)
+                rec->log_m[packed + j] = k->log_m[k->order[j]];
+            rec->degree[r++] = d;
+            packed += d;
         }
     }
     return OK;

@@ -12,7 +12,9 @@ returns None, and chains run the Python sweep.
 
 ``SweepArrays`` holds one chain's model, data tables and state in the flat
 arrays the kernel reads; ``gibbs.ChainState`` moves its state in and out of
-them at block boundaries.
+them at block boundaries. A block returns the ``Records`` of the sweeps it
+was asked to record, and ``SweepArrays.canonical`` labels the state between
+blocks.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +97,11 @@ def library() -> ctypes.CDLL | None:
     except (OSError, subprocess.SubprocessError) as exc:
         logger.warning("compiled Gibbs sweep unavailable, using the Python sweep: %s", exc)
         return None
-    lib.cdpmix_sweeps.argtypes = (ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64)
+    kernel, buffer = ctypes.POINTER(_Kernel), ctypes.c_void_p
+    lib.cdpmix_sweeps.argtypes = (kernel, buffer, ctypes.c_int64, ctypes.POINTER(_Records))
     lib.cdpmix_sweeps.restype = ctypes.c_int
+    lib.cdpmix_canonical.argtypes = (kernel,) + (buffer,) * 4
+    lib.cdpmix_canonical.restype = ctypes.c_int64
     return lib
 
 
@@ -119,7 +125,7 @@ _TABLES = ("params", "p", "rate_base", "z0", "xi", "yy", "singles", "recips", "a
            "cnst")
 _STATE = ("n_clusters", "next_cid", "n_free", "order", "free_slots", "cid", "colour",
           "count", "z", "yty", "log_m", "item_slot", "colour_totals", "logw", "after",
-          "totals", "urn", "target")
+          "totals", "urn", "target", "rank")
 
 
 class _Kernel(ctypes.Structure):
@@ -127,6 +133,28 @@ class _Kernel(ctypes.Structure):
 
     _fields_ = ([(name, ctypes.c_int64) for name in ("n", "n_colours", "pmax", "family")]
                 + [(name, ctypes.c_void_p) for name in _TABLES + _STATE])
+
+
+class _Records(ctypes.Structure):
+    """Mirror of the ``Records`` struct in ``_sweep.c``."""
+
+    _fields_ = ([("count", ctypes.c_int64)]
+                + [(name, ctypes.c_void_p) for name in ("at", "labels", "colours", "degree",
+                                                        "cl_colour", "cl_size", "log_m")])
+
+
+class Records(NamedTuple):
+    """The sweeps a block recorded, as the kernel writes them: per record its
+    canonical labels and colours (rows of ``labels`` and ``colours``) and its
+    cluster count ``degree``; per cluster, record after record, its colour and
+    size in canonical order and its log marginal in insertion order."""
+
+    labels: np.ndarray
+    colours: np.ndarray
+    degree: np.ndarray
+    cluster_colour: np.ndarray
+    cluster_size: np.ndarray
+    log_m: np.ndarray
 
 
 class SweepArrays:
@@ -170,6 +198,7 @@ class SweepArrays:
         self.logw, self.after, self.totals = (np.zeros(n + C) for _ in range(3))
         self.urn = np.zeros(3 * C)
         self.target = np.zeros(n + C, dtype=i64)
+        self.rank = np.zeros(n, dtype=i64)
         # for moving state in and out: slot numbers, and per colour its
         # coordinate count and the zeros that pad its z to pmax
         self.slots = np.arange(n, dtype=i64)
@@ -178,15 +207,47 @@ class SweepArrays:
         # the struct holds raw pointers; the arrays above keep their buffers alive
         self._struct = _Kernel(n, C, pmax, family,
                                *(getattr(self, name).ctypes.data for name in _TABLES + _STATE))
-        self._sweeps = lib.cdpmix_sweeps
+        self._lib = lib
         self.n = n
+        # the canonical labelling between blocks is written into these
+        self._canonical = (np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
+                           np.empty(n, dtype=i64), np.empty(n, dtype=i64))
+        self._kernel = ctypes.byref(self._struct)
+        self._canonical_args = (self._kernel, *(a.ctypes.data for a in self._canonical))
 
-    def run(self, uniforms: np.ndarray, sweeps: int) -> None:
+    def run(self, uniforms: np.ndarray, sweeps: int, record_at=()) -> Records | None:
         """``sweeps`` sweeps over the state arrays, item i of sweep t drawn with
-        ``uniforms[t * n + i]``; raises the Python sweep's ``NumericalError``."""
+        ``uniforms[t * n + i]``, recording the state after each sweep t in the
+        increasing ``record_at`` (None when it is empty); raises the Python
+        sweep's ``NumericalError``."""
         uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
         if uniforms.shape != (sweeps * self.n,):
             raise ValueError(f"need {sweeps * self.n} uniforms, got shape {uniforms.shape}")
-        status = self._sweeps(ctypes.byref(self._struct), uniforms.ctypes.data, sweeps)
+        out = rec = None
+        if len(record_at):
+            at = np.array(record_at, dtype=np.int64)
+            if not (at[0] >= 0 and at[-1] < sweeps and (np.diff(at) > 0).all()):
+                raise ValueError(f"record_at must increase within [0, {sweeps}), "
+                                 f"got {record_at!r}")
+            rows, n = at.size, self.n
+            out = Records(np.empty((rows, n), dtype=np.int32),
+                          np.empty((rows, n), dtype=np.int32), np.empty(rows, dtype=np.int64),
+                          np.empty(rows * n, dtype=np.int64), np.empty(rows * n, dtype=np.int64),
+                          np.empty(rows * n))
+            rec = ctypes.byref(_Records(rows, at.ctypes.data, *(a.ctypes.data for a in out)))
+        status = self._lib.cdpmix_sweeps(self._kernel, uniforms.ctypes.data, sweeps, rec)
         if status:
             raise NumericalError(_ERRORS[status])
+        if out is None:
+            return None
+        packed = int(out.degree.sum())
+        return out._replace(**{name: getattr(out, name)[:packed]
+                               for name in ("cluster_colour", "cluster_size", "log_m")})
+
+    def canonical(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The state's canonical labelling, as ``cdpmix_canonical`` writes it:
+        labels and colours per item, and colour and size per cluster."""
+        d = self._lib.cdpmix_canonical(*self._canonical_args)
+        labels, colours, cluster_colour, cluster_size = self._canonical
+        return (labels.tolist(), colours.tolist(), cluster_colour[:d].tolist(),
+                cluster_size[:d].tolist())

@@ -179,8 +179,7 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
         return counts
 
     draws = {
-        "sticks": freq(lambda rng: sample_dp_partition_via_sticks(n, theta, rng).allocation(),
-                       SEED + 1),
+        "sticks": freq(lambda rng: sample_dp_partition_via_sticks(n, theta, rng), SEED + 1),
         "urn": freq(lambda rng: sample_polya_sequence(n, theta, UniformBase(), rng)[0],
                     SEED + 2),
         "finite": freq(lambda rng: sample_finite_mixture_alloc(

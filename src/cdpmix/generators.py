@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .partitions import ColouredPartition, Partition
+from .partitions import ColouredPartition
 from .priors import ColouredDirichletProcess
 
 
@@ -142,15 +142,15 @@ class _LazySticks:
 
 
 def sample_dp_partition_via_sticks(n: int, concentration: float,
-                                   rng: np.random.Generator) -> Partition:
-    """Partition of n items induced by ties among lazily-broken stick atoms."""
+                                   rng: np.random.Generator) -> list[int]:
+    """Stick atoms of n items, lazily broken: ties among the labels induce the
+    partition (``Partition.from_allocation`` builds it)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     if not concentration > 0:
         raise ValidationError("concentration must be > 0")
     sticks = _LazySticks(rng, 1.0, concentration)
-    labels = [sticks.locate(rng.random()) for _ in range(n)]
-    return Partition.from_allocation(labels)
+    return [sticks.locate(rng.random()) for _ in range(n)]
 
 
 def sample_finite_mixture_alloc(components: int, weight: float, n: int,

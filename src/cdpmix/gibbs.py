@@ -30,11 +30,14 @@ compiled kernel (``_sweep.c``, see ``_sweep``) builds, it runs a block of
 sweeps over flat arrays of the state, repeating the arithmetic and the draws
 of ``reallocate_item`` with the block's uniforms drawn in one call, so it
 reaches the same state bit for bit; ``reallocate_item`` stays as the
-reference and the fallback. ``run_chain`` hands it each run of sweeps up to
-the next record or subset move. Between blocks the state stays in the
-arrays: the Python view (``clusters``, ``item_cluster``, ``colour_totals``)
-is rebuilt from them only when something reads it, and ``canonical`` and
-``log_likelihood``, which score the trace records, read the arrays directly.
+reference and the fallback. Without subset moves ``run_chain`` hands it the
+whole chain in blocks of at most ``_BLOCK_UNIFORMS`` uniforms, and the kernel
+takes the retained sweeps' records itself: their canonical labels, cluster
+sizes and cluster marginals, which ``_kernel_records`` scores with the prior.
+Between blocks the state stays in the arrays: the Python view (``clusters``,
+``item_cluster``, ``colour_totals``) is rebuilt from them only when something
+reads it, and ``canonical`` and ``log_likelihood``, which score the trace
+records of a subset-move chain, read the arrays directly.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ from . import _sweep
 from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec
 from .errors import NumericalError, ValidationError
 from .partitions import ColouredPartition, Partition
-from .priors import LOG_ZERO, BackgroundDirichletProcess, PartitionPrior, check_kind
+from .priors import (LOG_ZERO, BackgroundDirichletProcess, DirichletMultinomial,
+                     PartitionPrior, check_kind)
 
 
 class NIGEngine:
@@ -196,10 +200,15 @@ class ChainState:
         return Partition(groups[0], n=self.n)
 
     def _default_initial(self) -> Partition | ColouredPartition:
+        """All singletons; a Dirichlet-multinomial prior with K < n components,
+        which gives that state no mass, starts from K blocks of consecutive
+        items instead. Neither start draws from the generator."""
+        n, model = self.n, self.model
         col = (BackgroundDirichletProcess.REGULAR
-               if isinstance(self.model, BackgroundDirichletProcess) else 0)
-        groups = [[] for _ in range(self.model.n_colours)]
-        groups[col] = [[i] for i in range(self.n)]
+               if isinstance(model, BackgroundDirichletProcess) else 0)
+        groups = [[] for _ in range(model.n_colours)]
+        k = min(model.components, n) if isinstance(model, DirichletMultinomial) else n
+        groups[col] = [list(range(j * n // k, (j + 1) * n // k)) for j in range(k)]
         return self._partition(groups)
 
     def _load(self, partition: Partition | ColouredPartition) -> None:
@@ -266,16 +275,18 @@ class ChainState:
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
         """``(labels, colours)`` as ``snapshot().allocation()`` gives them, with
         clusters numbered by least member, plus each colour's cluster sizes in
-        that order. Read from the kernel's arrays when the view is stale."""
-        if self._view_current:
-            clusters = self._clusters
-            return _canonical(self._item_cluster,
-                              {cid: cl.colour for cid, cl in clusters.items()},
-                              {cid: len(cl.members) for cid, cl in clusters.items()},
-                              self.model.n_colours)
-        a = self._live_arrays()
-        return _canonical(a.item_slot.tolist(), a.colour.tolist(), a.count.tolist(),
-                          self.model.n_colours)
+        that order. Labelled by the kernel when the view is stale."""
+        n_colours = self.model.n_colours
+        if not self._view_current:
+            labels, colours, cluster_colour, cluster_size = self._live_arrays().canonical()
+            return (tuple(labels), tuple(colours),
+                    _sizes_by_colour(cluster_colour, cluster_size, n_colours))
+        clusters, item_cluster = self._clusters, self._item_cluster
+        rank = {cid: j for j, cid in enumerate(dict.fromkeys(item_cluster))}
+        return (tuple(map(rank.__getitem__, item_cluster)),
+                tuple(clusters[cid].colour for cid in item_cluster),
+                _sizes_by_colour([clusters[cid].colour for cid in rank],
+                                 [len(clusters[cid].members) for cid in rank], n_colours))
 
     def log_likelihood(self) -> float:
         """Sum of the cached cluster marginals, in insertion order."""
@@ -400,15 +411,18 @@ class ChainState:
 
     # -- blocks of sweeps: compiled when the kernel is available -------------
 
-    def sweep(self, sweeps: int = 1) -> None:
-        """Reallocate items 0..n-1 in order, ``sweeps`` times over.
+    def sweep(self, sweeps: int = 1, keep=(), first: int = 0) -> list[TraceRecord]:
+        """Reallocate items 0..n-1 in order, ``sweeps`` times over, and return
+        the trace record of each sweep whose number is in ``keep``, the
+        block's sweeps being numbered from ``first``.
 
         The compiled kernel runs the block when it is available for this
         chain's model and engines, drawing the block's uniforms with one
         ``rng.random(n * sweeps)`` call; it reaches the same state, cluster
         ids and generator state as ``reallocate_item`` item by item, which
-        runs otherwise. The state stays in the kernel's arrays after the block;
-        the Python view is rebuilt from them when it is next read.
+        runs otherwise, and takes the records as ``_record`` would. The state
+        stays in the kernel's arrays after the block; the Python view is
+        rebuilt from them when it is next read.
         """
         if self._arrays is False:
             lib = _sweep.library()
@@ -417,19 +431,25 @@ class ChainState:
             self._arrays = (_sweep.SweepArrays(lib, self.model, self.engines, self.n)
                             if lib is not None and supported else None)
         arrays = self._arrays
+        kept = [sweep for sweep in range(first, first + sweeps) if sweep in keep] if keep else []
         if arrays is None:
-            for _ in range(sweeps):
+            records = []
+            for sweep in range(first, first + sweeps):
                 for i in range(self.n):
                     self.reallocate_item(i)
-            return
+                if sweep in keep:
+                    records.append(_record(self, sweep))
+            return records
         if not self._arrays_current:
             self._to_arrays(arrays)
         # until the block completes; if it raises, a view that was current
         # keeps the state before the block, and a stale one cannot be read
         self._arrays_current = False
-        arrays.run(self.rng.random(self.n * sweeps), sweeps)
+        taken = arrays.run(self.rng.random(self.n * sweeps), sweeps,
+                           [sweep - first for sweep in kept])
         self._arrays_current, self._view_current = True, False
         self._next_cid = int(arrays.next_cid[0])
+        return _kernel_records(self.model, self.n, kept, taken) if kept else []
 
     def _to_arrays(self, a: _sweep.SweepArrays) -> None:
         """Copy the state into the kernel's arrays, clusters in slots 0..k-1."""
@@ -604,8 +624,9 @@ def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
 
     A sweep reallocates items 0..n-1 in order, then performs one random
     subset move with probability ``plan.subset_move_rate``. The chain starts
-    from all-singleton clusters unless ``initial`` is given, and is fully
-    determined by ``plan.seed``.
+    from ``ChainState``'s default state (all singletons, unless a bounded
+    prior forbids it) unless ``initial`` is given, and is fully determined by
+    ``plan.seed``.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 1:
@@ -618,40 +639,58 @@ def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
     if engines is None:
         engines = build_engines(Y, design, specs, model)
     state = ChainState(model, engines, n, rng, initial=initial)
+    kept = range(plan.burn_in, plan.sweeps, plan.thin)
+    if plan.subset_move_rate == 0:
+        # nothing between sweeps reads the state or draws, so a block runs
+        # until its uniforms reach the cap or the chain ends
+        block = max(_BLOCK_UNIFORMS // n, 1)
+        return [rec for first in range(0, plan.sweeps, block)
+                for rec in state.sweep(min(block, plan.sweeps - first), kept, first)]
     trace: list[TraceRecord] = []
-    sweep = 0
-    while sweep < plan.sweeps:
-        # a block ends where a subset move may follow or a record is taken,
-        # so nothing between its sweeps reads the state or draws uniforms
-        if plan.subset_move_rate > 0:
-            last = sweep
-        else:
-            to_record = max(plan.burn_in - sweep, (plan.burn_in - sweep) % plan.thin)
-            last = min(sweep + to_record, plan.sweeps - 1,
-                       sweep + max(_BLOCK_UNIFORMS // n, 1) - 1)
-        state.sweep(last - sweep + 1)
-        sweep = last
-        if plan.subset_move_rate > 0 and rng.random() < plan.subset_move_rate:
+    for sweep in range(plan.sweeps):
+        state.sweep()
+        if rng.random() < plan.subset_move_rate:
             state.random_subset_move(plan.subset_max_size)
-        if sweep >= plan.burn_in and (sweep - plan.burn_in) % plan.thin == 0:
+        if sweep in kept:
             trace.append(_record(state, sweep))
-        sweep += 1
     return trace
 
 
-def _canonical(item_key: Sequence, colour_of, size_of, n_colours: int):
-    """``ChainState.canonical`` from three maps: item -> cluster key, and key
-    -> colour and key -> size (dicts over cluster ids, or lists over slots)."""
-    rank = {key: j for j, key in enumerate(dict.fromkeys(item_key))}
+def _sizes_by_colour(cluster_colours: Sequence[int], cluster_sizes: Sequence[int],
+                     n_colours: int) -> list[list[int]]:
+    """Each colour's cluster sizes, in the order the clusters are listed."""
     sizes = [[] for _ in range(n_colours)]
-    for key in rank:
-        sizes[colour_of[key]].append(size_of[key])
-    return (tuple(map(rank.__getitem__, item_key)),
-            tuple(map(colour_of.__getitem__, item_key)), sizes)
+    for colour, size in zip(cluster_colours, cluster_sizes):
+        sizes[colour].append(size)
+    return sizes
+
+
+def _scored(model: PartitionPrior, n: int, sweep: int, labels: tuple, colours: tuple,
+            sizes: list[list[int]], log_likelihood: float) -> TraceRecord:
+    colour_degrees = tuple(map(len, sizes))
+    return TraceRecord(sweep, labels, colours, sum(colour_degrees), colour_degrees,
+                       model.log_eppf_sizes(sizes, n) + log_likelihood)
 
 
 def _record(state: ChainState, sweep: int) -> TraceRecord:
-    labels, colours, sizes = state.canonical()
-    colour_degrees = tuple(map(len, sizes))
-    log_post = state.model.log_eppf_sizes(sizes, state.n) + state.log_likelihood()
-    return TraceRecord(sweep, labels, colours, sum(colour_degrees), colour_degrees, log_post)
+    """The record of the chain's current state."""
+    return _scored(state.model, state.n, sweep, *state.canonical(), state.log_likelihood())
+
+
+def _kernel_records(model: PartitionPrior, n: int, sweeps: list[int],
+                    taken: _sweep.Records) -> list[TraceRecord]:
+    """The records a compiled block took of ``sweeps``, scored as ``_record``
+    scores them: the log likelihood is the built-in ``sum`` of the clusters'
+    marginals in insertion order, as ``log_likelihood`` adds them."""
+    cluster_colour, cluster_size = taken.cluster_colour.tolist(), taken.cluster_size.tolist()
+    log_m = taken.log_m.tolist()
+    records, start = [], 0
+    for sweep, labels, colours, degree in zip(sweeps, taken.labels.tolist(),
+                                              taken.colours.tolist(), taken.degree.tolist()):
+        end = start + degree
+        sizes = _sizes_by_colour(cluster_colour[start:end], cluster_size[start:end],
+                                 model.n_colours)
+        records.append(_scored(model, n, sweep, tuple(labels), tuple(colours), sizes,
+                               float(sum(log_m[start:end]))))
+        start = end
+    return records

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from numbers import Real
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -495,13 +495,68 @@ def _fmt_cells(values: np.ndarray) -> list[list[str]]:
     return text[where.reshape(values.shape)].tolist()
 
 
-def write_trace(path: str, ids: list[str], traces: list[list[TraceRecord]]) -> None:
-    header = ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids]
-    rows = []
-    for chain_idx, trace in enumerate(traces):
-        for rec in trace:
-            rows.append([chain_idx, rec.sweep, *rec.labels, *rec.colours])
-    _write_csv(path, header, rows)
+class TraceTable(NamedTuple):
+    """The retained sweeps of every chain, in order, as arrays: per record its
+    chain and sweep number, and the R x n canonical labels and colours."""
+
+    chain: np.ndarray
+    sweep: np.ndarray
+    labels: np.ndarray
+    colours: np.ndarray
+
+
+def stack_traces(traces: Sequence[Sequence[TraceRecord]], n: int) -> TraceTable:
+    """The records of each chain, chain after chain, as one ``TraceTable``."""
+    records = [rec for trace in traces for rec in trace]
+    return TraceTable(np.repeat(np.arange(len(traces)), [len(trace) for trace in traces]),
+                      np.array([rec.sweep for rec in records], dtype=np.int64),
+                      np.array([rec.labels for rec in records], dtype=np.int32).reshape(-1, n),
+                      np.array([rec.colours for rec in records], dtype=np.int32).reshape(-1, n))
+
+
+#: Trace rows formatted at a time, which bounds the memory the cell strings take.
+_TRACE_CHUNK = 4096
+
+
+def _csv_int_rows(body: np.ndarray) -> str:
+    """The rows of a 2-d integer array as ``csv.writer`` writes them, each
+    distinct value formatted once into a string that carries the separator
+    after it (a comma, or the newline that ends the row)."""
+    lo, hi = int(body.min()), int(body.max())
+    if hi - lo < body.size:
+        # few values, or a narrow range of them: mark the ones present
+        offset = body - lo
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[offset] = True
+        keys = np.flatnonzero(present) + lo
+        where = (np.cumsum(present) - 1)[offset]
+        del offset
+    else:
+        keys, where = np.unique(body, return_inverse=True)
+        where = where.reshape(body.shape)
+    text = list(map(str, keys.tolist()))
+    table = np.array([t + "," for t in text] + [t + "\n" for t in text], dtype=object)
+    where[:, -1] += len(text)
+    cells = table[where]
+    del where  # the strings of a chunk are the largest thing held here
+    return "".join(cells.ravel().tolist())
+
+
+def write_trace(path: str, ids: list[str],
+                traces: Sequence[Sequence[TraceRecord]] | TraceTable) -> None:
+    """Write ``trace.csv``: a header, then per retained sweep its chain and
+    sweep number, canonical labels and colours. ``traces`` is one list of
+    records per chain, or the ``TraceTable`` they stack into."""
+    if not isinstance(traces, TraceTable):
+        traces = stack_traces(traces, len(ids))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
+        for start in range(0, len(traces.sweep), _TRACE_CHUNK):
+            rows = slice(start, start + _TRACE_CHUNK)
+            fh.write(_csv_int_rows(np.column_stack(
+                [traces.chain[rows], traces.sweep[rows], traces.labels[rows],
+                 traces.colours[rows]])))
 
 
 def _bad_trace_line(path: str, width: int) -> ValidationError:
@@ -619,13 +674,12 @@ def run_pipeline(config: RunConfig) -> dict:
         raise ValidationError(f"output directory {config.out_dir!r} is not writable") from exc
 
     traces = run_chains(config)
-    write_trace(os.path.join(config.out_dir, "trace.csv"), config.dataset.ids, traces)
+    table = stack_traces(traces, config.dataset.n)
+    write_trace(os.path.join(config.out_dir, "trace.csv"), config.dataset.ids, table)
     artifacts = ["trace.csv"]
-    records = [rec for trace in traces for rec in trace]
     written, estimate_info = _summarize_outputs(
         config.out_dir, config.dataset, config.model, config.loss, config.strategy,
-        np.array([rec.labels for rec in records], dtype=np.int32),
-        np.array([rec.colours for rec in records], dtype=np.int32))
+        table.labels, table.colours)
     artifacts += written
 
     # the output location is not part of the run's content; keep same-seed
@@ -639,7 +693,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "n_samples": config.dataset.n_samples,
         "artifacts": sorted(artifacts + ["manifest.json"]),
         "estimate": estimate_info,
-        "log_posterior": [rec.log_posterior for rec in records],
+        "log_posterior": [rec.log_posterior for trace in traces for rec in trace],
     }
     with open(os.path.join(config.out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

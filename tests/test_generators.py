@@ -115,8 +115,8 @@ def test_two_parameter_gem_bounds_and_domain():
 
 def test_stick_partition_two_items_cocluster_probability():
     rng = np.random.default_rng(10)
-    together = sum(sample_dp_partition_via_sticks(2, 1.0, rng).degree == 1
-                   for _ in range(100_000))
+    together = sum(Partition.from_allocation(
+        sample_dp_partition_via_sticks(2, 1.0, rng)).degree == 1 for _ in range(100_000))
     assert together / 100_000 == pytest.approx(0.5, abs=0.01)
 
 
@@ -126,7 +126,8 @@ def test_stick_partition_frequencies_match_eppf():
     index = {p: i for i, p in enumerate(states)}
     counts = np.zeros(len(states))
     for _ in range(30_000):
-        counts[index[sample_dp_partition_via_sticks(3, 1.0, rng)]] += 1
+        labels = sample_dp_partition_via_sticks(3, 1.0, rng)
+        counts[index[Partition.from_allocation(labels)]] += 1
     probs = np.array([math.exp(log_eppf(DirichletProcess(1.0), p)) for p in states])
     assert chi2_ok(counts, probs)
 
@@ -134,8 +135,8 @@ def test_stick_partition_frequencies_match_eppf():
 def test_stick_partition_large_concentration_gives_singletons():
     rng = np.random.default_rng(12)
     theta, n, reps = 1000.0, 4, 10_000
-    frac = sum(sample_dp_partition_via_sticks(n, theta, rng).degree == n
-               for _ in range(reps)) / reps
+    frac = sum(Partition.from_allocation(
+        sample_dp_partition_via_sticks(n, theta, rng)).degree == n for _ in range(reps)) / reps
     expect = math.prod(theta / (theta + i) for i in range(1, n))
     assert frac == pytest.approx(expect, abs=0.01)
 
@@ -313,7 +314,8 @@ def test_constructions_agree_pairwise(theta):
     rng = np.random.default_rng(24)
     sticks = np.zeros(len(states))
     for _ in range(reps):
-        sticks[index[sample_dp_partition_via_sticks(3, theta, rng)]] += 1
+        labels = sample_dp_partition_via_sticks(3, theta, rng)
+        sticks[index[Partition.from_allocation(labels)]] += 1
     urn = np.zeros(len(states))
     for _ in range(reps):
         labels, _ = sample_polya_sequence(3, theta, UniformBase(), rng)

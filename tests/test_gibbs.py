@@ -3,6 +3,7 @@ import logging
 import math
 import re
 import shutil
+import subprocess
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -86,6 +87,15 @@ def assert_same_state(a, b):
         assert bits(cl.z) == bits(other.z)
         assert bits([cl.yty, cl.log_m]) == bits([other.yty, other.log_m])
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
+
+def assert_same_records(got, expected):
+    """Records equal field by field, log posteriors bit for bit."""
+    assert [r.sweep for r in got] == [r.sweep for r in expected]
+    for a, b in zip(got, expected):
+        assert (a.labels, a.colours) == (b.labels, b.colours)
+        assert (a.degree, a.colour_degrees) == (b.degree, b.colour_degrees)
+        assert bits([a.log_posterior]) == bits([b.log_posterior])
 
 
 def make_data(n, seed=42):
@@ -402,7 +412,8 @@ def test_subset_move_without_a_possible_placement_puts_the_block_back():
     n = 4
     model = DirichletMultinomial(2, 0.8)
     engines = build_engines(make_data(n), DESIGN, SPEC, model)
-    state = ChainState(model, engines, n, np.random.default_rng(3))
+    state = ChainState(model, engines, n, np.random.default_rng(3),
+                       initial=Partition([[i] for i in range(n)]))
     before = state.snapshot()
     for _ in range(20):
         replay = np.random.default_rng()
@@ -417,15 +428,29 @@ def test_subset_move_without_a_possible_placement_puts_the_block_back():
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_bounded_components_chain_leaves_its_zero_probability_start(seed):
+def test_bounded_components_chain_starts_in_a_feasible_state(seed):
     # a Dirichlet-multinomial chain with fewer components than items starts
-    # from all singletons; with a subset move every sweep it must not fail
-    # and must reach a state the prior allows
+    # from at most that many clusters, drawing nothing, so every record,
+    # the first included, has a finite log posterior
     Y = np.random.default_rng(seed).normal(size=(40, 2)) * 1.5
+    model = DirichletMultinomial(2, 0.8)
+    engines = build_engines(Y, DESIGN, SPEC, model)
+    rng = np.random.default_rng(seed)
+    start = ChainState(model, engines, 40, rng)
+    assert start.snapshot() == Partition([list(range(20)), list(range(20, 40))])
+    assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
     plan = SweepPlan(sweeps=60, burn_in=0, subset_move_rate=1.0, seed=seed)
-    trace = run_chain(Y, DESIGN, DirichletMultinomial(2, 0.8), SPEC, plan)
-    assert trace[0].log_posterior == LOG_ZERO
-    assert trace[-1].degree <= 2 and math.isfinite(trace[-1].log_posterior)
+    trace = run_chain(Y, DESIGN, model, SPEC, plan)
+    assert math.isfinite(trace[0].log_posterior)
+    assert all(rec.degree <= 2 and math.isfinite(rec.log_posterior) for rec in trace)
+
+
+def test_unbounded_or_ample_components_start_from_singletons():
+    model = DirichletMultinomial(5, 0.8)
+    for n in (3, 5):
+        engines = build_engines(make_data(n), DESIGN, SPEC, model)
+        state = ChainState(model, engines, n, np.random.default_rng(0))
+        assert state.snapshot() == Partition([[i] for i in range(n)])
 
 
 # ----------------------------------------------------------- coloured moves
@@ -680,8 +705,10 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case):
     # _sample_index's cumulative walk: same labels, statistics, marginals and
     # RNG stream, bit for bit; every cached marginal must also equal
     # log_marginal_z of the cached statistics, which pins the inline pricing.
-    # The compiled kernel, run in blocks of one and of several sweeps, must
-    # reach the same state at every block's end.
+    # The compiled kernel, run in blocks of one and of several sweeps that
+    # record every third sweep from sweep 2, must reach the same state and
+    # generator state at every block's end, and take the records _record
+    # takes of the step-by-step chain.
     design = X_DESIGN if case == "X" else DESIGN
     regular = {"no-X": SPEC, "X": X_SPEC, "no-X-mean": MEAN_SPEC}[case]
     if isinstance(model, BackgroundDirichletProcess):
@@ -700,8 +727,11 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case):
         ChainState(model, engines, n, np.random.default_rng(22), initial=initial)
         for _ in range(3))
     kinds = Counter()
+    keep = range(2, 30, 3)
+    first = 0
     for block in [1, 1, 4, 1, 7, 2, 1, 13]:  # 30 sweeps
-        for _ in range(block):
+        expected = []
+        for sweep in range(first, first + block):
             for i in range(n):
                 fused.reallocate_item(i)
                 steps._withdraw(i)
@@ -712,8 +742,13 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case):
                 assert_same_state(fused, steps)
                 for cl in fused.clusters.values():
                     assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
-        compiled.sweep(block)
+            if sweep in keep:
+                expected.append(gibbs._record(steps, sweep))
+        records = compiled.sweep(block, keep, first)
+        assert compiled.rng.bit_generator.state == steps.rng.bit_generator.state
+        assert_same_records(records, expected)
         assert_same_state(compiled, steps)
+        first += block
     assert (compiled._arrays is not None) == (_sweep.library() is not None)
     assert kinds["existing"] > 100 and kinds["new"] > 0
 
@@ -784,48 +819,96 @@ def needs_kernel():
 ], ids=["dp", "dm", "py", "cdp", "background"])
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkeypatch):
-    # each record is scored from the kernel's arrays when no subset move
-    # rebuilt the view since the block, then again from the rebuilt view
+    # without subset moves the kernel takes every record inside its block:
+    # each must equal _record of the view rebuilt after that sweep, for thin
+    # 1, 3 and 7 and burn-ins that are not multiples of thin. With subset
+    # moves _record scores each record from the arrays when no move rebuilt
+    # the view since the block, and must agree with the rebuilt view.
     needs_kernel()
     specs = ([BG_SPEC, SPEC] if isinstance(model, BackgroundDirichletProcess)
              else [SPEC] * model.n_colours)
     Y = make_data(9, seed=5)
-    plan = SweepPlan(sweeps=90, burn_in=13, thin=4, subset_move_rate=rate, seed=8)
-    expected = run_chain(Y, DESIGN, model, specs, plan)
     record, sources = gibbs._record, Counter()
 
     def both_sources(state, sweep):
         sources["arrays" if not state._view_current else "view"] += 1
         first = record(state, sweep)
         assert state.clusters  # rebuilds a stale view
-        again = record(state, sweep)
-        assert (first.labels, first.colours) == (again.labels, again.colours)
-        assert (first.degree, first.colour_degrees) == (again.degree, again.colour_degrees)
-        assert bits([first.log_posterior]) == bits([again.log_posterior])
+        assert_same_records([first], [record(state, sweep)])
         return first
 
     monkeypatch.setattr(gibbs, "_record", both_sources)
-    assert run_chain(Y, DESIGN, model, specs, plan) == expected
-    assert sources["arrays"] > 0
-    assert (sources["view"] > 0) == (rate > 0)
+    if rate > 0:
+        plan = SweepPlan(sweeps=90, burn_in=13, thin=4, subset_move_rate=rate, seed=8)
+        with monkeypatch.context() as m:
+            m.setattr(gibbs, "_record", record)
+            expected = run_chain(Y, DESIGN, model, specs, plan)
+        assert run_chain(Y, DESIGN, model, specs, plan) == expected
+        assert sources["arrays"] > 0 and sources["view"] > 0
+        return
+    engines = build_engines(Y, DESIGN, specs, model)
+    for burn_in, thin in [(5, 1), (13, 3), (9, 7)]:
+        plan = SweepPlan(sweeps=60, burn_in=burn_in, thin=thin, seed=8)
+        taken = run_chain(Y, DESIGN, model, specs, plan, engines=engines)
+        assert not sources  # the kernel took every record
+        # the same chain one sweep per block, each retained sweep recorded
+        # from the rebuilt view
+        state = ChainState(model, engines, 9, np.random.default_rng(8))
+        expected = []
+        for sweep in range(plan.sweeps):
+            assert state.sweep() == []
+            if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+                assert state.clusters
+                expected.append(record(state, sweep))
+        assert len(taken) == len(range(burn_in, 60, thin))
+        assert_same_records(taken, expected)
 
 
 def test_thin_one_chain_builds_the_python_view_at_most_once(monkeypatch):
-    # the rat-run schedule: 400 sweeps, burn-in 200, every later sweep recorded
+    # the rat-run schedule: 400 sweeps, burn-in 200, every later sweep
+    # recorded, in one kernel call that takes the records itself
     needs_kernel()
     from cdpmix.pipeline import parse_config
     cfg = parse_config({"preset": "wen-rat", "sweeps": 400, "burn_in": 200, "seed": 3,
                         "out": "unused"})
-    rebuild, calls = ChainState._from_arrays, Counter()
+    rebuild, run, calls = ChainState._from_arrays, _sweep.SweepArrays.run, Counter()
 
     def counted(state, arrays):
         calls["rebuilds"] += 1
         rebuild(state, arrays)
 
+    def counted_run(arrays, uniforms, sweeps, record_at=()):
+        calls["blocks"] += 1
+        return run(arrays, uniforms, sweeps, record_at)
+
+    def no_record(state, sweep):
+        raise AssertionError("a record was scored in Python")
+
     monkeypatch.setattr(ChainState, "_from_arrays", counted)
+    monkeypatch.setattr(_sweep.SweepArrays, "run", counted_run)
+    monkeypatch.setattr(gibbs, "_record", no_record)
     trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
-    assert len(trace) == 200
-    assert calls["rebuilds"] <= 1
+    assert [rec.sweep for rec in trace] == list(range(200, 400))
+    assert calls["rebuilds"] <= 1 and calls["blocks"] == 1
+
+
+def test_blocks_end_at_the_uniform_cap_and_keep_the_records(monkeypatch):
+    # a chain longer than one block's uniforms runs in several kernel calls;
+    # records that straddle the block ends are the one-block chain's
+    needs_kernel()
+    Y = make_data(9, seed=5)
+    plan = SweepPlan(sweeps=50, burn_in=7, thin=3, seed=4)
+    expected = run_chain(Y, DESIGN, DirichletProcess(1.0), SPEC, plan)
+    sizes, run = [], _sweep.SweepArrays.run
+
+    def counted_run(arrays, uniforms, sweeps, record_at=()):
+        sizes.append(sweeps)
+        return run(arrays, uniforms, sweeps, record_at)
+
+    monkeypatch.setattr(_sweep.SweepArrays, "run", counted_run)
+    monkeypatch.setattr(gibbs, "_BLOCK_UNIFORMS", 9 * 8)
+    assert run_chain(Y, DESIGN, DirichletProcess(1.0), SPEC, plan) == expected
+    assert sizes == [8] * 6 + [2]
 
 
 @pytest.mark.parametrize("error", ["rate", "weights"])
@@ -913,3 +996,25 @@ def test_kernel_builds_in_a_temporary_directory_when_the_cache_is_read_only(
     monkeypatch.setattr(_sweep, "_writable", lambda directory: False)
     assert _sweep._load().cdpmix_sweeps
     assert not (tmp_path / "__pycache__").exists()
+
+
+@pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                    reason="no C compiler")
+def test_kernel_compiles_without_warnings(tmp_path):
+    # the shipped flags plus every common warning, as errors
+    cc = shutil.which("cc") or shutil.which("gcc")
+    proc = subprocess.run([cc, *_sweep.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "kernel.so"), str(_sweep.SOURCE), "-lm"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("record_at", [[3], [-1], [1, 1], [2, 0]])
+def test_kernel_rejects_records_outside_the_block_or_out_of_order(record_at):
+    needs_kernel()
+    model = DirichletProcess(1.0)
+    state = ChainState(model, build_engines(make_data(4), DESIGN, SPEC, model), 4,
+                       np.random.default_rng(3))
+    state.sweep()
+    with pytest.raises(ValueError, match="record_at must increase within"):
+        state._arrays.run(np.full(12, 0.5), 3, record_at)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from cdpmix import checks, pipeline
 from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity
+from cdpmix.gibbs import TraceRecord
 from cdpmix.partitions import enumerate_partitions
 
 
@@ -319,6 +322,89 @@ def test_formatted_cells_equal_formatting_each_cell():
     assert len(np.unique(values)) > 1000
     cells = pipeline._fmt_cells(values)
     assert cells == [[pipeline._fmt(values[i, j]) for j in range(60)] for i in range(60)]
+
+
+def _write_trace_by_rows(path, ids, traces) -> None:
+    """Oracle of ``write_trace``: one list of cells per record through ``csv.writer``."""
+    header = ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids]
+    rows = []
+    for chain_idx, trace in enumerate(traces):
+        for rec in trace:
+            rows.append([chain_idx, rec.sweep, *rec.labels, *rec.colours])
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _random_traces(rng, lengths, n, first_sweep=0, thin=1, states=None):
+    """Chains of records over ``states`` canonical (labels, colours) pairs
+    (fresh random ones when None), sweeps from ``first_sweep`` by ``thin``."""
+    if states is None:
+        states = []
+        for _ in range(20):
+            raw = rng.integers(0, rng.integers(1, 14), size=n)
+            first = {}
+            labels = tuple(first.setdefault(x, len(first)) for x in raw.tolist())
+            states.append((labels, tuple(rng.integers(0, 2, size=n).tolist())))
+    traces = []
+    for length in lengths:
+        picks = rng.integers(len(states), size=length)
+        traces.append([TraceRecord(first_sweep + j * thin, *states[k], max(states[k][0]) + 1,
+                                   (0,), 0.0) for j, k in enumerate(picks.tolist())])
+    return traces
+
+
+def _assert_trace_bytes_match_oracle(tmp_path, ids, traces):
+    expected, by_records, by_table = (tmp_path / name for name in ("oracle.csv", "records.csv",
+                                                                   "table.csv"))
+    _write_trace_by_rows(expected, ids, traces)
+    pipeline.write_trace(str(by_records), ids, traces)
+    pipeline.write_trace(str(by_table), ids, pipeline.stack_traces(traces, len(ids)))
+    assert by_records.read_bytes() == expected.read_bytes()
+    assert by_table.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("lengths", [[30], [7, 0, 19, 1]], ids=["one-chain", "chains"])
+def test_trace_writer_matches_the_csv_writer(tmp_path, lengths):
+    ids = ["a", "b,c", 'd"e', "f"] + [f"g{i}" for i in range(8)]
+    traces = _random_traces(np.random.default_rng(31), lengths, len(ids), first_sweep=3,
+                            thin=7)
+    _assert_trace_bytes_match_oracle(tmp_path, ids, traces)
+
+
+@pytest.mark.parametrize("traces", [[], [[]], [[], []]], ids=["none", "one", "two"])
+def test_empty_trace_is_its_header(tmp_path, traces):
+    _assert_trace_bytes_match_oracle(tmp_path, ["a", "b"], traces)
+    assert (tmp_path / "table.csv").read_text() == "chain,sweep,c:a,c:b,k:a,k:b\n"
+
+
+def test_trace_longer_than_one_chunk_matches_the_csv_writer(tmp_path):
+    # sweep numbers far apart take the sorted table, near ones the marked range
+    rng = np.random.default_rng(32)
+    lengths = [pipeline._TRACE_CHUNK + 17, pipeline._TRACE_CHUNK - 3]
+    ids = [f"i{j}" for j in range(9)]
+    sparse = _random_traces(rng, lengths, len(ids), first_sweep=10 ** 9, thin=10 ** 6)
+    dense = _random_traces(rng, lengths, len(ids))
+    for traces in (sparse, dense):
+        _assert_trace_bytes_match_oracle(tmp_path, ids, traces)
+
+
+def test_rat_summarize_shaped_trace_matches_the_csv_writer(tmp_path):
+    # four chains of 10000 records over 112 items, resampled from 20 states,
+    # as the summarize benchmark writes its input
+    traces = _random_traces(np.random.default_rng(33), [10_000] * 4, 112,
+                            first_sweep=10_000)
+    _assert_trace_bytes_match_oracle(tmp_path, [f"gene{i}" for i in range(112)], traces)
+
+
+@pytest.mark.parametrize("low,high", [(5, 60), (-40, 3), (-2 ** 40, 2 ** 40)],
+                         ids=["offset", "negative", "sparse"])
+def test_int_rows_match_the_csv_writer(low, high):
+    body = np.random.default_rng(34).integers(low, high, size=(50, 7))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(body.tolist())
+    assert pipeline._csv_int_rows(body) == buffer.getvalue()
 
 
 def _write_trace_text(tmp_path, body: str) -> str:
