@@ -744,9 +744,7 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case):
                     assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
             if sweep in keep:
                 expected.append(gibbs._record(steps, sweep))
-        records = compiled.sweep(block, keep, first)
-        assert compiled.rng.bit_generator.state == steps.rng.bit_generator.state
-        assert_same_records(records, expected)
+        assert_same_records(compiled.sweep(block, keep, first), expected)
         assert_same_state(compiled, steps)
         first += block
     assert (compiled._arrays is not None) == (_sweep.library() is not None)
