@@ -11,9 +11,9 @@
  * same doubles as the interpreter, so a seeded chain draws the same states.
  *
  * A block can also record chosen sweeps as it goes: the canonical labelling
- * of the state (cdpmix_canonical, clusters numbered by least member) and the
- * live clusters' log marginals in insertion order, which is all a trace
- * record needs besides the prior.
+ * of the state (see canonical: clusters numbered by least member) and the live
+ * clusters' log marginals in insertion order, which is all a trace record
+ * needs besides the prior. cdpmix_sweeps is the library's one export.
  *
  * Clusters live in slots 0..n-1; `order` lists the live slots in insertion
  * order and `free_slots` is a stack of the others. Per colour c the static
@@ -235,7 +235,7 @@ static void insert(Kernel *k, int64_t i, int64_t target, double log_m_after)
  * labels[i] numbers item i's cluster by least member and colours[i] is its
  * colour, and canonical cluster j has colour cl_colour[j] and size cl_size[j].
  * Returns the number of clusters. */
-int64_t cdpmix_canonical(Kernel *k, int32_t *labels, int32_t *colours,
+static int64_t canonical(Kernel *k, int32_t *labels, int32_t *colours,
                          int64_t *cl_colour, int64_t *cl_size)
 {
     int64_t d = 0;
@@ -255,8 +255,8 @@ int64_t cdpmix_canonical(Kernel *k, int32_t *labels, int32_t *colours,
 }
 
 /* The sweeps a block records and where it writes them: after block-relative
- * sweep at[r] (increasing) record r is cdpmix_canonical into row r of labels
- * and colours ([record][n]) and the cluster count into degree[r], then the
+ * sweep at[r] (increasing) record r is canonical into row r of labels and
+ * colours ([record][n]) and the cluster count into degree[r], then the
  * clusters' colours and sizes and their log marginals in insertion order
  * into cl_colour, cl_size and log_m, packed record after record. */
 typedef struct {
@@ -289,8 +289,8 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
             insert(k, i, k->target[idx], k->after[idx]);
         }
         if (rec && r < rec->count && rec->at[r] == t) {
-            const int64_t d = cdpmix_canonical(k, rec->labels + r * n, rec->colours + r * n,
-                                               rec->cl_colour + packed, rec->cl_size + packed);
+            const int64_t d = canonical(k, rec->labels + r * n, rec->colours + r * n,
+                                        rec->cl_colour + packed, rec->cl_size + packed);
             for (int64_t j = 0; j < d; j++)
                 rec->log_m[packed + j] = k->log_m[k->order[j]];
             rec->degree[r++] = d;

@@ -10,11 +10,10 @@ this process alone. When it can be
 neither built nor loaded, ``library()`` logs one warning saying why and
 returns None, and chains run the Python sweep.
 
-``SweepArrays`` holds one chain's model, data tables and state in the flat
-arrays the kernel reads; ``gibbs.ChainState`` moves its state in and out of
-them at block boundaries. A block returns the ``Records`` of the sweeps it
-was asked to record, and ``SweepArrays.canonical`` labels the state between
-blocks.
+``SweepArrays`` holds one chain's model and data tables in the flat arrays
+the kernel reads, and a working copy of its state: ``gibbs.ChainState``
+copies its state in before each block and back after it. A block returns the
+``Records`` of the sweeps it was asked to record.
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ def library() -> ctypes.CDLL | None:
     kernel, buffer = ctypes.POINTER(_Kernel), ctypes.c_void_p
     lib.cdpmix_sweeps.argtypes = (kernel, buffer, ctypes.c_int64, ctypes.POINTER(_Records))
     lib.cdpmix_sweeps.restype = ctypes.c_int
-    lib.cdpmix_canonical.argtypes = (kernel,) + (buffer,) * 4
-    lib.cdpmix_canonical.restype = ctypes.c_int64
     return lib
 
 
@@ -207,13 +204,9 @@ class SweepArrays:
         # the struct holds raw pointers; the arrays above keep their buffers alive
         self._struct = _Kernel(n, C, pmax, family,
                                *(getattr(self, name).ctypes.data for name in _TABLES + _STATE))
+        self._kernel = ctypes.byref(self._struct)
         self._lib = lib
         self.n = n
-        # the canonical labelling between blocks is written into these
-        self._canonical = (np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32),
-                           np.empty(n, dtype=i64), np.empty(n, dtype=i64))
-        self._kernel = ctypes.byref(self._struct)
-        self._canonical_args = (self._kernel, *(a.ctypes.data for a in self._canonical))
 
     def run(self, uniforms: np.ndarray, sweeps: int, record_at=()) -> Records | None:
         """``sweeps`` sweeps over the state arrays, item i of sweep t drawn with
@@ -243,11 +236,3 @@ class SweepArrays:
         packed = int(out.degree.sum())
         return out._replace(**{name: getattr(out, name)[:packed]
                                for name in ("cluster_colour", "cluster_size", "log_m")})
-
-    def canonical(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The state's canonical labelling, as ``cdpmix_canonical`` writes it:
-        labels and colours per item, and colour and size per cluster."""
-        d = self._lib.cdpmix_canonical(*self._canonical_args)
-        labels, colours, cluster_colour, cluster_size = self._canonical
-        return (labels.tolist(), colours.tolist(), cluster_colour[:d].tolist(),
-                cluster_size[:d].tolist())

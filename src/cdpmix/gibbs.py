@@ -34,10 +34,9 @@ reference and the fallback. Without subset moves ``run_chain`` hands it the
 whole chain in blocks of at most ``_BLOCK_UNIFORMS`` uniforms, and the kernel
 takes the retained sweeps' records itself: their canonical labels, cluster
 sizes and cluster marginals, which ``_kernel_records`` scores with the prior.
-Between blocks the state stays in the arrays: the Python view (``clusters``,
-``item_cluster``, ``colour_totals``) is rebuilt from them only when something
-reads it, and ``canonical`` and ``log_likelihood``, which score the trace
-records of a subset-move chain, read the arrays directly.
+The arrays are a working copy that lasts one block: the state is copied in
+before it (``_to_arrays``) and back after it (``_from_arrays``), so
+``clusters``, ``item_cluster`` and ``colour_totals`` always hold the state.
 """
 
 from __future__ import annotations
@@ -168,12 +167,11 @@ class ChainState:
         self.engines = list(engines)
         self.n = n
         self.rng = rng
-        # the Python view of the state; after a compiled block it is stale
-        # until read (see the properties below)
-        self._clusters: dict[int, _Cluster] = {}
-        self._item_cluster = [-1] * n
-        self._colour_totals = [0] * model.n_colours
-        self._view_current = True
+        # live clusters by id in insertion order, each item's cluster id and
+        # the items per colour: the one state of record
+        self.clusters: dict[int, _Cluster] = {}
+        self.item_cluster = [-1] * n
+        self.colour_totals = [0] * model.n_colours
         # per item, one entry per colour: (xi_i, yy_i, item i's own marginal,
         # per-count table, rate_base, range(p)), all the pricing reads
         self._item_data = [tuple((eng.xi[i], eng.yy[i], eng.singles[i], eng.rows,
@@ -181,12 +179,9 @@ class ChainState:
                                  for eng in self.engines)
                            for i in range(n)]
         self._next_cid = 0
-        # the compiled kernel's arrays (None without the kernel, False until
-        # the first sweep looks), and whether they hold the current state:
-        # every change made in Python goes through _withdraw, _insert or
-        # refresh_cache_, which clear the flag
+        # the compiled kernel's working arrays: None without the kernel,
+        # False until the first sweep looks
         self._arrays: _sweep.SweepArrays | None | bool = False
-        self._arrays_current = False
         if initial is None:
             initial = self._default_initial()
         self._load(initial)
@@ -234,36 +229,6 @@ class ChainState:
         rng = rng if rng is not None else np.random.default_rng()
         return cls(model, engines, partition.n, rng, initial=partition)
 
-    # -- the Python view of the state ---------------------------------------
-
-    def _live_arrays(self) -> _sweep.SweepArrays:
-        """The kernel's arrays, which must hold the current state."""
-        if not self._arrays_current:
-            # only a block that raised leaves neither the view nor the arrays current
-            raise NumericalError("the chain state was lost when a block of sweeps failed")
-        return self._arrays
-
-    @property
-    def clusters(self) -> dict[int, _Cluster]:
-        """Live clusters by id, in insertion order."""
-        if not self._view_current:
-            self._from_arrays(self._live_arrays())
-        return self._clusters
-
-    @property
-    def item_cluster(self) -> list[int]:
-        """Each item's cluster id."""
-        if not self._view_current:
-            self._from_arrays(self._live_arrays())
-        return self._item_cluster
-
-    @property
-    def colour_totals(self) -> list[int]:
-        """Items per colour."""
-        if not self._view_current:
-            self._from_arrays(self._live_arrays())
-        return self._colour_totals
-
     # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> Partition | ColouredPartition:
@@ -275,25 +240,18 @@ class ChainState:
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
         """``(labels, colours)`` as ``snapshot().allocation()`` gives them, with
         clusters numbered by least member, plus each colour's cluster sizes in
-        that order. Labelled by the kernel when the view is stale."""
-        n_colours = self.model.n_colours
-        if not self._view_current:
-            labels, colours, cluster_colour, cluster_size = self._live_arrays().canonical()
-            return (tuple(labels), tuple(colours),
-                    _sizes_by_colour(cluster_colour, cluster_size, n_colours))
-        clusters, item_cluster = self._clusters, self._item_cluster
+        that order."""
+        clusters, item_cluster = self.clusters, self.item_cluster
         rank = {cid: j for j, cid in enumerate(dict.fromkeys(item_cluster))}
         return (tuple(map(rank.__getitem__, item_cluster)),
                 tuple(clusters[cid].colour for cid in item_cluster),
                 _sizes_by_colour([clusters[cid].colour for cid in rank],
-                                 [len(clusters[cid].members) for cid in rank], n_colours))
+                                 [len(clusters[cid].members) for cid in rank],
+                                 self.model.n_colours))
 
     def log_likelihood(self) -> float:
         """Sum of the cached cluster marginals, in insertion order."""
-        if self._view_current:
-            return float(sum(cl.log_m for cl in self._clusters.values()))
-        a = self._live_arrays()
-        return float(sum(a.log_m[a.order[:a.n_clusters[0]]].tolist()))
+        return float(sum(cl.log_m for cl in self.clusters.values()))
 
     def log_joint(self) -> float:
         """Log prior of the current partition plus all cached cluster marginals."""
@@ -302,10 +260,8 @@ class ChainState:
     def refresh_cache_(self) -> float:
         """Rebuild every cluster's statistics from its members and recompute its
         log marginal; returns the largest absolute drift of either."""
-        clusters = self.clusters
-        self._arrays_current = False
         worst = 0.0
-        for cl in clusters.values():
+        for cl in self.clusters.values():
             eng = self.engines[cl.colour]
             z, yty = _summed(eng, sorted(cl.members))
             fresh = eng.log_m(len(cl.members), z, yty)
@@ -318,11 +274,10 @@ class ChainState:
 
     def _withdraw(self, i: int) -> None:
         clusters, item_cluster = self.clusters, self.item_cluster
-        self._arrays_current = False
         cid = item_cluster[i]
         cl = clusters[cid]
         cl.members.discard(i)
-        self._colour_totals[cl.colour] -= 1
+        self.colour_totals[cl.colour] -= 1
         item_cluster[i] = -1
         if not cl.members:
             del clusters[cid]
@@ -379,7 +334,6 @@ class ChainState:
     def _insert(self, i: int, move: tuple[str, int], log_m_after: float) -> int:
         """Place withdrawn item i as ``move`` says; returns its cluster's id."""
         clusters = self.clusters
-        self._arrays_current = False
         kind, key = move
         if kind == "existing":
             cl = clusters[key]
@@ -396,8 +350,8 @@ class ChainState:
             cid = self._next_cid
             self._next_cid += 1
             clusters[cid] = _Cluster(colour, {i}, z, yty, log_m_after)
-        self._item_cluster[i] = cid
-        self._colour_totals[colour] += 1
+        self.item_cluster[i] = cid
+        self.colour_totals[colour] += 1
         return cid
 
     def reallocate_item(self, i: int) -> None:
@@ -421,8 +375,8 @@ class ChainState:
         ``rng.random(n * sweeps)`` call; it reaches the same state, cluster
         ids and generator state as ``reallocate_item`` item by item, which
         runs otherwise, and takes the records as ``_record`` would. The state
-        stays in the kernel's arrays after the block; the Python view is
-        rebuilt from them when it is next read.
+        is copied into the kernel's arrays before the block and back after it,
+        so a block that raises leaves the state as it was before the block.
         """
         if self._arrays is False:
             lib = _sweep.library()
@@ -440,15 +394,10 @@ class ChainState:
                 if sweep in keep:
                     records.append(_record(self, sweep))
             return records
-        if not self._arrays_current:
-            self._to_arrays(arrays)
-        # until the block completes; if it raises, a view that was current
-        # keeps the state before the block, and a stale one cannot be read
-        self._arrays_current = False
+        self._to_arrays(arrays)
         taken = arrays.run(self.rng.random(self.n * sweeps), sweeps,
                            [sweep - first for sweep in kept])
-        self._arrays_current, self._view_current = True, False
-        self._next_cid = int(arrays.next_cid[0])
+        self._from_arrays(arrays)
         return _kernel_records(self.model, self.n, kept, taken) if kept else []
 
     def _to_arrays(self, a: _sweep.SweepArrays) -> None:
@@ -469,21 +418,21 @@ class ChainState:
         a.colour_totals[:] = self.colour_totals
 
     def _from_arrays(self, a: _sweep.SweepArrays) -> None:
-        """Rebuild the Python view from the kernel's arrays, clusters in ``order``."""
+        """Copy the state back from the kernel's arrays, clusters in ``order``."""
         slots = a.order[:a.n_clusters[0]]
-        self._item_cluster = a.cid[a.item_slot].tolist()
+        self.item_cluster = a.cid[a.item_slot].tolist()
         # items grouped by slot, each group in increasing order
         grouped = np.argsort(a.item_slot, kind="stable").tolist()
         ends = np.cumsum(np.bincount(a.item_slot, minlength=self.n)).tolist()
         counts = a.count.tolist()
-        self._clusters = {
+        self.clusters = {
             cid: _Cluster(colour, set(grouped[ends[s] - counts[s]:ends[s]]),
                           z[:a.dims[colour]], yty, log_m)
             for s, cid, colour, z, yty, log_m in zip(
                 slots.tolist(), a.cid[slots].tolist(), a.colour[slots].tolist(),
                 a.z[slots].tolist(), a.yty[slots].tolist(), a.log_m[slots].tolist())}
-        self._colour_totals = a.colour_totals.tolist()
-        self._view_current = True
+        self.colour_totals = a.colour_totals.tolist()
+        self._next_cid = int(a.next_cid[0])
 
     # -- block moves: single-item steps applied to a co-clustered block ----
 

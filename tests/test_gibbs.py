@@ -818,76 +818,73 @@ def needs_kernel():
 @pytest.mark.parametrize("rate", [0.0, 0.3])
 def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkeypatch):
     # without subset moves the kernel takes every record inside its block:
-    # each must equal _record of the view rebuilt after that sweep, for thin
-    # 1, 3 and 7 and burn-ins that are not multiples of thin. With subset
-    # moves _record scores each record from the arrays when no move rebuilt
-    # the view since the block, and must agree with the rebuilt view.
+    # each must equal _record of the view copied back after that sweep, for
+    # thin 1, 3 and 7 and burn-ins that are not multiples of thin. With
+    # subset moves _record scores each record from the view after the
+    # sweep's move, and the chain must be the Python sweep's, record for
+    # record and bit for bit.
     needs_kernel()
     specs = ([BG_SPEC, SPEC] if isinstance(model, BackgroundDirichletProcess)
              else [SPEC] * model.n_colours)
     Y = make_data(9, seed=5)
-    record, sources = gibbs._record, Counter()
-
-    def both_sources(state, sweep):
-        sources["arrays" if not state._view_current else "view"] += 1
-        first = record(state, sweep)
-        assert state.clusters  # rebuilds a stale view
-        assert_same_records([first], [record(state, sweep)])
-        return first
-
-    monkeypatch.setattr(gibbs, "_record", both_sources)
     if rate > 0:
         plan = SweepPlan(sweeps=90, burn_in=13, thin=4, subset_move_rate=rate, seed=8)
-        with monkeypatch.context() as m:
-            m.setattr(gibbs, "_record", record)
-            expected = run_chain(Y, DESIGN, model, specs, plan)
-        assert run_chain(Y, DESIGN, model, specs, plan) == expected
-        assert sources["arrays"] > 0 and sources["view"] > 0
+        compiled, python = on_both_paths(
+            monkeypatch, lambda: run_chain(Y, DESIGN, model, specs, plan))
+        assert len(compiled) == len(range(13, 90, 4))
+        assert_same_records(compiled, python)
         return
+    record, sources = gibbs._record, Counter()
+
+    def counted(state, sweep):
+        sources["python"] += 1
+        return record(state, sweep)
+
+    monkeypatch.setattr(gibbs, "_record", counted)
     engines = build_engines(Y, DESIGN, specs, model)
     for burn_in, thin in [(5, 1), (13, 3), (9, 7)]:
         plan = SweepPlan(sweeps=60, burn_in=burn_in, thin=thin, seed=8)
         taken = run_chain(Y, DESIGN, model, specs, plan, engines=engines)
         assert not sources  # the kernel took every record
         # the same chain one sweep per block, each retained sweep recorded
-        # from the rebuilt view
+        # from the view copied back after it
         state = ChainState(model, engines, 9, np.random.default_rng(8))
         expected = []
         for sweep in range(plan.sweeps):
             assert state.sweep() == []
             if sweep >= burn_in and (sweep - burn_in) % thin == 0:
-                assert state.clusters
                 expected.append(record(state, sweep))
         assert len(taken) == len(range(burn_in, 60, thin))
         assert_same_records(taken, expected)
 
 
-def test_thin_one_chain_builds_the_python_view_at_most_once(monkeypatch):
-    # the rat-run schedule: 400 sweeps, burn-in 200, every later sweep
-    # recorded, in one kernel call that takes the records itself
+@pytest.mark.parametrize("schedule", ["rat-run", "subset-every-sweep"])
+def test_each_block_copies_the_state_in_and_back_once(schedule, monkeypatch):
+    # the rat-run schedule (400 sweeps, burn-in 200, every later sweep
+    # recorded) is one kernel call that takes the records itself; a subset
+    # move after every sweep makes every sweep a block of its own
     needs_kernel()
     from cdpmix.pipeline import parse_config
-    cfg = parse_config({"preset": "wen-rat", "sweeps": 400, "burn_in": 200, "seed": 3,
-                        "out": "unused"})
-    rebuild, run, calls = ChainState._from_arrays, _sweep.SweepArrays.run, Counter()
+    sweeps, burn_in, rate = (400, 200, 0.0) if schedule == "rat-run" else (30, 10, 1.0)
+    cfg = parse_config({"preset": "wen-rat", "sweeps": sweeps, "burn_in": burn_in, "seed": 3,
+                        "subset_move_rate": rate, "out": "unused"})
+    calls = Counter()
 
-    def counted(state, arrays):
-        calls["rebuilds"] += 1
-        rebuild(state, arrays)
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
 
-    def counted_run(arrays, uniforms, sweeps, record_at=()):
-        calls["blocks"] += 1
-        return run(arrays, uniforms, sweeps, record_at)
-
-    def no_record(state, sweep):
-        raise AssertionError("a record was scored in Python")
-
-    monkeypatch.setattr(ChainState, "_from_arrays", counted)
-    monkeypatch.setattr(_sweep.SweepArrays, "run", counted_run)
-    monkeypatch.setattr(gibbs, "_record", no_record)
+    for cls, name in [(ChainState, "_to_arrays"), (ChainState, "_from_arrays"),
+                      (_sweep.SweepArrays, "run")]:
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    if rate == 0:
+        monkeypatch.setattr(gibbs, "_record", counted("_record", gibbs._record))
     trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
-    assert [rec.sweep for rec in trace] == list(range(200, 400))
-    assert calls["rebuilds"] <= 1 and calls["blocks"] == 1
+    assert [rec.sweep for rec in trace] == list(range(burn_in, sweeps))
+    blocks = 1 if rate == 0 else sweeps
+    assert calls == {"_to_arrays": blocks, "run": blocks, "_from_arrays": blocks}
 
 
 def test_blocks_end_at_the_uniform_cap_and_keep_the_records(monkeypatch):
@@ -910,35 +907,35 @@ def test_blocks_end_at_the_uniform_cap_and_keep_the_records(monkeypatch):
 
 
 @pytest.mark.parametrize("error", ["rate", "weights"])
-@pytest.mark.parametrize("view", ["current", "stale"])
-def test_state_after_a_failed_block_is_the_last_view_or_unreadable(error, view):
+def test_state_after_a_failed_block_is_the_state_before_it(error):
     # a block that raises leaves the arrays mid-move, with an item withdrawn;
-    # a view read before the block still holds the state before it, and a
-    # stale view raises instead of being rebuilt from the arrays
+    # the state copied back after the last good block is still the state, as
+    # a twin chain stopped there holds it, and the next block copies it in
     needs_kernel()
     n = 4 if error == "rate" else 1
     model = DirichletProcess(1.0) if error == "rate" else PitmanYor(0.5, 1.0)
     state = ChainState(model, build_engines(make_data(n), DESIGN, SPEC, model), n,
                        np.random.default_rng(3))
+    twin = ChainState(model, state.engines, n, np.random.default_rng(3))
     state.sweep(2)
-    before = state.snapshot() if view == "current" else None
+    twin.sweep(2)
     if error == "rate":
-        state._arrays.rate_base[:] = -1e6
+        saved, table = state._arrays.rate_base.copy(), state._arrays.rate_base
+        table[:] = -1e6
     else:
-        state._arrays.params[1] = -0.4  # a strength that gives a first cluster no weight
+        saved, table = state._arrays.params.copy(), state._arrays.params
+        table[1] = -0.4  # a strength that gives a first cluster no weight
     with pytest.raises(NumericalError, match="^(posterior rate|all reallocation)"):
         state.sweep(2)
-    if view == "current":
-        assert state.snapshot() == before
-        assert sorted(i for cl in state.clusters.values() for i in cl.members) == list(range(n))
-        assert all(i in state.clusters[cid].members for i, cid in enumerate(state.item_cluster))
-        assert sum(state.colour_totals) == n
-        return
-    for read in (lambda: state.clusters, lambda: state.item_cluster,
-                 lambda: state.colour_totals, state.snapshot, state.canonical,
-                 state.log_joint, lambda: state.sweep(1)):
-        with pytest.raises(NumericalError, match="lost when a block of sweeps failed"):
-            read()
+    assert state.snapshot() == twin.snapshot()
+    assert sorted(i for cl in state.clusters.values() for i in cl.members) == list(range(n))
+    assert all(i in state.clusters[cid].members for i, cid in enumerate(state.item_cluster))
+    assert sum(state.colour_totals) == n
+    table[:] = saved
+    twin.rng.random(2 * n)  # the failed block's uniforms
+    state.sweep(1)
+    twin.sweep(1)
+    assert_same_state(state, twin)
 
 
 def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog):
