@@ -5,10 +5,10 @@
  * operation for operation: the withdrawal's log marginal as log_marginal_z
  * computes it, the candidates in the insertion order of the live clusters
  * (existing ones, then one new cluster per colour) priced through the
- * family's (offsets, factors, new) urn form, and the draw of _draw, one
- * uniform against the running totals of exp(logw - max). Built without
- * fast-math and without contraction into fused multiply-adds, it gives the
- * same doubles as the interpreter, so a seeded chain draws the same states.
+ * prior's urn tables, and the draw of _draw, one uniform against the
+ * running totals of exp(logw - max). Built without fast-math and without
+ * contraction into fused multiply-adds, it gives the same doubles as the
+ * interpreter, so a seeded chain draws the same states.
  *
  * A block can also record chosen sweeps as it goes: the canonical labelling
  * of the state (see canonical: clusters numbered by least member) and the live
@@ -20,21 +20,27 @@
  * tables are laid out as [c][item][pmax] (xi), [c][item] (yy, singles),
  * [c][count][pmax] (reciprocals) and [c][count] (posterior shape and
  * constant), for counts 0..n+1.
+ *
+ * The prior enters only through its urn tables (priors.py, urn_tables): with
+ * item i withdrawn, d clusters left and m items of colour c, an existing
+ * cluster of colour c and size s weighs (s + offsets[c]) * factors[c][m] and
+ * a new one new[c][m] * by_degree[d], for m and d in 0..n. The kernel knows
+ * no prior family.
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
 
-enum { DP = 0, DM = 1, PY = 2, CDP = 3, BDP = 4 };
 enum { OK = 0, RATE_COLLAPSED = 1, WEIGHTS_VANISHED = 2 };
 
 typedef struct {
-    /* the model and the data: read only */
-    int64_t n, n_colours, pmax, family;
-    const double *params;    /* DP: theta; DM: components, weight; PY: discount,
-                                strength; CDP: (weight, concentration) per colour;
-                                BDP: background weight, concentration */
+    /* the prior's urn tables and the data: read only */
+    int64_t n, n_colours, pmax;
+    const double *offsets;   /* [colour] */
+    const double *factors;   /* [colour][items of the colour]: 0..n */
+    const double *new;       /* [colour][items of the colour]: 0..n */
+    const double *by_degree; /* [clusters]: 0..n */
     const int64_t *p;        /* coordinates per colour */
     const double *rate_base; /* per colour */
     const double *z0;        /* [colour][pmax] */
@@ -51,8 +57,8 @@ typedef struct {
     double *z, *yty, *log_m;                /* per slot ([slot][pmax] for z) */
     int64_t *item_slot;                     /* [n] */
     int64_t *colour_totals;                 /* [n_colours] */
-    /* scratch of n + n_colours entries, then 3 * n_colours for the urn form */
-    double *logw, *after, *totals, *urn;
+    /* scratch of n + n_colours entries */
+    double *logw, *after, *totals;
     int64_t *target;                        /* slot, or -1 - colour for a new cluster */
     int64_t *rank;                          /* [n]: a slot's canonical number, for labelling */
 } Kernel;
@@ -74,40 +80,6 @@ static int log_marginal(const Kernel *k, int64_t c, int64_t count, const double 
         return RATE_COLLAPSED;
     *out = k->cnst[row] - k->a_post[row] * log(b_post);
     return OK;
-}
-
-/* the family's urn_weights(colour_totals, degree) into off, fac and neww */
-static void urn_weights(const Kernel *k, int64_t degree, double *off, double *fac,
-                        double *neww)
-{
-    const double *q = k->params;
-    switch (k->family) {
-    case DP:
-        off[0] = 0.0; fac[0] = 1.0; neww[0] = q[0];
-        break;
-    case DM: {
-        const int64_t open = (int64_t)q[0] - degree;
-        off[0] = q[1]; fac[0] = 1.0; neww[0] = (double)(open > 0 ? open : 0) * q[1];
-        break;
-    }
-    case PY:
-        off[0] = -q[0]; fac[0] = 1.0; neww[0] = q[1] + q[0] * (double)degree;
-        break;
-    case CDP:
-        for (int64_t c = 0; c < k->n_colours; c++) {
-            const double g = q[2 * c], t = q[2 * c + 1];
-            const double n_c = (double)k->colour_totals[c];
-            off[c] = 0.0;
-            fac[c] = (g + n_c) / (t + n_c);
-            neww[c] = t * fac[c];
-        }
-        break;
-    case BDP:
-        off[0] = q[0]; off[1] = 0.0; fac[0] = 1.0; fac[1] = 1.0;
-        neww[0] = k->colour_totals[0] ? 0.0 : q[0];
-        neww[1] = q[1];
-        break;
-    }
 }
 
 static int withdraw(Kernel *k, int64_t i)
@@ -138,12 +110,12 @@ static int withdraw(Kernel *k, int64_t i)
 static int64_t candidates(Kernel *k, int64_t i, int *status)
 {
     const int64_t n = k->n, C = k->n_colours, pmax = k->pmax;
-    double *off = k->urn, *fac = k->urn + C, *neww = k->urn + 2 * C;
+    const double degree = k->by_degree[*k->n_clusters];
     int64_t m = 0;
-    urn_weights(k, *k->n_clusters, off, fac, neww);
     for (int64_t j = 0; j < *k->n_clusters; j++) {
         const int64_t s = k->order[j], c = k->colour[s], size = k->count[s];
-        const double w = ((double)size + off[c]) * fac[c];
+        const double w = ((double)size + k->offsets[c])
+                         * k->factors[c * (n + 1) + k->colour_totals[c]];
         if (w <= 0)
             continue;
         double lm;
@@ -157,7 +129,7 @@ static int64_t candidates(Kernel *k, int64_t i, int *status)
         m++;
     }
     for (int64_t c = 0; c < C; c++) {
-        const double w = neww[c];
+        const double w = k->new[c * (n + 1) + k->colour_totals[c]] * degree;
         if (w <= 0)
             continue;
         const double lm = k->singles[c * n + i];

@@ -10,8 +10,9 @@ this process alone. When it can be
 neither built nor loaded, ``library()`` logs one warning saying why and
 returns None, and chains run the Python sweep.
 
-``SweepArrays`` holds one chain's model and data tables in the flat arrays
-the kernel reads, and a working copy of its state: ``gibbs.ChainState``
+``SweepArrays`` holds one chain's tables in the flat arrays the kernel
+reads -- the prior's urn tables, whatever the family, and the engines'
+marginal tables -- and a working copy of its state: ``gibbs.ChainState``
 copies its state in before each block and back after it. A block returns the
 ``Records`` of the sweeps it was asked to record.
 """
@@ -33,8 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-from .priors import (BackgroundDirichletProcess, ColouredDirichletProcess,
-                     DirichletMultinomial, DirichletProcess, PitmanYor)
 
 logger = logging.getLogger(__name__)
 
@@ -102,33 +101,17 @@ def library() -> ctypes.CDLL | None:
     return lib
 
 
-def family_code(model) -> tuple[int, list[float]] | None:
-    """The kernel's family code and parameters for ``model``; None if it has none."""
-    if type(model) is DirichletProcess:
-        return 0, [model.theta]
-    if type(model) is DirichletMultinomial and model.components < 2 ** 53:
-        # the kernel holds the bound as a double, exact only below 2**53
-        return 1, [float(model.components), model.weight]
-    if type(model) is PitmanYor:
-        return 2, [model.discount, model.strength]
-    if type(model) is ColouredDirichletProcess:
-        return 3, [x for colour in model.colours for x in colour]
-    if type(model) is BackgroundDirichletProcess:
-        return 4, [model.background_weight, model.concentration]
-    return None
-
-
-_TABLES = ("params", "p", "rate_base", "z0", "xi", "yy", "singles", "recips", "a_post",
-           "cnst")
+_TABLES = ("offsets", "factors", "new", "by_degree", "p", "rate_base", "z0", "xi", "yy",
+           "singles", "recips", "a_post", "cnst")
 _STATE = ("n_clusters", "next_cid", "n_free", "order", "free_slots", "cid", "colour",
           "count", "z", "yty", "log_m", "item_slot", "colour_totals", "logw", "after",
-          "totals", "urn", "target", "rank")
+          "totals", "target", "rank")
 
 
 class _Kernel(ctypes.Structure):
     """Mirror of the ``Kernel`` struct in ``_sweep.c``."""
 
-    _fields_ = ([(name, ctypes.c_int64) for name in ("n", "n_colours", "pmax", "family")]
+    _fields_ = ([(name, ctypes.c_int64) for name in ("n", "n_colours", "pmax")]
                 + [(name, ctypes.c_void_p) for name in _TABLES + _STATE])
 
 
@@ -155,20 +138,25 @@ class Records(NamedTuple):
 
 
 class SweepArrays:
-    """One chain's model, engines and state as the kernel's flat arrays.
+    """One chain's urn tables, engines and state as the kernel's flat arrays.
 
-    The engines must price as ``NIGEngine`` does: ``rows`` filled for every
+    ``urn`` is the prior's ``urn_tables(n)``, one engine per colour. The
+    engines must price as ``NIGEngine`` does: ``rows`` filled for every
     count up to n + 1, ``xi``, ``yy``, ``singles``, ``z0`` and ``rate_base``.
     The state arrays are public; ``run`` sweeps them in place.
     """
 
-    def __init__(self, lib: ctypes.CDLL, model, engines, n: int):
-        family, params = family_code(model)
-        C = model.n_colours
+    def __init__(self, lib: ctypes.CDLL, urn, engines, n: int):
+        C = len(engines)
         p = [len(eng.z0) for eng in engines]
         pmax = max(p + [1])
         f64, i64 = np.float64, np.int64
-        self.params = np.array(params, dtype=f64)
+        offsets, factors, new, by_degree = urn
+        # reshaped to the sizes the kernel reads, so a short table raises here
+        self.offsets = np.array(offsets, dtype=f64).reshape(C)
+        self.factors = np.array(factors, dtype=f64).reshape(C, n + 1)
+        self.new = np.array(new, dtype=f64).reshape(C, n + 1)
+        self.by_degree = np.array(by_degree, dtype=f64).reshape(n + 1)
         self.p = np.array(p, dtype=i64)
         self.rate_base = np.array([eng.rate_base for eng in engines], dtype=f64)
         self.z0 = np.zeros((C, pmax))
@@ -193,7 +181,6 @@ class SweepArrays:
         self.yty, self.log_m = np.zeros(n), np.zeros(n)
         self.colour_totals = np.zeros(C, dtype=i64)
         self.logw, self.after, self.totals = (np.zeros(n + C) for _ in range(3))
-        self.urn = np.zeros(3 * C)
         self.target = np.zeros(n + C, dtype=i64)
         self.rank = np.zeros(n, dtype=i64)
         # for moving state in and out: slot numbers, and per colour its
@@ -202,7 +189,7 @@ class SweepArrays:
         self.dims = p
         self.padding = [[0.0] * (pmax - pc) for pc in p]
         # the struct holds raw pointers; the arrays above keep their buffers alive
-        self._struct = _Kernel(n, C, pmax, family,
+        self._struct = _Kernel(n, C, pmax,
                                *(getattr(self, name).ctypes.data for name in _TABLES + _STATE))
         self._kernel = ctypes.byref(self._struct)
         self._lib = lib

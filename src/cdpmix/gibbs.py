@@ -10,13 +10,14 @@ walks ``clusters_by_colour``, which a plain ``Partition`` offers too, and
 
 Single-item moves use the prior's urn weights times the conjugate predictive
 (Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
-every placement in one pass of ``item_candidates`` -- the urn weight from the
-family's per-colour ``urn_weights`` form, the receiving cluster's marginal
-computed inline from its colour's per-count table -- then draws and
-inserts. The inline pricing repeats the arithmetic of ``log_marginal_z``
-operation for operation, so a seeded chain is the same as the step-by-step
-composition. Every move draws through ``_draw``: one uniform against the
-running totals of the exponentiated weights, found by bisection.
+every placement in one pass of ``item_candidates`` -- the urn weight read
+off the prior's ``urn_tables``, built once per chain, the receiving
+cluster's marginal computed inline from its colour's per-count table -- then
+draws and inserts. The inline pricing repeats the arithmetic of
+``log_marginal_z`` operation for operation, so a seeded chain is the same as
+the step-by-step composition. Every move draws through ``_draw``: one
+uniform against the running totals of the exponentiated weights, found by
+bisection.
 A block move is the same step applied to each item of a co-clustered block
 (``_withdraw``, then ``_insert`` through ``_place``), priced through the
 prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
@@ -26,13 +27,15 @@ Trace records and ``log_joint`` score the prior from the same sizes, read off
 the live clusters without building a partition.
 
 ``ChainState.sweep`` runs whole sweeps of single-item moves. Where the
-compiled kernel (``_sweep.c``, see ``_sweep``) builds, it runs a block of
-sweeps over flat arrays of the state, repeating the arithmetic and the draws
-of ``reallocate_item`` with the block's uniforms drawn in one call, so it
-reaches the same state bit for bit; ``reallocate_item`` stays as the
-reference and the fallback. Without subset moves ``run_chain`` hands it the
-whole chain in blocks of at most ``_BLOCK_UNIFORMS`` uniforms, and the kernel
-takes the retained sweeps' records itself: their canonical labels, cluster
+compiled kernel (``_sweep.c``, see ``_sweep``) builds and every engine is an
+``NIGEngine``, it runs a block of sweeps, under any prior, over flat arrays
+of the state and of the same urn and marginal tables. It repeats the
+arithmetic and the draws of ``reallocate_item`` with the block's uniforms
+drawn in one call, so it reaches the same state bit for bit;
+``reallocate_item`` stays as the reference and the fallback. Without subset
+moves ``run_chain`` hands it the whole chain in blocks of at most
+``_BLOCK_UNIFORMS`` uniforms, and the kernel takes the retained sweeps'
+records itself: their canonical labels, cluster
 sizes and cluster marginals, which ``_kernel_records`` scores with the prior.
 The arrays are a working copy that lasts one block: the state is copied in
 before it (``_to_arrays``) and back after it (``_from_arrays``), so
@@ -179,6 +182,9 @@ class ChainState:
                                  for eng in self.engines)
                            for i in range(n)]
         self._next_cid = 0
+        # (offsets, factors, new, by_degree): the prior's urn weights for up
+        # to n items, read by item_candidates and by the compiled kernel
+        self._urn = model.urn_tables(n)
         # the compiled kernel's working arrays: None without the kernel,
         # False until the first sweep looks
         self._arrays: _sweep.SweepArrays | None | bool = False
@@ -297,8 +303,9 @@ class ChainState:
         order of operations as ``log_marginal_z`` with the item's ``(xi, yy)``
         added.
         """
-        offsets, factors, new_w = self.model.urn_weights(self.colour_totals,
-                                                         len(self.clusters))
+        offsets, factors, new, by_degree = self._urn
+        totals = self.colour_totals
+        factors = [f[m] for f, m in zip(factors, totals)]
         item = self._item_data[i]
         log = math.log
         moves, logw, after = [], [], []
@@ -322,7 +329,9 @@ class ChainState:
             moves.append(("existing", cid))
             logw.append(log(w) + lm - cl.log_m)
             after.append(lm)
-        for k, w in enumerate(new_w):
+        degree = by_degree[len(self.clusters)]
+        for k, (new_k, m) in enumerate(zip(new, totals)):
+            w = new_k[m] * degree
             if w <= 0:
                 continue
             lm = item[k][2]
@@ -370,8 +379,8 @@ class ChainState:
         the trace record of each sweep whose number is in ``keep``, the
         block's sweeps being numbered from ``first``.
 
-        The compiled kernel runs the block when it is available for this
-        chain's model and engines, drawing the block's uniforms with one
+        The compiled kernel runs the block when it builds and every engine
+        is an ``NIGEngine``, drawing the block's uniforms with one
         ``rng.random(n * sweeps)`` call; it reaches the same state, cluster
         ids and generator state as ``reallocate_item`` item by item, which
         runs otherwise, and takes the records as ``_record`` would. The state
@@ -380,9 +389,8 @@ class ChainState:
         """
         if self._arrays is False:
             lib = _sweep.library()
-            supported = (_sweep.family_code(self.model) is not None
-                         and all(type(eng) is NIGEngine for eng in self.engines))
-            self._arrays = (_sweep.SweepArrays(lib, self.model, self.engines, self.n)
+            supported = all(type(eng) is NIGEngine for eng in self.engines)
+            self._arrays = (_sweep.SweepArrays(lib, self._urn, self.engines, self.n)
                             if lib is not None and supported else None)
         arrays = self._arrays
         kept = [sweep for sweep in range(first, first + sweeps) if sweep in keep] if keep else []

@@ -22,7 +22,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from numbers import Real
 from typing import NamedTuple, Optional, Sequence
@@ -371,7 +371,8 @@ def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
 
     Booleans are not numbers here, and an ``int`` key takes no fractional
     value: ``int`` would silently turn ``true`` into 1 and 3.9 into 3.
-    Infinity and NaN (which JSON config files may spell) are rejected too.
+    Infinity and NaN (which JSON config files may spell) are rejected too,
+    and so is an integer too large for a float.
     """
     value = cfg.get(key, default)
     if isinstance(value, bool):
@@ -382,7 +383,11 @@ def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{prefix}{key} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+    try:
+        finite = math.isfinite(number)
+    except OverflowError:  # an integer beyond the largest float
+        finite = False
+    if not finite:
         raise ValidationError(f"{prefix}{key} must be a finite number, got {value!r}")
     return number
 
@@ -453,8 +458,7 @@ def _chain_task(args) -> list[TraceRecord]:
 
 def _chain_plans(plan: SweepPlan, chains: int) -> list[SweepPlan]:
     seeds = np.random.SeedSequence(plan.seed).generate_state(chains)
-    return [SweepPlan(plan.sweeps, plan.burn_in, plan.thin, plan.subset_move_rate,
-                      plan.subset_max_size, int(s)) for s in seeds]
+    return [replace(plan, seed=int(s)) for s in seeds]
 
 
 def run_chains(config: RunConfig) -> list[list[TraceRecord]]:

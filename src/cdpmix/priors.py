@@ -1,4 +1,4 @@
-"""Partition prior families: exact log-EPPF evaluation and urn reallocation weights.
+"""Partition prior families: exact log-EPPF evaluation and urn reallocation tables.
 
 Five families are supported, all exchangeable over items:
 
@@ -20,12 +20,13 @@ order; ``log_eppf`` calls it on a partition's sizes. ``log_eppf_sequential``,
 the product of one-step predictive weights, is kept as the oracle the closed
 forms are tested against.
 
-Each family defines its urn weights once, as ``urn_weights(colour_totals,
-degree) -> (offsets, factors, new)``: with one item withdrawn, ``degree``
-clusters left and ``colour_totals[k]`` items of colour k, an existing
-cluster of colour k and size s weighs ``(s + offsets[k]) * factors[k]`` and
-a new cluster of colour k weighs ``new[k]``. ``weight_lists`` expands that
-form over a list of clusters; the Gibbs sampler expands it inline.
+Each family defines its urn weights once, as tables for up to n items,
+``urn_tables(n) -> (offsets, factors, new, by_degree)``: with one item
+withdrawn, d clusters left and m items of colour c, an existing cluster of
+colour c and size s weighs ``(s + offsets[c]) * factors[c][m]`` and a new
+cluster of colour c weighs ``new[c][m] * by_degree[d]``, for m and d in
+0..n. ``weight_lists`` reads the tables for a list of clusters; the Gibbs
+sampler and its compiled kernel read them per move.
 
 All probabilities are handled in log space. Structurally impossible states
 (e.g. more clusters than components, two background clusters) evaluate to
@@ -81,14 +82,16 @@ def _weight_lists(model, sizes: Sequence[int], colours: Sequence[int]) -> tuple[
     """Unnormalized urn weights for placing one withdrawn item.
 
     One weight per existing cluster, parallel to ``sizes`` and ``colours``,
-    then one per colour for opening a new cluster. This expands the family's
-    per-colour ``urn_weights`` form, the one place each family defines them.
+    then one per colour for opening a new cluster, read off the family's
+    ``urn_tables``, the one place each family defines them.
     """
     colour_totals = [0] * model.n_colours
     for s, k in zip(sizes, colours):
         colour_totals[k] += s
-    offsets, factors, new = model.urn_weights(colour_totals, len(sizes))
-    return [(s + offsets[k]) * factors[k] for s, k in zip(sizes, colours)], list(new)
+    offsets, factors, new, by_degree = model.urn_tables(sum(colour_totals))
+    degree = by_degree[len(sizes)]
+    return ([(s + offsets[k]) * factors[k][colour_totals[k]] for s, k in zip(sizes, colours)],
+            [new_k[m] * degree for new_k, m in zip(new, colour_totals)])
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,10 @@ class DirichletProcess:
         return (_lgamma(theta) - _lgamma(theta + n) + len(sizes) * math.log(theta)
                 + _sum_lgamma(sizes))
 
-    def urn_weights(self, colour_totals, degree):
+    def urn_tables(self, n: int):
         """Each existing cluster weighs its size, a new cluster theta."""
-        return (0.0,), (1.0,), (self.theta,)
+        ones = [1.0] * (n + 1)
+        return (0.0,), (ones,), ([self.theta] * (n + 1),), ones
 
     weight_lists = _weight_lists
 
@@ -145,9 +149,11 @@ class DirichletMultinomial:
             out += math.log(K - i)
         return out + _sum_lgamma([w + s for s in sizes]) - len(sizes) * _lgamma(w)
 
-    def urn_weights(self, colour_totals, degree):
+    def urn_tables(self, n: int):
         """Size plus ``weight``; a new cluster ``weight`` per free component."""
-        return (self.weight,), (1.0,), (max(self.components - degree, 0) * self.weight,)
+        K, w = self.components, self.weight
+        ones = [1.0] * (n + 1)
+        return (w,), (ones,), (ones,), [max(K - d, 0) * w for d in range(n + 1)]
 
     weight_lists = _weight_lists
 
@@ -178,9 +184,11 @@ class PitmanYor:
             out += math.log(theta + i * sigma)
         return out + _sum_lgamma([s - sigma for s in sizes]) - len(sizes) * _lgamma(1 - sigma)
 
-    def urn_weights(self, colour_totals, degree):
-        """Size minus the discount; a new cluster ``strength + discount * degree``."""
-        return (-self.discount,), (1.0,), (self.strength + self.discount * degree,)
+    def urn_tables(self, n: int):
+        """Size minus the discount; a new cluster ``strength + discount * d``."""
+        sigma, theta = self.discount, self.strength
+        ones = [1.0] * (n + 1)
+        return (-sigma,), (ones,), (ones,), [theta + sigma * d for d in range(n + 1)]
 
     weight_lists = _weight_lists
 
@@ -221,14 +229,14 @@ class ColouredDirichletProcess:
                     + len(sizes) * math.log(t) + _sum_lgamma(sizes))
         return out
 
-    def urn_weights(self, colour_totals, degree):
-        """An existing cluster of colour k and size m weighs
-        ``m * (gamma_k + n_k) / (theta_k + n_k)`` and a new cluster of colour k
+    def urn_tables(self, n: int):
+        """An existing cluster of colour k and size s weighs
+        ``s * (gamma_k + n_k) / (theta_k + n_k)`` and a new cluster of colour k
         ``theta_k * (gamma_k + n_k) / (theta_k + n_k)``, where n_k counts the
         remaining items of colour k."""
-        factors = [(g + n_k) / (t + n_k) for (g, t), n_k in zip(self.colours, colour_totals)]
-        new = [t * f for (_, t), f in zip(self.colours, factors)]
-        return (0.0,) * len(factors), factors, new
+        factors = [[(g + m) / (t + m) for m in range(n + 1)] for g, t in self.colours]
+        new = [[t * f for f in fs] for (_, t), fs in zip(self.colours, factors)]
+        return (0.0,) * len(factors), factors, new, [1.0] * (n + 1)
 
     weight_lists = _weight_lists
 
@@ -278,14 +286,15 @@ class BackgroundDirichletProcess:
             out += len(regular) * math.log(theta) + _sum_lgamma(regular)
         return out
 
-    def urn_weights(self, colour_totals, degree):
+    def urn_tables(self, n: int):
         """The background cluster (existing or to be created) weighs
         ``background_weight + n_0``, an existing regular cluster its size and
         a new regular cluster ``concentration``. The background cluster
         exists exactly when ``n_0 > 0``, and then no second one may open."""
         bw = self.background_weight
-        return ((bw, 0.0), (1.0, 1.0),
-                (0.0 if colour_totals[self.BACKGROUND] else bw, self.concentration))
+        ones = [1.0] * (n + 1)
+        return ((bw, 0.0), (ones, ones),
+                ([bw] + [0.0] * n, [self.concentration] * (n + 1)), ones)
 
     weight_lists = _weight_lists
 

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import logging
 import math
@@ -794,13 +795,63 @@ def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_pa
         state.sweep(2)
 
 
+def counting_kernel_runs(monkeypatch) -> Counter:
+    """Counts the compiled blocks run from here on, under "run"."""
+    calls, run = Counter(), _sweep.SweepArrays.run
+
+    def counted(*args, **kwargs):
+        calls["run"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(_sweep.SweepArrays, "run", counted)
+    return calls
+
+
 def test_huge_component_bound_gives_the_same_chain_on_both_paths(monkeypatch):
-    # a bound the kernel cannot hold exactly runs on the Python sweep
+    # a bound beyond 2**53 enters the kernel only through the new-cluster
+    # weights (K - d) * w, which urn_tables computes with K exact in Python
     model = DirichletMultinomial(10 ** 20, 1e-20)  # new-cluster weight about 1
     plan = SweepPlan(sweeps=20, burn_in=0, seed=6)
+    calls = counting_kernel_runs(monkeypatch)
     compiled, python = on_both_paths(
         monkeypatch, lambda: run_chain(make_data(6), DESIGN, model, SPEC, plan))
     assert compiled == python
+    assert bool(calls) == (_sweep.library() is not None)
+
+
+class TiltedPrior:
+    """Two-colour urn tables outside the five families, each table varying:
+    offsets of either sign, factors and new-cluster weights that change with
+    the colour's item count, a new-cluster weight that grows with the
+    cluster count. Records are scored with a coloured process's EPPF; the
+    two sweeps must agree whatever law the tables define."""
+
+    coloured = True
+    n_colours = 2
+
+    def urn_tables(self, n: int):
+        counts = range(n + 1)
+        factors = [[(1.0 + c + m) / (2.0 + m) for m in counts] for c in range(2)]
+        new = [[(0.5 + c) * f for f in fs] for c, fs in enumerate(factors)]
+        return (-0.3, 0.2), factors, new, [1.0 + 0.3 * d for d in counts]
+
+    def log_eppf_sizes(self, sizes_by_colour, n: int) -> float:
+        return ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]).log_eppf_sizes(
+            sizes_by_colour, n)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3])
+def test_a_prior_outside_the_five_families_runs_on_the_kernel(rate, monkeypatch):
+    # the kernel reads the prior's urn tables and holds no family code
+    Y = make_data(9, seed=5)
+    plan = SweepPlan(sweeps=60, burn_in=7, thin=3, subset_move_rate=rate, seed=8)
+    calls = counting_kernel_runs(monkeypatch)
+    compiled, python = on_both_paths(
+        monkeypatch, lambda: run_chain(Y, DESIGN, TiltedPrior(), [SPEC, SPEC], plan))
+    assert bool(calls) == (_sweep.library() is not None)
+    assert len(compiled) == len(range(7, 60, 3))
+    assert_same_records(compiled, python)
+    assert len({rec.colour_degrees for rec in python}) > 1
 
 
 def needs_kernel():
@@ -923,8 +974,8 @@ def test_state_after_a_failed_block_is_the_state_before_it(error):
         saved, table = state._arrays.rate_base.copy(), state._arrays.rate_base
         table[:] = -1e6
     else:
-        saved, table = state._arrays.params.copy(), state._arrays.params
-        table[1] = -0.4  # a strength that gives a first cluster no weight
+        saved, table = state._arrays.by_degree.copy(), state._arrays.by_degree
+        table[0] = -0.4  # a first cluster's weight under a strength of -0.4
     with pytest.raises(NumericalError, match="^(posterior rate|all reallocation)"):
         state.sweep(2)
     assert state.snapshot() == twin.snapshot()
@@ -1002,6 +1053,30 @@ def test_kernel_compiles_without_warnings(tmp_path):
                            "-o", str(tmp_path / "kernel.so"), str(_sweep.SOURCE), "-lm"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
+    """The fields of ``typedef struct { ... } name;`` in C source, in order,
+    each with the ctypes type that mirrors it: any pointer as ``c_void_p``,
+    an ``int64_t`` as ``c_int64``."""
+    body = re.search(r"typedef struct \{([^{}]*)\} " + name + ";", source)[1]
+    fields = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        first, *rest = decl.split(",")
+        ctype, first = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\**\s*\w+)\s*", first).groups()
+        for declarator in [first, *rest]:
+            pointer, field = re.fullmatch(r"\s*(\**)\s*(\w+)\s*", declarator).groups()
+            fields.append((field, ctypes.c_void_p if pointer else
+                           {"int64_t": ctypes.c_int64}[ctype]))
+    return fields
+
+
+@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Records], ids=["Kernel", "Records"])
+def test_ctypes_structs_mirror_the_kernel_source(mirror):
+    # a mirror out of step with the C struct hands the kernel the wrong
+    # pointers, and nothing says so
+    fields = c_struct_fields(_sweep.SOURCE.read_text(), mirror.__name__.lstrip("_"))
+    assert fields == mirror._fields_
 
 
 @pytest.mark.parametrize("record_at", [[3], [-1], [1, 1], [2, 0]])

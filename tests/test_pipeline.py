@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -636,6 +637,31 @@ def test_non_finite_scalar_names_its_key(tiny_run, capsys, section, value, key):
     err = _cli_error(capsys, "run", "--config", cfg)
     assert err.startswith(f"error: {key} must be a finite number, got "), err
     assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
+@pytest.mark.parametrize("key", ["sweeps", "seed", "model.components"])
+def test_integer_too_large_for_a_float_names_its_key(tiny_run, capsys, key):
+    # math.isfinite raised OverflowError on these, ending the run in a traceback
+    huge = 10 ** 400
+    section, _, name = key.rpartition(".")
+    value = ({"family": "dirichlet_multinomial", "components": huge, "weight": 0.5}
+             if section else huge)
+    cfg = tiny_run["out"] + ".json"
+    with open(cfg, "w") as fh:
+        json.dump(dict(tiny_run, **{section or name: value}), fh)
+    err = _cli_error(capsys, "run", "--config", cfg)
+    assert err.startswith(f"error: {key} must be a finite number, got {huge}"), err
+    assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
+def test_chain_plans_differ_from_the_config_only_in_seed(tiny_run):
+    # a SweepPlan field the chain plans dropped would reset to its default
+    # in multi-chain runs only
+    config = pipeline.parse_config(dict(tiny_run, sweeps=40, burn_in=11, thin=3, seed=4,
+                                        subset_move_rate=0.25, subset_max_size=3))
+    plans = pipeline._chain_plans(config.plan, 3)
+    assert [dataclasses.replace(p, seed=config.plan.seed) for p in plans] == [config.plan] * 3
+    assert len({p.seed for p in plans}) == 3
 
 
 def test_cli_verify_rejects_bad_settings(tmp_path):
