@@ -18,8 +18,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as sstats
-from scipy.special import logsumexp
+from scipy.special import chdtri, logsumexp
 
 from . import priors
 from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec, log_mvt
@@ -44,6 +43,7 @@ class CheckResult:
 # pass/fail gates, fixed like the time budgets so no settings override can loosen a check
 NORM_TOL = 1e-10
 CHI2_LEVEL = 0.99
+CHI2_MIN_EXPECTED = 5.0  # cells expecting fewer counts are pooled
 CONJUGATE_TOL = 1e-8
 INVARIANCE_TOL = 1e-10
 
@@ -89,6 +89,20 @@ class VerifySettings:
         if cfg.chain_burn_in >= cfg.chain_sweeps:
             raise ValidationError(f"verify setting chain_burn_in ({cfg.chain_burn_in}) must be "
                                   f"less than chain_sweeps ({cfg.chain_sweeps})")
+        # a chi-square test needs a cell expecting CHI2_MIN_EXPECTED counts, or it has
+        # no degree of freedom and no threshold
+        least = _least_count(_equivalence_law()[1])
+        if cfg.equiv_samples < least:
+            raise ValidationError(f"verify setting equiv_samples must be at least {least} for "
+                                  f"construction-equivalence's chi-square test, "
+                                  f"got {cfg.equiv_samples}")
+        kept = len(range(cfg.chain_burn_in, cfg.chain_sweeps, CHAIN_THIN))
+        least = _least_count(_convergence_problem()[-1])
+        if kept < least:
+            raise ValidationError(
+                f"verify setting chain_sweeps ({cfg.chain_sweeps}) less chain_burn_in "
+                f"({cfg.chain_burn_in}) keeps {kept} records at thin {CHAIN_THIN}; "
+                f"gibbs-convergence's chi-square test needs at least {least}")
         return cfg
 
 
@@ -139,12 +153,20 @@ def check_ewens_agreement(cfg: VerifySettings) -> CheckResult:
                        f"max |config - summed partitions| = {worst:.3e} (tol {NORM_TOL:.0e})")
 
 
-def _chi2_ok(observed: np.ndarray, probs: np.ndarray,
-             min_expected: float = 5.0) -> tuple[bool, float, float, int]:
+def _least_count(probs: np.ndarray) -> int:
+    """Fewest draws for which some cell of ``probs`` expects ``CHI2_MIN_EXPECTED``."""
+    top = float(np.max(probs))
+    count = max(1, math.ceil(CHI2_MIN_EXPECTED / top) - 1)
+    while top * count < CHI2_MIN_EXPECTED:
+        count += 1
+    return count
+
+
+def _chi2_ok(observed: np.ndarray, probs: np.ndarray) -> tuple[bool, float, float, int]:
     """Pearson test at ``CHI2_LEVEL``, small cells pooled; returns (ok, stat, crit, df)."""
     total = observed.sum()
     expected = probs * total
-    big = expected >= min_expected
+    big = expected >= CHI2_MIN_EXPECTED
     obs_cells = list(observed[big])
     exp_cells = list(expected[big])
     if (~big).any():
@@ -155,8 +177,19 @@ def _chi2_ok(observed: np.ndarray, probs: np.ndarray,
     keep = exp_cells > 0
     stat = float((((obs_cells - exp_cells) ** 2) / np.where(keep, exp_cells, 1.0))[keep].sum())
     df = int(keep.sum()) - 1
-    crit = float(sstats.chi2.ppf(CHI2_LEVEL, df))
+    if df < 1:
+        raise ValueError(f"{total:g} counts leave the chi-square test no degree of freedom")
+    crit = float(chdtri(df, 1 - CHI2_LEVEL))
     return stat < crit, stat, crit, df
+
+
+@lru_cache(maxsize=None)
+def _equivalence_law() -> tuple[list[Partition], np.ndarray]:
+    """Every partition of ``EQUIV_N`` items and its probability under DP(``EQUIV_THETA``)."""
+    states = list(enumerate_partitions(EQUIV_N))
+    probs = np.array([math.exp(log_eppf(DirichletProcess(EQUIV_THETA), p)) for p in states])
+    probs.setflags(write=False)
+    return states, probs
 
 
 def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
@@ -164,10 +197,9 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
     all match the exact partition law (goodness-of-fit at the set level)."""
     start = time.perf_counter()
     n, theta = EQUIV_N, EQUIV_THETA
-    states = list(enumerate_partitions(n))
+    states, probs = _equivalence_law()
     # each draw is counted under its restricted-growth key, not a Partition
     index = {p.allocation(): i for i, p in enumerate(states)}
-    probs = np.array([math.exp(log_eppf(DirichletProcess(theta), p)) for p in states])
 
     def freq(sampler: Callable[[np.random.Generator], Sequence[int]], seed) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -369,19 +401,27 @@ def check_gibbs_invariance(cfg: VerifySettings) -> CheckResult:
                        f"{elapsed:.1f}s (budget 60s)")
 
 
-def check_gibbs_convergence(cfg: VerifySettings) -> CheckResult:
-    """Criterion: long-run sampled partition frequencies on a small conjugate
-    dataset match the exactly enumerated posterior."""
-    n = 5
-    Y = np.array([-1.1, -0.9, 0.05, 0.95, 1.15]).reshape(n, 1)
+@lru_cache(maxsize=None)
+def _convergence_problem():
+    """The gibbs-convergence instance, (Y, design, spec, model, engines, states, pi):
+    a small conjugate dataset, its partitions and their exact posterior."""
+    Y = np.array([-1.1, -0.9, 0.05, 0.95, 1.15]).reshape(-1, 1)
     design = DesignBlock(np.array([[1.0]]))
     spec = NormalGammaSpec(1.0, 1.0, [0.0], [[1.0]])
     model = DirichletProcess(1.0)
     engines = build_engines(Y, design, spec, model)
-    states = list(enumerate_partitions(n))
+    states = list(enumerate_partitions(len(Y)))
+    pi = _exact_posterior(model, engines, states)
+    pi.setflags(write=False)
+    return Y, design, spec, model, engines, states, pi
+
+
+def check_gibbs_convergence(cfg: VerifySettings) -> CheckResult:
+    """Criterion: long-run sampled partition frequencies on a small conjugate
+    dataset match the exactly enumerated posterior."""
+    Y, design, spec, model, engines, states, pi = _convergence_problem()
     # each record is counted under its canonical labels, not a Partition
     index = {p.allocation(): i for i, p in enumerate(states)}
-    pi = _exact_posterior(model, engines, states)
     plan = SweepPlan(sweeps=cfg.chain_sweeps, burn_in=cfg.chain_burn_in,
                      thin=CHAIN_THIN, seed=SEED + 7)
     trace = run_chain(Y, design, model, spec, plan, engines=engines)

@@ -1,7 +1,7 @@
 """Command-line entry points: ``cdpmix run | verify | summarize``.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
-3 verification-check failure.
+Exit codes: 0 success, 1 validation error (a bad argument included),
+2 numerical failure, 3 verification-check failure.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checks, pipeline
+from . import pipeline
 from .errors import NumericalError, ValidationError
 
 EXIT_OK = 0
@@ -36,6 +36,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks  # only verify needs it, so run and summarize start faster
     overrides = _load_json(args.config)
     results = checks.run_all(overrides, report=print)
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
@@ -49,8 +50,17 @@ def _cmd_summarize(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2, which here
+    means a numerical failure; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdpmix",
         description="Bayesian nonparametric clustering pipeline")
     sub = parser.add_subparsers(dest="command", required=True)

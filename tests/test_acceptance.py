@@ -130,6 +130,24 @@ def test_verify_fails_on_forced_domain_error(tmp_path):
     assert not proc.stdout, proc.stdout  # rejected before any check runs
 
 
+def test_run_and_summarize_never_import_scipy_stats(tmp_path):
+    # scipy.stats alone took over half of `import cdpmix.cli`; no command uses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "wen-rat", "sweeps": 40, "burn_in": 20}))
+    out = str(tmp_path / "run")
+    script = (
+        "import sys\n"
+        "import cdpmix.cli, cdpmix.checks\n"
+        "assert 'scipy.stats' not in sys.modules, 'import'\n"
+        f"assert cdpmix.cli.main(['run', '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'run'\n"
+        f"assert cdpmix.cli.main(['summarize', '--out', {out!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'summarize'\n")
+    proc = _run_python("-c", script, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
 def test_package_runs_as_a_module():
     proc = _run_cli("verify", "--help", timeout=120, module="cdpmix")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 
@@ -504,6 +505,23 @@ def _cli_error(capsys, *argv) -> str:
     return err
 
 
+@pytest.mark.parametrize("argv", [[], ["run", "--seed", "abc"], ["run", "--chains", "x"],
+                                  ["frobnicate"]], ids=["none", "seed", "chains", "command"])
+def test_cli_usage_errors_exit_1(argv, capsys):
+    # argparse exits 2 by default, which the CLI documents as a numerical failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "error: " in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cdpmix run")
+
+
 def test_cli_missing_config_file_is_a_validation_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert _cli_error(capsys, "run", "--config", missing).startswith(f"error: {missing}: ")
@@ -699,6 +717,58 @@ def test_verify_settings_reject_bad_counts_naming_the_key(overrides, key):
     # each used to end in a TypeError traceback or to reach the checks unchecked
     with pytest.raises(ValidationError, match=f"^verify setting {key} "):
         checks.VerifySettings.from_overrides(overrides)
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"equiv_samples": 3}, "equiv_samples"),
+    ({"equiv_samples": 20}, "equiv_samples"),
+    ({"chain_sweeps": 100, "chain_burn_in": 50}, "chain_sweeps"),
+], ids=["equiv-3", "equiv-20", "chain-5-records"])
+def test_verify_settings_reject_counts_too_small_for_the_chi2_test(overrides, key):
+    # these used to run every check and print a nan threshold, `X2=0.0<nan(df0):FAIL`
+    with pytest.raises(ValidationError, match=f"^verify setting {key} .*chi-square"):
+        checks.VerifySettings.from_overrides(overrides)
+
+
+def test_cli_verify_rejects_too_few_samples_before_any_check(tmp_path, capsys):
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"equiv_samples": 3}))
+    assert main(["verify", "--config", str(cfg)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: verify setting equiv_samples must be at least 21")
+
+
+@pytest.mark.parametrize("law", [lambda: checks._equivalence_law()[1],
+                                 lambda: checks._convergence_problem()[-1]],
+                         ids=["construction-equivalence", "gibbs-convergence"])
+def test_least_count_is_the_fewest_samples_with_a_finite_threshold(law):
+    probs = law()
+    least = checks._least_count(probs)
+    observed = np.zeros(len(probs))
+    observed[0] = least
+    _, _, crit, df = checks._chi2_ok(observed, probs)
+    assert df >= 1 and math.isfinite(crit)
+    observed[0] = least - 1
+    with pytest.raises(ValueError, match="no degree of freedom"):
+        checks._chi2_ok(observed, probs)
+
+
+def test_least_counts_admit_the_benchmark_settings():
+    # construction-equivalence's likeliest cell has p = 1/4 less an ulp, so 20
+    # draws expect just under 5 and 21 is the least
+    assert checks._least_count(checks._equivalence_law()[1]) == 21
+    cfg = checks.VerifySettings.from_overrides({"chain_sweeps": 260, "chain_burn_in": 1})
+    assert cfg.chain_sweeps == 260  # keeps 26 records, the least gibbs-convergence takes
+    with pytest.raises(ValidationError, match="^verify setting chain_sweeps "):
+        checks.VerifySettings.from_overrides({"chain_sweeps": 250, "chain_burn_in": 1})
+
+
+def test_chi2_threshold_equals_scipy_stats_bit_for_bit():
+    from scipy import stats
+    from scipy.special import chdtri
+    for df in range(1, 201):
+        assert chdtri(df, 1 - checks.CHI2_LEVEL) == stats.chi2.ppf(checks.CHI2_LEVEL, df), df
 
 
 def test_verify_settings_accept_the_three_sample_counts():
