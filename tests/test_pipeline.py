@@ -754,9 +754,9 @@ def test_least_count_is_the_fewest_samples_with_a_finite_threshold(law):
         checks._chi2_ok(observed, probs)
 
 
-def test_least_counts_admit_the_benchmark_settings():
-    # construction-equivalence's likeliest cell has p = 1/4 less an ulp, so 20
-    # draws expect just under 5 and 21 is the least
+def test_least_counts_are_21_draws_and_26_records():
+    # construction-equivalence's likeliest cell has p = 1/4, computed as
+    # 0.24999999999999994, so 20 draws expect just under 5 and 21 is the least
     assert checks._least_count(checks._equivalence_law()[1]) == 21
     cfg = checks.VerifySettings.from_overrides({"chain_sweeps": 260, "chain_burn_in": 1})
     assert cfg.chain_sweeps == 260  # keeps 26 records, the least gibbs-convergence takes
