@@ -18,9 +18,9 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import chdtri, logsumexp
 
 from . import priors
+from ._special import chi2_isf, logsumexp
 from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec, log_mvt
 from .errors import ValidationError
 from .estimation import LossSpec, expected_pairwise_loss, optimal_partition
@@ -179,7 +179,7 @@ def _chi2_ok(observed: np.ndarray, probs: np.ndarray) -> tuple[bool, float, floa
     df = int(keep.sum()) - 1
     if df < 1:
         raise ValueError(f"{total:g} counts leave the chi-square test no degree of freedom")
-    crit = float(chdtri(df, 1 - CHI2_LEVEL))
+    crit = chi2_isf(df, 1 - CHI2_LEVEL)
     return stat < crit, stat, crit, df
 
 

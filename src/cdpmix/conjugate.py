@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
+from ._special import gammaln
 from .errors import NumericalError, ValidationError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -182,12 +182,11 @@ class ClusterEvaluator:
             if (scale <= 0).any():
                 raise NumericalError("posterior precision is not positive definite")
             n_obs = m * self.n_samples
-            a_post = self.spec.shape + 0.5 * n_obs
+            a_post = (self.spec.shape + 0.5 * n_obs).tolist()
             const = (-0.5 * n_obs * _LOG_2PI
                      - 0.5 * np.log1p(np.outer(m, self.eigenvalues)).sum(axis=1)
-                     + self._log_norm0 + gammaln(a_post))
-            self._table.extend(zip(map(tuple, (1.0 / scale).tolist()),
-                                   a_post.tolist(), const.tolist()))
+                     + self._log_norm0 + np.array([gammaln(a) for a in a_post]))
+            self._table.extend(zip(map(tuple, (1.0 / scale).tolist()), a_post, const.tolist()))
         return self._table
 
     def project(self, wty: np.ndarray) -> tuple[float, ...]:

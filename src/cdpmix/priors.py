@@ -42,8 +42,7 @@ from functools import lru_cache, reduce
 from operator import add
 from typing import Sequence, Union
 
-from scipy.special import gammaln
-
+from ._special import gammaln
 from .errors import ValidationError
 from .partitions import ColouredPartition, ConfigurationCounts, Partition
 
@@ -53,8 +52,8 @@ LOG_ZERO = float("-inf")
 
 @lru_cache(maxsize=4096)
 def _lgamma(x: float) -> float:
-    """``gammaln(x)`` as a Python float; the priors ask for a few values many times."""
-    return float(gammaln(x))
+    """``gammaln(x)``, cached: the priors ask for a few values many times."""
+    return gammaln(x)
 
 
 def _array_sum(xs: Sequence[float]) -> float:
@@ -74,7 +73,8 @@ def _array_sum(xs: Sequence[float]) -> float:
 
 
 def _sum_lgamma(xs: Sequence[float]) -> float:
-    """``gammaln(np.array(xs, dtype=float)).sum()`` without the arrays."""
+    """Sum of ``gammaln`` over ``xs``, added in numpy's pairwise order like
+    ``np.sum`` of an array of them."""
     return _array_sum([_lgamma(x) for x in xs])
 
 

@@ -148,6 +148,32 @@ def test_run_and_summarize_never_import_scipy_stats(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_no_command_imports_scipy(tmp_path):
+    # scipy.special was over half of `import cdpmix.cli`; the package carries its own ports
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "wen-rat", "sweeps": 40, "burn_in": 20}))
+    least = tmp_path / "verify.json"  # the least sample counts verify accepts
+    least.write_text(json.dumps({"equiv_samples": 21, "chain_sweeps": 260, "chain_burn_in": 1}))
+    out = str(tmp_path / "run")
+    script = (
+        "import sys\n"
+        "def no_scipy(step):\n"
+        "    assert not [m for m in sys.modules if m.startswith('scipy')], step\n"
+        "import cdpmix.cli, cdpmix.checks\n"
+        "no_scipy('import')\n"
+        "assert 'numpy.random' in sys.modules, 'numpy.random is left to the first draw'\n"
+        f"assert cdpmix.cli.main(['run', '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
+        "no_scipy('run')\n"
+        f"assert cdpmix.cli.main(['summarize', '--out', {out!r}]) == 0\n"
+        "no_scipy('summarize')\n"
+        f"assert cdpmix.cli.main(['verify', '--config', {str(least)!r}]) in (\n"
+        "    cdpmix.cli.EXIT_OK, cdpmix.cli.EXIT_CHECK_FAILED)\n"
+        "no_scipy('verify')\n")
+    proc = _run_python("-c", script, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("[PASS]") + proc.stdout.count("[FAIL]") == 8, proc.stdout
+
+
 def test_package_runs_as_a_module():
     proc = _run_cli("verify", "--help", timeout=120, module="cdpmix")
     assert proc.returncode == 0, proc.stdout + proc.stderr
