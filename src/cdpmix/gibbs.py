@@ -52,7 +52,7 @@ from operator import add, sub
 from typing import Sequence
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; load it at import, not inside a timed first draw
+import numpy.random  # numpy loads it lazily; load it with the package, not in the first draw
 
 from . import _sweep
 from .conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec
