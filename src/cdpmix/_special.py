@@ -22,12 +22,12 @@ import math
 import numpy as np
 
 # Cephes lgam coefficients: A is the Stirling correction series, B/C the
-# rational approximation on [2, 3).
+# rational approximation on [2, 3); C's leading 1 is implied in Cephes.
 _A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
       -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 _B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
       -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+_C = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
       -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _LOGPI = 1.14472988584940017414  # log(pi)
@@ -35,15 +35,8 @@ _MAXLGM = 2.556348e305
 
 
 def _polevl(x: float, coef: tuple) -> float:
+    """The polynomial with coefficients ``coef``, highest degree first, at x."""
     ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: float, coef: tuple) -> float:
-    """``_polevl`` with an implied leading coefficient of 1."""
-    ans = x + coef[0]
     for c in coef[1:]:
         ans = ans * x + c
     return ans
@@ -86,7 +79,7 @@ def gammaln(x: float) -> float:
         if u == 2.0:
             return math.log(z)
         x += p - 2.0
-        return math.log(z) + x * _polevl(x, _B) / _p1evl(x, _C)
+        return math.log(z) + x * _polevl(x, _B) / _polevl(x, _C)
     if x > _MAXLGM:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI
