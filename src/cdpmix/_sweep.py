@@ -140,9 +140,9 @@ class Records(NamedTuple):
 class SweepArrays:
     """One chain's urn tables, engines and state as the kernel's flat arrays.
 
-    ``urn`` is the prior's ``urn_tables(n)``, one engine per colour. The
-    engines must price as ``NIGEngine`` does: ``rows`` filled for every
-    count up to n + 1, ``xi``, ``yy``, ``singles``, ``z0`` and ``rate_base``.
+    ``urn`` is the prior's ``urn_tables(n)``, one ``NIGEngine`` per colour:
+    the kernel's ``log_marginal`` ports its ``log_m`` from ``xi``, ``yy``,
+    ``singles``, ``z0`` and its evaluator's ``table`` and ``rate_base``.
     The state arrays are public; ``run`` sweeps them in place.
     """
 
@@ -158,7 +158,7 @@ class SweepArrays:
         self.new = np.array(new, dtype=f64).reshape(C, n + 1)
         self.by_degree = np.array(by_degree, dtype=f64).reshape(n + 1)
         self.p = np.array(p, dtype=i64)
-        self.rate_base = np.array([eng.rate_base for eng in engines], dtype=f64)
+        self.rate_base = np.array([eng.evaluator.rate_base for eng in engines], dtype=f64)
         self.z0 = np.zeros((C, pmax))
         self.xi = np.zeros((C, n, pmax))
         self.yy = np.array([eng.yy for eng in engines], dtype=f64).reshape(C, n)
@@ -170,7 +170,7 @@ class SweepArrays:
             pc = p[c]
             self.z0[c, :pc] = eng.z0
             self.xi[c, :, :pc] = eng.xi
-            rows = eng.rows[1:n + 2]
+            rows = eng.evaluator.table(n + 1)[1:n + 2]
             self.recips[c, 1:, :pc] = np.array([r[0] for r in rows], dtype=f64).reshape(n + 1, pc)
             self.a_post[c, 1:] = [r[1] for r in rows]
             self.cnst[c, 1:] = [r[2] for r in rows]

@@ -240,9 +240,10 @@ def check_dp_moments(cfg: VerifySettings) -> CheckResult:
         done = 0
         while done < MOMENT_REPS:
             chunk = min(20_000, MOMENT_REPS - done)
-            breaks = rng.beta(1.0, theta, size=(chunk, n_sticks))
-            keep = np.cumprod(1.0 - breaks, axis=1)
-            w = breaks * np.concatenate([np.ones((chunk, 1)), keep[:, :-1]], axis=1)
+            w = rng.beta(1.0, theta, size=(chunk, n_sticks))
+            keep = np.cumprod(1.0 - w, axis=1)
+            w[:, 1:] *= keep[:, :-1]
+            del keep
             hits = rng.random(size=(chunk, n_sticks)) < q
             estimates[done:done + chunk] = (w * hits).sum(axis=1)
             done += chunk

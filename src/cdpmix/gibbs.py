@@ -12,12 +12,11 @@ Single-item moves use the prior's urn weights times the conjugate predictive
 (Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
 every placement in one pass of ``item_candidates`` -- the urn weight read
 off the prior's ``urn_tables``, built once per chain, the receiving
-cluster's marginal computed inline from its colour's per-count table -- then
-draws and inserts. The inline pricing repeats the arithmetic of
-``log_marginal_z`` operation for operation, so a seeded chain is the same as
-the step-by-step composition. Every move draws through ``_draw``: one
-uniform against the running totals of the exponentiated weights, found by
-bisection.
+cluster's marginal from its engine -- then draws and inserts. Every marginal
+the Python sampler computes comes from the engine's ``log_m`` (``singles``
+caches the new-cluster ones); ``log_marginal`` in ``_sweep.c`` is its one
+compiled port. Every move draws through ``_draw``: one uniform against the
+running totals of the exponentiated weights, found by bisection.
 A block move is the same step applied to each item of a co-clustered block
 (``_withdraw``, then ``_insert`` through ``_place``), priced through the
 prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
@@ -70,17 +69,16 @@ class NIGEngine:
     a cluster's statistics are its count, ``z = z0 + sum of its xi`` and the
     sum of its ``yy``. ``log_m(count, z, yty, dz, dyy)`` prices a cluster,
     optionally with one more item's ``(dz, dyy)`` added, in O(p) scalar
-    arithmetic; ``singles[i]`` is item i's own log marginal. ``rows`` (the
-    evaluator's per-count table, filled for every count a chain can reach) and
-    ``rate_base`` let the single-item kernel price inline.
+    arithmetic; ``singles[i]`` is item i's own log marginal. These five are
+    all the Python sampler reads. The compiled sweep ports ``log_m`` and reads
+    the evaluator's per-count table, filled here for every count up to n + 1.
     """
 
     def __init__(self, design: DesignBlock, spec: NormalGammaSpec, Y: np.ndarray):
         ev = self.evaluator = ClusterEvaluator(design, spec)
         item_wty, item_yty = ev.prepare(Y)
         n = len(item_yty)
-        self.rows = ev.table(n + 1)
-        self.rate_base = ev.rate_base
+        ev.table(n + 1)  # filled once, so both sweeps read the same rows
         self.log_m = ev.log_marginal_z
         self.z0 = ev.z0
         self.xi = [tuple(row) for row in (item_wty @ ev.basis).tolist()]
@@ -176,12 +174,6 @@ class ChainState:
         self.clusters: dict[int, _Cluster] = {}
         self.item_cluster = [-1] * n
         self.colour_totals = [0] * model.n_colours
-        # per item, one entry per colour: (xi_i, yy_i, item i's own marginal,
-        # per-count table, rate_base, range(p)), all the pricing reads
-        self._item_data = [tuple((eng.xi[i], eng.yy[i], eng.singles[i], eng.rows,
-                                  eng.rate_base, range(len(eng.z0)))
-                                 for eng in self.engines)
-                           for i in range(n)]
         self._next_cid = 0
         # (offsets, factors, new, by_degree): the prior's urn weights for up
         # to n items, read by item_candidates and by the compiled kernel
@@ -299,15 +291,14 @@ class ChainState:
 
         Returns parallel lists: move descriptors ``("existing", cid)`` or
         ``("new", colour)``, their unnormalized log weights, and the log
-        marginal the receiving cluster would have after the move. An existing
-        cluster is priced inline from its colour's per-count row, in the same
-        order of operations as ``log_marginal_z`` with the item's ``(xi, yy)``
-        added.
+        marginal the receiving cluster would have after the move: the
+        engine's ``log_m`` with the item's ``(xi, yy)`` added for an existing
+        cluster, its ``singles`` entry for a new one.
         """
         offsets, factors, new, by_degree = self._urn
         totals = self.colour_totals
         factors = [f[m] for f, m in zip(factors, totals)]
-        item = self._item_data[i]
+        engines = self.engines
         log = math.log
         moves, logw, after = [], [], []
         for cid, cl in self.clusters.items():
@@ -316,17 +307,8 @@ class ChainState:
             w = (size + offsets[k]) * factors[k]
             if w <= 0:
                 continue
-            xi_i, yy_i, _, rows, rate_base, dims = item[k]
-            recips, a_post, const = rows[size + 1]
-            z = cl.z
-            quad = 0.0
-            for d in dims:
-                t = z[d] + xi_i[d]
-                quad += t * t * recips[d]
-            b_post = rate_base + 0.5 * (cl.yty + yy_i - quad)
-            if not b_post > 0:
-                raise NumericalError("posterior rate collapsed to a non-positive value")
-            lm = const - a_post * log(b_post)
+            eng = engines[k]
+            lm = eng.log_m(size + 1, cl.z, cl.yty, eng.xi[i], eng.yy[i])
             moves.append(("existing", cid))
             logw.append(log(w) + lm - cl.log_m)
             after.append(lm)
@@ -335,7 +317,7 @@ class ChainState:
             w = new_k[m] * degree
             if w <= 0:
                 continue
-            lm = item[k][2]
+            lm = engines[k].singles[i]
             moves.append(("new", k))
             logw.append(log(w) + lm)
             after.append(lm)

@@ -286,10 +286,20 @@ def _array(cfg: dict, key: str, default, shape: tuple | None, prefix="prior.") -
 
 
 def _block(cfg: dict, key: str, dim: int) -> np.ndarray:
-    """A precision block: a scalar times the identity, or a dim x dim matrix."""
+    """A symmetric positive definite precision block: a scalar times I, or a matrix."""
     if np.isscalar(cfg.get(key, 0.01)):
-        return _number(cfg, key, 0.01, float, "prior.") * np.eye(dim)
-    return _array(cfg, key, None, (dim, dim))
+        block = _number(cfg, key, 0.01, float, "prior.") * np.eye(dim)
+    else:
+        block = _array(cfg, key, None, (dim, dim))
+    try:
+        np.linalg.cholesky(block)  # reads one triangle only, hence the symmetry test
+        spd = np.allclose(block, block.T, atol=1e-10)  # NormalGammaSpec's tolerance
+    except np.linalg.LinAlgError:
+        spd = False
+    if not spd:
+        raise ValidationError(f"prior.{key} must be symmetric positive definite, "
+                              f"got {cfg[key]!r}")
+    return block
 
 
 def build_priors(prior_cfg: dict, design: DesignBlock,
@@ -307,6 +317,9 @@ def build_priors(prior_cfg: dict, design: DesignBlock,
     kp, kx = design.n_z, design.n_x
     shape = _number(prior_cfg, "shape", 0.01, float, "prior.")
     rate = _number(prior_cfg, "rate", 0.01, float, "prior.")
+    for key, value in (("shape", shape), ("rate", rate)):
+        if not value > 0:
+            raise ValidationError(f"prior.{key} must be > 0, got {prior_cfg[key]!r}")
     mean_z = _array(prior_cfg, "mean_z", np.zeros(kp), (kp,))
     mean_x = _array(prior_cfg, "mean_x", np.zeros(kx), (kx,))
     prec_z = _block(prior_cfg, "precision_z", kp)
@@ -668,14 +681,15 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
 
 def run_pipeline(config: RunConfig) -> dict:
     """Sample, summarize, and write all artifacts; returns the manifest dict."""
-    os.makedirs(config.out_dir, exist_ok=True)
     probe = os.path.join(config.out_dir, ".write-probe")
     try:
+        os.makedirs(config.out_dir, exist_ok=True)
         with open(probe, "w") as fh:
             fh.write("")
         os.remove(probe)
     except OSError as exc:
-        raise ValidationError(f"output directory {config.out_dir!r} is not writable") from exc
+        raise ValidationError(
+            f"output directory {config.out_dir!r}: {exc.strerror or exc}") from exc
 
     traces = run_chains(config)
     table = stack_traces(traces, config.dataset.n)

@@ -33,19 +33,18 @@ BG_SPEC = NormalGammaSpec(1.0, 1.0, np.zeros(0), np.zeros((0, 0)),
 class FlatEngine:
     """Likelihood stub whose marginals are identically zero (prior-only chains).
 
-    Its table rows (no coordinates, zero shape and constant) and unit
-    ``rate_base`` make the inline pricing give exactly 0 as well.
+    It offers only what the Python sampler reads of an engine: ``log_m``,
+    ``z0``, ``xi``, ``yy`` and ``singles``. Not being an ``NIGEngine``, it
+    always runs the Python sweep.
     """
 
     z0 = ()
-    rate_base = 1.0
 
     def __init__(self, n: int):
         self.n = n
         self.xi = [()] * n
         self.yy = [0.0] * n
         self.singles = [0.0] * n
-        self.rows = [((), 0.0, 0.0)] * (n + 2)
 
     def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
         return 0.0
@@ -786,11 +785,9 @@ def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_pa
     state = ChainState(model, engines, n, np.random.default_rng(3))
     if isinstance(model, DirichletProcess):
         # the singleton start leaves item 0's cluster empty, so the first
-        # rate computed is a candidate's, priced inline from rate_base
+        # rate computed is a candidate's, priced from the evaluator's rate_base
         for eng in engines:
-            eng.rate_base = -1e6
-        state._item_data = [tuple((*d[:4], -1e6, d[5]) for d in item)
-                            for item in state._item_data]
+            eng.evaluator.rate_base = -1e6
     with pytest.raises(NumericalError, match=f"^{message}$"):
         state.sweep(2)
 

@@ -479,6 +479,21 @@ def test_unwritable_output_dir_fails_before_sampling(tiny_run):
         pipeline.run_pipeline(pipeline.parse_config(cfg))
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+def test_output_dir_blocked_by_a_file_fails_before_sampling(tiny_run, capsys, monkeypatch,
+                                                            under_file):
+    # os.makedirs used to raise FileExistsError or NotADirectoryError as a traceback
+    blocker = tiny_run["out"] + ".txt"
+    open(blocker, "w").close()
+    out = os.path.join(blocker, "sub") if under_file else blocker
+    cfg = tiny_run["out"] + ".json"
+    with open(cfg, "w") as fh:
+        json.dump(tiny_run, fh)
+    monkeypatch.setattr(pipeline, "run_chains", None)  # sampling would raise TypeError
+    err = _cli_error(capsys, "run", "--config", cfg, "--out", out)
+    assert err.startswith(f"error: output directory {out!r}: "), err
+
+
 # ------------------------------------------------------------------------ CLI
 
 def test_cli_run_and_summarize(tiny_run, tmp_path):
@@ -584,30 +599,44 @@ def test_missing_or_malformed_design_csv_names_it(tmp_path):
         pipeline.build_design({"Z": str(bad)}, 2)
 
 
-@pytest.mark.parametrize("section,value,key", [
-    ("model", {"family": "dp", "concentration": "abc"}, "concentration"),
-    ("model", {"family": "cdp", "colours": [[1]]}, "colours"),
-    ("model", {"family": "cdp", "colours": 3}, "colours"),
-    ("model", {"family": "cdp", "colours": [[1, 1], [1, "x"]]}, "colours[1].concentration"),
-    ("model", {"family": "dirichlet_multinomial", "components": 2.9, "weight": True},
-     "components"),
-    ("model", {"family": "dirichlet_multinomial", "components": 2, "weight": True}, "weight"),
-    ("prior", {"shape": "x"}, "shape"),
-    ("prior", {"rate": True}, "rate"),
-    ("prior", {"mean_z": "abc"}, "mean_z"),
-    ("prior", {"precision_z": "abc"}, "precision_z"),
-    ("prior", {"precision_z": [[1.0, "x"]]}, "precision_z"),
+TWO_COLUMN_Z = {"Z": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"model": {"family": "dp", "concentration": "abc"}}, "model.concentration"),
+    ({"model": {"family": "cdp", "colours": [[1]]}}, "model.colours"),
+    ({"model": {"family": "cdp", "colours": 3}}, "model.colours"),
+    ({"model": {"family": "cdp", "colours": [[1, 1], [1, "x"]]}},
+     "model.colours[1].concentration"),
+    ({"model": {"family": "dirichlet_multinomial", "components": 2.9, "weight": True}},
+     "model.components"),
+    ({"model": {"family": "dirichlet_multinomial", "components": 2, "weight": True}},
+     "model.weight"),
+    ({"prior": {"shape": "x"}}, "prior.shape"),
+    ({"prior": {"rate": True}}, "prior.rate"),
+    ({"prior": {"mean_z": "abc"}}, "prior.mean_z"),
+    ({"prior": {"precision_z": "abc"}}, "prior.precision_z"),
+    ({"prior": {"precision_z": [[1.0, "x"]]}}, "prior.precision_z"),
+    ({"prior": {"shape": 0}}, "prior.shape"),
+    ({"prior": {"rate": -1.0}}, "prior.rate"),
+    ({"prior": {"precision_z": 0}}, "prior.precision_z"),
+    ({"prior": {"precision_z": [[1.0, 0.5], [0.0, 1.0]]}, "design": TWO_COLUMN_Z},
+     "prior.precision_z"),
+    ({"prior": {"precision_z": [[1.0, 2.0], [2.0, 1.0]]}, "design": TWO_COLUMN_Z},
+     "prior.precision_z"),
 ], ids=["concentration", "colour-pair-short", "colours-scalar", "colour-text",
         "components-fractional", "weight-boolean", "shape", "rate-boolean", "mean_z",
-        "precision_z", "precision_z-matrix"])
+        "precision_z", "precision_z-matrix", "shape-zero", "rate-negative",
+        "precision_z-zero", "precision_z-asymmetric", "precision_z-indefinite"])
 def test_malformed_model_or_prior_value_is_a_validation_error(tiny_run, capsys,
-                                                               section, value, key):
-    # each used to end in a raw traceback or to run silently with a coerced value
+                                                               overrides, key):
+    # each used to end in a raw traceback, a numerical failure (exit 2) or an
+    # error without the key, or to run silently with a coerced value
     cfg = tiny_run["out"] + ".json"
     with open(cfg, "w") as fh:
-        json.dump(dict(tiny_run, **{section: value}), fh)
+        json.dump(dict(tiny_run, **overrides), fh)
     err = _cli_error(capsys, "run", "--config", cfg)
-    assert err.startswith(f"error: {section}.{key} must be "), err
+    assert err.startswith(f"error: {key} must be "), err
     assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
 
 
