@@ -228,6 +228,34 @@ def check_construction_equivalence(cfg: VerifySettings) -> CheckResult:
                        "; ".join(details) + f", {elapsed:.1f}s (budget 60s)")
 
 
+def dp_event_masses(rng: np.random.Generator, theta: float, q: float,
+                    reps: int) -> np.ndarray:
+    """``reps`` draws of P(A) for P ~ DP(theta, G0) and G0(A) = q, by
+    stick-breaking truncated where the expected stick left is below 1e-8.
+
+    A break V ~ Beta(1, theta) is drawn by inversion, 1 - V = U**(1/theta), so
+    the stick left after break j is exp(sum_{i<=j} log U_i / theta), one
+    uniform per break. Each atom lands in A with probability q.
+    """
+    n_sticks = int(math.ceil(math.log(1e-8) / math.log(theta / (1.0 + theta))))
+    masses = np.empty(reps)
+    for start in range(0, reps, 20_000):
+        chunk = min(20_000, reps - start)
+        keep = rng.random((chunk, n_sticks))
+        np.log(keep, out=keep)
+        np.cumsum(keep, axis=1, out=keep)
+        keep *= 1.0 / theta
+        np.exp(keep, out=keep)
+        # weight j is the drop from the stick left before break j
+        w = np.empty_like(keep)
+        w[:, 0] = 1.0 - keep[:, 0]
+        np.subtract(keep[:, :-1], keep[:, 1:], out=w[:, 1:])
+        del keep
+        hits = rng.random(size=(chunk, n_sticks)) < q
+        masses[start:start + chunk] = (w * hits).sum(axis=1)
+    return masses
+
+
 def check_dp_moments(cfg: VerifySettings) -> CheckResult:
     """Criterion: the random measure's mass on a fixed event has mean equal to
     the base probability and variance base*(1-base)/(1+concentration)."""
@@ -235,18 +263,7 @@ def check_dp_moments(cfg: VerifySettings) -> CheckResult:
     rng = np.random.default_rng(SEED + 4)
     details, ok = [], True
     for theta in MOMENT_THETAS:
-        n_sticks = int(math.ceil(math.log(1e-8) / math.log(theta / (1.0 + theta))))
-        estimates = np.empty(MOMENT_REPS)
-        done = 0
-        while done < MOMENT_REPS:
-            chunk = min(20_000, MOMENT_REPS - done)
-            w = rng.beta(1.0, theta, size=(chunk, n_sticks))
-            keep = np.cumprod(1.0 - w, axis=1)
-            w[:, 1:] *= keep[:, :-1]
-            del keep
-            hits = rng.random(size=(chunk, n_sticks)) < q
-            estimates[done:done + chunk] = (w * hits).sum(axis=1)
-            done += chunk
+        estimates = dp_event_masses(rng, theta, q, MOMENT_REPS)
         mean_err = abs(estimates.mean() - q)
         var_target = q * (1.0 - q) / (1.0 + theta)
         var_err = abs(estimates.var() - var_target) / var_target

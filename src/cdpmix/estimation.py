@@ -45,7 +45,9 @@ class SimilarityMatrix:
                                 self.sample_count + other.sample_count)
 
 
-#: Records per block of the co-clustering count; bounds the float64 temporaries.
+#: Records per block of the co-clustering count; bounds the temporaries. A
+#: block's ``hit.T @ hit`` holds integers <= _BLOCK, exact in float32 in any
+#: summation order only while _BLOCK < 2**24.
 _BLOCK = 4096
 
 
@@ -55,8 +57,9 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
 
     Labels are any integers; only equality within a row matters. For each
     label value k, a block of rows adds ``hit.T @ hit`` with ``hit`` the
-    0/1 float64 indicator of label k, so the count is one matrix product per
-    label and block. The products are exact integers below 2**53.
+    0/1 float32 indicator of label k, so the count is one matrix product per
+    label and block. Each product is exact (see ``_BLOCK``) and is added into
+    float64 counts, exact integers below 2**53.
     """
     if not isinstance(samples, np.ndarray):
         rows = [s.labels if hasattr(s, "labels") else s for s in samples]
@@ -80,7 +83,7 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
         block = samples[start:start + _BLOCK]
         top = block.max(axis=1)
         for k in range(int(top.max()) + 1):
-            hit = (block[top >= k] == k).astype(np.float64)
+            hit = (block[top >= k] == k).astype(np.float32)
             counts += hit.T @ hit
     return SimilarityMatrix(counts, len(samples))
 

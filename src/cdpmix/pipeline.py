@@ -17,6 +17,7 @@ same configuration and seed are byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -576,21 +577,38 @@ def write_trace(path: str, ids: list[str],
                  traces.colours[rows]])))
 
 
-def _bad_trace_line(path: str, width: int) -> ValidationError:
-    """The error naming the first body line of a trace that is not ``width`` int32 cells."""
+def _trace_body_lines(path: str):
+    """``(line number, cells)`` of each non-blank body line of a trace file."""
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             cells = line.rstrip("\r\n").split(",")
-            if lineno == 1 or cells == [""]:
-                continue
-            if len(cells) != width:
-                return ValidationError(
-                    f"{path}: line {lineno} has {len(cells)} fields, expected {width}")
-            try:
-                np.array(cells, dtype=np.int32)
-            except (ValueError, OverflowError) as exc:
-                return ValidationError(f"{path}: line {lineno}: {exc}")
+            if lineno > 1 and cells != [""]:
+                yield lineno, cells
+
+
+def _bad_trace_line(path: str, width: int) -> ValidationError:
+    """The error naming the first body line of a trace that is not ``width`` int32 cells."""
+    for lineno, cells in _trace_body_lines(path):
+        if len(cells) != width:
+            return ValidationError(
+                f"{path}: line {lineno} has {len(cells)} fields, expected {width}")
+        try:
+            np.array(cells, dtype=np.int32)
+        except (ValueError, OverflowError) as exc:
+            return ValidationError(f"{path}: line {lineno}: {exc}")
     return ValidationError(f"{path}: malformed trace body")
+
+
+def _check_colours(path: str, ids: list[str], colours: np.ndarray, n_colours: int) -> None:
+    """Reject a trace colour outside ``[0, n_colours)``, naming its line and column."""
+    bad = np.argwhere((colours < 0) | (colours >= n_colours))
+    if len(bad) == 0:
+        return
+    row, item = bad[0]
+    lineno, _ = next(itertools.islice(_trace_body_lines(path), row, None))
+    raise ValidationError(
+        f"{path}: line {lineno}, column k:{ids[item]}: colour {colours[row, item]} "
+        f"is outside [0, {n_colours})")
 
 
 def read_trace(path: str):
@@ -726,9 +744,11 @@ def summarize_run(out_dir: str) -> dict:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValidationError(f"{manifest_path}: manifest has no config object")
     config = parse_config(manifest["config"])
-    ids, _, _, labels, colours = read_trace(os.path.join(out_dir, "trace.csv"))
+    trace_path = os.path.join(out_dir, "trace.csv")
+    ids, _, _, labels, colours = read_trace(trace_path)
     if ids != config.dataset.ids:
         raise ValidationError("trace ids do not match the configured dataset")
+    _check_colours(trace_path, ids, colours, getattr(config.model, "n_colours", 1))
     _summarize_outputs(out_dir, config.dataset, config.model, config.loss,
                        config.strategy, labels, colours)
     return manifest

@@ -7,7 +7,9 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+from scipy import stats
 
 import cdpmix
 from cdpmix import _sweep, checks, cli, pipeline
@@ -55,6 +57,23 @@ def test_criterion_3_construction_equivalence():
 
 def test_criterion_4_dp_moments():
     _report("criterion 4", checks.check_dp_moments(SETTINGS))
+
+
+@pytest.mark.parametrize("theta", checks.MOMENT_THETAS)
+def test_dp_event_masses_follow_the_exact_beta_law(theta):
+    # P(A) ~ Beta(theta q, theta (1 - q)) exactly, whatever draws the breaks
+    q = checks.MOMENT_EVENT
+    masses = checks.dp_event_masses(np.random.default_rng(7), theta, q, 20_000)
+    law = stats.beta(theta * q, theta * (1.0 - q))
+    assert stats.kstest(masses, law.cdf).pvalue > 0.001
+
+
+def test_dp_moments_variance_gate_rejects_the_wrong_concentration():
+    # negative control: theta = 2 masses miss the theta = 1 variance by a third
+    q = checks.MOMENT_EVENT
+    masses = checks.dp_event_masses(np.random.default_rng(8), 2.0, q, 20_000)
+    target = q * (1.0 - q) / (1.0 + 1.0)
+    assert abs(masses.var() - target) / target > 0.10
 
 
 def test_criterion_5_conjugate_identities():

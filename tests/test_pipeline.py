@@ -465,6 +465,28 @@ def test_summarize_recomputes_identically(tiny_run, tmp_path):
             assert open(os.path.join(out, name), "rb").read() == content
 
 
+@pytest.mark.parametrize("colour", ["7", "-1"])
+def test_summarize_rejects_a_colour_outside_the_model(tiny_run, capsys, colour):
+    # a two-colour trace with an impossible colour used to summarize without it
+    cfg = dict(tiny_run, model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
+    pipeline.run_pipeline(pipeline.parse_config(cfg))
+    out = cfg["out"]
+    trace = os.path.join(out, "trace.csv")
+    lines = open(trace).read().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[2 + 6 + 2] = colour  # k:it2 on line 4
+    lines[3] = ",".join(cells)
+    with open(trace, "w") as fh:
+        fh.writelines(lines)
+    before = {name: open(os.path.join(out, name), "rb").read()
+              for name in os.listdir(out)}
+    err = _cli_error(capsys, "summarize", "--out", out)
+    assert err == (f"error: {trace}: line 4, column k:it2: colour {colour} "
+                   "is outside [0, 2)\n")
+    assert {name: open(os.path.join(out, name), "rb").read()
+            for name in os.listdir(out)} == before
+
+
 def test_multichain_run_merges_traces(tiny_run, tmp_path):
     cfg = dict(tiny_run, out=str(tmp_path / "mc"), chains=2, sweeps=60, burn_in=20)
     manifest = pipeline.run_pipeline(pipeline.parse_config(cfg))
