@@ -1,4 +1,5 @@
-/* Blocks of single-item collapsed Gibbs sweeps over flat arrays.
+/* Blocks of single-item collapsed Gibbs sweeps over flat arrays, and the
+ * reader of the trace files they end up in.
  *
  * This is the compiled form of ChainState.reallocate_item (gibbs.py) applied
  * to items 0..n-1 in order, `sweeps` times over. It repeats the Python sweep
@@ -13,7 +14,7 @@
  * A block can also record chosen sweeps as it goes: the canonical labelling
  * of the state (see canonical: clusters numbered by least member) and the live
  * clusters' log marginals in insertion order, which is all a trace record
- * needs besides the prior. cdpmix_sweeps is the library's one export.
+ * needs besides the prior.
  *
  * Clusters live in slots 0..n-1; `order` lists the live slots in insertion
  * order and `free_slots` is a stack of the others. Per colour c the static
@@ -26,6 +27,9 @@
  * cluster of colour c and size s weighs (s + offsets[c]) * factors[c][m] and
  * a new one new[c][m] * by_degree[d], for m and d in 0..n. The kernel knows
  * no prior family.
+ *
+ * The library has two exports: cdpmix_sweeps runs the blocks, and
+ * cdpmix_read_ints parses the body of a trace.csv as write_trace writes it.
  */
 
 #include <math.h>
@@ -270,4 +274,45 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
         }
     }
     return OK;
+}
+
+/* Parses the complete lines at the start of buf[0, len) into rows of `out`,
+ * at most max_rows of them, and sets *used to the bytes those lines take;
+ * the partial line after them is left for the next call. A line must be
+ * `width` comma-separated non-negative decimal int32 cells ending in '\n',
+ * the form write_trace writes. Returns the number of rows, or -1 at the first
+ * byte outside that form (a sign, a space, '\r', an empty line or cell, a
+ * value above INT32_MAX, a wrong cell count) or a row beyond max_rows. */
+int64_t cdpmix_read_ints(const unsigned char *buf, int64_t len, int64_t width,
+                         int32_t *out, int64_t max_rows, int64_t *used)
+{
+    int64_t rows = 0;
+    const unsigned char *p = buf, *nl;
+    while ((nl = memchr(p, '\n', (size_t)(buf + len - p))) != NULL) {
+        if (rows == max_rows)
+            return -1;
+        int32_t *row = out + rows * width;
+        int64_t col = 0;
+        for (;;) {
+            if (p == nl || *p < '0' || *p > '9' || col == width)
+                return -1;
+            int64_t v = 0;
+            do {
+                v = 10 * v + (*p++ - '0');
+                if (v > INT32_MAX)
+                    return -1;
+            } while (*p >= '0' && *p <= '9');
+            row[col++] = (int32_t)v;
+            if (p == nl)
+                break;
+            if (*p++ != ',')
+                return -1;
+        }
+        if (col != width)
+            return -1;
+        rows++;
+        p = nl + 1;
+    }
+    *used = p - buf;
+    return rows;
 }

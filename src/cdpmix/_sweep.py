@@ -1,4 +1,5 @@
-"""Build, cache and bind the compiled single-item sweep in ``_sweep.c``.
+"""Build, cache and bind the compiled kernels in ``_sweep.c``: the
+single-item sweep and the trace reader.
 
 The library is built on first use, never at import, with the system C
 compiler at ``-O2 -ffp-contract=off`` and no fast-math, so that every double
@@ -8,7 +9,8 @@ machine architecture, written by an atomic rename; where that directory
 cannot be written, the library is built in a fresh temporary directory for
 this process alone. When it can be
 neither built nor loaded, ``library()`` logs one warning saying why and
-returns None, and chains run the Python sweep.
+returns None: chains run the Python sweep and ``pipeline.read_trace`` parses
+with numpy.
 
 ``SweepArrays`` holds one chain's tables in the flat arrays the kernel
 reads -- the prior's urn tables, whatever the family, and the engines'
@@ -93,11 +95,14 @@ def library() -> ctypes.CDLL | None:
     try:
         lib = _load()
     except (OSError, subprocess.SubprocessError) as exc:
-        logger.warning("compiled Gibbs sweep unavailable, using the Python sweep: %s", exc)
+        logger.warning("compiled kernels unavailable, using the Python sweep and numpy's "
+                       "trace reader: %s", exc)
         return None
-    kernel, buffer = ctypes.POINTER(_Kernel), ctypes.c_void_p
-    lib.cdpmix_sweeps.argtypes = (kernel, buffer, ctypes.c_int64, ctypes.POINTER(_Records))
+    kernel, buffer, i64 = ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64
+    lib.cdpmix_sweeps.argtypes = (kernel, buffer, i64, ctypes.POINTER(_Records))
     lib.cdpmix_sweeps.restype = ctypes.c_int
+    lib.cdpmix_read_ints.argtypes = (buffer, i64, i64, buffer, i64, ctypes.POINTER(i64))
+    lib.cdpmix_read_ints.restype = i64
     return lib
 
 

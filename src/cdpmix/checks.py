@@ -272,7 +272,7 @@ def check_dp_moments(cfg: VerifySettings) -> CheckResult:
         details.append(
             f"theta={theta:g}: |mean-{q}|={mean_err:.4f}, var rel err={var_err:.3f}"
             f":{'ok' if good else 'FAIL'}")
-    return CheckResult("dp-moments", ok, "; ".join(details))
+    return CheckResult("dp-moments", bool(ok), "; ".join(details))
 
 
 def _random_conjugate_instance(rng) -> tuple[DesignBlock, NormalGammaSpec]:

@@ -17,6 +17,7 @@ same configuration and seed are byte-identical.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import json
 import math
@@ -30,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _sweep
 from .conjugate import DesignBlock, NormalGammaSpec
 from .errors import ValidationError
 from .estimation import (LossSpec, accumulate_similarity, cluster_summaries,
@@ -534,6 +535,8 @@ def stack_traces(traces: Sequence[Sequence[TraceRecord]], n: int) -> TraceTable:
 
 #: Trace rows formatted at a time, which bounds the memory the cell strings take.
 _TRACE_CHUNK = 4096
+#: Bytes the compiled trace reader reads at a time, into its one buffer.
+_READ_CHUNK = 1 << 20
 
 
 def _csv_int_rows(body: np.ndarray) -> str:
@@ -601,36 +604,77 @@ def _bad_trace_line(path: str, width: int) -> ValidationError:
 
 def _check_colours(path: str, ids: list[str], colours: np.ndarray, n_colours: int) -> None:
     """Reject a trace colour outside ``[0, n_colours)``, naming its line and column."""
-    bad = np.argwhere((colours < 0) | (colours >= n_colours))
-    if len(bad) == 0:
+    if colours.size == 0 or (colours.min() >= 0 and colours.max() < n_colours):
         return
-    row, item = bad[0]
+    row, item = np.argwhere((colours < 0) | (colours >= n_colours))[0]
     lineno, _ = next(itertools.islice(_trace_body_lines(path), row, None))
     raise ValidationError(
         f"{path}: line {lineno}, column k:{ids[item]}: colour {colours[row, item]} "
         f"is outside [0, {n_colours})")
 
 
+def _read_int_rows(fh, offset: int, width: int) -> np.ndarray | None:
+    """The bytes of binary file ``fh`` from ``offset`` on as a (rows, width)
+    int32 table, parsed by the compiled reader; None when the library is
+    unavailable or the bytes are not lines of ``width`` non-negative int32
+    cells, each line ending in a newline, as ``write_trace`` writes them.
+
+    A first pass counts the lines to size the table and a second parses the
+    complete lines of each chunk straight into its rows, carrying the partial
+    last line over to the next chunk, so no more than the table and one
+    ``_READ_CHUNK`` buffer is ever held.
+    """
+    lib = _sweep.library()
+    if lib is None:
+        return None
+    buf = np.empty(_READ_CHUNK, dtype=np.uint8)
+    fh.seek(offset)
+    rows = 0
+    while got := fh.readinto(buf):
+        rows += int(np.count_nonzero(buf[:got] == ord("\n")))
+    table = np.empty((rows, width), dtype=np.int32)
+    fh.seek(offset)
+    done, kept, used = 0, 0, ctypes.c_int64()
+    # a line longer than the buffer leaves an empty view to read into, and None
+    while got := fh.readinto(buf[kept:]):
+        filled = kept + got
+        parsed = lib.cdpmix_read_ints(buf.ctypes.data, filled, width,
+                                      table[done:].ctypes.data, rows - done, used)
+        if parsed < 0:
+            return None
+        done += parsed
+        kept = filled - used.value
+        buf[:kept] = buf[used.value:filled]
+    return table if kept == 0 and done == rows else None
+
+
 def read_trace(path: str):
     """Reload a trace file as ``(ids, chain, sweep, labels, colours)``.
 
-    numpy's C reader parses the body into one int32 table in a single call;
-    ``chain`` and ``sweep`` are its first two columns and ``labels`` and
-    ``colours`` the R x n blocks after them, all views of that table. A
-    non-integer cell or a row of the wrong width is a validation error that
-    names the file and the line.
+    The body is parsed into one int32 table: by ``_read_int_rows`` when it is
+    in the form ``write_trace`` writes, else by numpy's ``loadtxt``, which
+    accepts and rejects what it always has. ``chain`` and ``sweep`` are the
+    table's first two columns and ``labels`` and ``colours`` the R x n blocks
+    after them, all views of it. A non-integer cell or a row of the wrong
+    width is a validation error that names the file and the line.
     """
     with open_input(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+        line = fh.readline()
+        header = line.rstrip("\r\n").split(",")
         n = (len(header) - 2) // 2
-        try:
-            with warnings.catch_warnings():
-                # an empty body is reported by the summary as "no retained sweeps"
-                warnings.simplefilter("ignore", UserWarning)
-                body = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2)
-        except ValueError:
-            body = None
-    width = 2 + 2 * n
+        width = 2 + 2 * n
+        start, body = fh.tell(), None
+        if line.endswith("\n") and "\r" not in line:
+            body = _read_int_rows(fh.buffer, len(line.encode(fh.encoding)), width)
+        if body is None:
+            fh.seek(start)  # the binary reads moved the file under the text layer
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is reported by the summary as "no retained sweeps"
+                    warnings.simplefilter("ignore", UserWarning)
+                    body = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2)
+            except ValueError:
+                body = None
     if body is None or (body.size and body.shape[1] != width):
         raise _bad_trace_line(path, width)
     body = body.reshape(-1, width)

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per shipping criterion, each printing a
 PASS/FAIL line with the measured statistic (run with ``pytest -v -s``)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -90,6 +91,16 @@ def test_criterion_7_gibbs_convergence():
 
 def test_criterion_8_loss_optimizer():
     _report("criterion 8", checks.check_loss_optimizer(SETTINGS))
+
+
+@pytest.mark.parametrize("check", checks.ALL_CHECKS, ids=lambda fn: fn.__name__)
+def test_check_results_are_plain_json(check):
+    # dp-moments used to return its verdict as a numpy bool, which json cannot encode
+    least = checks.VerifySettings.from_overrides(
+        {"equiv_samples": 21, "chain_sweeps": 260, "chain_burn_in": 1})
+    result = check(least)
+    assert type(result.passed) is bool
+    json.dumps(dataclasses.asdict(result))
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from cdpmix import _sweep, gibbs
+from cdpmix import _sweep, gibbs, pipeline
 from cdpmix.checks import _exact_posterior, _item_kernel, _one_sweep_matrix
 from cdpmix.conjugate import DesignBlock, NormalGammaSpec
 from cdpmix.errors import NumericalError, ValidationError
@@ -986,10 +986,15 @@ def test_state_after_a_failed_block_is_the_state_before_it(error):
     assert_same_state(state, twin)
 
 
-def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog):
+def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog, tmp_path):
     Y = make_data(6)
     plan = SweepPlan(sweeps=40, burn_in=5, thin=2, seed=4)
     expected = run_chain(Y, DESIGN, DirichletProcess(1.0), SPEC, plan)
+    out = str(tmp_path / "run")
+    pipeline.run_pipeline(pipeline.parse_config(
+        {"preset": "wen-rat", "sweeps": 40, "burn_in": 20}, out=out))
+    artifacts = {name: (tmp_path / "run" / name).read_bytes()
+                 for name in ("similarity.csv", "assignments.csv", "cluster_summaries.csv")}
 
     def failed_build():
         raise OSError("cc exited with status 1: no space left")
@@ -1000,11 +1005,13 @@ def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog):
         with caplog.at_level(logging.WARNING, logger="cdpmix._sweep"):
             traces = [run_chain(Y, DESIGN, DirichletProcess(1.0), SPEC, plan)
                       for _ in range(2)]
+            pipeline.summarize_run(out)
     finally:
         _sweep.library.cache_clear()  # the next caller loads the real library
     assert traces == [expected, expected]
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in artifacts} == artifacts
     assert [r.getMessage() for r in caplog.records] == [  # once per process
-        "compiled Gibbs sweep unavailable, using the Python sweep: "
+        "compiled kernels unavailable, using the Python sweep and numpy's trace reader: "
         "cc exited with status 1: no space left"]
 
 

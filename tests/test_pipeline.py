@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from cdpmix import checks, pipeline
+from cdpmix import _sweep, checks, pipeline
 from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity
@@ -409,33 +409,118 @@ def test_int_rows_match_the_csv_writer(low, high):
     assert pipeline._csv_int_rows(body) == buffer.getvalue()
 
 
-def _write_trace_text(tmp_path, body: str) -> str:
+_TRACE_HEAD = "chain,sweep,c:a,c:b,k:a,k:b\n0,5,0,1,0,0\n"
+
+
+def _write_trace_text(tmp_path, body: str, head: str = _TRACE_HEAD) -> str:
     path = tmp_path / "trace.csv"
-    path.write_text("chain,sweep,c:a,c:b,k:a,k:b\n0,5,0,1,0,0\n" + body)
+    path.write_bytes((head + body).encode())
     return str(path)
 
 
-def test_read_trace_returns_arrays(tmp_path):
+def _read_trace_outcome(path):
+    """``read_trace``'s arrays with their dtypes, or its error text."""
+    try:
+        ids, *arrays = pipeline.read_trace(path)
+    except ValidationError as exc:
+        return str(exc)
+    return ids, [(a.dtype, a.shape, a.tolist()) for a in arrays]
+
+
+def _both_readers(monkeypatch, path):
+    """``_read_trace_outcome`` on the compiled reader (where it builds), then
+    on numpy's, forced as a failed build forces it."""
+    compiled = _read_trace_outcome(path)
+    with monkeypatch.context() as m:
+        m.setattr(_sweep, "library", lambda: None)
+        return compiled, _read_trace_outcome(path)
+
+
+def test_read_trace_returns_arrays(tmp_path, monkeypatch):
     path = _write_trace_text(tmp_path, "1,6,0,0,1,1\n")
     ids, chain, sweep, labels, colours = pipeline.read_trace(path)
     assert ids == ["a", "b"]
     assert chain.tolist() == [0, 1] and sweep.tolist() == [5, 6]
     assert labels.tolist() == [[0, 1], [0, 0]]
     assert colours.tolist() == [[0, 0], [1, 1]]
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader
 
 
 @pytest.mark.parametrize("body", ["0,6,0,x,0,0\n", "0,6,0,1.5,0,0\n"])
-def test_read_trace_non_integer_cell_names_line(tmp_path, body):
+def test_read_trace_non_integer_cell_names_line(tmp_path, monkeypatch, body):
     path = _write_trace_text(tmp_path, body)
     with pytest.raises(ValidationError, match="^" + re.escape(path) + ": line 3: invalid literal"):
         pipeline.read_trace(path)
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader
 
 
-def test_read_trace_short_row_names_line(tmp_path):
+def test_read_trace_short_row_names_line(tmp_path, monkeypatch):
     path = _write_trace_text(tmp_path, "0,6,0,1,0,0\n0,7,0,1\n")
     with pytest.raises(ValidationError,
                        match="^" + re.escape(path) + ": line 4 has 4 fields, expected 6"):
         pipeline.read_trace(path)
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader
+
+
+@pytest.mark.parametrize("head,body", [
+    (_TRACE_HEAD.replace("\n", "\r\n"), "1,6,0,0,1,1\r\n"),
+    (_TRACE_HEAD, "1,6,0,0,1,1\r\n"),
+    (_TRACE_HEAD, "\n1,6,0,0,1,1\n"),
+    (_TRACE_HEAD, "1,6,0,0,1,1"),
+    (_TRACE_HEAD, "1,2147483647,0,0,1,1\n"),
+    (_TRACE_HEAD, "1,2147483648,0,0,1,1\n"),
+    (_TRACE_HEAD, "1,-6,0,0,1,1\n"),
+    (_TRACE_HEAD, "1,+5,0,0,1,1\n"),
+    (_TRACE_HEAD, "1, 5,0,0,1,1\n"),
+    (_TRACE_HEAD, "1,6,0,0,1,\n"),
+    (_TRACE_HEAD, "1,6,0,0,1,1,1\n"),
+    (_TRACE_HEAD, "1,006,0,0,1,1\n"),
+    ("chain,sweep,c:a,c:b,k:a,k:b\n", ""),
+], ids=["crlf", "crlf-body", "blank-line", "no-final-newline", "int32-max", "int32-max+1",
+        "negative", "plus-sign", "space", "empty-cell", "long-row", "leading-zeros",
+        "empty-body"])
+def test_read_trace_agrees_on_both_readers(tmp_path, monkeypatch, head, body):
+    path = _write_trace_text(tmp_path, body, head=head)
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader
+
+
+def test_read_trace_carries_rows_across_chunks(tmp_path, monkeypatch):
+    # 16-byte chunks: most of these 12- and 13-byte rows straddle a chunk boundary
+    if _sweep.library() is None:
+        pytest.skip("the compiled trace reader cannot be built here")
+    body = "".join(f"{j % 3},{10 * j},{j % 2},0,1,{j % 2}\n" for j in range(40))
+    path = _write_trace_text(tmp_path, body)
+    monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
+    _, numpy_reader = _both_readers(monkeypatch, path)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("the compiled reader fell back to np.loadtxt")
+
+    monkeypatch.setattr(pipeline.np, "loadtxt", no_loadtxt)
+    assert _read_trace_outcome(path) == numpy_reader
+
+
+def test_written_traces_take_the_compiled_reader(tmp_path, monkeypatch):
+    # a silent fallback to np.loadtxt would keep every result and lose the speed
+    if _sweep.library() is None:
+        pytest.skip("the compiled trace reader cannot be built here")
+    traces = _random_traces(np.random.default_rng(35), [10_000] * 4, 112, first_sweep=10_000)
+    path = str(tmp_path / "trace.csv")
+    pipeline.write_trace(path, [f"gene{i}" for i in range(112)], traces)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("the compiled reader fell back to np.loadtxt")
+
+    monkeypatch.setattr(pipeline.np, "loadtxt", no_loadtxt)
+    _, chain, sweep, labels, colours = pipeline.read_trace(path)
+    table = pipeline.stack_traces(traces, 112)
+    assert chain.dtype == labels.dtype == np.int32
+    assert np.array_equal(chain, table.chain) and np.array_equal(sweep, table.sweep)
+    assert np.array_equal(labels, table.labels) and np.array_equal(colours, table.colours)
 
 
 def test_single_category_crosstab_lists_cluster_sizes(tiny_run):
@@ -451,7 +536,7 @@ def test_single_category_crosstab_lists_cluster_sizes(tiny_run):
     assert sorted(counts) == sorted(sizes.values())
 
 
-def test_summarize_recomputes_identically(tiny_run, tmp_path):
+def test_summarize_recomputes_identically(tiny_run, tmp_path, monkeypatch):
     coloured = dict(tiny_run, out=str(tmp_path / "coloured"), chains=2,
                     model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
     for cfg in (tiny_run, coloured):
@@ -461,6 +546,11 @@ def test_summarize_recomputes_identically(tiny_run, tmp_path):
                   for name in ("similarity.csv", "assignments.csv",
                                "cluster_summaries.csv", "crosstab.csv")}
         pipeline.summarize_run(out)
+        for name, content in before.items():
+            assert open(os.path.join(out, name), "rb").read() == content
+        with monkeypatch.context() as m:  # numpy's reader, as without a C compiler
+            m.setattr(_sweep, "library", lambda: None)
+            pipeline.summarize_run(out)
         for name, content in before.items():
             assert open(os.path.join(out, name), "rb").read() == content
 
