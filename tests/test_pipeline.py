@@ -488,34 +488,34 @@ def test_read_trace_agrees_on_both_readers(tmp_path, monkeypatch, head, body):
     assert compiled == numpy_reader
 
 
-def test_read_trace_carries_rows_across_chunks(tmp_path, monkeypatch):
-    # 16-byte chunks: most of these 12- and 13-byte rows straddle a chunk boundary
+def _forbid_loadtxt(monkeypatch):
+    """Make ``np.loadtxt`` raise, so that only the compiled reader can read a
+    trace; skips where the library cannot be built."""
     if _sweep.library() is None:
         pytest.skip("the compiled trace reader cannot be built here")
-    body = "".join(f"{j % 3},{10 * j},{j % 2},0,1,{j % 2}\n" for j in range(40))
-    path = _write_trace_text(tmp_path, body)
-    monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
-    _, numpy_reader = _both_readers(monkeypatch, path)
 
     def no_loadtxt(*args, **kwargs):
         raise AssertionError("the compiled reader fell back to np.loadtxt")
 
     monkeypatch.setattr(pipeline.np, "loadtxt", no_loadtxt)
+
+
+def test_read_trace_carries_rows_across_chunks(tmp_path, monkeypatch):
+    # 16-byte chunks: most of these 12- to 15-byte rows straddle a chunk boundary
+    body = "".join(f"{j % 3},{10 * j},{j % 2},0,1,{j % 2}\n" for j in range(40))
+    path = _write_trace_text(tmp_path, body)
+    monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
+    _, numpy_reader = _both_readers(monkeypatch, path)
+    _forbid_loadtxt(monkeypatch)
     assert _read_trace_outcome(path) == numpy_reader
 
 
 def test_written_traces_take_the_compiled_reader(tmp_path, monkeypatch):
     # a silent fallback to np.loadtxt would keep every result and lose the speed
-    if _sweep.library() is None:
-        pytest.skip("the compiled trace reader cannot be built here")
     traces = _random_traces(np.random.default_rng(35), [10_000] * 4, 112, first_sweep=10_000)
     path = str(tmp_path / "trace.csv")
     pipeline.write_trace(path, [f"gene{i}" for i in range(112)], traces)
-
-    def no_loadtxt(*args, **kwargs):
-        raise AssertionError("the compiled reader fell back to np.loadtxt")
-
-    monkeypatch.setattr(pipeline.np, "loadtxt", no_loadtxt)
+    _forbid_loadtxt(monkeypatch)
     _, chain, sweep, labels, colours = pipeline.read_trace(path)
     table = pipeline.stack_traces(traces, 112)
     assert chain.dtype == labels.dtype == np.int32
