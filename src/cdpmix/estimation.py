@@ -45,21 +45,28 @@ class SimilarityMatrix:
                                 self.sample_count + other.sample_count)
 
 
-#: Records per block of the co-clustering count; bounds the temporaries. A
-#: block's ``hit.T @ hit`` holds integers <= _BLOCK, exact in float32 in any
-#: summation order only while _BLOCK < 2**24.
+#: Distinct rows per block of the co-clustering count; bounds the temporaries.
+#: An entry of a block's product is at most the block's total weight: _BLOCK
+#: for rows seen once, up to R for repeated rows. float32 holds such integers
+#: exactly in any summation order only below 2**24, so a block whose total
+#: weight reaches _EXACT_F32 takes its product in float64 instead.
 _BLOCK = 4096
+_EXACT_F32 = 2 ** 24
 
 
 def accumulate_similarity(samples) -> SimilarityMatrix:
     """Coincidence accumulator over an R x n label array, or over allocation
     vectors or trace records.
 
-    Labels are any integers; only equality within a row matters. For each
-    label value k, a block of rows adds ``hit.T @ hit`` with ``hit`` the
-    0/1 float32 indicator of label k, so the count is one matrix product per
-    label and block. Each product is exact (see ``_BLOCK``) and is added into
-    float64 counts, exact integers below 2**53.
+    Labels are any integers; only equality within a row matters. Each
+    distinct row is counted once, weighted by how often it occurs. For each
+    label value k, a block of distinct rows adds a product of ``hit``, the
+    0/1 indicator of label k: ``hit.T @ hit`` for rows seen once, and
+    ``hit.T @ (hit * w)`` with ``w`` the occurrence counts for repeated rows,
+    so the count is one matrix product per label and block. Each product is
+    exact: it runs in float32 while the block's total weight is below 2**24
+    and in float64 otherwise (see ``_BLOCK``), and is added into float64
+    counts, exact integers below 2**53. ``sample_count`` is R.
     """
     if not isinstance(samples, np.ndarray):
         rows = [s.labels if hasattr(s, "labels") else s for s in samples]
@@ -78,13 +85,29 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
         ranks[:, 1:] = np.cumsum(np.diff(np.take_along_axis(samples, order, axis=1)) != 0, axis=1)
         samples = np.empty_like(ranks)
         np.put_along_axis(samples, order, ranks, axis=1)
+    labels = np.ascontiguousarray(samples, dtype=np.min_scalar_type(n - 1))
+    # one opaque item per row: np.unique(axis=0) is far slower
+    distinct, occurs = np.unique(labels.view(np.dtype((np.void, labels.strides[0])))[:, 0],
+                                 return_counts=True)
+    top = distinct.view(labels.dtype).reshape(-1, n).max(axis=1)
+    # highest label first, so the rows holding label k lead every block
+    order = np.argsort(top)[::-1]
+    distinct, occurs, top = distinct[order], occurs[order], top[order]
+    once = occurs == 1
     counts = np.zeros((n, n))
-    for start in range(0, len(samples), _BLOCK):
-        block = samples[start:start + _BLOCK]
-        top = block.max(axis=1)
-        for k in range(int(top.max()) + 1):
-            hit = (block[top >= k] == k).astype(np.float32)
-            counts += hit.T @ hit
+    for rows, tops, weight in ((distinct[once], top[once], None),
+                               (distinct[~once], top[~once], occurs[~once])):
+        rows = rows.view(labels.dtype).reshape(-1, n)
+        for start in range(0, len(rows), _BLOCK):
+            block, block_top = rows[start:start + _BLOCK], tops[start:start + _BLOCK]
+            if weight is not None:
+                w = weight[start:start + _BLOCK]
+                w = w.astype(np.float32 if w.sum() < _EXACT_F32 else np.float64)[:, None]
+            for k in range(int(block_top[0]) + 1):
+                m = np.count_nonzero(block_top >= k)
+                hit = (block[:m] == k).astype(np.float32)
+                # a product of an array with its own transpose is half the work
+                counts += hit.T @ hit if weight is None else hit.T @ (hit * w[:m])
     return SimilarityMatrix(counts, len(samples))
 
 

@@ -655,14 +655,18 @@ def read_trace(path: str):
     in the form ``write_trace`` writes, else by numpy's ``loadtxt``, which
     accepts and rejects what it always has. ``chain`` and ``sweep`` are the
     table's first two columns and ``labels`` and ``colours`` the R x n blocks
-    after them, all views of it. A non-integer cell or a row of the wrong
-    width is a validation error that names the file and the line.
+    after them, all views of it. A header with an odd number of fields (an
+    empty file included), a non-integer cell or a row of the wrong width is a
+    validation error that names the file, and the line where there is one.
     """
     with open_input(path) as fh:
         line = fh.readline()
         header = line.rstrip("\r\n").split(",")
         n = (len(header) - 2) // 2
         width = 2 + 2 * n
+        if len(header) != width:
+            raise ValidationError(f"{path}: header has {len(header)} fields, expected chain, "
+                                  "sweep and a c: and a k: column per item")
         start, body = fh.tell(), None
         if line.endswith("\n") and "\r" not in line:
             body = _read_int_rows(fh.buffer, len(line.encode(fh.encoding)), width)

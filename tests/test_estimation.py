@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cdpmix import estimation
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import (LossSpec, SimilarityMatrix, _agglomerate, _pair_score,
                                accumulate_similarity, cluster_summaries,
@@ -47,8 +48,23 @@ def _per_record_counts(labels) -> np.ndarray:
     np.random.default_rng(4).integers(0, 3, size=(4096 * 2 + 17, 6)),         # several blocks
     np.random.default_rng(5).integers(0, 8, size=(2000, 40))
     + 1000 * np.arange(2000)[:, None],                            # distinct values in every row
+    np.random.default_rng(6).integers(0, 4, size=(3, 10))[np.arange(15000) % 3],  # weights > _BLOCK
+    np.random.default_rng(7).integers(0, 3, size=(9000, 12))[
+        np.random.default_rng(8).permutation(np.r_[:9000, :5000, :2000])],  # once and repeated
+    np.random.default_rng(9).choice([-3, 40, 10**9], size=(50, 5))[
+        np.random.default_rng(10).integers(0, 50, size=3000)],    # repeated, outside [0, n)
 ])
 def test_similarity_counts_match_per_record_oracle(labels):
+    sim = accumulate_similarity(labels)
+    assert sim.sample_count == len(labels)
+    np.testing.assert_array_equal(sim.counts, _per_record_counts(labels))
+
+
+def test_similarity_takes_heavy_blocks_in_float64(monkeypatch):
+    # a block whose total weight reaches 2**24 would not be exact in float32;
+    # lowering the limit runs that branch on a small trace
+    monkeypatch.setattr(estimation, "_EXACT_F32", 100)
+    labels = np.random.default_rng(11).integers(0, 3, size=(40, 8))[np.arange(4000) % 40]
     sim = accumulate_similarity(labels)
     assert sim.sample_count == len(labels)
     np.testing.assert_array_equal(sim.counts, _per_record_counts(labels))

@@ -695,6 +695,21 @@ def test_cli_manifest_without_config_is_a_validation_error(tiny_run, capsys):
         f"error: {manifest}: ")
 
 
+@pytest.mark.parametrize("text,fields", [("", 1), ("chain\n", 1), ("chain,sweep,c:a\n0,5,0\n", 3)],
+                         ids=["empty", "chain-only", "odd-header"])
+def test_cli_trace_without_a_header_is_a_validation_error(tiny_run, monkeypatch, capsys,
+                                                          text, fields):
+    # the first two used to end in numpy's "cannot reshape array of size 0" traceback
+    pipeline.run_pipeline(pipeline.parse_config(tiny_run))
+    trace = os.path.join(tiny_run["out"], "trace.csv")
+    with open(trace, "w") as fh:
+        fh.write(text)
+    assert _cli_error(capsys, "summarize", "--out", tiny_run["out"]).startswith(
+        f"error: {trace}: header has {fields} fields")
+    compiled, numpy_reader = _both_readers(monkeypatch, trace)
+    assert compiled == numpy_reader
+
+
 def test_missing_annotation_file_names_it(tiny_run, tmp_path):
     missing = str(tmp_path / "no-ann.tsv")
     with pytest.raises(ValidationError, match="^" + re.escape(missing) + ": "):
