@@ -29,7 +29,10 @@
  * no prior family.
  *
  * The library has two exports: cdpmix_sweeps runs the blocks, and
- * cdpmix_read_ints parses the body of a trace.csv as write_trace writes it.
+ * cdpmix_read_trace reads the body of a trace.csv as write_trace writes it.
+ * Chains revisit few states, so the reader parses each distinct
+ * label-and-colour text once: a line whose text it has seen before is matched
+ * against a copy of that text and not parsed again.
  */
 
 #include <math.h>
@@ -276,43 +279,152 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
     return OK;
 }
 
-/* Parses the complete lines at the start of buf[0, len) into rows of `out`,
- * at most max_rows of them, and sets *used to the bytes those lines take;
- * the partial line after them is left for the next call. A line must be
- * `width` comma-separated non-negative decimal int32 cells ending in '\n',
- * the form write_trace writes. Returns the number of rows, or -1 at the first
- * byte outside that form (a sign, a space, '\r', an empty line or cell, a
- * value above INT32_MAX, a wrong cell count) or a row beyond max_rows. */
-int64_t cdpmix_read_ints(const unsigned char *buf, int64_t len, int64_t width,
-                         int32_t *out, int64_t max_rows, int64_t *used)
+/* The trace reader's buffers, all owned by the caller, which grows them when
+ * the reader asks for room. A line is `chain,sweep,` and then its row: `cells`
+ * (at least 1) comma-separated cells. The distinct rows are numbered in order of first
+ * occurrence; their texts lie one after another in `arena`, row r's ending at
+ * ends[r], and `slots` is an open-addressing table over their hashes. */
+typedef struct {
+    int64_t cells;
+    int32_t *chain, *sweep;  /* [max_lines] */
+    int64_t *index;          /* [max_lines]: the line's row */
+    int64_t lines, max_lines;
+    int32_t *rows;           /* [max_rows][cells] */
+    uint64_t *hashes;        /* [max_rows]: hash of the row's text */
+    int64_t *ends;           /* [max_rows] */
+    int64_t n_rows, max_rows;
+    unsigned char *arena;    /* [arena_size] */
+    int64_t arena_size;
+    int64_t *slots;          /* [n_slots], a power of two above 2 * max_rows: row + 1, or 0 */
+    int64_t n_slots, hashed; /* rows below `hashed` are in `slots` */
+} Trace;
+
+enum { READ_OK = 0, READ_BAD = 1, ROOM_ROWS = 2, ROOM_TEXT = 3 };
+
+/* Four independent lanes of eight bytes, so hashing a line costs little
+ * next to reading it. */
+static uint64_t hash_text(const unsigned char *p, int64_t len)
 {
-    int64_t rows = 0;
-    const unsigned char *p = buf, *nl;
-    while ((nl = memchr(p, '\n', (size_t)(buf + len - p))) != NULL) {
-        if (rows == max_rows)
-            return -1;
-        int32_t *row = out + rows * width;
-        int64_t col = 0;
-        for (;;) {
-            if (p == nl || *p < '0' || *p > '9' || col == width)
-                return -1;
-            int64_t v = 0;
-            do {
-                v = 10 * v + (*p++ - '0');
-                if (v > INT32_MAX)
-                    return -1;
-            } while (*p >= '0' && *p <= '9');
-            row[col++] = (int32_t)v;
-            if (p == nl)
-                break;
-            if (*p++ != ',')
-                return -1;
+    const uint64_t m = 0xBF58476D1CE4E5B9u;
+    uint64_t h[4] = {0x9E3779B97F4A7C15u ^ (uint64_t)len, 1, 2, 3}, w;
+    for (; len >= 32; p += 32, len -= 32)
+        for (int j = 0; j < 4; j++) {
+            memcpy(&w, p + 8 * j, 8);
+            h[j] = (h[j] ^ w) * m;
+            h[j] ^= h[j] >> 31;
         }
-        if (col != width)
-            return -1;
-        rows++;
-        p = nl + 1;
+    for (; len > 0; p += 8, len -= 8) {
+        w = 0;
+        memcpy(&w, p, (size_t)(len < 8 ? len : 8));
+        h[0] = (h[0] ^ w) * m;
+        h[0] ^= h[0] >> 31;
     }
-    *used = p - buf;
-    return rows;
+    uint64_t out = h[0];
+    for (int j = 1; j < 4; j++)
+        out = ((out ^ h[j]) * 0x94D049BB133111EBu) ^ (out >> 29);
+    return out ^ (out >> 32);
+}
+
+/* The slot holding the row whose text is [p, p + len), or the empty slot
+ * where that text goes. */
+static int64_t *find_slot(const Trace *t, const unsigned char *p, int64_t len, uint64_t h)
+{
+    const uint64_t mask = (uint64_t)t->n_slots - 1;
+    for (uint64_t s = h & mask;; s = (s + 1) & mask) {
+        int64_t *slot = t->slots + s;
+        if (*slot == 0)
+            return slot;
+        const int64_t r = *slot - 1, start = r ? t->ends[r - 1] : 0;
+        if (t->hashes[r] == h && t->ends[r] - start == len
+            && memcmp(t->arena + start, p, (size_t)len) == 0)
+            return slot;
+    }
+}
+
+/* One non-negative decimal int32 cell at *pp, which is left after it; -1 if
+ * there is none. Every line ends in '\n', so the digits stop within it. */
+static int64_t parse_cell(const unsigned char **pp)
+{
+    const unsigned char *p = *pp;
+    if (*p < '0' || *p > '9')
+        return -1;
+    int64_t v = 0;
+    do {
+        v = 10 * v + (*p++ - '0');
+        if (v > INT32_MAX)
+            return -1;
+    } while (*p >= '0' && *p <= '9');
+    *pp = p;
+    return v;
+}
+
+/* `cells` comma-separated cells from p, the last one ending at the newline. */
+static int parse_row(const unsigned char *p, int64_t cells, int32_t *row)
+{
+    for (int64_t col = 0; col < cells; col++) {
+        const int64_t v = parse_cell(&p);
+        if (v < 0 || *p++ != (col + 1 < cells ? ',' : '\n'))
+            return READ_BAD;
+        row[col] = (int32_t)v;
+    }
+    return READ_OK;
+}
+
+/* Reads the complete lines at the start of buf[0, len), setting *used to the
+ * bytes they take; the partial line after them is left for the next call.
+ * A line must be `2 + cells` comma-separated non-negative decimal int32 cells
+ * ending in '\n', the form write_trace writes. Per line it writes the chain,
+ * the sweep and the index of its row; a row whose text is new is parsed into
+ * the next row of `rows` and its text copied to the arena. Returns READ_OK,
+ * READ_BAD at the first line outside that form (a sign, a space, '\r', an
+ * empty line or cell, a value above INT32_MAX, a wrong cell count, a line
+ * beyond max_lines), or a ROOM_ code when the rows or the arena are full:
+ * *used is then the start of the line to read again once the caller has
+ * grown them. After growing `slots` (zeroed) the caller sets `hashed` to 0,
+ * and the rows are hashed in again here. */
+int cdpmix_read_trace(Trace *t, const unsigned char *buf, int64_t len, int64_t *used)
+{
+    const uint64_t mask = (uint64_t)t->n_slots - 1;
+    for (; t->hashed < t->n_rows; t->hashed++) {
+        uint64_t s = t->hashes[t->hashed] & mask;
+        while (t->slots[s])
+            s = (s + 1) & mask;
+        t->slots[s] = t->hashed + 1;
+    }
+    const unsigned char *p = buf, *nl;
+    *used = 0;
+    while ((nl = memchr(p, '\n', (size_t)(buf + len - p))) != NULL) {
+        const unsigned char *q = p;
+        const int64_t chain = parse_cell(&q);
+        if (chain < 0 || *q++ != ',')
+            return READ_BAD;
+        const int64_t sweep = parse_cell(&q);
+        if (sweep < 0 || *q++ != ',')
+            return READ_BAD;
+        if (t->lines == t->max_lines)
+            return READ_BAD;
+        const int64_t size = nl - q;
+        const uint64_t h = hash_text(q, size);
+        int64_t *slot = find_slot(t, q, size, h);
+        if (*slot == 0) {
+            const int64_t r = t->n_rows, start = r ? t->ends[r - 1] : 0;
+            if (r == t->max_rows)
+                return ROOM_ROWS;
+            if (start + size > t->arena_size)
+                return ROOM_TEXT;
+            if (parse_row(q, t->cells, t->rows + r * t->cells) != READ_OK)
+                return READ_BAD;
+            memcpy(t->arena + start, q, (size_t)size);
+            t->hashes[r] = h;
+            t->ends[r] = start + size;
+            t->hashed = t->n_rows = r + 1;
+            *slot = r + 1;
+        }
+        t->chain[t->lines] = (int32_t)chain;
+        t->sweep[t->lines] = (int32_t)sweep;
+        t->index[t->lines++] = *slot - 1;
+        p = nl + 1;
+        *used = p - buf;
+    }
+    return READ_OK;
 }

@@ -17,6 +17,12 @@ reads -- the prior's urn tables, whatever the family, and the engines'
 marginal tables -- and a working copy of its state: ``gibbs.ChainState``
 copies its state in before each block and back after it. A block returns the
 ``Records`` of the sweeps it was asked to record.
+
+``TraceReader`` owns the trace reader's buffers. It hands the reader one
+chunk of a ``trace.csv`` body at a time, and grows a buffer whenever the
+reader asks for room. Per line it keeps the chain, the sweep and the index of
+the line's label-and-colour row among the distinct rows, which it keeps once
+each, in order of first occurrence.
 """
 
 from __future__ import annotations
@@ -101,8 +107,8 @@ def library() -> ctypes.CDLL | None:
     kernel, buffer, i64 = ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64
     lib.cdpmix_sweeps.argtypes = (kernel, buffer, i64, ctypes.POINTER(_Records))
     lib.cdpmix_sweeps.restype = ctypes.c_int
-    lib.cdpmix_read_ints.argtypes = (buffer, i64, i64, buffer, i64, ctypes.POINTER(i64))
-    lib.cdpmix_read_ints.restype = i64
+    lib.cdpmix_read_trace.argtypes = (ctypes.POINTER(_Trace), buffer, i64, ctypes.POINTER(i64))
+    lib.cdpmix_read_trace.restype = ctypes.c_int
     return lib
 
 
@@ -111,6 +117,11 @@ _TABLES = ("offsets", "factors", "new", "by_degree", "p", "rate_base", "z0", "xi
 _STATE = ("n_clusters", "next_cid", "n_free", "order", "free_slots", "cid", "colour",
           "count", "z", "yty", "log_m", "item_slot", "colour_totals", "logw", "after",
           "totals", "target", "rank")
+
+
+# the trace reader's buffers, and its status codes
+_TRACE_BUFFERS = ("chain", "sweep", "index", "rows", "hashes", "ends", "arena", "slots")
+_READ_OK, _READ_BAD, _ROOM_ROWS, _ROOM_TEXT = range(4)
 
 
 class _Kernel(ctypes.Structure):
@@ -126,6 +137,15 @@ class _Records(ctypes.Structure):
     _fields_ = ([("count", ctypes.c_int64)]
                 + [(name, ctypes.c_void_p) for name in ("at", "labels", "colours", "degree",
                                                         "cl_colour", "cl_size", "log_m")])
+
+
+class _Trace(ctypes.Structure):
+    """Mirror of the ``Trace`` struct in ``_sweep.c``."""
+
+    _fields_ = [(name, ctypes.c_void_p if name in _TRACE_BUFFERS else ctypes.c_int64)
+                for name in ("cells", "chain", "sweep", "index", "lines", "max_lines", "rows",
+                             "hashes", "ends", "n_rows", "max_rows", "arena", "arena_size",
+                             "slots", "n_slots", "hashed")]
 
 
 class Records(NamedTuple):
@@ -228,3 +248,96 @@ class SweepArrays:
         packed = int(out.degree.sum())
         return out._replace(**{name: getattr(out, name)[:packed]
                                for name in ("cluster_colour", "cluster_size", "log_m")})
+
+
+def _slot_table(rows: int) -> np.ndarray:
+    """An empty hash table for ``rows`` rows: a power of two at least 4 per row."""
+    return np.zeros(1 << (4 * rows - 1).bit_length(), dtype=np.int64)
+
+
+def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
+    """``a`` with room for ``size`` entries along its first axis, its first ``keep`` kept."""
+    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
+    out[:keep] = a[:keep]
+    return out
+
+
+class TraceReader:
+    """The compiled trace reader and its buffers, for a trace body of ``size``
+    bytes whose rows have ``cells`` cells (2n, the labels and then the
+    colours of n items).
+
+    The per-line buffers are sized once from ``size``: a line takes at least
+    two bytes a cell. The distinct rows and their texts start with room for
+    ``room`` rows; when the reader asks for more, a buffer grows to its use
+    so far scaled up to the whole body, at least doubling, and never past
+    what the rest of the body could need. ``result`` gives ``chain``,
+    ``sweep`` and ``index`` per line read so far, and ``rows``, the distinct
+    rows in order of first occurrence: line j holds ``rows[index[j]]``.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, cells: int, size: int, room: int):
+        lines = size // (2 * (cells + 2)) + 1
+        self.chain = np.empty(lines, dtype=np.int32)
+        self.sweep = np.empty(lines, dtype=np.int32)
+        self.index = np.empty(lines, dtype=np.int64)
+        self.rows = np.empty((room, cells), dtype=np.int32)
+        self.hashes = np.empty(room, dtype=np.uint64)
+        self.ends = np.empty(room, dtype=np.int64)
+        self.arena = np.empty(room * 2 * cells, dtype=np.uint8)  # a row's text is >= 2 cells - 1 bytes
+        self.slots = _slot_table(room)
+        self._struct = _Trace(cells=cells)
+        self._ref = ctypes.byref(self._struct)
+        self._lib = lib
+        self._size, self._read = size, 0
+        self._bind()
+
+    def _bind(self) -> None:
+        """Point the struct at the buffers, which may have been replaced."""
+        t = self._struct
+        for name in _TRACE_BUFFERS:
+            setattr(t, name, getattr(self, name).ctypes.data)
+        t.max_lines, t.max_rows, t.arena_size, t.n_slots = (
+            len(self.chain), len(self.rows), len(self.arena), len(self.slots))
+
+    def _room(self, used: int, room: int, most: int) -> int:
+        """Room for a buffer using ``used`` of its ``room`` entries: the use
+        so far scaled to the whole body, at least ``2 * room``, at most ``most``."""
+        return min(max(2 * room, used * self._size // max(self._read, 1)), most)
+
+    def _grow(self, status: int, ahead: int) -> None:
+        """Make the room the reader asked for, with ``ahead`` bytes in hand
+        from the line it stopped at (more than ``_size`` promised if the
+        file grew)."""
+        t = self._struct
+        rest = max(self._size - self._read, ahead)
+        if status == _ROOM_ROWS:
+            room = self._room(t.n_rows, len(self.rows), t.n_rows + 1 + rest // (2 * (t.cells + 2)))
+            self.rows, self.hashes, self.ends = (_grown(a, room, t.n_rows)
+                                                 for a in (self.rows, self.hashes, self.ends))
+            self.slots = _slot_table(room)
+            t.hashed = 0
+        else:
+            used = int(self.ends[t.n_rows - 1]) if t.n_rows else 0
+            self.arena = _grown(self.arena, self._room(used, len(self.arena), used + rest), used)
+        self._bind()
+
+    def read(self, buf: np.ndarray, filled: int) -> int | None:
+        """Read the complete lines of ``buf[:filled]``; the bytes they take, or
+        None at a line outside the form ``write_trace`` writes."""
+        done, used = 0, ctypes.c_int64()
+        while True:
+            status = self._lib.cdpmix_read_trace(self._ref, buf.ctypes.data + done,
+                                                 filled - done, used)
+            done += used.value
+            self._read += used.value
+            if status == _READ_OK:
+                return done
+            if status == _READ_BAD:
+                return None
+            self._grow(status, filled - done)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``chain``, ``sweep``, ``index`` and ``rows`` of what was read."""
+        lines, n_rows = self._struct.lines, self._struct.n_rows
+        return self.chain[:lines], self.sweep[:lines], self.index[:lines], self.rows[:n_rows]

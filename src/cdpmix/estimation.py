@@ -54,19 +54,24 @@ _BLOCK = 4096
 _EXACT_F32 = 2 ** 24
 
 
-def accumulate_similarity(samples) -> SimilarityMatrix:
+def accumulate_similarity(samples, weights=None) -> SimilarityMatrix:
     """Coincidence accumulator over an R x n label array, or over allocation
-    vectors or trace records.
+    vectors or trace records; with ``weights``, row r of ``samples`` counts
+    ``weights[r]`` times (a non-negative integer, zero included).
 
-    Labels are any integers; only equality within a row matters. Each
-    distinct row is counted once, weighted by how often it occurs. For each
-    label value k, a block of distinct rows adds a product of ``hit``, the
-    0/1 indicator of label k: ``hit.T @ hit`` for rows seen once, and
-    ``hit.T @ (hit * w)`` with ``w`` the occurrence counts for repeated rows,
-    so the count is one matrix product per label and block. Each product is
-    exact: it runs in float32 while the block's total weight is below 2**24
-    and in float64 otherwise (see ``_BLOCK``), and is added into float64
-    counts, exact integers below 2**53. ``sample_count`` is R.
+    Labels are any integers; only equality within a row matters. Without
+    ``weights``, the distinct rows are found with ``np.unique`` and weighted
+    by how often they occur; with them, the rows are taken as given (repeats
+    add up), so a caller that already holds the distinct rows and their
+    counts, as ``pipeline.read_trace`` gives them, skips that pass. For each
+    label value k, a block of rows adds a product of ``hit``, the 0/1
+    indicator of label k: ``hit.T @ hit`` for rows of weight one, and
+    ``hit.T @ (hit * w)`` with ``w`` the weights for the others, so the
+    count is one matrix product per label and block. Each product is exact:
+    it runs in float32 while the block's total weight is below 2**24 and in
+    float64 otherwise (see ``_BLOCK``), and is added into float64 counts,
+    exact integers below 2**53. ``sample_count`` is the total weight, R
+    without ``weights``.
     """
     if not isinstance(samples, np.ndarray):
         rows = [s.labels if hasattr(s, "labels") else s for s in samples]
@@ -77,6 +82,11 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
         raise ValidationError("no samples given")
     if samples.ndim != 2:
         raise ValidationError("samples must form an R x n label array")
+    if weights is not None:
+        weights = np.asarray(weights)
+        if (weights.shape != samples.shape[:1] or weights.dtype.kind not in "iu"
+                or weights.min() < 0):
+            raise ValidationError("weights must be one non-negative integer per sample")
     n = samples.shape[1]
     if samples.min() < 0 or samples.max() >= n:
         # rank the labels within each row, so the label loop runs at most n times
@@ -86,18 +96,19 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
         samples = np.empty_like(ranks)
         np.put_along_axis(samples, order, ranks, axis=1)
     labels = np.ascontiguousarray(samples, dtype=np.min_scalar_type(n - 1))
-    # one opaque item per row: np.unique(axis=0) is far slower
-    distinct, occurs = np.unique(labels.view(np.dtype((np.void, labels.strides[0])))[:, 0],
-                                 return_counts=True)
-    top = distinct.view(labels.dtype).reshape(-1, n).max(axis=1)
+    if weights is None:
+        # one opaque item per row: np.unique(axis=0) is far slower
+        distinct, weights = np.unique(labels.view(np.dtype((np.void, labels.strides[0])))[:, 0],
+                                      return_counts=True)
+        labels = distinct.view(labels.dtype).reshape(-1, n)
+    top = labels.max(axis=1)
     # highest label first, so the rows holding label k lead every block
     order = np.argsort(top)[::-1]
-    distinct, occurs, top = distinct[order], occurs[order], top[order]
-    once = occurs == 1
+    labels, weights, top = labels[order], weights[order], top[order]
+    once = weights == 1
     counts = np.zeros((n, n))
-    for rows, tops, weight in ((distinct[once], top[once], None),
-                               (distinct[~once], top[~once], occurs[~once])):
-        rows = rows.view(labels.dtype).reshape(-1, n)
+    for rows, tops, weight in ((labels[once], top[once], None),
+                               (labels[~once], top[~once], weights[~once])):
         for start in range(0, len(rows), _BLOCK):
             block, block_top = rows[start:start + _BLOCK], tops[start:start + _BLOCK]
             if weight is not None:
@@ -108,7 +119,7 @@ def accumulate_similarity(samples) -> SimilarityMatrix:
                 hit = (block[:m] == k).astype(np.float32)
                 # a product of an array with its own transpose is half the work
                 counts += hit.T @ hit if weight is None else hit.T @ (hit * w[:m])
-    return SimilarityMatrix(counts, len(samples))
+    return SimilarityMatrix(counts, int(weights.sum()))
 
 
 @dataclass(frozen=True)

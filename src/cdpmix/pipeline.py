@@ -17,7 +17,6 @@ same configuration and seed are byte-identical.
 from __future__ import annotations
 
 import csv
-import ctypes
 import itertools
 import json
 import math
@@ -487,10 +486,15 @@ def run_chains(config: RunConfig) -> list[list[TraceRecord]]:
         return list(pool.map(_chain_task, tasks))
 
 
-def _majority_colours(partition: Partition, colours: np.ndarray,
+def _majority_colours(partition: Partition, colours: np.ndarray, weights: np.ndarray,
                       n_colours: int) -> list[int]:
-    """Colour per cluster of the estimate: majority of members' sampled colours."""
-    freq = np.stack([(colours == k).sum(axis=0) for k in range(n_colours)], axis=1)
+    """Colour per cluster of the estimate: majority of members' sampled colours,
+    over distinct colour rows each counted ``weights`` times (ties go to the
+    lowest colour)."""
+    # einsum casts the 0/1 block to the weights' type a buffer at a time, where
+    # a matrix product would first copy all of it
+    freq = np.stack([np.einsum("d,di->i", weights, colours == k) for k in range(n_colours)],
+                    axis=1)
     return [int(freq[list(c)].sum(axis=0).argmax()) for c in partition.clusters]
 
 
@@ -537,6 +541,8 @@ def stack_traces(traces: Sequence[Sequence[TraceRecord]], n: int) -> TraceTable:
 _TRACE_CHUNK = 4096
 #: Bytes the compiled trace reader reads at a time, into its one buffer.
 _READ_CHUNK = 1 << 20
+#: Distinct rows the compiled trace reader makes room for at first.
+_READ_ROOM = 256
 
 
 def _csv_int_rows(body: np.ndarray) -> str:
@@ -602,75 +608,106 @@ def _bad_trace_line(path: str, width: int) -> ValidationError:
     return ValidationError(f"{path}: malformed trace body")
 
 
-def _check_colours(path: str, ids: list[str], colours: np.ndarray, n_colours: int) -> None:
-    """Reject a trace colour outside ``[0, n_colours)``, naming its line and column."""
+def _check_colours(path: str, ids: list[str], index: np.ndarray, colours: np.ndarray,
+                   n_colours: int) -> None:
+    """Reject a trace colour outside ``[0, n_colours)``, naming the line and
+    column of the first record that has one. Record r's colours are
+    ``colours[index[r]]``."""
     if colours.size == 0 or (colours.min() >= 0 and colours.max() < n_colours):
         return
-    row, item = np.argwhere((colours < 0) | (colours >= n_colours))[0]
-    lineno, _ = next(itertools.islice(_trace_body_lines(path), row, None))
+    bad = (colours < 0) | (colours >= n_colours)
+    record = int(np.argmax(bad.any(axis=1)[index]))
+    row = index[record]
+    item = int(np.argmax(bad[row]))
+    lineno, _ = next(itertools.islice(_trace_body_lines(path), record, None))
     raise ValidationError(
         f"{path}: line {lineno}, column k:{ids[item]}: colour {colours[row, item]} "
         f"is outside [0, {n_colours})")
 
 
-def _read_int_rows(fh, offset: int, width: int) -> np.ndarray | None:
-    """The bytes of binary file ``fh`` from ``offset`` on as a (rows, width)
-    int32 table, parsed by the compiled reader; None when the library is
-    unavailable or the bytes are not lines of ``width`` non-negative int32
-    cells, each line ending in a newline, as ``write_trace`` writes them.
+def _trace_ids(path: str, line: str) -> list[str]:
+    """The item ids of a trace header line: ``chain``, ``sweep``, ``c:<id>``
+    per item, then ``k:<id>`` for the same items in the same order, as
+    ``csv.writer`` writes them. Any other header is a validation error that
+    names the file and its first bad field."""
+    header = next(csv.reader([line]), []) or [""]  # an empty line is one empty field
+    n = (len(header) - 2) // 2
+    if n < 1 or len(header) != 2 + 2 * n:
+        raise ValidationError(f"{path}: header has {len(header)} fields, expected chain, "
+                              "sweep and a c: and a k: column per item")
+    ids = [name[2:] for name in header[2:2 + n]]
+    expected = ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids]
+    for pos, (name, want) in enumerate(zip(header, expected), start=1):
+        if name != want:  # a c: field's own id is wanted only if it starts with c:
+            want = "'c:<id>'" if 2 < pos <= 2 + n else repr(want)
+            raise ValidationError(f"{path}: header field {pos} is {name!r}, expected {want}")
+    return ids
 
-    A first pass counts the lines to size the table and a second parses the
-    complete lines of each chunk straight into its rows, carrying the partial
-    last line over to the next chunk, so no more than the table and one
-    ``_READ_CHUNK`` buffer is ever held.
+
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, rows)``: the distinct rows of a 2-d array in order of first
+    occurrence, and per row of ``table`` the position of its row among them."""
+    table = np.ascontiguousarray(table)
+    keys = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], table[first[order]]
+
+
+def _read_distinct_rows(fh, offset: int, cells: int):
+    """The bytes of binary file ``fh`` from ``offset`` on as ``(chain, sweep,
+    index, rows)``, read by the compiled reader (``_sweep.TraceReader``);
+    None when the library is unavailable or the bytes are not lines of
+    ``2 + cells`` non-negative int32 cells, each line ending in a newline,
+    as ``write_trace`` writes them.
+
+    Each chunk's complete lines are read into the reader's buffers, and the
+    partial last line is carried over to the next chunk, so no more than
+    those buffers and one ``_READ_CHUNK`` buffer is ever held.
     """
     lib = _sweep.library()
     if lib is None:
         return None
+    reader = _sweep.TraceReader(lib, cells, os.fstat(fh.fileno()).st_size - offset, _READ_ROOM)
     buf = np.empty(_READ_CHUNK, dtype=np.uint8)
     fh.seek(offset)
-    rows = 0
-    while got := fh.readinto(buf):
-        rows += int(np.count_nonzero(buf[:got] == ord("\n")))
-    table = np.empty((rows, width), dtype=np.int32)
-    fh.seek(offset)
-    done, kept, used = 0, 0, ctypes.c_int64()
+    kept = 0
     # a line longer than the buffer leaves an empty view to read into, and None
     while got := fh.readinto(buf[kept:]):
         filled = kept + got
-        parsed = lib.cdpmix_read_ints(buf.ctypes.data, filled, width,
-                                      table[done:].ctypes.data, rows - done, used)
-        if parsed < 0:
+        used = reader.read(buf, filled)
+        if used is None:
             return None
-        done += parsed
-        kept = filled - used.value
-        buf[:kept] = buf[used.value:filled]
-    return table if kept == 0 and done == rows else None
+        kept = filled - used
+        buf[:kept] = buf[used:filled]
+    return reader.result() if kept == 0 else None
 
 
 def read_trace(path: str):
-    """Reload a trace file as ``(ids, chain, sweep, labels, colours)``.
+    """Reload a trace file as ``(ids, chain, sweep, index, rows)``.
 
-    The body is parsed into one int32 table: by ``_read_int_rows`` when it is
-    in the form ``write_trace`` writes, else by numpy's ``loadtxt``, which
-    accepts and rejects what it always has. ``chain`` and ``sweep`` are the
-    table's first two columns and ``labels`` and ``colours`` the R x n blocks
-    after them, all views of it. A header with an odd number of fields (an
-    empty file included), a non-integer cell or a row of the wrong width is a
-    validation error that names the file, and the line where there is one.
+    ``rows`` holds each distinct label-and-colour row of the body once, in
+    order of first occurrence, and ``index`` the position of each record's
+    row: the R x n labels are ``rows[index, :n]`` and the colours
+    ``rows[index, n:]``. A body in the form ``write_trace`` writes is read by
+    ``_read_distinct_rows``, which parses each distinct row's text once;
+    any other is read by numpy's ``loadtxt``, which accepts and rejects what
+    it always has, and its rows are made distinct by ``_distinct_rows``. The
+    header must be ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>`` per
+    item (see ``_trace_ids``). A bad header (an empty file included), a
+    non-integer cell or a row of the wrong width is a validation error that
+    names the file, and the line or field where there is one.
     """
     with open_input(path) as fh:
         line = fh.readline()
-        header = line.rstrip("\r\n").split(",")
-        n = (len(header) - 2) // 2
-        width = 2 + 2 * n
-        if len(header) != width:
-            raise ValidationError(f"{path}: header has {len(header)} fields, expected chain, "
-                                  "sweep and a c: and a k: column per item")
-        start, body = fh.tell(), None
+        ids = _trace_ids(path, line)
+        width = 2 + 2 * len(ids)
+        start, read = fh.tell(), None
         if line.endswith("\n") and "\r" not in line:
-            body = _read_int_rows(fh.buffer, len(line.encode(fh.encoding)), width)
-        if body is None:
+            read = _read_distinct_rows(fh.buffer, len(line.encode(fh.encoding)), width - 2)
+        if read is None:
             fh.seek(start)  # the binary reads moved the file under the text layer
             try:
                 with warnings.catch_warnings():
@@ -679,21 +716,23 @@ def read_trace(path: str):
                     body = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2)
             except ValueError:
                 body = None
-    if body is None or (body.size and body.shape[1] != width):
-        raise _bad_trace_line(path, width)
-    body = body.reshape(-1, width)
-    ids = [name[2:] for name in header[2:2 + n]]
-    return ids, body[:, 0], body[:, 1], body[:, 2:2 + n], body[:, 2 + n:]
+            if body is None or (body.size and body.shape[1] != width):
+                raise _bad_trace_line(path, width)
+            body = body.reshape(-1, width)
+            read = (body[:, 0], body[:, 1], *_distinct_rows(body[:, 2:]))
+    return (ids, *read)
 
 
 def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrior,
-                       loss: LossSpec, strategy: str, labels: np.ndarray,
-                       colours: np.ndarray) -> tuple[list[str], dict]:
-    """Write similarity, assignments, summaries and crosstab from the R x n
-    label and colour arrays of the retained sweeps (in any order)."""
-    if len(labels) == 0:
+                       loss: LossSpec, strategy: str, rows: np.ndarray,
+                       weights: np.ndarray) -> tuple[list[str], dict]:
+    """Write similarity, assignments, summaries and crosstab from the retained
+    sweeps: the distinct rows of their labels and then colours (n + n
+    columns), each occurring ``weights`` times."""
+    if weights.sum() == 0:
         raise ValidationError("no retained sweeps to summarize")
-    rho = accumulate_similarity(labels).matrix
+    n = dataset.n
+    rho = accumulate_similarity(rows[:, :n], weights).matrix
     if strategy == "auto":
         strategy = "exact" if dataset.n <= MAX_ENUM_N else "greedy"
     estimate = optimal_partition(rho, loss, strategy=strategy)
@@ -709,7 +748,7 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
                         else optimal_partition(rho, loss, strategy=alt))
             estimate_info[f"loss_{alt}"] = expected_pairwise_loss(alt_part, rho, loss)
     n_colours = getattr(model, "n_colours", 1)
-    cluster_colours = _majority_colours(estimate, colours, n_colours)
+    cluster_colours = _majority_colours(estimate, rows[:, n:], weights, n_colours)
 
     written = []
 
@@ -761,9 +800,10 @@ def run_pipeline(config: RunConfig) -> dict:
     table = stack_traces(traces, config.dataset.n)
     write_trace(os.path.join(config.out_dir, "trace.csv"), config.dataset.ids, table)
     artifacts = ["trace.csv"]
+    index, rows = _distinct_rows(np.column_stack([table.labels, table.colours]))
     written, estimate_info = _summarize_outputs(
         config.out_dir, config.dataset, config.model, config.loss, config.strategy,
-        table.labels, table.colours)
+        rows, np.bincount(index, minlength=len(rows)))
     artifacts += written
 
     # the output location is not part of the run's content; keep same-seed
@@ -785,6 +825,18 @@ def run_pipeline(config: RunConfig) -> dict:
     return manifest
 
 
+def _check_ids(path: str, ids: list[str], expected: list[str]) -> None:
+    """Reject a trace whose item ids are not the configured dataset's, naming
+    the file and the first id that differs."""
+    for pos, (have, want) in enumerate(zip(ids, expected), start=1):
+        if have != want:
+            raise ValidationError(f"{path}: item {pos} is {have!r}, but item {pos} of the "
+                                  f"configured dataset is {want!r}")
+    if len(ids) != len(expected):
+        raise ValidationError(f"{path}: the trace has {len(ids)} items, but the configured "
+                              f"dataset has {len(expected)}")
+
+
 def summarize_run(out_dir: str) -> dict:
     """Recompute estimation outputs from an existing run directory's trace."""
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -793,10 +845,10 @@ def summarize_run(out_dir: str) -> dict:
         raise ValidationError(f"{manifest_path}: manifest has no config object")
     config = parse_config(manifest["config"])
     trace_path = os.path.join(out_dir, "trace.csv")
-    ids, _, _, labels, colours = read_trace(trace_path)
-    if ids != config.dataset.ids:
-        raise ValidationError("trace ids do not match the configured dataset")
-    _check_colours(trace_path, ids, colours, getattr(config.model, "n_colours", 1))
+    ids, _, _, index, rows = read_trace(trace_path)
+    _check_ids(trace_path, ids, config.dataset.ids)
+    n = len(ids)
+    _check_colours(trace_path, ids, index, rows[:, n:], getattr(config.model, "n_colours", 1))
     _summarize_outputs(out_dir, config.dataset, config.model, config.loss,
-                       config.strategy, labels, colours)
+                       config.strategy, rows, np.bincount(index, minlength=len(rows)))
     return manifest

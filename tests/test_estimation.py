@@ -70,6 +70,26 @@ def test_similarity_takes_heavy_blocks_in_float64(monkeypatch):
     np.testing.assert_array_equal(sim.counts, _per_record_counts(labels))
 
 
+@pytest.mark.parametrize("values", [4, [-5, 2, 7, 100]], ids=["ranked", "outside"])
+def test_similarity_weights_count_each_row_that_many_times(values):
+    rng = np.random.default_rng(12)
+    rows = rng.choice(values, size=(30, 9))
+    rows[5] = rows[3]  # a row given twice adds up
+    weights = rng.integers(0, 6, size=30)
+    weights[:2] = [0, 1]
+    sim = accumulate_similarity(rows, weights)
+    records = np.repeat(rows, weights, axis=0)
+    assert sim.sample_count == len(records)
+    np.testing.assert_array_equal(sim.counts, _per_record_counts(records))
+
+
+@pytest.mark.parametrize("weights", [[1, 2], [1, -1, 1], [1.0, 2.0, 1.0], [0, 0, 0]],
+                         ids=["short", "negative", "float", "zero"])
+def test_similarity_rejects_bad_weights(weights):
+    with pytest.raises(ValidationError):
+        accumulate_similarity([[0, 1], [0, 0], [1, 1]], weights)
+
+
 def test_similarity_accepts_lists_arrays_and_records():
     labels = np.random.default_rng(5).integers(0, 4, size=(20, 7))
     records = [TraceRecord(k, tuple(row), (0,) * 7, 0, (), 0.0)

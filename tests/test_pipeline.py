@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity
 from cdpmix.gibbs import TraceRecord
-from cdpmix.partitions import enumerate_partitions
+from cdpmix.partitions import Partition, enumerate_partitions
 
 
 @pytest.fixture
@@ -305,10 +306,18 @@ def test_manifest_reproduces_run(tiny_run, tmp_path):
         assert a == b, name
 
 
+def _trace_records(path):
+    """``read_trace`` as ``(ids, chain, sweep, labels, colours)``: the records'
+    R x n label and colour blocks are ``rows[index]``, split in two."""
+    ids, chain, sweep, index, rows = pipeline.read_trace(path)
+    records = rows[index]
+    return ids, chain, sweep, records[:, :len(ids)], records[:, len(ids):]
+
+
 def test_trace_round_trip_reproduces_similarity(tiny_run):
     pipeline.run_pipeline(pipeline.parse_config(tiny_run))
     out = tiny_run["out"]
-    _, _, _, labels, _ = pipeline.read_trace(os.path.join(out, "trace.csv"))
+    _, _, _, labels, _ = _trace_records(os.path.join(out, "trace.csv"))
     sim = accumulate_similarity(labels)
     emitted = np.loadtxt(os.path.join(out, "similarity.csv"), delimiter=",", skiprows=1,
                          usecols=range(1, len(sim.matrix) + 1), ndmin=2)
@@ -419,9 +428,10 @@ def _write_trace_text(tmp_path, body: str, head: str = _TRACE_HEAD) -> str:
 
 
 def _read_trace_outcome(path):
-    """``read_trace``'s arrays with their dtypes, or its error text."""
+    """``read_trace``'s chain, sweep, labels and colours (``rows[index]``) with
+    their dtypes, or its error text."""
     try:
-        ids, *arrays = pipeline.read_trace(path)
+        ids, *arrays = _trace_records(path)
     except ValidationError as exc:
         return str(exc)
     return ids, [(a.dtype, a.shape, a.tolist()) for a in arrays]
@@ -438,7 +448,7 @@ def _both_readers(monkeypatch, path):
 
 def test_read_trace_returns_arrays(tmp_path, monkeypatch):
     path = _write_trace_text(tmp_path, "1,6,0,0,1,1\n")
-    ids, chain, sweep, labels, colours = pipeline.read_trace(path)
+    ids, chain, sweep, labels, colours = _trace_records(path)
     assert ids == ["a", "b"]
     assert chain.tolist() == [0, 1] and sweep.tolist() == [5, 6]
     assert labels.tolist() == [[0, 1], [0, 0]]
@@ -516,11 +526,160 @@ def test_written_traces_take_the_compiled_reader(tmp_path, monkeypatch):
     path = str(tmp_path / "trace.csv")
     pipeline.write_trace(path, [f"gene{i}" for i in range(112)], traces)
     _forbid_loadtxt(monkeypatch)
-    _, chain, sweep, labels, colours = pipeline.read_trace(path)
+    _, chain, sweep, labels, colours = _trace_records(path)
     table = pipeline.stack_traces(traces, 112)
     assert chain.dtype == labels.dtype == np.int32
     assert np.array_equal(chain, table.chain) and np.array_equal(sweep, table.sweep)
     assert np.array_equal(labels, table.labels) and np.array_equal(colours, table.colours)
+
+
+def test_read_trace_keeps_each_distinct_row_once(tmp_path, monkeypatch):
+    # repeated rows come out once, in order of first occurrence; a row with
+    # the same values as another but different text (leading zeros) may stay
+    # separate, as long as rows[index] holds each line's values
+    path = _write_trace_text(tmp_path, "0,6,0,0,1,1\n1,5,0,1,0,0\n1,6,0,00,1,1\n")
+    _, chain, sweep, index, rows = pipeline.read_trace(path)
+    assert chain.tolist() == [0, 0, 1, 1] and sweep.tolist() == [5, 6, 5, 6]
+    assert rows[index].tolist() == [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 1]]
+    assert rows[:2].tolist() == [[0, 1, 0, 0], [0, 0, 1, 1]]
+    assert index[:3].tolist() == [0, 1, 0]
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader
+
+
+def test_read_trace_grows_its_buffers(tmp_path, monkeypatch):
+    # room for one row at first, and 16-byte chunks; new rows keep coming
+    # after a long repeated start, so the room for rows and for their text
+    # grows many times, and the slot table is rehashed at each growth
+    rng = np.random.default_rng(36)
+    states = ["0100"] + [f"{s:04d}" for s in rng.choice(10 ** 4, size=60, replace=False)]
+    picks = np.r_[np.zeros(300, dtype=int), rng.integers(1, 61, size=500)]  # 0100 heads it
+    body = "".join(f"{j % 3},{j % 10},{','.join(states[k])}\n"  # 12-byte lines
+                   for j, k in enumerate(picks))
+    path = _write_trace_text(tmp_path, body)
+    monkeypatch.setattr(pipeline, "_READ_ROOM", 1)
+    monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
+    _, numpy_reader = _both_readers(monkeypatch, path)
+    _forbid_loadtxt(monkeypatch)
+    grown = []
+    grow = _sweep.TraceReader._grow
+    monkeypatch.setattr(_sweep.TraceReader, "_grow",
+                        lambda reader, status, ahead: grown.append(status) or grow(reader, status,
+                                                                                    ahead))
+    assert _read_trace_outcome(path) == numpy_reader
+    assert grown.count(_sweep._ROOM_ROWS) >= 4 and grown.count(_sweep._ROOM_TEXT) >= 4, grown
+    _, _, _, index, rows = pipeline.read_trace(path)
+    assert len(rows) == len({tuple(row) for row in rows[index].tolist()}) > 50
+
+
+def test_read_trace_without_repeats(tmp_path, monkeypatch):
+    rng = np.random.default_rng(37)
+    table = np.column_stack([np.zeros(3000, dtype=int), np.arange(3000),
+                             rng.integers(0, 2 ** 31 - 1, size=(3000, 4))])
+    table[:, 2] = np.arange(3000)  # every row distinct
+    path = _write_trace_text(tmp_path, "".join(",".join(map(str, r)) + "\n"
+                                               for r in table.tolist()))
+    monkeypatch.setattr(pipeline, "_READ_ROOM", 4)
+    _, numpy_reader = _both_readers(monkeypatch, path)
+    _forbid_loadtxt(monkeypatch)
+    assert _read_trace_outcome(path) == numpy_reader
+    _, _, _, index, rows = pipeline.read_trace(path)
+    assert index.tolist() == list(range(3001)) and len(rows) == 3001
+
+
+@pytest.mark.parametrize("head,field", [
+    ("foo,bar,x:a,y:b,z:q,w:r\n", "header field 1 is 'foo', expected 'chain'"),
+    ("chain,bar,c:a,c:b,k:a,k:b\n", "header field 2 is 'bar', expected 'sweep'"),
+    ("chain,sweep,c:a,x:b,k:a,k:b\n", "header field 4 is 'x:b', expected 'c:<id>'"),
+    ("chain,sweep,c:a,c:b,k:a,k:q\n", "header field 6 is 'k:q', expected 'k:b'"),
+    ("chain,sweep,c:a,c:b,k:b,k:a\n", "header field 5 is 'k:b', expected 'k:a'"),
+    ("chain,sweep,c:a,c:b,c:a,c:b\n", "header field 5 is 'c:a', expected 'k:a'"),
+], ids=["names", "sweep", "c-prefix", "k-id", "k-order", "no-k"])
+def test_read_trace_rejects_a_header_naming_other_columns(tmp_path, monkeypatch, head, field):
+    # any header with 2 + 2n fields used to be read, its ids cut from the c: fields
+    path = _write_trace_text(tmp_path, "0,5,0,1,0,0\n", head=head)
+    with pytest.raises(ValidationError, match="^" + re.escape(f"{path}: {field}") + "$"):
+        pipeline.read_trace(path)
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader
+
+
+def test_read_trace_reads_the_ids_the_writer_quotes(tmp_path):
+    ids = ["a", "b,c", 'd"e', "c:f"]
+    path = str(tmp_path / "trace.csv")
+    pipeline.write_trace(path, ids, _random_traces(np.random.default_rng(38), [5], len(ids)))
+    assert pipeline.read_trace(path)[0] == ids
+
+
+def test_read_trace_peak_memory_follows_the_distinct_rows(tmp_path):
+    # the benchmark-shaped trace: 40000 records of 2 x 112 cells, 20 states;
+    # an R x 2n int32 table of it alone takes 36 MB
+    traces = _random_traces(np.random.default_rng(35), [10_000] * 4, 112, first_sweep=10_000)
+    path = str(tmp_path / "trace.csv")
+    pipeline.write_trace(path, [f"gene{i}" for i in range(112)], traces)
+    if _sweep.library() is None:
+        pytest.skip("the compiled trace reader cannot be built here")
+    tracemalloc.start()
+    try:
+        _, _, _, _, rows = pipeline.read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) <= 20
+    assert peak < 40_000 * 224 * 4 / 4, peak
+
+
+def test_summarize_names_a_repeated_bad_colour_row_at_its_first_line(tiny_run, capsys,
+                                                                      monkeypatch):
+    cfg = dict(tiny_run, model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
+    pipeline.run_pipeline(pipeline.parse_config(cfg))
+    trace = os.path.join(cfg["out"], "trace.csv")
+    lines = open(trace).read().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[2 + 6 + 3] = "2"  # k:it3, on lines 6, 8 and 9
+    bad = ",".join(cells[2:])
+    for j in (5, 7, 8):
+        lines[j] = ",".join(lines[j].split(",")[:2]) + "," + bad
+    with open(trace, "w") as fh:
+        fh.writelines(lines)
+    expected = f"error: {trace}: line 6, column k:it3: colour 2 is outside [0, 2)\n"
+    assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
+    monkeypatch.setattr(_sweep, "library", lambda: None)
+    assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ids: ids[:2] + ["zz"] + ids[3:], "item 3 is 'zz', but item 3 of the configured "
+                                             "dataset is 'it2'"),
+    (lambda ids: ids[:-1], "the trace has 5 items, but the configured dataset has 6"),
+], ids=["renamed", "short"])
+def test_summarize_names_the_first_id_that_differs(tiny_run, capsys, edit, message):
+    pipeline.run_pipeline(pipeline.parse_config(tiny_run))
+    trace = os.path.join(tiny_run["out"], "trace.csv")
+    ids, chain, sweep, index, rows = pipeline.read_trace(trace)
+    ids = edit(ids)
+    labels, colours = rows[index, :len(ids)], rows[index, 6:6 + len(ids)]
+    pipeline.write_trace(trace, ids, pipeline.TraceTable(chain, sweep, labels, colours))
+    assert _cli_error(capsys, "summarize", "--out", tiny_run["out"]) == f"error: {trace}: {message}\n"
+
+
+def _majority_colours_per_record(partition, colours, n_colours):
+    """Oracle of ``_majority_colours``: counts over every record's colours."""
+    freq = np.stack([(colours == k).sum(axis=0) for k in range(n_colours)], axis=1)
+    return [int(freq[list(c)].sum(axis=0).argmax()) for c in partition.clusters]
+
+
+def test_majority_colours_of_distinct_rows_match_the_per_record_count():
+    rng = np.random.default_rng(39)
+    n, n_colours = 12, 3
+    partition = Partition.from_allocation(rng.integers(0, 4, size=n).tolist())
+    distinct = rng.integers(0, n_colours, size=(7, n))
+    # rows 0 and 1 colour every item 0 and 1 with equal weight: a tie in every cluster
+    distinct[0], distinct[1] = 0, 1
+    for weights in ([5, 5, 0, 0, 0, 0, 0], rng.integers(0, 9, size=7)):
+        records = np.repeat(distinct, weights, axis=0)
+        assert (pipeline._majority_colours(partition, distinct, np.asarray(weights), n_colours)
+                == _majority_colours_per_record(partition, records, n_colours))
 
 
 def test_single_category_crosstab_lists_cluster_sizes(tiny_run):
@@ -580,7 +739,7 @@ def test_summarize_rejects_a_colour_outside_the_model(tiny_run, capsys, colour):
 def test_multichain_run_merges_traces(tiny_run, tmp_path):
     cfg = dict(tiny_run, out=str(tmp_path / "mc"), chains=2, sweeps=60, burn_in=20)
     manifest = pipeline.run_pipeline(pipeline.parse_config(cfg))
-    _, chain, _, labels, _ = pipeline.read_trace(os.path.join(cfg["out"], "trace.csv"))
+    _, chain, _, labels, _ = _trace_records(os.path.join(cfg["out"], "trace.csv"))
     assert set(chain.tolist()) == {0, 1}
     assert len(manifest["log_posterior"]) == len(labels)
 
@@ -695,8 +854,9 @@ def test_cli_manifest_without_config_is_a_validation_error(tiny_run, capsys):
         f"error: {manifest}: ")
 
 
-@pytest.mark.parametrize("text,fields", [("", 1), ("chain\n", 1), ("chain,sweep,c:a\n0,5,0\n", 3)],
-                         ids=["empty", "chain-only", "odd-header"])
+@pytest.mark.parametrize("text,fields", [("", 1), ("chain\n", 1), ("chain,sweep,c:a\n0,5,0\n", 3),
+                                         ("chain,sweep\n0,5\n", 2)],
+                         ids=["empty", "chain-only", "odd-header", "no-items"])
 def test_cli_trace_without_a_header_is_a_validation_error(tiny_run, monkeypatch, capsys,
                                                           text, fields):
     # the first two used to end in numpy's "cannot reshape array of size 0" traceback
