@@ -346,16 +346,16 @@ static int64_t *find_slot(const Trace *t, const unsigned char *p, int64_t len, u
 static int64_t parse_cell(const unsigned char **pp)
 {
     const unsigned char *p = *pp;
-    if (*p < '0' || *p > '9')
+    uint64_t v = (uint64_t)*p - '0', digit;
+    if (v > 9)
         return -1;
-    int64_t v = 0;
-    do {
-        v = 10 * v + (*p++ - '0');
+    while ((digit = (uint64_t)*++p - '0') <= 9) {
+        v = 10 * v + digit;
         if (v > INT32_MAX)
             return -1;
-    } while (*p >= '0' && *p <= '9');
+    }
     *pp = p;
-    return v;
+    return (int64_t)v;
 }
 
 /* `cells` comma-separated cells from p, the last one ending at the newline. */

@@ -284,7 +284,7 @@ class TraceReader:
         self.rows = np.empty((room, cells), dtype=np.int32)
         self.hashes = np.empty(room, dtype=np.uint64)
         self.ends = np.empty(room, dtype=np.int64)
-        self.arena = np.empty(room * 2 * cells, dtype=np.uint8)  # a row's text is >= 2 cells - 1 bytes
+        self.arena = np.empty(room * 2 * cells, dtype=np.uint8)  # a text is >= 2 cells - 1 bytes
         self.slots = _slot_table(room)
         self._struct = _Trace(cells=cells)
         self._ref = ctypes.byref(self._struct)

@@ -54,14 +54,28 @@ _BLOCK = 4096
 _EXACT_F32 = 2 ** 24
 
 
+def distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, rows)``: the distinct rows of a 2-d array in order of first
+    occurrence, and per row of ``table`` the position of its row among them,
+    so that ``rows[index]`` equals ``table``."""
+    table = np.ascontiguousarray(table)
+    # one opaque item per row: np.unique(axis=0) is far slower
+    keys = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.reshape(-1)], table[first[order]]
+
+
 def accumulate_similarity(samples, weights=None) -> SimilarityMatrix:
     """Coincidence accumulator over an R x n label array, or over allocation
     vectors or trace records; with ``weights``, row r of ``samples`` counts
     ``weights[r]`` times (a non-negative integer, zero included).
 
     Labels are any integers; only equality within a row matters. Without
-    ``weights``, the distinct rows are found with ``np.unique`` and weighted
-    by how often they occur; with them, the rows are taken as given (repeats
+    ``weights``, the distinct rows are found with ``distinct_rows`` and
+    weighted by how often they occur; with them, the rows are taken as given (repeats
     add up), so a caller that already holds the distinct rows and their
     counts, as ``pipeline.read_trace`` gives them, skips that pass. For each
     label value k, a block of rows adds a product of ``hit``, the 0/1
@@ -97,10 +111,8 @@ def accumulate_similarity(samples, weights=None) -> SimilarityMatrix:
         np.put_along_axis(samples, order, ranks, axis=1)
     labels = np.ascontiguousarray(samples, dtype=np.min_scalar_type(n - 1))
     if weights is None:
-        # one opaque item per row: np.unique(axis=0) is far slower
-        distinct, weights = np.unique(labels.view(np.dtype((np.void, labels.strides[0])))[:, 0],
-                                      return_counts=True)
-        labels = distinct.view(labels.dtype).reshape(-1, n)
+        index, labels = distinct_rows(labels)
+        weights = np.bincount(index)
     top = labels.max(axis=1)
     # highest label first, so the rows holding label k lead every block
     order = np.argsort(top)[::-1]

@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, _sweep
 from .conjugate import DesignBlock, NormalGammaSpec
 from .errors import ValidationError
-from .estimation import (LossSpec, accumulate_similarity, cluster_summaries,
+from .estimation import (LossSpec, accumulate_similarity, cluster_summaries, distinct_rows,
                          expected_pairwise_loss, optimal_partition)
 from .gibbs import SweepPlan, TraceRecord, run_chain
 from .partitions import MAX_ENUM_N, Partition
@@ -489,12 +489,15 @@ def run_chains(config: RunConfig) -> list[list[TraceRecord]]:
 def _majority_colours(partition: Partition, colours: np.ndarray, weights: np.ndarray,
                       n_colours: int) -> list[int]:
     """Colour per cluster of the estimate: majority of members' sampled colours,
-    over distinct colour rows each counted ``weights`` times (ties go to the
-    lowest colour)."""
-    # einsum casts the 0/1 block to the weights' type a buffer at a time, where
-    # a matrix product would first copy all of it
-    freq = np.stack([np.einsum("d,di->i", weights, colours == k) for k in range(n_colours)],
-                    axis=1)
+    over distinct colour rows in ``[0, n_colours)`` each counted ``weights``
+    times (ties go to the lowest colour)."""
+    freq = np.empty((colours.shape[1], n_colours), dtype=np.int64)
+    for k in range(n_colours - 1):
+        # einsum casts the 0/1 block to the weights' type a buffer at a time,
+        # where a matrix product would first copy all of it
+        freq[:, k] = np.einsum("d,di->i", weights, colours == k)
+    # every item has one colour per row, so its counts add up to the total weight
+    freq[:, -1] = weights.sum() - freq[:, :-1].sum(axis=1)
     return [int(freq[list(c)].sum(axis=0).argmax()) for c in partition.clusters]
 
 
@@ -630,7 +633,10 @@ def _trace_ids(path: str, line: str) -> list[str]:
     per item, then ``k:<id>`` for the same items in the same order, as
     ``csv.writer`` writes them. Any other header is a validation error that
     names the file and its first bad field."""
-    header = next(csv.reader([line]), []) or [""]  # an empty line is one empty field
+    try:
+        header = next(csv.reader([line]), []) or [""]  # an empty line is one empty field
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise ValidationError(f"{path}: header: {exc}") from None
     n = (len(header) - 2) // 2
     if n < 1 or len(header) != 2 + 2 * n:
         raise ValidationError(f"{path}: header has {len(header)} fields, expected chain, "
@@ -642,18 +648,6 @@ def _trace_ids(path: str, line: str) -> list[str]:
             want = "'c:<id>'" if 2 < pos <= 2 + n else repr(want)
             raise ValidationError(f"{path}: header field {pos} is {name!r}, expected {want}")
     return ids
-
-
-def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, rows)``: the distinct rows of a 2-d array in order of first
-    occurrence, and per row of ``table`` the position of its row among them."""
-    table = np.ascontiguousarray(table)
-    keys = table.view(np.dtype((np.void, table.dtype.itemsize * table.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse.reshape(-1)], table[first[order]]
 
 
 def _read_distinct_rows(fh, offset: int, cells: int):
@@ -694,7 +688,7 @@ def read_trace(path: str):
     ``rows[index, n:]``. A body in the form ``write_trace`` writes is read by
     ``_read_distinct_rows``, which parses each distinct row's text once;
     any other is read by numpy's ``loadtxt``, which accepts and rejects what
-    it always has, and its rows are made distinct by ``_distinct_rows``. The
+    it always has, and its rows are made distinct by ``distinct_rows``. The
     header must be ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>`` per
     item (see ``_trace_ids``). A bad header (an empty file included), a
     non-integer cell or a row of the wrong width is a validation error that
@@ -719,7 +713,7 @@ def read_trace(path: str):
             if body is None or (body.size and body.shape[1] != width):
                 raise _bad_trace_line(path, width)
             body = body.reshape(-1, width)
-            read = (body[:, 0], body[:, 1], *_distinct_rows(body[:, 2:]))
+            read = (body[:, 0], body[:, 1], *distinct_rows(body[:, 2:]))
     return (ids, *read)
 
 
@@ -800,7 +794,7 @@ def run_pipeline(config: RunConfig) -> dict:
     table = stack_traces(traces, config.dataset.n)
     write_trace(os.path.join(config.out_dir, "trace.csv"), config.dataset.ids, table)
     artifacts = ["trace.csv"]
-    index, rows = _distinct_rows(np.column_stack([table.labels, table.colours]))
+    index, rows = distinct_rows(np.column_stack([table.labels, table.colours]))
     written, estimate_info = _summarize_outputs(
         config.out_dir, config.dataset, config.model, config.loss, config.strategy,
         rows, np.bincount(index, minlength=len(rows)))
