@@ -279,9 +279,10 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
     return OK;
 }
 
-/* The trace reader's buffers, all owned by the caller, which grows them when
- * the reader asks for room. A line is `chain,sweep,` and then its row: `cells`
- * (at least 1) comma-separated cells. The distinct rows are numbered in order of first
+/* The trace reader's buffers, all owned by the caller: it sizes the per-line
+ * ones for the whole body and grows the others when the reader asks for
+ * room. A line is `chain,sweep,` and then its row: `cells` (at least 1)
+ * comma-separated cells. The distinct rows are numbered in order of first
  * occurrence; their texts lie one after another in `arena`, row r's ending at
  * ends[r], and `slots` is an open-addressing table over their hashes. */
 typedef struct {
