@@ -18,11 +18,12 @@ marginal tables -- and a working copy of its state: ``gibbs.ChainState``
 copies its state in before each block and back after it. A block returns the
 ``Records`` of the sweeps it was asked to record.
 
-``TraceReader`` owns the trace reader's buffers. It hands the reader one
-chunk of a ``trace.csv`` body at a time, and grows a buffer whenever the
-reader asks for room. Per line it keeps the chain, the sweep and the index of
-the line's label-and-colour row among the distinct rows, which it keeps once
-each, in order of first occurrence.
+``TraceReader`` owns the trace reader: it reads a ``trace.csv`` body from
+the file one chunk at a time, hands each chunk's complete lines to the
+reader, grows a buffer whenever the reader asks for room, and carries the
+partial last line over to the next chunk. Per line it keeps the chain, the
+sweep and the index of the line's label-and-colour row among the distinct
+rows, which it keeps once each, in order of first occurrence.
 """
 
 from __future__ import annotations
@@ -263,20 +264,19 @@ def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
 
 
 class TraceReader:
-    """The compiled trace reader and its buffers, for a trace body of ``size``
-    bytes whose rows have ``cells`` cells (2n, the labels and then the
-    colours of n items).
+    """The compiled trace reader and its buffers, for the rest of the binary
+    file ``fh``, a trace body whose rows have ``cells`` cells (2n, the
+    labels and then the colours of n items).
 
-    The per-line buffers are sized once from ``size``: a line takes at least
-    two bytes a cell. The distinct rows and their texts start with room for
-    ``room`` rows; when the reader asks for more, a buffer grows to its use
-    so far scaled up to the whole body, at least doubling, and never past
-    what the rest of the body could need. ``result`` gives ``chain``,
-    ``sweep`` and ``index`` per line read so far, and ``rows``, the distinct
-    rows in order of first occurrence: line j holds ``rows[index[j]]``.
+    The per-line buffers are sized once from the body's byte count: a line
+    takes at least two bytes a cell. The distinct rows and their texts start
+    with room for ``room`` rows; when the reader asks for more, a buffer
+    grows to its use so far scaled up to the whole body, at least doubling,
+    and never past what the rest of the body could need.
     """
 
-    def __init__(self, lib: ctypes.CDLL, cells: int, size: int, room: int):
+    def __init__(self, lib: ctypes.CDLL, fh, cells: int, room: int):
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
         lines = size // (2 * (cells + 2)) + 1
         self.chain = np.empty(lines, dtype=np.int32)
         self.sweep = np.empty(lines, dtype=np.int32)
@@ -289,6 +289,7 @@ class TraceReader:
         self._struct = _Trace(cells=cells)
         self._ref = ctypes.byref(self._struct)
         self._lib = lib
+        self._fh = fh
         self._size, self._read = size, 0
         self._bind()
 
@@ -322,22 +323,34 @@ class TraceReader:
             self.arena = _grown(self.arena, self._room(used, len(self.arena), used + rest), used)
         self._bind()
 
-    def read(self, buf: np.ndarray, filled: int) -> int | None:
-        """Read the complete lines of ``buf[:filled]``; the bytes they take, or
-        None at a line outside the form ``write_trace`` writes."""
-        done, used = 0, ctypes.c_int64()
-        while True:
-            status = self._lib.cdpmix_read_trace(self._ref, buf.ctypes.data + done,
-                                                 filled - done, used)
-            done += used.value
-            self._read += used.value
-            if status == _READ_OK:
-                return done
-            if status == _READ_BAD:
-                return None
-            self._grow(status, filled - done)
+    def read(self, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """``(chain, sweep, index, rows)`` of the body: per line its chain,
+        sweep and the position of its row among ``rows``, the distinct rows
+        in order of first occurrence. None at a line outside the form
+        ``pipeline.write_trace`` writes.
 
-    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``chain``, ``sweep``, ``index`` and ``rows`` of what was read."""
+        The body is read ``chunk`` bytes at a time into one buffer; each
+        chunk's complete lines are parsed, and its partial last line is
+        carried over to the start of the buffer for the next chunk.
+        """
+        buf = np.empty(chunk, dtype=np.uint8)
+        kept, used = 0, ctypes.c_int64()
+        # a line longer than the buffer leaves an empty view to read into, and None
+        while got := self._fh.readinto(buf[kept:]):
+            filled, done = kept + got, 0
+            while True:
+                status = self._lib.cdpmix_read_trace(self._ref, buf.ctypes.data + done,
+                                                     filled - done, used)
+                done += used.value
+                self._read += used.value
+                if status == _READ_OK:
+                    break
+                if status == _READ_BAD:
+                    return None
+                self._grow(status, filled - done)
+            kept = filled - done
+            buf[:kept] = buf[done:filled]
+        if kept:
+            return None
         lines, n_rows = self._struct.lines, self._struct.n_rows
         return self.chain[:lines], self.sweep[:lines], self.index[:lines], self.rows[:n_rows]

@@ -77,7 +77,7 @@ def accumulate_similarity(samples, weights=None) -> SimilarityMatrix:
     ``weights``, the distinct rows are found with ``distinct_rows`` and
     weighted by how often they occur; with them, the rows are taken as
     given (repeats add up), so a caller that already holds the distinct rows
-    and their counts, as ``pipeline.read_trace`` gives them, skips that pass. For each
+    and their counts, as a ``pipeline.TraceTable`` does, skips that pass. For each
     label value k, a block of rows adds a product of ``hit``, the 0/1
     indicator of label k: ``hit.T @ hit`` for rows of weight one, and
     ``hit.T @ (hit * w)`` with ``w`` the weights for the others, so the

@@ -99,7 +99,8 @@ def load_json(path: str):
 def load_dataset(path: str) -> DatasetTable:
     """Load a tab-separated table: header row, id column first, numeric rest.
 
-    Ragged rows and non-numeric, non-finite or missing cells fail with the
+    Ragged rows, ids holding a line break (which no one-line trace header
+    could carry) and non-numeric, non-finite or missing cells fail with the
     offending row/column named; duplicate ids are suffix-disambiguated with a warning.
     """
     with open_input(path) as fh:
@@ -118,6 +119,8 @@ def load_dataset(path: str) -> DatasetTable:
             if len(row) != width:
                 raise ValidationError(
                     f"{path}: row {lineno} has {len(row)} fields, expected {width}")
+            if "\n" in row[0] or "\r" in row[0]:
+                raise ValidationError(f"{path}: row {lineno}: id {row[0]!r} holds a line break")
             ids.append(row[0])
             values = []
             for colname, cell in zip(header[1:], row[1:]):
@@ -522,25 +525,32 @@ def _fmt_cells(values: np.ndarray) -> list[list[str]]:
 
 
 class TraceTable(NamedTuple):
-    """The retained sweeps of every chain, in order, as arrays: per record its
-    chain and sweep number, and the R x n canonical labels and colours."""
+    """The retained sweeps of every chain, in order: per record its chain,
+    sweep number and ``index``, the position of its row among ``rows``,
+    which holds each distinct row of n canonical labels and then n colours
+    once, in order of first occurrence. Record r's labels are
+    ``rows[index[r], :n]`` and its colours ``rows[index[r], n:]``."""
 
     chain: np.ndarray
     sweep: np.ndarray
-    labels: np.ndarray
-    colours: np.ndarray
+    index: np.ndarray
+    rows: np.ndarray
 
 
 def stack_traces(traces: Sequence[Sequence[TraceRecord]], n: int) -> TraceTable:
-    """The records of each chain, chain after chain, as one ``TraceTable``."""
+    """The records of each chain, chain after chain, as one ``TraceTable``:
+    records with equal labels and colours share one row."""
     records = [rec for trace in traces for rec in trace]
+    first: dict = {}
+    index = [first.setdefault((rec.labels, rec.colours), len(first)) for rec in records]
+    cells = itertools.chain.from_iterable(itertools.chain.from_iterable(first))
     return TraceTable(np.repeat(np.arange(len(traces)), [len(trace) for trace in traces]),
                       np.array([rec.sweep for rec in records], dtype=np.int64),
-                      np.array([rec.labels for rec in records], dtype=np.int32).reshape(-1, n),
-                      np.array([rec.colours for rec in records], dtype=np.int32).reshape(-1, n))
+                      np.array(index, dtype=np.int64),
+                      np.fromiter(cells, np.int32, count=2 * n * len(first)).reshape(-1, 2 * n))
 
 
-#: Trace rows formatted at a time, which bounds the memory the cell strings take.
+#: Distinct trace rows formatted at a time, which bounds the memory the cell strings take.
 _TRACE_CHUNK = 4096
 #: Bytes the compiled trace reader reads at a time, into its one buffer.
 _READ_CHUNK = 1 << 20
@@ -576,17 +586,18 @@ def write_trace(path: str, ids: list[str],
                 traces: Sequence[Sequence[TraceRecord]] | TraceTable) -> None:
     """Write ``trace.csv``: a header, then per retained sweep its chain and
     sweep number, canonical labels and colours. ``traces`` is one list of
-    records per chain, or the ``TraceTable`` they stack into."""
+    records per chain, or the ``TraceTable`` they stack into. Each distinct
+    row is formatted once, and each record writes its row's text."""
     if not isinstance(traces, TraceTable):
         traces = stack_traces(traces, len(ids))
+    texts = []
+    for start in range(0, len(traces.rows), _TRACE_CHUNK):
+        texts += _csv_int_rows(traces.rows[start:start + _TRACE_CHUNK]).splitlines(keepends=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
-        for start in range(0, len(traces.sweep), _TRACE_CHUNK):
-            rows = slice(start, start + _TRACE_CHUNK)
-            fh.write(_csv_int_rows(np.column_stack(
-                [traces.chain[rows], traces.sweep[rows], traces.labels[rows],
-                 traces.colours[rows]])))
+        fh.writelines(f"{chain},{sweep},{texts[row]}" for chain, sweep, row in zip(
+            traces.chain.tolist(), traces.sweep.tolist(), traces.index.tolist()))
 
 
 def _trace_body_lines(path: str):
@@ -650,47 +661,16 @@ def _trace_ids(path: str, line: str) -> list[str]:
     return ids
 
 
-def _read_distinct_rows(fh, offset: int, cells: int):
-    """The bytes of binary file ``fh`` from ``offset`` on as ``(chain, sweep,
-    index, rows)``, read by the compiled reader (``_sweep.TraceReader``);
-    None when the library is unavailable or the bytes are not lines of
-    ``2 + cells`` non-negative int32 cells, each line ending in a newline,
-    as ``write_trace`` writes them.
+def read_trace(path: str) -> tuple[list[str], TraceTable]:
+    """Reload a trace file as its item ids and a ``TraceTable``.
 
-    Each chunk's complete lines are read into the reader's buffers, and the
-    partial last line is carried over to the next chunk, so no more than
-    those buffers and one ``_READ_CHUNK`` buffer is ever held.
-    """
-    lib = _sweep.library()
-    if lib is None:
-        return None
-    reader = _sweep.TraceReader(lib, cells, os.fstat(fh.fileno()).st_size - offset, _READ_ROOM)
-    buf = np.empty(_READ_CHUNK, dtype=np.uint8)
-    fh.seek(offset)
-    kept = 0
-    # a line longer than the buffer leaves an empty view to read into, and None
-    while got := fh.readinto(buf[kept:]):
-        filled = kept + got
-        used = reader.read(buf, filled)
-        if used is None:
-            return None
-        kept = filled - used
-        buf[:kept] = buf[used:filled]
-    return reader.result() if kept == 0 else None
-
-
-def read_trace(path: str):
-    """Reload a trace file as ``(ids, chain, sweep, index, rows)``.
-
-    ``rows`` holds each distinct label-and-colour row of the body once, in
-    order of first occurrence, and ``index`` the position of each record's
-    row: the R x n labels are ``rows[index, :n]`` and the colours
-    ``rows[index, n:]``. A body in the form ``write_trace`` writes is read by
-    ``_read_distinct_rows``, which parses each distinct row's text once;
-    any other is read by numpy's ``loadtxt``, which accepts and rejects what
-    it always has, and its rows are made distinct by ``distinct_rows``. The
-    header must be ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>`` per
-    item (see ``_trace_ids``). A bad header (an empty file included), a
+    A body in the form ``write_trace`` writes is read by the compiled
+    reader (``_sweep.TraceReader``), which parses each distinct row's text
+    once; any other is read by numpy's ``loadtxt``, which accepts and
+    rejects what it always has, and its rows are made distinct by
+    ``distinct_rows``. Either way the rows come in order of first occurrence.
+    The header must be ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>``
+    per item (see ``_trace_ids``). A bad header (an empty file included), a
     non-integer cell or a row of the wrong width is a validation error that
     names the file, and the line or field where there is one.
     """
@@ -698,9 +678,10 @@ def read_trace(path: str):
         line = fh.readline()
         ids = _trace_ids(path, line)
         width = 2 + 2 * len(ids)
-        start, read = fh.tell(), None
-        if line.endswith("\n") and "\r" not in line:
-            read = _read_distinct_rows(fh.buffer, len(line.encode(fh.encoding)), width - 2)
+        start, read, lib = fh.tell(), None, _sweep.library()
+        if lib is not None and line.endswith("\n") and "\r" not in line:
+            fh.buffer.seek(len(line.encode(fh.encoding)))
+            read = _sweep.TraceReader(lib, fh.buffer, width - 2, _READ_ROOM).read(_READ_CHUNK)
         if read is None:
             fh.seek(start)  # the binary reads moved the file under the text layer
             try:
@@ -714,18 +695,18 @@ def read_trace(path: str):
                 raise _bad_trace_line(path, width)
             body = body.reshape(-1, width)
             read = (body[:, 0], body[:, 1], *distinct_rows(body[:, 2:]))
-    return (ids, *read)
+    return ids, TraceTable(*read)
 
 
 def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrior,
-                       loss: LossSpec, strategy: str, rows: np.ndarray,
-                       weights: np.ndarray) -> tuple[list[str], dict]:
+                       loss: LossSpec, strategy: str,
+                       table: TraceTable) -> tuple[list[str], dict]:
     """Write similarity, assignments, summaries and crosstab from the retained
-    sweeps: the distinct rows of their labels and then colours (n + n
-    columns), each occurring ``weights`` times."""
-    if weights.sum() == 0:
+    sweeps: each distinct row of ``table`` counted as often as it occurs."""
+    if len(table.index) == 0:
         raise ValidationError("no retained sweeps to summarize")
-    n = dataset.n
+    n, rows = dataset.n, table.rows
+    weights = np.bincount(table.index, minlength=len(rows))
     rho = accumulate_similarity(rows[:, :n], weights).matrix
     if strategy == "auto":
         strategy = "exact" if dataset.n <= MAX_ENUM_N else "greedy"
@@ -794,10 +775,8 @@ def run_pipeline(config: RunConfig) -> dict:
     table = stack_traces(traces, config.dataset.n)
     write_trace(os.path.join(config.out_dir, "trace.csv"), config.dataset.ids, table)
     artifacts = ["trace.csv"]
-    index, rows = distinct_rows(np.column_stack([table.labels, table.colours]))
     written, estimate_info = _summarize_outputs(
-        config.out_dir, config.dataset, config.model, config.loss, config.strategy,
-        rows, np.bincount(index, minlength=len(rows)))
+        config.out_dir, config.dataset, config.model, config.loss, config.strategy, table)
     artifacts += written
 
     # the output location is not part of the run's content; keep same-seed
@@ -839,10 +818,10 @@ def summarize_run(out_dir: str) -> dict:
         raise ValidationError(f"{manifest_path}: manifest has no config object")
     config = parse_config(manifest["config"])
     trace_path = os.path.join(out_dir, "trace.csv")
-    ids, _, _, index, rows = read_trace(trace_path)
+    ids, table = read_trace(trace_path)
     _check_ids(trace_path, ids, config.dataset.ids)
-    n = len(ids)
-    _check_colours(trace_path, ids, index, rows[:, n:], getattr(config.model, "n_colours", 1))
+    _check_colours(trace_path, ids, table.index, table.rows[:, len(ids):],
+                   getattr(config.model, "n_colours", 1))
     _summarize_outputs(out_dir, config.dataset, config.model, config.loss,
-                       config.strategy, rows, np.bincount(index, minlength=len(rows)))
+                       config.strategy, table)
     return manifest

@@ -13,7 +13,7 @@ import pytest
 from cdpmix import _sweep, checks, pipeline
 from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
-from cdpmix.estimation import accumulate_similarity
+from cdpmix.estimation import accumulate_similarity, distinct_rows
 from cdpmix.gibbs import TraceRecord
 from cdpmix.partitions import Partition, enumerate_partitions
 
@@ -309,7 +309,7 @@ def test_manifest_reproduces_run(tiny_run, tmp_path):
 def _trace_records(path):
     """``read_trace`` as ``(ids, chain, sweep, labels, colours)``: the records'
     R x n label and colour blocks are ``rows[index]``, split in two."""
-    ids, chain, sweep, index, rows = pipeline.read_trace(path)
+    ids, (chain, sweep, index, rows) = pipeline.read_trace(path)
     records = rows[index]
     return ids, chain, sweep, records[:, :len(ids)], records[:, len(ids):]
 
@@ -407,6 +407,60 @@ def test_rat_summarize_shaped_trace_matches_the_csv_writer(tmp_path):
     traces = _random_traces(np.random.default_rng(33), [10_000] * 4, 112,
                             first_sweep=10_000)
     _assert_trace_bytes_match_oracle(tmp_path, [f"gene{i}" for i in range(112)], traces)
+
+
+def test_distinct_rows_past_one_chunk_match_the_csv_writer(tmp_path):
+    # every row distinct (colours spell the record's number in binary), so
+    # the distinct rows are formatted in more than one chunk
+    rng = np.random.default_rng(41)
+    n, count = 14, pipeline._TRACE_CHUNK + 17
+    records = []
+    for j in range(count):
+        first: dict = {}
+        labels = tuple(first.setdefault(x, len(first))
+                       for x in rng.integers(0, 1 + j % 14, size=n).tolist())
+        colours = tuple((j >> bit) & 1 for bit in range(n))
+        records.append(TraceRecord(j, labels, colours, max(labels) + 1, (0,), 0.0))
+    traces = [records[:100], records[100:]]
+    assert len(pipeline.stack_traces(traces, n).rows) == count
+    _assert_trace_bytes_match_oracle(tmp_path, [f"i{j}" for j in range(n)], traces)
+
+
+def _stack_by_records(traces, n) -> np.ndarray:
+    """Oracle of ``stack_traces``: every record's labels and colours as one
+    row, R x 2n, stacked as the trace table held them before it kept each
+    distinct row once."""
+    records = [rec for trace in traces for rec in trace]
+    labels = np.array([rec.labels for rec in records], dtype=np.int32).reshape(-1, n)
+    colours = np.array([rec.colours for rec in records], dtype=np.int32).reshape(-1, n)
+    return np.column_stack([labels, colours])
+
+
+@pytest.mark.parametrize("lengths", [[30], [7, 0, 19, 1], [0]],
+                         ids=["one-chain", "chains", "empty"])
+def test_stacked_and_read_traces_hold_the_distinct_rows(tmp_path, monkeypatch, lengths):
+    ids = [f"g{i}" for i in range(10)]
+    traces = _random_traces(np.random.default_rng(42), lengths, len(ids), first_sweep=3,
+                            thin=7)
+    # records whose tuples equal others' but are distinct objects are one row
+    traces = [trace + [dataclasses.replace(rec, labels=tuple(list(rec.labels)),
+                                           colours=tuple(list(rec.colours)))
+                       for rec in trace[::2]] for trace in traces]
+    table = pipeline.stack_traces(traces, len(ids))
+    index, rows = distinct_rows(_stack_by_records(traces, len(ids)))
+    assert table.index.tolist() == index.tolist()
+    assert table.rows.dtype == np.int32 and np.array_equal(table.rows, rows)
+    assert len(rows) == len({(rec.labels, rec.colours) for trace in traces for rec in trace})
+    path = str(tmp_path / "trace.csv")
+    pipeline.write_trace(path, ids, table)
+    read = [pipeline.read_trace(path)]
+    with monkeypatch.context() as m:
+        m.setattr(_sweep, "library", lambda: None)
+        read.append(pipeline.read_trace(path))
+    for read_ids, read_table in read:
+        assert read_ids == ids
+        for name in pipeline.TraceTable._fields:
+            assert getattr(read_table, name).tolist() == getattr(table, name).tolist(), name
 
 
 @pytest.mark.parametrize("low,high", [(5, 60), (-40, 3), (-2 ** 40, 2 ** 40)],
@@ -528,9 +582,10 @@ def test_written_traces_take_the_compiled_reader(tmp_path, monkeypatch):
     _forbid_loadtxt(monkeypatch)
     _, chain, sweep, labels, colours = _trace_records(path)
     table = pipeline.stack_traces(traces, 112)
+    records = table.rows[table.index]
     assert chain.dtype == labels.dtype == np.int32
     assert np.array_equal(chain, table.chain) and np.array_equal(sweep, table.sweep)
-    assert np.array_equal(labels, table.labels) and np.array_equal(colours, table.colours)
+    assert np.array_equal(labels, records[:, :112]) and np.array_equal(colours, records[:, 112:])
 
 
 def test_read_trace_keeps_each_distinct_row_once(tmp_path, monkeypatch):
@@ -538,7 +593,7 @@ def test_read_trace_keeps_each_distinct_row_once(tmp_path, monkeypatch):
     # the same values as another but different text (leading zeros) may stay
     # separate, as long as rows[index] holds each line's values
     path = _write_trace_text(tmp_path, "0,6,0,0,1,1\n1,5,0,1,0,0\n1,6,0,00,1,1\n")
-    _, chain, sweep, index, rows = pipeline.read_trace(path)
+    _, (chain, sweep, index, rows) = pipeline.read_trace(path)
     assert chain.tolist() == [0, 0, 1, 1] and sweep.tolist() == [5, 6, 5, 6]
     assert rows[index].tolist() == [[0, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 1, 1]]
     assert rows[:2].tolist() == [[0, 1, 0, 0], [0, 0, 1, 1]]
@@ -568,7 +623,7 @@ def test_read_trace_grows_its_buffers(tmp_path, monkeypatch):
                                                                                     ahead))
     assert _read_trace_outcome(path) == numpy_reader
     assert grown.count(_sweep._ROOM_ROWS) >= 4 and grown.count(_sweep._ROOM_TEXT) >= 4, grown
-    _, _, _, index, rows = pipeline.read_trace(path)
+    _, (_, _, index, rows) = pipeline.read_trace(path)
     assert len(rows) == len({tuple(row) for row in rows[index].tolist()}) > 50
 
 
@@ -583,7 +638,7 @@ def test_read_trace_without_repeats(tmp_path, monkeypatch):
     _, numpy_reader = _both_readers(monkeypatch, path)
     _forbid_loadtxt(monkeypatch)
     assert _read_trace_outcome(path) == numpy_reader
-    _, _, _, index, rows = pipeline.read_trace(path)
+    _, (_, _, index, rows) = pipeline.read_trace(path)
     assert index.tolist() == list(range(3001)) and len(rows) == 3001
 
 
@@ -622,7 +677,7 @@ def test_read_trace_peak_memory_follows_the_distinct_rows(tmp_path):
         pytest.skip("the compiled trace reader cannot be built here")
     tracemalloc.start()
     try:
-        _, _, _, _, rows = pipeline.read_trace(path)
+        _, (_, _, _, rows) = pipeline.read_trace(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -657,10 +712,10 @@ def test_summarize_names_a_repeated_bad_colour_row_at_its_first_line(tiny_run, c
 def test_summarize_names_the_first_id_that_differs(tiny_run, capsys, edit, message):
     pipeline.run_pipeline(pipeline.parse_config(tiny_run))
     trace = os.path.join(tiny_run["out"], "trace.csv")
-    ids, chain, sweep, index, rows = pipeline.read_trace(trace)
+    ids, table = pipeline.read_trace(trace)
     ids = edit(ids)
-    labels, colours = rows[index, :len(ids)], rows[index, 6:6 + len(ids)]
-    pipeline.write_trace(trace, ids, pipeline.TraceTable(chain, sweep, labels, colours))
+    kept = list(range(len(ids))) + list(range(6, 6 + len(ids)))  # labels, then colours
+    pipeline.write_trace(trace, ids, table._replace(rows=table.rows[:, kept]))
     err = _cli_error(capsys, "summarize", "--out", tiny_run["out"])
     assert err == f"error: {trace}: {message}\n"
 
@@ -821,6 +876,21 @@ def test_cli_negative_seed_is_a_validation_error(tiny_run, tmp_path, capsys):
     cfg.write_text(json.dumps(tiny_run))
     err = _cli_error(capsys, "run", "--config", str(cfg), "--seed", "-1")
     assert err == "error: seed must be >= 0, got -1\n"
+    assert not os.path.exists(tiny_run["out"])  # rejected before sampling
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+def test_cli_id_with_a_line_break_is_a_validation_error(tiny_run, tmp_path, capsys, brk):
+    # such an id used to split trace.csv's header over two lines, which
+    # summarize of the run's own directory then rejected
+    data = tmp_path / "broken.tsv"
+    lines = open(tiny_run["data"]).read().splitlines()
+    lines[3] = f'"it{brk}2"' + lines[3][len("it2"):]
+    data.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(tiny_run, data=str(data), annotations=None)))
+    err = _cli_error(capsys, "run", "--config", str(cfg))
+    assert err == f"error: {data}: row 4: id {'it' + brk + '2'!r} holds a line break\n"
     assert not os.path.exists(tiny_run["out"])  # rejected before sampling
 
 
