@@ -17,8 +17,8 @@ the Python sampler computes comes from the engine's ``log_m`` (``singles``
 caches the new-cluster ones); ``log_marginal`` in ``_sweep.c`` is its one
 compiled port. Every move draws through ``_draw``: one uniform against the
 running totals of the exponentiated weights, found by bisection.
-A block move is the same step applied to each item of a co-clustered block
-(``_withdraw``, then ``_insert`` through ``_place``), priced through the
+A block move takes a co-clustered block out in one ``_withdraw`` and puts it
+back item by item, ``_insert`` through ``_place``, priced through the
 prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
 structural constraints (at most one background cluster, bounded component
 counts) fall out of the prior's log-zero sentinel with no special cases.
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Sequence
@@ -242,8 +243,9 @@ class ChainState:
         that order."""
         clusters, item_cluster = self.clusters, self.item_cluster
         rank = {cid: j for j, cid in enumerate(dict.fromkeys(item_cluster))}
+        colour = {cid: cl.colour for cid, cl in clusters.items()}
         return (tuple(map(rank.__getitem__, item_cluster)),
-                tuple(clusters[cid].colour for cid in item_cluster),
+                tuple(map(colour.__getitem__, item_cluster)),
                 _sizes_by_colour([clusters[cid].colour for cid in rank],
                                  [len(clusters[cid].members) for cid in rank],
                                  self.model.n_colours))
@@ -271,20 +273,25 @@ class ChainState:
 
     # -- single-item steps: the one path that changes cluster state ----------
 
-    def _withdraw(self, i: int) -> None:
+    def _withdraw(self, *items: int) -> None:
+        """Take ``items``, all of one cluster, out of it: its statistics lose
+        each item's ``(xi, yy)`` in turn, and its marginal is priced once."""
         clusters, item_cluster = self.clusters, self.item_cluster
-        cid = item_cluster[i]
+        cid = item_cluster[items[0]]
         cl = clusters[cid]
-        cl.members.discard(i)
-        self.colour_totals[cl.colour] -= 1
-        item_cluster[i] = -1
+        cl.members.difference_update(items)
+        self.colour_totals[cl.colour] -= len(items)
+        for i in items:
+            item_cluster[i] = -1
         if not cl.members:
             del clusters[cid]
-        else:
-            eng = self.engines[cl.colour]
-            cl.z = list(map(sub, cl.z, eng.xi[i]))
-            cl.yty -= eng.yy[i]
-            cl.log_m = eng.log_m(len(cl.members), cl.z, cl.yty)
+            return
+        eng = self.engines[cl.colour]
+        z, yty = cl.z, cl.yty
+        for i in items:
+            z = list(map(sub, z, eng.xi[i]))
+            yty -= eng.yy[i]
+        cl.z, cl.yty, cl.log_m = z, yty, eng.log_m(len(cl.members), z, yty)
 
     def item_candidates(self, i: int):
         """Placement options for withdrawn item i.
@@ -480,11 +487,6 @@ class ChainState:
         for i in block:
             move = ("existing", self._insert(i, move, log_m_after))
 
-    @staticmethod
-    def _n_subsets(cluster_size: int, max_size: int) -> float:
-        return float(sum(math.comb(cluster_size, s)
-                         for s in range(1, min(max_size, cluster_size) + 1)))
-
     def random_subset_move(self, max_size: int = 8) -> None:
         """One randomly-selected block move, corrected for selection asymmetry.
 
@@ -498,17 +500,15 @@ class ChainState:
         cid = cids[int(self.rng.integers(len(cids)))]
         members = sorted(self.clusters[cid].members)
         m = len(members)
-        cap = min(max_size, m)
-        counts = np.array([math.comb(m, s) for s in range(1, cap + 1)], dtype=float)
-        size = int(self.rng.choice(np.arange(1, cap + 1), p=counts / counts.sum()))
+        n_subsets, cdf = _subset_law(m, max_size)
+        size = bisect_right(cdf, self.rng.random()) + 1
         picked = self.rng.choice(m, size=size, replace=False)
         block = sorted(members[j] for j in picked)
 
-        degree_before = len(self.clusters)
-        sel_before = 1.0 / (degree_before * self._n_subsets(m, max_size))
+        # 1 / sel(S|old), an integer: the counts outgrow a float on large clusters
+        inv_before = len(self.clusters) * n_subsets
         colour = self.clusters[cid].colour
-        for i in block:
-            self._withdraw(i)
+        self._withdraw(*block)
         remaining = len(self.clusters)
 
         moves, logw, after = self.subset_candidates(block)
@@ -521,8 +521,9 @@ class ChainState:
             else:
                 degree_after = remaining + 1
                 target_size = len(block)
-            sel_after = 1.0 / (degree_after * self._n_subsets(target_size, max_size))
-            if self.rng.random() < min(1.0, sel_after / sel_before):
+            inv_after = degree_after * _subset_law(target_size, max_size)[0]
+            # min(1, sel(S|new) / sel(S|old)), the integer ratio rounded once
+            if self.rng.random() < (inv_before / inv_after if inv_before < inv_after else 1.0):
                 self._place(block, moves[idx], after[idx])
                 return
         # rejected, or no placement is possible (only from a zero-probability
@@ -535,6 +536,20 @@ class ChainState:
                                   *_summed(eng, block, origin.z, origin.yty)))
         else:
             self._place(block, ("new", colour), eng.log_m(len(block), *_summed(eng, block)))
+
+
+@lru_cache(maxsize=4096)
+def _subset_law(m: int, max_size: int) -> tuple[int, tuple[float, ...]]:
+    """The number of nonempty subsets of at most ``max_size`` of m items, and
+    the running totals from which a uniform subset's size s is drawn, as
+    ``Generator.choice(sizes, p=comb(m, s) / total)`` draws it: one uniform
+    against ``cumsum(p) / cumsum(p)[-1]``, found by bisection. The counts
+    stay integers, and ``comb / total`` is rounded once, as numpy's float
+    division of the two rounds it while the total is below 2**53."""
+    counts = [math.comb(m, s) for s in range(1, min(max_size, m) + 1)]
+    total = sum(counts)
+    cdf = list(accumulate(c / total for c in counts))
+    return total, tuple(c / cdf[-1] for c in cdf)
 
 
 def build_engines(Y: np.ndarray, design: DesignBlock,

@@ -16,9 +16,13 @@ Five families are supported, all exchangeable over items:
 Every family's EPPF depends only on each colour's cluster sizes, and each
 family evaluates it in closed form in one place, ``log_eppf_sizes(
 sizes_by_colour, n)``, from the sizes listed in canonical (least-member)
-order; ``log_eppf`` calls it on a partition's sizes. ``log_eppf_sequential``,
-the product of one-step predictive weights, is kept as the oracle the closed
-forms are tested against.
+order; ``log_eppf`` calls it on a partition's sizes. Terms that depend only
+on the parameters (the lgamma and log of a concentration, the summed colour
+weights) are computed once per model object, and the lgamma of integer sizes
+is read off a table grown to the largest size asked for; the terms are added
+in the order the closed form lists them, so neither changes a double.
+``log_eppf_sequential``, the product of one-step predictive weights, is kept
+as the oracle the closed forms are tested against.
 
 Each family defines its urn weights once, as tables for up to n items,
 ``urn_tables(n) -> (offsets, factors, new, by_degree)``: with one item
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from operator import add
 from typing import Sequence, Union
 
@@ -65,17 +69,42 @@ def _array_sum(xs: Sequence[float]) -> float:
     m = n - n % 8
     total = 0.0
     if m:
-        r = [reduce(add, xs[j:m:8]) for j in range(8)]
+        # numpy's eight lanes, each adding every eighth value in turn
+        r = xs[:8]
+        for j in range(8, m, 8):
+            r = list(map(add, r, xs[j:j + 8]))
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for x in xs[m:]:
         total += x
     return total
 
 
-def _sum_lgamma(xs: Sequence[float]) -> float:
-    """Sum of ``gammaln`` over ``xs``, added in numpy's pairwise order like
-    ``np.sum`` of an array of them."""
-    return _array_sum([_lgamma(x) for x in xs])
+class _LgammaTable:
+    """``gammaln(s + shift)`` at s = 0, 1, 2, ..., grown to the largest s asked
+    for. ``gammaln`` converts its argument to a float first, so an entry is
+    the double a direct call on an integer size gives."""
+
+    __slots__ = ("shift", "values")
+
+    def __init__(self, shift: float = 0.0):
+        self.shift = shift
+        self.values: list[float] = []
+
+    def sum(self, sizes: Sequence[int]) -> float:
+        """Sum of ``gammaln(s + shift)`` over the integer ``sizes``, added in
+        numpy's pairwise order like ``np.sum`` of an array of them."""
+        try:
+            return _array_sum(list(map(self.values.__getitem__, sizes)))
+        except IndexError:
+            # grown as a copy, so a caller reading the old list never sees it change
+            values = self.values
+            self.values = values + [gammaln(s + self.shift)
+                                    for s in range(len(values), max(sizes) + 1)]
+            return self.sum(sizes)
+
+
+#: ``gammaln`` at the integers, shared by the families that take it of a size.
+_LGAMMA_SIZES = _LgammaTable()
 
 
 def _weight_lists(model, sizes: Sequence[int], colours: Sequence[int]) -> tuple[list, list]:
@@ -110,9 +139,13 @@ class DirichletProcess:
         """``lgamma(theta) - lgamma(theta + n) + d*log(theta) + sum_j lgamma(n_j)``,
         the product of urn predictive weights over any insertion order."""
         (sizes,) = sizes_by_colour
-        theta = self.theta
-        return (_lgamma(theta) - _lgamma(theta + n) + len(sizes) * math.log(theta)
-                + _sum_lgamma(sizes))
+        lgamma_theta, log_theta = self._constants
+        return (lgamma_theta - _lgamma(self.theta + n) + len(sizes) * log_theta
+                + _LGAMMA_SIZES.sum(sizes))
+
+    @cached_property
+    def _constants(self):
+        return _lgamma(self.theta), math.log(self.theta)
 
     def urn_tables(self, n: int):
         """Each existing cluster weighs its size, a new cluster theta."""
@@ -144,10 +177,16 @@ class DirichletMultinomial:
         K, w = self.components, self.weight
         if len(sizes) > K:
             return LOG_ZERO
-        out = _lgamma(K * w) - _lgamma(K * w + n)
+        lgamma_kw, lgamma_w, shifted = self._constants
+        out = lgamma_kw - _lgamma(K * w + n)
         for i in range(len(sizes)):
             out += math.log(K - i)
-        return out + _sum_lgamma([w + s for s in sizes]) - len(sizes) * _lgamma(w)
+        return out + shifted.sum(sizes) - len(sizes) * lgamma_w
+
+    @cached_property
+    def _constants(self):
+        K, w = self.components, self.weight
+        return _lgamma(K * w), _lgamma(w), _LgammaTable(w)
 
     def urn_tables(self, n: int):
         """Size plus ``weight``; a new cluster ``weight`` per free component."""
@@ -179,10 +218,17 @@ class PitmanYor:
         ``(x)_m = Gamma(x + m) / Gamma(x)``."""
         (sizes,) = sizes_by_colour
         sigma, theta = self.discount, self.strength
-        out = _lgamma(theta + 1) - _lgamma(theta + n)
+        lgamma_theta1, lgamma_1sigma, shifted = self._constants
+        out = lgamma_theta1 - _lgamma(theta + n)
         for i in range(1, len(sizes)):
             out += math.log(theta + i * sigma)
-        return out + _sum_lgamma([s - sigma for s in sizes]) - len(sizes) * _lgamma(1 - sigma)
+        return out + shifted.sum(sizes) - len(sizes) * lgamma_1sigma
+
+    @cached_property
+    def _constants(self):
+        # s - sigma and s + (-sigma) are the same double
+        sigma = self.discount
+        return _lgamma(self.strength + 1), _lgamma(1 - sigma), _LgammaTable(-sigma)
 
     def urn_tables(self, n: int):
         """Size minus the discount; a new cluster ``strength + discount * d``."""
@@ -219,15 +265,21 @@ class ColouredDirichletProcess:
         colour then contributes a Dirichlet-process-like term in its own
         concentration, tilted by the colour occupancy n_k. Colours allowed by
         the model but holding no cluster contribute a factor of one."""
-        gam = _array_sum([g for g, _ in self.colours])
-        out = _lgamma(gam) - _lgamma(n + gam)
-        for (g, t), sizes in zip(self.colours, sizes_by_colour):
+        gam, lgamma_gam, terms = self._constants
+        out = lgamma_gam - _lgamma(n + gam)
+        for (g, t, lgamma_t, lgamma_g, log_t), sizes in zip(terms, sizes_by_colour):
             if not sizes:
                 continue
             n_k = sum(sizes)
-            out += (_lgamma(t) + _lgamma(n_k + g) - _lgamma(n_k + t) - _lgamma(g)
-                    + len(sizes) * math.log(t) + _sum_lgamma(sizes))
+            out += (lgamma_t + _lgamma(n_k + g) - _lgamma(n_k + t) - lgamma_g
+                    + len(sizes) * log_t + _LGAMMA_SIZES.sum(sizes))
         return out
+
+    @cached_property
+    def _constants(self):
+        gam = _array_sum([g for g, _ in self.colours])
+        return gam, _lgamma(gam), [(g, t, _lgamma(t), _lgamma(g), math.log(t))
+                                   for g, t in self.colours]
 
     def urn_tables(self, n: int):
         """An existing cluster of colour k and size s weighs
@@ -279,12 +331,18 @@ class BackgroundDirichletProcess:
         if len(background) >= 2:
             return LOG_ZERO
         gamma, theta = self.background_weight, self.concentration
-        out = _lgamma(gamma + theta) - _lgamma(n + gamma + theta)
+        lgamma_both, lgamma_gamma, log_theta = self._constants
+        out = lgamma_both - _lgamma(n + gamma + theta)
         if background:
-            out += _lgamma(background[0] + gamma) - _lgamma(gamma)
+            out += _lgamma(background[0] + gamma) - lgamma_gamma
         if regular:
-            out += len(regular) * math.log(theta) + _sum_lgamma(regular)
+            out += len(regular) * log_theta + _LGAMMA_SIZES.sum(regular)
         return out
+
+    @cached_property
+    def _constants(self):
+        gamma, theta = self.background_weight, self.concentration
+        return _lgamma(gamma + theta), _lgamma(gamma), math.log(theta)
 
     def urn_tables(self, n: int):
         """The background cluster (existing or to be created) weighs

@@ -5,6 +5,7 @@ import math
 import re
 import shutil
 import subprocess
+from bisect import bisect_right
 from collections import Counter
 from functools import reduce
 from operator import add
@@ -425,6 +426,71 @@ def test_subset_move_without_a_possible_placement_puts_the_block_back():
         assert state.snapshot() == before
         assert state.rng.bit_generator.state == replay.bit_generator.state
         assert state.refresh_cache_() < 1e-12
+
+
+def test_subset_size_draw_equals_generator_choice():
+    # a subset move draws its block size off a cached law with one uniform;
+    # numpy's weighted choice, kept here as the oracle, draws the same size
+    # from the same running totals and leaves the generator in the same state
+    for m in range(1, 41):
+        for max_size in range(1, 9):
+            cap = min(max_size, m)
+            counts = np.array([math.comb(m, s) for s in range(1, cap + 1)], dtype=float)
+            p = counts / counts.sum()
+            total, cdf = gibbs._subset_law(m, max_size)
+            assert total == counts.sum()
+            assert bits(cdf) == bits(np.cumsum(p) / np.cumsum(p)[-1])
+            for seed in range(40):
+                rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                size = bisect_right(cdf, rng.random()) + 1
+                assert size == oracle.choice(np.arange(1, cap + 1), p=p)
+                assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("model,specs", [
+    (DirichletProcess(1.0), [SPEC]),
+    (ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]), [SPEC, SPEC]),
+], ids=["dp", "cdp"])
+def test_block_withdraw_equals_item_by_item(model, specs):
+    # one _withdraw of a whole block leaves every cluster's members and
+    # statistics, the cluster order, item_cluster and colour_totals bit for
+    # bit as withdrawing its items one at a time does, also when the block
+    # empties its cluster
+    n = 30
+    Y = make_data(n, seed=8)
+    engines = build_engines(Y, DESIGN, specs, model)
+    rng = np.random.default_rng(6)
+    emptied = 0
+    for _ in range(30):
+        labels = rng.integers(5, size=n)
+        p = (ColouredPartition.from_allocation(labels, labels % 2, 2) if model.coloured
+             else Partition.from_allocation(labels))
+        one_pass, by_item = (ChainState.from_partition(model, engines, p,
+                                                       np.random.default_rng(0))
+                             for _ in range(2))
+        members = sorted(one_pass.clusters[one_pass.item_cluster[int(rng.integers(n))]].members)
+        block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
+                                  replace=False).tolist())
+        emptied += len(block) == len(members)
+        one_pass._withdraw(*block)
+        withdraw(by_item, block)
+        assert_same_state(one_pass, by_item)
+    assert emptied
+
+
+def test_subset_move_on_a_cluster_past_float_range():
+    # 1100 items in one cluster have about 2**1100 subsets, more than a float
+    # holds: the selection law and the acceptance ratio stay exact integers
+    n = 1100
+    model = DirichletProcess(1.0)
+    engines = build_engines(make_data(n), DESIGN, SPEC, model)
+    state = ChainState.from_partition(model, engines, Partition([list(range(n))]),
+                                      np.random.default_rng(2))
+    assert gibbs._subset_law(n, 2000)[0] == 2 ** n - 1
+    for _ in range(3):
+        state.random_subset_move(max_size=2000)
+    assert sum(map(sum, state.canonical()[2])) == n
+    assert state.refresh_cache_() < 1e-6
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,9 +1,14 @@
 import math
+import pickle
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+
+from cdpmix._special import gammaln
 
 from cdpmix.errors import ValidationError
 from cdpmix.partitions import (ColouredPartition, ConfigurationCounts, Partition,
@@ -52,6 +57,113 @@ def test_dp_and_cdp_equal_their_numpy_array_forms_bit_for_bit():
             gammaln(gam.sum()) - gammaln(p.n + gam.sum())
             + (gammaln(0.7) + gammaln(arr.sum() + 1.3) - gammaln(arr.sum() + 0.7)
                - gammaln(1.3) + p.degree * math.log(0.7) + gammaln(arr).sum()))
+
+
+def _pairwise_sum(xs):
+    """Oracle of numpy's pairwise float sum: eight strided lanes, each added with ``reduce``."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    m = n - n % 8
+    total = 0.0
+    if m:
+        r = [reduce(add, xs[j:m:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[m:]:
+        total += x
+    return total
+
+
+def _lgamma_sum(xs):
+    return _pairwise_sum([gammaln(x) for x in xs])
+
+
+def _eppf_oracle(model, sizes_by_colour, n):
+    """Each family's closed form as one call computes every term of it."""
+    if isinstance(model, DirichletProcess):
+        (sizes,) = sizes_by_colour
+        theta = model.theta
+        return (gammaln(theta) - gammaln(theta + n) + len(sizes) * math.log(theta)
+                + _lgamma_sum(sizes))
+    if isinstance(model, DirichletMultinomial):
+        (sizes,) = sizes_by_colour
+        K, w = model.components, model.weight
+        if len(sizes) > K:
+            return LOG_ZERO
+        out = gammaln(K * w) - gammaln(K * w + n)
+        for i in range(len(sizes)):
+            out += math.log(K - i)
+        return out + _lgamma_sum([w + s for s in sizes]) - len(sizes) * gammaln(w)
+    if isinstance(model, PitmanYor):
+        (sizes,) = sizes_by_colour
+        sigma, theta = model.discount, model.strength
+        out = gammaln(theta + 1) - gammaln(theta + n)
+        for i in range(1, len(sizes)):
+            out += math.log(theta + i * sigma)
+        return out + _lgamma_sum([s - sigma for s in sizes]) - len(sizes) * gammaln(1 - sigma)
+    if isinstance(model, ColouredDirichletProcess):
+        gam = _pairwise_sum([g for g, _ in model.colours])
+        out = gammaln(gam) - gammaln(n + gam)
+        for (g, t), sizes in zip(model.colours, sizes_by_colour):
+            if sizes:
+                n_k = sum(sizes)
+                out += (gammaln(t) + gammaln(n_k + g) - gammaln(n_k + t) - gammaln(g)
+                        + len(sizes) * math.log(t) + _lgamma_sum(sizes))
+        return out
+    background, regular = sizes_by_colour
+    if len(background) >= 2:
+        return LOG_ZERO
+    gamma, theta = model.background_weight, model.concentration
+    out = gammaln(gamma + theta) - gammaln(n + gamma + theta)
+    if background:
+        out += gammaln(background[0] + gamma) - gammaln(gamma)
+    if regular:
+        out += len(regular) * math.log(theta) + _lgamma_sum(regular)
+    return out
+
+
+def _random_sizes(model, rng, length, top):
+    """A size list of ``length`` split over the model's colours."""
+    sizes = rng.integers(1, top + 1, size=length).tolist()
+    if isinstance(model, BackgroundDirichletProcess):
+        cut = int(rng.integers(0, min(length, 2) + 1))
+    else:
+        cut = int(rng.integers(0, length + 1))
+    return [sizes[:cut], sizes[cut:]] if model.coloured else [sizes]
+
+
+def test_log_eppf_sizes_equal_the_per_call_closed_forms():
+    # per-model constants, the table of lgamma at the integer sizes and the
+    # lane sum leave every double of the closed forms as they were: each
+    # family equals its formula evaluated term by term, on size lists of up to
+    # 300 clusters whose largest size keeps rising past what was tabled
+    rng = np.random.default_rng(23)
+    models = [DirichletProcess(0.9), DirichletMultinomial(250, 0.7), PitmanYor(0.35, 1.3),
+              ColouredDirichletProcess([(1.3, 0.7), (0.4, 2.2)]),
+              BackgroundDirichletProcess(1.5, 0.8)]
+    for trial in range(400):
+        length, top = int(rng.integers(0, 301)), 2 + 5 * trial
+        for model in models:
+            sizes = _random_sizes(model, rng, length, top)
+            n = sum(map(sum, sizes))
+            assert model.log_eppf_sizes(sizes, n).hex() == _eppf_oracle(model, sizes, n).hex()
+
+
+def test_a_pickled_model_scores_compares_and_hashes_the_same():
+    # chains in worker processes receive the model pickled, with whatever it
+    # has computed and tabled so far
+    rng = np.random.default_rng(29)
+    for model in [DirichletProcess(0.9), DirichletMultinomial(250, 0.7), PitmanYor(0.35, 1.3),
+                  ColouredDirichletProcess([(1.3, 0.7), (0.4, 2.2)]),
+                  BackgroundDirichletProcess(1.5, 0.8)]:
+        fresh = pickle.loads(pickle.dumps(model))
+        cases = [_random_sizes(model, rng, int(rng.integers(0, 60)), 900) for _ in range(20)]
+        scores = [model.log_eppf_sizes(sizes, sum(map(sum, sizes))) for sizes in cases]
+        for restored in (fresh, pickle.loads(pickle.dumps(model))):
+            assert restored == model and hash(restored) == hash(model)
+            assert [restored.log_eppf_sizes(sizes, sum(map(sum, sizes))).hex()
+                    for sizes in cases] == [x.hex() for x in scores]
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.0, 5.0])
