@@ -81,25 +81,20 @@ def _array_sum(xs: Sequence[float]) -> float:
 
 class _LgammaTable:
     """``gammaln(s + shift)`` at s = 0, 1, 2, ..., grown to the largest s asked
-    for. ``gammaln`` converts its argument to a float first, so an entry is
-    the double a direct call on an integer size gives."""
-
-    __slots__ = ("shift", "values")
+    for; ``gammaln`` takes its argument as a float, so an entry is the double
+    a direct call gives."""
 
     def __init__(self, shift: float = 0.0):
-        self.shift = shift
-        self.values: list[float] = []
+        self.shift, self.values = shift, []
 
     def sum(self, sizes: Sequence[int]) -> float:
-        """Sum of ``gammaln(s + shift)`` over the integer ``sizes``, added in
-        numpy's pairwise order like ``np.sum`` of an array of them."""
+        """``_array_sum`` of ``gammaln(s + shift)`` over the integer ``sizes``."""
         try:
             return _array_sum(list(map(self.values.__getitem__, sizes)))
         except IndexError:
-            # grown as a copy, so a caller reading the old list never sees it change
-            values = self.values
-            self.values = values + [gammaln(s + self.shift)
-                                    for s in range(len(values), max(sizes) + 1)]
+            # grown as a copy, so a caller still reading the old list sees it whole
+            self.values = self.values + [gammaln(s + self.shift)
+                                         for s in range(len(self.values), max(sizes) + 1)]
             return self.sum(sizes)
 
 
