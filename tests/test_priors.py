@@ -9,7 +9,6 @@ import pytest
 from scipy.special import logsumexp
 
 from cdpmix._special import gammaln
-
 from cdpmix.errors import ValidationError
 from cdpmix.partitions import (ColouredPartition, ConfigurationCounts, Partition,
                                enumerate_coloured_partitions,
