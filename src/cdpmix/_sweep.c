@@ -1,5 +1,6 @@
-/* Blocks of single-item collapsed Gibbs sweeps over flat arrays, and the
- * reader of the trace files they end up in.
+/* Blocks of single-item collapsed Gibbs sweeps over flat arrays, the block
+ * moves and records run between them, and the reader of the trace files
+ * they end up in.
  *
  * This is the compiled form of ChainState.reallocate_item (gibbs.py) applied
  * to items 0..n-1 in order, `sweeps` times over. It repeats the Python sweep
@@ -28,8 +29,21 @@
  * a new one new[c][m] * by_degree[d], for m and d in 0..n. The kernel knows
  * no prior family.
  *
- * The library has two exports: cdpmix_sweeps runs the blocks, and
- * cdpmix_read_trace reads the body of a trace.csv as write_trace writes it.
+ * The library's exports:
+ *   cdpmix_sweeps       runs a block of sweeps, recording the sweeps asked for;
+ *   cdpmix_withdraw     takes a block of co-clustered items out of their
+ *                       cluster (ChainState._withdraw);
+ *   cdpmix_price_block  reports, per live cluster, what the prior needs to
+ *                       price the withdrawn block into it, and the block's
+ *                       log marginal in it and alone in a new cluster per
+ *                       colour (ChainState.subset_candidates' marginals);
+ *   cdpmix_place        puts the block into a cluster or a new one
+ *                       (ChainState._place), re-pricing it on request;
+ *   cdpmix_record       takes a record of the state now;
+ *   cdpmix_read_trace   reads the body of a trace.csv as write_trace writes it.
+ * The block moves' draws and prior stay in Python: these exports only move
+ * items and price marginals, so a chain can run subset moves between
+ * one-sweep blocks without copying its state out of the arrays.
  * Chains revisit few states, so the reader parses each distinct
  * label-and-colour text once: a line whose text it has seen before is matched
  * against a copy of that text and not parsed again.
@@ -67,7 +81,8 @@ typedef struct {
     /* scratch of n + n_colours entries */
     double *logw, *after, *totals;
     int64_t *target;                        /* slot, or -1 - colour for a new cluster */
-    int64_t *rank;                          /* [n]: a slot's canonical number, for labelling */
+    int64_t *rank;                          /* [n]: a slot's canonical or insertion number */
+    double *zs;                             /* [pmax]: a block's summed statistics */
 } Kernel;
 
 /* log_marginal_z(count, z, yty, dz, dyy) of a colour-c cluster: dz may be
@@ -89,12 +104,16 @@ static int log_marginal(const Kernel *k, int64_t c, int64_t count, const double 
     return OK;
 }
 
-static int withdraw(Kernel *k, int64_t i)
+/* ChainState._withdraw: items[0..m) leave their one cluster, whose
+ * statistics lose each item's (xi, yy) in turn and whose marginal is priced
+ * once */
+static int withdraw(Kernel *k, const int64_t *items, int64_t m)
 {
-    const int64_t s = k->item_slot[i], c = k->colour[s], pmax = k->pmax;
-    k->count[s] -= 1;
-    k->colour_totals[c] -= 1;
-    k->item_slot[i] = -1;
+    const int64_t s = k->item_slot[items[0]], c = k->colour[s], pmax = k->pmax;
+    k->count[s] -= m;
+    k->colour_totals[c] -= m;
+    for (int64_t j = 0; j < m; j++)
+        k->item_slot[items[j]] = -1;
     if (k->count[s] == 0) {
         int64_t j = 0;
         while (k->order[j] != s)
@@ -106,10 +125,12 @@ static int withdraw(Kernel *k, int64_t i)
         return OK;
     }
     double *z = k->z + s * pmax;
-    const double *x = k->xi + (c * k->n + i) * pmax;
-    for (int64_t d = 0; d < k->p[c]; d++)
-        z[d] = z[d] - x[d];
-    k->yty[s] -= k->yy[c * k->n + i];
+    for (int64_t j = 0; j < m; j++) {
+        const double *x = k->xi + (c * k->n + items[j]) * pmax;
+        for (int64_t d = 0; d < k->p[c]; d++)
+            z[d] = z[d] - x[d];
+        k->yty[s] -= k->yy[c * k->n + items[j]];
+    }
     return log_marginal(k, c, k->count[s], z, k->yty[s], NULL, 0.0, &k->log_m[s]);
 }
 
@@ -246,6 +267,18 @@ typedef struct {
     double *log_m;
 } Records;
 
+/* Takes the state as record r, its clusters packed from `packed`; returns
+ * the number of clusters. */
+static int64_t take(Kernel *k, Records *rec, int64_t r, int64_t packed)
+{
+    const int64_t d = canonical(k, rec->labels + r * k->n, rec->colours + r * k->n,
+                                rec->cl_colour + packed, rec->cl_size + packed);
+    for (int64_t j = 0; j < d; j++)
+        rec->log_m[packed + j] = k->log_m[k->order[j]];
+    rec->degree[r] = d;
+    return d;
+}
+
 /* Runs `sweeps` sweeps, drawing item i of sweep t with uniforms[t * n + i]
  * and taking the records `rec` asks for (none when it is NULL). Returns OK
  * or the error that stopped it; the state is then mid-move. */
@@ -255,7 +288,7 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
     int64_t r = 0, packed = 0;
     for (int64_t t = 0; t < sweeps; t++) {
         for (int64_t i = 0; i < n; i++) {
-            int status = withdraw(k, i);
+            int status = withdraw(k, &i, 1);
             if (status != OK)
                 return status;
             const int64_t m = candidates(k, i, &status);
@@ -268,15 +301,108 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
             insert(k, i, k->target[idx], k->after[idx]);
         }
         if (rec && r < rec->count && rec->at[r] == t) {
-            const int64_t d = canonical(k, rec->labels + r * n, rec->colours + r * n,
-                                        rec->cl_colour + packed, rec->cl_size + packed);
-            for (int64_t j = 0; j < d; j++)
-                rec->log_m[packed + j] = k->log_m[k->order[j]];
-            rec->degree[r++] = d;
-            packed += d;
+            packed += take(k, rec, r, packed);
+            r++;
         }
     }
     return OK;
+}
+
+/* Takes the state now as record 0 of `rec` (`count` and `at` unread);
+ * returns the number of clusters. */
+int64_t cdpmix_record(Kernel *k, Records *rec)
+{
+    return take(k, rec, 0, 0);
+}
+
+/* A block of m co-clustered items, increasing, moved together, and what
+ * cdpmix_price_block reports once it is withdrawn: per live cluster j, in
+ * insertion order, its colour, size, least member and log marginal, and in
+ * after[j] its log marginal with the block added; in after[live + c] the
+ * block's log marginal alone in a new cluster of colour c. */
+typedef struct {
+    int64_t m, live;
+    const int64_t *items;
+    int64_t *colour, *size, *least; /* [live] */
+    double *log_m, *after;          /* [live], [live + n_colours] */
+} Block;
+
+int cdpmix_withdraw(Kernel *k, const Block *b)
+{
+    return withdraw(k, b->items, b->m);
+}
+
+/* The marginals subset_candidates prices: a live cluster's with the block's
+ * statistics, summed from zero, added to its own, and a new cluster's from
+ * the colour's z0 and the items added one by one, as _summed adds them. */
+int cdpmix_price_block(Kernel *k, Block *b)
+{
+    const int64_t n = k->n, pmax = k->pmax, m = b->m, live = *k->n_clusters;
+    double *z = k->zs;
+    b->live = live;
+    for (int64_t j = 0; j < live; j++) {
+        const int64_t s = k->order[j];
+        b->colour[j] = k->colour[s];
+        b->size[j] = k->count[s];
+        b->least[j] = -1;
+        b->log_m[j] = k->log_m[s];
+        k->rank[s] = j;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t s = k->item_slot[i];
+        if (s >= 0 && b->least[k->rank[s]] < 0)
+            b->least[k->rank[s]] = i;
+    }
+    for (int64_t c = 0; c < k->n_colours; c++) {
+        double yty = 0.0;
+        for (int64_t d = 0; d < k->p[c]; d++)
+            z[d] = 0.0;
+        for (int64_t j = 0; j < m; j++) {
+            const double *x = k->xi + (c * n + b->items[j]) * pmax;
+            for (int64_t d = 0; d < k->p[c]; d++)
+                z[d] = z[d] + x[d];
+            yty += k->yy[c * n + b->items[j]];
+        }
+        for (int64_t j = 0; j < live; j++) {
+            const int64_t s = k->order[j];
+            if (k->colour[s] != c)
+                continue;
+            const int status = log_marginal(k, c, k->count[s] + m, k->z + s * pmax, k->yty[s],
+                                            z, yty, &b->after[j]);
+            if (status != OK)
+                return status;
+        }
+        yty = 0.0;
+        for (int64_t d = 0; d < k->p[c]; d++)
+            z[d] = k->z0[c * pmax + d];
+        for (int64_t j = 0; j < m; j++) {
+            const double *x = k->xi + (c * n + b->items[j]) * pmax;
+            for (int64_t d = 0; d < k->p[c]; d++)
+                z[d] = z[d] + x[d];
+            yty += k->yy[c * n + b->items[j]];
+        }
+        const int status = log_marginal(k, c, m, z, yty, NULL, 0.0, &b->after[live + c]);
+        if (status != OK)
+            return status;
+    }
+    return OK;
+}
+
+/* ChainState._place: the first item goes to `target` (a slot, or -1 - colour
+ * for a new cluster), the rest beside it, each setting the cluster's
+ * marginal to log_m_after. With `reprice` the marginal is then priced from
+ * the statistics the items were added to, as putting a rejected block back
+ * prices it. */
+int cdpmix_place(Kernel *k, const Block *b, int64_t target, double log_m_after, int reprice)
+{
+    for (int64_t j = 0; j < b->m; j++) {
+        insert(k, b->items[j], target, log_m_after);
+        target = k->item_slot[b->items[j]];
+    }
+    if (!reprice)
+        return OK;
+    return log_marginal(k, k->colour[target], k->count[target], k->z + target * k->pmax,
+                        k->yty[target], NULL, 0.0, &k->log_m[target]);
 }
 
 /* The trace reader's buffers, all owned by the caller: it sizes the per-line

@@ -1,5 +1,5 @@
 """Build, cache and bind the compiled kernels in ``_sweep.c``: the
-single-item sweep and the trace reader.
+single-item sweep, the block-move primitives and the trace reader.
 
 The library is built on first use, never at import, with the system C
 compiler at ``-O2 -ffp-contract=off`` and no fast-math, so that every double
@@ -14,9 +14,13 @@ with numpy.
 
 ``SweepArrays`` holds one chain's tables in the flat arrays the kernel
 reads -- the prior's urn tables, whatever the family, and the engines'
-marginal tables -- and a working copy of its state: ``gibbs.ChainState``
-copies its state in before each block and back after it. A block returns the
-``Records`` of the sweeps it was asked to record.
+marginal tables -- and a working copy of its state. ``gibbs.ChainState.sweep``
+copies its state in before each block and back after it; a chain with
+subset moves copies it in once and keeps it there, running each sweep with
+``run``, each move through ``withdraw``, ``price_block`` and ``place``, and
+each record with ``record``, until it copies the state back at its end. A
+block returns the ``Records`` of the sweeps it was asked to record;
+``record`` writes one into buffers allocated once per chain.
 
 ``TraceReader`` owns the trace reader: it reads a ``trace.csv`` body from
 the file one chunk at a time, hands each chunk's complete lines to the
@@ -106,8 +110,15 @@ def library() -> ctypes.CDLL | None:
                        "trace reader: %s", exc)
         return None
     kernel, buffer, i64 = ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64
-    lib.cdpmix_sweeps.argtypes = (kernel, buffer, i64, ctypes.POINTER(_Records))
+    records, block = ctypes.POINTER(_Records), ctypes.POINTER(_Block)
+    lib.cdpmix_sweeps.argtypes = (kernel, buffer, i64, records)
     lib.cdpmix_sweeps.restype = ctypes.c_int
+    lib.cdpmix_record.argtypes = (kernel, records)
+    lib.cdpmix_record.restype = i64
+    lib.cdpmix_withdraw.argtypes = lib.cdpmix_price_block.argtypes = (kernel, block)
+    lib.cdpmix_withdraw.restype = lib.cdpmix_price_block.restype = ctypes.c_int
+    lib.cdpmix_place.argtypes = (kernel, block, i64, ctypes.c_double, ctypes.c_int)
+    lib.cdpmix_place.restype = ctypes.c_int
     lib.cdpmix_read_trace.argtypes = (ctypes.POINTER(_Trace), buffer, i64, ctypes.POINTER(i64))
     lib.cdpmix_read_trace.restype = ctypes.c_int
     return lib
@@ -117,7 +128,7 @@ _TABLES = ("offsets", "factors", "new", "by_degree", "p", "rate_base", "z0", "xi
            "singles", "recips", "a_post", "cnst")
 _STATE = ("n_clusters", "next_cid", "n_free", "order", "free_slots", "cid", "colour",
           "count", "z", "yty", "log_m", "item_slot", "colour_totals", "logw", "after",
-          "totals", "target", "rank")
+          "totals", "target", "rank", "zs")
 
 
 # the trace reader's buffers, and its status codes
@@ -138,6 +149,14 @@ class _Records(ctypes.Structure):
     _fields_ = ([("count", ctypes.c_int64)]
                 + [(name, ctypes.c_void_p) for name in ("at", "labels", "colours", "degree",
                                                         "cl_colour", "cl_size", "log_m")])
+
+
+class _Block(ctypes.Structure):
+    """Mirror of the ``Block`` struct in ``_sweep.c``."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in ("m", "live")]
+                + [(name, ctypes.c_void_p) for name in ("items", "colour", "size", "least",
+                                                        "log_m", "after")])
 
 
 class _Trace(ctypes.Structure):
@@ -169,7 +188,9 @@ class SweepArrays:
     ``urn`` is the prior's ``urn_tables(n)``, one ``NIGEngine`` per colour:
     the kernel's ``log_marginal`` ports its ``log_m`` from ``xi``, ``yy``,
     ``singles``, ``z0`` and its evaluator's ``table`` and ``rate_base``.
-    The state arrays are public; ``run`` sweeps them in place.
+    The state arrays are public; ``run`` sweeps them in place, and
+    ``withdraw``, ``price_block``, ``place`` and ``record`` act on them
+    between sweeps. Each raises the Python sweep's ``NumericalError``.
     """
 
     def __init__(self, lib: ctypes.CDLL, urn, engines, n: int):
@@ -209,6 +230,7 @@ class SweepArrays:
         self.logw, self.after, self.totals = (np.zeros(n + C) for _ in range(3))
         self.target = np.zeros(n + C, dtype=i64)
         self.rank = np.zeros(n, dtype=i64)
+        self.zs = np.zeros(pmax)
         # for moving state in and out: slot numbers, and per colour its
         # coordinate count and the zeros that pad its z to pmax
         self.slots = np.arange(n, dtype=i64)
@@ -218,6 +240,21 @@ class SweepArrays:
         self._struct = _Kernel(n, C, pmax,
                                *(getattr(self, name).ctypes.data for name in _TABLES + _STATE))
         self._kernel = ctypes.byref(self._struct)
+        # the block being moved, and what price_block reports of it
+        self.block = np.zeros(n, dtype=i64)
+        self.block_colour, self.block_size, self.block_least = (
+            np.zeros(n, dtype=i64) for _ in range(3))
+        self.block_log_m, self.block_after = np.zeros(n), np.zeros(n + C)
+        self._block = _Block(0, 0, *(getattr(self, name).ctypes.data for name in (
+            "block", "block_colour", "block_size", "block_least", "block_log_m",
+            "block_after")))
+        self._block_ref = ctypes.byref(self._block)
+        # one record's buffers, which record() fills
+        self._taken = Records(np.empty((1, n), dtype=np.int32),
+                              np.empty((1, n), dtype=np.int32), np.empty(1, dtype=i64),
+                              np.empty(n, dtype=i64), np.empty(n, dtype=i64), np.empty(n))
+        self._taken_struct = _Records(1, None, *(a.ctypes.data for a in self._taken))
+        self._taken_ref = ctypes.byref(self._taken_struct)
         self._lib = lib
         self.n = n
 
@@ -241,14 +278,51 @@ class SweepArrays:
                           np.empty(rows * n, dtype=np.int64), np.empty(rows * n, dtype=np.int64),
                           np.empty(rows * n))
             rec = ctypes.byref(_Records(rows, at.ctypes.data, *(a.ctypes.data for a in out)))
-        status = self._lib.cdpmix_sweeps(self._kernel, uniforms.ctypes.data, sweeps, rec)
-        if status:
-            raise NumericalError(_ERRORS[status])
+        _check(self._lib.cdpmix_sweeps(self._kernel, uniforms.ctypes.data, sweeps, rec))
         if out is None:
             return None
         packed = int(out.degree.sum())
         return out._replace(**{name: getattr(out, name)[:packed]
                                for name in ("cluster_colour", "cluster_size", "log_m")})
+
+    def record(self) -> Records:
+        """The state now as one record, in buffers that the next call overwrites."""
+        d = self._lib.cdpmix_record(self._kernel, self._taken_ref)
+        out = self._taken
+        return out._replace(cluster_colour=out.cluster_colour[:d],
+                            cluster_size=out.cluster_size[:d], log_m=out.log_m[:d])
+
+    def withdraw(self, items) -> None:
+        """Take ``items``, increasing and all of one cluster, out of it as
+        ``ChainState._withdraw`` does; they are the block that ``price_block``
+        and ``place`` then act on."""
+        m = len(items)
+        self.block[:m] = items
+        self._block.m = m
+        _check(self._lib.cdpmix_withdraw(self._kernel, self._block_ref))
+
+    def price_block(self) -> int:
+        """Fill ``block_colour``, ``block_size``, ``block_least`` and
+        ``block_log_m`` with each live cluster's colour, size, least member
+        and log marginal, in insertion order, and ``block_after`` with its log
+        marginal once the withdrawn block joins it, then with the block's log
+        marginal alone in a new cluster of each colour; returns the number of
+        live clusters."""
+        _check(self._lib.cdpmix_price_block(self._kernel, self._block_ref))
+        return self._block.live
+
+    def place(self, target: int, log_m_after: float, reprice: bool = False) -> None:
+        """Put the withdrawn block into slot ``target`` or, for ``-1 - c``, a
+        new cluster of colour c, as ``ChainState._place`` does; with
+        ``reprice`` its marginal is priced afresh once the items are in."""
+        _check(self._lib.cdpmix_place(self._kernel, self._block_ref, target, log_m_after,
+                                      reprice))
+
+
+def _check(status: int) -> None:
+    """Raise the Python sweep's error for a kernel status other than 0."""
+    if status:
+        raise NumericalError(_ERRORS[status])
 
 
 def _slot_table(rows: int) -> np.ndarray:

@@ -23,7 +23,8 @@ prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
 structural constraints (at most one background cluster, bounded component
 counts) fall out of the prior's log-zero sentinel with no special cases.
 Trace records and ``log_joint`` score the prior from the same sizes, read off
-the live clusters without building a partition.
+the live clusters without building a partition. Every prior a chain scores
+goes through ``_log_prior``, which remembers it per distinct size key.
 
 ``ChainState.sweep`` runs whole sweeps of single-item moves. Where the
 compiled kernel (``_sweep.c``, see ``_sweep``) builds and every engine is an
@@ -32,13 +33,22 @@ of the state and of the same urn and marginal tables. It repeats the
 arithmetic and the draws of ``reallocate_item`` with the block's uniforms
 drawn in one call, so it reaches the same state bit for bit;
 ``reallocate_item`` stays as the reference and the fallback. Without subset
-moves ``run_chain`` hands it the whole chain in blocks of at most
+moves ``ChainState.run`` hands it the whole chain in blocks of at most
 ``_BLOCK_UNIFORMS`` uniforms, and the kernel takes the retained sweeps'
 records itself: their canonical labels, cluster
 sizes and cluster marginals, which ``_kernel_records`` scores with the prior.
-The arrays are a working copy that lasts one block: the state is copied in
-before it (``_to_arrays``) and back after it (``_from_arrays``), so
-``clusters``, ``item_cluster`` and ``colour_totals`` always hold the state.
+For ``sweep`` the arrays are a working copy that lasts one block: the state
+is copied in before it (``_to_arrays``) and back after it (``_from_arrays``),
+so ``clusters``, ``item_cluster`` and ``colour_totals`` hold the state
+between calls.
+
+With subset moves a chain runs one sweep at a time. On the kernel its state
+is copied into the arrays once and stays there until the chain ends:
+``_ArrayState`` runs each sweep, each move and each record on the arrays,
+through the kernel's block-move exports, and only then is the state copied
+back. ``_subset_move`` is the one body of the move for both states: it
+makes every draw, prices the prior and takes the Metropolis-Hastings step,
+and asks the state only to pick, withdraw, price marginals and place.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Sequence
@@ -179,6 +189,8 @@ class ChainState:
         # (offsets, factors, new, by_degree): the prior's urn weights for up
         # to n items, read by item_candidates and by the compiled kernel
         self._urn = model.urn_tables(n)
+        # log_eppf_sizes by per-colour size tuples, read through _log_prior
+        self._priors: dict[tuple[tuple[int, ...], ...], float] = {}
         # the compiled kernel's working arrays: None without the kernel,
         # False until the first sweep looks
         self._arrays: _sweep.SweepArrays | None | bool = False
@@ -237,7 +249,7 @@ class ChainState:
             groups[cl.colour].append(sorted(cl.members))
         return self._partition(groups)
 
-    def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], list[list[int]]]:
+    def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``(labels, colours)`` as ``snapshot().allocation()`` gives them, with
         clusters numbered by least member, plus each colour's cluster sizes in
         that order."""
@@ -256,7 +268,18 @@ class ChainState:
 
     def log_joint(self) -> float:
         """Log prior of the current partition plus all cached cluster marginals."""
-        return self.model.log_eppf_sizes(self.canonical()[2], self.n) + self.log_likelihood()
+        return self._log_prior(self.canonical()[2]) + self.log_likelihood()
+
+    def _log_prior(self, sizes: tuple[tuple[int, ...], ...]) -> float:
+        """``log_eppf_sizes`` of per-colour cluster size tuples, remembered
+        for up to ``_PRIOR_MEMO`` keys and forgotten all at once past that:
+        the same function of the same sizes, so the same double."""
+        lp = self._priors.get(sizes)
+        if lp is None:
+            if len(self._priors) >= _PRIOR_MEMO:
+                self._priors.clear()
+            lp = self._priors[sizes] = self.model.log_eppf_sizes(sizes, self.n)
+        return lp
 
     def refresh_cache_(self) -> float:
         """Rebuild every cluster's statistics from its members and recompute its
@@ -376,13 +399,10 @@ class ChainState:
         runs otherwise, and takes the records as ``_record`` would. The state
         is copied into the kernel's arrays before the block and back after it,
         so a block that raises leaves the state as it was before the block.
+        A chain with subset moves does not come through here: ``run`` keeps
+        its state in the arrays from its first sweep to its last.
         """
-        if self._arrays is False:
-            lib = _sweep.library()
-            supported = all(type(eng) is NIGEngine for eng in self.engines)
-            self._arrays = (_sweep.SweepArrays(lib, self._urn, self.engines, self.n)
-                            if lib is not None and supported else None)
-        arrays = self._arrays
+        arrays = self._kernel_arrays()
         kept = [sweep for sweep in range(first, first + sweeps) if sweep in keep] if keep else []
         if arrays is None:
             records = []
@@ -396,7 +416,54 @@ class ChainState:
         taken = arrays.run(self.rng.random(self.n * sweeps), sweeps,
                            [sweep - first for sweep in kept])
         self._from_arrays(arrays)
-        return _kernel_records(self.model, self.n, kept, taken) if kept else []
+        return _kernel_records(self._log_prior, self.model.n_colours, kept, taken) if kept else []
+
+    def _kernel_arrays(self) -> _sweep.SweepArrays | None:
+        """The kernel's arrays for this chain, built on first use; None when
+        the kernel does not build or an engine is not an ``NIGEngine``."""
+        if self._arrays is False:
+            lib = _sweep.library()
+            supported = all(type(eng) is NIGEngine for eng in self.engines)
+            self._arrays = (_sweep.SweepArrays(lib, self._urn, self.engines, self.n)
+                            if lib is not None and supported else None)
+        return self._arrays
+
+    def run(self, plan: SweepPlan) -> list[TraceRecord]:
+        """Run ``plan``'s sweeps from the current state with this chain's
+        generator (``plan.seed`` is not read here) and return the retained
+        trace.
+
+        Without subset moves nothing between sweeps reads the state or
+        draws, so ``sweep`` runs blocks until their uniforms reach
+        ``_BLOCK_UNIFORMS`` or the chain ends. With them each sweep is one
+        block, then a move with probability ``plan.subset_move_rate``, then
+        its record if it is retained. On the kernel the state is copied into
+        its arrays once, the sweeps, moves and records act on the arrays
+        through ``_ArrayState``, and the state is copied back at the end, so
+        a run that raises there leaves the state as it was before the run.
+        """
+        kept = range(plan.burn_in, plan.sweeps, plan.thin)
+        if plan.subset_move_rate == 0:
+            block = max(_BLOCK_UNIFORMS // self.n, 1)
+            return [rec for first in range(0, plan.sweeps, block)
+                    for rec in self.sweep(min(block, plan.sweeps - first), kept, first)]
+        arrays = self._kernel_arrays()
+        if arrays is None:
+            chain, take = self, partial(_record, self)
+        else:
+            self._to_arrays(arrays)
+            chain = _ArrayState(self, arrays)
+            take = chain.record
+        trace = []
+        for sweep in range(plan.sweeps):
+            chain.sweep()
+            if self.rng.random() < plan.subset_move_rate:
+                chain.random_subset_move(plan.subset_max_size)
+            if sweep in kept:
+                trace.append(take(sweep))
+        if arrays is not None:
+            self._from_arrays(arrays)
+        return trace
 
     def _to_arrays(self, a: _sweep.SweepArrays) -> None:
         """Copy the state into the kernel's arrays, clusters in slots 0..k-1."""
@@ -435,52 +502,19 @@ class ChainState:
     # -- block moves: single-item steps applied to a co-clustered block ----
 
     def subset_candidates(self, block: list[int]):
-        """Placement options for a withdrawn block.
-
-        Each option is priced by the prior of the per-colour cluster sizes it
-        leaves, in canonical (least-member) order: the target grows by the
-        block and moves up to the block's least member if that comes first,
-        or a fresh cluster of the block's size is inserted there.
-        """
-        model, m = self.model, len(block)
-        live = [[] for _ in range(model.n_colours)]  # (least member, cid), per colour
-        for cid, cl in self.clusters.items():
-            live[cl.colour].append((min(cl.members), cid))
-        for entries in live:
-            entries.sort()
-        where = {cid: j for entries in live for j, (_, cid) in enumerate(entries)}
-        sizes = [[len(self.clusters[cid].members) for _, cid in entries] for entries in live]
-        # clusters of each colour whose least member precedes the block's
-        slot = [bisect_left(entries, (block[0],)) for entries in live]
+        """Placement options for a withdrawn block, as ``_block_options``
+        prices them, with the marginals the engines give: each live
+        cluster's with the block's statistics (summed from zero) added to its
+        own, and a new cluster's from ``_summed`` of the block."""
+        m, clusters = len(block), list(self.clusters.values())
         sums = [_summed(eng, block, [0.0] * len(eng.z0)) for eng in self.engines]
-
-        def prior(colour: int, colour_sizes: list[int]) -> float:
-            by_colour = list(sizes)
-            by_colour[colour] = colour_sizes
-            return model.log_eppf_sizes(by_colour, self.n)
-
-        moves, logw, after = [], [], []
-        for cid, cl in self.clusters.items():
-            k, j, at = cl.colour, where[cid], slot[cl.colour]
-            s = sizes[k]
-            lp = prior(k, s[:at] + [s[j] + m] + s[at:j] + s[j + 1:] if at <= j
-                       else s[:j] + [s[j] + m] + s[j + 1:])
-            if lp == LOG_ZERO:
-                continue
-            lm = self.engines[k].log_m(len(cl.members) + m, cl.z, cl.yty, *sums[k])
-            moves.append(("existing", cid))
-            logw.append(lp + lm - cl.log_m)
-            after.append(lm)
-        for k in range(model.n_colours):
-            lp = prior(k, sizes[k][:slot[k]] + [m] + sizes[k][slot[k]:])
-            if lp == LOG_ZERO:
-                continue
-            eng = self.engines[k]
-            lm = eng.log_m(m, *_summed(eng, block))
-            moves.append(("new", k))
-            logw.append(lp + lm)
-            after.append(lm)
-        return moves, logw, after
+        return _block_options(
+            self._log_prior, block, list(self.clusters), [cl.colour for cl in clusters],
+            [len(cl.members) for cl in clusters], [min(cl.members) for cl in clusters],
+            [cl.log_m for cl in clusters],
+            [self.engines[cl.colour].log_m(len(cl.members) + m, cl.z, cl.yty, *sums[cl.colour])
+             for cl in clusters],
+            [eng.log_m(m, *_summed(eng, block)) for eng in self.engines])
 
     def _place(self, block: list[int], move: tuple[str, int], log_m_after: float) -> None:
         """Insert a withdrawn block: the first item as ``move`` says, the rest beside it."""
@@ -488,46 +522,28 @@ class ChainState:
             move = ("existing", self._insert(i, move, log_m_after))
 
     def random_subset_move(self, max_size: int = 8) -> None:
-        """One randomly-selected block move, corrected for selection asymmetry.
+        """One randomly-selected block move, corrected for selection asymmetry
+        (see ``_subset_move``)."""
+        _subset_move(self, max_size)
 
-        A uniform current cluster and a uniform nonempty subset of it (size
-        capped) are selected, and the block placement is redrawn from its
-        conditional. Because the selection probability depends on the state,
-        the redraw alone would bias the chain; a Metropolis-Hastings factor
-        min(1, sel(S|new)/sel(S|old)) restores exact invariance.
-        """
-        cids = list(self.clusters)
-        cid = cids[int(self.rng.integers(len(cids)))]
-        members = sorted(self.clusters[cid].members)
-        m = len(members)
-        n_subsets, cdf = _subset_law(m, max_size)
-        size = bisect_right(cdf, self.rng.random()) + 1
-        picked = self.rng.choice(m, size=size, replace=False)
-        block = sorted(members[j] for j in picked)
+    # the rest of what _subset_move asks of a state, keyed by cluster id
 
-        # 1 / sel(S|old), an integer: the counts outgrow a float on large clusters
-        inv_before = len(self.clusters) * n_subsets
-        colour = self.clusters[cid].colour
-        self._withdraw(*block)
-        remaining = len(self.clusters)
+    def _degree(self) -> int:
+        return len(self.clusters)
 
-        moves, logw, after = self.subset_candidates(block)
-        if moves:
-            idx = _draw(logw, self.rng)
-            kind, key = moves[idx]
-            if kind == "existing":
-                degree_after = remaining
-                target_size = len(self.clusters[key].members) + len(block)
-            else:
-                degree_after = remaining + 1
-                target_size = len(block)
-            inv_after = degree_after * _subset_law(target_size, max_size)[0]
-            # min(1, sel(S|new) / sel(S|old)), the integer ratio rounded once
-            if self.rng.random() < (inv_before / inv_after if inv_before < inv_after else 1.0):
-                self._place(block, moves[idx], after[idx])
-                return
-        # rejected, or no placement is possible (only from a zero-probability
-        # state): the block goes back where it came from
+    def _pick(self, j: int) -> tuple[int, int, list[int]]:
+        """Id, colour and sorted members of the j-th live cluster in insertion order."""
+        cid = list(self.clusters)[j]
+        cl = self.clusters[cid]
+        return cid, cl.colour, sorted(cl.members)
+
+    def _size(self, cid: int) -> int:
+        return len(self.clusters[cid].members)
+
+    def _put_back(self, block: list[int], cid: int, colour: int) -> None:
+        """Return a withdrawn block to cluster ``cid``, or to a new cluster of
+        ``colour`` if it was all of ``cid``, priced from the statistics the
+        items are added to one by one."""
         eng = self.engines[colour]
         if cid in self.clusters:
             origin = self.clusters[cid]
@@ -536,6 +552,150 @@ class ChainState:
                                   *_summed(eng, block, origin.z, origin.yty)))
         else:
             self._place(block, ("new", colour), eng.log_m(len(block), *_summed(eng, block)))
+
+
+class _ArrayState:
+    """A chain's state while it lives in the kernel's arrays, as
+    ``ChainState.run`` keeps it with subset moves: one-sweep blocks, the
+    move's state operations through the kernel's block exports, and records
+    taken by the kernel. Clusters are keyed by slot."""
+
+    def __init__(self, state: ChainState, arrays: _sweep.SweepArrays):
+        self.rng, self.n, self.n_colours = state.rng, state.n, state.model.n_colours
+        self._log_prior = state._log_prior
+        self.arrays = arrays
+
+    def sweep(self) -> None:
+        self.arrays.run(self.rng.random(self.n), 1)
+
+    def random_subset_move(self, max_size: int) -> None:
+        _subset_move(self, max_size)
+
+    def record(self, sweep: int) -> TraceRecord:
+        return _kernel_records(self._log_prior, self.n_colours, [sweep], self.arrays.record())[0]
+
+    def _degree(self) -> int:
+        return int(self.arrays.n_clusters[0])
+
+    def _pick(self, j: int) -> tuple[int, int, list[int]]:
+        a = self.arrays
+        slot = int(a.order[j])
+        return slot, int(a.colour[slot]), np.flatnonzero(a.item_slot == slot).tolist()
+
+    def _size(self, slot: int) -> int:
+        return int(self.arrays.count[slot])
+
+    def _withdraw(self, *items: int) -> None:
+        self.arrays.withdraw(items)
+
+    def subset_candidates(self, block: list[int]):
+        a = self.arrays
+        d = a.price_block()
+        after = a.block_after[:d + self.n_colours].tolist()
+        return _block_options(self._log_prior, block, a.order[:d].tolist(),
+                              a.block_colour[:d].tolist(), a.block_size[:d].tolist(),
+                              a.block_least[:d].tolist(), a.block_log_m[:d].tolist(),
+                              after[:d], after[d:])
+
+    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float) -> None:
+        kind, key = move
+        self.arrays.place(key if kind == "existing" else -1 - key, log_m_after)
+
+    def _put_back(self, block: list[int], slot: int, colour: int) -> None:
+        self.arrays.place(slot if self.arrays.count[slot] else -1 - colour, 0.0, reprice=True)
+
+
+def _block_options(log_prior, block: list[int], keys: list[int], colours: list[int],
+                   sizes: list[int], least: list[int], log_m: list[float],
+                   after: list[float], new_after: list[float]):
+    """Placement options for a withdrawn block, from each live cluster's key,
+    colour, size, least member, log marginal and log marginal with the block
+    added, in insertion order, and the block's log marginal alone in a new
+    cluster of each colour.
+
+    Returns parallel lists: moves ``("existing", key)`` or ``("new",
+    colour)``, their log weights and the receiving cluster's log marginal
+    after the move. Each option is priced by the prior of the per-colour
+    cluster sizes it leaves, in canonical (least-member) order: the target
+    grows by the block and moves up to the block's least member if that
+    comes first, or a fresh cluster of the block's size is inserted there.
+    """
+    m = len(block)
+    live = [[] for _ in new_after]  # (least member, position), per colour
+    for j, (k, first) in enumerate(zip(colours, least)):
+        live[k].append((first, j))
+    rank, base = [0] * len(keys), []  # canonical place within the colour; sizes in that order
+    for entries in live:
+        entries.sort()
+        for r, (_, j) in enumerate(entries):
+            rank[j] = r
+        base.append(tuple(sizes[j] for _, j in entries))
+    # clusters of each colour whose least member precedes the block's
+    at = [bisect_left(entries, (block[0],)) for entries in live]
+    moves, logw, out = [], [], []
+    for j, (k, lm) in enumerate(zip(colours, after)):
+        s, r, a = base[k], rank[j], at[k]
+        grown = (s[:a] + (s[r] + m,) + s[a:r] + s[r + 1:] if a <= r
+                 else s[:r] + (s[r] + m,) + s[r + 1:])
+        lp = log_prior((*base[:k], grown, *base[k + 1:]))
+        if lp == LOG_ZERO:
+            continue
+        moves.append(("existing", keys[j]))
+        logw.append(lp + lm - log_m[j])
+        out.append(lm)
+    for k, lm in enumerate(new_after):
+        s, a = base[k], at[k]
+        lp = log_prior((*base[:k], s[:a] + (m,) + s[a:], *base[k + 1:]))
+        if lp == LOG_ZERO:
+            continue
+        moves.append(("new", k))
+        logw.append(lp + lm)
+        out.append(lm)
+    return moves, logw, out
+
+
+def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
+    """One randomly-selected block move on either state, corrected for
+    selection asymmetry.
+
+    A uniform current cluster and a uniform nonempty subset of it (size
+    capped) are selected, and the block placement is redrawn from its
+    conditional. Because the selection probability depends on the state,
+    the redraw alone would bias the chain; a Metropolis-Hastings factor
+    min(1, sel(S|new)/sel(S|old)) restores exact invariance.
+    """
+    rng = chain.rng
+    degree = chain._degree()
+    key, colour, members = chain._pick(int(rng.integers(degree)))
+    m = len(members)
+    n_subsets, cdf = _subset_law(m, max_size)
+    size = bisect_right(cdf, rng.random()) + 1
+    picked = rng.choice(m, size=size, replace=False)
+    block = sorted(members[j] for j in picked)
+
+    # 1 / sel(S|old), an integer: the counts outgrow a float on large clusters
+    inv_before = degree * n_subsets
+    chain._withdraw(*block)
+    remaining = chain._degree()
+
+    moves, logw, after = chain.subset_candidates(block)
+    if moves:
+        idx = _draw(logw, rng)
+        kind, target = moves[idx]
+        if kind == "existing":
+            degree_after = remaining
+            target_size = chain._size(target) + len(block)
+        else:
+            degree_after = remaining + 1
+            target_size = len(block)
+        inv_after = degree_after * _subset_law(target_size, max_size)[0]
+        # min(1, sel(S|new) / sel(S|old)), the integer ratio rounded once
+        if rng.random() < (inv_before / inv_after if inv_before < inv_after else 1.0):
+            chain._place(block, moves[idx], after[idx])
+            return
+    # rejected, or no placement is possible (only from a zero-probability
+    # state): the block goes back where it came from
+    chain._put_back(block, key, colour)
 
 
 @lru_cache(maxsize=4096)
@@ -570,6 +730,9 @@ def build_engines(Y: np.ndarray, design: DesignBlock,
 #: Most uniforms drawn for one block of sweeps (512 KiB of doubles).
 _BLOCK_UNIFORMS = 1 << 16
 
+#: Most size keys a chain remembers the prior of (see ``ChainState._log_prior``).
+_PRIOR_MEMO = 2048
+
 
 def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
               specs: NormalGammaSpec | Sequence[NormalGammaSpec],
@@ -593,48 +756,33 @@ def run_chain(Y: np.ndarray, design: DesignBlock, model: PartitionPrior,
     rng = np.random.default_rng(plan.seed)
     if engines is None:
         engines = build_engines(Y, design, specs, model)
-    state = ChainState(model, engines, n, rng, initial=initial)
-    kept = range(plan.burn_in, plan.sweeps, plan.thin)
-    if plan.subset_move_rate == 0:
-        # nothing between sweeps reads the state or draws, so a block runs
-        # until its uniforms reach the cap or the chain ends
-        block = max(_BLOCK_UNIFORMS // n, 1)
-        return [rec for first in range(0, plan.sweeps, block)
-                for rec in state.sweep(min(block, plan.sweeps - first), kept, first)]
-    trace: list[TraceRecord] = []
-    for sweep in range(plan.sweeps):
-        state.sweep()
-        if rng.random() < plan.subset_move_rate:
-            state.random_subset_move(plan.subset_max_size)
-        if sweep in kept:
-            trace.append(_record(state, sweep))
-    return trace
+    return ChainState(model, engines, n, rng, initial=initial).run(plan)
 
 
 def _sizes_by_colour(cluster_colours: Sequence[int], cluster_sizes: Sequence[int],
-                     n_colours: int) -> list[list[int]]:
+                     n_colours: int) -> tuple[tuple[int, ...], ...]:
     """Each colour's cluster sizes, in the order the clusters are listed."""
     sizes = [[] for _ in range(n_colours)]
     for colour, size in zip(cluster_colours, cluster_sizes):
         sizes[colour].append(size)
-    return sizes
+    return tuple(map(tuple, sizes))
 
 
-def _scored(model: PartitionPrior, n: int, sweep: int, labels: tuple, colours: tuple,
-            sizes: list[list[int]], log_likelihood: float) -> TraceRecord:
+def _scored(log_prior, sweep: int, labels: tuple, colours: tuple,
+            sizes: tuple[tuple[int, ...], ...], log_likelihood: float) -> TraceRecord:
     colour_degrees = tuple(map(len, sizes))
     return TraceRecord(sweep, labels, colours, sum(colour_degrees), colour_degrees,
-                       model.log_eppf_sizes(sizes, n) + log_likelihood)
+                       log_prior(sizes) + log_likelihood)
 
 
 def _record(state: ChainState, sweep: int) -> TraceRecord:
     """The record of the chain's current state."""
-    return _scored(state.model, state.n, sweep, *state.canonical(), state.log_likelihood())
+    return _scored(state._log_prior, sweep, *state.canonical(), state.log_likelihood())
 
 
-def _kernel_records(model: PartitionPrior, n: int, sweeps: list[int],
+def _kernel_records(log_prior, n_colours: int, sweeps: list[int],
                     taken: _sweep.Records) -> list[TraceRecord]:
-    """The records a compiled block took of ``sweeps``, scored as ``_record``
+    """The records the kernel took of ``sweeps``, scored as ``_record``
     scores them: the log likelihood is the built-in ``sum`` of the clusters'
     marginals in insertion order, as ``log_likelihood`` adds them."""
     cluster_colour, cluster_size = taken.cluster_colour.tolist(), taken.cluster_size.tolist()
@@ -643,9 +791,8 @@ def _kernel_records(model: PartitionPrior, n: int, sweeps: list[int],
     for sweep, labels, colours, degree in zip(sweeps, taken.labels.tolist(),
                                               taken.colours.tolist(), taken.degree.tolist()):
         end = start + degree
-        sizes = _sizes_by_colour(cluster_colour[start:end], cluster_size[start:end],
-                                 model.n_colours)
-        records.append(_scored(model, n, sweep, tuple(labels), tuple(colours), sizes,
+        sizes = _sizes_by_colour(cluster_colour[start:end], cluster_size[start:end], n_colours)
+        records.append(_scored(log_prior, sweep, tuple(labels), tuple(colours), sizes,
                                float(sum(log_m[start:end]))))
         start = end
     return records

@@ -369,6 +369,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
     # change, bit for bit: both read the same sizes in the same order. On 40
     # items in about a dozen clusters of mixed sizes, a size listed out of
     # canonical order changes the sum of their lgammas in the last bits.
+    # Where the kernel builds, its pricing of the block must agree.
     n = 40
     Y = np.random.default_rng(3).normal(size=(n, 2)) * 1.5
     engines = build_engines(Y, DESIGN, specs, model)
@@ -403,6 +404,20 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
             idx = moves.index((kind, key))
             assert logw[idx] == prior + after[idx] - lm
             checked += 1
+        if _sweep.library() is not None:
+            # the kernel's pricing of the same block, read off its arrays,
+            # gives the same options and doubles, its slots standing for ids
+            resident = ChainState.from_partition(model, engines, p)
+            cids, arrays = list(resident.clusters), resident._kernel_arrays()
+            resident._to_arrays(arrays)
+            on_arrays = gibbs._ArrayState(resident, arrays)
+            on_arrays._withdraw(*block)
+            got = on_arrays.subset_candidates(block)
+            assert [(kind, cids[key] if kind == "existing" else key)
+                    for kind, key in got[0]] == moves
+            assert bits(got[1]) == bits(logw) and bits(got[2]) == bits(after)
+            live = list(st.clusters.values())
+            assert arrays.block_least[:len(live)].tolist() == [min(cl.members) for cl in live]
     assert checked > 100
 
 
@@ -929,24 +944,63 @@ def needs_kernel():
     ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]),
     BackgroundDirichletProcess(1.5, 1.0),
 ], ids=["dp", "dm", "py", "cdp", "background"])
-@pytest.mark.parametrize("rate", [0.0, 0.3])
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
 def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkeypatch):
     # without subset moves the kernel takes every record inside its block:
     # each must equal _record of the view copied back after that sweep, for
     # thin 1, 3 and 7 and burn-ins that are not multiples of thin. With
-    # subset moves _record scores each record from the view after the
-    # sweep's move, and the chain must be the Python sweep's, record for
-    # record and bit for bit.
+    # subset moves the state stays in the kernel's arrays for the whole
+    # chain, where the moves and the records act on it, and the chain must
+    # be the Python sweep's, record for record and bit for bit, ending in
+    # the same state once it is copied back, also where the regular
+    # colour's prior mean or fixed effects make z0 nonzero. The moves must
+    # include rejected ones, whole-cluster blocks put back under a new id
+    # and, under the Dirichlet-multinomial at its bound and the background
+    # prior's one background cluster, options the prior rules out.
     needs_kernel()
-    specs = ([BG_SPEC, SPEC] if isinstance(model, BackgroundDirichletProcess)
-             else [SPEC] * model.n_colours)
+    background = isinstance(model, BackgroundDirichletProcess)
+    specs = [BG_SPEC, SPEC] if background else [SPEC] * model.n_colours
     Y = make_data(9, seed=5)
     if rate > 0:
         plan = SweepPlan(sweeps=90, burn_in=13, thin=4, subset_move_rate=rate, seed=8)
-        compiled, python = on_both_paths(
-            monkeypatch, lambda: run_chain(Y, DESIGN, model, specs, plan))
-        assert len(compiled) == len(range(13, 90, 4))
-        assert_same_records(compiled, python)
+        seen = Counter()
+        put_back, options = gibbs._ArrayState._put_back, gibbs._block_options
+
+        def counted_put_back(chain, block, slot, colour):
+            seen["rejected"] += 1
+            seen["whole"] += not chain.arrays.count[slot]
+            return put_back(chain, block, slot, colour)
+
+        def counted_options(log_prior, block, keys, *rest):
+            moves, logw, after = options(log_prior, block, keys, *rest)
+            seen["ruled out"] += len(moves) < len(keys) + model.n_colours
+            return moves, logw, after
+
+        monkeypatch.setattr(gibbs._ArrayState, "_put_back", counted_put_back)
+        monkeypatch.setattr(gibbs, "_block_options", counted_options)
+        for case in ["no-X", "X", "no-X-mean"]:
+            design = X_DESIGN if case == "X" else DESIGN
+            regular = {"no-X": SPEC, "X": X_SPEC, "no-X-mean": MEAN_SPEC}[case]
+            specs = ([X_BG_SPEC if case == "X" else BG_SPEC, regular] if background
+                     else [regular] * model.n_colours)
+            data = Y @ np.array([[1.0, 0.5, -0.3], [0.2, 1.0, 0.8]]) if case == "X" else Y
+            engines = build_engines(data, design, specs, model)
+            assert any(engines[-1].z0) == (case != "no-X")
+
+            def chain():
+                state = ChainState(model, engines, 9, np.random.default_rng(8))
+                return state, state.run(plan)
+
+            (compiled, compiled_trace), (python, python_trace) = on_both_paths(
+                monkeypatch, chain)
+            assert compiled._arrays is not None and python._arrays is None
+            assert len(compiled_trace) == len(range(13, 90, 4))
+            assert_same_records(compiled_trace, python_trace)
+            assert_same_state(compiled, python)
+            assert run_chain(data, design, model, specs, plan, engines=engines) == compiled_trace
+        assert seen["rejected"] and seen["whole"]
+        assert bool(seen["ruled out"]) == isinstance(
+            model, (DirichletMultinomial, BackgroundDirichletProcess))
         return
     record, sources = gibbs._record, Counter()
 
@@ -976,7 +1030,8 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
 def test_each_block_copies_the_state_in_and_back_once(schedule, monkeypatch):
     # the rat-run schedule (400 sweeps, burn-in 200, every later sweep
     # recorded) is one kernel call that takes the records itself; a subset
-    # move after every sweep makes every sweep a block of its own
+    # move after every sweep makes every sweep a kernel call of its own, while
+    # the state stays in the arrays from the chain's start to its end
     needs_kernel()
     from cdpmix.pipeline import parse_config
     sweeps, burn_in, rate = (400, 200, 0.0) if schedule == "rat-run" else (30, 10, 1.0)
@@ -997,8 +1052,67 @@ def test_each_block_copies_the_state_in_and_back_once(schedule, monkeypatch):
         monkeypatch.setattr(gibbs, "_record", counted("_record", gibbs._record))
     trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
     assert [rec.sweep for rec in trace] == list(range(burn_in, sweeps))
-    blocks = 1 if rate == 0 else sweeps
-    assert calls == {"_to_arrays": blocks, "run": blocks, "_from_arrays": blocks}
+    assert calls == {"_to_arrays": 1, "run": 1 if rate == 0 else sweeps, "_from_arrays": 1}
+
+
+@pytest.mark.parametrize("where", ["sweep", "move"])
+def test_an_error_in_a_chain_with_moves_is_the_python_sweeps(where, sweep_path, monkeypatch):
+    # a rate that collapses in a sweep, or in a subset move's withdraw or
+    # pricing, raises the Python sweep's error on both paths; on the kernel
+    # the state has not been copied back, so it is the state before the run
+    model = DirichletProcess(1.0)
+    engines = build_engines(make_data(6), DESIGN, SPEC, model)
+    state = ChainState(model, engines, 6, np.random.default_rng(3))
+    before = state.snapshot()
+    arrays = state._kernel_arrays()
+    assert (arrays is not None) == (sweep_path == "compiled")
+
+    def poison():
+        for eng in engines:
+            eng.evaluator.rate_base = -1e6
+        if arrays is not None:
+            arrays.rate_base[:] = -1e6
+
+    if where == "sweep":
+        poison()
+    else:
+        move, calls = gibbs._subset_move, Counter()
+
+        def poisoned_move(chain, max_size):
+            calls["move"] += 1
+            poison()
+            return move(chain, max_size)
+
+        monkeypatch.setattr(gibbs, "_subset_move", poisoned_move)
+    plan = SweepPlan(sweeps=5, subset_move_rate=1.0)
+    with pytest.raises(NumericalError, match="^posterior rate collapsed to a non-positive value$"):
+        state.run(plan)
+    assert where == "sweep" or calls == {"move": 1}
+    if arrays is not None:
+        assert state.snapshot() == before
+
+
+def test_a_chain_that_forgets_its_priors_scores_the_same_records(sweep_path, monkeypatch):
+    # a chain remembers the prior of each size key it scores until it holds
+    # _PRIOR_MEMO of them, then forgets them all; with room for three keys it
+    # scores the priors again and again, and every record is the same double
+    model = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
+    Y = make_data(9, seed=5)
+    plan = SweepPlan(sweeps=60, burn_in=5, thin=2, subset_move_rate=1.0, seed=4)
+    scored, calls, bound = ColouredDirichletProcess.log_eppf_sizes, Counter(), gibbs._PRIOR_MEMO
+
+    def counted(self, sizes_by_colour, n):
+        calls[gibbs._PRIOR_MEMO] += 1
+        return scored(self, sizes_by_colour, n)
+
+    monkeypatch.setattr(ColouredDirichletProcess, "log_eppf_sizes", counted)
+    expected = run_chain(Y, DESIGN, model, [SPEC, SPEC], plan)
+    monkeypatch.setattr(gibbs, "_PRIOR_MEMO", 3)
+    state = ChainState(model, build_engines(Y, DESIGN, [SPEC, SPEC], model), 9,
+                       np.random.default_rng(4))
+    assert_same_records(state.run(plan), expected)
+    assert len(state._priors) <= 3
+    assert calls[3] > calls[bound] > 0
 
 
 def test_blocks_end_at_the_uniform_cap_and_keep_the_records(monkeypatch):
@@ -1141,7 +1255,8 @@ def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
     return fields
 
 
-@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Records], ids=["Kernel", "Records"])
+@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Records, _sweep._Block],
+                         ids=["Kernel", "Records", "Block"])
 def test_ctypes_structs_mirror_the_kernel_source(mirror):
     # a mirror out of step with the C struct hands the kernel the wrong
     # pointers, and nothing says so
