@@ -43,7 +43,8 @@
  *   cdpmix_read_trace   reads the body of a trace.csv as write_trace writes it.
  * The block moves' draws and prior stay in Python: these exports only move
  * items and price marginals, so a chain can run subset moves between
- * one-sweep blocks without copying its state out of the arrays.
+ * one-sweep blocks without copying its state out of the arrays. They refuse
+ * a block they cannot act on (BAD_BLOCK) before writing anything.
  * Chains revisit few states, so the reader parses each distinct
  * label-and-colour text once: a line whose text it has seen before is matched
  * against a copy of that text and not parsed again.
@@ -53,7 +54,7 @@
 #include <stdint.h>
 #include <string.h>
 
-enum { OK = 0, RATE_COLLAPSED = 1, WEIGHTS_VANISHED = 2 };
+enum { OK = 0, RATE_COLLAPSED = 1, WEIGHTS_VANISHED = 2, BAD_BLOCK = 3 };
 
 typedef struct {
     /* the prior's urn tables and the data: read only */
@@ -327,8 +328,27 @@ typedef struct {
     double *log_m, *after;          /* [live], [live + n_colours] */
 } Block;
 
+/* Whether the block holds 1..n increasing items, all withdrawn or else all
+ * in one cluster: the exports below check it before touching the state. */
+static int block_ok(const Kernel *k, const Block *b, int withdrawn)
+{
+    if (b->m < 1 || b->m > k->n)
+        return 0;
+    for (int64_t j = 0; j < b->m; j++) {
+        const int64_t i = b->items[j];
+        if (i < 0 || i >= k->n || (j > 0 && i <= b->items[j - 1]))
+            return 0;
+        const int64_t s = k->item_slot[i];
+        if (withdrawn ? s != -1 : (s < 0 || s != k->item_slot[b->items[0]]))
+            return 0;
+    }
+    return 1;
+}
+
 int cdpmix_withdraw(Kernel *k, const Block *b)
 {
+    if (!block_ok(k, b, 0))
+        return BAD_BLOCK;
     return withdraw(k, b->items, b->m);
 }
 
@@ -339,6 +359,8 @@ int cdpmix_price_block(Kernel *k, Block *b)
 {
     const int64_t n = k->n, pmax = k->pmax, m = b->m, live = *k->n_clusters;
     double *z = k->zs;
+    if (!block_ok(k, b, 1))
+        return BAD_BLOCK;
     b->live = live;
     for (int64_t j = 0; j < live; j++) {
         const int64_t s = k->order[j];
@@ -395,6 +417,9 @@ int cdpmix_price_block(Kernel *k, Block *b)
  * prices it. */
 int cdpmix_place(Kernel *k, const Block *b, int64_t target, double log_m_after, int reprice)
 {
+    if (!block_ok(k, b, 1) || target >= k->n || target < -k->n_colours
+        || (target >= 0 && k->count[target] == 0))
+        return BAD_BLOCK;
     for (int64_t j = 0; j < b->m; j++) {
         insert(k, b->items[j], target, log_m_after);
         target = k->item_slot[b->items[j]];

@@ -55,6 +55,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # the kernel's status codes, as NumericalError messages of the Python sweep
 _ERRORS = {1: "posterior rate collapsed to a non-positive value",
            2: "all reallocation weights vanished"}
+_BAD_BLOCK = 3
 
 
 def _compile(target: Path) -> None:
@@ -320,7 +321,12 @@ class SweepArrays:
 
 
 def _check(status: int) -> None:
-    """Raise the Python sweep's error for a kernel status other than 0."""
+    """Raise the Python sweep's error for a kernel status other than 0, or a
+    ValueError for a block that the kernel refused before touching the state."""
+    if status == _BAD_BLOCK:
+        raise ValueError("a block must hold increasing items of one cluster, withdrawn "
+                         "before it is priced or placed, and be placed in a live slot "
+                         "or a new cluster of a model colour")
     if status:
         raise NumericalError(_ERRORS[status])
 

@@ -1264,6 +1264,44 @@ def test_ctypes_structs_mirror_the_kernel_source(mirror):
     assert fields == mirror._fields_
 
 
+@pytest.mark.parametrize("case", [
+    "empty", "two clusters", "repeated", "decreasing", "out of range", "price unwithdrawn",
+    "place unwithdrawn", "place in a freed slot", "place in no colour", "place past the slots"])
+def test_kernel_refuses_a_bad_block_and_leaves_the_state(case):
+    # the block exports index the state by the items they are handed: a
+    # block they cannot act on is refused before anything is written
+    needs_kernel()
+    model = DirichletProcess(1.0)
+    state = ChainState.from_partition(model, build_engines(make_data(6), DESIGN, SPEC, model),
+                                      Partition([[0, 1, 2], [3, 4], [5]]),
+                                      np.random.default_rng(3))
+    arrays = state._kernel_arrays()
+    state._to_arrays(arrays)  # clusters {0, 1, 2}, {3, 4}, {5} in slots 0, 1, 2
+    if case.startswith("place") or case == "price unwithdrawn":
+        arrays.withdraw([5] if case == "place in a freed slot" else [0, 1])
+    if case in ("place unwithdrawn", "price unwithdrawn"):
+        arrays.place(0, 0.0, reprice=True)
+    names = ("n_clusters", "n_free", "order", "count", "colour_totals", "item_slot", "z", "yty",
+             "log_m", "block_least", "block_after")
+    before = [getattr(arrays, name).copy() for name in names]
+    refused = {
+        "empty": lambda: arrays.withdraw([]),
+        "two clusters": lambda: arrays.withdraw([2, 3]),
+        "repeated": lambda: arrays.withdraw([0, 0]),
+        "decreasing": lambda: arrays.withdraw([1, 0]),
+        "out of range": lambda: arrays.withdraw([5, 6]),
+        "price unwithdrawn": arrays.price_block,
+        "place unwithdrawn": lambda: arrays.place(1, 0.0),
+        "place in a freed slot": lambda: arrays.place(2, 0.0),
+        "place in no colour": lambda: arrays.place(-2, 0.0),
+        "place past the slots": lambda: arrays.place(6, 0.0),
+    }[case]
+    with pytest.raises(ValueError, match="^a block must hold increasing items of one cluster"):
+        refused()
+    for name, was in zip(names, before):
+        assert bits(getattr(arrays, name).ravel()) == bits(was.ravel()), name
+
+
 @pytest.mark.parametrize("record_at", [[3], [-1], [1, 1], [2, 0]])
 def test_kernel_rejects_records_outside_the_block_or_out_of_order(record_at):
     needs_kernel()
