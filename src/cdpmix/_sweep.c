@@ -352,12 +352,28 @@ int cdpmix_withdraw(Kernel *k, const Block *b)
     return withdraw(k, b->items, b->m);
 }
 
+/* _summed: z is `start` (zeros when NULL) plus each block item's xi of
+ * colour c in turn; returns 0.0 plus their yy in turn */
+static double summed(const Kernel *k, int64_t c, const Block *b, const double *start, double *z)
+{
+    double yty = 0.0;
+    for (int64_t d = 0; d < k->p[c]; d++)
+        z[d] = start ? start[d] : 0.0;
+    for (int64_t j = 0; j < b->m; j++) {
+        const double *x = k->xi + (c * k->n + b->items[j]) * k->pmax;
+        for (int64_t d = 0; d < k->p[c]; d++)
+            z[d] = z[d] + x[d];
+        yty += k->yy[c * k->n + b->items[j]];
+    }
+    return yty;
+}
+
 /* The marginals subset_candidates prices: a live cluster's with the block's
  * statistics, summed from zero, added to its own, and a new cluster's from
- * the colour's z0 and the items added one by one, as _summed adds them. */
+ * the colour's z0 and the items added one by one. */
 int cdpmix_price_block(Kernel *k, Block *b)
 {
-    const int64_t n = k->n, pmax = k->pmax, m = b->m, live = *k->n_clusters;
+    const int64_t pmax = k->pmax, m = b->m, live = *k->n_clusters;
     double *z = k->zs;
     if (!block_ok(k, b, 1))
         return BAD_BLOCK;
@@ -370,21 +386,13 @@ int cdpmix_price_block(Kernel *k, Block *b)
         b->log_m[j] = k->log_m[s];
         k->rank[s] = j;
     }
-    for (int64_t i = 0; i < n; i++) {
+    for (int64_t i = 0; i < k->n; i++) {
         const int64_t s = k->item_slot[i];
         if (s >= 0 && b->least[k->rank[s]] < 0)
             b->least[k->rank[s]] = i;
     }
     for (int64_t c = 0; c < k->n_colours; c++) {
-        double yty = 0.0;
-        for (int64_t d = 0; d < k->p[c]; d++)
-            z[d] = 0.0;
-        for (int64_t j = 0; j < m; j++) {
-            const double *x = k->xi + (c * n + b->items[j]) * pmax;
-            for (int64_t d = 0; d < k->p[c]; d++)
-                z[d] = z[d] + x[d];
-            yty += k->yy[c * n + b->items[j]];
-        }
+        double yty = summed(k, c, b, NULL, z);
         for (int64_t j = 0; j < live; j++) {
             const int64_t s = k->order[j];
             if (k->colour[s] != c)
@@ -394,15 +402,7 @@ int cdpmix_price_block(Kernel *k, Block *b)
             if (status != OK)
                 return status;
         }
-        yty = 0.0;
-        for (int64_t d = 0; d < k->p[c]; d++)
-            z[d] = k->z0[c * pmax + d];
-        for (int64_t j = 0; j < m; j++) {
-            const double *x = k->xi + (c * n + b->items[j]) * pmax;
-            for (int64_t d = 0; d < k->p[c]; d++)
-                z[d] = z[d] + x[d];
-            yty += k->yy[c * n + b->items[j]];
-        }
+        yty = summed(k, c, b, k->z0 + c * pmax, z);
         const int status = log_marginal(k, c, m, z, yty, NULL, 0.0, &b->after[live + c]);
         if (status != OK)
             return status;
