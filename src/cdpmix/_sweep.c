@@ -42,8 +42,8 @@
  *   cdpmix_record       takes a record of the state now;
  *   cdpmix_read_trace   reads the body of a trace.csv as write_trace writes it.
  * The block moves' draws and prior stay in Python: these exports only move
- * items and price marginals, so a chain can run subset moves between
- * one-sweep blocks without copying its state out of the arrays. They refuse
+ * items and price marginals, so a chain's state stays in these arrays from
+ * its first block to its last, subset moves and records included. They refuse
  * a block they cannot act on (BAD_BLOCK) before writing anything.
  * Chains revisit few states, so the reader parses each distinct
  * label-and-colour text once: a line whose text it has seen before is matched

@@ -14,11 +14,11 @@ with numpy.
 
 ``SweepArrays`` holds one chain's tables in the flat arrays the kernel
 reads -- the prior's urn tables, whatever the family, and the engines'
-marginal tables -- and a working copy of its state. ``gibbs.ChainState.sweep``
-copies its state in before each block and back after it; a chain with
-subset moves copies it in once and keeps it there, running each sweep with
-``run``, each move through ``withdraw``, ``price_block`` and ``place``, and
-each record with ``record``, until it copies the state back at its end. A
+marginal tables -- and its state. ``gibbs.ChainState.run`` copies a chain's
+state in once, at its first sweep, and keeps it there, running each block
+of sweeps with ``run``, each subset move through ``withdraw``,
+``price_block`` and ``place``, and each record between blocks with
+``record``, until it copies the state back at the chain's end. A
 block returns the ``Records`` of the sweeps it was asked to record;
 ``record`` writes one into buffers allocated once per chain.
 
@@ -189,9 +189,9 @@ class SweepArrays:
     ``urn`` is the prior's ``urn_tables(n)``, one ``NIGEngine`` per colour:
     the kernel's ``log_marginal`` ports its ``log_m`` from ``xi``, ``yy``,
     ``singles``, ``z0`` and its evaluator's ``table`` and ``rate_base``.
-    The state arrays are public; ``run`` sweeps them in place, and
-    ``withdraw``, ``price_block``, ``place`` and ``record`` act on them
-    between sweeps. Each raises the Python sweep's ``NumericalError``.
+    The state arrays are public and hold a whole chain's state: ``run``
+    sweeps them in place, and ``withdraw``, ``price_block``, ``place`` and
+    ``record`` act on them between blocks. Each raises the Python sweep's errors.
     """
 
     def __init__(self, lib: ctypes.CDLL, urn, engines, n: int):

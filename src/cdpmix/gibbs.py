@@ -26,29 +26,21 @@ Trace records and ``log_joint`` score the prior from the same sizes, read off
 the live clusters without building a partition. Every prior a chain scores
 goes through ``_log_prior``, which remembers it per distinct size key.
 
-``ChainState.sweep`` runs whole sweeps of single-item moves. Where the
-compiled kernel (``_sweep.c``, see ``_sweep``) builds and every engine is an
-``NIGEngine``, it runs a block of sweeps, under any prior, over flat arrays
-of the state and of the same urn and marginal tables. It repeats the
-arithmetic and the draws of ``reallocate_item`` with the block's uniforms
-drawn in one call, so it reaches the same state bit for bit;
-``reallocate_item`` stays as the reference and the fallback. Without subset
-moves ``ChainState.run`` hands it the whole chain in blocks of at most
-``_BLOCK_UNIFORMS`` uniforms, and the kernel takes the retained sweeps'
-records itself: their canonical labels, cluster
-sizes and cluster marginals, which ``_kernel_records`` scores with the prior.
-For ``sweep`` the arrays are a working copy that lasts one block: the state
-is copied in before it (``_to_arrays``) and back after it (``_from_arrays``),
-so ``clusters``, ``item_cluster`` and ``colour_totals`` hold the state
-between calls.
-
-With subset moves a chain runs one sweep at a time. On the kernel its state
-is copied into the arrays once and stays there until the chain ends:
-``_ArrayState`` runs each sweep, each move and each record on the arrays,
-through the kernel's block-move exports, and only then is the state copied
-back. ``_subset_move`` is the one body of the move for both states: it
-makes every draw, prices the prior and takes the Metropolis-Hastings step,
-and asks the state only to pick, withdraw, price marginals and place.
+``ChainState``'s step methods and its ``sweep`` are the Python reference;
+``ChainState.run`` (and ``run_chain``) is the compiled entry. Where the
+kernel (``_sweep.c``, see ``_sweep``) builds and every engine is an
+``NIGEngine``, ``run`` copies the state into the kernel's flat arrays once
+(``_ArrayState``, through ``_to_arrays``) and keeps it there until the chain
+ends, then copies it back (``_from_arrays``). In between the kernel runs
+blocks of sweeps under any prior, repeating the arithmetic and the draws of
+``reallocate_item`` with each block's uniforms drawn in one call, so it
+reaches the same state bit for bit. It takes the retained sweeps' records
+itself: their canonical labels, cluster sizes and cluster marginals, which
+``_kernel_records`` scores with the prior. Subset moves act on the arrays
+through the kernel's block-move exports. ``_subset_move`` is the one body of
+the move for both states: it makes every draw, prices the prior and takes
+the Metropolis-Hastings step, and asks the state only to pick, withdraw,
+price marginals and place.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Sequence
@@ -191,8 +183,8 @@ class ChainState:
         self._urn = model.urn_tables(n)
         # log_eppf_sizes by per-colour size tuples, read through _log_prior
         self._priors: dict[tuple[tuple[int, ...], ...], float] = {}
-        # the compiled kernel's working arrays: None without the kernel,
-        # False until the first sweep looks
+        # the compiled kernel's arrays: None without the kernel, False until
+        # the first run looks
         self._arrays: _sweep.SweepArrays | None | bool = False
         if initial is None:
             initial = self._default_initial()
@@ -385,38 +377,24 @@ class ChainState:
         idx = _draw(logw, self.rng)
         self._insert(i, moves[idx], after[idx])
 
-    # -- blocks of sweeps: compiled when the kernel is available -------------
+    # -- chains: the Python reference, and the compiled entry ----------------
 
     def sweep(self, sweeps: int = 1, keep=(), first: int = 0) -> list[TraceRecord]:
-        """Reallocate items 0..n-1 in order, ``sweeps`` times over, and return
-        the trace record of each sweep whose number is in ``keep``, the
-        block's sweeps being numbered from ``first``.
+        """Reallocate items 0..n-1 in order with ``reallocate_item``,
+        ``sweeps`` times over, and return the record of each sweep whose
+        number is in ``keep``, the block's sweeps being numbered from
+        ``first``. The Python reference of ``_ArrayState.sweep``."""
+        records = []
+        for sweep in range(first, first + sweeps):
+            for i in range(self.n):
+                self.reallocate_item(i)
+            if sweep in keep:
+                records.append(self.record(sweep))
+        return records
 
-        The compiled kernel runs the block when it builds and every engine
-        is an ``NIGEngine``, drawing the block's uniforms with one
-        ``rng.random(n * sweeps)`` call; it reaches the same state, cluster
-        ids and generator state as ``reallocate_item`` item by item, which
-        runs otherwise, and takes the records as ``_record`` would. The state
-        is copied into the kernel's arrays before the block and back after it,
-        so a block that raises leaves the state as it was before the block.
-        A chain with subset moves does not come through here: ``run`` keeps
-        its state in the arrays from its first sweep to its last.
-        """
-        arrays = self._kernel_arrays()
-        kept = [sweep for sweep in range(first, first + sweeps) if sweep in keep] if keep else []
-        if arrays is None:
-            records = []
-            for sweep in range(first, first + sweeps):
-                for i in range(self.n):
-                    self.reallocate_item(i)
-                if sweep in keep:
-                    records.append(_record(self, sweep))
-            return records
-        self._to_arrays(arrays)
-        taken = arrays.run(self.rng.random(self.n * sweeps), sweeps,
-                           [sweep - first for sweep in kept])
-        self._from_arrays(arrays)
-        return _kernel_records(self._log_prior, self.model.n_colours, kept, taken) if kept else []
+    def record(self, sweep: int) -> TraceRecord:
+        """The trace record of the current state, numbered ``sweep``."""
+        return _scored(self._log_prior, sweep, *self.canonical(), self.log_likelihood())
 
     def _kernel_arrays(self) -> _sweep.SweepArrays | None:
         """The kernel's arrays for this chain, built on first use; None when
@@ -433,34 +411,29 @@ class ChainState:
         generator (``plan.seed`` is not read here) and return the retained
         trace.
 
-        Without subset moves nothing between sweeps reads the state or
-        draws, so ``sweep`` runs blocks until their uniforms reach
-        ``_BLOCK_UNIFORMS`` or the chain ends. With them each sweep is one
-        block, then a move with probability ``plan.subset_move_rate``, then
-        its record if it is retained. On the kernel the state is copied into
-        its arrays once, the sweeps, moves and records act on the arrays
-        through ``_ArrayState``, and the state is copied back at the end, so
-        a run that raises there leaves the state as it was before the run.
+        The chain is an ``_ArrayState`` where the kernel builds and every
+        engine is an ``NIGEngine``, else this state itself. Without subset
+        moves nothing between sweeps reads the state or draws, so a block
+        runs sweeps until its uniforms reach ``_BLOCK_UNIFORMS`` or the chain
+        ends, and takes the retained records in-block. With them a block is
+        one sweep, then a move with probability ``plan.subset_move_rate``,
+        then the sweep's record if it is retained. The arrays' state is
+        copied back once, at the end, so a run that raises leaves the state
+        as it was before the run.
         """
         kept = range(plan.burn_in, plan.sweeps, plan.thin)
-        if plan.subset_move_rate == 0:
-            block = max(_BLOCK_UNIFORMS // self.n, 1)
-            return [rec for first in range(0, plan.sweeps, block)
-                    for rec in self.sweep(min(block, plan.sweeps - first), kept, first)]
+        rate = plan.subset_move_rate
         arrays = self._kernel_arrays()
-        if arrays is None:
-            chain, take = self, partial(_record, self)
-        else:
-            self._to_arrays(arrays)
-            chain = _ArrayState(self, arrays)
-            take = chain.record
+        chain = self if arrays is None else _ArrayState(self, arrays)
+        block = 1 if rate else max(_BLOCK_UNIFORMS // self.n, 1)
         trace = []
-        for sweep in range(plan.sweeps):
-            chain.sweep()
-            if self.rng.random() < plan.subset_move_rate:
-                chain.random_subset_move(plan.subset_max_size)
-            if sweep in kept:
-                trace.append(take(sweep))
+        for first in range(0, plan.sweeps, block):
+            trace += chain.sweep(min(block, plan.sweeps - first), () if rate else kept, first)
+            if rate:
+                if self.rng.random() < rate:
+                    chain.random_subset_move(plan.subset_max_size)
+                if first in kept:
+                    trace.append(chain.record(first))
         if arrays is not None:
             self._from_arrays(arrays)
         return trace
@@ -516,10 +489,15 @@ class ChainState:
              for cl in clusters],
             [eng.log_m(m, *_summed(eng, block)) for eng in self.engines])
 
-    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float) -> None:
-        """Insert a withdrawn block: the first item as ``move`` says, the rest beside it."""
+    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float | None) -> None:
+        """Insert a withdrawn block: the first item as ``move`` says, the rest
+        beside it. A ``log_m_after`` of None prices the receiving cluster
+        afresh from the statistics the items were added to."""
         for i in block:
             move = ("existing", self._insert(i, move, log_m_after))
+        if log_m_after is None:
+            cl = self.clusters[move[1]]
+            cl.log_m = self.engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
 
     def random_subset_move(self, max_size: int = 8) -> None:
         """One randomly-selected block move, corrected for selection asymmetry
@@ -540,33 +518,29 @@ class ChainState:
     def _size(self, cid: int) -> int:
         return len(self.clusters[cid].members)
 
-    def _put_back(self, block: list[int], cid: int, colour: int) -> None:
-        """Return a withdrawn block to cluster ``cid``, or to a new cluster of
-        ``colour`` if it was all of ``cid``, priced from the statistics the
-        items are added to one by one."""
-        eng = self.engines[colour]
-        if cid in self.clusters:
-            origin = self.clusters[cid]
-            self._place(block, ("existing", cid),
-                        eng.log_m(len(origin.members) + len(block),
-                                  *_summed(eng, block, origin.z, origin.yty)))
-        else:
-            self._place(block, ("new", colour), eng.log_m(len(block), *_summed(eng, block)))
-
 
 class _ArrayState:
     """A chain's state while it lives in the kernel's arrays, as
-    ``ChainState.run`` keeps it with subset moves: one-sweep blocks, the
-    move's state operations through the kernel's block exports, and records
-    taken by the kernel. Clusters are keyed by slot."""
+    ``ChainState.run`` keeps it from its first sweep to its last: blocks of
+    sweeps that take their records in-block, the move's state operations
+    through the kernel's block exports, and records taken by the kernel.
+    Constructing one copies ``state`` into ``arrays``. Clusters are keyed by
+    slot."""
 
     def __init__(self, state: ChainState, arrays: _sweep.SweepArrays):
+        state._to_arrays(arrays)
         self.rng, self.n, self.n_colours = state.rng, state.n, state.model.n_colours
         self._log_prior = state._log_prior
         self.arrays = arrays
 
-    def sweep(self) -> None:
-        self.arrays.run(self.rng.random(self.n), 1)
+    def sweep(self, sweeps: int = 1, keep=(), first: int = 0) -> list[TraceRecord]:
+        """``ChainState.sweep`` on the kernel, with the block's uniforms
+        drawn in one ``rng.random(n * sweeps)`` call: the same state, cluster
+        ids, generator state and records, bit for bit."""
+        kept = [sweep for sweep in range(first, first + sweeps) if sweep in keep] if keep else []
+        taken = self.arrays.run(self.rng.random(self.n * sweeps), sweeps,
+                                [sweep - first for sweep in kept])
+        return _kernel_records(self._log_prior, self.n_colours, kept, taken) if kept else []
 
     def random_subset_move(self, max_size: int) -> None:
         _subset_move(self, max_size)
@@ -597,12 +571,11 @@ class _ArrayState:
                               a.block_least[:d].tolist(), a.block_log_m[:d].tolist(),
                               after[:d], after[d:])
 
-    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float) -> None:
+    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float | None) -> None:
         kind, key = move
-        self.arrays.place(key if kind == "existing" else -1 - key, log_m_after)
-
-    def _put_back(self, block: list[int], slot: int, colour: int) -> None:
-        self.arrays.place(slot if self.arrays.count[slot] else -1 - colour, 0.0, reprice=True)
+        reprice = log_m_after is None
+        self.arrays.place(key if kind == "existing" else -1 - key,
+                          0.0 if reprice else log_m_after, reprice)
 
 
 def _block_options(log_prior, block: list[int], keys: list[int], colours: list[int],
@@ -694,8 +667,9 @@ def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
             chain._place(block, moves[idx], after[idx])
             return
     # rejected, or no placement is possible (only from a zero-probability
-    # state): the block goes back where it came from
-    chain._put_back(block, key, colour)
+    # state): the block goes back where it came from, or to a new cluster
+    # of its colour if it was all of it, priced afresh
+    chain._place(block, ("existing", key) if remaining == degree else ("new", colour), None)
 
 
 @lru_cache(maxsize=4096)
@@ -775,16 +749,12 @@ def _scored(log_prior, sweep: int, labels: tuple, colours: tuple,
                        log_prior(sizes) + log_likelihood)
 
 
-def _record(state: ChainState, sweep: int) -> TraceRecord:
-    """The record of the chain's current state."""
-    return _scored(state._log_prior, sweep, *state.canonical(), state.log_likelihood())
-
-
 def _kernel_records(log_prior, n_colours: int, sweeps: list[int],
                     taken: _sweep.Records) -> list[TraceRecord]:
-    """The records the kernel took of ``sweeps``, scored as ``_record``
-    scores them: the log likelihood is the built-in ``sum`` of the clusters'
-    marginals in insertion order, as ``log_likelihood`` adds them."""
+    """The records the kernel took of ``sweeps``, scored as
+    ``ChainState.record`` scores them: the log likelihood is the built-in
+    ``sum`` of the clusters' marginals in insertion order, as
+    ``log_likelihood`` adds them."""
     cluster_colour, cluster_size = taken.cluster_colour.tolist(), taken.cluster_size.tolist()
     log_m = taken.log_m.tolist()
     records, start = [], 0

@@ -409,7 +409,6 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
             # gives the same options and doubles, its slots standing for ids
             resident = ChainState.from_partition(model, engines, p)
             cids, arrays = list(resident.clusters), resident._kernel_arrays()
-            resident._to_arrays(arrays)
             on_arrays = gibbs._ArrayState(resident, arrays)
             on_arrays._withdraw(*block)
             got = on_arrays.subset_candidates(block)
@@ -668,16 +667,17 @@ def test_trace_log_posterior_is_recomputable():
         assert rec.log_posterior == pytest.approx(lp, abs=1e-8)
 
 
-def test_cache_stays_coherent_over_many_sweeps(sweep_path):
+def test_cache_stays_coherent_over_many_sweeps(sweep_path, monkeypatch):
     Y = make_data(6, seed=30)
     model = BackgroundDirichletProcess(2.0, 1.0)
     engines = build_engines(Y, DESIGN, [BG_SPEC, SPEC], model)
     state = ChainState(model, engines, 6, np.random.default_rng(8))
+    calls = counting_kernel_runs(monkeypatch)
     worst = 0.0
     for _ in range(3):
-        state.sweep(100)
+        state.run(SweepPlan(sweeps=100))
         worst = max(worst, state.refresh_cache_())
-    assert (state._arrays is not None) == (sweep_path == "compiled")
+    assert calls["run"] == (3 if sweep_path == "compiled" else 0)
     assert worst < 1e-8
     # the refresh rebuilds the incrementally updated statistics from the
     # members, so drift in them is reported and repaired, not just in log_m
@@ -781,15 +781,15 @@ MEAN_SPEC = NormalGammaSpec(1.0, 1.0, [0.6, -0.4], np.eye(2))  # z0 != 0 without
     ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)]),
     BackgroundDirichletProcess(1.5, 1.0),
 ], ids=["dp", "dm-saturated", "py", "cdp", "background"])
-def test_fused_reallocation_matches_step_by_step_composition(model, case):
+def test_fused_reallocation_matches_step_by_step_composition(model, case, monkeypatch):
     # reallocate_item's fused draw against the composition with
     # _sample_index's cumulative walk: same labels, statistics, marginals and
     # RNG stream, bit for bit; every cached marginal must also equal
     # log_marginal_z of the cached statistics, which pins the inline pricing.
-    # The compiled kernel, run in blocks of one and of several sweeps that
-    # record every third sweep from sweep 2, must reach the same state and
-    # generator state at every block's end, and take the records _record
-    # takes of the step-by-step chain.
+    # The compiled kernel, run on its arrays in blocks of one and of several
+    # sweeps that record every third sweep from sweep 2, must reach the same
+    # state and generator state at every block's end, once copied back, and
+    # take the records ChainState.record takes of the step-by-step chain.
     design = X_DESIGN if case == "X" else DESIGN
     regular = {"no-X": SPEC, "X": X_SPEC, "no-X-mean": MEAN_SPEC}[case]
     if isinstance(model, BackgroundDirichletProcess):
@@ -810,6 +810,9 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case):
     kinds = Counter()
     keep = range(2, 30, 3)
     first = 0
+    calls = counting_kernel_runs(monkeypatch)
+    arrays = compiled._kernel_arrays()
+    chain = compiled if arrays is None else gibbs._ArrayState(compiled, arrays)
     for block in [1, 1, 4, 1, 7, 2, 1, 13]:  # 30 sweeps
         expected = []
         for sweep in range(first, first + block):
@@ -824,11 +827,13 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case):
                 for cl in fused.clusters.values():
                     assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
             if sweep in keep:
-                expected.append(gibbs._record(steps, sweep))
-        assert_same_records(compiled.sweep(block, keep, first), expected)
+                expected.append(steps.record(sweep))
+        assert_same_records(chain.sweep(block, keep, first), expected)
+        if arrays is not None:
+            compiled._from_arrays(arrays)
         assert_same_state(compiled, steps)
         first += block
-    assert (compiled._arrays is not None) == (_sweep.library() is not None)
+    assert calls["run"] == (8 if _sweep.library() is not None else 0)
     assert kinds["existing"] > 100 and kinds["new"] > 0
 
 
@@ -860,7 +865,8 @@ def test_accepted_move_weight_equals_joint_change():
     # one item, and a Pitman-Yor strength that gives a first cluster no weight
     (PitmanYor(0.5, -0.4), "all reallocation weights vanished"),
 ], ids=["rate", "weights"])
-def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_path):
+def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_path,
+                                                       monkeypatch):
     n = 4 if isinstance(model, DirichletProcess) else 1
     engines = build_engines(make_data(n), DESIGN, SPEC, model)
     state = ChainState(model, engines, n, np.random.default_rng(3))
@@ -869,8 +875,10 @@ def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_pa
         # rate computed is a candidate's, priced from the evaluator's rate_base
         for eng in engines:
             eng.evaluator.rate_base = -1e6
+    calls = counting_kernel_runs(monkeypatch)
     with pytest.raises(NumericalError, match=f"^{message}$"):
-        state.sweep(2)
+        state.run(SweepPlan(sweeps=2))
+    assert calls["run"] == (sweep_path == "compiled")
 
 
 def counting_kernel_runs(monkeypatch) -> Counter:
@@ -947,7 +955,7 @@ def needs_kernel():
 @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
 def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkeypatch):
     # without subset moves the kernel takes every record inside its block:
-    # each must equal _record of the view copied back after that sweep, for
+    # each must equal ChainState.record of the view copied back after that sweep, for
     # thin 1, 3 and 7 and burn-ins that are not multiples of thin. With
     # subset moves the state stays in the kernel's arrays for the whole
     # chain, where the moves and the records act on it, and the chain must
@@ -964,19 +972,22 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
     if rate > 0:
         plan = SweepPlan(sweeps=90, burn_in=13, thin=4, subset_move_rate=rate, seed=8)
         seen = Counter()
-        put_back, options = gibbs._ArrayState._put_back, gibbs._block_options
+        place, options = gibbs._ArrayState._place, gibbs._block_options
 
-        def counted_put_back(chain, block, slot, colour):
-            seen["rejected"] += 1
-            seen["whole"] += not chain.arrays.count[slot]
-            return put_back(chain, block, slot, colour)
+        def counted_place(chain, block, move, log_m_after):
+            # a block put back is priced afresh, in a new cluster if it was
+            # all of its own
+            if log_m_after is None:
+                seen["rejected"] += 1
+                seen["whole"] += move[0] == "new"
+            return place(chain, block, move, log_m_after)
 
         def counted_options(log_prior, block, keys, *rest):
             moves, logw, after = options(log_prior, block, keys, *rest)
             seen["ruled out"] += len(moves) < len(keys) + model.n_colours
             return moves, logw, after
 
-        monkeypatch.setattr(gibbs._ArrayState, "_put_back", counted_put_back)
+        monkeypatch.setattr(gibbs._ArrayState, "_place", counted_place)
         monkeypatch.setattr(gibbs, "_block_options", counted_options)
         for case in ["no-X", "X", "no-X-mean"]:
             design = X_DESIGN if case == "X" else DESIGN
@@ -993,7 +1004,7 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
 
             (compiled, compiled_trace), (python, python_trace) = on_both_paths(
                 monkeypatch, chain)
-            assert compiled._arrays is not None and python._arrays is None
+            assert isinstance(compiled._arrays, _sweep.SweepArrays) and python._arrays is None
             assert len(compiled_trace) == len(range(13, 90, 4))
             assert_same_records(compiled_trace, python_trace)
             assert_same_state(compiled, python)
@@ -1002,39 +1013,48 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
         assert bool(seen["ruled out"]) == isinstance(
             model, (DirichletMultinomial, BackgroundDirichletProcess))
         return
-    record, sources = gibbs._record, Counter()
+    record, sources = ChainState.record, Counter()
 
     def counted(state, sweep):
         sources["python"] += 1
         return record(state, sweep)
 
-    monkeypatch.setattr(gibbs, "_record", counted)
+    monkeypatch.setattr(ChainState, "record", counted)
     engines = build_engines(Y, DESIGN, specs, model)
     for burn_in, thin in [(5, 1), (13, 3), (9, 7)]:
         plan = SweepPlan(sweeps=60, burn_in=burn_in, thin=thin, seed=8)
         taken = run_chain(Y, DESIGN, model, specs, plan, engines=engines)
         assert not sources  # the kernel took every record
-        # the same chain one sweep per block, each retained sweep recorded
-        # from the view copied back after it
+        # the same chain one sweep per block on the arrays, each retained
+        # sweep recorded from the view copied back after it
         state = ChainState(model, engines, 9, np.random.default_rng(8))
+        arrays = state._kernel_arrays()
+        on_arrays = gibbs._ArrayState(state, arrays)
         expected = []
         for sweep in range(plan.sweeps):
-            assert state.sweep() == []
+            assert on_arrays.sweep() == []
             if sweep >= burn_in and (sweep - burn_in) % thin == 0:
+                state._from_arrays(arrays)
                 expected.append(record(state, sweep))
         assert len(taken) == len(range(burn_in, 60, thin))
         assert_same_records(taken, expected)
 
 
-@pytest.mark.parametrize("schedule", ["rat-run", "subset-every-sweep"])
+@pytest.mark.parametrize("schedule", ["rat-run", "rat-run-in-nine-blocks",
+                                      "subset-every-sweep"])
 def test_each_block_copies_the_state_in_and_back_once(schedule, monkeypatch):
     # the rat-run schedule (400 sweeps, burn-in 200, every later sweep
-    # recorded) is one kernel call that takes the records itself; a subset
-    # move after every sweep makes every sweep a kernel call of its own, while
-    # the state stays in the arrays from the chain's start to its end
+    # recorded) is one kernel call that takes the records itself, or nine
+    # when a block holds at most 45 sweeps; a subset move after every sweep
+    # makes every sweep a kernel call of its own. Either way the state stays
+    # in the arrays from the chain's start to its end
     needs_kernel()
     from cdpmix.pipeline import parse_config
-    sweeps, burn_in, rate = (400, 200, 0.0) if schedule == "rat-run" else (30, 10, 1.0)
+    sweeps, burn_in, rate = (30, 10, 1.0) if schedule == "subset-every-sweep" else (400, 200, 0.0)
+    blocks = 1
+    if schedule == "rat-run-in-nine-blocks":
+        monkeypatch.setattr(gibbs, "_BLOCK_UNIFORMS", 45 * 112)  # 45 sweeps of 112 items
+        blocks = 9
     cfg = parse_config({"preset": "wen-rat", "sweeps": sweeps, "burn_in": burn_in, "seed": 3,
                         "subset_move_rate": rate, "out": "unused"})
     calls = Counter()
@@ -1049,10 +1069,10 @@ def test_each_block_copies_the_state_in_and_back_once(schedule, monkeypatch):
                       (_sweep.SweepArrays, "run")]:
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
     if rate == 0:
-        monkeypatch.setattr(gibbs, "_record", counted("_record", gibbs._record))
+        monkeypatch.setattr(ChainState, "record", counted("record", ChainState.record))
     trace = run_chain(cfg.dataset.data, cfg.design, cfg.model, cfg.specs, cfg.plan)
     assert [rec.sweep for rec in trace] == list(range(burn_in, sweeps))
-    assert calls == {"_to_arrays": 1, "run": 1 if rate == 0 else sweeps, "_from_arrays": 1}
+    assert calls == {"_to_arrays": 1, "run": blocks if rate == 0 else sweeps, "_from_arrays": 1}
 
 
 @pytest.mark.parametrize("where", ["sweep", "move"])
@@ -1135,18 +1155,20 @@ def test_blocks_end_at_the_uniform_cap_and_keep_the_records(monkeypatch):
 
 
 @pytest.mark.parametrize("error", ["rate", "weights"])
-def test_state_after_a_failed_block_is_the_state_before_it(error):
+def test_state_after_a_failed_block_is_the_state_before_it(error, monkeypatch):
     # a block that raises leaves the arrays mid-move, with an item withdrawn;
-    # the state copied back after the last good block is still the state, as
-    # a twin chain stopped there holds it, and the next block copies it in
+    # the run it belongs to copies nothing back, so the state is the one
+    # before that run, as a twin chain stopped there holds it, and the next
+    # run copies it in and continues it
     needs_kernel()
     n = 4 if error == "rate" else 1
     model = DirichletProcess(1.0) if error == "rate" else PitmanYor(0.5, 1.0)
     state = ChainState(model, build_engines(make_data(n), DESIGN, SPEC, model), n,
                        np.random.default_rng(3))
     twin = ChainState(model, state.engines, n, np.random.default_rng(3))
-    state.sweep(2)
-    twin.sweep(2)
+    calls = counting_kernel_runs(monkeypatch)
+    state.run(SweepPlan(sweeps=2))
+    twin.run(SweepPlan(sweeps=2))
     if error == "rate":
         saved, table = state._arrays.rate_base.copy(), state._arrays.rate_base
         table[:] = -1e6
@@ -1154,16 +1176,17 @@ def test_state_after_a_failed_block_is_the_state_before_it(error):
         saved, table = state._arrays.by_degree.copy(), state._arrays.by_degree
         table[0] = -0.4  # a first cluster's weight under a strength of -0.4
     with pytest.raises(NumericalError, match="^(posterior rate|all reallocation)"):
-        state.sweep(2)
+        state.run(SweepPlan(sweeps=2))
     assert state.snapshot() == twin.snapshot()
     assert sorted(i for cl in state.clusters.values() for i in cl.members) == list(range(n))
     assert all(i in state.clusters[cid].members for i, cid in enumerate(state.item_cluster))
     assert sum(state.colour_totals) == n
     table[:] = saved
     twin.rng.random(2 * n)  # the failed block's uniforms
-    state.sweep(1)
-    twin.sweep(1)
+    state.run(SweepPlan(sweeps=1))
+    twin.run(SweepPlan(sweeps=1))
     assert_same_state(state, twin)
+    assert calls["run"] == 5
 
 
 def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog, tmp_path):
@@ -1308,6 +1331,7 @@ def test_kernel_rejects_records_outside_the_block_or_out_of_order(record_at):
     model = DirichletProcess(1.0)
     state = ChainState(model, build_engines(make_data(4), DESIGN, SPEC, model), 4,
                        np.random.default_rng(3))
-    state.sweep()
+    arrays = state._kernel_arrays()
+    state._to_arrays(arrays)
     with pytest.raises(ValueError, match="record_at must increase within"):
-        state._arrays.run(np.full(12, 0.5), 3, record_at)
+        arrays.run(np.full(12, 0.5), 3, record_at)
