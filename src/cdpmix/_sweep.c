@@ -5,10 +5,11 @@
  * This is the compiled form of ChainState.reallocate_item (gibbs.py) applied
  * to items 0..n-1 in order, `sweeps` times over. It repeats the Python sweep
  * operation for operation: every log marginal through log_marginal, the one
- * compiled port of the engine's log_m, the candidates in the insertion order
- * of the live clusters (existing ones, then one new cluster per colour)
- * priced through the prior's urn tables, and the draw of _draw, one uniform
- * against the running totals of exp(logw - max). Built without fast-math and without
+ * compiled port of NIGEngine.log_marginal_z (one engine per prior, shared by
+ * the colours that have it), the candidates in the insertion order of the
+ * live clusters (existing ones, then one new cluster per colour) priced
+ * through the prior's urn tables, and the draw of _draw, one uniform against
+ * the running totals of exp(logw - max). Built without fast-math and without
  * contraction into fused multiply-adds, it gives the same doubles as the
  * interpreter, so a seeded chain draws the same states.
  *

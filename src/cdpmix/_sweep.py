@@ -186,9 +186,9 @@ class Records(NamedTuple):
 class SweepArrays:
     """One chain's urn tables, engines and state as the kernel's flat arrays.
 
-    ``urn`` is the prior's ``urn_tables(n)``, one ``NIGEngine`` per colour:
-    the kernel's ``log_marginal`` ports its ``log_m`` from ``xi``, ``yy``,
-    ``singles``, ``z0`` and its evaluator's ``table`` and ``rate_base``.
+    ``urn`` is the prior's ``urn_tables(n)``, ``engines`` a colour's
+    ``NIGEngine`` each: the kernel's ``log_marginal`` ports ``log_marginal_z``
+    from ``xi``, ``yy``, ``singles``, ``z0``, ``rate_base`` and ``table``.
     The state arrays are public and hold a whole chain's state: ``run``
     sweeps them in place, and ``withdraw``, ``price_block``, ``place`` and
     ``record`` act on them between blocks. Each raises the Python sweep's errors.
@@ -206,7 +206,7 @@ class SweepArrays:
         self.new = np.array(new, dtype=f64).reshape(C, n + 1)
         self.by_degree = np.array(by_degree, dtype=f64).reshape(n + 1)
         self.p = np.array(p, dtype=i64)
-        self.rate_base = np.array([eng.evaluator.rate_base for eng in engines], dtype=f64)
+        self.rate_base = np.array([eng.rate_base for eng in engines], dtype=f64)
         self.z0 = np.zeros((C, pmax))
         self.xi = np.zeros((C, n, pmax))
         self.yy = np.array([eng.yy for eng in engines], dtype=f64).reshape(C, n)
@@ -218,7 +218,7 @@ class SweepArrays:
             pc = p[c]
             self.z0[c, :pc] = eng.z0
             self.xi[c, :, :pc] = eng.xi
-            rows = eng.evaluator.table(n + 1)[1:n + 2]
+            rows = eng.table(n + 1)[1:n + 2]
             self.recips[c, 1:, :pc] = np.array([r[0] for r in rows], dtype=f64).reshape(n + 1, pc)
             self.a_post[c, 1:] = [r[1] for r in rows]
             self.cnst[c, 1:] = [r[2] for r in rows]

@@ -339,7 +339,7 @@ def _exact_posterior(model, engines, states) -> np.ndarray:
             continue
         for col, cs in enumerate(p.clusters_by_colour):
             for c in cs:
-                lp += engines[col].log_m(len(c), *_summed(engines[col], c))
+                lp += engines[col].log_marginal_z(len(c), *_summed(engines[col], c))
         logp.append(lp)
     logp = np.asarray(logp)
     out = np.zeros(len(states))
@@ -348,7 +348,7 @@ def _exact_posterior(model, engines, states) -> np.ndarray:
     return out
 
 
-def _item_kernel(model, engines, states, i) -> np.ndarray:
+def _item_kernel(model, engines, states, i, rng) -> np.ndarray:
     """Exact transition matrix of item i's single-item update (identity off the support)."""
     index = {p: j for j, p in enumerate(states)}
     T = np.zeros((len(states), len(states)))
@@ -356,24 +356,24 @@ def _item_kernel(model, engines, states, i) -> np.ndarray:
         if log_eppf(model, p) == LOG_ZERO:
             T[j, j] = 1.0
             continue
-        st = ChainState.from_partition(model, engines, p)
+        st = ChainState(model, engines, p.n, rng, initial=p)
         st._withdraw(i)
         moves, logw, after = st.item_candidates(i)
         w = np.exp(np.asarray(logw) - max(logw))
         w /= w.sum()
         for mv, weight, lm in zip(moves, w, after):
-            nxt = ChainState.from_partition(model, engines, p)
+            nxt = ChainState(model, engines, p.n, rng, initial=p)
             nxt._withdraw(i)
             nxt._insert(i, mv, lm)
             T[j, index[nxt.snapshot()]] += weight
     return T
 
 
-def _one_sweep_matrix(model, engines, states, n) -> np.ndarray:
+def _one_sweep_matrix(model, engines, states, n, rng) -> np.ndarray:
     """Exact transition matrix of a systematic sweep over items 0..n-1."""
     T = np.eye(len(states))
     for i in range(n):
-        T = T @ _item_kernel(model, engines, states, i)
+        T = T @ _item_kernel(model, engines, states, i, rng)
     return T
 
 
@@ -401,13 +401,14 @@ def check_gibbs_invariance(cfg: VerifySettings) -> CheckResult:
     exactly invariant for all five prior families."""
     start = time.perf_counter()
     design, cases = _invariance_cases()
+    rng = np.random.default_rng(SEED)  # the exact kernels draw nothing from it
     details, ok = [], True
     for model, specs, n, Y in cases:
         engines = build_engines(Y, design, specs, model)
         states = (list(enumerate_coloured_partitions(n, model.n_colours))
                   if model.coloured else list(enumerate_partitions(n)))
         pi = _exact_posterior(model, engines, states)
-        T = _one_sweep_matrix(model, engines, states, n)
+        T = _one_sweep_matrix(model, engines, states, n, rng)
         err = float(np.abs(pi @ T - pi).max())
         good = err <= INVARIANCE_TOL
         ok &= good

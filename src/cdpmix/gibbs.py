@@ -12,11 +12,12 @@ Single-item moves use the prior's urn weights times the conjugate predictive
 (Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
 every placement in one pass of ``item_candidates`` -- the urn weight read
 off the prior's ``urn_tables``, built once per chain, the receiving
-cluster's marginal from its engine -- then draws and inserts. Every marginal
-the Python sampler computes comes from the engine's ``log_m`` (``singles``
-caches the new-cluster ones); ``log_marginal`` in ``_sweep.c`` is its one
-compiled port. Every move draws through ``_draw``: one uniform against the
-running totals of the exponentiated weights, found by bisection.
+cluster's marginal from its engine, the ``NIGEngine`` of the colour's prior
+(colours sharing a prior share it) -- then draws and inserts. Every marginal
+the Python sampler computes comes from the engine's ``log_marginal_z``
+(``singles`` caches the new-cluster ones); ``log_marginal`` in ``_sweep.c``
+is its one compiled port. Every move draws through ``_draw``: one uniform
+against the running totals of the exponentiated weights, found by bisection.
 A block move takes a co-clustered block out in one ``_withdraw`` and puts it
 back item by item, ``_insert`` through ``_place``, priced through the
 prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
@@ -29,18 +30,18 @@ goes through ``_log_prior``, which remembers it per distinct size key.
 ``ChainState``'s step methods and its ``sweep`` are the Python reference;
 ``ChainState.run`` (and ``run_chain``) is the compiled entry. Where the
 kernel (``_sweep.c``, see ``_sweep``) builds and every engine is an
-``NIGEngine``, ``run`` copies the state into the kernel's flat arrays once
-(``_ArrayState``, through ``_to_arrays``) and keeps it there until the chain
-ends, then copies it back (``_from_arrays``). In between the kernel runs
-blocks of sweeps under any prior, repeating the arithmetic and the draws of
-``reallocate_item`` with each block's uniforms drawn in one call, so it
-reaches the same state bit for bit. It takes the retained sweeps' records
-itself: their canonical labels, cluster sizes and cluster marginals, which
-``_kernel_records`` scores with the prior. Subset moves act on the arrays
-through the kernel's block-move exports. ``_subset_move`` is the one body of
-the move for both states: it makes every draw, prices the prior and takes
-the Metropolis-Hastings step, and asks the state only to pick, withdraw,
-price marginals and place.
+``NIGEngine``, ``run`` copies the state once into flat arrays built afresh
+from the engines and urn tables (``_ArrayState`` on ``_kernel_arrays``) and
+keeps it there until the chain ends, then copies it back (``_from_arrays``).
+In between the kernel runs blocks of sweeps under any prior, repeating the
+arithmetic and the draws of ``reallocate_item`` with each block's uniforms
+drawn in one call, so it reaches the same state bit for bit. It takes the
+retained sweeps' records itself: their canonical labels, cluster sizes and
+cluster marginals, which ``_kernel_records`` scores with the prior. Subset
+moves act on the arrays through the kernel's block-move exports.
+``_subset_move`` is the one body of the move for both states: it makes every
+draw, prices the prior and takes the Metropolis-Hastings step, and asks the
+state only to pick, withdraw, price marginals and place.
 """
 
 from __future__ import annotations
@@ -64,29 +65,27 @@ from .priors import (LOG_ZERO, BackgroundDirichletProcess, DirichletMultinomial,
                      PartitionPrior, check_kind)
 
 
-class NIGEngine:
-    """Per-colour marginal-likelihood engine over a fixed dataset.
+class NIGEngine(ClusterEvaluator):
+    """One prior's ``ClusterEvaluator`` with a fixed dataset's items bound,
+    shared by every colour with that prior and read-only once built.
 
-    Works in the evaluator's generalized eigenbasis. Item i contributes
-    ``xi[i] = L' W'y_i`` and ``yy[i] = y_i'y_i``, held as Python floats, and
-    a cluster's statistics are its count, ``z = z0 + sum of its xi`` and the
-    sum of its ``yy``. ``log_m(count, z, yty, dz, dyy)`` prices a cluster,
-    optionally with one more item's ``(dz, dyy)`` added, in O(p) scalar
-    arithmetic; ``singles[i]`` is item i's own log marginal. These five are
-    all the Python sampler reads. The compiled sweep ports ``log_m`` and reads
-    the evaluator's per-count table, filled here for every count up to n + 1.
+    Item i contributes ``xi[i] = L' W'y_i`` and ``yy[i] = y_i'y_i``, held as
+    Python floats, and a cluster's statistics are its count, ``z = z0 + sum
+    of its xi`` and the sum of its ``yy``. ``log_marginal_z`` prices a
+    cluster, optionally with one more item's ``(dz, dyy)`` added;
+    ``singles[i]`` is item i's own log marginal. These five are all the
+    Python sampler reads. The compiled sweep ports ``log_marginal_z`` and
+    reads ``rate_base`` and the per-count table, filled to count n + 1 here.
     """
 
     def __init__(self, design: DesignBlock, spec: NormalGammaSpec, Y: np.ndarray):
-        ev = self.evaluator = ClusterEvaluator(design, spec)
-        item_wty, item_yty = ev.prepare(Y)
+        super().__init__(design, spec)
+        item_wty, item_yty = self.prepare(Y)
         n = len(item_yty)
-        ev.table(n + 1)  # filled once, so both sweeps read the same rows
-        self.log_m = ev.log_marginal_z
-        self.z0 = ev.z0
-        self.xi = [tuple(row) for row in (item_wty @ ev.basis).tolist()]
+        self.table(n + 1)  # filled once, so both sweeps read the same rows
+        self.xi = [tuple(row) for row in (item_wty @ self.basis).tolist()]
         self.yy = item_yty.tolist()
-        self.singles = [self.log_m(1, self.z0, 0.0, self.xi[i], self.yy[i])
+        self.singles = [self.log_marginal_z(1, self.z0, 0.0, self.xi[i], self.yy[i])
                         for i in range(n)]
 
 
@@ -183,9 +182,6 @@ class ChainState:
         self._urn = model.urn_tables(n)
         # log_eppf_sizes by per-colour size tuples, read through _log_prior
         self._priors: dict[tuple[tuple[int, ...], ...], float] = {}
-        # the compiled kernel's arrays: None without the kernel, False until
-        # the first run looks
-        self._arrays: _sweep.SweepArrays | None | bool = False
         if initial is None:
             initial = self._default_initial()
         self._load(initial)
@@ -223,15 +219,10 @@ class ChainState:
             cid = self._next_cid
             self._next_cid += 1
             self.clusters[cid] = _Cluster(col, set(members), z, yty,
-                                          eng.log_m(len(members), z, yty))
+                                          eng.log_marginal_z(len(members), z, yty))
             for i in members:
                 self.item_cluster[i] = cid
             self.colour_totals[col] += len(members)
-
-    @classmethod
-    def from_partition(cls, model, engines, partition, rng=None) -> "ChainState":
-        rng = rng if rng is not None else np.random.default_rng()
-        return cls(model, engines, partition.n, rng, initial=partition)
 
     # -- snapshots ---------------------------------------------------------
 
@@ -280,7 +271,7 @@ class ChainState:
         for cl in self.clusters.values():
             eng = self.engines[cl.colour]
             z, yty = _summed(eng, sorted(cl.members))
-            fresh = eng.log_m(len(cl.members), z, yty)
+            fresh = eng.log_marginal_z(len(cl.members), z, yty)
             worst = max(worst, abs(fresh - cl.log_m), abs(yty - cl.yty),
                         *(abs(a - b) for a, b in zip(z, cl.z)))
             cl.z, cl.yty, cl.log_m = z, yty, fresh
@@ -306,7 +297,7 @@ class ChainState:
         for i in items:
             z = list(map(sub, z, eng.xi[i]))
             yty -= eng.yy[i]
-        cl.z, cl.yty, cl.log_m = z, yty, eng.log_m(len(cl.members), z, yty)
+        cl.z, cl.yty, cl.log_m = z, yty, eng.log_marginal_z(len(cl.members), z, yty)
 
     def item_candidates(self, i: int):
         """Placement options for withdrawn item i.
@@ -330,7 +321,7 @@ class ChainState:
             if w <= 0:
                 continue
             eng = engines[k]
-            lm = eng.log_m(size + 1, cl.z, cl.yty, eng.xi[i], eng.yy[i])
+            lm = eng.log_marginal_z(size + 1, cl.z, cl.yty, eng.xi[i], eng.yy[i])
             moves.append(("existing", cid))
             logw.append(log(w) + lm - cl.log_m)
             after.append(lm)
@@ -397,29 +388,27 @@ class ChainState:
         return _scored(self._log_prior, sweep, *self.canonical(), self.log_likelihood())
 
     def _kernel_arrays(self) -> _sweep.SweepArrays | None:
-        """The kernel's arrays for this chain, built on first use; None when
-        the kernel does not build or an engine is not an ``NIGEngine``."""
-        if self._arrays is False:
-            lib = _sweep.library()
-            supported = all(type(eng) is NIGEngine for eng in self.engines)
-            self._arrays = (_sweep.SweepArrays(lib, self._urn, self.engines, self.n)
-                            if lib is not None and supported else None)
-        return self._arrays
+        """Fresh kernel arrays of this chain's urn tables and engines; None
+        when the kernel does not build or an engine is not an ``NIGEngine``."""
+        lib = _sweep.library()
+        if lib is None or any(type(eng) is not NIGEngine for eng in self.engines):
+            return None
+        return _sweep.SweepArrays(lib, self._urn, self.engines, self.n)
 
     def run(self, plan: SweepPlan) -> list[TraceRecord]:
         """Run ``plan``'s sweeps from the current state with this chain's
         generator (``plan.seed`` is not read here) and return the retained
         trace.
 
-        The chain is an ``_ArrayState`` where the kernel builds and every
-        engine is an ``NIGEngine``, else this state itself. Without subset
-        moves nothing between sweeps reads the state or draws, so a block
-        runs sweeps until its uniforms reach ``_BLOCK_UNIFORMS`` or the chain
-        ends, and takes the retained records in-block. With them a block is
-        one sweep, then a move with probability ``plan.subset_move_rate``,
-        then the sweep's record if it is retained. The arrays' state is
-        copied back once, at the end, so a run that raises leaves the state
-        as it was before the run.
+        The chain is an ``_ArrayState`` on fresh ``_kernel_arrays`` where
+        the kernel builds and every engine is an ``NIGEngine``, else this
+        state itself. Without subset moves nothing between sweeps reads the
+        state or draws, so a block runs sweeps until its uniforms reach
+        ``_BLOCK_UNIFORMS`` or the chain ends, and takes the retained records
+        in-block. With them a block is one sweep, then a move with
+        probability ``plan.subset_move_rate``, then the sweep's record if it
+        is retained. The arrays' state is copied back once, at the end, so a
+        run that raises leaves the state as it was before the run.
         """
         kept = range(plan.burn_in, plan.sweeps, plan.thin)
         rate = plan.subset_move_rate
@@ -479,15 +468,15 @@ class ChainState:
         prices them, with the marginals the engines give: each live
         cluster's with the block's statistics (summed from zero) added to its
         own, and a new cluster's from ``_summed`` of the block."""
-        m, clusters = len(block), list(self.clusters.values())
-        sums = [_summed(eng, block, [0.0] * len(eng.z0)) for eng in self.engines]
+        m, clusters, engines = len(block), list(self.clusters.values()), self.engines
+        sums = [_summed(eng, block, [0.0] * len(eng.z0)) for eng in engines]
         return _block_options(
             self._log_prior, block, list(self.clusters), [cl.colour for cl in clusters],
             [len(cl.members) for cl in clusters], [min(cl.members) for cl in clusters],
             [cl.log_m for cl in clusters],
-            [self.engines[cl.colour].log_m(len(cl.members) + m, cl.z, cl.yty, *sums[cl.colour])
-             for cl in clusters],
-            [eng.log_m(m, *_summed(eng, block)) for eng in self.engines])
+            [engines[cl.colour].log_marginal_z(len(cl.members) + m, cl.z, cl.yty,
+                                               *sums[cl.colour]) for cl in clusters],
+            [eng.log_marginal_z(m, *_summed(eng, block)) for eng in engines])
 
     def _place(self, block: list[int], move: tuple[str, int], log_m_after: float | None) -> None:
         """Insert a withdrawn block: the first item as ``move`` says, the rest
@@ -497,7 +486,7 @@ class ChainState:
             move = ("existing", self._insert(i, move, log_m_after))
         if log_m_after is None:
             cl = self.clusters[move[1]]
-            cl.log_m = self.engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
+            cl.log_m = self.engines[cl.colour].log_marginal_z(len(cl.members), cl.z, cl.yty)
 
     def random_subset_move(self, max_size: int = 8) -> None:
         """One randomly-selected block move, corrected for selection asymmetry
@@ -689,7 +678,7 @@ def _subset_law(m: int, max_size: int) -> tuple[int, tuple[float, ...]]:
 def build_engines(Y: np.ndarray, design: DesignBlock,
                   specs: NormalGammaSpec | Sequence[NormalGammaSpec],
                   model: PartitionPrior) -> list[NIGEngine]:
-    """One marginal-likelihood engine per model colour."""
+    """One engine per model colour, shared by the colours given one spec object."""
     if isinstance(specs, NormalGammaSpec):
         specs = [specs]
     specs = list(specs)
@@ -698,7 +687,8 @@ def build_engines(Y: np.ndarray, design: DesignBlock,
     if len(specs) != model.n_colours:
         raise ValidationError(
             f"model has {model.n_colours} colours but {len(specs)} priors given")
-    return [NIGEngine(design, spec, Y) for spec in specs]
+    built = {spec: NIGEngine(design, spec, Y) for spec in dict.fromkeys(specs)}  # by identity
+    return [built[spec] for spec in specs]
 
 
 #: Most uniforms drawn for one block of sweeps (512 KiB of doubles).

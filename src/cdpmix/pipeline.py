@@ -64,17 +64,18 @@ class DatasetTable:
 
 
 def _dedupe_ids(ids: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
-    out = []
+    """``ids`` with each repeat renamed ``<id>_<k>``, skipping every name in use."""
+    taken, last, out = set(ids), {}, []
     for item in ids:
-        if item in seen:
-            seen[item] += 1
-            new = f"{item}_{seen[item]}"
+        new, k = item, last.get(item, 1)
+        if item in last:
+            while new in taken:
+                k += 1
+                new = f"{item}_{k}"
+            taken.add(new)
             warnings.warn(f"duplicate id {item!r} renamed to {new!r}")
-            out.append(new)
-        else:
-            seen[item] = 1
-            out.append(item)
+        last[item] = k
+        out.append(new)
     return out
 
 
@@ -144,21 +145,24 @@ def load_dataset(path: str) -> DatasetTable:
 def load_annotations(path: str, ids: Sequence[str]) -> dict[str, list[str]]:
     """Load per-item categories from a tab-separated table keyed by id.
 
-    Every dataset id must appear; extra rows are ignored.
+    Every dataset id must appear and none twice; extra rows are ignored.
     """
     with open_input(path) as fh:
         reader = csv.reader(fh, delimiter="\t")
         header = next(reader, None)
         if header is None or len(header) < 2:
             raise ValidationError(f"{path}: need an id column plus at least one category column")
-        table = {}
+        table, rows = {}, {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValidationError(
                     f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-            table[row[0]] = row[1:]
+            if row[0] in table:
+                raise ValidationError(
+                    f"{path}: id {row[0]!r} is listed twice, on rows {rows[row[0]]} and {lineno}")
+            table[row[0]], rows[row[0]] = row[1:], lineno
     missing = [i for i in ids if i not in table]
     if missing:
         raise ValidationError(f"{path}: no annotation for ids {missing[:5]}")
@@ -722,8 +726,7 @@ def _summarize_outputs(out_dir: str, dataset: DatasetTable, model: PartitionPrio
             alt_part = (estimate if alt == strategy
                         else optimal_partition(rho, loss, strategy=alt))
             estimate_info[f"loss_{alt}"] = expected_pairwise_loss(alt_part, rho, loss)
-    n_colours = getattr(model, "n_colours", 1)
-    cluster_colours = _majority_colours(estimate, rows[:, n:], weights, n_colours)
+    cluster_colours = _majority_colours(estimate, rows[:, n:], weights, model.n_colours)
 
     written = []
 
@@ -821,7 +824,7 @@ def summarize_run(out_dir: str) -> dict:
     ids, table = read_trace(trace_path)
     _check_ids(trace_path, ids, config.dataset.ids)
     _check_colours(trace_path, ids, table.index, table.rows[:, len(ids):],
-                   getattr(config.model, "n_colours", 1))
+                   config.model.n_colours)
     _summarize_outputs(out_dir, config.dataset, config.model, config.loss,
                        config.strategy, table)
     return manifest

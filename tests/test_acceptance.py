@@ -221,13 +221,25 @@ def test_demo_runs(demo, tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_benchmark_tracer_installs():
+def test_benchmark_tracer_installs(tmp_path):
     # perfbench/tracer.py wraps package functions and methods by name from
     # outside (log_marginal_parts, snapshot, each family's weight_lists,
     # log_eppf, the generator samplers, ...); deleting or renaming one of
-    # them makes its install fail
+    # them makes its install fail. Its hooks also read call shapes (the
+    # sweep count reads run_chain's plan argument), so a traced run with
+    # subset moves and a traced summarize must succeed and count the sweeps
     perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench")
-    proc = _run_python("-c", "import cdpmix.cli, tracer; tracer.install(tracer.Tracer())",
-                       timeout=120, path=(perfbench,))
-    assert proc.returncode == 0, proc.stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"preset": "wen-rat", "sweeps": 4, "burn_in": 2,
+                               "subset_move_rate": 1.0}))
+    out = str(tmp_path / "run")
+    script = (
+        "import cdpmix.cli, tracer\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        f"assert cdpmix.cli.main(['run', '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
+        f"assert cdpmix.cli.main(['summarize', '--out', {out!r}]) == 0\n"
+        "assert t.counts['gibbs.sweeps'] == 4, t.counts\n")
+    proc = _run_python("-c", script, timeout=120, path=(perfbench,))
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -16,7 +16,7 @@ from scipy import stats as sstats
 
 from cdpmix import _sweep, gibbs, pipeline
 from cdpmix.checks import _exact_posterior, _item_kernel, _one_sweep_matrix
-from cdpmix.conjugate import DesignBlock, NormalGammaSpec
+from cdpmix.conjugate import ClusterEvaluator, DesignBlock, NormalGammaSpec
 from cdpmix.errors import NumericalError, ValidationError
 from cdpmix.gibbs import ChainState, SweepPlan, _draw, build_engines, run_chain
 from cdpmix.partitions import (ColouredPartition, Partition,
@@ -34,9 +34,9 @@ BG_SPEC = NormalGammaSpec(1.0, 1.0, np.zeros(0), np.zeros((0, 0)),
 class FlatEngine:
     """Likelihood stub whose marginals are identically zero (prior-only chains).
 
-    It offers only what the Python sampler reads of an engine: ``log_m``,
-    ``z0``, ``xi``, ``yy`` and ``singles``. Not being an ``NIGEngine``, it
-    always runs the Python sweep.
+    It offers only what the Python sampler reads of an engine:
+    ``log_marginal_z``, ``z0``, ``xi``, ``yy`` and ``singles``. Not being an
+    ``NIGEngine``, it always runs the Python sweep.
     """
 
     z0 = ()
@@ -47,7 +47,7 @@ class FlatEngine:
         self.yy = [0.0] * n
         self.singles = [0.0] * n
 
-    def log_m(self, count, z, yty, dz=None, dyy=0.0) -> float:
+    def log_marginal_z(self, count, z, yty, dz=None, dyy=0.0) -> float:
         return 0.0
 
 
@@ -123,9 +123,8 @@ def _sample_index(log_weights, rng):
 def raw_marginal(eng, Y, members):
     """Oracle: the coefficient-space marginal of the members' raw rows, which
     shares nothing with the chain's cached eigenbasis statistics."""
-    ev = eng.evaluator
-    wty, yty = ev.prepare(Y[sorted(members)])
-    return ev.log_marginal_parts(len(yty), wty.sum(axis=0), float(yty.sum()))
+    wty, yty = eng.prepare(Y[sorted(members)])
+    return eng.log_marginal_parts(len(yty), wty.sum(axis=0), float(yty.sum()))
 
 
 def withdraw(state, block):
@@ -137,6 +136,7 @@ def subset_kernel(model, engines, states, block):
     """Exact transition matrix of the fixed-block update (identity off-domain)."""
     block = sorted(block)
     index = {p: j for j, p in enumerate(states)}
+    rng = np.random.default_rng(0)  # nothing draws from it
     T = np.zeros((len(states), len(states)))
     for j, p in enumerate(states):
         flat = p.flatten() if isinstance(p, ColouredPartition) else p
@@ -147,13 +147,13 @@ def subset_kernel(model, engines, states, block):
         if log_eppf(model, p) == LOG_ZERO or len({cl_of[i] for i in block}) != 1:
             T[j, j] = 1.0
             continue
-        st = ChainState.from_partition(model, engines, p)
+        st = ChainState(model, engines, p.n, rng, initial=p)
         withdraw(st, block)
         moves, logw, after = st.subset_candidates(block)
         w = np.exp(np.asarray(logw) - max(logw))
         w /= w.sum()
         for mv, weight, lm in zip(moves, w, after):
-            nxt = ChainState.from_partition(model, engines, p)
+            nxt = ChainState(model, engines, p.n, rng, initial=p)
             withdraw(nxt, block)
             nxt._place(block, mv, lm)
             T[j, index[nxt.snapshot()]] += weight
@@ -175,8 +175,8 @@ def test_single_item_dataset_stays_a_singleton():
 def test_flat_likelihood_reassignment_follows_prior_weights():
     model = DirichletProcess(1.0)
     engines = [FlatEngine(4)]
-    state = ChainState.from_partition(
-        model, engines, Partition([[0, 1, 2], [3]]), np.random.default_rng(5))
+    state = ChainState(model, engines, 4, np.random.default_rng(5),
+                       initial=Partition([[0, 1, 2], [3]]))
     state._withdraw(0)
     moves, logw, _ = state.item_candidates(0)
     # remaining clusters have sizes (2, 1); prior weights (2, 1, new=1)
@@ -243,7 +243,7 @@ def test_full_sweep_preserves_exact_posterior(model, specs, n, coloured):
     states = (list(enumerate_coloured_partitions(n, model.n_colours)) if coloured
               else list(enumerate_partitions(n)))
     pi = _exact_posterior(model, engines, states)
-    T = _one_sweep_matrix(model, engines, states, n)
+    T = _one_sweep_matrix(model, engines, states, n, np.random.default_rng(0))
     assert np.abs(pi @ T - pi).max() < 1e-10
     np.testing.assert_allclose(T.sum(axis=1), 1.0, atol=1e-12)
 
@@ -256,7 +256,7 @@ def test_single_item_subset_kernel_equals_item_kernel():
     engines = build_engines(Y, DESIGN, SPEC, model)
     states = list(enumerate_partitions(3))
     for i in range(3):
-        Ti = _item_kernel(model, engines, states, i)
+        Ti = _item_kernel(model, engines, states, i, np.random.default_rng(0))
         Ts = subset_kernel(model, engines, states, [i])
         np.testing.assert_allclose(Ti, Ts, atol=1e-10)
 
@@ -266,8 +266,8 @@ def test_whole_cluster_move_prior_ratio_matches_closed_form():
     # must weigh exactly like the partition-prior ratio
     model = DirichletProcess(0.7)
     engines = [FlatEngine(4)]
-    state = ChainState.from_partition(
-        model, engines, Partition([[0, 1], [2, 3]]), np.random.default_rng(0))
+    state = ChainState(model, engines, 4, np.random.default_rng(0),
+                       initial=Partition([[0, 1], [2, 3]]))
     withdraw(state, [0, 1])
     moves, logw, _ = state.subset_candidates([0, 1])
     options = dict(zip([m[0] + str(m[1]) for m in moves], logw))
@@ -324,6 +324,7 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
     index = {p: j for j, p in enumerate(states)}
     pi = _exact_posterior(model, engines, states)
     max_size = 8
+    rng = np.random.default_rng(0)  # nothing draws from it
 
     def n_subsets(m):
         return sum(math.comb(m, s) for s in range(1, min(max_size, m) + 1))
@@ -338,7 +339,7 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
             for size in range(1, min(max_size, len(c)) + 1):
                 for sub in itertools.combinations(c, size):
                     psel = 1.0 / (d_before * n_subsets(len(c)))
-                    st = ChainState.from_partition(model, engines, p)
+                    st = ChainState(model, engines, n, rng, initial=p)
                     withdraw(st, sub)
                     remaining = len(st.clusters)
                     moves, logw, after = st.subset_candidates(list(sub))
@@ -353,7 +354,7 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
                             tsize = len(sub)
                         acc = min(1.0, (d_before * n_subsets(len(c)))
                                   / (d_after * n_subsets(tsize)))
-                        nxt = ChainState.from_partition(model, engines, p)
+                        nxt = ChainState(model, engines, n, rng, initial=p)
                         withdraw(nxt, sub)
                         nxt._place(sub, mv, lm)
                         T[j, index[nxt.snapshot()]] += psel * weight * acc
@@ -373,7 +374,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
     n = 40
     Y = np.random.default_rng(3).normal(size=(n, 2)) * 1.5
     engines = build_engines(Y, DESIGN, specs, model)
-    rng = np.random.default_rng(4)
+    rng, unused = np.random.default_rng(4), np.random.default_rng(0)
     checked = 0
     for _ in range(40):
         labels = rng.integers(3 if isinstance(model, DirichletMultinomial) else 14, size=n)
@@ -384,7 +385,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
         p = (ColouredPartition.from_allocation(labels, [colours[v] for v in labels],
                                                model.n_colours)
              if model.coloured else Partition.from_allocation(labels))
-        st = ChainState.from_partition(model, engines, p)
+        st = ChainState(model, engines, n, unused, initial=p)
         cid = list(st.clusters)[int(rng.integers(len(st.clusters)))]
         members = sorted(st.clusters[cid].members)
         block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
@@ -393,7 +394,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
         moves, logw, after = st.subset_candidates(block)
         for kind, key in [("existing", c) for c in st.clusters] + [
                 ("new", k) for k in range(model.n_colours)]:
-            nxt = ChainState.from_partition(model, engines, p)
+            nxt = ChainState(model, engines, n, unused, initial=p)
             withdraw(nxt, block)
             lm = (nxt.clusters[key].log_m if kind == "existing" else 0.0)
             nxt._place(block, (kind, key), 0.0)
@@ -407,7 +408,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
         if _sweep.library() is not None:
             # the kernel's pricing of the same block, read off its arrays,
             # gives the same options and doubles, its slots standing for ids
-            resident = ChainState.from_partition(model, engines, p)
+            resident = ChainState(model, engines, n, unused, initial=p)
             cids, arrays = list(resident.clusters), resident._kernel_arrays()
             on_arrays = gibbs._ArrayState(resident, arrays)
             on_arrays._withdraw(*block)
@@ -479,8 +480,7 @@ def test_block_withdraw_equals_item_by_item(model, specs):
         labels = rng.integers(5, size=n)
         p = (ColouredPartition.from_allocation(labels, labels % 2, 2) if model.coloured
              else Partition.from_allocation(labels))
-        one_pass, by_item = (ChainState.from_partition(model, engines, p,
-                                                       np.random.default_rng(0))
+        one_pass, by_item = (ChainState(model, engines, n, np.random.default_rng(0), initial=p)
                              for _ in range(2))
         members = sorted(one_pass.clusters[one_pass.item_cluster[int(rng.integers(n))]].members)
         block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
@@ -498,8 +498,8 @@ def test_subset_move_on_a_cluster_past_float_range():
     n = 1100
     model = DirichletProcess(1.0)
     engines = build_engines(make_data(n), DESIGN, SPEC, model)
-    state = ChainState.from_partition(model, engines, Partition([list(range(n))]),
-                                      np.random.default_rng(2))
+    state = ChainState(model, engines, n, np.random.default_rng(2),
+                       initial=Partition([list(range(n))]))
     assert gibbs._subset_law(n, 2000)[0] == 2 ** n - 1
     for _ in range(3):
         state.random_subset_move(max_size=2000)
@@ -547,7 +547,7 @@ def test_background_move_weight_for_emptied_background():
     model = BackgroundDirichletProcess(2.5, 1.0)
     engines = [FlatEngine(2), FlatEngine(2)]
     p = ColouredPartition([[[0]], [[1]]], n_colours=2)
-    state = ChainState.from_partition(model, engines, p, np.random.default_rng(0))
+    state = ChainState(model, engines, 2, np.random.default_rng(0), initial=p)
     state._withdraw(0)
     moves, logw, _ = state.item_candidates(0)
     weights = dict(zip(moves, np.exp(logw)))
@@ -580,6 +580,25 @@ def test_coloured_chain_matches_enumerated_posterior():
 
 
 # -------------------------------------------------------------- run_chain API
+
+def test_colours_given_one_prior_share_one_engine():
+    # build_engines builds one engine per distinct spec object; an engine is
+    # read-only once built, so a chain on a shared one is the chain on two
+    # equal ones
+    model = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
+    Y = make_data(7)
+    twin = NormalGammaSpec(1.0, 1.0, np.zeros(2), np.eye(2))
+    for specs in (SPEC, [SPEC, SPEC]):
+        shared = build_engines(Y, DESIGN, specs, model)
+        assert shared[0] is shared[1] and isinstance(shared[0], ClusterEvaluator)
+    apart = build_engines(Y, DESIGN, [SPEC, twin], model)
+    assert apart[0] is not apart[1]
+    background = BackgroundDirichletProcess(1.5, 1.0)
+    assert len(set(map(id, build_engines(Y, DESIGN, [BG_SPEC, SPEC], background)))) == 2
+    plan = SweepPlan(sweeps=40, burn_in=5, subset_move_rate=0.5, seed=9)
+    assert (run_chain(Y, DESIGN, model, SPEC, plan, engines=shared)
+            == run_chain(Y, DESIGN, model, SPEC, plan, engines=apart))
+
 
 def test_run_chain_single_sweep_emits_one_record():
     Y = make_data(3)
@@ -637,7 +656,7 @@ def test_chain_state_snapshot_is_the_models_kind(model):
     assert start.sizes_by_colour()[regular] == (1, 1, 1, 1)
     for i in range(4):
         state.reallocate_item(i)
-    again = ChainState.from_partition(model, engines, state.snapshot())
+    again = ChainState(model, engines, 4, np.random.default_rng(0), initial=state.snapshot())
     assert again.snapshot() == state.snapshot()
 
 
@@ -825,7 +844,8 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case, monkey
                 kinds[moves[idx][0]] += 1
                 assert_same_state(fused, steps)
                 for cl in fused.clusters.values():
-                    assert cl.log_m == engines[cl.colour].log_m(len(cl.members), cl.z, cl.yty)
+                    eng = engines[cl.colour]
+                    assert cl.log_m == eng.log_marginal_z(len(cl.members), cl.z, cl.yty)
             if sweep in keep:
                 expected.append(steps.record(sweep))
         assert_same_records(chain.sweep(block, keep, first), expected)
@@ -872,9 +892,9 @@ def test_compiled_sweep_raises_the_python_sweeps_errors(model, message, sweep_pa
     state = ChainState(model, engines, n, np.random.default_rng(3))
     if isinstance(model, DirichletProcess):
         # the singleton start leaves item 0's cluster empty, so the first
-        # rate computed is a candidate's, priced from the evaluator's rate_base
+        # rate computed is a candidate's, priced from the engine's rate_base
         for eng in engines:
-            eng.evaluator.rate_base = -1e6
+            eng.rate_base = -1e6
     calls = counting_kernel_runs(monkeypatch)
     with pytest.raises(NumericalError, match=f"^{message}$"):
         state.run(SweepPlan(sweeps=2))
@@ -989,6 +1009,7 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
 
         monkeypatch.setattr(gibbs._ArrayState, "_place", counted_place)
         monkeypatch.setattr(gibbs, "_block_options", counted_options)
+        calls = counting_kernel_runs(monkeypatch)
         for case in ["no-X", "X", "no-X-mean"]:
             design = X_DESIGN if case == "X" else DESIGN
             regular = {"no-X": SPEC, "X": X_SPEC, "no-X-mean": MEAN_SPEC}[case]
@@ -999,12 +1020,12 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
             assert any(engines[-1].z0) == (case != "no-X")
 
             def chain():
-                state = ChainState(model, engines, 9, np.random.default_rng(8))
-                return state, state.run(plan)
+                state, runs = ChainState(model, engines, 9, np.random.default_rng(8)), calls["run"]
+                return state, state.run(plan), calls["run"] - runs
 
-            (compiled, compiled_trace), (python, python_trace) = on_both_paths(
-                monkeypatch, chain)
-            assert isinstance(compiled._arrays, _sweep.SweepArrays) and python._arrays is None
+            (compiled, compiled_trace, compiled_runs), (python, python_trace, python_runs) = (
+                on_both_paths(monkeypatch, chain))
+            assert compiled_runs > 0 and python_runs == 0
             assert len(compiled_trace) == len(range(13, 90, 4))
             assert_same_records(compiled_trace, python_trace)
             assert_same_state(compiled, python)
@@ -1079,36 +1100,40 @@ def test_each_block_copies_the_state_in_and_back_once(schedule, monkeypatch):
 def test_an_error_in_a_chain_with_moves_is_the_python_sweeps(where, sweep_path, monkeypatch):
     # a rate that collapses in a sweep, or in a subset move's withdraw or
     # pricing, raises the Python sweep's error on both paths; on the kernel
-    # the state has not been copied back, so it is the state before the run
+    # the state has not been copied back, so it is the state before the run.
+    # The engines are poisoned, which reaches the arrays a run builds from
+    # them, and mid-move also the arrays the chain already lives in
     model = DirichletProcess(1.0)
     engines = build_engines(make_data(6), DESIGN, SPEC, model)
     state = ChainState(model, engines, 6, np.random.default_rng(3))
     before = state.snapshot()
-    arrays = state._kernel_arrays()
-    assert (arrays is not None) == (sweep_path == "compiled")
+    compiled = sweep_path == "compiled"
+    assert (state._kernel_arrays() is not None) == compiled
 
-    def poison():
+    def poison(chain):
         for eng in engines:
-            eng.evaluator.rate_base = -1e6
-        if arrays is not None:
-            arrays.rate_base[:] = -1e6
+            eng.rate_base = -1e6
+        if isinstance(chain, gibbs._ArrayState):
+            chain.arrays.rate_base[:] = -1e6
 
     if where == "sweep":
-        poison()
+        poison(state)
     else:
         move, calls = gibbs._subset_move, Counter()
 
         def poisoned_move(chain, max_size):
             calls["move"] += 1
-            poison()
+            poison(chain)
             return move(chain, max_size)
 
         monkeypatch.setattr(gibbs, "_subset_move", poisoned_move)
+    runs = counting_kernel_runs(monkeypatch)
     plan = SweepPlan(sweeps=5, subset_move_rate=1.0)
     with pytest.raises(NumericalError, match="^posterior rate collapsed to a non-positive value$"):
         state.run(plan)
     assert where == "sweep" or calls == {"move": 1}
-    if arrays is not None:
+    assert runs["run"] == compiled
+    if compiled:
         assert state.snapshot() == before
 
 
@@ -1169,19 +1194,20 @@ def test_state_after_a_failed_block_is_the_state_before_it(error, monkeypatch):
     calls = counting_kernel_runs(monkeypatch)
     state.run(SweepPlan(sweeps=2))
     twin.run(SweepPlan(sweeps=2))
+    # the fault goes in at the source the run builds its arrays from
+    eng, by_degree = state.engines[0], state._urn[3]
+    saved = eng.rate_base, by_degree[0]
     if error == "rate":
-        saved, table = state._arrays.rate_base.copy(), state._arrays.rate_base
-        table[:] = -1e6
+        eng.rate_base = -1e6
     else:
-        saved, table = state._arrays.by_degree.copy(), state._arrays.by_degree
-        table[0] = -0.4  # a first cluster's weight under a strength of -0.4
+        by_degree[0] = -0.4  # a first cluster's weight under a strength of -0.4
     with pytest.raises(NumericalError, match="^(posterior rate|all reallocation)"):
         state.run(SweepPlan(sweeps=2))
     assert state.snapshot() == twin.snapshot()
     assert sorted(i for cl in state.clusters.values() for i in cl.members) == list(range(n))
     assert all(i in state.clusters[cid].members for i, cid in enumerate(state.item_cluster))
     assert sum(state.colour_totals) == n
-    table[:] = saved
+    eng.rate_base, by_degree[0] = saved
     twin.rng.random(2 * n)  # the failed block's uniforms
     state.run(SweepPlan(sweeps=1))
     twin.run(SweepPlan(sweeps=1))
@@ -1295,9 +1321,8 @@ def test_kernel_refuses_a_bad_block_and_leaves_the_state(case):
     # block they cannot act on is refused before anything is written
     needs_kernel()
     model = DirichletProcess(1.0)
-    state = ChainState.from_partition(model, build_engines(make_data(6), DESIGN, SPEC, model),
-                                      Partition([[0, 1, 2], [3, 4], [5]]),
-                                      np.random.default_rng(3))
+    state = ChainState(model, build_engines(make_data(6), DESIGN, SPEC, model), 6,
+                       np.random.default_rng(3), initial=Partition([[0, 1, 2], [3, 4], [5]]))
     arrays = state._kernel_arrays()
     state._to_arrays(arrays)  # clusters {0, 1, 2}, {3, 4}, {5} in slots 0, 1, 2
     if case.startswith("place") or case == "price unwithdrawn":

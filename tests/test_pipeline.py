@@ -101,11 +101,34 @@ def test_duplicate_ids_disambiguated_with_warning(tmp_path):
     assert table.ids == ["g", "g_2"]
 
 
+@pytest.mark.parametrize("ids,renamed", [
+    (["a", "a", "a_2"], ["a", "a_3", "a_2"]),
+    (["a_2", "a", "a"], ["a_2", "a", "a_3"]),
+    (["a", "a", "a", "a_3"], ["a", "a_2", "a_4", "a_3"]),
+], ids=["taken-later", "taken-earlier", "taken-between"])
+def test_a_renamed_duplicate_skips_every_id_in_use(tmp_path, ids, renamed):
+    # a suffix another id already holds would leave two items one id: two
+    # trace columns of one name, and annotations looked up for the wrong item
+    f = tmp_path / "dup.tsv"
+    f.write_text("id\tx\n" + "".join(f"{i}\t{k}.0\n" for k, i in enumerate(ids)))
+    with pytest.warns(UserWarning, match="duplicate id 'a'"):
+        table = pipeline.load_dataset(str(f))
+    assert table.ids == renamed
+
+
 def test_annotations_must_cover_all_ids(tmp_path):
     f = tmp_path / "ann.tsv"
     f.write_text("id\tgrp\na\tx\n")
     with pytest.raises(ValidationError, match="no annotation"):
         pipeline.load_annotations(str(f), ["a", "b"])
+
+
+def test_an_annotation_id_listed_twice_is_a_validation_error(tmp_path):
+    f = tmp_path / "ann.tsv"
+    f.write_text("id\tgrp\na\tx\nb\ty\n\na\tz\n")
+    with pytest.raises(ValidationError) as info:
+        pipeline.load_annotations(str(f), ["a", "b"])
+    assert str(info.value) == f"{f}: id 'a' is listed twice, on rows 2 and 5"
 
 
 # -------------------------------------------------------------------- design
