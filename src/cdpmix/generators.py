@@ -265,14 +265,7 @@ def sample_cdp(n: int, model: ColouredDirichletProcess,
     colours = [key[0] for key in labels]
     cp = ColouredPartition.from_allocation([key_index[key] for key in labels],
                                            colours, n_colours)
-    atom_of_key: dict[tuple[int, int], Atom] = {}
-    uid = 0
-    for key in key_index:
-        k = key[0]
-        payload = bases[k].draw(rng) if bases is not None else None
-        atom_of_key[key] = Atom(uid, payload)
-        uid += 1
-    item_key = {i: key for i, key in enumerate(labels)}
-    atoms = [atom_of_key[item_key[c[0]]]
-             for cs in cp.clusters_by_colour for c in cs]
-    return cp, atoms
+    # one atom per cluster, drawn and numbered in order of first appearance
+    atom_of_key = {key: Atom(uid, None if bases is None else bases[key[0]].draw(rng))
+                   for key, uid in key_index.items()}
+    return cp, [atom_of_key[labels[c[0]]] for cs in cp.clusters_by_colour for c in cs]

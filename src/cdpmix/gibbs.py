@@ -25,7 +25,8 @@ structural constraints (at most one background cluster, bounded component
 counts) fall out of the prior's log-zero sentinel with no special cases.
 Trace records and ``log_joint`` score the prior from the same sizes, read off
 the live clusters without building a partition. Every prior a chain scores
-goes through ``_log_prior``, which remembers it per distinct size key.
+goes through ``_log_prior``, a ``functools.lru_cache`` of ``log_eppf_sizes``
+by size key.
 
 ``ChainState``'s step methods and its ``sweep`` are the Python reference;
 ``ChainState.run`` (and ``run_chain``) is the compiled entry. Where the
@@ -41,7 +42,7 @@ cluster marginals, which ``_kernel_records`` scores with the prior. Subset
 moves act on the arrays through the kernel's block-move exports.
 ``_subset_move`` is the one body of the move for both states: it makes every
 draw, prices the prior and takes the Metropolis-Hastings step, and asks the
-state only to pick, withdraw, price marginals and place.
+state only to count, pick, withdraw, price and place.
 """
 
 from __future__ import annotations
@@ -180,8 +181,9 @@ class ChainState:
         # (offsets, factors, new, by_degree): the prior's urn weights for up
         # to n items, read by item_candidates and by the compiled kernel
         self._urn = model.urn_tables(n)
-        # log_eppf_sizes by per-colour size tuples, read through _log_prior
-        self._priors: dict[tuple[tuple[int, ...], ...], float] = {}
+        # log_eppf_sizes of per-colour size tuples for the _PRIOR_MEMO keys
+        # used last (a keyword partial would build a dict at every miss)
+        self._log_prior = lru_cache(maxsize=_PRIOR_MEMO)(lambda s: model.log_eppf_sizes(s, n))
         if initial is None:
             initial = self._default_initial()
         self._load(initial)
@@ -252,17 +254,6 @@ class ChainState:
     def log_joint(self) -> float:
         """Log prior of the current partition plus all cached cluster marginals."""
         return self._log_prior(self.canonical()[2]) + self.log_likelihood()
-
-    def _log_prior(self, sizes: tuple[tuple[int, ...], ...]) -> float:
-        """``log_eppf_sizes`` of per-colour cluster size tuples, remembered
-        for up to ``_PRIOR_MEMO`` keys and forgotten all at once past that:
-        the same function of the same sizes, so the same double."""
-        lp = self._priors.get(sizes)
-        if lp is None:
-            if len(self._priors) >= _PRIOR_MEMO:
-                self._priors.clear()
-            lp = self._priors[sizes] = self.model.log_eppf_sizes(sizes, self.n)
-        return lp
 
     def refresh_cache_(self) -> float:
         """Rebuild every cluster's statistics from its members and recompute its
@@ -420,7 +411,7 @@ class ChainState:
             trace += chain.sweep(min(block, plan.sweeps - first), () if rate else kept, first)
             if rate:
                 if self.rng.random() < rate:
-                    chain.random_subset_move(plan.subset_max_size)
+                    _subset_move(chain, plan.subset_max_size)
                 if first in kept:
                     trace.append(chain.record(first))
         if arrays is not None:
@@ -504,9 +495,6 @@ class ChainState:
         cl = self.clusters[cid]
         return cid, cl.colour, sorted(cl.members)
 
-    def _size(self, cid: int) -> int:
-        return len(self.clusters[cid].members)
-
 
 class _ArrayState:
     """A chain's state while it lives in the kernel's arrays, as
@@ -531,9 +519,6 @@ class _ArrayState:
                                 [sweep - first for sweep in kept])
         return _kernel_records(self._log_prior, self.n_colours, kept, taken) if kept else []
 
-    def random_subset_move(self, max_size: int) -> None:
-        _subset_move(self, max_size)
-
     def record(self, sweep: int) -> TraceRecord:
         return _kernel_records(self._log_prior, self.n_colours, [sweep], self.arrays.record())[0]
 
@@ -544,9 +529,6 @@ class _ArrayState:
         a = self.arrays
         slot = int(a.order[j])
         return slot, int(a.colour[slot]), np.flatnonzero(a.item_slot == slot).tolist()
-
-    def _size(self, slot: int) -> int:
-        return int(self.arrays.count[slot])
 
     def _withdraw(self, *items: int) -> None:
         self.arrays.withdraw(items)
@@ -576,11 +558,12 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
     cluster of each colour.
 
     Returns parallel lists: moves ``("existing", key)`` or ``("new",
-    colour)``, their log weights and the receiving cluster's log marginal
-    after the move. Each option is priced by the prior of the per-colour
-    cluster sizes it leaves, in canonical (least-member) order: the target
-    grows by the block and moves up to the block's least member if that
-    comes first, or a fresh cluster of the block's size is inserted there.
+    colour)``, their log weights, and the receiving cluster's log marginal
+    and size after the move. Each option is priced by the prior of the
+    per-colour cluster sizes it leaves, in canonical (least-member) order:
+    the target grows by the block and moves up to the block's least member
+    if that comes first, or a fresh cluster of the block's size is inserted
+    there.
     """
     m = len(block)
     live = [[] for _ in new_after]  # (least member, position), per colour
@@ -594,7 +577,7 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
         base.append(tuple(sizes[j] for _, j in entries))
     # clusters of each colour whose least member precedes the block's
     at = [bisect_left(entries, (block[0],)) for entries in live]
-    moves, logw, out = [], [], []
+    moves, logw, out, grown_to = [], [], [], []
     for j, (k, lm) in enumerate(zip(colours, after)):
         s, r, a = base[k], rank[j], at[k]
         grown = (s[:a] + (s[r] + m,) + s[a:r] + s[r + 1:] if a <= r
@@ -605,6 +588,7 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
         moves.append(("existing", keys[j]))
         logw.append(lp + lm - log_m[j])
         out.append(lm)
+        grown_to.append(s[r] + m)
     for k, lm in enumerate(new_after):
         s, a = base[k], at[k]
         lp = log_prior((*base[:k], s[:a] + (m,) + s[a:], *base[k + 1:]))
@@ -613,7 +597,8 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
         moves.append(("new", k))
         logw.append(lp + lm)
         out.append(lm)
-    return moves, logw, out
+        grown_to.append(m)
+    return moves, logw, out, grown_to
 
 
 def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
@@ -624,7 +609,9 @@ def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
     capped) are selected, and the block placement is redrawn from its
     conditional. Because the selection probability depends on the state,
     the redraw alone would bias the chain; a Metropolis-Hastings factor
-    min(1, sel(S|new)/sel(S|old)) restores exact invariance.
+    min(1, sel(S|new)/sel(S|old)) restores exact invariance: sel(S|new)
+    needs only the cluster count before the move and the receiving
+    cluster's size after it, which ``subset_candidates`` returns.
     """
     rng = chain.rng
     degree = chain._degree()
@@ -638,19 +625,12 @@ def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
     # 1 / sel(S|old), an integer: the counts outgrow a float on large clusters
     inv_before = degree * n_subsets
     chain._withdraw(*block)
-    remaining = chain._degree()
+    remaining = degree - (size == m)  # the picked cluster is gone if the block was all of it
 
-    moves, logw, after = chain.subset_candidates(block)
+    moves, logw, after, grown = chain.subset_candidates(block)
     if moves:
         idx = _draw(logw, rng)
-        kind, target = moves[idx]
-        if kind == "existing":
-            degree_after = remaining
-            target_size = chain._size(target) + len(block)
-        else:
-            degree_after = remaining + 1
-            target_size = len(block)
-        inv_after = degree_after * _subset_law(target_size, max_size)[0]
+        inv_after = (remaining + (moves[idx][0] == "new")) * _subset_law(grown[idx], max_size)[0]
         # min(1, sel(S|new) / sel(S|old)), the integer ratio rounded once
         if rng.random() < (inv_before / inv_after if inv_before < inv_after else 1.0):
             chain._place(block, moves[idx], after[idx])
@@ -658,7 +638,7 @@ def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
     # rejected, or no placement is possible (only from a zero-probability
     # state): the block goes back where it came from, or to a new cluster
     # of its colour if it was all of it, priced afresh
-    chain._place(block, ("existing", key) if remaining == degree else ("new", colour), None)
+    chain._place(block, ("existing", key) if size < m else ("new", colour), None)
 
 
 @lru_cache(maxsize=4096)
@@ -694,7 +674,7 @@ def build_engines(Y: np.ndarray, design: DesignBlock,
 #: Most uniforms drawn for one block of sweeps (512 KiB of doubles).
 _BLOCK_UNIFORMS = 1 << 16
 
-#: Most size keys a chain remembers the prior of (see ``ChainState._log_prior``).
+#: Most size keys a chain remembers the prior of (``ChainState._log_prior``).
 _PRIOR_MEMO = 2048
 
 

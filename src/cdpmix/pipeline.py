@@ -24,6 +24,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
 from numbers import Real
 from typing import NamedTuple, Optional, Sequence
@@ -194,7 +195,10 @@ def _load_matrix(design_cfg: dict, key: str) -> np.ndarray:
     """``design_cfg[key]``: inline rows, or the path of a CSV file of finite numbers."""
     source = design_cfg[key]
     if not isinstance(source, str):
-        return _array(design_cfg, key, None, None, "design.")
+        matrix = _array(design_cfg, key, None, None, "design.")
+        if matrix.ndim != 2:
+            raise ValidationError(f"design.{key} must be a path or a 2-d array, got {source!r}")
+        return matrix
     with open_input(source) as fh:
         try:
             matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -247,7 +251,7 @@ _MODEL_PARAMS = {
 def build_model(model_cfg: dict) -> PartitionPrior:
     if not isinstance(model_cfg, dict) or "family" not in model_cfg:
         raise ValidationError("model config must name a family")
-    family = model_cfg["family"]
+    family = _typed(model_cfg, "family", None, str, "model.")
     if family not in _MODEL_PARAMS:
         raise ValidationError(f"unknown model family {family!r}")
     _reject_unknown(f"model ({family})", model_cfg, ("family",) + _MODEL_PARAMS[family])
@@ -387,6 +391,16 @@ _CONFIG_KEYS = ("data", "annotations", "design", "model", "prior", "loss", "swee
                 "strategy")
 
 
+def _typed(cfg: dict, key: str, default, kind: type, prefix: str = ""):
+    """``cfg[key]`` (or ``default``), naming the key unless it is ``default``
+    itself or a ``kind``: ``str`` or ``dict``, a JSON string or object."""
+    value = cfg.get(key, default)
+    if value is not default and not isinstance(value, kind):
+        noun = "a string" if kind is str else "an object"
+        raise ValidationError(f"{prefix}{key} must be {noun}, got {value!r}")
+    return value
+
+
 def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
     """``cfg[key]`` (or ``default``) converted by ``kind``, naming the key if it fails.
 
@@ -417,7 +431,8 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
                  chains: Optional[int] = None) -> RunConfig:
     """Validate a config mapping (plus CLI overrides) into a RunConfig."""
     raw = dict(raw or {})
-    preset = raw.pop("preset", None)
+    preset = _typed(raw, "preset", None, str)
+    raw.pop("preset", None)
     if preset is not None:
         if preset not in PRESETS:
             raise ValidationError(f"unknown preset {preset!r} (have: {sorted(PRESETS)})")
@@ -434,15 +449,15 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
     raw.setdefault("chains", 1)
     _reject_unknown("config", raw, _CONFIG_KEYS)
 
-    if "data" not in raw:
+    if raw.get("data") is None:
         raise ValidationError("config must name a data file")
-    dataset = load_dataset(_resolve_path(raw["data"]))
-    if raw.get("annotations"):
-        dataset.annotations = load_annotations(_resolve_path(raw["annotations"]),
-                                               dataset.ids)
+    dataset = load_dataset(_resolve_path(_typed(raw, "data", None, str)))
+    annotations = _typed(raw, "annotations", None, str)
+    if annotations:
+        dataset.annotations = load_annotations(_resolve_path(annotations), dataset.ids)
     design = build_design(raw.get("design"), dataset.n_samples)
     model = build_model(raw.get("model", {"family": "dp", "concentration": 1.0}))
-    specs = build_priors(raw.get("prior", {}), design, model)
+    specs = build_priors(_typed(raw, "prior", {}, dict), design, model)
     seed = _number(raw, "seed", 0, int)
     if seed < 0:  # np.random.SeedSequence takes no negative entropy
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -454,7 +469,7 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
         subset_max_size=_number(raw, "subset_max_size", 8, int),
         seed=seed,
     )
-    loss_cfg = raw.get("loss", {})
+    loss_cfg = _typed(raw, "loss", {}, dict)
     _reject_unknown("loss", loss_cfg, ("false_positive", "false_negative"))
     loss = LossSpec(_number(loss_cfg, "false_positive", 1.0, float, "loss."),
                     _number(loss_cfg, "false_negative", 1.0, float, "loss."))
@@ -468,13 +483,8 @@ def parse_config(raw: dict, *, seed: Optional[int] = None, out: Optional[str] = 
         raise ValidationError(f"strategy 'exact' is limited to n <= {MAX_ENUM_N} items, "
                               f"the dataset has {dataset.n}")
     return RunConfig(dataset, design, model, specs, plan, loss,
-                     out_dir=raw.get("out", "cdpmix-run"), chains=chain_count,
+                     out_dir=_typed(raw, "out", "cdpmix-run", str), chains=chain_count,
                      strategy=strategy, echo=raw)
-
-
-def _chain_task(args) -> list[TraceRecord]:
-    Y, design, model, specs, plan = args
-    return run_chain(Y, design, model, specs, plan)
 
 
 def _chain_plans(plan: SweepPlan, chains: int) -> list[SweepPlan]:
@@ -485,12 +495,11 @@ def _chain_plans(plan: SweepPlan, chains: int) -> list[SweepPlan]:
 def run_chains(config: RunConfig) -> list[list[TraceRecord]]:
     """Run the configured number of chains (concurrently when more than one)."""
     plans = _chain_plans(config.plan, config.chains)
-    tasks = [(config.dataset.data, config.design, config.model, config.specs, p)
-             for p in plans]
+    chain = partial(run_chain, config.dataset.data, config.design, config.model, config.specs)
     if config.chains == 1:
-        return [_chain_task(tasks[0])]
+        return [chain(plans[0])]
     with ProcessPoolExecutor(max_workers=min(config.chains, os.cpu_count() or 1)) as pool:
-        return list(pool.map(_chain_task, tasks))
+        return list(pool.map(chain, plans))
 
 
 def _majority_colours(partition: Partition, colours: np.ndarray, weights: np.ndarray,
@@ -605,12 +614,14 @@ def write_trace(path: str, ids: list[str],
 
 
 def _trace_body_lines(path: str):
-    """``(line number, cells)`` of each non-blank body line of a trace file."""
+    """``(line number, cells)`` of each body line of a trace file that
+    ``np.loadtxt`` reads: text from a ``#`` on is dropped, and a line left
+    empty is skipped."""
     with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\r\n").split(",")
-            if lineno > 1 and cells != [""]:
-                yield lineno, cells
+            text = line.rstrip("\r\n").partition("#")[0]
+            if lineno > 1 and text:
+                yield lineno, text.split(",")
 
 
 def _bad_trace_line(path: str, width: int) -> ValidationError:

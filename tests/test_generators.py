@@ -294,12 +294,36 @@ def test_cdp_coloured_frequencies_match_eppf():
     assert chi2_ok(counts, probs)
 
 
+class _TaggedBase(UniformBase):
+    """Unit-interval payloads, each tagged with the colour whose base drew it."""
+
+    def __init__(self, colour):
+        self.colour = colour
+
+    def draw(self, rng):
+        return self.colour, super().draw(rng)
+
+
 def test_cdp_atoms_align_with_clusters():
-    rng = np.random.default_rng(23)
+    # one atom per cluster, in colour-major order, drawn from the cluster's
+    # colour's base and numbered by the cluster's first appearance among the items
     model = ColouredDirichletProcess([(1.0, 1.0), (1.0, 2.0)])
-    cp, atoms = sample_cdp(6, model, [UniformBase(), UniformBase()], rng)
-    assert len(atoms) == cp.degree
-    assert len({a.uid for a in atoms}) == len(atoms)
+    for n in (6, 8):
+        rng = np.random.default_rng(23)
+        cp, atoms = sample_cdp(n, model, [_TaggedBase(0), _TaggedBase(1)], rng)
+        assert len(atoms) == cp.degree
+        assert len({a.uid for a in atoms}) == len(atoms)
+        clusters = [c for cs in cp.clusters_by_colour for c in cs]
+        _, colours = cp.allocation()
+        for c, atom in zip(clusters, atoms):
+            assert all(atom.value[0] == colours[i] for i in c)
+        firsts = sorted(map(min, clusters))
+        assert [a.uid for a in atoms] == [firsts.index(min(c)) for c in clusters]
+    # one seeded draw, pinned: its clusters, and its atoms in draw order
+    assert cp.clusters_by_colour == (((0,), (6,)), ((1, 3, 7), (2, 5), (4,)))
+    assert [(a.uid, a.value[1]) for a in atoms] == [
+        (0, 0.8268362548714876), (4, 0.11059946053805414), (1, 0.7289256865737243),
+        (2, 0.7806833314320117), (3, 0.38326278377726974)]
 
 
 # ---------------------------------------------------- construction agreement

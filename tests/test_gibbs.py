@@ -149,7 +149,7 @@ def subset_kernel(model, engines, states, block):
             continue
         st = ChainState(model, engines, p.n, rng, initial=p)
         withdraw(st, block)
-        moves, logw, after = st.subset_candidates(block)
+        moves, logw, after, _ = st.subset_candidates(block)
         w = np.exp(np.asarray(logw) - max(logw))
         w /= w.sum()
         for mv, weight, lm in zip(moves, w, after):
@@ -269,7 +269,7 @@ def test_whole_cluster_move_prior_ratio_matches_closed_form():
     state = ChainState(model, engines, 4, np.random.default_rng(0),
                        initial=Partition([[0, 1], [2, 3]]))
     withdraw(state, [0, 1])
-    moves, logw, _ = state.subset_candidates([0, 1])
+    moves, logw, _, _ = state.subset_candidates([0, 1])
     options = dict(zip([m[0] + str(m[1]) for m in moves], logw))
     merged = Partition([[0, 1, 2, 3]])
     split = Partition([[0, 1], [2, 3]])
@@ -342,7 +342,7 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
                     st = ChainState(model, engines, n, rng, initial=p)
                     withdraw(st, sub)
                     remaining = len(st.clusters)
-                    moves, logw, after = st.subset_candidates(list(sub))
+                    moves, logw, after, _ = st.subset_candidates(list(sub))
                     w = np.exp(np.asarray(logw) - max(logw))
                     w /= w.sum()
                     for mv, weight, lm in zip(moves, w, after):
@@ -370,7 +370,8 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
     # change, bit for bit: both read the same sizes in the same order. On 40
     # items in about a dozen clusters of mixed sizes, a size listed out of
     # canonical order changes the sum of their lgammas in the last bits.
-    # Where the kernel builds, its pricing of the block must agree.
+    # The size reported for each option is its receiving cluster's in that
+    # partition. Where the kernel builds, its pricing of the block must agree.
     n = 40
     Y = np.random.default_rng(3).normal(size=(n, 2)) * 1.5
     engines = build_engines(Y, DESIGN, specs, model)
@@ -391,7 +392,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
         block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
                                   replace=False).tolist())
         withdraw(st, block)
-        moves, logw, after = st.subset_candidates(block)
+        moves, logw, after, grown = st.subset_candidates(block)
         for kind, key in [("existing", c) for c in st.clusters] + [
                 ("new", k) for k in range(model.n_colours)]:
             nxt = ChainState(model, engines, n, unused, initial=p)
@@ -404,6 +405,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
                 continue
             idx = moves.index((kind, key))
             assert logw[idx] == prior + after[idx] - lm
+            assert grown[idx] == len(nxt.clusters[nxt.item_cluster[block[0]]].members)
             checked += 1
         if _sweep.library() is not None:
             # the kernel's pricing of the same block, read off its arrays,
@@ -416,6 +418,7 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
             assert [(kind, cids[key] if kind == "existing" else key)
                     for kind, key in got[0]] == moves
             assert bits(got[1]) == bits(logw) and bits(got[2]) == bits(after)
+            assert got[3] == grown
             live = list(st.clusters.values())
             assert arrays.block_least[:len(live)].tolist() == [min(cl.members) for cl in live]
     assert checked > 100
@@ -1003,9 +1006,9 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
             return place(chain, block, move, log_m_after)
 
         def counted_options(log_prior, block, keys, *rest):
-            moves, logw, after = options(log_prior, block, keys, *rest)
+            moves, logw, after, grown = options(log_prior, block, keys, *rest)
             seen["ruled out"] += len(moves) < len(keys) + model.n_colours
-            return moves, logw, after
+            return moves, logw, after, grown
 
         monkeypatch.setattr(gibbs._ArrayState, "_place", counted_place)
         monkeypatch.setattr(gibbs, "_block_options", counted_options)
@@ -1138,8 +1141,8 @@ def test_an_error_in_a_chain_with_moves_is_the_python_sweeps(where, sweep_path, 
 
 
 def test_a_chain_that_forgets_its_priors_scores_the_same_records(sweep_path, monkeypatch):
-    # a chain remembers the prior of each size key it scores until it holds
-    # _PRIOR_MEMO of them, then forgets them all; with room for three keys it
+    # a chain remembers the prior of the _PRIOR_MEMO size keys it scored
+    # last, forgetting the least recently used; with room for three keys it
     # scores the priors again and again, and every record is the same double
     model = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
     Y = make_data(9, seed=5)
@@ -1156,7 +1159,7 @@ def test_a_chain_that_forgets_its_priors_scores_the_same_records(sweep_path, mon
     state = ChainState(model, build_engines(Y, DESIGN, [SPEC, SPEC], model), 9,
                        np.random.default_rng(4))
     assert_same_records(state.run(plan), expected)
-    assert len(state._priors) <= 3
+    assert state._log_prior.cache_info().currsize <= 3
     assert calls[3] > calls[bound] > 0
 
 

@@ -552,6 +552,16 @@ def test_read_trace_short_row_names_line(tmp_path, monkeypatch):
     assert compiled == numpy_reader
 
 
+def test_read_trace_names_a_bad_line_below_a_comment_line(tmp_path, monkeypatch):
+    # np.loadtxt skips a line left empty once its "#" comment is dropped; the
+    # error used to count it as a row of one field and name it, line 2
+    path = _write_trace_text(tmp_path, "# note\n0,5,0,1,0,x\n",
+                             head="chain,sweep,c:a,c:b,k:a,k:b\n")
+    compiled, numpy_reader = _both_readers(monkeypatch, path)
+    assert compiled == numpy_reader == (
+        f"{path}: line 3: invalid literal for int() with base 10: 'x'")
+
+
 @pytest.mark.parametrize("head,body", [
     (_TRACE_HEAD.replace("\n", "\r\n"), "1,6,0,0,1,1\r\n"),
     (_TRACE_HEAD, "1,6,0,0,1,1\r\n"),
@@ -816,6 +826,25 @@ def test_summarize_rejects_a_colour_outside_the_model(tiny_run, capsys, colour):
             for name in os.listdir(out)} == before
 
 
+def test_summarize_names_a_bad_colour_below_a_comment_line(tiny_run, capsys, monkeypatch):
+    # the reader skips the "#" line, as np.loadtxt does; the error used to
+    # count records from the first body line and name line 4
+    cfg = dict(tiny_run, model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
+    pipeline.run_pipeline(pipeline.parse_config(cfg))
+    trace = os.path.join(cfg["out"], "trace.csv")
+    lines = open(trace).read().splitlines(keepends=True)
+    cells = lines[3].split(",")
+    cells[2 + 6 + 2] = "2"  # k:it2, on line 5 once the comment is in
+    lines[3] = ",".join(cells)
+    lines.insert(1, "# note\n")
+    with open(trace, "w") as fh:
+        fh.writelines(lines)
+    expected = f"error: {trace}: line 5, column k:it2: colour 2 is outside [0, 2)\n"
+    assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
+    monkeypatch.setattr(_sweep, "library", lambda: None)
+    assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
+
+
 def test_multichain_run_merges_traces(tiny_run, tmp_path):
     cfg = dict(tiny_run, out=str(tmp_path / "mc"), chains=2, sweeps=60, burn_in=20)
     manifest = pipeline.run_pipeline(pipeline.parse_config(cfg))
@@ -1020,6 +1049,32 @@ def test_malformed_model_or_prior_value_is_a_validation_error(tiny_run, capsys,
     err = _cli_error(capsys, "run", "--config", cfg)
     assert err.startswith(f"error: {key} must be "), err
     assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"out": 5}, "out"),
+    ({"out": None}, "out"),
+    ({"data": ["x"]}, "data"),
+    ({"data": 99_995}, "data"),
+    ({"annotations": 99_997}, "annotations"),
+    ({"loss": 5}, "loss"),
+    ({"prior": 5}, "prior"),
+    ({"design": {"Z": 5}}, "design.Z"),
+    ({"design": {"Z": [[1.0], [1.0]], "X": [1.0, 2.0]}}, "design.X"),
+    ({"preset": ["wen-rat"]}, "preset"),
+    ({"model": {"family": ["dp"]}}, "model.family"),
+], ids=["out-number", "out-null", "data-list", "data-number", "annotations-number",
+        "loss-number", "prior-number", "design-Z-number", "design-X-flat", "preset-list",
+        "family-list"])
+def test_config_value_of_the_wrong_json_type_is_a_validation_error(tiny_run, tmp_path, capsys,
+                                                                   overrides, key):
+    # each used to end in a traceback (TypeError, IndexError), or to open a
+    # number as a file descriptor (numbers past any this process holds open)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(tiny_run, **overrides)))
+    err = _cli_error(capsys, "run", "--config", str(cfg))
+    assert err.startswith(f"error: {key} must be "), err
+    assert not os.path.exists(tiny_run["out"])  # rejected before sampling
 
 
 @pytest.mark.parametrize("section,value,prefix", [
