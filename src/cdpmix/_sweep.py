@@ -9,8 +9,8 @@ machine architecture, written by an atomic rename; where that directory
 cannot be written, the library is built in a fresh temporary directory for
 this process alone. When it can be
 neither built nor loaded, ``library()`` logs one warning saying why and
-returns None: chains run the Python sweep and ``pipeline.read_trace`` parses
-with numpy.
+returns None: chains run the Python sweep and ``pipeline.read_trace`` runs
+the Python trace reader, the compiled reader's port.
 
 ``SweepArrays`` holds one chain's tables in the flat arrays the kernel
 reads -- the prior's urn tables, whatever the family, and the engines'
@@ -107,7 +107,7 @@ def library() -> ctypes.CDLL | None:
     try:
         lib = _load()
     except (OSError, subprocess.SubprocessError) as exc:
-        logger.warning("compiled kernels unavailable, using the Python sweep and numpy's "
+        logger.warning("compiled kernels unavailable, using the Python sweep and the Python "
                        "trace reader: %s", exc)
         return None
     kernel, buffer, i64 = ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64

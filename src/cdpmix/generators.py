@@ -49,8 +49,7 @@ def sample_gem(concentration: float, rng: np.random.Generator, *,
     """
     if not concentration > 0:
         raise ValidationError("concentration must be > 0")
-    return _sample_sticks(lambda j: rng.beta(1.0, concentration),
-                          rng, n_sticks=n_sticks, tol=tol)
+    return _sample_sticks(lambda j: rng.beta(1.0, concentration), n_sticks=n_sticks, tol=tol)
 
 
 def sample_gem_two_param(discount: float, strength: float, rng: np.random.Generator, *,
@@ -64,10 +63,10 @@ def sample_gem_two_param(discount: float, strength: float, rng: np.random.Genera
     if not strength > -discount:
         raise ValidationError("strength must exceed -discount")
     return _sample_sticks(lambda j: rng.beta(1.0 - discount, strength + j * discount),
-                          rng, n_sticks=n_sticks, tol=tol)
+                          n_sticks=n_sticks, tol=tol)
 
 
-def _sample_sticks(draw_break, rng, *, n_sticks, tol) -> StickWeights:
+def _sample_sticks(draw_break, *, n_sticks, tol) -> StickWeights:
     if (n_sticks is None) == (tol is None):
         raise ValidationError("specify exactly one of n_sticks or tol")
     breaks = []

@@ -23,6 +23,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__, _sweep
 from .conjugate import DesignBlock, NormalGammaSpec
 from .errors import ValidationError
-from .estimation import (LossSpec, accumulate_similarity, cluster_summaries, distinct_rows,
+from .estimation import (LossSpec, accumulate_similarity, cluster_summaries,
                          expected_pairwise_loss, optimal_partition)
 from .gibbs import SweepPlan, TraceRecord, run_chain
 from .partitions import MAX_ENUM_N, Partition
@@ -80,22 +81,64 @@ def _dedupe_ids(ids: list[str]) -> list[str]:
     return out
 
 
-def open_input(path: str):
-    """Open an input file for reading; a missing or unreadable one is a
+@contextmanager
+def open_input(path: str, binary: bool = False):
+    """Open an input file for reading, as UTF-8 text unless ``binary``; a
+    missing or unreadable file, or text in it that is not UTF-8, is a
     validation error that names it."""
     try:
-        return open(path, newline="")
+        fh = open(path, "rb") if binary else open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _unique_keys(path: str, pairs: list) -> dict:
+    """The JSON object of ``pairs``; a key it repeats is a validation error."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValidationError(f"{path}: key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
 
 
 def load_json(path: str):
-    """Decode a JSON input file; a missing or malformed one is a validation error."""
+    """Decode a JSON input file; a missing or malformed one, or one with an
+    object that repeats a key, is a validation error."""
     with open_input(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=partial(_unique_keys, path))
+        except ValidationError:
+            raise
         except ValueError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _tsv_rows(path: str, kind: str):
+    """The header of a tab-separated input file, then ``(line number, row)``
+    per row that is not blank. An empty file, a header without an id column
+    and a ``kind`` column, or a row whose width is not the header's is a
+    validation error naming the file (and the row)."""
+    with open_input(path) as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: file is empty")
+        if len(header) < 2:
+            raise ValidationError(f"{path}: need an id column plus at least one {kind} column")
+        yield header
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
+            yield lineno, row
 
 
 def load_dataset(path: str) -> DatasetTable:
@@ -105,39 +148,27 @@ def load_dataset(path: str) -> DatasetTable:
     could carry) and non-numeric, non-finite or missing cells fail with the
     offending row/column named; duplicate ids are suffix-disambiguated with a warning.
     """
-    with open_input(path) as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty") from None
-        if len(header) < 2:
-            raise ValidationError(f"{path}: need an id column plus at least one data column")
-        width = len(header)
-        ids, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
+    reader = _tsv_rows(path, "data")
+    header = next(reader)
+    ids, rows = [], []
+    for lineno, row in reader:
+        if "\n" in row[0] or "\r" in row[0]:
+            raise ValidationError(f"{path}: row {lineno}: id {row[0]!r} holds a line break")
+        ids.append(row[0])
+        values = []
+        for colname, cell in zip(header[1:], row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
                 raise ValidationError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {width}")
-            if "\n" in row[0] or "\r" in row[0]:
-                raise ValidationError(f"{path}: row {lineno}: id {row[0]!r} holds a line break")
-            ids.append(row[0])
-            values = []
-            for colname, cell in zip(header[1:], row[1:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: row {lineno}, column {colname!r}: "
-                        f"non-numeric value {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ValidationError(
-                        f"{path}: row {lineno}, column {colname!r}: "
-                        f"non-finite value {cell!r}")
-                values.append(value)
-            rows.append(values)
+                    f"{path}: row {lineno}, column {colname!r}: "
+                    f"non-numeric value {cell!r}") from None
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}: row {lineno}, column {colname!r}: "
+                    f"non-finite value {cell!r}")
+            values.append(value)
+        rows.append(values)
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 items")
     return DatasetTable(_dedupe_ids(ids), np.array(rows, dtype=float), header[1:])
@@ -146,28 +177,25 @@ def load_dataset(path: str) -> DatasetTable:
 def load_annotations(path: str, ids: Sequence[str]) -> dict[str, list[str]]:
     """Load per-item categories from a tab-separated table keyed by id.
 
-    Every dataset id must appear and none twice; extra rows are ignored.
+    Every dataset id must appear and none twice, and no category column
+    name twice; extra rows are ignored.
     """
-    with open_input(path) as fh:
-        reader = csv.reader(fh, delimiter="\t")
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValidationError(f"{path}: need an id column plus at least one category column")
-        table, rows = {}, {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(
-                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
-            if row[0] in table:
-                raise ValidationError(
-                    f"{path}: id {row[0]!r} is listed twice, on rows {rows[row[0]]} and {lineno}")
-            table[row[0]], rows[row[0]] = row[1:], lineno
+    reader = _tsv_rows(path, "category")
+    names = next(reader)[1:]
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ValidationError(f"{path}: category column {name!r} is listed twice, as "
+                                  f"columns {names.index(name) + 2} and {k + 2}")
+    table, rows = {}, {}
+    for lineno, row in reader:
+        if row[0] in table:
+            raise ValidationError(
+                f"{path}: id {row[0]!r} is listed twice, on rows {rows[row[0]]} and {lineno}")
+        table[row[0]], rows[row[0]] = row[1:], lineno
     missing = [i for i in ids if i not in table]
     if missing:
         raise ValidationError(f"{path}: no annotation for ids {missing[:5]}")
-    return {name: [table[i][k] for i in ids] for k, name in enumerate(header[1:])}
+    return {name: [table[i][k] for i in ids] for k, name in enumerate(names)}
 
 
 def rat_timecourse_design() -> np.ndarray:
@@ -518,7 +546,7 @@ def _majority_colours(partition: Partition, colours: np.ndarray, weights: np.nda
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -606,35 +634,43 @@ def write_trace(path: str, ids: list[str],
     texts = []
     for start in range(0, len(traces.rows), _TRACE_CHUNK):
         texts += _csv_int_rows(traces.rows[start:start + _TRACE_CHUNK]).splitlines(keepends=True)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
         fh.writelines(f"{chain},{sweep},{texts[row]}" for chain, sweep, row in zip(
             traces.chain.tolist(), traces.sweep.tolist(), traces.index.tolist()))
 
 
-def _trace_body_lines(path: str):
-    """``(line number, cells)`` of each body line of a trace file that
-    ``np.loadtxt`` reads: text from a ``#`` on is dropped, and a line left
-    empty is skipped."""
-    with open_input(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.rstrip("\r\n").partition("#")[0]
-            if lineno > 1 and text:
-                yield lineno, text.split(",")
-
-
-def _bad_trace_line(path: str, width: int) -> ValidationError:
-    """The error naming the first body line of a trace that is not ``width`` int32 cells."""
-    for lineno, cells in _trace_body_lines(path):
-        if len(cells) != width:
-            return ValidationError(
-                f"{path}: line {lineno} has {len(cells)} fields, expected {width}")
-        try:
-            np.array(cells, dtype=np.int32)
-        except (ValueError, OverflowError) as exc:
-            return ValidationError(f"{path}: line {lineno}: {exc}")
-    return ValidationError(f"{path}: malformed trace body")
+def _read_body(path: str, body: bytes, width: int):
+    """The Python port of ``_sweep.TraceReader.read`` for ``body``, the bytes
+    after the header: each distinct text after a line's chain and sweep is
+    parsed once into a row. Cells of one to nine digits are checked in a few
+    whole-body calls, any others line by line, naming the first bad line."""
+    lines = body.split(b"\n")
+    tail = lines.pop()  # the bytes after the last newline
+    parts = [line.split(b",", 2) for line in lines]
+    first: dict[bytes, int] = {}
+    index = [first.setdefault(cells[-1], len(first)) for cells in parts]
+    texts, heads = b",".join(first), b",".join([c for cells in parts for c in cells[:2]])
+    joined = b"," + texts + b"," + heads + b","
+    sizes = np.diff(np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) == ord(","))) - 1
+    if (joined.translate(None, b"0123456789,") or not 1 <= sizes.min() <= sizes.max() <= 9
+            or any(len(cells) != 3 for cells in parts)
+            or any(text.count(b",") != width - 3 for text in first)):
+        for lineno, cells in enumerate((line.split(b",") for line in lines), start=2):
+            if len(cells) != width:
+                raise ValidationError(
+                    f"{path}: line {lineno} has {len(cells)} fields, expected {width}")
+            for field, cell in enumerate(cells, start=1):
+                if not (cell.isdigit() and int(cell) < 2 ** 31):  # bytes.isdigit: ASCII only
+                    raise ValidationError(  # the cell shown as a bytes literal, without its b
+                        f"{path}: line {lineno}: invalid literal in field {field}: "
+                        f"{repr(cell)[1:]}, expected ASCII digits up to {2 ** 31 - 1}")
+    if tail:
+        raise ValidationError(f"{path}: line {len(lines) + 2} does not end in a newline")
+    chain, sweep = np.fromstring(heads, dtype=np.int32, sep=",").reshape(-1, 2).T.copy()
+    return (chain, sweep, np.array(index, dtype=np.int64),
+            np.fromstring(texts, dtype=np.int32, sep=",").reshape(-1, width - 2))
 
 
 def _check_colours(path: str, ids: list[str], index: np.ndarray, colours: np.ndarray,
@@ -648,9 +684,8 @@ def _check_colours(path: str, ids: list[str], index: np.ndarray, colours: np.nda
     record = int(np.argmax(bad.any(axis=1)[index]))
     row = index[record]
     item = int(np.argmax(bad[row]))
-    lineno, _ = next(itertools.islice(_trace_body_lines(path), record, None))
     raise ValidationError(
-        f"{path}: line {lineno}, column k:{ids[item]}: colour {colours[row, item]} "
+        f"{path}: line {record + 2}, column k:{ids[item]}: colour {colours[row, item]} "
         f"is outside [0, {n_colours})")
 
 
@@ -679,37 +714,26 @@ def _trace_ids(path: str, line: str) -> list[str]:
 def read_trace(path: str) -> tuple[list[str], TraceTable]:
     """Reload a trace file as its item ids and a ``TraceTable``.
 
-    A body in the form ``write_trace`` writes is read by the compiled
-    reader (``_sweep.TraceReader``), which parses each distinct row's text
-    once; any other is read by numpy's ``loadtxt``, which accepts and
-    rejects what it always has, and its rows are made distinct by
-    ``distinct_rows``. Either way the rows come in order of first occurrence.
-    The header must be ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>``
-    per item (see ``_trace_ids``). A bad header (an empty file included), a
-    non-integer cell or a row of the wrong width is a validation error that
-    names the file, and the line or field where there is one.
+    A trace is read in the one form ``write_trace`` writes: a UTF-8 header
+    of ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>`` per item (see
+    ``_trace_ids``), then per record a line of comma-separated ASCII decimal
+    cells up to 2**31 - 1, every line ending in a newline. The body is read
+    by the compiled reader (``_sweep.TraceReader``) where the library loads,
+    and otherwise, or where it stops at a line, by its Python port
+    ``_read_body``. Anything else (an empty file included) is a validation
+    error that names the file and the line, or the header's first bad field.
     """
-    with open_input(path) as fh:
+    with open_input(path, binary=True) as fh:
         line = fh.readline()
-        ids = _trace_ids(path, line)
-        width = 2 + 2 * len(ids)
-        start, read, lib = fh.tell(), None, _sweep.library()
-        if lib is not None and line.endswith("\n") and "\r" not in line:
-            fh.buffer.seek(len(line.encode(fh.encoding)))
-            read = _sweep.TraceReader(lib, fh.buffer, width - 2, _READ_ROOM).read(_READ_CHUNK)
+        ids = _trace_ids(path, line.decode("utf-8"))
+        if not line.endswith(b"\n") or line.endswith(b"\r\n"):
+            raise ValidationError(f"{path}: line 1 does not end in a bare newline")
+        width, lib = 2 + 2 * len(ids), _sweep.library()
+        read = (None if lib is None else
+                _sweep.TraceReader(lib, fh, width - 2, _READ_ROOM).read(_READ_CHUNK))
         if read is None:
-            fh.seek(start)  # the binary reads moved the file under the text layer
-            try:
-                with warnings.catch_warnings():
-                    # an empty body is reported by the summary as "no retained sweeps"
-                    warnings.simplefilter("ignore", UserWarning)
-                    body = np.loadtxt(fh, delimiter=",", dtype=np.int32, ndmin=2)
-            except ValueError:
-                body = None
-            if body is None or (body.size and body.shape[1] != width):
-                raise _bad_trace_line(path, width)
-            body = body.reshape(-1, width)
-            read = (body[:, 0], body[:, 1], *distinct_rows(body[:, 2:]))
+            fh.seek(len(line))
+            read = _read_body(path, fh.read(), width)
     return ids, TraceTable(*read)
 
 
@@ -778,7 +802,7 @@ def run_pipeline(config: RunConfig) -> dict:
     probe = os.path.join(config.out_dir, ".write-probe")
     try:
         os.makedirs(config.out_dir, exist_ok=True)
-        with open(probe, "w") as fh:
+        with open(probe, "w", encoding="utf-8") as fh:
             fh.write("")
         os.remove(probe)
     except OSError as exc:
@@ -806,7 +830,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "estimate": estimate_info,
         "log_posterior": [rec.log_posterior for trace in traces for rec in trace],
     }
-    with open(os.path.join(config.out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(config.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

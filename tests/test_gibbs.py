@@ -1243,7 +1243,7 @@ def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog, tmp_pa
     assert traces == [expected, expected]
     assert {name: (tmp_path / "run" / name).read_bytes() for name in artifacts} == artifacts
     assert [r.getMessage() for r in caplog.records] == [  # once per process
-        "compiled kernels unavailable, using the Python sweep and numpy's trace reader: "
+        "compiled kernels unavailable, using the Python sweep and the Python trace reader: "
         "cc exited with status 1: no space left"]
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -5,6 +6,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -129,6 +132,32 @@ def test_an_annotation_id_listed_twice_is_a_validation_error(tmp_path):
     with pytest.raises(ValidationError) as info:
         pipeline.load_annotations(str(f), ["a", "b"])
     assert str(info.value) == f"{f}: id 'a' is listed twice, on rows 2 and 5"
+
+
+def test_an_annotation_column_listed_twice_is_a_validation_error(tmp_path):
+    # crosstab.csv used to list only the second column's categories
+    f = tmp_path / "ann.tsv"
+    f.write_text("id\tcls\tgrp\tcls\na\tx\tu\ty\nb\ty\tu\tx\n")
+    with pytest.raises(ValidationError) as info:
+        pipeline.load_annotations(str(f), ["a", "b"])
+    assert str(info.value) == f"{f}: category column 'cls' is listed twice, as columns 2 and 4"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "file is empty"),
+    ("id\n", "need an id column plus at least one {kind} column"),
+    ("id\tx\na\t1\n\nb\t2\t3\n", "row 4 has 3 fields, expected 2"),
+], ids=["empty", "id-only", "ragged"])
+@pytest.mark.parametrize("kind", ["data", "category"])
+def test_both_tables_share_their_header_and_row_checks(tmp_path, text, message, kind):
+    f = tmp_path / "table.tsv"
+    f.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        if kind == "data":
+            pipeline.load_dataset(str(f))
+        else:
+            pipeline.load_annotations(str(f), ["a", "b"])
+    assert str(info.value) == f"{f}: " + message.format(kind=kind)
 
 
 # -------------------------------------------------------------------- design
@@ -516,7 +545,7 @@ def _read_trace_outcome(path):
 
 def _both_readers(monkeypatch, path):
     """``_read_trace_outcome`` on the compiled reader (where it builds), then
-    on numpy's, forced as a failed build forces it."""
+    on its Python port, forced as a failed build forces it."""
     compiled = _read_trace_outcome(path)
     with monkeypatch.context() as m:
         m.setattr(_sweep, "library", lambda: None)
@@ -553,48 +582,91 @@ def test_read_trace_short_row_names_line(tmp_path, monkeypatch):
 
 
 def test_read_trace_names_a_bad_line_below_a_comment_line(tmp_path, monkeypatch):
-    # np.loadtxt skips a line left empty once its "#" comment is dropped; the
-    # error used to count it as a row of one field and name it, line 2
+    # a "#" line is no trace line: both readers name it, not the bad line below
     path = _write_trace_text(tmp_path, "# note\n0,5,0,1,0,x\n",
                              head="chain,sweep,c:a,c:b,k:a,k:b\n")
     compiled, numpy_reader = _both_readers(monkeypatch, path)
-    assert compiled == numpy_reader == (
-        f"{path}: line 3: invalid literal for int() with base 10: 'x'")
+    assert compiled == numpy_reader == f"{path}: line 2 has 1 fields, expected 6"
 
 
-@pytest.mark.parametrize("head,body", [
-    (_TRACE_HEAD.replace("\n", "\r\n"), "1,6,0,0,1,1\r\n"),
-    (_TRACE_HEAD, "1,6,0,0,1,1\r\n"),
-    (_TRACE_HEAD, "\n1,6,0,0,1,1\n"),
-    (_TRACE_HEAD, "1,6,0,0,1,1"),
-    (_TRACE_HEAD, "1,2147483647,0,0,1,1\n"),
-    (_TRACE_HEAD, "1,2147483648,0,0,1,1\n"),
-    (_TRACE_HEAD, "1,-6,0,0,1,1\n"),
-    (_TRACE_HEAD, "1,+5,0,0,1,1\n"),
-    (_TRACE_HEAD, "1, 5,0,0,1,1\n"),
-    (_TRACE_HEAD, "1,6,0,0,1,\n"),
-    (_TRACE_HEAD, "1,6,0,0,1,1,1\n"),
-    (_TRACE_HEAD, "1,006,0,0,1,1\n"),
-    ("chain,sweep,c:a,c:b,k:a,k:b\n", ""),
+_DIGITS_UP_TO = ", expected ASCII digits up to 2147483647"
+_READ = (["a", "b"], [0, 1], [5, 6], [[0, 1, 0, 0], [0, 0, 1, 1]])
+
+
+@pytest.mark.parametrize("head,body,outcome", [
+    (_TRACE_HEAD.replace("\n", "\r\n"), "1,6,0,0,1,1\r\n",
+     "line 1 does not end in a bare newline"),
+    (_TRACE_HEAD, "1,6,0,0,1,1\r\n", "line 3: invalid literal in field 6: '1\\r'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "\n1,6,0,0,1,1\n", "line 3 has 1 fields, expected 6"),
+    (_TRACE_HEAD, "1,6,0,0,1,1", "line 3 does not end in a newline"),
+    (_TRACE_HEAD, "1,2147483647,0,0,1,1\n", (_READ[0], [0, 1], [5, 2147483647], _READ[3])),
+    (_TRACE_HEAD, "1,2147483648,0,0,1,1\n",
+     "line 3: invalid literal in field 2: '2147483648'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,-6,0,0,1,1\n", "line 3: invalid literal in field 2: '-6'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,+5,0,0,1,1\n", "line 3: invalid literal in field 2: '+5'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1, 5,0,0,1,1\n", "line 3: invalid literal in field 2: ' 5'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,6,0,0,1,\n", "line 3: invalid literal in field 6: ''" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,6,0,0,1,1,1\n", "line 3 has 7 fields, expected 6"),
+    (_TRACE_HEAD, "1,006,0,0,1,1\n", _READ),
+    ("chain,sweep,c:a,c:b,k:a,k:b\n", "", (_READ[0], [], [], [])),
+    (_TRACE_HEAD, "1,6,0,\xff,1,1\n",
+     "line 3: invalid literal in field 4: '\\xff'" + _DIGITS_UP_TO),
+    ("chain,sweep,c:\xff,c:b,k:\xff,k:b\n", "0,5,0,1,0,0\n",
+     "not UTF-8 text (invalid start byte)"),
+    (_TRACE_HEAD, "1,1_0,0,0,1,1\n", "line 3: invalid literal in field 2: '1_0'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,\u0663,0,0,1,1\n",
+     "line 3: invalid literal in field 2: '\\xd9\\xa3'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,6,0\r,0,1,1\n", "line 3: invalid literal in field 3: '0\\r'" + _DIGITS_UP_TO),
+    (_TRACE_HEAD, "1,00000000006,0,0,1,1\n", _READ),
 ], ids=["crlf", "crlf-body", "blank-line", "no-final-newline", "int32-max", "int32-max+1",
         "negative", "plus-sign", "space", "empty-cell", "long-row", "leading-zeros",
-        "empty-body"])
-def test_read_trace_agrees_on_both_readers(tmp_path, monkeypatch, head, body):
-    path = _write_trace_text(tmp_path, body, head=head)
+        "empty-body", "ff-body", "ff-header", "underscore", "arabic-digit", "lone-cr",
+        "ten-digit-zeros"])
+def test_read_trace_agrees_on_both_readers(tmp_path, monkeypatch, head, body, outcome):
+    path = tmp_path / "trace.csv"
+    # "\xff" stands for the byte 0xFF, which no text encodes
+    path.write_bytes((head + body).encode().replace("\xff".encode(), b"\xff"))
+    path = str(path)
     compiled, numpy_reader = _both_readers(monkeypatch, path)
     assert compiled == numpy_reader
+    if isinstance(outcome, str):
+        assert compiled == f"{path}: {outcome}"
+    else:
+        ids, chain, sweep, records = outcome
+        labels, colours = [r[:2] for r in records], [r[2:] for r in records]
+        assert [ids] + [values for _, _, values in compiled[1]] == [ids, chain, sweep, labels,
+                                                                     colours]
 
 
-def _forbid_loadtxt(monkeypatch):
-    """Make ``np.loadtxt`` raise, so that only the compiled reader can read a
-    trace; skips where the library cannot be built."""
+def test_read_trace_agrees_on_both_readers_on_damaged_traces(tmp_path, monkeypatch):
+    # each reader accepts exactly the lines the other accepts, and names the same first bad one
+    rng = np.random.default_rng(41)
+    good = (_TRACE_HEAD + "1,6,0,10,1,1\n2,7,0,1,0,1\n").encode()
+    path = tmp_path / "trace.csv"
+    outcomes = set()
+    for _ in range(300):
+        body = bytearray(good)
+        for _ in range(int(rng.integers(1, 3))):
+            pos = int(rng.integers(len(_TRACE_HEAD), len(body) + 1))  # in the body only
+            byte = bytes([rng.choice(list(b"0123456789,\n\r- \xff"))])
+            body[pos:pos + int(rng.integers(2))] = byte if rng.integers(3) else b""
+        path.write_bytes(bytes(body))
+        compiled, python_reader = _both_readers(monkeypatch, str(path))
+        assert compiled == python_reader, bytes(body)
+        outcomes.add(compiled.split(": ", 2)[1] if isinstance(compiled, str) else "read")
+    assert "read" in outcomes and len(outcomes) > 5, outcomes
+
+
+def _forbid_read_body(monkeypatch):
+    """Make the Python trace reader raise, so that only the compiled reader
+    can read a trace; skips where the library cannot be built."""
     if _sweep.library() is None:
         pytest.skip("the compiled trace reader cannot be built here")
 
-    def no_loadtxt(*args, **kwargs):
-        raise AssertionError("the compiled reader fell back to np.loadtxt")
+    def no_read_body(*args, **kwargs):
+        raise AssertionError("the compiled reader fell back to the Python reader")
 
-    monkeypatch.setattr(pipeline.np, "loadtxt", no_loadtxt)
+    monkeypatch.setattr(pipeline, "_read_body", no_read_body)
 
 
 def test_read_trace_carries_rows_across_chunks(tmp_path, monkeypatch):
@@ -603,16 +675,16 @@ def test_read_trace_carries_rows_across_chunks(tmp_path, monkeypatch):
     path = _write_trace_text(tmp_path, body)
     monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
     _, numpy_reader = _both_readers(monkeypatch, path)
-    _forbid_loadtxt(monkeypatch)
+    _forbid_read_body(monkeypatch)
     assert _read_trace_outcome(path) == numpy_reader
 
 
 def test_written_traces_take_the_compiled_reader(tmp_path, monkeypatch):
-    # a silent fallback to np.loadtxt would keep every result and lose the speed
+    # a silent fallback to the Python reader would keep every result and lose the speed
     traces = _random_traces(np.random.default_rng(35), [10_000] * 4, 112, first_sweep=10_000)
     path = str(tmp_path / "trace.csv")
     pipeline.write_trace(path, [f"gene{i}" for i in range(112)], traces)
-    _forbid_loadtxt(monkeypatch)
+    _forbid_read_body(monkeypatch)
     _, chain, sweep, labels, colours = _trace_records(path)
     table = pipeline.stack_traces(traces, 112)
     records = table.rows[table.index]
@@ -648,7 +720,7 @@ def test_read_trace_grows_its_buffers(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "_READ_ROOM", 1)
     monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
     _, numpy_reader = _both_readers(monkeypatch, path)
-    _forbid_loadtxt(monkeypatch)
+    _forbid_read_body(monkeypatch)
     grown = []
     grow = _sweep.TraceReader._grow
     monkeypatch.setattr(_sweep.TraceReader, "_grow",
@@ -669,7 +741,7 @@ def test_read_trace_without_repeats(tmp_path, monkeypatch):
                                                for r in table.tolist()))
     monkeypatch.setattr(pipeline, "_READ_ROOM", 4)
     _, numpy_reader = _both_readers(monkeypatch, path)
-    _forbid_loadtxt(monkeypatch)
+    _forbid_read_body(monkeypatch)
     assert _read_trace_outcome(path) == numpy_reader
     _, (_, _, index, rows) = pipeline.read_trace(path)
     assert index.tolist() == list(range(3001)) and len(rows) == 3001
@@ -797,7 +869,7 @@ def test_summarize_recomputes_identically(tiny_run, tmp_path, monkeypatch):
         pipeline.summarize_run(out)
         for name, content in before.items():
             assert open(os.path.join(out, name), "rb").read() == content
-        with monkeypatch.context() as m:  # numpy's reader, as without a C compiler
+        with monkeypatch.context() as m:  # the Python reader, as without a C compiler
             m.setattr(_sweep, "library", lambda: None)
             pipeline.summarize_run(out)
         for name, content in before.items():
@@ -821,14 +893,15 @@ def test_summarize_rejects_a_colour_outside_the_model(tiny_run, capsys, colour):
               for name in os.listdir(out)}
     err = _cli_error(capsys, "summarize", "--out", out)
     assert err == (f"error: {trace}: line 4, column k:it2: colour {colour} "
-                   "is outside [0, 2)\n")
+                   "is outside [0, 2)\n" if colour == "7" else
+                   f"error: {trace}: line 4: invalid literal in field 11: '-1', "
+                   "expected ASCII digits up to 2147483647\n")
     assert {name: open(os.path.join(out, name), "rb").read()
             for name in os.listdir(out)} == before
 
 
 def test_summarize_names_a_bad_colour_below_a_comment_line(tiny_run, capsys, monkeypatch):
-    # the reader skips the "#" line, as np.loadtxt does; the error used to
-    # count records from the first body line and name line 4
+    # a "#" line is no trace line: the readers name it, before any colour is checked
     cfg = dict(tiny_run, model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
     pipeline.run_pipeline(pipeline.parse_config(cfg))
     trace = os.path.join(cfg["out"], "trace.csv")
@@ -839,7 +912,7 @@ def test_summarize_names_a_bad_colour_below_a_comment_line(tiny_run, capsys, mon
     lines.insert(1, "# note\n")
     with open(trace, "w") as fh:
         fh.writelines(lines)
-    expected = f"error: {trace}: line 5, column k:it2: colour 2 is outside [0, 2)\n"
+    expected = f"error: {trace}: line 2 has 1 fields, expected 14\n"
     assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
     monkeypatch.setattr(_sweep, "library", lambda: None)
     assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
@@ -958,6 +1031,109 @@ def test_cli_missing_data_file_is_a_validation_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"preset": "wen-rat", "data": "/nonexistent.tsv"}))
     assert _cli_error(capsys, "run", "--config", str(cfg)).startswith(
         "error: /nonexistent.tsv: ")
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "summarize"])
+def test_a_repeated_json_key_is_a_validation_error(tiny_run, tmp_path, capsys, command):
+    # json kept the last of a repeated key: "sweeps": 5, "sweeps": 7 ran 7 sweeps
+    path = tmp_path / "cfg.json"
+    if command == "run":
+        text = json.dumps(dict(tiny_run, sweeps=5))[:-1] + ', "sweeps": 7}'
+        key = "sweeps"
+    elif command == "verify":
+        text = '{"chain_sweeps": 300, "chain_burn_in": 10, "chain_sweeps": 400}'
+        key = "chain_sweeps"
+    else:
+        pipeline.run_pipeline(pipeline.parse_config(tiny_run))
+        path = os.path.join(tiny_run["out"], "manifest.json")
+        with open(path) as fh:
+            text = fh.read().replace('"config": {', '"config": {"model": {"family": "dp", '
+                                                    '"concentration": 1.0, "family": "dp"},', 1)
+        key = "family"  # two objects down
+    with open(path, "w") as fh:
+        fh.write(text)
+    argv = ["--out", tiny_run["out"]] if command == "summarize" else ["--config", str(path)]
+    assert _cli_error(capsys, command, *argv) == (
+        f"error: {path}: key {key!r} appears twice in one object\n")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("table", ["data", "annotations"])
+def test_a_byte_that_is_not_utf8_in_a_table_is_a_validation_error(tiny_run, tmp_path, capsys,
+                                                                  table):
+    # it used to end in a UnicodeDecodeError traceback
+    path = tiny_run[table]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw.replace(b"it4", b"it\xff4"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_run))
+    assert _cli_error(capsys, "run", "--config", str(cfg)) == (
+        f"error: {path}: not UTF-8 text (invalid start byte)\n")
+    assert not os.path.exists(tiny_run["out"])  # rejected before sampling
+
+
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_a_run_writes_the_same_bytes_whatever_the_locale(tiny_run, tmp_path):
+    # the locale's encoding decided whether a non-ASCII id ran, and the bytes it wrote
+    for name in ("data", "annotations"):
+        with open(tiny_run[name], encoding="utf-8") as fh:
+            text = fh.read().replace("it1\t", "\u03b2-actin\t")
+        with open(tiny_run[name], "w", encoding="utf-8") as fh:
+            fh.write(text.replace("solo", "gl\u00eda"))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    base = {k: v for k, v in os.environ.items() if k not in _ASCII_LOCALE}
+    written = []
+    for env in (base, dict(base, **_ASCII_LOCALE)):
+        out = str(tmp_path / f"run{len(written)}")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(tiny_run, out=out)))
+        proc = subprocess.run([sys.executable, "-m", "cdpmix", "run", "--config", str(cfg)],
+                              capture_output=True, timeout=120,
+                              env=dict(env, PYTHONPATH=package_root))
+        assert proc.returncode == 0, proc.stderr
+        written.append({path.name: path.read_bytes() for path in sorted(tmp_path.glob(
+            f"run{len(written)}/*"))})
+    assert written[0] == written[1]
+    assert "\u03b2-actin".encode() in written[0]["trace.csv"]
+    assert "gl\u00eda".encode() in written[0]["crosstab.csv"]
+
+
+def _opens_without_encoding(source: str) -> list[int]:
+    """Line numbers of the ``open(...)`` calls in ``source`` that open a file
+    as text without naming an ``encoding``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+                node.func.id == "open"):
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            binary = isinstance(mode, ast.Constant) and "b" in mode.value
+            if not binary and "encoding" not in keywords:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source,lines", [
+    ("open(p)\nopen(p, 'w', newline='')\nopen(p, mode='a')\nopen(p, m)", [1, 2, 3, 4]),
+    ("open(p, 'rb')\nopen(p, mode='wb')\nopen(p, encoding='utf-8')\nos.open(p, 0)", []),
+], ids=["text", "named-or-binary"])
+def test_the_encoding_rule_finds_text_opens_without_an_encoding(source, lines):
+    assert _opens_without_encoding(source) == lines
+
+
+def test_every_text_mode_open_in_the_package_names_its_encoding():
+    package = os.path.dirname(os.path.abspath(pipeline.__file__))
+    found = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                found[name] = _opens_without_encoding(fh.read())
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert len(found) > 10
 
 
 def test_cli_malformed_manifest_is_a_validation_error(tiny_run, capsys):
