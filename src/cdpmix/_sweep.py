@@ -35,11 +35,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import platform
 import shutil
-import subprocess
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -47,8 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError
-
-logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -65,12 +61,15 @@ def _compile(target: Path) -> None:
         raise OSError("no C compiler (cc or gcc) found on PATH")
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.stem, suffix=".tmp")
     os.close(fd)
+    import subprocess  # only a build runs the compiler, so a cached library loads without it
     try:
         proc = subprocess.run([cc, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
                               capture_output=True, text=True)
         if proc.returncode != 0:
             raise OSError(f"{cc} exited with status {proc.returncode}: {proc.stderr.strip()}")
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:  # library() catches OSError alone
+        raise OSError(f"{cc} could not run: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -106,9 +105,11 @@ def library() -> ctypes.CDLL | None:
     """The loaded kernel, or None (after one logged warning) if it is unavailable."""
     try:
         lib = _load()
-    except (OSError, subprocess.SubprocessError) as exc:
-        logger.warning("compiled kernels unavailable, using the Python sweep and the Python "
-                       "trace reader: %s", exc)
+    except OSError as exc:
+        import logging  # only this warning needs it
+        logging.getLogger(__name__).warning(
+            "compiled kernels unavailable, using the Python sweep and the Python trace "
+            "reader: %s", exc)
         return None
     kernel, buffer, i64 = ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64
     records, block = ctypes.POINTER(_Records), ctypes.POINTER(_Block)

@@ -161,18 +161,26 @@ def test_verify_fails_on_forced_domain_error(tmp_path):
 
 
 def test_run_and_summarize_never_import_scipy_stats(tmp_path):
-    # scipy.stats alone took over half of `import cdpmix.cli`; no command uses it
+    # scipy.stats alone took over half of `import cdpmix.cli`; no command uses it.
+    # Nor does a one-chain run or summarize use the pool extra chains run on,
+    # the compiler's subprocess or the logging of a failed build.
+    unused = ["scipy.stats", "multiprocessing", "concurrent.futures"]
+    if _sweep.library() is not None:  # cached now, so the child does not compile
+        unused += ["subprocess", "logging"]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"preset": "wen-rat", "sweeps": 40, "burn_in": 20}))
     out = str(tmp_path / "run")
     script = (
         "import sys\n"
+        "def unused(step):\n"
+        f"    loaded = [m for m in {unused!r} if m in sys.modules]\n"
+        "    assert not loaded, (step, loaded)\n"
         "import cdpmix.cli, cdpmix.checks\n"
-        "assert 'scipy.stats' not in sys.modules, 'import'\n"
+        "unused('import')\n"
         f"assert cdpmix.cli.main(['run', '--config', {str(cfg)!r}, '--out', {out!r}]) == 0\n"
-        "assert 'scipy.stats' not in sys.modules, 'run'\n"
+        "unused('run')\n"
         f"assert cdpmix.cli.main(['summarize', '--out', {out!r}]) == 0\n"
-        "assert 'scipy.stats' not in sys.modules, 'summarize'\n")
+        "unused('summarize')\n")
     proc = _run_python("-c", script, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert os.path.exists(os.path.join(out, "manifest.json"))

@@ -1249,6 +1249,34 @@ def test_failed_build_falls_back_to_the_python_sweep(monkeypatch, caplog, tmp_pa
 
 @pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
                     reason="no C compiler")
+def test_compiler_that_cannot_run_falls_back_to_the_python_sweep(monkeypatch, caplog,
+                                                                 tmp_path):
+    # _compile imports subprocess itself and reports its SubprocessError as
+    # the OSError that library() catches
+    source = tmp_path / "_sweep.c"
+    source.write_bytes(_sweep.SOURCE.read_bytes())
+    monkeypatch.setattr(_sweep, "SOURCE", source)  # no library cached for this source
+
+    def cannot_run(*args, **kwargs):
+        raise subprocess.SubprocessError("compiler killed")
+
+    monkeypatch.setattr(subprocess, "run", cannot_run)
+    _sweep.library.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger="cdpmix._sweep"):
+            assert _sweep.library() is None
+            assert _sweep.library() is None
+    finally:
+        _sweep.library.cache_clear()  # the next caller loads the real library
+    cc = shutil.which("cc") or shutil.which("gcc")
+    assert [r.getMessage() for r in caplog.records] == [
+        "compiled kernels unavailable, using the Python sweep and the Python trace reader: "
+        f"{cc} could not run: compiler killed"]
+    assert not list((tmp_path / "__pycache__").iterdir())  # no temporary file left
+
+
+@pytest.mark.skipif(not (shutil.which("cc") or shutil.which("gcc")),
+                    reason="no C compiler")
 def test_kernel_is_built_once_into_the_cache(tmp_path, monkeypatch):
     source = tmp_path / "_sweep.c"
     source.write_bytes(_sweep.SOURCE.read_bytes())

@@ -17,7 +17,7 @@ from cdpmix import _sweep, checks, pipeline
 from cdpmix.cli import EXIT_VALIDATION, main
 from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity, distinct_rows
-from cdpmix.gibbs import TraceRecord
+from cdpmix.gibbs import TraceRecord, run_chain
 from cdpmix.partitions import Partition, enumerate_partitions
 
 
@@ -918,12 +918,30 @@ def test_summarize_names_a_bad_colour_below_a_comment_line(tiny_run, capsys, mon
     assert _cli_error(capsys, "summarize", "--out", cfg["out"]) == expected
 
 
-def test_multichain_run_merges_traces(tiny_run, tmp_path):
-    cfg = dict(tiny_run, out=str(tmp_path / "mc"), chains=2, sweeps=60, burn_in=20)
-    manifest = pipeline.run_pipeline(pipeline.parse_config(cfg))
-    _, chain, _, labels, _ = _trace_records(os.path.join(cfg["out"], "trace.csv"))
-    assert set(chain.tolist()) == {0, 1}
-    assert len(manifest["log_posterior"]) == len(labels)
+def test_multichain_run_merges_traces(tiny_run, tmp_path, monkeypatch):
+    # chains run on threads over one set of engines; each equals its chain run
+    # alone, on either sweep
+    cfg = dict(tiny_run, sweeps=60, burn_in=20, subset_move_rate=0.5,
+               model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
+    for chains in (2, 4):
+        config = pipeline.parse_config(cfg, chains=chains)
+        serial = [run_chain(config.dataset.data, config.design, config.model, config.specs,
+                            plan) for plan in pipeline._chain_plans(config.plan, chains)]
+        assert len({tuple(trace) for trace in serial}) == chains  # distinct seeds, chains
+        records = [rec for trace in serial for rec in trace]
+        for sweep_path in ("compiled", "python"):
+            out = str(tmp_path / f"{sweep_path}-{chains}")
+            with monkeypatch.context() as patch:
+                if sweep_path == "python":
+                    patch.setattr(_sweep, "library", lambda: None)
+                manifest = pipeline.run_pipeline(dataclasses.replace(config, out_dir=out))
+                _, chain, sweep, labels, colours = _trace_records(
+                    os.path.join(out, "trace.csv"))
+            assert chain.tolist() == [c for c, trace in enumerate(serial) for _ in trace]
+            assert sweep.tolist() == [rec.sweep for rec in records]
+            assert labels.tolist() == [list(rec.labels) for rec in records]
+            assert colours.tolist() == [list(rec.colours) for rec in records]
+            assert manifest["log_posterior"] == [rec.log_posterior for rec in records]
 
 
 def test_unwritable_output_dir_fails_before_sampling(tiny_run):
