@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation error (a bad argument included),
 from __future__ import annotations
 
 import argparse
+import locale  # argparse imports it at its first message lookup; loaded here, main() need not
 import sys
 
 from . import pipeline

@@ -175,8 +175,7 @@ class ClusterEvaluator:
         Row m holds ``1/(1 + m d_k)`` for every k, the posterior shape and
         every term of the log marginal that depends on the count alone.
         """
-        table = self._table
-        start = len(table)
+        start = len(self._table)
         if max_count >= start:
             m = np.arange(start, max(max_count, 2 * start) + 1, dtype=float)
             scale = 1.0 + np.outer(m, self.eigenvalues)
@@ -187,11 +186,8 @@ class ClusterEvaluator:
             const = (-0.5 * n_obs * _LOG_2PI
                      - 0.5 * np.log1p(np.outer(m, self.eigenvalues)).sum(axis=1)
                      + self._log_norm0 + np.array([gammaln(a) for a in a_post]))
-            # grown as a copy of the list measured above, so a caller (or a thread)
-            # still reading that list sees it whole
-            table = table + list(zip(map(tuple, (1.0 / scale).tolist()), a_post, const.tolist()))
-            self._table = table
-        return table
+            self._table.extend(zip(map(tuple, (1.0 / scale).tolist()), a_post, const.tolist()))
+        return self._table
 
     def project(self, wty: np.ndarray) -> tuple[float, ...]:
         """Coordinates ``L'(wty + P mean)`` of a cluster's ``W'y`` sum."""

@@ -36,7 +36,7 @@ from .conjugate import DesignBlock, NormalGammaSpec
 from .errors import ValidationError
 from .estimation import (LossSpec, accumulate_similarity, cluster_summaries,
                          expected_pairwise_loss, optimal_partition)
-from .gibbs import SweepPlan, TraceRecord, build_engines, run_chain
+from .gibbs import SweepPlan, TraceRecord, run_chain
 from .partitions import MAX_ENUM_N, Partition
 from .priors import (BackgroundDirichletProcess, ColouredDirichletProcess,
                      DirichletMultinomial, DirichletProcess, PartitionPrior,
@@ -520,23 +520,14 @@ def _chain_plans(plan: SweepPlan, chains: int) -> list[SweepPlan]:
 
 
 def run_chains(config: RunConfig) -> list[list[TraceRecord]]:
-    """Run the configured number of chains, each on its ``_chain_plans`` seed,
-    and return their traces in chain order.
-
-    Every chain reads one set of engines, built here. Extra chains run on
-    threads: the compiled sweep releases the GIL inside each kernel call, so
-    compiled chains run in parallel, while chains on the Python sweep hold it
-    and run one after another. A chain's trace does not depend on the others.
-    """
+    """Run the configured number of chains (concurrently when more than one)."""
     plans = _chain_plans(config.plan, config.chains)
-    data, design, model = config.dataset.data, config.design, config.model
-    chain = partial(run_chain, data, design, model, config.specs,
-                    engines=build_engines(data, design, config.specs, model))
+    chain = partial(run_chain, config.dataset.data, config.design, config.model, config.specs)
     if config.chains == 1:
         return [chain(plans[0])]
-    from concurrent.futures import ThreadPoolExecutor  # only extra chains need a pool
-    _sweep.library()  # loaded before the threads start: functools.cache is no lock
-    with ThreadPoolExecutor(max_workers=min(config.chains, os.cpu_count() or 1)) as pool:
+    # only extra chains need the pool, so a one-chain run starts without it
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(config.chains, os.cpu_count() or 1)) as pool:
         return list(pool.map(chain, plans))
 
 

@@ -92,11 +92,9 @@ class _LgammaTable:
         try:
             return _array_sum(list(map(self.values.__getitem__, sizes)))
         except IndexError:
-            # grown as a copy of the list measured here, so a caller (or a thread)
-            # still reading that list sees it whole
-            values = self.values
-            self.values = values + [gammaln(s + self.shift)
-                                    for s in range(len(values), max(sizes) + 1)]
+            # grown as a copy, so a caller still reading the old list sees it whole
+            self.values = self.values + [gammaln(s + self.shift)
+                                         for s in range(len(self.values), max(sizes) + 1)]
             return self.sum(sizes)
 
 

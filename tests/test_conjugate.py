@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -81,45 +79,6 @@ def test_nonpositive_count_scale_is_a_numerical_error():
     ev.eigenvalues = np.array([-0.5])  # makes 1 + 2 * d zero
     with pytest.raises(NumericalError):
         marginal(ev, np.ones((3, 1)))
-
-
-def test_count_table_grows_by_copy():
-    # chains on threads share an engine, so a list one of them holds must not change
-    design, spec = random_instance(np.random.default_rng(8))
-    ev = ClusterEvaluator(design, spec)
-    early = ev.table(3)
-    rows = list(early)
-    later = ev.table(40)
-    assert early == rows and len(early) == 4
-    assert later[:4] == early and len(later) == 41
-    assert later == ClusterEvaluator(design, spec).table(40)
-
-
-def test_count_table_grows_whole_under_threads():
-    # more threads than cores, switching often: two threads that both pass the
-    # length check must not both append, which would shift every later row
-    design, spec = random_instance(np.random.default_rng(8))
-    expected = ClusterEvaluator(design, spec).table(2000)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            shared = ClusterEvaluator(design, spec)
-            seen = []
-
-            def grow():
-                seen.extend(list(shared.table(k)) for k in range(1, 400, 3))
-
-            threads = [threading.Thread(target=grow) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(seen) == 8 * len(range(1, 400, 3))
-            assert all(rows == expected[:len(rows)] for rows in seen)
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_empty_cluster_marginal_is_one():

@@ -919,8 +919,8 @@ def test_summarize_names_a_bad_colour_below_a_comment_line(tiny_run, capsys, mon
 
 
 def test_multichain_run_merges_traces(tiny_run, tmp_path, monkeypatch):
-    # chains run on threads over one set of engines; each equals its chain run
-    # alone, on either sweep
+    # each chain, run in the pool, equals its chain run alone, on either sweep
+    # (the pool's workers fork with the patched library)
     cfg = dict(tiny_run, sweeps=60, burn_in=20, subset_move_rate=0.5,
                model={"family": "cdp", "colours": [[1.0, 1.0], [1.0, 0.5]]})
     for chains in (2, 4):

@@ -150,8 +150,8 @@ def test_log_eppf_sizes_equal_the_per_call_closed_forms():
 
 
 def test_a_pickled_model_scores_compares_and_hashes_the_same():
-    # a model sent to another process goes pickled, with whatever it has
-    # computed and tabled so far
+    # chains in worker processes receive the model pickled, with whatever it
+    # has computed and tabled so far
     rng = np.random.default_rng(29)
     for model in [DirichletProcess(0.9), DirichletMultinomial(250, 0.7), PitmanYor(0.35, 1.3),
                   ColouredDirichletProcess([(1.3, 0.7), (0.4, 2.2)]),
