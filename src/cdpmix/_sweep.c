@@ -18,11 +18,11 @@
  * clusters' log marginals in insertion order, which is all a trace record
  * needs besides the prior.
  *
- * Clusters live in slots 0..n-1; `order` lists the live slots in insertion
- * order and `free_slots` is a stack of the others. Per colour c the static
- * tables are laid out as [c][item][pmax] (xi), [c][item] (yy, singles),
- * [c][count][pmax] (reciprocals) and [c][count] (posterior shape and
- * constant), for counts 0..n+1.
+ * Clusters live in slots 0..n-1, ChainState's ids; `order` lists the live
+ * slots in insertion order and `free_slots` stacks the others. Per colour c
+ * the static tables are laid out as [c][item][pmax] (xi), [c][item] (yy,
+ * singles), [c][count][pmax] (reciprocals) and [c][count] (posterior shape
+ * and constant), for counts 0..n+1.
  *
  * The prior enters only through its urn tables (priors.py, urn_tables): with
  * item i withdrawn, d clusters left and m items of colour c, an existing
@@ -74,9 +74,9 @@ typedef struct {
     const double *a_post;    /* [colour][count] */
     const double *cnst;      /* [colour][count] */
     /* the chain state: read and written */
-    int64_t *n_clusters, *next_cid, *n_free;
+    int64_t *n_clusters, *n_free;
     int64_t *order, *free_slots;            /* [n] */
-    int64_t *cid, *colour, *count;          /* per slot */
+    int64_t *colour, *count;                /* per slot */
     double *z, *yty, *log_m;                /* per slot ([slot][pmax] for z) */
     int64_t *item_slot;                     /* [n] */
     int64_t *colour_totals;                 /* [n_colours] */
@@ -225,7 +225,6 @@ static void insert(Kernel *k, int64_t i, int64_t target, double log_m_after)
         k->yty[s] = 0.0 + k->yy[c * n + i];
         k->count[s] = 1;
         k->colour[s] = c;
-        k->cid[s] = (*k->next_cid)++;
         k->order[(*k->n_clusters)++] = s;
     }
     k->log_m[s] = log_m_after;

@@ -14,13 +14,15 @@ the Python trace reader, the compiled reader's port.
 
 ``SweepArrays`` holds one chain's tables in the flat arrays the kernel
 reads -- the prior's urn tables, whatever the family, and the engines'
-marginal tables -- and its state. ``gibbs.ChainState.run`` copies a chain's
-state in once, at its first sweep, and keeps it there, running each block
-of sweeps with ``run``, each subset move through ``withdraw``,
+marginal tables -- and its state in ``gibbs.ChainState``'s layout: slots are
+its cluster ids, ``free_slots`` its stack of unused ones, and a target is a
+slot or ``-1 - c`` for a new cluster of colour c. ``ChainState.run`` copies
+a chain's state in once, at its first sweep, and keeps it there, running each
+block of sweeps with ``run``, each subset move through ``withdraw``,
 ``price_block`` and ``place``, and each record between blocks with
-``record``, until it copies the state back at the chain's end. A
-block returns the ``Records`` of the sweeps it was asked to record;
-``record`` writes one into buffers allocated once per chain.
+``record``, until it copies the state back at the chain's end. A block
+returns the ``Records`` of the sweeps it was asked to record; ``record``
+writes one into buffers allocated once per chain.
 
 ``TraceReader`` owns the trace reader: it reads a ``trace.csv`` body from
 the file one chunk at a time, hands each chunk's complete lines to the
@@ -128,9 +130,8 @@ def library() -> ctypes.CDLL | None:
 
 _TABLES = ("offsets", "factors", "new", "by_degree", "p", "rate_base", "z0", "xi", "yy",
            "singles", "recips", "a_post", "cnst")
-_STATE = ("n_clusters", "next_cid", "n_free", "order", "free_slots", "cid", "colour",
-          "count", "z", "yty", "log_m", "item_slot", "colour_totals", "logw", "after",
-          "totals", "target", "rank", "zs")
+_STATE = ("n_clusters", "n_free", "order", "free_slots", "colour", "count", "z", "yty", "log_m",
+          "item_slot", "colour_totals", "logw", "after", "totals", "target", "rank", "zs")
 
 
 # the trace reader's buffers, and its status codes
@@ -223,9 +224,9 @@ class SweepArrays:
             self.recips[c, 1:, :pc] = np.array([r[0] for r in rows], dtype=f64).reshape(n + 1, pc)
             self.a_post[c, 1:] = [r[1] for r in rows]
             self.cnst[c, 1:] = [r[2] for r in rows]
-        self.n_clusters, self.next_cid, self.n_free = (np.zeros(1, dtype=i64) for _ in range(3))
-        self.order, self.free_slots, self.cid, self.colour, self.count, self.item_slot = (
-            np.zeros(n, dtype=i64) for _ in range(6))
+        self.n_clusters, self.n_free = np.zeros(1, dtype=i64), np.zeros(1, dtype=i64)
+        self.order, self.free_slots, self.colour, self.count, self.item_slot = (
+            np.zeros(n, dtype=i64) for _ in range(5))
         self.z = np.zeros((n, pmax))
         self.yty, self.log_m = np.zeros(n), np.zeros(n)
         self.colour_totals = np.zeros(C, dtype=i64)
@@ -233,9 +234,8 @@ class SweepArrays:
         self.target = np.zeros(n + C, dtype=i64)
         self.rank = np.zeros(n, dtype=i64)
         self.zs = np.zeros(pmax)
-        # for moving state in and out: slot numbers, and per colour its
-        # coordinate count and the zeros that pad its z to pmax
-        self.slots = np.arange(n, dtype=i64)
+        # for moving state in and out: per colour its coordinate count and
+        # the zeros that pad its z to pmax
         self.dims = p
         self.padding = [[0.0] * (pmax - pc) for pc in p]
         # the struct holds raw pointers; the arrays above keep their buffers alive

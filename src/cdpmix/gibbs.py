@@ -8,6 +8,11 @@ new-cluster option per colour with the occupancy-tilted weights. Loading
 walks ``clusters_by_colour``, which a plain ``Partition`` offers too, and
 ``_partition`` alone picks the class of a snapshot.
 
+The state has the compiled kernel's layout: a cluster is a colour, a size,
+statistics and a cached marginal, its id is its kernel slot, taken from a
+stack of free ones, and only ``item_cluster`` says who is where. A placement
+is a live id, or ``-1 - c`` for a new cluster of colour c.
+
 Single-item moves use the prior's urn weights times the conjugate predictive
 (Neal 2000, Algorithm 3). ``reallocate_item`` withdraws the item, prices
 every placement in one pass of ``item_candidates`` -- the urn weight read
@@ -23,23 +28,24 @@ back item by item, ``_insert`` through ``_place``, priced through the
 prior's ``log_eppf_sizes`` on the per-colour cluster sizes it would leave, so
 structural constraints (at most one background cluster, bounded component
 counts) fall out of the prior's log-zero sentinel with no special cases.
-Trace records and ``log_joint`` score the prior from the same sizes, read off
-the live clusters without building a partition. Every prior a chain scores
-goes through ``_log_prior``, a ``functools.lru_cache`` of ``log_eppf_sizes``
-by size key.
+Trace records score the prior from the same sizes, read off the live
+clusters without building a partition. Every prior a chain scores goes
+through ``_log_prior``, a ``functools.lru_cache`` of ``log_eppf_sizes`` by
+size key.
 
 ``ChainState``'s step methods and its ``sweep`` are the Python reference;
 ``ChainState.run`` (and ``run_chain``) is the compiled entry. Where the
 kernel (``_sweep.c``, see ``_sweep``) builds and every engine is an
-``NIGEngine``, ``run`` copies the state once into flat arrays built afresh
-from the engines and urn tables (``_ArrayState`` on ``_kernel_arrays``) and
-keeps it there until the chain ends, then copies it back (``_from_arrays``).
-In between the kernel runs blocks of sweeps under any prior, repeating the
-arithmetic and the draws of ``reallocate_item`` with each block's uniforms
-drawn in one call, so it reaches the same state bit for bit. It takes the
-retained sweeps' records itself: their canonical labels, cluster sizes and
-cluster marginals, which ``_kernel_records`` scores with the prior. Subset
-moves act on the arrays through the kernel's block-move exports.
+``NIGEngine``, ``run`` copies the state once, field by field, into flat
+arrays built afresh from the engines and urn tables (``_ArrayState`` on
+``_kernel_arrays``) and keeps it there until the chain ends, then copies it
+back (``_from_arrays``). In between the kernel runs blocks of sweeps under
+any prior, repeating the arithmetic and the draws of ``reallocate_item``
+with each block's uniforms drawn in one call, so it reaches the same state
+bit for bit. It takes the retained sweeps' records itself: their canonical
+labels, cluster sizes and cluster marginals, which ``_kernel_records``
+scores with the prior. Subset moves act on the arrays through the kernel's
+block-move exports.
 ``_subset_move`` is the one body of the move for both states: it makes every
 draw, prices the prior and takes the Metropolis-Hastings step, and asks the
 state only to count, pick, withdraw, price and place.
@@ -100,14 +106,13 @@ def _summed(eng, items, z=None, yty: float = 0.0) -> tuple[list[float], float]:
 
 
 class _Cluster:
-    """Members, colour and cached statistics ``(z, yty)`` and log marginal of one cluster."""
+    """Colour, size ``count``, cached statistics ``(z, yty)`` and log marginal of one cluster."""
 
-    __slots__ = ("colour", "members", "z", "yty", "log_m")
+    __slots__ = ("colour", "count", "z", "yty", "log_m")
 
-    def __init__(self, colour: int, members: set[int], z: list[float], yty: float,
-                 log_m: float):
+    def __init__(self, colour: int, count: int, z: list[float], yty: float, log_m: float):
         self.colour = colour
-        self.members = members
+        self.count = count
         self.z = z
         self.yty = yty
         self.log_m = log_m
@@ -172,12 +177,13 @@ class ChainState:
         self.engines = list(engines)
         self.n = n
         self.rng = rng
-        # live clusters by id in insertion order, each item's cluster id and
-        # the items per colour: the one state of record
+        # live clusters by id (a slot 0..n-1) in insertion order, each item's
+        # id (-1 while withdrawn), the items per colour and the stack of unused
+        # ids, a new cluster taking the last: the one state of record
         self.clusters: dict[int, _Cluster] = {}
         self.item_cluster = [-1] * n
         self.colour_totals = [0] * model.n_colours
-        self._next_cid = 0
+        self._free: list[int] = []
         # (offsets, factors, new, by_degree): the prior's urn weights for up
         # to n items, read by item_candidates and by the compiled kernel
         self._urn = model.urn_tables(n)
@@ -215,23 +221,30 @@ class ChainState:
         if partition.n_colours != self.model.n_colours:
             raise ValidationError("partition colour count does not match the model")
         groups = [(col, c) for col, cs in enumerate(partition.clusters_by_colour) for c in cs]
-        for col, members in groups:
+        for cid, (col, members) in enumerate(groups):
             eng = self.engines[col]
             z, yty = _summed(eng, members)
-            cid = self._next_cid
-            self._next_cid += 1
-            self.clusters[cid] = _Cluster(col, set(members), z, yty,
+            self.clusters[cid] = _Cluster(col, len(members), z, yty,
                                           eng.log_marginal_z(len(members), z, yty))
             for i in members:
                 self.item_cluster[i] = cid
             self.colour_totals[col] += len(members)
+        self._free = list(range(len(groups), self.n))
 
     # -- snapshots ---------------------------------------------------------
 
+    def members(self) -> dict[int, list[int]]:
+        """Each live cluster's items, increasing, by id in insertion order (none withdrawn)."""
+        groups = {cid: [] for cid in self.clusters}
+        for i, cid in enumerate(self.item_cluster):
+            if cid >= 0:
+                groups[cid].append(i)
+        return groups
+
     def snapshot(self) -> Partition | ColouredPartition:
         groups = [[] for _ in range(self.model.n_colours)]
-        for cl in self.clusters.values():
-            groups[cl.colour].append(sorted(cl.members))
+        for cid, items in self.members().items():
+            groups[self.clusters[cid].colour].append(items)
         return self._partition(groups)
 
     def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -244,25 +257,22 @@ class ChainState:
         return (tuple(map(rank.__getitem__, item_cluster)),
                 tuple(map(colour.__getitem__, item_cluster)),
                 _sizes_by_colour([clusters[cid].colour for cid in rank],
-                                 [len(clusters[cid].members) for cid in rank],
+                                 [clusters[cid].count for cid in rank],
                                  self.model.n_colours))
 
     def log_likelihood(self) -> float:
         """Sum of the cached cluster marginals, in insertion order."""
         return float(sum(cl.log_m for cl in self.clusters.values()))
 
-    def log_joint(self) -> float:
-        """Log prior of the current partition plus all cached cluster marginals."""
-        return self._log_prior(self.canonical()[2]) + self.log_likelihood()
-
     def refresh_cache_(self) -> float:
         """Rebuild every cluster's statistics from its members and recompute its
         log marginal; returns the largest absolute drift of either."""
         worst = 0.0
-        for cl in self.clusters.values():
+        for cid, items in self.members().items():
+            cl = self.clusters[cid]
             eng = self.engines[cl.colour]
-            z, yty = _summed(eng, sorted(cl.members))
-            fresh = eng.log_marginal_z(len(cl.members), z, yty)
+            z, yty = _summed(eng, items)
+            fresh = eng.log_marginal_z(len(items), z, yty)
             worst = max(worst, abs(fresh - cl.log_m), abs(yty - cl.yty),
                         *(abs(a - b) for a, b in zip(z, cl.z)))
             cl.z, cl.yty, cl.log_m = z, yty, fresh
@@ -276,27 +286,28 @@ class ChainState:
         clusters, item_cluster = self.clusters, self.item_cluster
         cid = item_cluster[items[0]]
         cl = clusters[cid]
-        cl.members.difference_update(items)
+        cl.count -= len(items)
         self.colour_totals[cl.colour] -= len(items)
         for i in items:
             item_cluster[i] = -1
-        if not cl.members:
+        if not cl.count:
             del clusters[cid]
+            self._free.append(cid)
             return
         eng = self.engines[cl.colour]
         z, yty = cl.z, cl.yty
         for i in items:
             z = list(map(sub, z, eng.xi[i]))
             yty -= eng.yy[i]
-        cl.z, cl.yty, cl.log_m = z, yty, eng.log_marginal_z(len(cl.members), z, yty)
+        cl.z, cl.yty, cl.log_m = z, yty, eng.log_marginal_z(cl.count, z, yty)
 
     def item_candidates(self, i: int):
         """Placement options for withdrawn item i.
 
-        Returns parallel lists: move descriptors ``("existing", cid)`` or
-        ``("new", colour)``, their unnormalized log weights, and the log
-        marginal the receiving cluster would have after the move: the
-        engine's ``log_m`` with the item's ``(xi, yy)`` added for an existing
+        Returns parallel lists: targets, a live cluster's id or ``-1 - c``
+        for a new cluster of colour c, their unnormalized log weights, and
+        the log marginal the receiving cluster would have after the move:
+        the engine's ``log_m`` with the item's ``(xi, yy)`` added for a live
         cluster, its ``singles`` entry for a new one.
         """
         offsets, factors, new, by_degree = self._urn
@@ -307,13 +318,13 @@ class ChainState:
         moves, logw, after = [], [], []
         for cid, cl in self.clusters.items():
             k = cl.colour
-            size = len(cl.members)
+            size = cl.count
             w = (size + offsets[k]) * factors[k]
             if w <= 0:
                 continue
             eng = engines[k]
             lm = eng.log_marginal_z(size + 1, cl.z, cl.yty, eng.xi[i], eng.yy[i])
-            moves.append(("existing", cid))
+            moves.append(cid)
             logw.append(log(w) + lm - cl.log_m)
             after.append(lm)
         degree = by_degree[len(self.clusters)]
@@ -322,33 +333,31 @@ class ChainState:
             if w <= 0:
                 continue
             lm = engines[k].singles[i]
-            moves.append(("new", k))
+            moves.append(-1 - k)
             logw.append(log(w) + lm)
             after.append(lm)
         return moves, logw, after
 
-    def _insert(self, i: int, move: tuple[str, int], log_m_after: float) -> int:
-        """Place withdrawn item i as ``move`` says; returns its cluster's id."""
-        clusters = self.clusters
-        kind, key = move
-        if kind == "existing":
-            cl = clusters[key]
-            cl.members.add(i)
+    def _insert(self, i: int, target: int, log_m_after: float) -> int:
+        """Place withdrawn item i into live cluster ``target`` or, for ``-1 -
+        c``, a new cluster of colour c, whose id is popped off ``_free``;
+        returns its cluster's id."""
+        if target >= 0:
+            cl = self.clusters[target]
+            cl.count += 1
             eng = self.engines[cl.colour]
             cl.z = list(map(add, cl.z, eng.xi[i]))
             cl.yty += eng.yy[i]
             cl.log_m = log_m_after
             colour = cl.colour
-            cid = key
         else:
-            colour = key
+            colour = -1 - target
             z, yty = _summed(self.engines[colour], (i,))
-            cid = self._next_cid
-            self._next_cid += 1
-            clusters[cid] = _Cluster(colour, {i}, z, yty, log_m_after)
-        self.item_cluster[i] = cid
+            target = self._free.pop()
+            self.clusters[target] = _Cluster(colour, 1, z, yty, log_m_after)
+        self.item_cluster[i] = target
         self.colour_totals[colour] += 1
-        return cid
+        return target
 
     def reallocate_item(self, i: int) -> None:
         """Withdraw item i and redraw its placement from the full conditional."""
@@ -419,38 +428,31 @@ class ChainState:
         return trace
 
     def _to_arrays(self, a: _sweep.SweepArrays) -> None:
-        """Copy the state into the kernel's arrays, clusters in slots 0..k-1."""
-        clusters = list(self.clusters.values())
-        k, n = len(clusters), self.n
-        slot = {cid: j for j, cid in enumerate(self.clusters)}
-        a.n_clusters[0], a.n_free[0], a.next_cid[0] = k, n - k, self._next_cid
-        a.order[:k] = a.slots[:k]
-        a.free_slots[:n - k] = a.slots[k:]
-        a.cid[:k] = list(self.clusters)
-        a.colour[:k] = [cl.colour for cl in clusters]
-        a.count[:k] = [len(cl.members) for cl in clusters]
-        a.yty[:k] = [cl.yty for cl in clusters]
-        a.log_m[:k] = [cl.log_m for cl in clusters]
-        a.z[:k] = [cl.z + a.padding[cl.colour] for cl in clusters]
-        a.item_slot[:] = list(map(slot.__getitem__, self.item_cluster))
+        """Copy the state into fresh kernel arrays, each cluster into the slot its id names."""
+        slots, clusters = list(self.clusters), list(self.clusters.values())
+        k, free = len(slots), len(self._free)
+        a.n_clusters[0], a.n_free[0] = k, free
+        a.order[:k] = slots
+        a.free_slots[:free] = self._free
+        a.colour[slots] = [cl.colour for cl in clusters]
+        a.count[slots] = [cl.count for cl in clusters]
+        a.yty[slots] = [cl.yty for cl in clusters]
+        a.log_m[slots] = [cl.log_m for cl in clusters]
+        a.z[slots] = [cl.z + a.padding[cl.colour] for cl in clusters]
+        a.item_slot[:] = self.item_cluster
         a.colour_totals[:] = self.colour_totals
 
     def _from_arrays(self, a: _sweep.SweepArrays) -> None:
         """Copy the state back from the kernel's arrays, clusters in ``order``."""
         slots = a.order[:a.n_clusters[0]]
-        self.item_cluster = a.cid[a.item_slot].tolist()
-        # items grouped by slot, each group in increasing order
-        grouped = np.argsort(a.item_slot, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(a.item_slot, minlength=self.n)).tolist()
-        counts = a.count.tolist()
         self.clusters = {
-            cid: _Cluster(colour, set(grouped[ends[s] - counts[s]:ends[s]]),
-                          z[:a.dims[colour]], yty, log_m)
-            for s, cid, colour, z, yty, log_m in zip(
-                slots.tolist(), a.cid[slots].tolist(), a.colour[slots].tolist(),
+            s: _Cluster(colour, count, z[:a.dims[colour]], yty, log_m)
+            for s, colour, count, z, yty, log_m in zip(
+                slots.tolist(), a.colour[slots].tolist(), a.count[slots].tolist(),
                 a.z[slots].tolist(), a.yty[slots].tolist(), a.log_m[slots].tolist())}
+        self.item_cluster = a.item_slot.tolist()
         self.colour_totals = a.colour_totals.tolist()
-        self._next_cid = int(a.next_cid[0])
+        self._free = a.free_slots[:a.n_free[0]].tolist()
 
     # -- block moves: single-item steps applied to a co-clustered block ----
 
@@ -463,21 +465,22 @@ class ChainState:
         sums = [_summed(eng, block, [0.0] * len(eng.z0)) for eng in engines]
         return _block_options(
             self._log_prior, block, list(self.clusters), [cl.colour for cl in clusters],
-            [len(cl.members) for cl in clusters], [min(cl.members) for cl in clusters],
+            [cl.count for cl in clusters], [items[0] for items in self.members().values()],
             [cl.log_m for cl in clusters],
-            [engines[cl.colour].log_marginal_z(len(cl.members) + m, cl.z, cl.yty,
-                                               *sums[cl.colour]) for cl in clusters],
+            [engines[cl.colour].log_marginal_z(cl.count + m, cl.z, cl.yty, *sums[cl.colour])
+             for cl in clusters],
             [eng.log_marginal_z(m, *_summed(eng, block)) for eng in engines])
 
-    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float | None) -> None:
-        """Insert a withdrawn block: the first item as ``move`` says, the rest
-        beside it. A ``log_m_after`` of None prices the receiving cluster
-        afresh from the statistics the items were added to."""
+    def _place(self, block: list[int], target: int, log_m_after: float | None) -> None:
+        """Insert a withdrawn block: the first item into ``target`` as
+        ``_insert`` takes it, the rest beside it. A ``log_m_after`` of None
+        prices the receiving cluster afresh from the statistics the items
+        were added to."""
         for i in block:
-            move = ("existing", self._insert(i, move, log_m_after))
+            target = self._insert(i, target, log_m_after)
         if log_m_after is None:
-            cl = self.clusters[move[1]]
-            cl.log_m = self.engines[cl.colour].log_marginal_z(len(cl.members), cl.z, cl.yty)
+            cl = self.clusters[target]
+            cl.log_m = self.engines[cl.colour].log_marginal_z(cl.count, cl.z, cl.yty)
 
     def random_subset_move(self, max_size: int = 8) -> None:
         """One randomly-selected block move, corrected for selection asymmetry
@@ -490,10 +493,9 @@ class ChainState:
         return len(self.clusters)
 
     def _pick(self, j: int) -> tuple[int, int, list[int]]:
-        """Id, colour and sorted members of the j-th live cluster in insertion order."""
+        """Id, colour and increasing members of the j-th live cluster in insertion order."""
         cid = list(self.clusters)[j]
-        cl = self.clusters[cid]
-        return cid, cl.colour, sorted(cl.members)
+        return cid, self.clusters[cid].colour, self.members()[cid]
 
 
 class _ArrayState:
@@ -501,8 +503,8 @@ class _ArrayState:
     ``ChainState.run`` keeps it from its first sweep to its last: blocks of
     sweeps that take their records in-block, the move's state operations
     through the kernel's block exports, and records taken by the kernel.
-    Constructing one copies ``state`` into ``arrays``. Clusters are keyed by
-    slot."""
+    Constructing one copies ``state`` into ``arrays``. Its cluster ids and
+    targets are ``ChainState``'s: slots, and ``-1 - c`` for a new cluster."""
 
     def __init__(self, state: ChainState, arrays: _sweep.SweepArrays):
         state._to_arrays(arrays)
@@ -542,11 +544,9 @@ class _ArrayState:
                               a.block_least[:d].tolist(), a.block_log_m[:d].tolist(),
                               after[:d], after[d:])
 
-    def _place(self, block: list[int], move: tuple[str, int], log_m_after: float | None) -> None:
-        kind, key = move
+    def _place(self, block: list[int], target: int, log_m_after: float | None) -> None:
         reprice = log_m_after is None
-        self.arrays.place(key if kind == "existing" else -1 - key,
-                          0.0 if reprice else log_m_after, reprice)
+        self.arrays.place(target, 0.0 if reprice else log_m_after, reprice)
 
 
 def _block_options(log_prior, block: list[int], keys: list[int], colours: list[int],
@@ -557,13 +557,13 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
     added, in insertion order, and the block's log marginal alone in a new
     cluster of each colour.
 
-    Returns parallel lists: moves ``("existing", key)`` or ``("new",
-    colour)``, their log weights, and the receiving cluster's log marginal
-    and size after the move. Each option is priced by the prior of the
-    per-colour cluster sizes it leaves, in canonical (least-member) order:
-    the target grows by the block and moves up to the block's least member
-    if that comes first, or a fresh cluster of the block's size is inserted
-    there.
+    Returns parallel lists: targets, a live cluster's key or ``-1 - c`` for
+    a new cluster of colour c, their log weights, and the receiving
+    cluster's log marginal and size after the move. Each option is priced
+    by the prior of the per-colour cluster sizes it leaves, in canonical
+    (least-member) order: the target grows by the block and moves up to the
+    block's least member if that comes first, or a fresh cluster of the
+    block's size is inserted there.
     """
     m = len(block)
     live = [[] for _ in new_after]  # (least member, position), per colour
@@ -585,7 +585,7 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
         lp = log_prior((*base[:k], grown, *base[k + 1:]))
         if lp == LOG_ZERO:
             continue
-        moves.append(("existing", keys[j]))
+        moves.append(keys[j])
         logw.append(lp + lm - log_m[j])
         out.append(lm)
         grown_to.append(s[r] + m)
@@ -594,7 +594,7 @@ def _block_options(log_prior, block: list[int], keys: list[int], colours: list[i
         lp = log_prior((*base[:k], s[:a] + (m,) + s[a:], *base[k + 1:]))
         if lp == LOG_ZERO:
             continue
-        moves.append(("new", k))
+        moves.append(-1 - k)
         logw.append(lp + lm)
         out.append(lm)
         grown_to.append(m)
@@ -630,7 +630,7 @@ def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
     moves, logw, after, grown = chain.subset_candidates(block)
     if moves:
         idx = _draw(logw, rng)
-        inv_after = (remaining + (moves[idx][0] == "new")) * _subset_law(grown[idx], max_size)[0]
+        inv_after = (remaining + (moves[idx] < 0)) * _subset_law(grown[idx], max_size)[0]
         # min(1, sel(S|new) / sel(S|old)), the integer ratio rounded once
         if rng.random() < (inv_before / inv_after if inv_before < inv_after else 1.0):
             chain._place(block, moves[idx], after[idx])
@@ -638,7 +638,7 @@ def _subset_move(chain: ChainState | _ArrayState, max_size: int) -> None:
     # rejected, or no placement is possible (only from a zero-probability
     # state): the block goes back where it came from, or to a new cluster
     # of its colour if it was all of it, priced afresh
-    chain._place(block, ("existing", key) if size < m else ("new", colour), None)
+    chain._place(block, key if size < m else -1 - colour, None)
 
 
 @lru_cache(maxsize=4096)

@@ -81,10 +81,10 @@ def assert_same_state(a, b):
     assert a.item_cluster == b.item_cluster
     assert a.colour_totals == b.colour_totals
     assert list(a.clusters) == list(b.clusters)
-    assert a._next_cid == b._next_cid
+    assert a._free == b._free
     for cid, cl in a.clusters.items():
         other = b.clusters[cid]
-        assert (cl.colour, cl.members) == (other.colour, other.members)
+        assert (cl.colour, cl.count) == (other.colour, other.count)
         assert bits(cl.z) == bits(other.z)
         assert bits([cl.yty, cl.log_m]) == bits([other.yty, other.log_m])
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
@@ -270,12 +270,11 @@ def test_whole_cluster_move_prior_ratio_matches_closed_form():
                        initial=Partition([[0, 1], [2, 3]]))
     withdraw(state, [0, 1])
     moves, logw, _, _ = state.subset_candidates([0, 1])
-    options = dict(zip([m[0] + str(m[1]) for m in moves], logw))
+    options = dict(zip(moves, logw))
     merged = Partition([[0, 1, 2, 3]])
     split = Partition([[0, 1], [2, 3]])
     expect = (log_eppf(model, merged) - log_eppf(model, split))
-    got = options[[k for k in options if k.startswith("existing")][0]] - \
-        options[[k for k in options if k.startswith("new")][0]]
+    got = options[[t for t in options if t >= 0][0]] - options[[t for t in options if t < 0][0]]
     assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -346,9 +345,9 @@ def test_random_subset_move_composite_kernel_preserves_posterior(model, specs, n
                     w = np.exp(np.asarray(logw) - max(logw))
                     w /= w.sum()
                     for mv, weight, lm in zip(moves, w, after):
-                        if mv[0] == "existing":
+                        if mv >= 0:
                             d_after = remaining
-                            tsize = len(st.clusters[mv[1]].members) + len(sub)
+                            tsize = st.clusters[mv].count + len(sub)
                         else:
                             d_after = remaining + 1
                             tsize = len(sub)
@@ -388,39 +387,37 @@ def test_subset_candidate_weights_equal_prior_of_built_partition(model, specs, n
              if model.coloured else Partition.from_allocation(labels))
         st = ChainState(model, engines, n, unused, initial=p)
         cid = list(st.clusters)[int(rng.integers(len(st.clusters)))]
-        members = sorted(st.clusters[cid].members)
+        members = st.members()[cid]
         block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
                                   replace=False).tolist())
         withdraw(st, block)
         moves, logw, after, grown = st.subset_candidates(block)
-        for kind, key in [("existing", c) for c in st.clusters] + [
-                ("new", k) for k in range(model.n_colours)]:
+        for target in list(st.clusters) + [-1 - k for k in range(model.n_colours)]:
             nxt = ChainState(model, engines, n, unused, initial=p)
             withdraw(nxt, block)
-            lm = (nxt.clusters[key].log_m if kind == "existing" else 0.0)
-            nxt._place(block, (kind, key), 0.0)
+            lm = (nxt.clusters[target].log_m if target >= 0 else 0.0)
+            nxt._place(block, target, 0.0)
             prior = log_eppf(model, nxt.snapshot())
-            if (kind, key) not in moves:
+            if target not in moves:
                 assert prior == LOG_ZERO
                 continue
-            idx = moves.index((kind, key))
+            idx = moves.index(target)
             assert logw[idx] == prior + after[idx] - lm
-            assert grown[idx] == len(nxt.clusters[nxt.item_cluster[block[0]]].members)
+            assert grown[idx] == nxt.clusters[nxt.item_cluster[block[0]]].count
             checked += 1
         if _sweep.library() is not None:
             # the kernel's pricing of the same block, read off its arrays,
-            # gives the same options and doubles, its slots standing for ids
+            # gives the same options and doubles, its slots being the ids
             resident = ChainState(model, engines, n, unused, initial=p)
-            cids, arrays = list(resident.clusters), resident._kernel_arrays()
+            arrays = resident._kernel_arrays()
             on_arrays = gibbs._ArrayState(resident, arrays)
             on_arrays._withdraw(*block)
             got = on_arrays.subset_candidates(block)
-            assert [(kind, cids[key] if kind == "existing" else key)
-                    for kind, key in got[0]] == moves
+            assert got[0] == moves
             assert bits(got[1]) == bits(logw) and bits(got[2]) == bits(after)
             assert got[3] == grown
-            live = list(st.clusters.values())
-            assert arrays.block_least[:len(live)].tolist() == [min(cl.members) for cl in live]
+            assert arrays.block_least[:len(st.clusters)].tolist() == [
+                st.item_cluster.index(cid) for cid in st.clusters]
     assert checked > 100
 
 
@@ -485,7 +482,7 @@ def test_block_withdraw_equals_item_by_item(model, specs):
              else Partition.from_allocation(labels))
         one_pass, by_item = (ChainState(model, engines, n, np.random.default_rng(0), initial=p)
                              for _ in range(2))
-        members = sorted(one_pass.clusters[one_pass.item_cluster[int(rng.integers(n))]].members)
+        members = one_pass.members()[one_pass.item_cluster[int(rng.integers(n))]]
         block = sorted(rng.choice(members, size=int(rng.integers(1, len(members) + 1)),
                                   replace=False).tolist())
         emptied += len(block) == len(members)
@@ -493,6 +490,30 @@ def test_block_withdraw_equals_item_by_item(model, specs):
         withdraw(by_item, block)
         assert_same_state(one_pass, by_item)
     assert emptied
+
+
+def test_cluster_ids_stay_kernel_slots(monkeypatch):
+    # on the Python sweep, as in the kernel, a cluster's id is a slot: an
+    # emptied cluster gives its id back to _free and a new one takes the
+    # last id there, so the live ids and the free ones are disjoint and
+    # make up 0..n-1, however often clusters empty and reopen
+    monkeypatch.setattr(_sweep, "library", lambda: None)
+    n = 9
+    model = ColouredDirichletProcess([(1.0, 0.5), (2.0, 1.5)])
+    engines = build_engines(make_data(n, seed=5), DESIGN, [SPEC, SPEC], model)
+    state = ChainState(model, engines, n, np.random.default_rng(4))
+    insert, opened = ChainState._insert, []
+
+    def counted(chain, i, target, log_m_after):
+        opened.append(target < 0)
+        return insert(chain, i, target, log_m_after)
+
+    monkeypatch.setattr(ChainState, "_insert", counted)
+    for _ in range(200):
+        state.run(SweepPlan(sweeps=1, subset_move_rate=1.0))
+        assert sorted([*state.clusters, *state._free]) == list(range(n))
+        assert set(state.item_cluster) == set(state.clusters)
+    assert sum(opened) > 10 * n
 
 
 def test_subset_move_on_a_cluster_past_float_range():
@@ -554,9 +575,9 @@ def test_background_move_weight_for_emptied_background():
     state._withdraw(0)
     moves, logw, _ = state.item_candidates(0)
     weights = dict(zip(moves, np.exp(logw)))
-    assert weights[("new", 0)] == pytest.approx(2.5)   # background option
-    assert weights[("new", 1)] == pytest.approx(1.0)   # fresh regular cluster
-    assert weights[("existing", state.item_cluster[1])] == pytest.approx(1.0)
+    assert weights[-1] == pytest.approx(2.5)   # background option
+    assert weights[-2] == pytest.approx(1.0)   # fresh regular cluster
+    assert weights[state.item_cluster[1]] == pytest.approx(1.0)
 
 
 def test_coloured_chain_matches_enumerated_posterior():
@@ -708,9 +729,9 @@ def test_cache_stays_coherent_over_many_sweeps(sweep_path, monkeypatch):
         cl.yty += 1e-3
     assert state.refresh_cache_() > 0.9e-3
     assert state.refresh_cache_() < 1e-8
-    for cl in state.clusters.values():
-        eng = engines[cl.colour]
-        assert cl.log_m == pytest.approx(raw_marginal(eng, Y, cl.members), abs=1e-10)
+    for cid, items in state.members().items():
+        cl = state.clusters[cid]
+        assert cl.log_m == pytest.approx(raw_marginal(engines[cl.colour], Y, items), abs=1e-10)
 
 
 def _trace_digest(trace):
@@ -779,12 +800,12 @@ def test_candidate_marginals_match_fresh_statistics(model, design, specs):
         for i in range(n):
             state._withdraw(i)
             moves, logw, after = state.item_candidates(i)
-            for (kind, key), lm in zip(moves, after):
-                if kind == "existing":
-                    cl = state.clusters[key]
-                    eng, members = engines[cl.colour], sorted(cl.members) + [i]
+            for target, lm in zip(moves, after):
+                if target >= 0:
+                    eng = engines[state.clusters[target].colour]
+                    members = state.members()[target] + [i]
                 else:
-                    eng, members = engines[key], [i]
+                    eng, members = engines[-1 - target], [i]
                 assert lm == pytest.approx(raw_marginal(eng, Y, members), abs=1e-10)
                 checked += 1
             idx = _draw(logw, state.rng)
@@ -844,11 +865,11 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case, monkey
                 moves, logw, after = steps.item_candidates(i)
                 idx = _sample_index(logw, steps.rng)
                 steps._insert(i, moves[idx], after[idx])
-                kinds[moves[idx][0]] += 1
+                kinds["new" if moves[idx] < 0 else "existing"] += 1
                 assert_same_state(fused, steps)
                 for cl in fused.clusters.values():
                     eng = engines[cl.colour]
-                    assert cl.log_m == eng.log_marginal_z(len(cl.members), cl.z, cl.yty)
+                    assert cl.log_m == eng.log_marginal_z(cl.count, cl.z, cl.yty)
             if sweep in keep:
                 expected.append(steps.record(sweep))
         assert_same_records(chain.sweep(block, keep, first), expected)
@@ -868,16 +889,15 @@ def test_accepted_move_weight_equals_joint_change():
     rng = np.random.default_rng(13)
     for step in range(1000):
         i = int(rng.integers(5))
-        before = state.log_joint()
+        before = state.record(0).log_posterior
         prev_cid = state.item_cluster[i]
         state._withdraw(i)
         moves, logw, after = state.item_candidates(i)
         prev_idx = next(k for k, mv in enumerate(moves)
-                        if mv == ("existing", prev_cid)
-                        or (mv[0] == "new" and prev_cid not in state.clusters))
+                        if mv == prev_cid or (mv < 0 and prev_cid not in state.clusters))
         idx = _draw(logw, rng)
         state._insert(i, moves[idx], after[idx])
-        delta = state.log_joint() - before
+        delta = state.record(0).log_posterior - before
         assert delta == pytest.approx(logw[idx] - logw[prev_idx], abs=1e-8)
 
 
@@ -985,7 +1005,7 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
     # be the Python sweep's, record for record and bit for bit, ending in
     # the same state once it is copied back, also where the regular
     # colour's prior mean or fixed effects make z0 nonzero. The moves must
-    # include rejected ones, whole-cluster blocks put back under a new id
+    # include rejected ones, whole-cluster blocks put back as a new cluster
     # and, under the Dirichlet-multinomial at its bound and the background
     # prior's one background cluster, options the prior rules out.
     needs_kernel()
@@ -1002,7 +1022,7 @@ def test_records_from_the_arrays_equal_records_from_the_view(model, rate, monkey
             # all of its own
             if log_m_after is None:
                 seen["rejected"] += 1
-                seen["whole"] += move[0] == "new"
+                seen["whole"] += move < 0
             return place(chain, block, move, log_m_after)
 
         def counted_options(log_prior, block, keys, *rest):
@@ -1207,8 +1227,9 @@ def test_state_after_a_failed_block_is_the_state_before_it(error, monkeypatch):
     with pytest.raises(NumericalError, match="^(posterior rate|all reallocation)"):
         state.run(SweepPlan(sweeps=2))
     assert state.snapshot() == twin.snapshot()
-    assert sorted(i for cl in state.clusters.values() for i in cl.members) == list(range(n))
-    assert all(i in state.clusters[cid].members for i, cid in enumerate(state.item_cluster))
+    members = state.members()
+    assert sorted(i for items in members.values() for i in items) == list(range(n))
+    assert all(len(members[cid]) == cl.count for cid, cl in state.clusters.items())
     assert sum(state.colour_totals) == n
     eng.rate_base, by_degree[0] = saved
     twin.rng.random(2 * n)  # the failed block's uniforms
@@ -1322,12 +1343,14 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
     """The fields of ``typedef struct { ... } name;`` in C source, in order,
     each with the ctypes type that mirrors it: any pointer as ``c_void_p``,
-    an ``int64_t`` as ``c_int64``."""
+    an ``int64_t`` as ``c_int64``. A type may follow ``const`` or
+    ``unsigned``."""
     body = re.search(r"typedef struct \{([^{}]*)\} " + name + ";", source)[1]
     fields = []
     for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
         first, *rest = decl.split(",")
-        ctype, first = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s*(\**\s*\w+)\s*", first).groups()
+        ctype, first = re.fullmatch(r"\s*(?:const\s+)?(?:unsigned\s+)?(\w+)\s*(\**\s*\w+)\s*",
+                                    first).groups()
         for declarator in [first, *rest]:
             pointer, field = re.fullmatch(r"\s*(\**)\s*(\w+)\s*", declarator).groups()
             fields.append((field, ctypes.c_void_p if pointer else
@@ -1335,8 +1358,8 @@ def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
     return fields
 
 
-@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Records, _sweep._Block],
-                         ids=["Kernel", "Records", "Block"])
+@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Records, _sweep._Block,
+                                    _sweep._Trace], ids=["Kernel", "Records", "Block", "Trace"])
 def test_ctypes_structs_mirror_the_kernel_source(mirror):
     # a mirror out of step with the C struct hands the kernel the wrong
     # pointers, and nothing says so
