@@ -30,9 +30,12 @@
  * a new one new[c][m] * by_degree[d], for m and d in 0..n. The kernel knows
  * no prior family.
  *
- * The library's exports:
- *   cdpmix_sweeps       runs a block of sweeps, recording the sweeps asked for;
- *   cdpmix_withdraw     takes a block of co-clustered items out of their
+ * Kernel holds one chain: its tables, its state, the scratch of a move, the
+ * block a block move acts on and the records a block takes. Each sampler
+ * export takes the kernel and scalars alone:
+ *   cdpmix_sweeps       runs a block of sweeps, taking the first `records` of
+ *                       the records that `at` asks for;
+ *   cdpmix_withdraw     takes the block's m co-clustered items out of their
  *                       cluster (ChainState._withdraw);
  *   cdpmix_price_block  reports, per live cluster, what the prior needs to
  *                       price the withdrawn block into it, and the block's
@@ -40,7 +43,7 @@
  *                       colour (ChainState.subset_candidates' marginals);
  *   cdpmix_place        puts the block into a cluster or a new one
  *                       (ChainState._place), re-pricing it on request;
- *   cdpmix_record       takes a record of the state now;
+ *   cdpmix_record       takes the state now as record 0;
  *   cdpmix_read_trace   reads the body of a trace.csv as write_trace writes it.
  * The block moves' draws and prior stay in Python: these exports only move
  * items and price marginals, so a chain's state stays in these arrays from
@@ -85,6 +88,25 @@ typedef struct {
     int64_t *target;                        /* slot, or -1 - colour for a new cluster */
     int64_t *rank;                          /* [n]: a slot's canonical or insertion number */
     double *zs;                             /* [pmax]: a block's summed statistics */
+    /* a block of m co-clustered items, increasing, moved together, and what
+     * cdpmix_price_block reports once it is withdrawn: per live cluster j,
+     * in insertion order, its colour, size, least member and log marginal,
+     * and in block_after[j] its log marginal with the block added; in
+     * block_after[live + c] the block's log marginal alone in a new cluster
+     * of colour c */
+    int64_t *block;                                   /* [n] */
+    int64_t *block_colour, *block_size, *block_least; /* [live] */
+    double *block_log_m, *block_after;                /* [live], [live + n_colours] */
+    /* the records a block takes: after block-relative sweep at[r]
+     * (increasing) record r is canonical into row r of labels and colours
+     * ([record][n]) and the cluster count into degree[r], then the clusters'
+     * colours and sizes and their log marginals in insertion order into
+     * cl_colour, cl_size and cl_log_m, packed record after record */
+    int64_t *at, *degree;                   /* [records] */
+    int32_t *labels, *colours;              /* [records][n] */
+    int64_t *cl_colour, *cl_size;           /* [records * n] */
+    double *cl_log_m;                       /* [records * n] */
+    int64_t m, live;          /* the block's size; the live clusters it was priced against */
 } Kernel;
 
 /* log_marginal_z(count, z, yty, dz, dyy) of a colour-c cluster: dz may be
@@ -255,35 +277,22 @@ static int64_t canonical(Kernel *k, int32_t *labels, int32_t *colours,
     return d;
 }
 
-/* The sweeps a block records and where it writes them: after block-relative
- * sweep at[r] (increasing) record r is canonical into row r of labels and
- * colours ([record][n]) and the cluster count into degree[r], then the
- * clusters' colours and sizes and their log marginals in insertion order
- * into cl_colour, cl_size and log_m, packed record after record. */
-typedef struct {
-    int64_t count;
-    const int64_t *at;
-    int32_t *labels, *colours;
-    int64_t *degree, *cl_colour, *cl_size;
-    double *log_m;
-} Records;
-
 /* Takes the state as record r, its clusters packed from `packed`; returns
  * the number of clusters. */
-static int64_t take(Kernel *k, Records *rec, int64_t r, int64_t packed)
+static int64_t take(Kernel *k, int64_t r, int64_t packed)
 {
-    const int64_t d = canonical(k, rec->labels + r * k->n, rec->colours + r * k->n,
-                                rec->cl_colour + packed, rec->cl_size + packed);
+    const int64_t d = canonical(k, k->labels + r * k->n, k->colours + r * k->n,
+                                k->cl_colour + packed, k->cl_size + packed);
     for (int64_t j = 0; j < d; j++)
-        rec->log_m[packed + j] = k->log_m[k->order[j]];
-    rec->degree[r] = d;
+        k->cl_log_m[packed + j] = k->log_m[k->order[j]];
+    k->degree[r] = d;
     return d;
 }
 
 /* Runs `sweeps` sweeps, drawing item i of sweep t with uniforms[t * n + i]
- * and taking the records `rec` asks for (none when it is NULL). Returns OK
- * or the error that stopped it; the state is then mid-move. */
-int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *rec)
+ * and taking records 0..records-1 at the sweeps `at` names. Returns OK or
+ * the error that stopped it; the state is then mid-move. */
+int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, int64_t records)
 {
     const int64_t n = k->n;
     int64_t r = 0, packed = 0;
@@ -301,69 +310,56 @@ int cdpmix_sweeps(Kernel *k, const double *uniforms, int64_t sweeps, Records *re
                 return status;
             insert(k, i, k->target[idx], k->after[idx]);
         }
-        if (rec && r < rec->count && rec->at[r] == t) {
-            packed += take(k, rec, r, packed);
+        if (r < records && k->at[r] == t) {
+            packed += take(k, r, packed);
             r++;
         }
     }
     return OK;
 }
 
-/* Takes the state now as record 0 of `rec` (`count` and `at` unread);
- * returns the number of clusters. */
-int64_t cdpmix_record(Kernel *k, Records *rec)
+/* Takes the state now as record 0 (`at` unread). */
+void cdpmix_record(Kernel *k)
 {
-    return take(k, rec, 0, 0);
+    take(k, 0, 0);
 }
-
-/* A block of m co-clustered items, increasing, moved together, and what
- * cdpmix_price_block reports once it is withdrawn: per live cluster j, in
- * insertion order, its colour, size, least member and log marginal, and in
- * after[j] its log marginal with the block added; in after[live + c] the
- * block's log marginal alone in a new cluster of colour c. */
-typedef struct {
-    int64_t m, live;
-    const int64_t *items;
-    int64_t *colour, *size, *least; /* [live] */
-    double *log_m, *after;          /* [live], [live + n_colours] */
-} Block;
 
 /* Whether the block holds 1..n increasing items, all withdrawn or else all
  * in one cluster: the exports below check it before touching the state. */
-static int block_ok(const Kernel *k, const Block *b, int withdrawn)
+static int block_ok(const Kernel *k, int withdrawn)
 {
-    if (b->m < 1 || b->m > k->n)
+    if (k->m < 1 || k->m > k->n)
         return 0;
-    for (int64_t j = 0; j < b->m; j++) {
-        const int64_t i = b->items[j];
-        if (i < 0 || i >= k->n || (j > 0 && i <= b->items[j - 1]))
+    for (int64_t j = 0; j < k->m; j++) {
+        const int64_t i = k->block[j];
+        if (i < 0 || i >= k->n || (j > 0 && i <= k->block[j - 1]))
             return 0;
         const int64_t s = k->item_slot[i];
-        if (withdrawn ? s != -1 : (s < 0 || s != k->item_slot[b->items[0]]))
+        if (withdrawn ? s != -1 : (s < 0 || s != k->item_slot[k->block[0]]))
             return 0;
     }
     return 1;
 }
 
-int cdpmix_withdraw(Kernel *k, const Block *b)
+int cdpmix_withdraw(Kernel *k)
 {
-    if (!block_ok(k, b, 0))
+    if (!block_ok(k, 0))
         return BAD_BLOCK;
-    return withdraw(k, b->items, b->m);
+    return withdraw(k, k->block, k->m);
 }
 
 /* _summed: z is `start` (zeros when NULL) plus each block item's xi of
  * colour c in turn; returns 0.0 plus their yy in turn */
-static double summed(const Kernel *k, int64_t c, const Block *b, const double *start, double *z)
+static double summed(const Kernel *k, int64_t c, const double *start, double *z)
 {
     double yty = 0.0;
     for (int64_t d = 0; d < k->p[c]; d++)
         z[d] = start ? start[d] : 0.0;
-    for (int64_t j = 0; j < b->m; j++) {
-        const double *x = k->xi + (c * k->n + b->items[j]) * k->pmax;
+    for (int64_t j = 0; j < k->m; j++) {
+        const double *x = k->xi + (c * k->n + k->block[j]) * k->pmax;
         for (int64_t d = 0; d < k->p[c]; d++)
             z[d] = z[d] + x[d];
-        yty += k->yy[c * k->n + b->items[j]];
+        yty += k->yy[c * k->n + k->block[j]];
     }
     return yty;
 }
@@ -371,39 +367,39 @@ static double summed(const Kernel *k, int64_t c, const Block *b, const double *s
 /* The marginals subset_candidates prices: a live cluster's with the block's
  * statistics, summed from zero, added to its own, and a new cluster's from
  * the colour's z0 and the items added one by one. */
-int cdpmix_price_block(Kernel *k, Block *b)
+int cdpmix_price_block(Kernel *k)
 {
-    const int64_t pmax = k->pmax, m = b->m, live = *k->n_clusters;
+    const int64_t pmax = k->pmax, m = k->m, live = *k->n_clusters;
     double *z = k->zs;
-    if (!block_ok(k, b, 1))
+    if (!block_ok(k, 1))
         return BAD_BLOCK;
-    b->live = live;
+    k->live = live;
     for (int64_t j = 0; j < live; j++) {
         const int64_t s = k->order[j];
-        b->colour[j] = k->colour[s];
-        b->size[j] = k->count[s];
-        b->least[j] = -1;
-        b->log_m[j] = k->log_m[s];
+        k->block_colour[j] = k->colour[s];
+        k->block_size[j] = k->count[s];
+        k->block_least[j] = -1;
+        k->block_log_m[j] = k->log_m[s];
         k->rank[s] = j;
     }
     for (int64_t i = 0; i < k->n; i++) {
         const int64_t s = k->item_slot[i];
-        if (s >= 0 && b->least[k->rank[s]] < 0)
-            b->least[k->rank[s]] = i;
+        if (s >= 0 && k->block_least[k->rank[s]] < 0)
+            k->block_least[k->rank[s]] = i;
     }
     for (int64_t c = 0; c < k->n_colours; c++) {
-        double yty = summed(k, c, b, NULL, z);
+        double yty = summed(k, c, NULL, z);
         for (int64_t j = 0; j < live; j++) {
             const int64_t s = k->order[j];
             if (k->colour[s] != c)
                 continue;
             const int status = log_marginal(k, c, k->count[s] + m, k->z + s * pmax, k->yty[s],
-                                            z, yty, &b->after[j]);
+                                            z, yty, &k->block_after[j]);
             if (status != OK)
                 return status;
         }
-        yty = summed(k, c, b, k->z0 + c * pmax, z);
-        const int status = log_marginal(k, c, m, z, yty, NULL, 0.0, &b->after[live + c]);
+        yty = summed(k, c, k->z0 + c * pmax, z);
+        const int status = log_marginal(k, c, m, z, yty, NULL, 0.0, &k->block_after[live + c]);
         if (status != OK)
             return status;
     }
@@ -415,14 +411,14 @@ int cdpmix_price_block(Kernel *k, Block *b)
  * marginal to log_m_after. With `reprice` the marginal is then priced from
  * the statistics the items were added to, as putting a rejected block back
  * prices it. */
-int cdpmix_place(Kernel *k, const Block *b, int64_t target, double log_m_after, int reprice)
+int cdpmix_place(Kernel *k, int64_t target, double log_m_after, int reprice)
 {
-    if (!block_ok(k, b, 1) || target >= k->n || target < -k->n_colours
+    if (!block_ok(k, 1) || target >= k->n || target < -k->n_colours
         || (target >= 0 && k->count[target] == 0))
         return BAD_BLOCK;
-    for (int64_t j = 0; j < b->m; j++) {
-        insert(k, b->items[j], target, log_m_after);
-        target = k->item_slot[b->items[j]];
+    for (int64_t j = 0; j < k->m; j++) {
+        insert(k, k->block[j], target, log_m_after);
+        target = k->item_slot[k->block[j]];
     }
     if (!reprice)
         return OK;

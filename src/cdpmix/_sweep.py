@@ -12,17 +12,18 @@ neither built nor loaded, ``library()`` logs one warning saying why and
 returns None: chains run the Python sweep and ``pipeline.read_trace`` runs
 the Python trace reader, the compiled reader's port.
 
-``SweepArrays`` holds one chain's tables in the flat arrays the kernel
-reads -- the prior's urn tables, whatever the family, and the engines'
-marginal tables -- and its state in ``gibbs.ChainState``'s layout: slots are
-its cluster ids, ``free_slots`` its stack of unused ones, and a target is a
-slot or ``-1 - c`` for a new cluster of colour c. ``ChainState.run`` copies
-a chain's state in once, at its first sweep, and keeps it there, running each
-block of sweeps with ``run``, each subset move through ``withdraw``,
+``SweepArrays`` holds one chain in the flat arrays of the kernel's one
+struct: its tables -- the prior's urn tables, whatever the family, and the
+engines' marginal tables -- its state in ``gibbs.ChainState``'s layout (slots
+are its cluster ids, ``free_slots`` its stack of unused ones, and a target
+is a slot or ``-1 - c`` for a new cluster of colour c), the block a subset
+move acts on, and the record buffers. ``ChainState.run`` copies a chain's
+state in once, at its first sweep, and keeps it there, running each block
+of sweeps with ``run``, each subset move through ``withdraw``,
 ``price_block`` and ``place``, and each record between blocks with
-``record``, until it copies the state back at the chain's end. A block
-returns the ``Records`` of the sweeps it was asked to record; ``record``
-writes one into buffers allocated once per chain.
+``record``, until it copies the state back at the chain's end. ``run`` and
+``record`` write their records into the same buffers, which grow only when
+a block asks for more records than they hold.
 
 ``TraceReader`` owns the trace reader: it reads a ``trace.csv`` body from
 the file one chunk at a time, hands each chunk's complete lines to the
@@ -42,7 +43,6 @@ import platform
 import shutil
 import tempfile
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,14 +114,13 @@ def library() -> ctypes.CDLL | None:
             "reader: %s", exc)
         return None
     kernel, buffer, i64 = ctypes.POINTER(_Kernel), ctypes.c_void_p, ctypes.c_int64
-    records, block = ctypes.POINTER(_Records), ctypes.POINTER(_Block)
-    lib.cdpmix_sweeps.argtypes = (kernel, buffer, i64, records)
+    lib.cdpmix_sweeps.argtypes = (kernel, buffer, i64, i64)
     lib.cdpmix_sweeps.restype = ctypes.c_int
-    lib.cdpmix_record.argtypes = (kernel, records)
-    lib.cdpmix_record.restype = i64
-    lib.cdpmix_withdraw.argtypes = lib.cdpmix_price_block.argtypes = (kernel, block)
+    lib.cdpmix_record.argtypes = (kernel,)
+    lib.cdpmix_record.restype = None
+    lib.cdpmix_withdraw.argtypes = lib.cdpmix_price_block.argtypes = (kernel,)
     lib.cdpmix_withdraw.restype = lib.cdpmix_price_block.restype = ctypes.c_int
-    lib.cdpmix_place.argtypes = (kernel, block, i64, ctypes.c_double, ctypes.c_int)
+    lib.cdpmix_place.argtypes = (kernel, i64, ctypes.c_double, ctypes.c_int)
     lib.cdpmix_place.restype = ctypes.c_int
     lib.cdpmix_read_trace.argtypes = (ctypes.POINTER(_Trace), buffer, i64, ctypes.POINTER(i64))
     lib.cdpmix_read_trace.restype = ctypes.c_int
@@ -131,7 +130,9 @@ def library() -> ctypes.CDLL | None:
 _TABLES = ("offsets", "factors", "new", "by_degree", "p", "rate_base", "z0", "xi", "yy",
            "singles", "recips", "a_post", "cnst")
 _STATE = ("n_clusters", "n_free", "order", "free_slots", "colour", "count", "z", "yty", "log_m",
-          "item_slot", "colour_totals", "logw", "after", "totals", "target", "rank", "zs")
+          "item_slot", "colour_totals", "logw", "after", "totals", "target", "rank", "zs",
+          "block", "block_colour", "block_size", "block_least", "block_log_m", "block_after")
+_RECORDS = ("at", "degree", "labels", "colours", "cl_colour", "cl_size", "cl_log_m")
 
 
 # the trace reader's buffers, and its status codes
@@ -143,23 +144,8 @@ class _Kernel(ctypes.Structure):
     """Mirror of the ``Kernel`` struct in ``_sweep.c``."""
 
     _fields_ = ([(name, ctypes.c_int64) for name in ("n", "n_colours", "pmax")]
-                + [(name, ctypes.c_void_p) for name in _TABLES + _STATE])
-
-
-class _Records(ctypes.Structure):
-    """Mirror of the ``Records`` struct in ``_sweep.c``."""
-
-    _fields_ = ([("count", ctypes.c_int64)]
-                + [(name, ctypes.c_void_p) for name in ("at", "labels", "colours", "degree",
-                                                        "cl_colour", "cl_size", "log_m")])
-
-
-class _Block(ctypes.Structure):
-    """Mirror of the ``Block`` struct in ``_sweep.c``."""
-
-    _fields_ = ([(name, ctypes.c_int64) for name in ("m", "live")]
-                + [(name, ctypes.c_void_p) for name in ("items", "colour", "size", "least",
-                                                        "log_m", "after")])
+                + [(name, ctypes.c_void_p) for name in _TABLES + _STATE + _RECORDS]
+                + [(name, ctypes.c_int64) for name in ("m", "live")])
 
 
 class _Trace(ctypes.Structure):
@@ -171,22 +157,9 @@ class _Trace(ctypes.Structure):
                              "slots", "n_slots", "hashed")]
 
 
-class Records(NamedTuple):
-    """The sweeps a block recorded, as the kernel writes them: per record its
-    canonical labels and colours (rows of ``labels`` and ``colours``) and its
-    cluster count ``degree``; per cluster, record after record, its colour and
-    size in canonical order and its log marginal in insertion order."""
-
-    labels: np.ndarray
-    colours: np.ndarray
-    degree: np.ndarray
-    cluster_colour: np.ndarray
-    cluster_size: np.ndarray
-    log_m: np.ndarray
-
-
 class SweepArrays:
-    """One chain's urn tables, engines and state as the kernel's flat arrays.
+    """One chain's urn tables, engines, state, moved block and records as the
+    flat arrays of the kernel's one struct.
 
     ``urn`` is the prior's ``urn_tables(n)``, ``engines`` a colour's
     ``NIGEngine`` each: the kernel's ``log_marginal`` ports ``log_marginal_z``
@@ -194,6 +167,10 @@ class SweepArrays:
     The state arrays are public and hold a whole chain's state: ``run``
     sweeps them in place, and ``withdraw``, ``price_block``, ``place`` and
     ``record`` act on them between blocks. Each raises the Python sweep's errors.
+
+    The record buffers (``degree``, ``labels``, ``colours`` and ``cl_*``)
+    hold the records of the last ``run`` or ``record`` as ``Kernel`` in
+    ``_sweep.c`` lays them out, until the next call overwrites them.
     """
 
     def __init__(self, lib: ctypes.CDLL, urn, engines, n: int):
@@ -234,6 +211,10 @@ class SweepArrays:
         self.target = np.zeros(n + C, dtype=i64)
         self.rank = np.zeros(n, dtype=i64)
         self.zs = np.zeros(pmax)
+        # the block being moved, and what price_block reports of it
+        self.block, self.block_colour, self.block_size, self.block_least = (
+            np.zeros(n, dtype=i64) for _ in range(4))
+        self.block_log_m, self.block_after = np.zeros(n), np.zeros(n + C)
         # for moving state in and out: per colour its coordinate count and
         # the zeros that pad its z to pmax
         self.dims = p
@@ -242,57 +223,42 @@ class SweepArrays:
         self._struct = _Kernel(n, C, pmax,
                                *(getattr(self, name).ctypes.data for name in _TABLES + _STATE))
         self._kernel = ctypes.byref(self._struct)
-        # the block being moved, and what price_block reports of it
-        self.block = np.zeros(n, dtype=i64)
-        self.block_colour, self.block_size, self.block_least = (
-            np.zeros(n, dtype=i64) for _ in range(3))
-        self.block_log_m, self.block_after = np.zeros(n), np.zeros(n + C)
-        self._block = _Block(0, 0, *(getattr(self, name).ctypes.data for name in (
-            "block", "block_colour", "block_size", "block_least", "block_log_m",
-            "block_after")))
-        self._block_ref = ctypes.byref(self._block)
-        # one record's buffers, which record() fills
-        self._taken = Records(np.empty((1, n), dtype=np.int32),
-                              np.empty((1, n), dtype=np.int32), np.empty(1, dtype=i64),
-                              np.empty(n, dtype=i64), np.empty(n, dtype=i64), np.empty(n))
-        self._taken_struct = _Records(1, None, *(a.ctypes.data for a in self._taken))
-        self._taken_ref = ctypes.byref(self._taken_struct)
         self._lib = lib
         self.n = n
+        self._room(1)
 
-    def run(self, uniforms: np.ndarray, sweeps: int, record_at=()) -> Records | None:
+    def _room(self, rows: int) -> None:
+        """Record buffers for ``rows`` records, bound into the struct."""
+        # left unset: the kernel writes each record before it is read
+        self.at, self.degree = (np.empty(rows, dtype=np.int64) for _ in range(2))
+        self.labels, self.colours = (np.empty((rows, self.n), dtype=np.int32) for _ in range(2))
+        self.cl_colour, self.cl_size = (np.empty(rows * self.n, dtype=np.int64) for _ in range(2))
+        self.cl_log_m = np.empty(rows * self.n)
+        for name in _RECORDS:
+            setattr(self._struct, name, getattr(self, name).ctypes.data)
+
+    def run(self, uniforms: np.ndarray, sweeps: int, record_at=()) -> None:
         """``sweeps`` sweeps over the state arrays, item i of sweep t drawn with
-        ``uniforms[t * n + i]``, recording the state after each sweep t in the
-        increasing ``record_at`` (None when it is empty); raises the Python
-        sweep's ``NumericalError``."""
+        ``uniforms[t * n + i]``, taking record r after sweep ``record_at[r]``
+        (increasing) into the record buffers; raises the Python sweep's
+        ``NumericalError``."""
         uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
         if uniforms.shape != (sweeps * self.n,):
             raise ValueError(f"need {sweeps * self.n} uniforms, got shape {uniforms.shape}")
-        out = rec = None
-        if len(record_at):
+        rows = len(record_at)
+        if rows:
             at = np.array(record_at, dtype=np.int64)
             if not (at[0] >= 0 and at[-1] < sweeps and (np.diff(at) > 0).all()):
                 raise ValueError(f"record_at must increase within [0, {sweeps}), "
                                  f"got {record_at!r}")
-            rows, n = at.size, self.n
-            out = Records(np.empty((rows, n), dtype=np.int32),
-                          np.empty((rows, n), dtype=np.int32), np.empty(rows, dtype=np.int64),
-                          np.empty(rows * n, dtype=np.int64), np.empty(rows * n, dtype=np.int64),
-                          np.empty(rows * n))
-            rec = ctypes.byref(_Records(rows, at.ctypes.data, *(a.ctypes.data for a in out)))
-        _check(self._lib.cdpmix_sweeps(self._kernel, uniforms.ctypes.data, sweeps, rec))
-        if out is None:
-            return None
-        packed = int(out.degree.sum())
-        return out._replace(**{name: getattr(out, name)[:packed]
-                               for name in ("cluster_colour", "cluster_size", "log_m")})
+            if rows > len(self.at):
+                self._room(rows)
+            self.at[:rows] = at
+        _check(self._lib.cdpmix_sweeps(self._kernel, uniforms.ctypes.data, sweeps, rows))
 
-    def record(self) -> Records:
-        """The state now as one record, in buffers that the next call overwrites."""
-        d = self._lib.cdpmix_record(self._kernel, self._taken_ref)
-        out = self._taken
-        return out._replace(cluster_colour=out.cluster_colour[:d],
-                            cluster_size=out.cluster_size[:d], log_m=out.log_m[:d])
+    def record(self) -> None:
+        """Take the state now as record 0 of the record buffers."""
+        self._lib.cdpmix_record(self._kernel)
 
     def withdraw(self, items) -> None:
         """Take ``items``, increasing and all of one cluster, out of it as
@@ -300,8 +266,8 @@ class SweepArrays:
         and ``place`` then act on."""
         m = len(items)
         self.block[:m] = items
-        self._block.m = m
-        _check(self._lib.cdpmix_withdraw(self._kernel, self._block_ref))
+        self._struct.m = m
+        _check(self._lib.cdpmix_withdraw(self._kernel))
 
     def price_block(self) -> int:
         """Fill ``block_colour``, ``block_size``, ``block_least`` and
@@ -310,15 +276,14 @@ class SweepArrays:
         marginal once the withdrawn block joins it, then with the block's log
         marginal alone in a new cluster of each colour; returns the number of
         live clusters."""
-        _check(self._lib.cdpmix_price_block(self._kernel, self._block_ref))
-        return self._block.live
+        _check(self._lib.cdpmix_price_block(self._kernel))
+        return self._struct.live
 
     def place(self, target: int, log_m_after: float, reprice: bool = False) -> None:
         """Put the withdrawn block into slot ``target`` or, for ``-1 - c``, a
         new cluster of colour c, as ``ChainState._place`` does; with
         ``reprice`` its marginal is priced afresh once the items are in."""
-        _check(self._lib.cdpmix_place(self._kernel, self._block_ref, target, log_m_after,
-                                      reprice))
+        _check(self._lib.cdpmix_place(self._kernel, target, log_m_after, reprice))
 
 
 def _check(status: int) -> None:

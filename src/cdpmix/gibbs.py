@@ -517,12 +517,12 @@ class _ArrayState:
         drawn in one ``rng.random(n * sweeps)`` call: the same state, cluster
         ids, generator state and records, bit for bit."""
         kept = [sweep for sweep in range(first, first + sweeps) if sweep in keep] if keep else []
-        taken = self.arrays.run(self.rng.random(self.n * sweeps), sweeps,
-                                [sweep - first for sweep in kept])
-        return _kernel_records(self._log_prior, self.n_colours, kept, taken) if kept else []
+        self.arrays.run(self.rng.random(self.n * sweeps), sweeps, [t - first for t in kept])
+        return _kernel_records(self._log_prior, self.n_colours, kept, self.arrays) if kept else []
 
     def record(self, sweep: int) -> TraceRecord:
-        return _kernel_records(self._log_prior, self.n_colours, [sweep], self.arrays.record())[0]
+        self.arrays.record()
+        return _kernel_records(self._log_prior, self.n_colours, [sweep], self.arrays)[0]
 
     def _degree(self) -> int:
         return int(self.arrays.n_clusters[0])
@@ -720,16 +720,19 @@ def _scored(log_prior, sweep: int, labels: tuple, colours: tuple,
 
 
 def _kernel_records(log_prior, n_colours: int, sweeps: list[int],
-                    taken: _sweep.Records) -> list[TraceRecord]:
-    """The records the kernel took of ``sweeps``, scored as
-    ``ChainState.record`` scores them: the log likelihood is the built-in
-    ``sum`` of the clusters' marginals in insertion order, as
+                    arrays: _sweep.SweepArrays) -> list[TraceRecord]:
+    """The records the kernel last took, one per sweep of ``sweeps``, read
+    from ``arrays``' record buffers before another kernel call overwrites
+    them and scored as ``ChainState.record`` scores them: the log likelihood
+    is the built-in ``sum`` of the clusters' marginals in insertion order, as
     ``log_likelihood`` adds them."""
-    cluster_colour, cluster_size = taken.cluster_colour.tolist(), taken.cluster_size.tolist()
-    log_m = taken.log_m.tolist()
+    rows = len(sweeps)
+    degrees = arrays.degree[:rows].tolist()
+    cluster_colour, cluster_size, log_m = (
+        a[:sum(degrees)].tolist() for a in (arrays.cl_colour, arrays.cl_size, arrays.cl_log_m))
     records, start = [], 0
-    for sweep, labels, colours, degree in zip(sweeps, taken.labels.tolist(),
-                                              taken.colours.tolist(), taken.degree.tolist()):
+    for sweep, labels, colours, degree in zip(sweeps, arrays.labels[:rows].tolist(),
+                                              arrays.colours[:rows].tolist(), degrees):
         end = start + degree
         sizes = _sizes_by_colour(cluster_colour[start:end], cluster_size[start:end], n_colours)
         records.append(_scored(log_prior, sweep, tuple(labels), tuple(colours), sizes,

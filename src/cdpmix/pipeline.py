@@ -431,13 +431,14 @@ def _typed(cfg: dict, key: str, default, kind: type, prefix: str = ""):
 def _number(cfg: dict, key: str, default, kind, prefix: str = ""):
     """``cfg[key]`` (or ``default``) converted by ``kind``, naming the key if it fails.
 
-    Booleans are not numbers here, and an ``int`` key takes no fractional
-    value: ``int`` would silently turn ``true`` into 1 and 3.9 into 3.
+    Only a real number is a number here: not a string, even one that
+    ``kind`` would parse ("7", "0.5"), and not a boolean. An ``int`` key
+    takes no fractional value: ``int`` would silently turn 3.9 into 3.
     Infinity and NaN (which JSON config files may spell) are rejected too,
     and so is an integer too large for a float.
     """
     value = cfg.get(key, default)
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ValidationError(f"{prefix}{key} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValidationError(f"{prefix}{key} must be an integer, got {value!r}")

@@ -1358,13 +1358,44 @@ def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
     return fields
 
 
-@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Records, _sweep._Block,
-                                    _sweep._Trace], ids=["Kernel", "Records", "Block", "Trace"])
+@pytest.mark.parametrize("mirror", [_sweep._Kernel, _sweep._Trace], ids=["Kernel", "Trace"])
 def test_ctypes_structs_mirror_the_kernel_source(mirror):
     # a mirror out of step with the C struct hands the kernel the wrong
     # pointers, and nothing says so
     fields = c_struct_fields(_sweep.SOURCE.read_text(), mirror.__name__.lstrip("_"))
     assert fields == mirror._fields_
+
+
+def c_exports(source: str) -> dict[str, tuple[str, list[str]]]:
+    """Each ``cdpmix_*`` function defined in C source: its return type and
+    its parameters' types, a pointer of any type as ``*``."""
+    exports = {}
+    for ret, name, params in re.findall(r"^(\w+)\s+(cdpmix_\w+)\(([^)]*)\)\s*\{", source,
+                                        flags=re.M):
+        exports[name] = (ret, ["*" if "*" in param else param.split()[-2]
+                               for param in params.split(",")])
+    return exports
+
+
+def test_kernel_bindings_match_the_c_signatures():
+    # ctypes passes whatever argtypes and restype say: a binding out of step
+    # with the C definition is undefined behaviour, not an error
+    needs_kernel()
+    lib = _sweep.library()
+    kinds = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "int": ctypes.c_int,
+             "void": None}
+    exports = c_exports(_sweep.SOURCE.read_text())
+    assert {"cdpmix_sweeps", "cdpmix_record", "cdpmix_withdraw", "cdpmix_price_block",
+            "cdpmix_place", "cdpmix_read_trace"} <= set(exports)
+    for name, (ret, params) in exports.items():
+        binding = getattr(lib, name)
+        assert binding.restype is kinds[ret], name
+        assert len(binding.argtypes) == len(params), name
+        for param, argtype in zip(params, binding.argtypes):
+            if param == "*":
+                assert argtype is ctypes.c_void_p or issubclass(argtype, ctypes._Pointer), name
+            else:
+                assert argtype is kinds[param], name
 
 
 @pytest.mark.parametrize("case", [

@@ -246,12 +246,17 @@ def test_subset_max_size_must_be_positive(tiny_run, size):
 
 @pytest.mark.parametrize("key", ["sweeps", "burn_in", "thin", "subset_move_rate",
                                  "subset_max_size", "seed", "chains",
-                                 "loss.false_positive", "loss.false_negative"])
+                                 "loss.false_positive", "loss.false_negative",
+                                 "model.concentration", "prior.shape", "prior.precision_z"])
 def test_non_numeric_value_names_its_key(tiny_run, key):
+    # a numeric string is text too: int("2") and float("2") would accept it,
+    # and the manifest would echo the string
     section, _, name = key.rpartition(".")
-    cfg = dict(tiny_run, **({section: {name: "ten"}} if section else {name: "ten"}))
-    with pytest.raises(ValidationError, match=rf"^{key} must be a number, got 'ten'$"):
-        pipeline.parse_config(cfg)
+    for value in ("ten", "2"):
+        cfg = dict(tiny_run, **({section: {**tiny_run.get(section, {}), name: value}}
+                                if section else {name: value}))
+        with pytest.raises(ValidationError, match=rf"^{key} must be a number, got '{value}'$"):
+            pipeline.parse_config(cfg)
 
 
 INTEGER_KEYS = ["sweeps", "burn_in", "thin", "subset_max_size", "seed", "chains"]
