@@ -32,7 +32,7 @@
  *
  * Kernel holds one chain: its tables, its state, the scratch of a move, the
  * block a block move acts on and the records a block takes. Each sampler
- * export takes the kernel and scalars alone:
+ * export takes the kernel and scalars, and cdpmix_sweeps its uniforms too:
  *   cdpmix_sweeps       runs a block of sweeps, taking the first `records` of
  *                       the records that `at` asks for;
  *   cdpmix_withdraw     takes the block's m co-clustered items out of their
@@ -44,14 +44,14 @@
  *   cdpmix_place        puts the block into a cluster or a new one
  *                       (ChainState._place), re-pricing it on request;
  *   cdpmix_record       takes the state now as record 0;
- *   cdpmix_read_trace   reads the body of a trace.csv as write_trace writes it.
+ *   cdpmix_read_trace   reads a mapped trace.csv body as write_trace writes it.
  * The block moves' draws and prior stay in Python: these exports only move
  * items and price marginals, so a chain's state stays in these arrays from
  * its first block to its last, subset moves and records included. They refuse
  * a block they cannot act on (BAD_BLOCK) before writing anything.
  * Chains revisit few states, so the reader parses each distinct
  * label-and-colour text once: a line whose text it has seen before is matched
- * against a copy of that text and not parsed again.
+ * against that text where it first occurs in the body, and not parsed again.
  */
 
 #include <math.h>
@@ -426,28 +426,28 @@ int cdpmix_place(Kernel *k, int64_t target, double log_m_after, int reprice)
                         k->yty[target], NULL, 0.0, &k->log_m[target]);
 }
 
-/* The trace reader's buffers, all owned by the caller: it sizes the per-line
- * ones for the whole body and grows the others when the reader asks for
- * room. A line is `chain,sweep,` and then its row: `cells` (at least 1)
- * comma-separated cells. The distinct rows are numbered in order of first
- * occurrence; their texts lie one after another in `arena`, row r's ending at
- * ends[r], and `slots` is an open-addressing table over their hashes. */
+/* The trace reader's buffers, all owned by the caller: it maps the body
+ * read-only, sizes the per-line buffers for it and grows the others when the
+ * reader asks for room. A line is `chain,sweep,` and then its row: `cells`
+ * (at least 1) comma-separated cells. The distinct rows are numbered in order
+ * of first occurrence, row r's text running from body + starts[r] to the next
+ * newline, and `slots` is an open-addressing table over their hashes. */
 typedef struct {
+    const unsigned char *body; /* [size] */
+    int64_t size, pos;       /* pos: the start of the next line to read */
     int64_t cells;
     int32_t *chain, *sweep;  /* [max_lines] */
     int64_t *index;          /* [max_lines]: the line's row */
     int64_t lines, max_lines;
     int32_t *rows;           /* [max_rows][cells] */
     uint64_t *hashes;        /* [max_rows]: hash of the row's text */
-    int64_t *ends;           /* [max_rows] */
+    int64_t *starts;         /* [max_rows]: where the row's text first occurs in the body */
     int64_t n_rows, max_rows;
-    unsigned char *arena;    /* [arena_size] */
-    int64_t arena_size;
     int64_t *slots;          /* [n_slots], a power of two above 2 * max_rows: row + 1, or 0 */
     int64_t n_slots, hashed; /* rows below `hashed` are in `slots` */
 } Trace;
 
-enum { READ_OK = 0, READ_BAD = 1, ROOM_ROWS = 2, ROOM_TEXT = 3 };
+enum { READ_OK = 0, READ_BAD = 1, ROOM_ROWS = 2 };
 
 /* Four independent lanes of eight bytes, so hashing a line costs little
  * next to reading it. */
@@ -474,7 +474,8 @@ static uint64_t hash_text(const unsigned char *p, int64_t len)
 }
 
 /* The slot holding the row whose text is [p, p + len), or the empty slot
- * where that text goes. */
+ * where that text goes. A row's text lies wholly before the line at p, so
+ * its first len + 1 bytes are within the body. */
 static int64_t *find_slot(const Trace *t, const unsigned char *p, int64_t len, uint64_t h)
 {
     const uint64_t mask = (uint64_t)t->n_slots - 1;
@@ -482,9 +483,9 @@ static int64_t *find_slot(const Trace *t, const unsigned char *p, int64_t len, u
         int64_t *slot = t->slots + s;
         if (*slot == 0)
             return slot;
-        const int64_t r = *slot - 1, start = r ? t->ends[r - 1] : 0;
-        if (t->hashes[r] == h && t->ends[r] - start == len
-            && memcmp(t->arena + start, p, (size_t)len) == 0)
+        const int64_t r = *slot - 1;
+        const unsigned char *text = t->body + t->starts[r];
+        if (t->hashes[r] == h && memcmp(text, p, (size_t)len) == 0 && text[len] == '\n')
             return slot;
     }
 }
@@ -518,19 +519,17 @@ static int parse_row(const unsigned char *p, int64_t cells, int32_t *row)
     return READ_OK;
 }
 
-/* Reads the complete lines at the start of buf[0, len), setting *used to the
- * bytes they take; the partial line after them is left for the next call.
- * A line must be `2 + cells` comma-separated non-negative decimal int32 cells
- * ending in '\n', the form write_trace writes. Per line it writes the chain,
- * the sweep and the index of its row; a row whose text is new is parsed into
- * the next row of `rows` and its text copied to the arena. Returns READ_OK,
- * READ_BAD at the first line outside that form (a sign, a space, '\r', an
- * empty line or cell, a value above INT32_MAX, a wrong cell count, a line
- * beyond max_lines), or a ROOM_ code when the rows or the arena are full:
- * *used is then the start of the line to read again once the caller has
- * grown them. After growing `slots` (zeroed) the caller sets `hashed` to 0,
- * and the rows are hashed in again here. */
-int cdpmix_read_trace(Trace *t, const unsigned char *buf, int64_t len, int64_t *used)
+/* Reads the lines of the body from `pos` on. A line must be `2 + cells`
+ * comma-separated non-negative decimal int32 cells ending in '\n', the form
+ * write_trace writes. Per line it writes the chain, the sweep and the index of
+ * its row; a row whose text is new is parsed into the next row of `rows`.
+ * Returns READ_OK, READ_BAD at the first line outside that form (a sign, a
+ * space, '\r', an empty line or cell, a value above INT32_MAX, a wrong cell
+ * count, no final '\n', a line beyond max_lines), or ROOM_ROWS when the rows
+ * are full: `pos` is then the start of the line to read again once the caller
+ * has grown them. After growing `slots` (zeroed) the caller sets `hashed` to
+ * 0, and the rows are hashed in again here. */
+int cdpmix_read_trace(Trace *t)
 {
     const uint64_t mask = (uint64_t)t->n_slots - 1;
     for (; t->hashed < t->n_rows; t->hashed++) {
@@ -539,10 +538,11 @@ int cdpmix_read_trace(Trace *t, const unsigned char *buf, int64_t len, int64_t *
             s = (s + 1) & mask;
         t->slots[s] = t->hashed + 1;
     }
-    const unsigned char *p = buf, *nl;
-    *used = 0;
-    while ((nl = memchr(p, '\n', (size_t)(buf + len - p))) != NULL) {
-        const unsigned char *q = p;
+    while (t->pos < t->size) {
+        const unsigned char *q = t->body + t->pos;
+        const unsigned char *nl = memchr(q, '\n', (size_t)(t->size - t->pos));
+        if (nl == NULL)
+            return READ_BAD;
         const int64_t chain = parse_cell(&q);
         if (chain < 0 || *q++ != ',')
             return READ_BAD;
@@ -555,24 +555,20 @@ int cdpmix_read_trace(Trace *t, const unsigned char *buf, int64_t len, int64_t *
         const uint64_t h = hash_text(q, size);
         int64_t *slot = find_slot(t, q, size, h);
         if (*slot == 0) {
-            const int64_t r = t->n_rows, start = r ? t->ends[r - 1] : 0;
+            const int64_t r = t->n_rows;
             if (r == t->max_rows)
                 return ROOM_ROWS;
-            if (start + size > t->arena_size)
-                return ROOM_TEXT;
             if (parse_row(q, t->cells, t->rows + r * t->cells) != READ_OK)
                 return READ_BAD;
-            memcpy(t->arena + start, q, (size_t)size);
             t->hashes[r] = h;
-            t->ends[r] = start + size;
+            t->starts[r] = q - t->body;
             t->hashed = t->n_rows = r + 1;
             *slot = r + 1;
         }
         t->chain[t->lines] = (int32_t)chain;
         t->sweep[t->lines] = (int32_t)sweep;
         t->index[t->lines++] = *slot - 1;
-        p = nl + 1;
-        *used = p - buf;
+        t->pos = nl + 1 - t->body;
     }
     return READ_OK;
 }

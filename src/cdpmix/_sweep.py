@@ -25,12 +25,12 @@ of sweeps with ``run``, each subset move through ``withdraw``,
 ``record`` write their records into the same buffers, which grow only when
 a block asks for more records than they hold.
 
-``TraceReader`` owns the trace reader: it reads a ``trace.csv`` body from
-the file one chunk at a time, hands each chunk's complete lines to the
-reader, grows a buffer whenever the reader asks for room, and carries the
-partial last line over to the next chunk. Per line it keeps the chain, the
-sweep and the index of the line's label-and-colour row among the distinct
-rows, which it keeps once each, in order of first occurrence.
+``read_body`` maps a ``trace.csv`` read-only and hands its body to
+``TraceReader``, which owns the trace reader's buffers: the reader walks the
+whole body in place, and asks for room only when the distinct rows fill
+theirs. Per line it keeps the chain, the sweep and the index of the line's
+label-and-colour row among the distinct rows, which it keeps once each, in
+order of first occurrence.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def library() -> ctypes.CDLL | None:
     lib.cdpmix_withdraw.restype = lib.cdpmix_price_block.restype = ctypes.c_int
     lib.cdpmix_place.argtypes = (kernel, i64, ctypes.c_double, ctypes.c_int)
     lib.cdpmix_place.restype = ctypes.c_int
-    lib.cdpmix_read_trace.argtypes = (ctypes.POINTER(_Trace), buffer, i64, ctypes.POINTER(i64))
+    lib.cdpmix_read_trace.argtypes = (ctypes.POINTER(_Trace),)
     lib.cdpmix_read_trace.restype = ctypes.c_int
     return lib
 
@@ -136,8 +136,8 @@ _RECORDS = ("at", "degree", "labels", "colours", "cl_colour", "cl_size", "cl_log
 
 
 # the trace reader's buffers, and its status codes
-_TRACE_BUFFERS = ("chain", "sweep", "index", "rows", "hashes", "ends", "arena", "slots")
-_READ_OK, _READ_BAD, _ROOM_ROWS, _ROOM_TEXT = range(4)
+_TRACE_BUFFERS = ("body", "chain", "sweep", "index", "rows", "hashes", "starts", "slots")
+_READ_OK, _READ_BAD, _ROOM_ROWS = range(3)
 
 
 class _Kernel(ctypes.Structure):
@@ -152,8 +152,8 @@ class _Trace(ctypes.Structure):
     """Mirror of the ``Trace`` struct in ``_sweep.c``."""
 
     _fields_ = [(name, ctypes.c_void_p if name in _TRACE_BUFFERS else ctypes.c_int64)
-                for name in ("cells", "chain", "sweep", "index", "lines", "max_lines", "rows",
-                             "hashes", "ends", "n_rows", "max_rows", "arena", "arena_size",
+                for name in ("body", "size", "pos", "cells", "chain", "sweep", "index", "lines",
+                             "max_lines", "rows", "hashes", "starts", "n_rows", "max_rows",
                              "slots", "n_slots", "hashed")]
 
 
@@ -310,33 +310,29 @@ def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
 
 
 class TraceReader:
-    """The compiled trace reader and its buffers, for the rest of the binary
-    file ``fh``, a trace body whose rows have ``cells`` cells (2n, the
-    labels and then the colours of n items).
+    """The compiled trace reader and its buffers, for ``body``, a uint8 view
+    of a trace body whose rows have ``cells`` cells (2n, the labels and then
+    the colours of n items).
 
     The per-line buffers are sized once from the body's byte count: a line
-    takes at least two bytes a cell. The distinct rows and their texts start
-    with room for ``room`` rows; when the reader asks for more, a buffer
-    grows to its use so far scaled up to the whole body, at least doubling,
-    and never past what the rest of the body could need.
+    takes at least two bytes a cell. The distinct rows start with room for
+    ``room`` rows; when the reader asks for more, they grow to the rows so
+    far scaled up to the whole body, at least doubling, and never past what
+    the rest of the body could hold.
     """
 
-    def __init__(self, lib: ctypes.CDLL, fh, cells: int, room: int):
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
-        lines = size // (2 * (cells + 2)) + 1
+    def __init__(self, lib: ctypes.CDLL, body: np.ndarray, cells: int, room: int):
+        lines = len(body) // (2 * (cells + 2)) + 1
+        self.body = body
         self.chain = np.empty(lines, dtype=np.int32)
         self.sweep = np.empty(lines, dtype=np.int32)
         self.index = np.empty(lines, dtype=np.int64)
         self.rows = np.empty((room, cells), dtype=np.int32)
         self.hashes = np.empty(room, dtype=np.uint64)
-        self.ends = np.empty(room, dtype=np.int64)
-        self.arena = np.empty(room * 2 * cells, dtype=np.uint8)  # a text is >= 2 cells - 1 bytes
+        self.starts = np.empty(room, dtype=np.int64)
         self.slots = _slot_table(room)
-        self._struct = _Trace(cells=cells)
-        self._ref = ctypes.byref(self._struct)
+        self._struct = _Trace(size=len(body), cells=cells)
         self._lib = lib
-        self._fh = fh
-        self._size, self._read = size, 0
         self._bind()
 
     def _bind(self) -> None:
@@ -344,59 +340,45 @@ class TraceReader:
         t = self._struct
         for name in _TRACE_BUFFERS:
             setattr(t, name, getattr(self, name).ctypes.data)
-        t.max_lines, t.max_rows, t.arena_size, t.n_slots = (
-            len(self.chain), len(self.rows), len(self.arena), len(self.slots))
+        t.max_lines, t.max_rows, t.n_slots = len(self.chain), len(self.rows), len(self.slots)
 
-    def _room(self, used: int, room: int, most: int) -> int:
-        """Room for a buffer using ``used`` of its ``room`` entries: the use
-        so far scaled to the whole body, at least ``2 * room``, at most ``most``."""
-        return min(max(2 * room, used * self._size // max(self._read, 1)), most)
-
-    def _grow(self, status: int, ahead: int) -> None:
-        """Make the room the reader asked for, with ``ahead`` bytes in hand
-        from the line it stopped at (more than ``_size`` promised if the
-        file grew)."""
+    def _grow(self) -> None:
+        """Room for more distinct rows, and a slot table rebuilt for it."""
         t = self._struct
-        rest = max(self._size - self._read, ahead)
-        if status == _ROOM_ROWS:
-            room = self._room(t.n_rows, len(self.rows), t.n_rows + 1 + rest // (2 * (t.cells + 2)))
-            self.rows, self.hashes, self.ends = (_grown(a, room, t.n_rows)
-                                                 for a in (self.rows, self.hashes, self.ends))
-            self.slots = _slot_table(room)
-            t.hashed = 0
-        else:
-            used = int(self.ends[t.n_rows - 1]) if t.n_rows else 0
-            self.arena = _grown(self.arena, self._room(used, len(self.arena), used + rest), used)
+        room = min(max(2 * len(self.rows), t.n_rows * t.size // max(t.pos, 1)),
+                   t.n_rows + 1 + (t.size - t.pos) // (2 * (t.cells + 2)))
+        self.rows, self.hashes, self.starts = (_grown(a, room, t.n_rows)
+                                               for a in (self.rows, self.hashes, self.starts))
+        self.slots = _slot_table(room)
+        t.hashed = 0
         self._bind()
 
-    def read(self, chunk: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
         """``(chain, sweep, index, rows)`` of the body: per line its chain,
         sweep and the position of its row among ``rows``, the distinct rows
         in order of first occurrence. None at a line outside the form
-        ``pipeline.write_trace`` writes.
-
-        The body is read ``chunk`` bytes at a time into one buffer; each
-        chunk's complete lines are parsed, and its partial last line is
-        carried over to the start of the buffer for the next chunk.
-        """
-        buf = np.empty(chunk, dtype=np.uint8)
-        kept, used = 0, ctypes.c_int64()
-        # a line longer than the buffer leaves an empty view to read into, and None
-        while got := self._fh.readinto(buf[kept:]):
-            filled, done = kept + got, 0
-            while True:
-                status = self._lib.cdpmix_read_trace(self._ref, buf.ctypes.data + done,
-                                                     filled - done, used)
-                done += used.value
-                self._read += used.value
-                if status == _READ_OK:
-                    break
-                if status == _READ_BAD:
-                    return None
-                self._grow(status, filled - done)
-            kept = filled - done
-            buf[:kept] = buf[done:filled]
-        if kept:
+        ``pipeline.write_trace`` writes."""
+        while (status := self._lib.cdpmix_read_trace(self._struct)) == _ROOM_ROWS:
+            self._grow()
+        if status == _READ_BAD:
             return None
         lines, n_rows = self._struct.lines, self._struct.n_rows
         return self.chain[:lines], self.sweep[:lines], self.index[:lines], self.rows[:n_rows]
+
+
+def read_body(lib: ctypes.CDLL, fh, offset: int, cells: int, room: int):
+    """``TraceReader(...).read()`` of the binary file ``fh`` from byte
+    ``offset`` on, mapped read-only; None where the file cannot be mapped,
+    as well as where the reader stops at a line."""
+    import mmap  # only a trace read maps a file, so a run does not load it
+    try:
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        return None
+    with mapped:
+        reader = TraceReader(lib, np.frombuffer(mapped, dtype=np.uint8, offset=offset),
+                             cells, room)
+        try:
+            return reader.read()
+        finally:
+            del reader  # its view of the map, which cannot close while one is held

@@ -595,8 +595,6 @@ def stack_traces(traces: Sequence[Sequence[TraceRecord]], n: int) -> TraceTable:
 
 #: Distinct trace rows formatted at a time, which bounds the memory the cell strings take.
 _TRACE_CHUNK = 4096
-#: Bytes the compiled trace reader reads at a time, into its one buffer.
-_READ_CHUNK = 1 << 20
 #: Distinct rows the compiled trace reader makes room for at first.
 _READ_ROOM = 256
 
@@ -630,21 +628,28 @@ def write_trace(path: str, ids: list[str],
     """Write ``trace.csv``: a header, then per retained sweep its chain and
     sweep number, canonical labels and colours. ``traces`` is one list of
     records per chain, or the ``TraceTable`` they stack into. Each distinct
-    row is formatted once, and each record writes its row's text."""
+    row is formatted once, and each record writes its row's text. A new file
+    is renamed over ``path``, so a map of the old one is never truncated."""
     if not isinstance(traces, TraceTable):
         traces = stack_traces(traces, len(ids))
     texts = []
     for start in range(0, len(traces.rows), _TRACE_CHUNK):
         texts += _csv_int_rows(traces.rows[start:start + _TRACE_CHUNK]).splitlines(keepends=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(
-            ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
-        fh.writelines(f"{chain},{sweep},{texts[row]}" for chain, sweep, row in zip(
-            traces.chain.tolist(), traces.sweep.tolist(), traces.index.tolist()))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(
+                ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
+            fh.writelines(f"{chain},{sweep},{texts[row]}" for chain, sweep, row in zip(
+                traces.chain.tolist(), traces.sweep.tolist(), traces.index.tolist()))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _read_body(path: str, body: bytes, width: int):
-    """The Python port of ``_sweep.TraceReader.read`` for ``body``, the bytes
+    """The Python port of ``_sweep.read_body`` for ``body``, the bytes
     after the header: each distinct text after a line's chain and sweep is
     parsed once into a row. Cells of one to nine digits are checked in a few
     whole-body calls, any others line by line, naming the first bad line."""
@@ -720,8 +725,8 @@ def read_trace(path: str) -> tuple[list[str], TraceTable]:
     of ``chain``, ``sweep``, then ``c:<id>`` and ``k:<id>`` per item (see
     ``_trace_ids``), then per record a line of comma-separated ASCII decimal
     cells up to 2**31 - 1, every line ending in a newline. The body is read
-    by the compiled reader (``_sweep.TraceReader``) where the library loads,
-    and otherwise, or where it stops at a line, by its Python port
+    in place by ``_sweep.read_body`` where the library loads and the file
+    maps, and otherwise, or where it stops at a line, by its Python port
     ``_read_body``. Anything else (an empty file included) is a validation
     error that names the file and the line, or the header's first bad field.
     """
@@ -731,8 +736,7 @@ def read_trace(path: str) -> tuple[list[str], TraceTable]:
         if not line.endswith(b"\n") or line.endswith(b"\r\n"):
             raise ValidationError(f"{path}: line 1 does not end in a bare newline")
         width, lib = 2 + 2 * len(ids), _sweep.library()
-        read = (None if lib is None else
-                _sweep.TraceReader(lib, fh, width - 2, _READ_ROOM).read(_READ_CHUNK))
+        read = lib and _sweep.read_body(lib, fh, len(line), width - 2, _READ_ROOM)
         if read is None:
             fh.seek(len(line))
             read = _read_body(path, fh.read(), width)

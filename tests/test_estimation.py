@@ -224,6 +224,26 @@ def test_greedy_never_beats_exact_and_beats_baselines():
         assert lg <= min(singles, lump) + 1e-12
 
 
+@pytest.mark.parametrize("seed", [45, 62, 80])
+def test_greedy_relocation_that_empties_a_cluster_ends_at_a_local_minimum(seed):
+    # on these inputs a relocation pass moves the last item out of a cluster
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    A = rng.random((n, n))
+    rho = (A + A.T) / 2
+    np.fill_diagonal(rho, 1.0)
+    greedy = optimal_partition(rho, strategy="greedy")
+    lg = expected_pairwise_loss(greedy, rho)
+    for i in range(n):
+        rest = [[j for j in c if j != i] for c in greedy.clusters]
+        for dst in range(len(rest) + 1):  # another cluster, or a new singleton
+            if dst < len(rest) and i in greedy.clusters[dst]:
+                continue
+            moved = [c + [i] if k == dst else c for k, c in enumerate(rest + [[]])]
+            assert expected_pairwise_loss(Partition([c for c in moved if c]), rho) >= lg - 1e-12
+    assert lg == expected_pairwise_loss(optimal_partition(rho, strategy="exact"), rho)
+
+
 def _agglomerate_by_deletion(score):
     """Oracle of ``_agglomerate``: the pair-cost matrix is compacted after
     every merge and the candidates are read off its upper triangle."""

@@ -4,11 +4,13 @@ import dataclasses
 import io
 import json
 import math
+import mmap
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from cdpmix.errors import ValidationError
 from cdpmix.estimation import accumulate_similarity, distinct_rows
 from cdpmix.gibbs import TraceRecord, run_chain
 from cdpmix.partitions import Partition, enumerate_partitions
+from cdpmix.priors import PitmanYor
 
 
 @pytest.fixture
@@ -201,6 +204,14 @@ def test_unknown_preset_and_family_rejected(tiny_run):
         pipeline.parse_config(dict(tiny_run, model={"family": "dp"}))
 
 
+def test_readme_configuration_names_every_key_and_family():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    missing = [name for name in (*pipeline._CONFIG_KEYS, *pipeline._MODEL_PARAMS)
+               if f"`{name}`" not in section]
+    assert not missing, missing
+
+
 def test_prior_dimension_validation(tiny_run):
     bad = dict(tiny_run, prior={"mean_z": [0.0, 0.0]})
     with pytest.raises(ValidationError):
@@ -314,6 +325,18 @@ def test_run_emits_all_artifacts(tiny_run):
         assert os.path.exists(os.path.join(tiny_run["out"], name))
 
 
+def test_pitman_yor_run_emits_all_artifacts(tiny_run):
+    cfg = dict(tiny_run, model={"family": "pitman_yor", "discount": 0.3, "strength": 1.0},
+               sweeps=40, burn_in=10)
+    config = pipeline.parse_config(cfg)
+    assert isinstance(config.model, PitmanYor) and len(config.specs) == 1
+    manifest = pipeline.run_pipeline(config)
+    assert manifest["config"]["model"]["family"] == "pitman_yor"
+    assert sorted(os.listdir(cfg["out"])) == manifest["artifacts"] == [
+        "assignments.csv", "cluster_summaries.csv", "crosstab.csv", "manifest.json",
+        "similarity.csv", "trace.csv"]
+
+
 def test_small_run_searches_each_strategy_once(tiny_run, monkeypatch):
     # auto picks exact for 6 items; the comparison reuses that estimate
     calls = []
@@ -421,6 +444,24 @@ def _random_traces(rng, lengths, n, first_sweep=0, thin=1, states=None):
         traces.append([TraceRecord(first_sweep + j * thin, *states[k], max(states[k][0]) + 1,
                                    (0,), 0.0) for j, k in enumerate(picks.tolist())])
     return traces
+
+
+def test_write_trace_leaves_a_mapped_old_trace_whole(tmp_path):
+    # truncating a file in place under a reader's map kills the reader (SIGBUS)
+    ids, path = [f"it{i}" for i in range(6)], str(tmp_path / "trace.csv")
+    rng = np.random.default_rng(42)
+    pipeline.write_trace(path, ids, _random_traces(rng, [80], len(ids)))
+    old, new = (tmp_path / "trace.csv").read_bytes(), _random_traces(rng, [5], len(ids))
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        try:
+            pipeline.write_trace(path, ids, new)
+        except PermissionError:
+            pytest.skip("this platform does not replace a mapped file")
+        assert mapped[:] == old
+    _, table = pipeline.read_trace(path)
+    expected = pipeline.stack_traces(new, len(ids))
+    assert all(np.array_equal(a, b) for a, b in zip(table, expected))
+    assert os.listdir(tmp_path) == ["trace.csv"]
 
 
 def _assert_trace_bytes_match_oracle(tmp_path, ids, traces):
@@ -675,10 +716,9 @@ def _forbid_read_body(monkeypatch):
 
 
 def test_read_trace_carries_rows_across_chunks(tmp_path, monkeypatch):
-    # 16-byte chunks: most of these 12- to 15-byte rows straddle a chunk boundary
+    # 12- to 15-byte rows of varying length, repeated and new, read in place
     body = "".join(f"{j % 3},{10 * j},{j % 2},0,1,{j % 2}\n" for j in range(40))
     path = _write_trace_text(tmp_path, body)
-    monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
     _, numpy_reader = _both_readers(monkeypatch, path)
     _forbid_read_body(monkeypatch)
     assert _read_trace_outcome(path) == numpy_reader
@@ -713,9 +753,9 @@ def test_read_trace_keeps_each_distinct_row_once(tmp_path, monkeypatch):
 
 
 def test_read_trace_grows_its_buffers(tmp_path, monkeypatch):
-    # room for one row at first, and 16-byte chunks; new rows keep coming
-    # after a long repeated start, so the room for rows and for their text
-    # grows many times, and the slot table is rehashed at each growth
+    # room for one row at first; new rows keep coming after a long repeated
+    # start, so the room for rows grows many times, and the slot table is
+    # rehashed at each growth
     rng = np.random.default_rng(36)
     states = ["0100"] + [f"{s:04d}" for s in rng.choice(10 ** 4, size=60, replace=False)]
     picks = np.r_[np.zeros(300, dtype=int), rng.integers(1, 61, size=500)]  # 0100 heads it
@@ -723,16 +763,14 @@ def test_read_trace_grows_its_buffers(tmp_path, monkeypatch):
                    for j, k in enumerate(picks))
     path = _write_trace_text(tmp_path, body)
     monkeypatch.setattr(pipeline, "_READ_ROOM", 1)
-    monkeypatch.setattr(pipeline, "_READ_CHUNK", 16)
     _, numpy_reader = _both_readers(monkeypatch, path)
     _forbid_read_body(monkeypatch)
     grown = []
     grow = _sweep.TraceReader._grow
     monkeypatch.setattr(_sweep.TraceReader, "_grow",
-                        lambda reader, status, ahead: grown.append(status) or grow(reader, status,
-                                                                                    ahead))
+                        lambda reader: grown.append(len(reader.rows)) or grow(reader))
     assert _read_trace_outcome(path) == numpy_reader
-    assert grown.count(_sweep._ROOM_ROWS) >= 4 and grown.count(_sweep._ROOM_TEXT) >= 4, grown
+    assert len(grown) >= 4, grown
     _, (_, _, index, rows) = pipeline.read_trace(path)
     assert len(rows) == len({tuple(row) for row in rows[index].tolist()}) > 50
 
@@ -750,6 +788,23 @@ def test_read_trace_without_repeats(tmp_path, monkeypatch):
     assert _read_trace_outcome(path) == numpy_reader
     _, (_, _, index, rows) = pipeline.read_trace(path)
     assert index.tolist() == list(range(3001)) and len(rows) == 3001
+
+
+def test_read_trace_reads_a_file_it_cannot_map_through_the_port(tmp_path, monkeypatch):
+    traces = _random_traces(np.random.default_rng(40), [60] * 2, 6)
+    path = str(tmp_path / "trace.csv")
+    pipeline.write_trace(path, [f"it{i}" for i in range(6)], traces)
+    compiled, _ = _both_readers(monkeypatch, path)
+
+    def unmappable(*args, **kwargs):
+        raise OSError(19, "No such device")
+
+    ported, port = [], pipeline._read_body
+    monkeypatch.setattr(mmap, "mmap", unmappable)
+    monkeypatch.setattr(pipeline, "_read_body",
+                        lambda *args: ported.append(args[0]) or port(*args))
+    assert _read_trace_outcome(path) == compiled
+    assert ported == [path]
 
 
 @pytest.mark.parametrize("head,field", [
@@ -1250,29 +1305,36 @@ def test_malformed_model_or_prior_value_is_a_validation_error(tiny_run, capsys,
     assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
 
 
-@pytest.mark.parametrize("overrides,key", [
-    ({"out": 5}, "out"),
-    ({"out": None}, "out"),
-    ({"data": ["x"]}, "data"),
-    ({"data": 99_995}, "data"),
-    ({"annotations": 99_997}, "annotations"),
-    ({"loss": 5}, "loss"),
-    ({"prior": 5}, "prior"),
-    ({"design": {"Z": 5}}, "design.Z"),
-    ({"design": {"Z": [[1.0], [1.0]], "X": [1.0, 2.0]}}, "design.X"),
-    ({"preset": ["wen-rat"]}, "preset"),
-    ({"model": {"family": ["dp"]}}, "model.family"),
+@pytest.mark.parametrize("overrides,message", [
+    ({"out": 5}, "out must be a string, got 5"),
+    ({"out": None}, "out must be a string, got None"),
+    ({"data": ["x"]}, "data must be a string, got ['x']"),
+    ({"data": 99_995}, "data must be a string, got 99995"),
+    ({"annotations": 99_997}, "annotations must be a string, got 99997"),
+    ({"loss": 5}, "loss must be an object, got 5"),
+    ({"prior": 5}, "prior must be an object, got 5"),
+    ({"design": {"Z": 5}}, "design.Z must be a path or a 2-d array, got 5"),
+    ({"design": {"Z": [[1.0], [1.0]], "X": [1.0, 2.0]}},
+     "design.X must be a path or a 2-d array, got [1.0, 2.0]"),
+    ({"preset": ["wen-rat"]}, "preset must be a string, got ['wen-rat']"),
+    ({"model": {"family": ["dp"]}}, "model.family must be a string, got ['dp']"),
+    ({"design": 5}, "design must be 'rat-timecourse' or a {'Z': ..., 'X': ...} mapping"),
+    ({"design": "rat"}, "design must be 'rat-timecourse' or a {'Z': ..., 'X': ...} mapping"),
+    ({"model": {"concentration": 1.0}}, "model config must name a family"),
+    ({"chains": 0}, "chains must be >= 1"),
+    ({"strategy": "fast"}, "strategy must be auto, exact, or greedy"),
 ], ids=["out-number", "out-null", "data-list", "data-number", "annotations-number",
         "loss-number", "prior-number", "design-Z-number", "design-X-flat", "preset-list",
-        "family-list"])
+        "family-list", "design-number", "design-name", "model-no-family", "chains-zero",
+        "strategy-unknown"])
 def test_config_value_of_the_wrong_json_type_is_a_validation_error(tiny_run, tmp_path, capsys,
-                                                                   overrides, key):
+                                                                   overrides, message):
     # each used to end in a traceback (TypeError, IndexError), or to open a
-    # number as a file descriptor (numbers past any this process holds open)
+    # number as a file descriptor (numbers past any this process holds open);
+    # a value of the right type outside its range is named the same way
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(tiny_run, **overrides)))
-    err = _cli_error(capsys, "run", "--config", str(cfg))
-    assert err.startswith(f"error: {key} must be "), err
+    assert _cli_error(capsys, "run", "--config", str(cfg)) == f"error: {message}\n"
     assert not os.path.exists(tiny_run["out"])  # rejected before sampling
 
 
