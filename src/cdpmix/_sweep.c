@@ -44,14 +44,15 @@
  *   cdpmix_place        puts the block into a cluster or a new one
  *                       (ChainState._place), re-pricing it on request;
  *   cdpmix_record       takes the state now as record 0;
- *   cdpmix_read_trace   reads a mapped trace.csv body as write_trace writes it.
+ *   cdpmix_read_trace   indexes a mapped trace.csv body as write_trace writes it;
+ *   cdpmix_parse_rows   then parses each distinct row of it once.
  * The block moves' draws and prior stay in Python: these exports only move
  * items and price marginals, so a chain's state stays in these arrays from
  * its first block to its last, subset moves and records included. They refuse
  * a block they cannot act on (BAD_BLOCK) before writing anything.
  * Chains revisit few states, so the reader parses each distinct
  * label-and-colour text once: a line whose text it has seen before is matched
- * against that text where it first occurs in the body, and not parsed again.
+ * against that text where it first occurs in the body, and not parsed.
  */
 
 #include <math.h>
@@ -426,28 +427,27 @@ int cdpmix_place(Kernel *k, int64_t target, double log_m_after, int reprice)
                         k->yty[target], NULL, 0.0, &k->log_m[target]);
 }
 
-/* The trace reader's buffers, all owned by the caller: it maps the body
- * read-only, sizes the per-line buffers for it and grows the others when the
- * reader asks for room. A line is `chain,sweep,` and then its row: `cells`
- * (at least 1) comma-separated cells. The distinct rows are numbered in order
- * of first occurrence, row r's text running from body + starts[r] to the next
- * newline, and `slots` is an open-addressing table over their hashes. */
+/* The trace reader's buffers, all owned by the caller, which maps the body
+ * read-only and sizes them once: no body has more distinct rows than lines.
+ * A line is `chain,sweep,` and then its row: `cells` (at least 1)
+ * comma-separated cells. The distinct rows are numbered in order of first
+ * occurrence, row r's text running from body + starts[r] to the next newline,
+ * and `slots` is an open-addressing table over their hashes. */
 typedef struct {
     const unsigned char *body; /* [size] */
-    int64_t size, pos;       /* pos: the start of the next line to read */
-    int64_t cells;
+    int64_t size, cells;
     int32_t *chain, *sweep;  /* [max_lines] */
     int64_t *index;          /* [max_lines]: the line's row */
     int64_t lines, max_lines;
-    int32_t *rows;           /* [max_rows][cells] */
-    uint64_t *hashes;        /* [max_rows]: hash of the row's text */
-    int64_t *starts;         /* [max_rows]: where the row's text first occurs in the body */
-    int64_t n_rows, max_rows;
-    int64_t *slots;          /* [n_slots], a power of two above 2 * max_rows: row + 1, or 0 */
-    int64_t n_slots, hashed; /* rows below `hashed` are in `slots` */
+    int32_t *rows;           /* [n_rows][cells], bound once the body is indexed */
+    uint64_t *hashes;        /* [max_lines]: hash of the row's text */
+    int64_t *starts;         /* [max_lines]: where the row's text first occurs in the body */
+    int64_t n_rows;
+    int64_t *slots;          /* [n_slots], a power of two above 2 * max_lines: row + 1, or 0 */
+    int64_t n_slots;
 } Trace;
 
-enum { READ_OK = 0, READ_BAD = 1, ROOM_ROWS = 2 };
+enum { READ_OK = 0, READ_BAD = 1 };
 
 /* Four independent lanes of eight bytes, so hashing a line costs little
  * next to reading it. */
@@ -519,28 +519,17 @@ static int parse_row(const unsigned char *p, int64_t cells, int32_t *row)
     return READ_OK;
 }
 
-/* Reads the lines of the body from `pos` on. A line must be `2 + cells`
- * comma-separated non-negative decimal int32 cells ending in '\n', the form
- * write_trace writes. Per line it writes the chain, the sweep and the index of
- * its row; a row whose text is new is parsed into the next row of `rows`.
- * Returns READ_OK, READ_BAD at the first line outside that form (a sign, a
- * space, '\r', an empty line or cell, a value above INT32_MAX, a wrong cell
- * count, no final '\n', a line beyond max_lines), or ROOM_ROWS when the rows
- * are full: `pos` is then the start of the line to read again once the caller
- * has grown them. After growing `slots` (zeroed) the caller sets `hashed` to
- * 0, and the rows are hashed in again here. */
+/* The indexing pass. Per line, `chain,sweep,` and then text ending in '\n',
+ * it writes the chain, the sweep and the index of its row; a new text is the
+ * next row, kept as its hash and where it starts, and is parsed later.
+ * Returns READ_OK, or READ_BAD at the first line outside that form (a sign, a
+ * space, an empty line, chain or sweep, a value above INT32_MAX, no final
+ * '\n', a line beyond max_lines). */
 int cdpmix_read_trace(Trace *t)
 {
-    const uint64_t mask = (uint64_t)t->n_slots - 1;
-    for (; t->hashed < t->n_rows; t->hashed++) {
-        uint64_t s = t->hashes[t->hashed] & mask;
-        while (t->slots[s])
-            s = (s + 1) & mask;
-        t->slots[s] = t->hashed + 1;
-    }
-    while (t->pos < t->size) {
-        const unsigned char *q = t->body + t->pos;
-        const unsigned char *nl = memchr(q, '\n', (size_t)(t->size - t->pos));
+    for (int64_t pos = 0; pos < t->size;) {
+        const unsigned char *q = t->body + pos;
+        const unsigned char *nl = memchr(q, '\n', (size_t)(t->size - pos));
         if (nl == NULL)
             return READ_BAD;
         const int64_t chain = parse_cell(&q);
@@ -555,20 +544,27 @@ int cdpmix_read_trace(Trace *t)
         const uint64_t h = hash_text(q, size);
         int64_t *slot = find_slot(t, q, size, h);
         if (*slot == 0) {
-            const int64_t r = t->n_rows;
-            if (r == t->max_rows)
-                return ROOM_ROWS;
-            if (parse_row(q, t->cells, t->rows + r * t->cells) != READ_OK)
-                return READ_BAD;
+            const int64_t r = t->n_rows++;
             t->hashes[r] = h;
             t->starts[r] = q - t->body;
-            t->hashed = t->n_rows = r + 1;
             *slot = r + 1;
         }
         t->chain[t->lines] = (int32_t)chain;
         t->sweep[t->lines] = (int32_t)sweep;
         t->index[t->lines++] = *slot - 1;
-        t->pos = nl + 1 - t->body;
+        pos = nl + 1 - t->body;
     }
+    return READ_OK;
+}
+
+/* The parsing pass, once `rows` is bound: each distinct row from its first
+ * text, which its later lines repeat byte for byte, as `cells` non-negative
+ * decimal int32 cells. READ_BAD at a row outside that form (a sign, a space,
+ * '\r', an empty cell, a value above INT32_MAX, a wrong cell count). */
+int cdpmix_parse_rows(Trace *t)
+{
+    for (int64_t r = 0; r < t->n_rows; r++)
+        if (parse_row(t->body + t->starts[r], t->cells, t->rows + r * t->cells) != READ_OK)
+            return READ_BAD;
     return READ_OK;
 }

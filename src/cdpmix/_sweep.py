@@ -22,15 +22,14 @@ state in once, at its first sweep, and keeps it there, running each block
 of sweeps with ``run``, each subset move through ``withdraw``,
 ``price_block`` and ``place``, and each record between blocks with
 ``record``, until it copies the state back at the chain's end. ``run`` and
-``record`` write their records into the same buffers, which grow only when
-a block asks for more records than they hold.
+``record`` write their records into the same buffers, allocated once per
+chain for the most records one block takes.
 
-``read_body`` maps a ``trace.csv`` read-only and hands its body to
-``TraceReader``, which owns the trace reader's buffers: the reader walks the
-whole body in place, and asks for room only when the distinct rows fill
-theirs. Per line it keeps the chain, the sweep and the index of the line's
-label-and-colour row among the distinct rows, which it keeps once each, in
-order of first occurrence.
+``read_body`` maps a ``trace.csv`` read-only and reads its body in place in
+two passes, into buffers sized once from the body's byte count. The first
+indexes each line: its chain, its sweep and the index of its
+label-and-colour row among the distinct rows, numbered in order of first
+occurrence. The second parses each distinct row once, from its first text.
 """
 
 from __future__ import annotations
@@ -122,8 +121,8 @@ def library() -> ctypes.CDLL | None:
     lib.cdpmix_withdraw.restype = lib.cdpmix_price_block.restype = ctypes.c_int
     lib.cdpmix_place.argtypes = (kernel, i64, ctypes.c_double, ctypes.c_int)
     lib.cdpmix_place.restype = ctypes.c_int
-    lib.cdpmix_read_trace.argtypes = (ctypes.POINTER(_Trace),)
-    lib.cdpmix_read_trace.restype = ctypes.c_int
+    lib.cdpmix_read_trace.argtypes = lib.cdpmix_parse_rows.argtypes = (ctypes.POINTER(_Trace),)
+    lib.cdpmix_read_trace.restype = lib.cdpmix_parse_rows.restype = ctypes.c_int
     return lib
 
 
@@ -135,9 +134,9 @@ _STATE = ("n_clusters", "n_free", "order", "free_slots", "colour", "count", "z",
 _RECORDS = ("at", "degree", "labels", "colours", "cl_colour", "cl_size", "cl_log_m")
 
 
-# the trace reader's buffers, and its status codes
+# the trace reader's buffers, and its status at a line outside the form
 _TRACE_BUFFERS = ("body", "chain", "sweep", "index", "rows", "hashes", "starts", "slots")
-_READ_OK, _READ_BAD, _ROOM_ROWS = range(3)
+_READ_BAD = 1
 
 
 class _Kernel(ctypes.Structure):
@@ -152,9 +151,9 @@ class _Trace(ctypes.Structure):
     """Mirror of the ``Trace`` struct in ``_sweep.c``."""
 
     _fields_ = [(name, ctypes.c_void_p if name in _TRACE_BUFFERS else ctypes.c_int64)
-                for name in ("body", "size", "pos", "cells", "chain", "sweep", "index", "lines",
-                             "max_lines", "rows", "hashes", "starts", "n_rows", "max_rows",
-                             "slots", "n_slots", "hashed")]
+                for name in ("body", "size", "cells", "chain", "sweep", "index", "lines",
+                             "max_lines", "rows", "hashes", "starts", "n_rows", "slots",
+                             "n_slots")]
 
 
 class SweepArrays:
@@ -169,11 +168,14 @@ class SweepArrays:
     ``record`` act on them between blocks. Each raises the Python sweep's errors.
 
     The record buffers (``degree``, ``labels``, ``colours`` and ``cl_*``)
-    hold the records of the last ``run`` or ``record`` as ``Kernel`` in
-    ``_sweep.c`` lays them out, until the next call overwrites them.
+    have room for ``records`` records, allocated here once, and hold the
+    records of the last ``run`` or ``record`` as ``Kernel`` in ``_sweep.c``
+    lays them out, until the next call overwrites them.
     """
 
-    def __init__(self, lib: ctypes.CDLL, urn, engines, n: int):
+    def __init__(self, lib: ctypes.CDLL, urn, engines, n: int, records: int):
+        if records < 1:  # record() writes record 0
+            raise ValueError(f"the record buffers need room for a record, got {records}")
         C = len(engines)
         p = [len(eng.z0) for eng in engines]
         pmax = max(p + [1])
@@ -215,33 +217,27 @@ class SweepArrays:
         self.block, self.block_colour, self.block_size, self.block_least = (
             np.zeros(n, dtype=i64) for _ in range(4))
         self.block_log_m, self.block_after = np.zeros(n), np.zeros(n + C)
+        # the record buffers, left unset: the kernel writes each record before it is read
+        self.at, self.degree = (np.empty(records, dtype=i64) for _ in range(2))
+        self.labels, self.colours = (np.empty((records, n), dtype=np.int32) for _ in range(2))
+        self.cl_colour, self.cl_size = (np.empty(records * n, dtype=i64) for _ in range(2))
+        self.cl_log_m = np.empty(records * n)
         # for moving state in and out: per colour its coordinate count and
         # the zeros that pad its z to pmax
         self.dims = p
         self.padding = [[0.0] * (pmax - pc) for pc in p]
         # the struct holds raw pointers; the arrays above keep their buffers alive
-        self._struct = _Kernel(n, C, pmax,
-                               *(getattr(self, name).ctypes.data for name in _TABLES + _STATE))
+        self._struct = _Kernel(n, C, pmax, *(getattr(self, name).ctypes.data
+                                             for name in _TABLES + _STATE + _RECORDS))
         self._kernel = ctypes.byref(self._struct)
         self._lib = lib
         self.n = n
-        self._room(1)
-
-    def _room(self, rows: int) -> None:
-        """Record buffers for ``rows`` records, bound into the struct."""
-        # left unset: the kernel writes each record before it is read
-        self.at, self.degree = (np.empty(rows, dtype=np.int64) for _ in range(2))
-        self.labels, self.colours = (np.empty((rows, self.n), dtype=np.int32) for _ in range(2))
-        self.cl_colour, self.cl_size = (np.empty(rows * self.n, dtype=np.int64) for _ in range(2))
-        self.cl_log_m = np.empty(rows * self.n)
-        for name in _RECORDS:
-            setattr(self._struct, name, getattr(self, name).ctypes.data)
 
     def run(self, uniforms: np.ndarray, sweeps: int, record_at=()) -> None:
         """``sweeps`` sweeps over the state arrays, item i of sweep t drawn with
         ``uniforms[t * n + i]``, taking record r after sweep ``record_at[r]``
-        (increasing) into the record buffers; raises the Python sweep's
-        ``NumericalError``."""
+        (increasing) into the record buffers, which must have room for them;
+        raises the Python sweep's ``NumericalError``."""
         uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
         if uniforms.shape != (sweeps * self.n,):
             raise ValueError(f"need {sweeps * self.n} uniforms, got shape {uniforms.shape}")
@@ -252,7 +248,8 @@ class SweepArrays:
                 raise ValueError(f"record_at must increase within [0, {sweeps}), "
                                  f"got {record_at!r}")
             if rows > len(self.at):
-                self._room(rows)
+                raise ValueError(f"record_at asks for {rows} records, the record buffers "
+                                 f"hold {len(self.at)}")
             self.at[:rows] = at
         _check(self._lib.cdpmix_sweeps(self._kernel, uniforms.ctypes.data, sweeps, rows))
 
@@ -302,83 +299,41 @@ def _slot_table(rows: int) -> np.ndarray:
     return np.zeros(1 << (4 * rows - 1).bit_length(), dtype=np.int64)
 
 
-def _grown(a: np.ndarray, size: int, keep: int) -> np.ndarray:
-    """``a`` with room for ``size`` entries along its first axis, its first ``keep`` kept."""
-    out = np.empty((size,) + a.shape[1:], dtype=a.dtype)
-    out[:keep] = a[:keep]
-    return out
+def read_body(lib: ctypes.CDLL, fh, offset: int, cells: int):
+    """``(chain, sweep, index, rows)`` of the binary trace file ``fh`` from
+    byte ``offset`` on, whose rows have ``cells`` cells (2n, the labels and
+    then the colours of n items): per line its chain, sweep and the position
+    of its row among ``rows``, the distinct rows in order of first
+    occurrence. None where the file cannot be mapped, and at a line outside
+    the form ``pipeline.write_trace`` writes.
 
-
-class TraceReader:
-    """The compiled trace reader and its buffers, for ``body``, a uint8 view
-    of a trace body whose rows have ``cells`` cells (2n, the labels and then
-    the colours of n items).
-
-    The per-line buffers are sized once from the body's byte count: a line
-    takes at least two bytes a cell. The distinct rows start with room for
-    ``room`` rows; when the reader asks for more, they grow to the rows so
-    far scaled up to the whole body, at least doubling, and never past what
-    the rest of the body could hold.
+    The file is mapped read-only and read in place. The buffers are sized
+    once: a line takes at least two bytes a cell, which bounds the lines, and
+    no body has more distinct rows than lines. Only ``rows`` waits for the
+    indexing pass, which counts them.
     """
-
-    def __init__(self, lib: ctypes.CDLL, body: np.ndarray, cells: int, room: int):
-        lines = len(body) // (2 * (cells + 2)) + 1
-        self.body = body
-        self.chain = np.empty(lines, dtype=np.int32)
-        self.sweep = np.empty(lines, dtype=np.int32)
-        self.index = np.empty(lines, dtype=np.int64)
-        self.rows = np.empty((room, cells), dtype=np.int32)
-        self.hashes = np.empty(room, dtype=np.uint64)
-        self.starts = np.empty(room, dtype=np.int64)
-        self.slots = _slot_table(room)
-        self._struct = _Trace(size=len(body), cells=cells)
-        self._lib = lib
-        self._bind()
-
-    def _bind(self) -> None:
-        """Point the struct at the buffers, which may have been replaced."""
-        t = self._struct
-        for name in _TRACE_BUFFERS:
-            setattr(t, name, getattr(self, name).ctypes.data)
-        t.max_lines, t.max_rows, t.n_slots = len(self.chain), len(self.rows), len(self.slots)
-
-    def _grow(self) -> None:
-        """Room for more distinct rows, and a slot table rebuilt for it."""
-        t = self._struct
-        room = min(max(2 * len(self.rows), t.n_rows * t.size // max(t.pos, 1)),
-                   t.n_rows + 1 + (t.size - t.pos) // (2 * (t.cells + 2)))
-        self.rows, self.hashes, self.starts = (_grown(a, room, t.n_rows)
-                                               for a in (self.rows, self.hashes, self.starts))
-        self.slots = _slot_table(room)
-        t.hashed = 0
-        self._bind()
-
-    def read(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """``(chain, sweep, index, rows)`` of the body: per line its chain,
-        sweep and the position of its row among ``rows``, the distinct rows
-        in order of first occurrence. None at a line outside the form
-        ``pipeline.write_trace`` writes."""
-        while (status := self._lib.cdpmix_read_trace(self._struct)) == _ROOM_ROWS:
-            self._grow()
-        if status == _READ_BAD:
-            return None
-        lines, n_rows = self._struct.lines, self._struct.n_rows
-        return self.chain[:lines], self.sweep[:lines], self.index[:lines], self.rows[:n_rows]
-
-
-def read_body(lib: ctypes.CDLL, fh, offset: int, cells: int, room: int):
-    """``TraceReader(...).read()`` of the binary file ``fh`` from byte
-    ``offset`` on, mapped read-only; None where the file cannot be mapped,
-    as well as where the reader stops at a line."""
     import mmap  # only a trace read maps a file, so a run does not load it
     try:
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError):
         return None
     with mapped:
-        reader = TraceReader(lib, np.frombuffer(mapped, dtype=np.uint8, offset=offset),
-                             cells, room)
-        try:
-            return reader.read()
-        finally:
-            del reader  # its view of the map, which cannot close while one is held
+        body = np.frombuffer(mapped, dtype=np.uint8, offset=offset)
+        size, address = len(body), body.ctypes.data
+        del body  # a view of the map, which cannot close while one is held
+        max_lines = size // (2 * (cells + 2)) + 1
+        chain, sweep = (np.empty(max_lines, dtype=np.int32) for _ in range(2))
+        index, starts = (np.empty(max_lines, dtype=np.int64) for _ in range(2))
+        hashes, slots = np.empty(max_lines, dtype=np.uint64), _slot_table(max_lines)
+        trace = _Trace(body=address, size=size, cells=cells, chain=chain.ctypes.data,
+                       sweep=sweep.ctypes.data, index=index.ctypes.data, max_lines=max_lines,
+                       hashes=hashes.ctypes.data, starts=starts.ctypes.data,
+                       slots=slots.ctypes.data, n_slots=len(slots))
+        if lib.cdpmix_read_trace(trace) == _READ_BAD:
+            return None
+        rows = np.empty((trace.n_rows, cells), dtype=np.int32)
+        trace.rows = rows.ctypes.data
+        if lib.cdpmix_parse_rows(trace) == _READ_BAD:
+            return None
+    lines = trace.lines
+    return chain[:lines], sweep[:lines], index[:lines], rows

@@ -387,13 +387,14 @@ class ChainState:
         """The trace record of the current state, numbered ``sweep``."""
         return _scored(self._log_prior, sweep, *self.canonical(), self.log_likelihood())
 
-    def _kernel_arrays(self) -> _sweep.SweepArrays | None:
-        """Fresh kernel arrays of this chain's urn tables and engines; None
-        when the kernel does not build or an engine is not an ``NIGEngine``."""
+    def _kernel_arrays(self, records: int = 1) -> _sweep.SweepArrays | None:
+        """Fresh kernel arrays of this chain's urn tables and engines, with
+        room for ``records`` records a block; None when the kernel does not
+        build or an engine is not an ``NIGEngine``."""
         lib = _sweep.library()
         if lib is None or any(type(eng) is not NIGEngine for eng in self.engines):
             return None
-        return _sweep.SweepArrays(lib, self._urn, self.engines, self.n)
+        return _sweep.SweepArrays(lib, self._urn, self.engines, self.n, records)
 
     def run(self, plan: SweepPlan) -> list[TraceRecord]:
         """Run ``plan``'s sweeps from the current state with this chain's
@@ -407,14 +408,18 @@ class ChainState:
         ``_BLOCK_UNIFORMS`` or the chain ends, and takes the retained records
         in-block. With them a block is one sweep, then a move with
         probability ``plan.subset_move_rate``, then the sweep's record if it
-        is retained. The arrays' state is copied back once, at the end, so a
-        run that raises leaves the state as it was before the run.
+        is retained. The arrays' record buffers are allocated once, with room
+        for the most records one block takes. The arrays' state is copied
+        back once, at the end, so a run that raises leaves the state as it
+        was before the run.
         """
         kept = range(plan.burn_in, plan.sweeps, plan.thin)
         rate = plan.subset_move_rate
-        arrays = self._kernel_arrays()
-        chain = self if arrays is None else _ArrayState(self, arrays)
         block = 1 if rate else max(_BLOCK_UNIFORMS // self.n, 1)
+        # a block of sweeps keeps at most one sweep in thin; record() writes record 0
+        arrays = self._kernel_arrays(
+            1 if rate else max(1, min(len(kept), math.ceil(block / plan.thin))))
+        chain = self if arrays is None else _ArrayState(self, arrays)
         trace = []
         for first in range(0, plan.sweeps, block):
             trace += chain.sweep(min(block, plan.sweeps - first), () if rate else kept, first)

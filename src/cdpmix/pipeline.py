@@ -96,6 +96,16 @@ def open_input(path: str, binary: bool = False):
             raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@contextmanager
+def _writing(path: str):
+    """Turn an ``OSError`` raised while writing the artifact ``path`` into a
+    validation error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def _unique_keys(path: str, pairs: list) -> dict:
     """The JSON object of ``pairs``; a key it repeats is a validation error."""
     obj: dict = {}
@@ -218,22 +228,29 @@ def bundled_data_path(name: str) -> str:
     return str(resources.files("cdpmix.data") / name)
 
 
-def _load_matrix(design_cfg: dict, key: str) -> np.ndarray:
-    """``design_cfg[key]``: inline rows, or the path of a CSV file of finite numbers."""
-    source = design_cfg[key]
+def _load_matrix(design_cfg: dict, key: str, n_samples: int) -> np.ndarray:
+    """``design_cfg[key]``: inline rows, or the path of a CSV file of finite
+    numbers, with one row per data sample."""
+    source, where = design_cfg[key], ""
     if not isinstance(source, str):
         matrix = _array(design_cfg, key, None, None, "design.")
         if matrix.ndim != 2:
             raise ValidationError(f"design.{key} must be a path or a 2-d array, got {source!r}")
-        return matrix
-    with open_input(source) as fh:
-        try:
-            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(f"{source}: {exc}") from None
-    if not np.isfinite(matrix).all():
-        row, col = np.argwhere(~np.isfinite(matrix))[0] + 1
-        raise ValidationError(f"{source}: row {row}, column {col}: non-finite value")
+    else:
+        with open_input(source) as fh, warnings.catch_warnings():
+            # a file without rows is the row-count error below, not a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValidationError(f"{source}: {exc}") from None
+        if not np.isfinite(matrix).all():
+            row, col = np.argwhere(~np.isfinite(matrix))[0] + 1
+            raise ValidationError(f"{source}: row {row}, column {col}: non-finite value")
+        where = f" ({source})"
+    if len(matrix) != n_samples:
+        raise ValidationError(f"design.{key}{where} has {len(matrix)} rows, expected "
+                              f"{n_samples}, one per data sample")
     return matrix
 
 
@@ -259,10 +276,8 @@ def build_design(design_cfg, n_samples: int) -> DesignBlock:
     if not isinstance(design_cfg, dict) or "Z" not in design_cfg:
         raise ValidationError("design must be 'rat-timecourse' or a {'Z': ..., 'X': ...} mapping")
     _reject_unknown("design", design_cfg, ("Z", "X"))
-    Z = _load_matrix(design_cfg, "Z")
-    X = _load_matrix(design_cfg, "X") if design_cfg.get("X") is not None else None
-    if Z.shape[0] != n_samples:
-        raise ValidationError(f"Z has {Z.shape[0]} rows, data has {n_samples} samples")
+    Z = _load_matrix(design_cfg, "Z", n_samples)
+    X = _load_matrix(design_cfg, "X", n_samples) if design_cfg.get("X") is not None else None
     return DesignBlock(Z, X)
 
 
@@ -548,7 +563,7 @@ def _majority_colours(partition: Partition, colours: np.ndarray, weights: np.nda
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -595,8 +610,6 @@ def stack_traces(traces: Sequence[Sequence[TraceRecord]], n: int) -> TraceTable:
 
 #: Distinct trace rows formatted at a time, which bounds the memory the cell strings take.
 _TRACE_CHUNK = 4096
-#: Distinct rows the compiled trace reader makes room for at first.
-_READ_ROOM = 256
 
 
 def _csv_int_rows(body: np.ndarray) -> str:
@@ -637,12 +650,13 @@ def write_trace(path: str, ids: list[str],
         texts += _csv_int_rows(traces.rows[start:start + _TRACE_CHUNK]).splitlines(keepends=True)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(
-                ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
-            fh.writelines(f"{chain},{sweep},{texts[row]}" for chain, sweep, row in zip(
-                traces.chain.tolist(), traces.sweep.tolist(), traces.index.tolist()))
-        os.replace(tmp, path)
+        with _writing(path):
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerow(
+                    ["chain", "sweep"] + [f"c:{i}" for i in ids] + [f"k:{i}" for i in ids])
+                fh.writelines(f"{chain},{sweep},{texts[row]}" for chain, sweep, row in zip(
+                    traces.chain.tolist(), traces.sweep.tolist(), traces.index.tolist()))
+            os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -736,7 +750,7 @@ def read_trace(path: str) -> tuple[list[str], TraceTable]:
         if not line.endswith(b"\n") or line.endswith(b"\r\n"):
             raise ValidationError(f"{path}: line 1 does not end in a bare newline")
         width, lib = 2 + 2 * len(ids), _sweep.library()
-        read = lib and _sweep.read_body(lib, fh, len(line), width - 2, _READ_ROOM)
+        read = lib and _sweep.read_body(lib, fh, len(line), width - 2)
         if read is None:
             fh.seek(len(line))
             read = _read_body(path, fh.read(), width)
@@ -836,7 +850,8 @@ def run_pipeline(config: RunConfig) -> dict:
         "estimate": estimate_info,
         "log_posterior": [rec.log_posterior for trace in traces for rec in trace],
     }
-    with open(os.path.join(config.out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    path = os.path.join(config.out_dir, "manifest.json")
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest

@@ -2,13 +2,16 @@ import ctypes
 import itertools
 import logging
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
 from bisect import bisect_right
 from collections import Counter
 from functools import reduce
 from operator import add
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -854,7 +857,7 @@ def test_fused_reallocation_matches_step_by_step_composition(model, case, monkey
     keep = range(2, 30, 3)
     first = 0
     calls = counting_kernel_runs(monkeypatch)
-    arrays = compiled._kernel_arrays()
+    arrays = compiled._kernel_arrays(13)  # room for a 13-sweep block's records
     chain = compiled if arrays is None else gibbs._ArrayState(compiled, arrays)
     for block in [1, 1, 4, 1, 7, 2, 1, 13]:  # 30 sweeps
         expected = []
@@ -1340,6 +1343,90 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Run in a fresh interpreter with the sanitizer runtime preloaded: builds the
+# kernel from argv[1] with the sanitizers on, then reads traces with it and
+# runs a plain chain and a subset-move CDP chain on it.
+_SANITIZED_KERNEL = r"""
+import sys
+from pathlib import Path
+import numpy as np
+from cdpmix import _sweep, pipeline
+from cdpmix.errors import ValidationError
+
+_sweep.SOURCE = Path(sys.argv[1])
+_sweep.FLAGS += ("-fsanitize=address,undefined", "-fno-omit-frame-pointer",
+                 "-fno-sanitize-recover=all")
+lib = _sweep.library()
+assert lib is not None, "the instrumented kernel did not build"
+path = sys.argv[2]
+head = ("chain,sweep," + ",".join(f"c:{i}" for i in range(4)) + ","
+        + ",".join(f"k:{i}" for i in range(4)) + "\n").encode()
+
+def outcome():
+    try:
+        return [a.tolist() for a in pipeline.read_trace(path)[1]]
+    except ValidationError as exc:
+        return str(exc)
+
+def read_both(body):
+    # the instrumented reader, and the port it falls back to, agree on body
+    Path(path).write_bytes(body)
+    compiled = outcome()
+    _sweep.library = lambda: None
+    try:
+        assert compiled == outcome(), body
+    finally:
+        _sweep.library = lambda: lib
+    with open(path, "rb") as fh:
+        return _sweep.read_body(lib, fh, len(head), 8)
+
+rng = np.random.default_rng(5)
+states = rng.integers(0, 4, size=(6, 8))
+repeated = [f"{j % 2},{j}," + ",".join(map(str, states[k])) + "\n"
+            for j, k in enumerate(rng.integers(6, size=3000))]
+assert read_both(head + "".join(repeated).encode()) is not None
+distinct = rng.integers(0, 2 ** 31 - 1, size=(3000, 8)).tolist()
+assert read_both(head + "".join(f"0,{j}," + ",".join(map(str, row)) + "\n"
+                                for j, row in enumerate(distinct)).encode()) is not None
+good = head + b"1,6,0,1,2,3,0,0,1,1\n2,7,0,1,0,1,1,0,0,1\n"
+for _ in range(300):  # damaged traces, as the two readers are compared on them
+    body = bytearray(good)
+    for _ in range(int(rng.integers(1, 3))):
+        pos = int(rng.integers(len(head), len(body) + 1))
+        byte = bytes([rng.choice(list(b"0123456789,\n\r- \xff"))])
+        body[pos:pos + int(rng.integers(2))] = byte if rng.integers(3) else b""
+    read_both(bytes(body))
+
+for extra in ({}, {"model": {"family": "cdp", "colours": [[1, 1], [1, 0.5]]},
+                   "subset_move_rate": 1.0}):
+    config = pipeline.parse_config(dict({"preset": "wen-rat", "sweeps": 30, "burn_in": 10,
+                                         "seed": 7, "out": "unused"}, **extra))
+    assert len(pipeline.run_chains(config)[0]) == 20
+print("clean")
+"""
+
+
+def test_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    # an out-of-bounds write into a buffer sized once corrupts the heap silently;
+    # the sanitizers make it, or any undefined behaviour, end the process
+    needs_kernel()
+    cc = shutil.which("cc") or shutil.which("gcc")
+    runtime = subprocess.run([cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no AddressSanitizer runtime for the C compiler")
+    source = tmp_path / "_sweep.c"  # the instrumented library is cached beside it
+    source.write_bytes(_sweep.SOURCE.read_bytes())
+    src = str(Path(gibbs.__file__).parents[1])
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SANITIZED_KERNEL, str(source),
+                           str(tmp_path / "trace.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout == "clean\n", proc.stderr[-4000:]
+    assert "Sanitizer" not in proc.stderr and "runtime error" not in proc.stderr, proc.stderr
+
+
 def c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
     """The fields of ``typedef struct { ... } name;`` in C source, in order,
     each with the ctypes type that mirrors it: any pointer as ``c_void_p``,
@@ -1398,6 +1485,13 @@ def test_kernel_bindings_match_the_c_signatures():
                 assert argtype is kinds[param], name
 
 
+def test_the_kernel_source_header_lists_every_export():
+    # the header comment of _sweep.c is where a reader finds the exports
+    source = _sweep.SOURCE.read_text()
+    header = source[:source.index("*/")]
+    assert set(re.findall(r"^ \*   (cdpmix_\w+) ", header, flags=re.M)) == set(c_exports(source))
+
+
 @pytest.mark.parametrize("case", [
     "empty", "two clusters", "repeated", "decreasing", "out of range", "price unwithdrawn",
     "place unwithdrawn", "place in a freed slot", "place in no colour", "place past the slots"])
@@ -1435,13 +1529,20 @@ def test_kernel_refuses_a_bad_block_and_leaves_the_state(case):
         assert bits(getattr(arrays, name).ravel()) == bits(was.ravel()), name
 
 
-@pytest.mark.parametrize("record_at", [[3], [-1], [1, 1], [2, 0]])
+@pytest.mark.parametrize("record_at", [[3], [-1], [1, 1], [2, 0], [0, 1, 2, 3]])
 def test_kernel_rejects_records_outside_the_block_or_out_of_order(record_at):
+    # the record buffers hold a 3-sweep block's records: four records of a
+    # 4-sweep block are refused too, before the kernel writes past them
     needs_kernel()
     model = DirichletProcess(1.0)
     state = ChainState(model, build_engines(make_data(4), DESIGN, SPEC, model), 4,
                        np.random.default_rng(3))
-    arrays = state._kernel_arrays()
+    arrays = state._kernel_arrays(3)
     state._to_arrays(arrays)
-    with pytest.raises(ValueError, match="record_at must increase within"):
-        arrays.run(np.full(12, 0.5), 3, record_at)
+    before = [getattr(arrays, name).copy() for name in _sweep._STATE]
+    sweeps = max(3, len(record_at))
+    with pytest.raises(ValueError, match="^record_at (must increase within|asks for 4 records, "
+                                         "the record buffers hold 3$)"):
+        arrays.run(np.full(4 * sweeps, 0.5), sweeps, record_at)
+    for name, was in zip(_sweep._STATE, before):
+        assert bits(getattr(arrays, name).ravel()) == bits(was.ravel()), name

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -752,25 +753,17 @@ def test_read_trace_keeps_each_distinct_row_once(tmp_path, monkeypatch):
     assert compiled == numpy_reader
 
 
-def test_read_trace_grows_its_buffers(tmp_path, monkeypatch):
-    # room for one row at first; new rows keep coming after a long repeated
-    # start, so the room for rows grows many times, and the slot table is
-    # rehashed at each growth
+def test_read_trace_finds_new_rows_after_a_long_repeated_start(tmp_path, monkeypatch):
+    # one row repeated 300 times, then new rows keep coming among repeats
     rng = np.random.default_rng(36)
     states = ["0100"] + [f"{s:04d}" for s in rng.choice(10 ** 4, size=60, replace=False)]
     picks = np.r_[np.zeros(300, dtype=int), rng.integers(1, 61, size=500)]  # 0100 heads it
     body = "".join(f"{j % 3},{j % 10},{','.join(states[k])}\n"  # 12-byte lines
                    for j, k in enumerate(picks))
     path = _write_trace_text(tmp_path, body)
-    monkeypatch.setattr(pipeline, "_READ_ROOM", 1)
     _, numpy_reader = _both_readers(monkeypatch, path)
     _forbid_read_body(monkeypatch)
-    grown = []
-    grow = _sweep.TraceReader._grow
-    monkeypatch.setattr(_sweep.TraceReader, "_grow",
-                        lambda reader: grown.append(len(reader.rows)) or grow(reader))
     assert _read_trace_outcome(path) == numpy_reader
-    assert len(grown) >= 4, grown
     _, (_, _, index, rows) = pipeline.read_trace(path)
     assert len(rows) == len({tuple(row) for row in rows[index].tolist()}) > 50
 
@@ -782,7 +775,6 @@ def test_read_trace_without_repeats(tmp_path, monkeypatch):
     table[:, 2] = np.arange(3000)  # every row distinct
     path = _write_trace_text(tmp_path, "".join(",".join(map(str, r)) + "\n"
                                                for r in table.tolist()))
-    monkeypatch.setattr(pipeline, "_READ_ROOM", 4)
     _, numpy_reader = _both_readers(monkeypatch, path)
     _forbid_read_body(monkeypatch)
     assert _read_trace_outcome(path) == numpy_reader
@@ -1262,6 +1254,53 @@ def test_missing_or_malformed_design_csv_names_it(tmp_path):
     bad.write_text("1.0,x\n0.0,1.0\n")
     with pytest.raises(ValidationError, match="^" + re.escape(str(bad)) + ": "):
         pipeline.build_design({"Z": str(bad)}, 2)
+
+
+@pytest.mark.parametrize("key,source,message", [
+    ("Z", "", "design.Z ({path}) has 0 rows, expected 2, one per data sample"),
+    ("Z", "# a comment\n# and another\n",
+     "design.Z ({path}) has 0 rows, expected 2, one per data sample"),
+    ("Z", [[1.0], [1.0], [1.0]], "design.Z has 3 rows, expected 2, one per data sample"),
+    ("X", "1.0\n0.0\n1.0\n", "design.X ({path}) has 3 rows, expected 2, one per data sample"),
+], ids=["empty-Z-csv", "comment-only-Z-csv", "inline-Z", "X-csv"])
+def test_a_design_matrix_of_the_wrong_height_names_its_key_and_file(tiny_run, tmp_path,
+                                                                    capsys, key, source,
+                                                                    message):
+    # an empty Z file printed numpy's UserWarning and then "Z has 0 rows, data
+    # has 2 samples", and a short X "X has 3 rows, expected 2": neither named
+    # the config key or the file
+    path = tmp_path / "m.csv"
+    if isinstance(source, str):
+        path.write_text(source)
+        source = str(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(tiny_run, design={"Z": [[1.0], [1.0]], key: source})))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        err = _cli_error(capsys, "run", "--config", str(cfg))
+    assert err == f"error: {message.format(path=path)}\n"
+    assert not [w for w in caught if issubclass(w.category, UserWarning)], caught
+    assert not os.path.exists(os.path.join(tiny_run["out"], "trace.csv"))
+
+
+@pytest.mark.parametrize("command,artifact", [
+    ("run", "trace.csv"), ("run", "similarity.csv"), ("summarize", "similarity.csv")])
+def test_an_artifact_that_cannot_be_written_is_named(tiny_run, tmp_path, capsys, command,
+                                                     artifact):
+    # a directory where an artifact goes ended in an IsADirectoryError traceback
+    out = tiny_run["out"]
+    if command == "summarize":
+        pipeline.run_pipeline(pipeline.parse_config(tiny_run))
+        os.remove(os.path.join(out, artifact))
+        argv = ["summarize", "--out", out]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_run))
+        argv = ["run", "--config", str(cfg)]
+    path = os.path.join(out, artifact)
+    os.makedirs(path)
+    assert _cli_error(capsys, *argv) == f"error: {path}: cannot write: Is a directory\n"
+    assert not os.path.exists(os.path.join(out, "trace.csv.tmp"))
 
 
 TWO_COLUMN_Z = {"Z": [[1.0, 0.0], [0.0, 1.0]]}
